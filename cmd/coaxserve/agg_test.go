@@ -21,7 +21,7 @@ func postAgg(t *testing.T, url string, q rectRequest) (queryResponse, *http.Resp
 }
 
 func TestQueryAggEndToEnd(t *testing.T) {
-	idx, _, srv := testServerHardened(t, 256, nil)
+	idx, srv := testServerHardened(t, 256, nil)
 
 	// Baseline: collect every row, fold in the test.
 	var all queryResponse
@@ -69,7 +69,7 @@ func TestQueryAggEndToEnd(t *testing.T) {
 }
 
 func TestQueryAggGroupBy(t *testing.T) {
-	_, _, srv := testServerHardened(t, 0, nil)
+	_, srv := testServerHardened(t, 0, nil)
 
 	dim, group := 3, 2 // avg(lon) grouped by lat: not meaningful, but exercises dims
 	res, resp := postAgg(t, srv.URL, rectRequest{
@@ -99,7 +99,7 @@ func TestQueryAggGroupBy(t *testing.T) {
 }
 
 func TestQueryAggExplain(t *testing.T) {
-	_, _, srv := testServerHardened(t, 0, nil)
+	_, srv := testServerHardened(t, 0, nil)
 	var out queryResponse
 	col := "lon"
 	postJSON(t, srv.URL+"/query?explain=true", rectRequest{Agg: &aggRequest{Op: "sum", Col: &col}}, &out)
@@ -113,7 +113,7 @@ func TestQueryAggExplain(t *testing.T) {
 }
 
 func TestQueryAggBadRequests(t *testing.T) {
-	_, _, srv := testServerHardened(t, 0, nil)
+	_, srv := testServerHardened(t, 0, nil)
 	col, bad := "lon", "nope"
 	one := 1
 	cases := []rectRequest{
@@ -138,7 +138,7 @@ func TestQueryAggBadRequests(t *testing.T) {
 
 // TestQueryAggMatchesLibrary pins the HTTP path to the library path.
 func TestQueryAggMatchesLibrary(t *testing.T) {
-	idx, _, srv := testServerHardened(t, 0, nil)
+	idx, srv := testServerHardened(t, 0, nil)
 	col := "lat"
 	lo, hi := 46.0, 49.0
 	q := rectRequest{

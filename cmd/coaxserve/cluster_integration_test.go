@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"sort"
@@ -416,91 +415,5 @@ func TestClusterNodeSnapshotIn(t *testing.T) {
 		if int(agg.All.Count) != len(want)/dims {
 			t.Fatalf("agg %d: count %d, oracle %d", i, agg.All.Count, len(want)/dims)
 		}
-	}
-}
-
-// TestRouterModeHTTP drives the router-mode HTTP surface against an
-// in-process cluster: the JSON API must behave exactly like serve mode,
-// including 429 + Retry-After when every replica sheds.
-func TestRouterModeHTTP(t *testing.T) {
-	tab := coax.GenerateOSM(coax.DefaultOSMConfig(6000))
-	const gshards, rf = 8, 2
-	bc, err := startBenchCluster(tab, gshards, 2, rf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.close()
-	rt, err := cluster.NewRouter(bc.addrs, gshards, rf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	rst := &routerState{rt: rt, start: time.Now()}
-	srv := httptest.NewServer(newRouterMux(rst))
-	t.Cleanup(srv.Close)
-
-	oracle, err := buildOracle(tab, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// /query must agree with the oracle on counts.
-	gen := workload.NewGenerator(tab, 5)
-	for i, r := range gen.KNNRects(10, 50) {
-		var resp queryResponse
-		httpResp := postJSON(t, srv.URL+"/query", rectToRequest(r), &resp)
-		if httpResp.StatusCode != 200 {
-			t.Fatalf("query %d: status %d", i, httpResp.StatusCode)
-		}
-		want := 0
-		oracle.Query(r, func([]float64) { want++ })
-		if resp.Count != want {
-			t.Fatalf("query %d: count %d, oracle %d", i, resp.Count, want)
-		}
-	}
-
-	// Aggregation by position; by name must 400.
-	dim := 0
-	var aggResp queryResponse
-	if r := postJSON(t, srv.URL+"/query", rectRequest{Agg: &aggRequest{Op: "sum", Dim: &dim}}, &aggResp); r.StatusCode != 200 {
-		t.Fatalf("agg by dim: status %d", r.StatusCode)
-	}
-	col := "lat"
-	if r := postJSON(t, srv.URL+"/query", rectRequest{Agg: &aggRequest{Op: "sum", Col: &col}}, nil); r.StatusCode != 400 {
-		t.Fatalf("agg by name: status %d, want 400", r.StatusCode)
-	}
-
-	// Mutations flow through to the cluster.
-	row := append([]float64(nil), tab.Row(3)...)
-	row[0] += 9000.5
-	var ins map[string]int64
-	if r := postJSON(t, srv.URL+"/insert", insertRequest{Row: row}, &ins); r.StatusCode != 200 {
-		t.Fatalf("insert: status %d", r.StatusCode)
-	}
-	if r := postJSON(t, srv.URL+"/delete", insertRequest{Row: row}, nil); r.StatusCode != 200 {
-		t.Fatalf("delete inserted row: status %d", r.StatusCode)
-	}
-	if r := postJSON(t, srv.URL+"/delete", insertRequest{Row: row}, nil); r.StatusCode != 404 {
-		t.Fatalf("delete absent row: status %d, want 404", r.StatusCode)
-	}
-
-	// All replicas shedding → 429 carrying the LARGEST Retry-After.
-	bc.nodes[0].SetDraining(1500 * time.Millisecond)
-	bc.nodes[1].SetDraining(3500 * time.Millisecond)
-	resp := postJSON(t, srv.URL+"/query", rectToRequest(gen.KNNRects(1, 50)[0]), nil)
-	if resp.StatusCode != 429 {
-		t.Fatalf("all draining: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "4" {
-		t.Fatalf("Retry-After %q, want \"4\" (ceil of the 3.5s max)", ra)
-	}
-	if r := postJSON(t, srv.URL+"/insert", insertRequest{Row: row}, nil); r.StatusCode != 429 {
-		t.Fatalf("mutation while draining: status %d, want 429", r.StatusCode)
-	}
-	bc.nodes[0].SetDraining(0)
-	bc.nodes[1].SetDraining(0)
-	if r := postJSON(t, srv.URL+"/query", rectToRequest(gen.KNNRects(1, 50)[0]), nil); r.StatusCode != 200 {
-		t.Fatalf("after drain lifted: status %d", r.StatusCode)
 	}
 }

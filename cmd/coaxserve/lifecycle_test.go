@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"net/http"
-	"os"
 	"testing"
 )
 
@@ -104,43 +103,5 @@ func TestCompactEndpoint(t *testing.T) {
 		if e != 1 {
 			t.Fatalf("shard %d epoch %d after forced rebuild, want 1", i, e)
 		}
-	}
-}
-
-func TestMutBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mutbench smoke is not short")
-	}
-	out := t.TempDir() + "/BENCH_mutation.json"
-	err := cmdMutBench([]string{
-		"-rows", "30000", "-shards", "2", "-queries", "150", "-knn", "50",
-		"-query-workers", "2", "-json", out,
-	})
-	if err != nil {
-		t.Fatalf("cmdMutBench: %v", err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep mutationReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.Steady.QPS <= 0 || rep.During.QPS <= 0 || rep.After.QPS <= 0 {
-		t.Fatalf("phase throughput missing: %+v", rep)
-	}
-	if rep.DriftOps == 0 || len(rep.RebuiltShards) == 0 {
-		t.Fatalf("no drift or no rebuild: ops=%d rebuilt=%v", rep.DriftOps, rep.RebuiltShards)
-	}
-	if rep.OutlierRatioDrift <= rep.Thresholds.MaxOutlierRatio {
-		t.Fatalf("drift never crossed the threshold: %+v", rep)
-	}
-	if rep.OutlierRatioHealed >= rep.OutlierRatioDrift {
-		t.Fatalf("rebuild did not reduce the outlier ratio: %.3f → %.3f",
-			rep.OutlierRatioDrift, rep.OutlierRatioHealed)
-	}
-	if rep.P99Blow <= 0 {
-		t.Fatalf("p99 ratio not recorded: %+v", rep)
 	}
 }

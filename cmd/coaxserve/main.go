@@ -1,5 +1,5 @@
-// Command coaxserve serves a sharded COAX index over HTTP/JSON and
-// benchmarks the sharded engine under load.
+// Command coaxserve serves a sharded COAX index over HTTP/JSON, from one
+// process or from a cluster.
 //
 // Usage:
 //
@@ -8,98 +8,58 @@
 //	coaxserve serve -in osm.v3 -addr :8080      # v3 snapshots serve memory-mapped
 //	coaxserve serve -in osm-sharded.coax -debug-addr :6060 -slowlog-threshold 50ms -access-log
 //	coaxserve serve -in osm-sharded.coax -cache-size 8192 -max-inflight 64 -queue-timeout 100ms
-//	coaxserve bench -rows 500000 -shards 1,2,4,8 -batch 1,16,64 -json BENCH_serve.json -metrics-check
-//	coaxserve mutbench -rows 200000 -shards 4 -json BENCH_mutation.json
-//	coaxserve aggbench -rows 200000 -selectivities 0.01,0.1,0.5 -json BENCH_agg.json
 //	coaxserve node -addr 127.0.0.1:7401 -peers 127.0.0.1:7401,127.0.0.1:7402 -shards 16 -replication 2
 //	coaxserve node -addr 127.0.0.1:7401 -peers ... -in osm.v3   # every node builds from one snapshot
 //	coaxserve router -addr :8080 -nodes 127.0.0.1:7401,127.0.0.1:7402 -shards 16 -replication 2
-//	coaxserve clusterbench -rows 100000 -nodes 1,2,3 -straggler 30ms -json BENCH_cluster.json
 //
 // The serve mode loads a sharded snapshot (or builds one over a synthetic
-// dataset at startup) and answers:
+// dataset at startup); the router mode scatter-gathers across node
+// processes (internal/cluster: consistent-hash placement, hedged replica
+// reads, circuit breaking, failover). Both answer the same API through the
+// same handlers:
 //
-//	GET  /healthz  liveness probe; ?verbose=1 adds lifecycle epoch, stale
-//	               shard count, snapshot version, rows/shards, and uptime
-//	GET  /stats    index shape plus lifecycle health: outlier/tombstone
-//	               ratios, model drift, per-shard rebuild epochs, staleness
-//	GET  /metrics  Prometheus text exposition of every metric family:
-//	               query (latency, pages/rows scanned, early stops),
-//	               mutation (insert/delete/update, compactions), lifecycle
-//	               (rebuilds, replay sizes, compactor sweeps), build
-//	               (rows/sec, phase durations, peak heap), HTTP, and the
-//	               index-health gauges (outlier/tombstone ratio, epoch)
+//	GET  /healthz  liveness probe; ?verbose=1 adds the backend's shape
+//	GET  /stats    index or cluster shape, result-cache and admission
+//	               counters; serve adds lifecycle health and staleness
+//	GET  /metrics  Prometheus text exposition of every metric family
 //	GET  /debug/vars
 //	               the same registry as an expvar JSON map (under "coax")
-//	GET  /debug/slowlog
-//	               ring buffer of the most recent queries slower than
-//	               -slowlog-threshold, each with its full EXPLAIN report
 //	POST /query    {"min":[...],"max":[...],"limit":100} — null bounds are
 //	               unconstrained; responds {"count":N,"rows":[[...],...]}.
 //	               "early":true stops the scan once limit rows are found
-//	               (count then equals rows returned) and requires a positive
-//	               limit — "early" with limit ≤ 0 is a 400; ?explain=true
-//	               adds an execution report (soft-FD constraint translation,
-//	               primary/outlier scan split, shards pruned, wall time) and
-//	               bypasses the result cache. NaN, inverted, or
-//	               wrong-dimension bounds are a 400. "agg" switches the
-//	               query to an aggregation pushdown: {"agg":{"op":"sum",
-//	               "col":"lon"}} (ops count/sum/min/max/avg, optional
-//	               "group_by") answers {"count":N,"agg":{...}} with no rows,
-//	               folded inside the batch scan kernels; "agg" with "early"
-//	               is a 400.
+//	               (count then equals rows returned). "agg" switches to an
+//	               aggregation pushdown: {"agg":{"op":"sum","col":"lon"}}
+//	               (ops count/sum/min/max/avg, "dim" for a column by
+//	               position, optional "group_by"/"group_by_dim") answers
+//	               {"count":N,"agg":{...}} with no rows. ?explain=true adds
+//	               an execution report and bypasses the result cache.
 //	POST /batch    {"queries":[{...},...]} — one fan-out for the whole
 //	               batch (?explain=true or "early" run per-query instead)
 //	POST /insert   {"row":[...]} — routes the row to its shard
-//	POST /delete   {"row":[...]} — removes one exact-match row (404 if absent)
+//	POST /delete   {"row":[...]} — removes one exact-match row
 //	POST /update   {"old":[...],"new":[...]} — replaces one row
-//	POST /compact  rebuild stale shards online now (?force=true: all shards)
 //
-// A background compactor (-compact-interval) polls the same staleness
-// thresholds and rebuilds drifted shards automatically — the self-healing
-// loop; queries keep being served from the old epoch during every rebuild.
+// and fail the same way: 400 for a request that cannot mean anything (NaN,
+// inverted or wrong-dimension bounds, "early" with limit ≤ 0 or with "agg",
+// "agg" inside /batch, a malformed row), 404 for an absent row, 429 +
+// Retry-After when admission control (-max-inflight, -max-queue,
+// -queue-timeout) sheds the request — or, on the router, when every replica
+// of a shard did, with the largest hint any gave — and 502 when a shard has
+// no replica left to answer. The router knows no column names
+// ("col"/"group_by" are a 400) and cannot explain (?explain=true is a 400).
+// Serve mode alone adds POST /compact (rebuild stale shards online now;
+// ?force=true: all), which the background compactor (-compact-interval)
+// otherwise does on its own, and GET /debug/slowlog (the most recent
+// queries slower than -slowlog-threshold, each with its EXPLAIN). A corrupt
+// page in a mapped snapshot turns every later query into a 500 and /healthz
+// into 503 "corrupt".
 //
-// The serving tier hardens /query and /batch (internal/serve): -cache-size
-// bounds a sharded-LRU result cache keyed on the canonicalized rectangle
-// and invalidated by per-shard mutation versions — a cached answer is never
-// stale; identical concurrent /query misses coalesce onto one engine
-// fan-out. -max-inflight caps concurrently executing queries: excess
-// requests wait in a bounded queue (-max-queue, -queue-timeout) and are
-// shed with 429 + Retry-After when it overflows or the deadline passes.
-// /stats reports cache hit/eviction and admission shed counters alongside
-// the matching /metrics families.
-//
-// -debug-addr serves net/http/pprof, expvar, and /metrics on a second
-// listener kept off the query port. -access-log writes one line per request
-// to stderr. Shutdown is graceful: SIGINT/SIGTERM stop the listener and
-// drain in-flight requests for up to -drain-timeout.
-//
-// The bench mode generates a rectangle workload, measures a serial
-// single-shard baseline, then sweeps shard count × batch size through
-// BatchQuery, reporting QPS and p50/p99 latency (see BENCH_serve.json). It
-// also measures the observability overhead (instrumented vs kill-switched
-// p50, the report's "obs" section) and, with -metrics-check, serves the
-// workload through an in-process HTTP server and fails unless
-// coax_queries_total advanced by exactly the request count
-// (-metrics-dump archives the final scrape).
-// The mutbench mode measures query QPS/p99 before a drift-inducing write
-// workload, during the online rebuild it triggers, and after the epoch
-// swap (see BENCH_mutation.json).
-//
-// The aggbench mode measures the aggregation pushdown (POST /query with
-// "agg", Query.Aggregate in the library) against the Collect-then-fold
-// idiom it replaces: COUNT and SUM across a selectivity sweep, a GROUP BY
-// on the airline carrier column, and a sharded repeat, failing unless both
-// paths agree on every answer (see BENCH_agg.json).
-//
-// The node and router modes deploy the engine as a cluster
-// (internal/cluster): each node process hosts the global shards consistent
-// hashing assigns it behind the binary wire protocol, and the router
-// scatter-gathers queries across nodes — with hedged replica reads, circuit
-// breaking, and failover — while serving the same HTTP/JSON API as serve
-// mode, including its result cache, request coalescing, and admission
-// control. The clusterbench mode sweeps node count and measures what
-// hedging buys under an injected straggler (see BENCH_cluster.json).
+// -cache-size bounds the result cache (internal/serve): keyed on the
+// canonicalized rectangle, invalidated by per-shard mutation versions, never
+// stale; identical concurrent misses coalesce onto one engine fan-out.
+// -debug-addr serves pprof, expvar and /metrics on a second listener;
+// -access-log writes one line per request to stderr; SIGINT/SIGTERM drain
+// in-flight requests for up to -drain-timeout.
 package main
 
 import (
@@ -116,18 +76,10 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "mutbench":
-		err = cmdMutBench(os.Args[2:])
-	case "aggbench":
-		err = cmdAggBench(os.Args[2:])
 	case "node":
 		err = cmdNode(os.Args[2:])
 	case "router":
 		err = cmdRouter(os.Args[2:])
-	case "clusterbench":
-		err = cmdClusterBench(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -146,16 +98,11 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `coaxserve — sharded concurrent COAX query serving
 
 subcommands:
-  serve        answer HTTP/JSON queries and mutations from a sharded index
-  bench        measure QPS and latency vs. shard count and batch size
-  mutbench     measure query latency before/during/after an online rebuild
-  aggbench     measure aggregation pushdown vs. Collect-then-fold
-  node         host this process's consistent-hash share of a cluster's
-               shards behind the binary wire protocol
-  router       serve the HTTP/JSON API by scatter-gathering across cluster
-               nodes, with hedged replica reads and failover
-  clusterbench measure cluster QPS vs. node count and hedged-read p99
-               under an injected straggler
+  serve   answer HTTP/JSON queries and mutations from a sharded index
+  node    host this process's consistent-hash share of a cluster's shards
+          behind the binary wire protocol
+  router  serve the same HTTP/JSON API by scatter-gathering across cluster
+          nodes, with hedged replica reads and failover
 
 run 'coaxserve <subcommand> -h' for flags`)
 }

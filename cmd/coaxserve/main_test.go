@@ -10,21 +10,13 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/mmapsnap"
 )
 
 func testServer(t *testing.T) (*coax.ShardedIndex, *httptest.Server) {
 	t.Helper()
-	tab := coax.GenerateOSM(coax.DefaultOSMConfig(8000))
-	so := coax.DefaultShardOptions()
-	so.NumShards = 4
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatalf("BuildSharded: %v", err)
-	}
-	th := coax.DefaultThresholds()
-	srv := httptest.NewServer(newServerMux(newServerState(idx, coax.NewCompactor(idx, th, 0), th)))
-	t.Cleanup(srv.Close)
-	return idx, srv
+	idx := testIndex(t)
+	return idx, serveFront(t, testBackend(idx), 0, nil)
 }
 
 func postJSON(t *testing.T, url string, body any, out any) *http.Response {
@@ -183,7 +175,7 @@ func TestOpenIndexWrapsSingleSnapshot(t *testing.T) {
 	if err := coax.SaveFile(path, single); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := openIndex(path, "", "", 0, 0, 2, 0)
+	idx, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 	if err != nil {
 		t.Fatalf("openIndex(single snapshot): %v", err)
 	}
@@ -207,7 +199,7 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 		if err := coax.SaveFileV3(path, single, compress); err != nil {
 			t.Fatal(err)
 		}
-		idx, err := openIndex(path, "", "", 0, 0, 2, 0)
+		idx, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 		if err != nil {
 			t.Fatalf("openIndex(v3, compress=%v): %v", compress, err)
 		}
@@ -233,55 +225,84 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 	}
 }
 
-func TestBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench smoke is not short")
-	}
-	dir := t.TempDir()
-	out := dir + "/BENCH_serve.json"
-	prom := dir + "/metrics.prom"
-	err := cmdBench([]string{
-		"-rows", "20000", "-queries", "60", "-knn", "50",
-		"-shards", "1,2", "-batch", "1,8", "-json", out,
-		"-metrics-check", "-metrics-dump", prom,
-	})
-	if err != nil {
-		t.Fatalf("cmdBench: %v", err)
-	}
-	blob, err := os.ReadFile(out)
+// TestCorruptPageRefused is the regression test for serve mode dropping the
+// Snapshot it opened: a compressed v3 page that fails its checksum reads as
+// empty, and the server used to answer 200 with a short count. It must
+// refuse instead — 500 with the checksum error, nothing cached, /healthz 503
+// "corrupt", and a counted metric.
+func TestCorruptPageRefused(t *testing.T) {
+	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
+	single, err := coax.Build(tab, coax.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep serveReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
+	path := t.TempDir() + "/corrupt.v3"
+	if err := coax.SaveFileV3(path, single, true); err != nil {
+		t.Fatal(err)
 	}
-	if rep.Serial.QPS <= 0 || len(rep.Runs) != 4 {
-		t.Errorf("report shape: serial qps %v, %d runs", rep.Serial.QPS, len(rep.Runs))
+	// Flip a byte in the compressed data region, which Open does not read
+	// (a flip in a plain section fails the open, as it should).
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, run := range rep.Runs {
-		if run.RowsMatched != rep.Serial.RowsMatched {
-			t.Errorf("run %+v matched %d rows, serial %d", run, run.RowsMatched, rep.Serial.RowsMatched)
+	st, err := mmapsnap.Inspect(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for _, sec := range st.Sections {
+		if sec.Compressed {
+			blob[sec.Offset+sec.Len-9] ^= 0xff
+			flipped = true
+			break
 		}
 	}
-	if rep.Obs == nil || rep.Obs.EnabledP50us <= 0 || rep.Obs.DisabledP50us <= 0 {
-		t.Errorf("obs overhead section missing or empty: %+v", rep.Obs)
+	if !flipped {
+		t.Fatal("snapshot has no compressed section")
 	}
-	if rep.HotKey == nil {
-		t.Fatal("hotkey section missing")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if rep.HotKey.CachedQPS <= 0 || rep.HotKey.UncachedQPS <= 0 || rep.HotKey.Requests <= 0 {
-		t.Errorf("hotkey section empty: %+v", *rep.HotKey)
-	}
-	if rep.HotKey.HitRate <= 0.5 {
-		t.Errorf("hot-key hit rate %.2f — the zipfian pool should hit far more than half", rep.HotKey.HitRate)
-	}
-	dump, err := os.ReadFile(prom)
+
+	idx, snap, err := openIndex(path, "", "", 0, 0, 2, 0)
 	if err != nil {
-		t.Fatalf("-metrics-dump wrote nothing: %v", err)
+		t.Fatalf("openIndex: %v", err)
 	}
-	if !bytes.Contains(dump, []byte("# TYPE coax_queries_total counter")) {
-		t.Error("metrics dump has no coax_queries_total family")
+	defer snap.Close()
+	srv := serveFront(t, newLocalBackend(idx, snap, coax.DefaultThresholds(), 0), 64, nil)
+
+	_, before := scrape(t, srv.URL, "coax_snapshot_page_errors_total")
+	zero := 0
+	for _, q := range []any{
+		rectRequest{Limit: &zero},
+		rectRequest{Limit: &zero}, // again: the failure must not have been cached
+		rectRequest{Agg: &aggRequest{Op: "count"}},
+	} {
+		var out queryResponse
+		resp := postJSON(t, srv.URL+"/query", q, &out)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("query over a corrupt page: status %d, count %d of %d; want 500", resp.StatusCode, out.Count, tab.Len())
+		}
+	}
+	if resp := postJSON(t, srv.URL+"/batch", batchRequest{Queries: []rectRequest{{Limit: &zero}}}, nil); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("batch over a corrupt page: status %d, want 500", resp.StatusCode)
+	}
+	if _, after := scrape(t, srv.URL, "coax_snapshot_page_errors_total"); after-before != 4 {
+		t.Errorf("coax_snapshot_page_errors_total advanced by %v, want 4", after-before)
+	}
+
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || h["status"] != "corrupt" {
+		t.Errorf("/healthz = %d %v, want 503 corrupt", resp.StatusCode, h)
 	}
 }
 

@@ -25,8 +25,6 @@ import (
 
 	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/cluster"
-	"github.com/coax-index/coax/internal/serve"
-	"github.com/coax-index/coax/internal/shard"
 )
 
 func cmdNode(args []string) error {
@@ -104,12 +102,8 @@ func cmdNode(args []string) error {
 	}
 
 	var opts []cluster.NodeOption
-	if *maxInflight > 0 {
-		q := *maxQueue
-		if q < 0 {
-			q = 2 * *maxInflight
-		}
-		opts = append(opts, cluster.WithAdmission(serve.NewAdmission(*maxInflight, q, *queueTimeout)))
+	if adm := newAdmission(*maxInflight, *maxQueue, *queueTimeout); adm != nil {
+		opts = append(opts, cluster.WithAdmission(adm))
 	}
 	node, err := cluster.NewNode(engines, *shards, opts...)
 	if err != nil {
@@ -177,14 +171,4 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// buildOracle builds the single-process reference engine over the same
-// table a cluster serves — the comparison target for tests and smoke
-// checks: a cluster answer must be a multiset-identical to the oracle's.
-func buildOracle(tab *coax.Table, localShards, workers int) (*shard.Sharded, error) {
-	so := coax.DefaultShardOptions()
-	so.NumShards = localShards
-	so.Workers = workers
-	return shard.Build(tab, coax.DefaultOptions(), so)
 }

@@ -15,15 +15,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/coax-index/coax/coax"
-	"github.com/coax-index/coax/internal/core"
-	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/obs"
-	"github.com/coax-index/coax/internal/serve"
-	"github.com/coax-index/coax/internal/snapshot"
 )
 
 // HTTP-plane metric families.
@@ -34,75 +32,9 @@ var (
 	httpSeconds    = obs.NewHistogram("coax_http_request_seconds", "HTTP request latency in seconds.", 1e-5, 60)
 	httpInflight   = obs.NewGauge("coax_http_inflight_requests", "HTTP requests currently being served.")
 	slowQueries    = obs.NewCounter("coax_slow_queries_total", "Queries slower than the slow-query threshold.")
+
+	snapshotPageErrors = obs.NewCounter("coax_snapshot_page_errors_total", "Queries refused because a page of the mapped snapshot failed its checksum.")
 )
-
-// serverState carries everything the HTTP handlers share: the index and its
-// maintenance machinery, plus the serving-tier observability state.
-type serverState struct {
-	idx       *coax.ShardedIndex
-	compactor *lifecycle.Compactor
-	th        lifecycle.Thresholds
-
-	start time.Time
-	// snapVersion is the format version of the snapshot the server loaded,
-	// or the current format version when the index was built at startup.
-	snapVersion uint32
-
-	slowlog   *slowLog // nil: slow-query logging disabled
-	accessLog bool
-
-	// Serving-tier hardening; either may be nil (layer disabled). The
-	// zero-value state serves correctly without them — tests and the bench
-	// opt in per scenario.
-	qcache *serve.QueryCache
-	adm    *serve.Admission
-}
-
-// newServerState wires a state with defaults (no slowlog, no access log) —
-// the shape tests and the bench's in-process server use.
-func newServerState(idx *coax.ShardedIndex, compactor *lifecycle.Compactor, th lifecycle.Thresholds) *serverState {
-	return &serverState{
-		idx:         idx,
-		compactor:   compactor,
-		th:          th,
-		start:       time.Now(),
-		snapVersion: snapshot.Version,
-	}
-}
-
-// registerIndexGauges (re-)registers the callback-backed index-health
-// gauges over st's index. Re-registration replaces the callbacks, so the
-// most recently started server (last test server, in-process bench server)
-// is the one the gauges describe.
-func registerIndexGauges(st *serverState) {
-	idx := st.idx
-	obs.NewGaugeFunc("coax_live_rows", "Live rows across all shards.",
-		func() float64 { return float64(idx.Len()) })
-	obs.NewGaugeFunc("coax_outlier_ratio", "Fraction of live rows in the outlier partitions.",
-		func() float64 { return idx.LifecycleStats().OutlierRatio })
-	obs.NewGaugeFunc("coax_tombstone_ratio", "Fraction of stored rows that are tombstones.",
-		func() float64 { return idx.LifecycleStats().TombstoneRatio })
-	obs.NewGaugeFunc("coax_index_epoch", "Sum of shard rebuild epochs (advances on every rebuild).",
-		func() float64 { return float64(idx.LifecycleStats().Epoch) })
-	obs.NewGaugeFunc("coax_memory_overhead_bytes", "Index directory overhead beyond row payload.",
-		func() float64 { return float64(idx.MemoryOverhead()) })
-	obs.NewGaugeFunc("coax_primary_pages", "Grid pages across all primary partitions.",
-		func() float64 {
-			var pages int
-			for i := 0; i < idx.NumShards(); i++ {
-				idx.WithShard(i, func(c *core.COAX) error {
-					if c.HasPrimary() {
-						pages += c.Primary().NumCells()
-					}
-					return nil
-				})
-			}
-			return float64(pages)
-		})
-	th := st.th
-	obs.NewGaugeFunc("coax_stale_shards", "Shards currently stale under the serving thresholds.",
-		func() float64 { return float64(len(idx.StaleShards(th))) })
-}
 
 // --- request middleware ---
 
@@ -119,13 +51,7 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // instrument wraps h with the HTTP-plane metrics and, when enabled, a
 // per-request access log line on stderr.
-func (st *serverState) instrument(h http.Handler) http.Handler {
-	return instrumentHandler(h, st.accessLog)
-}
-
-// instrumentHandler is the shared request middleware behind both the
-// single-process serve mode and the cluster router mode.
-func instrumentHandler(h http.Handler, accessLog bool) http.Handler {
+func instrument(h http.Handler, accessLog bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		httpInflight.Add(1)
@@ -214,41 +140,38 @@ type slowlogResponse struct {
 // --- endpoints ---
 
 // addObsEndpoints mounts the observability surface on mux: /metrics
-// (Prometheus text), /debug/vars (expvar), and /debug/slowlog.
-func addObsEndpoints(mux *http.ServeMux, st *serverState) {
+// (Prometheus text) and /debug/vars (expvar).
+func addObsEndpoints(mux *http.ServeMux) {
 	obs.PublishExpvar()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		obs.Default.WritePrometheus(w)
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("GET /debug/slowlog", func(w http.ResponseWriter, _ *http.Request) {
-		if st.slowlog == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("slow-query log disabled; start with -slowlog-threshold"))
-			return
-		}
-		entries, total := st.slowlog.entries()
-		writeJSON(w, http.StatusOK, slowlogResponse{
-			ThresholdMS: float64(st.slowlog.threshold) / float64(time.Millisecond),
-			Total:       total,
-			Entries:     entries,
-		})
-	})
 }
 
 // newDebugMux builds the opt-in debug listener's handler: pprof, expvar,
 // metrics, and the slowlog. Handlers are mounted explicitly so nothing
 // leaks onto http.DefaultServeMux and nothing is served unless the
 // operator passed -debug-addr.
-func newDebugMux(st *serverState) *http.ServeMux {
+func newDebugMux(l *localBackend) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	addObsEndpoints(mux, st)
+	addObsEndpoints(mux)
+	mux.HandleFunc("GET /debug/slowlog", l.serveSlowlog)
 	return mux
+}
+
+// listenAndServe serves f on addr until SIGINT/SIGTERM, then drains.
+func (f *front) listenAndServe(addr string) error {
+	srv := &http.Server{Addr: addr, Handler: newMux(f), ReadHeaderTimeout: 10 * time.Second}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serveUntilShutdown(srv, nil, ctx, f.drain)
 }
 
 // serveUntilShutdown runs srv until it fails or ctx is cancelled (the

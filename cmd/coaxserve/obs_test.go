@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/snapshot"
 )
 
@@ -160,11 +159,9 @@ func TestSlowlogCapture(t *testing.T) {
 
 	// Arm a 1ns threshold: every query is slow, capacity 3 forces the ring
 	// to wrap.
-	th := coax.DefaultThresholds()
-	st := newServerState(idx, coax.NewCompactor(idx, th, 0), th)
-	st.slowlog = newSlowLog(time.Nanosecond, 3)
-	slow := httptest.NewServer(newServerMux(st))
-	t.Cleanup(slow.Close)
+	be := testBackend(idx)
+	be.slowlog = newSlowLog(time.Nanosecond, 3)
+	slow := serveFront(t, be, 0, nil)
 
 	lim := 0
 	for i := 0; i < 5; i++ {
@@ -238,8 +235,7 @@ func TestHealthzVerbose(t *testing.T) {
 
 func TestDebugMux(t *testing.T) {
 	idx, _ := testServer(t)
-	th := coax.DefaultThresholds()
-	dbg := httptest.NewServer(newDebugMux(newServerState(idx, coax.NewCompactor(idx, th, 0), th)))
+	dbg := httptest.NewServer(newDebugMux(testBackend(idx)))
 	t.Cleanup(dbg.Close)
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/metrics", "/debug/vars"} {
 		resp, err := http.Get(dbg.URL + path)

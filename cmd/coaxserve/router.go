@@ -1,38 +1,28 @@
 package main
 
-// The router mode of the distributed deployment: the cluster-facing HTTP
-// front end. It keeps the single-process serve mode's JSON API — /query,
-// /batch, the mutation endpoints, /healthz, /stats, /metrics — and the
-// whole serving-tier hardening stack (result cache, request coalescing,
-// admission control), but answers from a cluster.Router scatter-gather
-// instead of an in-process engine. Clients cannot tell the difference,
-// with one exception: the router addresses columns by position (the wire
-// protocol carries no schema), so aggregations use "dim"/"group_by_dim"
-// rather than column names.
+// The router subcommand and its backend: the same HTTP front end as serve
+// mode (server.go), answering from a cluster.Router scatter-gather instead
+// of an in-process engine. Clients cannot tell the difference, with two
+// exceptions: the wire protocol carries no schema, so aggregations address
+// columns by position ("dim"/"group_by_dim"), and no trace crosses the
+// process boundary yet, so ?explain=true is refused rather than ignored.
 //
-// Overload propagates end to end: the router's own admission controller
-// sheds with 429 + Retry-After exactly like serve mode, and when every
-// replica of a shard sheds a request node-side, the resulting
-// cluster.OverloadError surfaces as 429 with the LARGEST Retry-After any
-// replica returned — the earliest time the whole request can succeed.
+// Overload propagates end to end: when every replica of a shard sheds a
+// request node-side, the resulting cluster.OverloadError surfaces as 429
+// with the LARGEST Retry-After any replica returned — the earliest time the
+// whole request can succeed.
 
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/cluster"
 	"github.com/coax-index/coax/internal/index"
-	"github.com/coax-index/coax/internal/obs"
-	"github.com/coax-index/coax/internal/serve"
 )
 
 func cmdRouter(args []string) error {
@@ -45,15 +35,8 @@ func cmdRouter(args []string) error {
 
 		hedge      = fs.Bool("hedge", true, "hedged replica reads: after a per-node p99-based delay, race a shard's next replica against the slow one")
 		hedgeDelay = fs.Duration("hedge-delay", 0, "pin the hedge delay instead of adapting to observed node p99 (0: adaptive)")
-
-		cacheSize    = fs.Int("cache-size", 4096, "result-cache capacity in entries (0 disables caching and coalescing)")
-		maxInflight  = fs.Int("max-inflight", 0, "admission control: queries executing concurrently before new ones queue (0 disables)")
-		maxQueue     = fs.Int("max-queue", -1, "admission control: requests allowed to wait for a slot before shedding with 429 (-1: twice -max-inflight)")
-		queueTimeout = fs.Duration("queue-timeout", 100*time.Millisecond, "admission control: longest a queued request waits for a slot before shedding with 429")
-
-		accessLog = fs.Bool("access-log", false, "log every request to stderr with status and latency")
-		drain     = fs.Duration("drain-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
 	)
+	tier := tierFlags(fs)
 	fs.Parse(args)
 
 	nodeList := splitAddrs(*nodes)
@@ -70,49 +53,101 @@ func cmdRouter(args []string) error {
 	}
 	defer rt.Close()
 
-	rst := &routerState{rt: rt, start: time.Now(), accessLog: *accessLog}
-	if *cacheSize > 0 {
-		rst.qcache = serve.NewQueryCache(rt, *cacheSize)
-	}
-	if *maxInflight > 0 {
-		q := *maxQueue
-		if q < 0 {
-			q = 2 * *maxInflight
-		}
-		rst.adm = serve.NewAdmission(*maxInflight, q, *queueTimeout)
-	}
-
-	cs := rt.Stats()
 	fmt.Printf("router ready: %d rows on %d node(s), %d global shards, rf=%d, hedging %v, at %s\n",
-		cs.Rows, len(nodeList), *shards, *rf, *hedge, *addr)
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           newRouterMux(rst),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return serveUntilShutdown(srv, nil, ctx, *drain)
+		rt.Stats().Rows, len(nodeList), *shards, *rf, *hedge, *addr)
+	return tier(clusterBackend{rt}).listenAndServe(*addr)
 }
 
-// routerState carries what the router-mode HTTP handlers share. qcache and
-// adm may be nil (layer disabled), mirroring serverState.
-type routerState struct {
-	rt        *cluster.Router
-	start     time.Time
-	accessLog bool
-	qcache    *serve.QueryCache
-	adm       *serve.Admission
+// clusterBackend serves from a cluster. The embedded router supplies the
+// engine half of backend (versions, dimensionality, mutations).
+type clusterBackend struct {
+	*cluster.Router
+}
+
+// Columns is empty: the wire protocol carries no schema.
+func (c clusterBackend) Columns() []string { return nil }
+
+func (c clusterBackend) liveRows() int64 { return c.Stats().Rows }
+
+var errNoExplain = requestError{errors.New("the cluster router cannot produce an execution report; drop explain=true")}
+
+// finish settles one scatter-gather: the router reports a stopped or
+// cancelled fan-out as incomplete, not as an error, and an error other than
+// all-replicas-overloaded means some shard went unanswered.
+func finish(ctx context.Context, err error) error {
+	var shed *cluster.OverloadError
+	switch {
+	case err == nil:
+		return ctx.Err()
+	case errors.As(err, &shed):
+		return err
+	}
+	return unansweredError{err}
+}
+
+// runRows scatter-gathers one rectangle; a positive stopAfter rides into
+// the cluster spec so every node stops scanning once its shards have
+// produced enough rows.
+func (c clusterBackend) runRows(ctx context.Context, r coax.Rect, stopAfter int, explain bool, yield coax.Yield) (*coax.Explain, error) {
+	if explain {
+		return nil, errNoExplain
+	}
+	_, err := c.Exec(r, index.Spec{Ctx: ctx, Limit: stopAfter}, yield)
+	return nil, finish(ctx, err)
+}
+
+// runAgg scatter-gathers one aggregation and extracts the merged state the
+// way the library does for a local one.
+func (c clusterBackend) runAgg(ctx context.Context, r coax.Rect, spec index.AggSpec, explain bool) (*coax.AggResult, error) {
+	if explain {
+		return nil, errNoExplain
+	}
+	st, complete, err := c.ExecAgg(r, index.Spec{Ctx: ctx}, spec)
+	if err = finish(ctx, err); err != nil {
+		return nil, err
+	}
+	res := &coax.AggResult{Op: spec.Op.String(), Complete: complete}
+	if spec.Group < 0 {
+		res.Count = st.All.Count
+		res.Value, res.Valid = st.All.Value(spec.Op)
+		return res, nil
+	}
+	keys := st.GroupKeys()
+	res.Groups = make([]coax.GroupResult, 0, len(keys))
+	for _, k := range keys {
+		cell := st.Groups[k]
+		v, _ := cell.Value(spec.Op)
+		res.Groups = append(res.Groups, coax.GroupResult{Key: k, Count: cell.Count, Value: v})
+		res.Count += cell.Count
+	}
+	return res, nil
+}
+
+// runBatch is one scatter-gather per query: the wire protocol has no batch
+// request.
+func (c clusterBackend) runBatch(ctx context.Context, rects []coax.Rect, visit func(qi int, row []float64)) error {
+	for qi, r := range rects {
+		_, err := c.runRows(ctx, r, 0, false, func(row []float64) bool {
+			visit(qi, row)
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("query %d: %w", qi, err)
+		}
+	}
+	return nil
 }
 
 // routerStatsResponse is the router's GET /stats body: the cluster shape
-// plus the serving-tier hardening counters.
+// plus the serving-tier counters.
 type routerStatsResponse struct {
 	cluster.ClusterStats
-	Dims      int                   `json:"dims"`
-	Cache     *serve.CacheStats     `json:"cache,omitempty"`
-	Admission *serve.AdmissionStats `json:"admission,omitempty"`
+	Dims int `json:"dims"`
+	tierStats
+}
+
+func (c clusterBackend) stats(tier tierStats) any {
+	return routerStatsResponse{ClusterStats: c.Stats(), Dims: c.Dims(), tierStats: tier}
 }
 
 // routerHealthz is the verbose /healthz body: enough cluster shape for an
@@ -126,341 +161,19 @@ type routerHealthz struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// clusterAggSpec translates the wire aggregation into the engine spec. The
-// router knows dimensionality but not column names, so only positional
-// references resolve.
-func clusterAggSpec(a *aggRequest) (index.AggSpec, error) {
-	if a.Col != nil || a.GroupBy != nil {
-		return index.AggSpec{}, fmt.Errorf(`the cluster router addresses columns by position: use "dim"/"group_by_dim" instead of "col"/"group_by"`)
+func (c clusterBackend) health(verbose bool, uptime time.Duration) (int, any) {
+	if !verbose {
+		return http.StatusOK, map[string]string{"status": "ok"}
 	}
-	op, err := index.ParseAggOp(a.Op)
-	if err != nil {
-		return index.AggSpec{}, err
-	}
-	spec := index.AggSpec{Op: op, Col: -1, Group: -1}
-	if a.Dim != nil {
-		if !op.NeedsColumn() {
-			return index.AggSpec{}, fmt.Errorf(`"count" takes no column; drop "dim"`)
-		}
-		spec.Col = *a.Dim
-	} else if op.NeedsColumn() {
-		return index.AggSpec{}, fmt.Errorf("%q needs a value column: set \"dim\"", a.Op)
-	}
-	if a.GroupByDim != nil {
-		spec.Group = *a.GroupByDim
-	}
-	return spec, nil
-}
-
-// newRouterMux wires the cluster-facing HTTP surface. It intentionally
-// mirrors newServerMux's endpoints and status mapping so clients written
-// against the single-process server keep working unchanged.
-func newRouterMux(rst *routerState) http.Handler {
-	rt := rst.rt
-	obs.PublishExpvar()
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.Default.WritePrometheus(w)
-	})
-	mux.Handle("GET /debug/vars", expvar.Handler())
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("verbose") != "1" {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-			return
-		}
-		cs := rt.Stats()
-		down := 0
-		for _, n := range cs.Nodes {
-			if n.Err != "" {
-				down++
-			}
-		}
-		status := "ok"
-		if cs.Unanswered > 0 {
-			status = "degraded"
-		}
-		writeJSON(w, http.StatusOK, routerHealthz{
-			Status:        status,
-			Rows:          cs.Rows,
-			Nodes:         len(cs.Nodes),
-			NodesDown:     down,
-			Unanswered:    cs.Unanswered,
-			UptimeSeconds: time.Since(rst.start).Seconds(),
-		})
-	})
-
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-		resp := routerStatsResponse{ClusterStats: rt.Stats(), Dims: rt.Dims()}
-		if rst.qcache != nil {
-			cs := rst.qcache.Stats()
-			resp.Cache = &cs
-		}
-		if rst.adm != nil {
-			as := rst.adm.Stats()
-			resp.Admission = &as
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, req *http.Request) {
-		var q rectRequest
-		if !readJSON(w, req, &q) {
-			return
-		}
-		if err := q.validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		var aspec index.AggSpec
-		if q.Agg != nil {
-			var err error
-			if aspec, err = clusterAggSpec(q.Agg); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			if err = aspec.Validate(rt.Dims()); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		r, err := q.rect(rt.Dims())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := rst.adm.Acquire(req.Context()); err != nil {
-			writeOverloaded(w, rst.adm, err)
-			return
-		}
-		defer rst.adm.Release()
-		if q.Agg != nil {
-			resp, err := answerRouterAgg(rst, req, r, q.Agg, aspec)
-			writeRouterResult(w, req, resp, err)
-			return
-		}
-		resp, err := answerRouterQuery(rst, req, r, q.limit(), q.Early)
-		writeRouterResult(w, req, resp, err)
-	})
-
-	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, req *http.Request) {
-		var b batchRequest
-		if !readJSON(w, req, &b) {
-			return
-		}
-		if len(b.Queries) > maxBatchQueries {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("batch has %d queries, limit is %d", len(b.Queries), maxBatchQueries))
-			return
-		}
-		rects := make([]index.Rect, len(b.Queries))
-		for i := range b.Queries {
-			if b.Queries[i].Agg != nil {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf(`query %d: "agg" is not supported in /batch; use /query`, i))
-				return
-			}
-			if err := b.Queries[i].validate(); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			r, err := b.Queries[i].rect(rt.Dims())
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			rects[i] = r
-		}
-		if err := rst.adm.Acquire(req.Context()); err != nil {
-			writeOverloaded(w, rst.adm, err)
-			return
-		}
-		defer rst.adm.Release()
-		resp := batchResponse{Results: make([]queryResponse, len(rects))}
-		for i := range rects {
-			res, err := answerRouterQuery(rst, req, rects[i], b.Queries[i].limit(), b.Queries[i].Early)
-			if err != nil {
-				writeRouterResult(w, req, res, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			resp.Results[i] = res
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mutation := func(apply func() error) http.HandlerFunc {
-		return func(w http.ResponseWriter, req *http.Request) {
-			if err := apply(); err != nil {
-				writeRouterMutationError(w, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]int64{"rows": rt.Stats().Rows})
+	cs := c.Stats()
+	h := routerHealthz{Status: "ok", Rows: cs.Rows, Nodes: len(cs.Nodes), Unanswered: cs.Unanswered, UptimeSeconds: uptime.Seconds()}
+	for _, n := range cs.Nodes {
+		if n.Err != "" {
+			h.NodesDown++
 		}
 	}
-	mux.HandleFunc("POST /insert", func(w http.ResponseWriter, req *http.Request) {
-		var ins insertRequest
-		if !readJSON(w, req, &ins) {
-			return
-		}
-		mutation(func() error { return rt.Insert(ins.Row) })(w, req)
-	})
-	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, req *http.Request) {
-		var del insertRequest
-		if !readJSON(w, req, &del) {
-			return
-		}
-		mutation(func() error { return rt.Delete(del.Row) })(w, req)
-	})
-	mux.HandleFunc("POST /update", func(w http.ResponseWriter, req *http.Request) {
-		var up updateRequest
-		if !readJSON(w, req, &up) {
-			return
-		}
-		mutation(func() error { return rt.Update(up.Old, up.New) })(w, req)
-	})
-
-	return instrumentHandler(mux, rst.accessLog)
-}
-
-// writeRouterResult finishes a query request: success, cluster-level
-// overload (429 with the largest Retry-After any replica hinted), shard
-// unavailability (502 — the cluster, not the client, is at fault), or a
-// gone client (nothing to write).
-func writeRouterResult(w http.ResponseWriter, req *http.Request, resp queryResponse, err error) {
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, resp)
-	case req.Context().Err() != nil:
-		// Client disconnected; nobody to answer.
-	default:
-		var oe *cluster.OverloadError
-		if errors.As(err, &oe) {
-			writeClusterOverloaded(w, oe)
-			return
-		}
-		writeError(w, http.StatusBadGateway, err)
+	if cs.Unanswered > 0 {
+		h.Status = "degraded"
 	}
-}
-
-// writeClusterOverloaded maps an all-replicas-shedding failure onto the
-// wire with the cluster's aggregated Retry-After hint.
-func writeClusterOverloaded(w http.ResponseWriter, oe *cluster.OverloadError) {
-	secs := int(math.Ceil(oe.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	writeError(w, http.StatusTooManyRequests, oe)
-}
-
-// writeRouterMutationError adds the cluster overload case to the engine
-// error mapping the single-process server already uses.
-func writeRouterMutationError(w http.ResponseWriter, err error) {
-	var oe *cluster.OverloadError
-	if errors.As(err, &oe) {
-		writeClusterOverloaded(w, oe)
-		return
-	}
-	writeMutationError(w, err)
-}
-
-// answerRouterQuery serves one rectangle through the hardening layer —
-// cache hit or coalesced scatter-gather — mirroring answerQuery.
-func answerRouterQuery(rst *routerState, req *http.Request, r index.Rect, limit int, early bool) (queryResponse, error) {
-	if rst.qcache == nil {
-		return runRouterQuery(rst, req, r, limit, early)
-	}
-	v, _, err := rst.qcache.Do(serve.Key(r, limit, early, ""), r, func() (any, error) {
-		resp, rerr := runRouterQuery(rst, req, r, limit, early)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return &resp, nil
-	})
-	if err != nil {
-		var oe *cluster.OverloadError
-		if req.Context().Err() != nil || errors.As(err, &oe) {
-			return queryResponse{}, err
-		}
-		// Coalesced cancellation from another caller; retry directly.
-		return runRouterQuery(rst, req, r, limit, early)
-	}
-	return *v.(*queryResponse), nil
-}
-
-// runRouterQuery scatter-gathers one rectangle. Without early mode the
-// count covers every match and only limit rows are retained; with it, the
-// limit rides into the cluster spec so every node stops scanning once its
-// shards have produced enough rows.
-func runRouterQuery(rst *routerState, req *http.Request, r index.Rect, limit int, early bool) (queryResponse, error) {
-	spec := index.Spec{Ctx: req.Context()}
-	if early && limit > 0 {
-		spec.Limit = limit
-	}
-	var resp queryResponse
-	_, err := rst.rt.Exec(r, spec, func(row []float64) bool {
-		resp.Count++
-		if limit < 0 || len(resp.Rows) < limit {
-			resp.Rows = append(resp.Rows, row) // rows are stable copies off the wire
-		}
-		return true
-	})
-	if err != nil {
-		return queryResponse{}, err
-	}
-	if cerr := req.Context().Err(); cerr != nil {
-		return queryResponse{}, cerr
-	}
-	return resp, nil
-}
-
-// answerRouterAgg serves one aggregation through the same hardening layer.
-func answerRouterAgg(rst *routerState, req *http.Request, r index.Rect, a *aggRequest, aspec index.AggSpec) (queryResponse, error) {
-	if rst.qcache == nil {
-		return runRouterAgg(rst, req, r, aspec)
-	}
-	v, _, err := rst.qcache.Do(serve.Key(r, 0, false, a.descriptor()), r, func() (any, error) {
-		resp, rerr := runRouterAgg(rst, req, r, aspec)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return &resp, nil
-	})
-	if err != nil {
-		var oe *cluster.OverloadError
-		if req.Context().Err() != nil || errors.As(err, &oe) {
-			return queryResponse{}, err
-		}
-		return runRouterAgg(rst, req, r, aspec)
-	}
-	return *v.(*queryResponse), nil
-}
-
-// runRouterAgg scatter-gathers one aggregation and shapes the merged state
-// into the same wire form the single-process server produces.
-func runRouterAgg(rst *routerState, req *http.Request, r index.Rect, aspec index.AggSpec) (queryResponse, error) {
-	st, complete, err := rst.rt.ExecAgg(r, index.Spec{Ctx: req.Context()}, aspec)
-	if err != nil {
-		return queryResponse{}, err
-	}
-	if cerr := req.Context().Err(); cerr != nil {
-		return queryResponse{}, cerr
-	}
-	ar := &aggResponse{Op: aspec.Op.String(), Complete: complete}
-	if aspec.Group < 0 {
-		ar.Count = st.All.Count
-		if v, ok := st.All.Value(aspec.Op); ok {
-			ar.Value = &v
-		}
-	} else {
-		for _, k := range st.GroupKeys() {
-			cell := st.Groups[k]
-			ar.Count += cell.Count
-			v, _ := cell.Value(aspec.Op)
-			ar.Groups = append(ar.Groups, aggGroup{Key: k, Count: cell.Count, Value: v})
-		}
-	}
-	return queryResponse{Count: int(ar.Count), Agg: ar}, nil
+	return http.StatusOK, h
 }

@@ -20,24 +20,10 @@ import (
 )
 
 // testServerHardened is testServer with the hardening layer switched on.
-func testServerHardened(t *testing.T, cacheSize int, adm *serve.Admission) (*coax.ShardedIndex, *serverState, *httptest.Server) {
+func testServerHardened(t *testing.T, cacheSize int, adm *serve.Admission) (*coax.ShardedIndex, *httptest.Server) {
 	t.Helper()
-	tab := coax.GenerateOSM(coax.DefaultOSMConfig(8000))
-	so := coax.DefaultShardOptions()
-	so.NumShards = 4
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatalf("BuildSharded: %v", err)
-	}
-	th := coax.DefaultThresholds()
-	st := newServerState(idx, coax.NewCompactor(idx, th, 0), th)
-	if cacheSize > 0 {
-		st.qcache = serve.NewQueryCache(idx, cacheSize)
-	}
-	st.adm = adm
-	srv := httptest.NewServer(newServerMux(st))
-	t.Cleanup(srv.Close)
-	return idx, st, srv
+	idx := testIndex(t)
+	return idx, serveFront(t, testBackend(idx), cacheSize, adm)
 }
 
 func getStats(t *testing.T, base string) statsResponse {
@@ -57,7 +43,7 @@ func getStats(t *testing.T, base string) statsResponse {
 // A repeated query is served from cache; a mutation invalidates it and the
 // next response reflects the new data — the end-to-end stale-answer check.
 func TestQueryCacheEndToEnd(t *testing.T) {
-	idx, _, srv := testServerHardened(t, 256, nil)
+	idx, srv := testServerHardened(t, 256, nil)
 
 	one := 1
 	var first queryResponse
@@ -104,7 +90,7 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 // 429 and a Retry-After hint; releasing the slot restores service.
 func TestAdmissionSheds429(t *testing.T) {
 	adm := serve.NewAdmission(1, 0, 50*time.Millisecond)
-	_, _, srv := testServerHardened(t, 0, adm)
+	_, srv := testServerHardened(t, 0, adm)
 
 	if err := adm.Acquire(nil); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,12 @@
 package main
 
+// The HTTP front end shared by the serve and router subcommands: one set of
+// wire types, one handler set, one cache/coalesce path and one error→status
+// table over a backend — the in-process sharded index (local.go) or the
+// cluster scatter-gather (router.go). What differs between the two modes is
+// the backend value, nothing else.
+
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,16 +15,14 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/cluster"
 	"github.com/coax-index/coax/internal/core"
+	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/serve"
-	"github.com/coax-index/coax/internal/snapshot"
 )
 
 // defaultRowLimit bounds how many rows a query returns when the request
@@ -34,239 +37,84 @@ const (
 	maxBatchQueries = 1024
 )
 
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	th := lifecycle.DefaultThresholds()
+// backend is the engine behind the HTTP surface. Its errors carry their own
+// status: see writeResult.
+type backend interface {
+	// The result cache validates entries against the backend's per-shard
+	// mutation versions.
+	serve.Invalidator
+	Dims() int
+	// Columns names the dimensions, or is empty when the backend addresses
+	// columns by position only.
+	Columns() []string
+
+	Insert(row []float64) error
+	Delete(row []float64) error
+	Update(old, new []float64) error
+	// liveRows is the row count a mutation reply carries.
+	liveRows() int64
+
+	// runRows yields every row matching r, stopping the scan after stopAfter
+	// rows when that is positive. The report is non-nil only with explain.
+	runRows(ctx context.Context, r coax.Rect, stopAfter int, explain bool, yield coax.Yield) (*coax.Explain, error)
+	runAgg(ctx context.Context, r coax.Rect, spec index.AggSpec, explain bool) (*coax.AggResult, error)
+	// runBatch answers rects[qi] for every qi, handing each matching row to
+	// visit on the calling goroutine.
+	runBatch(ctx context.Context, rects []coax.Rect, visit func(qi int, row []float64)) error
+
+	// stats is the GET /stats body, with tier embedded in it.
+	stats(tier tierStats) any
+	// health is the GET /healthz reply: the liveness form, or with verbose
+	// the backend's shape summary. The code is 503 once the backend can no
+	// longer answer correctly.
+	health(verbose bool, uptime time.Duration) (code int, body any)
+}
+
+// front is the serving tier over one backend. qcache and adm may be nil
+// (layer disabled); the zero-value tier serves correctly without them.
+type front struct {
+	be        backend
+	start     time.Time
+	qcache    *serve.QueryCache
+	adm       *serve.Admission
+	accessLog bool
+	drain     time.Duration
+}
+
+// tierFlags declares on fs the serving-tier flags serve and router share.
+// Once fs is parsed, the returned function builds the tier they describe.
+func tierFlags(fs *flag.FlagSet) func(backend) *front {
 	var (
-		addr    = fs.String("addr", ":8080", "listen address")
-		in      = fs.String("in", "", "serve from this snapshot (sharded or single-index)")
-		ds      = fs.String("dataset", "osm", "synthetic dataset when -in is empty: osm|airline")
-		rows    = fs.Int("rows", 500000, "synthetic dataset size")
-		csvPath = fs.String("csv", "", "build the startup index from a CSV file ('-': stdin) instead of a synthetic dataset")
-		sample  = fs.Int("sample", 0, "streaming startup build: detect soft FDs on this many sampled rows and stream chunks straight to the shard builders (0: materialize first)")
-		shards  = fs.Int("shards", 0, "shard count (0: one per CPU)")
-		workers = fs.Int("workers", 0, "query fan-out workers (0: one per CPU)")
-		save    = fs.String("save", "", "persist the index as a sharded snapshot before serving")
-		sweep   = fs.Duration("compact-interval", 30*time.Second, "background compactor poll interval (0 disables self-healing; /compact still works)")
-
-		debugAddr = fs.String("debug-addr", "", "serve pprof/expvar/metrics on this extra address (empty: disabled)")
-		slowThr   = fs.Duration("slowlog-threshold", 0, "log queries slower than this to /debug/slowlog with their EXPLAIN (0 disables)")
-		slowSize  = fs.Int("slowlog-size", 128, "slow-query ring-buffer capacity")
-		accessLog = fs.Bool("access-log", false, "log every request to stderr with status and latency")
-		drain     = fs.Duration("drain-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
-
 		cacheSize    = fs.Int("cache-size", 4096, "result-cache capacity in entries; hot repeated queries are answered from cache until a mutation invalidates them (0 disables caching and coalescing)")
 		maxInflight  = fs.Int("max-inflight", 0, "admission control: queries executing concurrently before new ones queue (0 disables)")
 		maxQueue     = fs.Int("max-queue", -1, "admission control: requests allowed to wait for a slot before shedding with 429 (-1: twice -max-inflight)")
 		queueTimeout = fs.Duration("queue-timeout", 100*time.Millisecond, "admission control: longest a queued request waits for a slot before shedding with 429")
+		accessLog    = fs.Bool("access-log", false, "log every request to stderr with status and latency")
+		drain        = fs.Duration("drain-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
 	)
-	fs.Float64Var(&th.MaxOutlierRatio, "max-outlier-ratio", th.MaxOutlierRatio, "outlier fraction marking a shard stale")
-	fs.Float64Var(&th.MinOutlierGain, "min-outlier-gain", th.MinOutlierGain, "required outlier-ratio growth over the build-time baseline (guards against rebuild loops; 0 disables)")
-	fs.Float64Var(&th.MaxTombstoneRatio, "max-tombstone-ratio", th.MaxTombstoneRatio, "tombstone fraction marking a shard stale")
-	fs.Float64Var(&th.MaxResidualDrift, "max-residual-drift", th.MaxResidualDrift, "normalised model-residual drift marking a shard stale")
-	fs.Int64Var(&th.MinMutations, "min-mutations", th.MinMutations, "mutations required before staleness is evaluated")
-	fs.Parse(args)
-
-	idx, err := openIndex(*in, *ds, *csvPath, *rows, *shards, *workers, *sample)
-	if err != nil {
-		return err
-	}
-	if *save != "" {
-		if err := coax.SaveShardedFile(*save, idx); err != nil {
-			return fmt.Errorf("saving %s: %w", *save, err)
+	return func(be backend) *front {
+		f := &front{be: be, start: time.Now(), accessLog: *accessLog, drain: *drain}
+		if *cacheSize > 0 {
+			f.qcache = serve.NewQueryCache(be, *cacheSize)
 		}
-		fmt.Printf("saved sharded snapshot to %s\n", *save)
-	}
-
-	compactor := lifecycle.NewCompactor(idx, th, *sweep)
-	if *sweep > 0 {
-		if err := compactor.Start(); err != nil {
-			return err
-		}
-		defer compactor.Stop()
-	}
-
-	bst := idx.BuildStats()
-	fmt.Printf("serving %d rows × %d dims on %d %s shard(s) at %s (compactor: %v)\n",
-		bst.Rows, bst.Dims, bst.Shards, bst.Partition, *addr, *sweep)
-
-	st := newServerState(idx, compactor, th)
-	st.accessLog = *accessLog
-	if *slowThr > 0 {
-		st.slowlog = newSlowLog(*slowThr, *slowSize)
-	}
-	if *in != "" {
-		st.snapVersion = snapshotVersionOf(*in)
-	}
-	if *cacheSize > 0 {
-		st.qcache = serve.NewQueryCache(idx, *cacheSize)
-	}
-	if *maxInflight > 0 {
-		q := *maxQueue
-		if q < 0 {
-			q = 2 * *maxInflight
-		}
-		st.adm = serve.NewAdmission(*maxInflight, q, *queueTimeout)
-	}
-
-	if *debugAddr != "" {
-		dbg := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           newDebugMux(st),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			fmt.Fprintf(os.Stderr, "debug endpoints (pprof, expvar, metrics) at %s\n", *debugAddr)
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
-			}
-		}()
-		defer dbg.Close()
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           newServerMux(st),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return serveUntilShutdown(srv, nil, ctx, *drain)
-}
-
-// snapshotVersionOf reads the format version of the snapshot at path, or 0
-// ("unknown") when the header cannot be read. Reporting the current format
-// version here would claim knowledge the server does not have — an operator
-// checking /healthz after a format migration would see the new version even
-// for a file whose header never parsed. The index was still loaded, so
-// serving proceeds; only the reported version degrades to unknown.
-func snapshotVersionOf(path string) uint32 {
-	v, err := coax.PeekSnapshotVersion(path)
-	if err != nil {
-		return 0
-	}
-	if v == coax.SnapshotVersionV3 {
-		return v
-	}
-	// v1/v2: run the streaming frame walk so a torn file still degrades to
-	// unknown rather than echoing a header the body contradicts.
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	info, err := snapshot.Inspect(f)
-	if err != nil {
-		return 0
-	}
-	return info.Version
-}
-
-// openSnapshot opens the snapshot at path for serving, whatever its format
-// version: v3 files are memory-mapped (heap fallback where mmap is
-// unavailable), v1/v2 files decode onto the heap. Either layout comes back
-// as a sharded serving layer; the returned Snapshot owns a v3 file's
-// mapping and must stay referenced for the life of the server.
-func openSnapshot(in string, workers int) (*coax.ShardedIndex, *coax.Snapshot, error) {
-	sn, err := coax.OpenFile(in)
-	if err != nil {
-		return nil, nil, fmt.Errorf("loading %s: %w", in, err)
-	}
-	idx, err := sn.Serving(workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sn.Version() == coax.SnapshotVersionV3 {
-		how := "memory-mapped"
-		if !sn.Mapped() {
-			how = "aligned heap read (mmap unavailable)"
-		}
-		fmt.Fprintf(os.Stderr, "opened %s as format v3: %s\n", in, how)
-	}
-	return idx, sn, nil
-}
-
-// openIndex loads a sharded snapshot, wraps a single-index snapshot into a
-// one-shard serving layer, or builds a sharded index at startup — from a
-// CSV file/stdin or a synthetic generator, streamed straight into the
-// per-shard builders when -sample is set.
-func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax.ShardedIndex, error) {
-	if in != "" {
-		idx, _, err := openSnapshot(in, workers)
-		return idx, err
-	}
-
-	var (
-		src      coax.RowSource
-		closeSrc = func() error { return nil }
-	)
-	switch {
-	case csvPath == "-" && sample > 0:
-		// A sampled build over raw stdin would train detection, grid
-		// boundaries, AND the range-shard cut points on a stream prefix —
-		// on ordered input (ids, timestamps) the cuts collapse and one
-		// shard swallows the tail. Spill stdin to a temp file so the
-		// two-pass reservoir samples uniformly, exactly as coaxstore does.
-		fileSrc, n, err := coax.SpillCSV(bufio.NewReaderSize(os.Stdin, 1<<20), 0)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "spilled %.1f MiB of stdin to a temp file for two-pass sampling\n", float64(n)/(1<<20))
-		src, closeSrc = fileSrc, fileSrc.Close
-	case csvPath == "-":
-		csvSrc, err := coax.NewCSVSource(bufio.NewReaderSize(os.Stdin, 1<<20), 0)
-		if err != nil {
-			return nil, err
-		}
-		src = csvSrc
-	case csvPath != "":
-		fileSrc, err := coax.OpenCSVFile(csvPath, 0)
-		if err != nil {
-			return nil, err
-		}
-		src, closeSrc = fileSrc, fileSrc.Close
-	case ds == "osm":
-		src = coax.NewOSMSource(coax.DefaultOSMConfig(rows), 0)
-	case ds == "airline":
-		src = coax.NewAirlineSource(coax.DefaultAirlineConfig(rows), 0)
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want osm or airline)", ds)
-	}
-	defer closeSrc()
-
-	so := coax.DefaultShardOptions()
-	so.NumShards = shards
-	so.Workers = workers
-	b := coax.NewBuilder(coax.ColumnsSchema(src.Columns()), coax.DefaultOptions())
-	if sample > 0 {
-		b.SampleSize(sample)
-	}
-	t0 := time.Now()
-	idx, err := b.BuildSharded(src, so)
-	if err != nil {
-		return nil, err
-	}
-	mode := "materialized"
-	if sample > 0 {
-		mode = fmt.Sprintf("streaming, sample %d", sample)
-	}
-	fmt.Fprintf(os.Stderr, "built %d rows on %d shards in %v (%s)\n",
-		idx.Len(), idx.NumShards(), time.Since(t0).Round(time.Millisecond), mode)
-	return idx, nil
-}
-
-func makeTable(ds string, rows int) (*coax.Table, error) {
-	switch ds {
-	case "osm":
-		return coax.GenerateOSM(coax.DefaultOSMConfig(rows)), nil
-	case "airline":
-		return coax.GenerateAirline(coax.DefaultAirlineConfig(rows)), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want osm or airline)", ds)
+		f.adm = newAdmission(*maxInflight, *maxQueue, *queueTimeout)
+		return f
 	}
 }
 
-// --- HTTP surface ---
+// newAdmission builds the admission controller the -max-inflight,
+// -max-queue and -queue-timeout flags describe; nil when disabled.
+func newAdmission(maxInflight, maxQueue int, queueTimeout time.Duration) *serve.Admission {
+	if maxInflight <= 0 {
+		return nil
+	}
+	if maxQueue < 0 {
+		maxQueue = 2 * maxInflight
+	}
+	return serve.NewAdmission(maxInflight, maxQueue, queueTimeout)
+}
+
+// --- wire types ---
 
 // rectRequest is one rectangle in wire form: per-dimension bounds where
 // null (or a missing array) leaves the side unconstrained, plus an
@@ -298,58 +146,59 @@ type aggRequest struct {
 	GroupByDim *int    `json:"group_by_dim,omitempty"`
 }
 
-// aggregation translates the wire form into the coax builder pieces,
-// rejecting shapes that cannot mean anything (unknown op, sum without a
-// column, count of a column).
-func (a *aggRequest) aggregation() (coax.Aggregation, error) {
-	named, positional := a.Col != nil, a.Dim != nil
-	if named && positional {
-		return coax.Aggregation{}, fmt.Errorf(`"col" and "dim" are mutually exclusive`)
+// spec resolves the wire form against a backend's schema, rejecting shapes
+// that cannot mean anything (unknown op, sum without a column, count of a
+// column, a name the backend does not know).
+func (a *aggRequest) spec(be backend) (index.AggSpec, error) {
+	op, err := index.ParseAggOp(a.Op)
+	if err != nil {
+		return index.AggSpec{}, err
 	}
-	switch a.Op {
-	case "count":
-		if named || positional {
-			return coax.Aggregation{}, fmt.Errorf(`"count" takes no column; drop "col"/"dim"`)
-		}
-		return coax.CountRows(), nil
-	case "sum", "min", "max", "avg":
-		byName := map[string]func(string) coax.Aggregation{
-			"sum": coax.Sum, "min": coax.Min, "max": coax.Max, "avg": coax.Avg,
-		}
-		byDim := map[string]func(int) coax.Aggregation{
-			"sum": coax.SumDim, "min": coax.MinDim, "max": coax.MaxDim, "avg": coax.AvgDim,
-		}
-		if named {
-			return byName[a.Op](*a.Col), nil
-		}
-		if positional {
-			return byDim[a.Op](*a.Dim), nil
-		}
-		return coax.Aggregation{}, fmt.Errorf("%q needs a value column: set \"col\" or \"dim\"", a.Op)
-	default:
-		return coax.Aggregation{}, fmt.Errorf("unknown aggregation op %q (want count, sum, min, max, or avg)", a.Op)
+	spec := index.AggSpec{Op: op, Col: -1, Group: -1}
+	col, hasCol, err := resolveCol(be, a.Col, a.Dim, "col", "dim")
+	if err != nil {
+		return spec, err
 	}
+	switch {
+	case hasCol && !op.NeedsColumn():
+		return spec, fmt.Errorf(`"count" takes no column; drop "col"/"dim"`)
+	case !hasCol && op.NeedsColumn():
+		return spec, fmt.Errorf("%q needs a value column: set \"col\" or \"dim\"", a.Op)
+	case hasCol:
+		spec.Col = col
+	}
+	if group, ok, err := resolveCol(be, a.GroupBy, a.GroupByDim, "group_by", "group_by_dim"); err != nil {
+		return spec, err
+	} else if ok {
+		spec.Group = group
+	}
+	return spec, nil
 }
 
-// descriptor canonicalizes the aggregation for the result-cache key. Col
-// and Dim deliberately stay distinct even when they name the same column —
-// a spurious cache miss is harmless, a collision would not be.
-func (a *aggRequest) descriptor() string {
-	var sb strings.Builder
-	sb.WriteString(a.Op)
+// resolveCol turns a by-name or by-position column reference into a
+// dimension; ok is false when the request gave neither.
+func resolveCol(be backend, name *string, dim *int, nameKey, dimKey string) (d int, ok bool, err error) {
 	switch {
-	case a.Col != nil:
-		fmt.Fprintf(&sb, "(%s)", *a.Col)
-	case a.Dim != nil:
-		fmt.Fprintf(&sb, "(#%d)", *a.Dim)
+	case name != nil && dim != nil:
+		return 0, false, fmt.Errorf("%q and %q are mutually exclusive", nameKey, dimKey)
+	case name != nil:
+		cols := be.Columns()
+		for i, c := range cols {
+			if c == *name {
+				return i, true, nil
+			}
+		}
+		if len(cols) == 0 {
+			return 0, false, fmt.Errorf("this server addresses columns by position: use %q instead of %q", dimKey, nameKey)
+		}
+		return 0, false, fmt.Errorf("unknown column %q in %q", *name, nameKey)
+	case dim != nil:
+		if *dim < 0 || *dim >= be.Dims() {
+			return 0, false, fmt.Errorf("%q %d out of range [0,%d)", dimKey, *dim, be.Dims())
+		}
+		return *dim, true, nil
 	}
-	switch {
-	case a.GroupBy != nil:
-		fmt.Fprintf(&sb, " by %s", *a.GroupBy)
-	case a.GroupByDim != nil:
-		fmt.Fprintf(&sb, " by #%d", *a.GroupByDim)
-	}
-	return sb.String()
+	return 0, false, nil
 }
 
 type batchRequest struct {
@@ -393,38 +242,12 @@ type updateRequest struct {
 	New []float64 `json:"new"`
 }
 
-type statsResponse struct {
-	Rows            int    `json:"rows"`
-	Dims            int    `json:"dims"`
-	Shards          int    `json:"shards"`
-	Partition       string `json:"partition"`
-	RangeColumn     int    `json:"range_column"`
-	RowsPerShard    []int  `json:"rows_per_shard"`
-	MemoryOverheadB int64  `json:"memory_overhead_bytes"`
-
-	// Index-health signals: aggregated lifecycle counters (outlier ratio,
-	// tombstone ratio, drift, mutation counts), the per-shard rebuild
-	// epochs, and whether the engine is stale under the serving thresholds
-	// — what an operator watches to see drift and self-healing happen.
-	Lifecycle    lifecycle.Stats        `json:"lifecycle"`
-	ShardEpochs  []uint64               `json:"shard_epochs"`
-	Stale        bool                   `json:"stale"`
-	StaleReasons []string               `json:"stale_reasons,omitempty"`
-	LastSweep    *lifecycle.SweepResult `json:"last_sweep,omitempty"`
-
-	// Serving-tier hardening state: result-cache occupancy and hit/eviction
-	// counters, and the admission controller's inflight/queued/shed numbers.
-	// Absent when the corresponding layer is disabled.
+// tierStats is the serving-tier part of every /stats body: result-cache
+// occupancy and hit/eviction counters, and the admission controller's
+// inflight/queued/shed numbers. Absent when the layer is disabled.
+type tierStats struct {
 	Cache     *serve.CacheStats     `json:"cache,omitempty"`
 	Admission *serve.AdmissionStats `json:"admission,omitempty"`
-}
-
-type compactResponse struct {
-	Forced  bool     `json:"forced"`
-	Stale   []int    `json:"stale,omitempty"`
-	Rebuilt []int    `json:"rebuilt,omitempty"`
-	Errors  []string `json:"errors,omitempty"`
-	Epochs  []uint64 `json:"epochs"`
 }
 
 func (q *rectRequest) rect(dims int) (coax.Rect, error) {
@@ -470,114 +293,109 @@ func (q *rectRequest) limit() int {
 	return *q.Limit
 }
 
-// validate rejects request shapes that cannot mean what the client asked
-// for. "early": true promises to stop after limit rows, which needs a
-// positive limit — with limit 0 (count only) or negative (stream all) the
-// engine would have to silently ignore the flag and run a full scan, so the
-// combination is an error rather than a surprise.
-func (q *rectRequest) validate() error {
+// compile validates one wire query against the backend and returns its
+// rectangle and, for an aggregation, the resolved spec. "early": true
+// promises to stop after limit rows, which needs a positive limit — with
+// limit 0 (count only) or negative (stream all) the engine would have to
+// silently ignore the flag and run a full scan, so the combination is an
+// error rather than a surprise.
+func (q *rectRequest) compile(be backend) (r coax.Rect, spec index.AggSpec, err error) {
 	if q.Early && q.limit() <= 0 {
-		return fmt.Errorf(`"early" requires a positive limit, got %d`, q.limit())
+		return r, spec, fmt.Errorf(`"early" requires a positive limit, got %d`, q.limit())
 	}
 	if q.Agg != nil {
 		if q.Early {
-			return fmt.Errorf(`"early" cannot combine with "agg": an aggregate consumes every matching row`)
+			return r, spec, fmt.Errorf(`"early" cannot combine with "agg": an aggregate consumes every matching row`)
 		}
-		if _, err := q.Agg.aggregation(); err != nil {
-			return err
+		if spec, err = q.Agg.spec(be); err != nil {
+			return r, spec, err
 		}
 	}
-	return nil
+	r, err = q.rect(be.Dims())
+	return r, spec, err
 }
 
-// healthzResponse is the verbose /healthz body.
-type healthzResponse struct {
-	Status          string  `json:"status"`
-	Epoch           uint64  `json:"epoch"`
-	StaleShards     int     `json:"stale_shards"`
-	SnapshotVersion uint32  `json:"snapshot_version"`
-	Rows            int     `json:"rows"`
-	Shards          int     `json:"shards"`
-	UptimeSeconds   float64 `json:"uptime_seconds"`
+// --- errors ---
+
+// requestError marks a failure as the client's: writeResult answers 400.
+type requestError struct{ error }
+
+// unansweredError marks a scatter-gather in which some shard had no replica
+// left to answer it: the cluster's fault, so writeResult answers 502.
+type unansweredError struct{ error }
+
+// writeResult finishes every request that reached the engine. It owns the
+// whole error→status table, for both backends and for queries and mutations
+// alike.
+func (f *front) writeResult(w http.ResponseWriter, req *http.Request, v any, err error) {
+	var (
+		reqErr requestError
+		rowErr *lifecycle.RowError
+		shed   *cluster.OverloadError
+		unans  unansweredError
+	)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, v)
+	case errors.As(err, &reqErr), errors.As(err, &rowErr):
+		writeError(w, http.StatusBadRequest, err)
+	case errors.Is(err, core.ErrNotFound):
+		writeError(w, http.StatusNotFound, err)
+	case errors.Is(err, serve.ErrOverloaded):
+		// Shed by this process's admission queue.
+		writeOverloaded(w, f.adm.RetryAfter(), err)
+	case errors.As(err, &shed):
+		// Every replica of some shard shed the request node-side; the hint
+		// is the largest any of them gave.
+		writeOverloaded(w, shed.RetryAfter, err)
+	case req.Context().Err() != nil:
+		// The client is gone: nobody to answer.
+	case errors.As(err, &unans):
+		writeError(w, http.StatusBadGateway, err)
+	default:
+		writeError(w, http.StatusInternalServerError, err)
+	}
 }
 
-// newServerMux wires the HTTP surface over the server state. ShardedIndex
-// is safe for fully concurrent use, so handlers need no extra locking. The
-// returned handler carries the request-metrics middleware, so everything a
-// test or the bench drives through it lands in the HTTP metric families.
-func newServerMux(st *serverState) http.Handler {
-	idx, compactor, th := st.idx, st.compactor, st.th
-	registerIndexGauges(st)
+func writeOverloaded(w http.ResponseWriter, retryAfter time.Duration, err error) {
+	secs := int(math.Ceil(retryAfter.Seconds()))
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+	writeError(w, http.StatusTooManyRequests, err)
+}
+
+// --- handlers ---
+
+// newMux wires the HTTP surface over f. Both backends are safe for fully
+// concurrent use, so handlers need no extra locking. The returned handler
+// carries the request-metrics middleware, so everything driven through it
+// lands in the HTTP metric families.
+func newMux(f *front) http.Handler {
+	be := f.be
 	mux := http.NewServeMux()
-	addObsEndpoints(mux, st)
+	addObsEndpoints(mux)
+	if l, ok := be.(*localBackend); ok {
+		l.mount(mux)
+	}
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("verbose") != "1" {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-			return
-		}
-		life := idx.LifecycleStats()
-		writeJSON(w, http.StatusOK, healthzResponse{
-			Status:          "ok",
-			Epoch:           life.Epoch,
-			StaleShards:     len(idx.StaleShards(th)),
-			SnapshotVersion: st.snapVersion,
-			Rows:            idx.Len(),
-			Shards:          idx.NumShards(),
-			UptimeSeconds:   time.Since(st.start).Seconds(),
-		})
+		code, body := be.health(req.URL.Query().Get("verbose") == "1", time.Since(f.start))
+		writeJSON(w, code, body)
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-		bst := idx.BuildStats()
-		// One per-shard stats pass serves both views: the aggregate is
-		// merged from it rather than recomputed by LifecycleStats (which
-		// would take every shard lock a second time).
-		per := idx.ShardLifecycleStats()
-		life := lifecycle.Merge(per)
-		epochs := make([]uint64, len(per))
-		// Staleness is a per-shard property (that is what the compactor
-		// rebuilds); aggregating first would let one badly drifted shard
-		// hide behind healthy neighbours and report stale=false while
-		// epochs visibly advance.
-		var (
-			stale   bool
-			reasons []string
-		)
-		for i, p := range per {
-			epochs[i] = p.Epoch
-			if s, rs := p.Stale(th); s {
-				stale = true
-				for _, r := range rs {
-					reasons = append(reasons, fmt.Sprintf("shard %d: %s", i, r))
-				}
-			}
+		var tier tierStats
+		if f.qcache != nil {
+			cs := f.qcache.Stats()
+			tier.Cache = &cs
 		}
-		resp := statsResponse{
-			Rows:            bst.Rows,
-			Dims:            bst.Dims,
-			Shards:          bst.Shards,
-			Partition:       bst.Partition,
-			RangeColumn:     bst.RangeColumn,
-			RowsPerShard:    bst.RowsPerShard,
-			MemoryOverheadB: bst.MemoryOverheadB,
-			Lifecycle:       life,
-			ShardEpochs:     epochs,
-			Stale:           stale,
-			StaleReasons:    reasons,
+		if f.adm != nil {
+			as := f.adm.Stats()
+			tier.Admission = &as
 		}
-		if last := compactor.Last(); !last.At.IsZero() {
-			resp.LastSweep = &last
-		}
-		if st.qcache != nil {
-			cs := st.qcache.Stats()
-			resp.Cache = &cs
-		}
-		if st.adm != nil {
-			as := st.adm.Stats()
-			resp.Admission = &as
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, be.stats(tier))
 	})
 
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, req *http.Request) {
@@ -585,39 +403,8 @@ func newServerMux(st *serverState) http.Handler {
 		if !readJSON(w, req, &q) {
 			return
 		}
-		if err := q.validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		r, err := q.rect(idx.Dims())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := st.adm.Acquire(req.Context()); err != nil {
-			writeOverloaded(w, st.adm, err)
-			return
-		}
-		defer st.adm.Release()
-		if q.Agg != nil {
-			resp, status, err := answerAgg(st, req, r, q.Agg)
-			if err != nil {
-				if status != 0 {
-					writeError(w, status, err)
-				}
-				// status 0: the client is gone, nobody to answer.
-				return
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		resp, err := answerQuery(st, req, r, q.limit(), q.Early)
-		if err != nil {
-			// The request context is the only error source here: the
-			// client is gone, so there is nobody to answer.
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		resp, err := f.query(req, &q)
+		f.writeResult(w, req, resp, err)
 	})
 
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, req *http.Request) {
@@ -625,139 +412,39 @@ func newServerMux(st *serverState) http.Handler {
 		if !readJSON(w, req, &b) {
 			return
 		}
-		if len(b.Queries) > maxBatchQueries {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("batch has %d queries, limit is %d", len(b.Queries), maxBatchQueries))
-			return
-		}
-		rects := make([]coax.Rect, len(b.Queries))
-		limits := make([]int, len(b.Queries))
-		early := false
-		for i := range b.Queries {
-			if b.Queries[i].Agg != nil {
-				// The batch fan-out shares one row visitor across queries;
-				// aggregates belong on /query, one at a time.
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf(`query %d: "agg" is not supported in /batch; use /query`, i))
-				return
-			}
-			if err := b.Queries[i].validate(); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			r, err := b.Queries[i].rect(idx.Dims())
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			rects[i] = r
-			limits[i] = b.Queries[i].limit()
-			early = early || b.Queries[i].Early
-		}
-		if err := st.adm.Acquire(req.Context()); err != nil {
-			writeOverloaded(w, st.adm, err)
-			return
-		}
-		defer st.adm.Release()
-		// Per-query explain reports (or any early-termination request)
-		// need per-query executions; a plain batch keeps the amortised
-		// single fan-out.
-		if explainRequested(req) || early {
-			resp := batchResponse{Results: make([]queryResponse, len(rects))}
-			for i := range rects {
-				res, err := runQuery(st, req, rects[i], limits[i], b.Queries[i].Early)
-				if err != nil {
-					return // client gone
-				}
-				resp.Results[i] = res
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		resp := batchResponse{Results: make([]queryResponse, len(rects))}
-		idx.BatchQuery(rects, func(qi int, row []float64) {
-			res := &resp.Results[qi]
-			res.Count++
-			if limits[qi] < 0 || len(res.Rows) < limits[qi] {
-				res.Rows = append(res.Rows, row) // rows are stable copies
-			}
-		})
-		writeJSON(w, http.StatusOK, resp)
+		resp, err := f.batch(req, &b)
+		f.writeResult(w, req, resp, err)
 	})
 
 	// Mutations validate inside the engine (the shared
-	// lifecycle.ValidateRow path), so the handlers just map error kinds to
-	// status codes.
+	// lifecycle.ValidateRow path); writeResult maps the error kinds.
+	mutation := func(w http.ResponseWriter, req *http.Request, err error) {
+		var reply map[string]int64
+		if err == nil {
+			reply = map[string]int64{"rows": be.liveRows()}
+		}
+		f.writeResult(w, req, reply, err)
+	}
 	mux.HandleFunc("POST /insert", func(w http.ResponseWriter, req *http.Request) {
 		var ins insertRequest
-		if !readJSON(w, req, &ins) {
-			return
+		if readJSON(w, req, &ins) {
+			mutation(w, req, be.Insert(ins.Row))
 		}
-		if err := idx.Insert(ins.Row); err != nil {
-			writeMutationError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"rows": idx.Len()})
 	})
-
 	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, req *http.Request) {
 		var del insertRequest
-		if !readJSON(w, req, &del) {
-			return
+		if readJSON(w, req, &del) {
+			mutation(w, req, be.Delete(del.Row))
 		}
-		if err := idx.Delete(del.Row); err != nil {
-			writeMutationError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"rows": idx.Len()})
 	})
-
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, req *http.Request) {
 		var up updateRequest
-		if !readJSON(w, req, &up) {
-			return
+		if readJSON(w, req, &up) {
+			mutation(w, req, be.Update(up.Old, up.New))
 		}
-		if err := idx.Update(up.Old, up.New); err != nil {
-			writeMutationError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"rows": idx.Len()})
 	})
 
-	// /compact rebuilds stale shards now (?force=true rebuilds all). The
-	// rebuilds run online — queries keep being served from the old epochs
-	// while replacements are built.
-	mux.HandleFunc("POST /compact", func(w http.ResponseWriter, req *http.Request) {
-		resp := compactResponse{Forced: req.URL.Query().Get("force") == "true"}
-		if resp.Forced {
-			// Route through the compactor so a forced rebuild serialises
-			// with any in-flight periodic sweep instead of colliding with
-			// it shard by shard.
-			sweep, _ := compactor.ForceSweep()
-			resp.Rebuilt, resp.Errors = sweep.Rebuilt, sweep.Errs
-		} else {
-			sweep := compactor.Kick()
-			resp.Stale, resp.Rebuilt, resp.Errors = sweep.Stale, sweep.Rebuilt, sweep.Errs
-		}
-		resp.Epochs = idx.Epochs()
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	return st.instrument(mux)
-}
-
-// writeMutationError maps engine errors to HTTP statuses: invalid rows are
-// the client's fault, a missing row is 404, anything else is internal.
-func writeMutationError(w http.ResponseWriter, err error) {
-	var rowErr *lifecycle.RowError
-	switch {
-	case errors.As(err, &rowErr):
-		writeError(w, http.StatusBadRequest, err)
-	case errors.Is(err, core.ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
-	default:
-		writeError(w, http.StatusInternalServerError, err)
-	}
+	return instrument(mux, f.accessLog)
 }
 
 // explainRequested reports whether the request asked for an execution
@@ -766,148 +453,143 @@ func explainRequested(req *http.Request) bool {
 	return req.URL.Query().Get("explain") == "true"
 }
 
-// answerQuery serves one /query rectangle through the hardening layer:
-// cache hit, or single-flight coalesced execution whose result the cache
-// retains. Explain requests bypass the cache — an execution report describes
-// one particular run, and attaching a cached one would be a lie. A coalesced
-// error usually means the leader's client disconnected and cancelled the
-// shared scan; a caller whose own request is still live retries directly
-// instead of inheriting that cancellation.
-func answerQuery(st *serverState, req *http.Request, r coax.Rect, limit int, early bool) (queryResponse, error) {
-	if st.qcache == nil || explainRequested(req) {
-		return runQuery(st, req, r, limit, early)
-	}
-	v, _, err := st.qcache.Do(serve.Key(r, limit, early, ""), r, func() (any, error) {
-		resp, rerr := runQuery(st, req, r, limit, early)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return &resp, nil
-	})
+// query answers one /query body: validation, admission, then the cached
+// row or aggregate execution.
+func (f *front) query(req *http.Request, q *rectRequest) (*queryResponse, error) {
+	r, spec, err := q.compile(f.be)
 	if err != nil {
-		if req.Context().Err() != nil {
-			return queryResponse{}, err
+		return nil, requestError{err}
+	}
+	if err := f.adm.Acquire(req.Context()); err != nil {
+		return nil, err
+	}
+	defer f.adm.Release()
+	if q.Agg != nil {
+		// The key names resolved positions, so "col":"lon" and "dim":3 share
+		// one cache line: they are the same computation.
+		key := serve.Key(r, 0, false, fmt.Sprintf("%s(%d) by %d", spec.Op, spec.Col, spec.Group))
+		return f.answer(req, key, r, func() (*queryResponse, error) { return f.runAgg(req, r, spec) })
+	}
+	limit, early := q.limit(), q.Early
+	return f.answer(req, serve.Key(r, limit, early, ""), r, func() (*queryResponse, error) {
+		return f.runRows(req, r, limit, early)
+	})
+}
+
+// answer serves one execution through the hardening layer: cache hit, or
+// single-flight coalesced execution whose result the cache retains. Explain
+// requests bypass the cache — an execution report describes one particular
+// run, and attaching a cached one would be a lie. A coalesced cancellation
+// means the leader's client disconnected and cancelled the shared scan; a
+// caller whose own request is still live retries directly instead of
+// inheriting it. Every other error is the answer, and is never cached.
+func (f *front) answer(req *http.Request, key string, r coax.Rect, run func() (*queryResponse, error)) (*queryResponse, error) {
+	if f.qcache == nil || explainRequested(req) {
+		return run()
+	}
+	v, _, err := f.qcache.Do(key, r, func() (any, error) { return run() })
+	if err != nil {
+		foreign := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		if foreign && req.Context().Err() == nil {
+			return run()
 		}
-		return runQuery(st, req, r, limit, early)
+		return nil, err
 	}
 	// The cached response is shared by every coalesced caller and future
 	// hits; it is only ever serialized, never mutated.
-	return *v.(*queryResponse), nil
+	return v.(*queryResponse), nil
 }
 
-// answerAgg serves one /query aggregation through the same hardening layer
-// as answerQuery: cache hit or coalesced execution, with explain requests
-// bypassing the cache. The status is the HTTP error code to write when err
-// is non-nil; status 0 means the client disconnected and there is nobody
-// to answer.
-func answerAgg(st *serverState, req *http.Request, r coax.Rect, a *aggRequest) (queryResponse, int, error) {
-	if st.qcache == nil || explainRequested(req) {
-		return runAgg(st, req, r, a)
+// runRows answers one rectangle. Without early mode the count covers every
+// match and only limit rows are retained; with it, the backend stops
+// scanning once limit rows were found.
+func (f *front) runRows(req *http.Request, r coax.Rect, limit int, early bool) (*queryResponse, error) {
+	stopAfter := 0
+	if early {
+		stopAfter = limit
 	}
-	var status int
-	v, _, err := st.qcache.Do(serve.Key(r, 0, false, a.descriptor()), r, func() (any, error) {
-		resp, rstatus, rerr := runAgg(st, req, r, a)
-		if rerr != nil {
-			status = rstatus
-			return nil, rerr
-		}
-		return &resp, nil
-	})
-	if err != nil {
-		if status != 0 {
-			return queryResponse{}, status, err
-		}
-		if req.Context().Err() != nil {
-			return queryResponse{}, 0, err
-		}
-		// Coalesced cancellation from another caller's context; our own
-		// request is still live, so retry directly.
-		return runAgg(st, req, r, a)
-	}
-	return *v.(*queryResponse), 0, nil
-}
-
-// runAgg answers one aggregation through the pushdown engine. A column
-// that fails to resolve is the client's fault (400); a cancelled request
-// context surfaces as err with status 0, like runQuery.
-func runAgg(st *serverState, req *http.Request, r coax.Rect, a *aggRequest) (queryResponse, int, error) {
-	agg, err := a.aggregation()
-	if err != nil {
-		// validate() already vetted the shape; this is unreachable.
-		return queryResponse{}, http.StatusBadRequest, err
-	}
-	q := coax.FromRect(r).WithContext(req.Context())
-	switch {
-	case a.GroupBy != nil:
-		q.GroupBy(*a.GroupBy)
-	case a.GroupByDim != nil:
-		q.GroupByDim(*a.GroupByDim)
-	}
-	wantExplain := explainRequested(req)
-	if wantExplain || st.slowlog != nil {
-		q.WithExplain()
-	}
-	res, err := q.Aggregate(st.idx, agg)
-	if err != nil {
-		if res == nil {
-			// Compile/resolution failure: unknown column, bad dim.
-			return queryResponse{}, http.StatusBadRequest, err
-		}
-		// A partial result with an error is a cancelled context.
-		return queryResponse{}, 0, err
-	}
-	ar := &aggResponse{Op: res.Op, Count: res.Count, Complete: res.Complete}
-	if res.Valid {
-		v := res.Value
-		ar.Value = &v
-	}
-	if res.Groups != nil {
-		ar.Groups = make([]aggGroup, len(res.Groups))
-		for i, g := range res.Groups {
-			ar.Groups[i] = aggGroup{Key: g.Key, Count: g.Count, Value: g.Value}
-		}
-	}
-	resp := queryResponse{Count: int(res.Count), Agg: ar}
-	st.slowlog.observe(res.Explain)
-	if wantExplain {
-		resp.Explain = res.Explain
-	}
-	return resp, 0, nil
-}
-
-// runQuery answers one rectangle through the v2 engine: the request
-// context cancels an in-flight fan-out when the client disconnects, and
-// early mode stops the scan once limit rows are found instead of counting
-// every match. The returned error is non-nil only on cancellation. When
-// the slow-query log is armed, every query runs with EXPLAIN so a slow one
-// can be logged with its full execution report; the report only reaches
-// the response when the client asked for it.
-func runQuery(st *serverState, req *http.Request, r coax.Rect, limit int, early bool) (queryResponse, error) {
-	// Stable() makes retained rows private copies; for the sharded engine
-	// that guarantee is free (its merge boundary copies anyway), so this
-	// does not add a second copy per row.
-	q := coax.FromRect(r).WithContext(req.Context()).Stable()
-	wantExplain := explainRequested(req)
-	if wantExplain || st.slowlog != nil {
-		q.WithExplain()
-	}
-	if early && limit > 0 {
-		q.Limit(limit)
-	}
-	var resp queryResponse
-	res, err := q.Run(st.idx, func(row []float64) bool {
+	resp := &queryResponse{}
+	exp, err := f.be.runRows(req.Context(), r, stopAfter, explainRequested(req), func(row []float64) bool {
 		resp.Count++
 		if limit < 0 || len(resp.Rows) < limit {
-			resp.Rows = append(resp.Rows, row) // stable: rows are private copies
+			resp.Rows = append(resp.Rows, row) // backends yield stable copies
 		}
 		return true
 	})
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
-	st.slowlog.observe(res.Explain)
-	if wantExplain {
-		resp.Explain = res.Explain
+	resp.Explain = exp
+	return resp, nil
+}
+
+// runAgg answers one aggregation and shapes it into the wire form.
+func (f *front) runAgg(req *http.Request, r coax.Rect, spec index.AggSpec) (*queryResponse, error) {
+	res, err := f.be.runAgg(req.Context(), r, spec, explainRequested(req))
+	if err != nil {
+		return nil, err
+	}
+	ar := &aggResponse{Op: res.Op, Count: res.Count, Complete: res.Complete}
+	if res.Valid {
+		ar.Value = &res.Value
+	}
+	if res.Groups != nil {
+		ar.Groups = make([]aggGroup, len(res.Groups))
+		for i, g := range res.Groups {
+			ar.Groups[i] = aggGroup(g)
+		}
+	}
+	return &queryResponse{Count: int(res.Count), Agg: ar, Explain: res.Explain}, nil
+}
+
+// batch answers one /batch body. A plain batch is one backend fan-out;
+// per-query explain reports (or any early-termination request) need
+// per-query executions.
+func (f *front) batch(req *http.Request, b *batchRequest) (*batchResponse, error) {
+	if len(b.Queries) > maxBatchQueries {
+		return nil, requestError{fmt.Errorf("batch has %d queries, limit is %d", len(b.Queries), maxBatchQueries)}
+	}
+	rects := make([]coax.Rect, len(b.Queries))
+	limits := make([]int, len(b.Queries))
+	perQuery := explainRequested(req)
+	for i := range b.Queries {
+		q := &b.Queries[i]
+		if q.Agg != nil {
+			// The batch fan-out shares one row visitor across queries;
+			// aggregates belong on /query, one at a time.
+			return nil, requestError{fmt.Errorf(`query %d: "agg" is not supported in /batch; use /query`, i)}
+		}
+		r, _, err := q.compile(f.be)
+		if err != nil {
+			return nil, requestError{fmt.Errorf("query %d: %w", i, err)}
+		}
+		rects[i], limits[i] = r, q.limit()
+		perQuery = perQuery || q.Early
+	}
+	if err := f.adm.Acquire(req.Context()); err != nil {
+		return nil, err
+	}
+	defer f.adm.Release()
+	resp := &batchResponse{Results: make([]queryResponse, len(rects))}
+	if perQuery {
+		for i := range rects {
+			res, err := f.runRows(req, rects[i], limits[i], b.Queries[i].Early)
+			if err != nil {
+				return nil, fmt.Errorf("query %d: %w", i, err)
+			}
+			resp.Results[i] = *res
+		}
+		return resp, nil
+	}
+	err := f.be.runBatch(req.Context(), rects, func(qi int, row []float64) {
+		res := &resp.Results[qi]
+		res.Count++
+		if limits[qi] < 0 || len(res.Rows) < limits[qi] {
+			res.Rows = append(res.Rows, row) // rows are stable copies
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
@@ -921,21 +603,6 @@ func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// writeOverloaded maps an admission failure onto the wire: a shed request
-// gets 429 with a Retry-After derived from the queue deadline; a context
-// error means the client already went away and there is nobody to answer.
-func writeOverloaded(w http.ResponseWriter, adm *serve.Admission, err error) {
-	if !errors.Is(err, serve.ErrOverloaded) {
-		return
-	}
-	secs := int(math.Ceil(adm.RetryAfter().Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	writeError(w, http.StatusTooManyRequests, err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

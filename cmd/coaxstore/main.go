@@ -9,14 +9,12 @@
 //	coaxstore build -csv flights.csv -outlier rtree -out flights.coax
 //	coaxstore build -csv flights.csv -sample 50000 -out flights.coax   # streaming, bounded memory
 //	coaxgen -dataset osm -n 10000000 -stream | coaxstore build -csv - -sample 50000
-//	coaxstore buildbench -rows 200000 -json BENCH_build.json -guard
 //	coaxstore convert -in osm.coax -out osm.coax3 -compress   # v2 → mapped v3
 //	coaxstore info -in osm.coax
 //	coaxstore info -in osm.coax -metrics   # health gauges, same names as coaxserve /metrics
 //	coaxstore query -in osm.coax -min '_,0,40,-75' -max '_,5000,41,-74'
 //	coaxstore query -in osm.coax -min '_,60,_,_' -max '_,90,_,_' -limit 5
 //	coaxstore explain -in flights.coax -where airtime:60:90
-//	coaxstore bench -rows 200000 -json BENCH_snapshot.json
 package main
 
 import (
@@ -54,10 +52,6 @@ func main() {
 		err = cmdQuery(os.Args[2:])
 	case "explain":
 		err = cmdExplain(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "buildbench":
-		err = cmdBuildBench(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -85,11 +79,6 @@ subcommands:
   query    answer a range/point query from a snapshot
   explain  run a query and report how it executed: soft-FD constraint
            translation, primary/outlier scan split, pages and rows touched
-  bench    time build/save/load and optionally emit JSON
-  buildbench
-           sweep streaming-build sample rates against the in-memory build:
-           build time, peak heap, outlier-ratio drift, query agreement
-           (emits BENCH_build.json; -guard fails on memory regression)
 
 run 'coaxstore <subcommand> -h' for flags`)
 }
@@ -577,167 +566,4 @@ func formatRow(row []float64) string {
 		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
 	}
 	return strings.Join(parts, ",")
-}
-
-// benchReport is the JSON shape consumed by CI to track the perf
-// trajectory of the persistence subsystem. The heap columns time the v2
-// decode path; the mapped columns time a v3 OpenFile (raw and compressed),
-// with rss_bytes reporting the Go-heap residency each open pins — the
-// mapped open leaves row data in the file mapping, so its residency is the
-// directory, not the rows.
-type benchReport struct {
-	Dataset       string  `json:"dataset"`
-	Rows          int     `json:"rows"`
-	BuildMS       float64 `json:"build_ms"`
-	SaveMS        float64 `json:"save_ms"`
-	LoadMS        float64 `json:"load_ms"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	LoadSpeedup   float64 `json:"load_speedup_vs_build"`
-
-	HeapRSSBytes       int64   `json:"heap_rss_bytes"`
-	HeapFileBytes      int64   `json:"heap_file_bytes"`
-	MappedOpenMS       float64 `json:"mapped_open_ms"`
-	MappedRSSBytes     int64   `json:"mapped_rss_bytes"`
-	MappedFileBytes    int64   `json:"mapped_file_bytes"`
-	MappedZipOpenMS    float64 `json:"mapped_compressed_open_ms"`
-	MappedZipFileBytes int64   `json:"mapped_compressed_file_bytes"`
-	MappedOpenSpeedup  float64 `json:"mapped_open_speedup_vs_load"`
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	var (
-		ds      = fs.String("dataset", "osm", "dataset: osm|airline")
-		rows    = fs.Int("rows", 200000, "dataset size")
-		jsonOut = fs.String("json", "", "also write the report as JSON to this path")
-	)
-	fs.Parse(args)
-
-	tab, err := loadTable("", *ds, *rows, 0)
-	if err != nil {
-		return err
-	}
-
-	t0 := time.Now()
-	idx, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	buildDur := time.Since(t0)
-
-	tmp, err := os.CreateTemp("", "coax-bench-*.coax")
-	if err != nil {
-		return err
-	}
-	path := tmp.Name()
-	tmp.Close()
-	defer os.Remove(path)
-
-	t0 = time.Now()
-	if err := coax.SaveFile(path, idx); err != nil {
-		return err
-	}
-	saveDur := time.Since(t0)
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-
-	heapBase := heapInUse()
-	t0 = time.Now()
-	loaded, err := coax.LoadFile(path)
-	if err != nil {
-		return err
-	}
-	loadDur := time.Since(t0)
-	heapRSS := max(heapInUse()-heapBase, 0)
-
-	// Sanity: the loaded index must agree with the built one.
-	full := coax.FullRect(idx.Dims())
-	if b, l := coax.Count(idx, full), coax.Count(loaded, full); b != l {
-		return fmt.Errorf("loaded index counts %d rows, built counts %d", l, b)
-	}
-
-	// Memory-mapped format: save both v3 encodings and time an OpenFile of
-	// each — O(directory) opens against the v2 decode's O(rows).
-	path3, path3c := path+"3", path+"3c"
-	defer os.Remove(path3)
-	defer os.Remove(path3c)
-	if err := coax.SaveFileV3(path3, idx, false); err != nil {
-		return err
-	}
-	if err := coax.SaveFileV3(path3c, idx, true); err != nil {
-		return err
-	}
-	fi3, err := os.Stat(path3)
-	if err != nil {
-		return err
-	}
-	fi3c, err := os.Stat(path3c)
-	if err != nil {
-		return err
-	}
-	loaded = nil
-	mappedBase := heapInUse()
-	t0 = time.Now()
-	mapped, err := coax.OpenFile(path3)
-	if err != nil {
-		return err
-	}
-	mappedOpenDur := time.Since(t0)
-	mappedRSS := max(heapInUse()-mappedBase, 0)
-	if m := coax.Count(mapped.Index(), full); m != coax.Count(idx, full) {
-		return fmt.Errorf("mapped index counts %d rows, built counts %d", m, coax.Count(idx, full))
-	}
-	mapped.Close()
-	t0 = time.Now()
-	mappedZip, err := coax.OpenFile(path3c)
-	if err != nil {
-		return err
-	}
-	mappedZipOpenDur := time.Since(t0)
-	if m := coax.Count(mappedZip.Index(), full); m != coax.Count(idx, full) {
-		return fmt.Errorf("compressed mapped index counts %d rows, built counts %d", m, coax.Count(idx, full))
-	}
-	mappedZip.Close()
-
-	rep := benchReport{
-		Dataset:       *ds,
-		Rows:          *rows,
-		BuildMS:       float64(buildDur.Microseconds()) / 1000,
-		SaveMS:        float64(saveDur.Microseconds()) / 1000,
-		LoadMS:        float64(loadDur.Microseconds()) / 1000,
-		SnapshotBytes: fi.Size(),
-
-		HeapRSSBytes:       heapRSS,
-		HeapFileBytes:      fi.Size(),
-		MappedOpenMS:       float64(mappedOpenDur.Microseconds()) / 1000,
-		MappedRSSBytes:     mappedRSS,
-		MappedFileBytes:    fi3.Size(),
-		MappedZipOpenMS:    float64(mappedZipOpenDur.Microseconds()) / 1000,
-		MappedZipFileBytes: fi3c.Size(),
-	}
-	if rep.LoadMS > 0 {
-		rep.LoadSpeedup = rep.BuildMS / rep.LoadMS
-	}
-	if rep.MappedOpenMS > 0 {
-		rep.MappedOpenSpeedup = rep.LoadMS / rep.MappedOpenMS
-	}
-	fmt.Printf("dataset %s, %d rows\n", rep.Dataset, rep.Rows)
-	fmt.Printf("build %8.1f ms\n", rep.BuildMS)
-	fmt.Printf("save  %8.1f ms  (%d bytes)\n", rep.SaveMS, rep.SnapshotBytes)
-	fmt.Printf("load  %8.1f ms  (%.0fx faster than build, +%.1f MiB heap)\n", rep.LoadMS, rep.LoadSpeedup, mib(uint64(heapRSS)))
-	fmt.Printf("mmap  %8.1f ms  (%.0fx faster than load, +%.1f MiB heap, %d bytes raw / %d compressed, compressed open %.1f ms)\n",
-		rep.MappedOpenMS, rep.MappedOpenSpeedup, mib(uint64(mappedRSS)), rep.MappedFileBytes, rep.MappedZipFileBytes, rep.MappedZipOpenMS)
-	if *jsonOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-	return nil
 }

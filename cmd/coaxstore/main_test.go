@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,8 +12,8 @@ import (
 )
 
 // TestBuildInfoQueryBench drives the full CLI flow against a temp
-// directory: build → save, then info / query / bench answer from the
-// snapshot alone.
+// directory: build → save, then info / query answer from the snapshot
+// alone.
 func TestBuildInfoQueryBench(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "osm.coax")
@@ -54,15 +53,6 @@ func TestBuildInfoQueryBench(t *testing.T) {
 	}
 	if err := cmdQuery([]string{"-in", snap, "-min", "10,_,_,_", "-max", "200,_,_,_", "-limit", "3"}); err != nil {
 		t.Fatalf("query with limit: %v", err)
-	}
-
-	report := filepath.Join(dir, "BENCH_snapshot.json")
-	if err := cmdBench([]string{"-rows", "20000", "-json", report}); err != nil {
-		t.Fatalf("bench: %v", err)
-	}
-	blob, err := os.ReadFile(report)
-	if err != nil || len(blob) == 0 {
-		t.Fatalf("bench report: %v (%d bytes)", err, len(blob))
 	}
 }
 
@@ -140,30 +130,5 @@ func TestStreamingBuildSubcommand(t *testing.T) {
 	r.Min[1], r.Max[1] = 5000, 30000
 	if ca, cb := coax.Count(a, r), coax.Count(b, r); ca != cb {
 		t.Fatalf("streamed snapshot counts %d, exact counts %d", cb, ca)
-	}
-}
-
-// TestBuildBenchSubcommand smoke-runs the sweep at tiny scale and checks
-// the JSON report parses with a passing guard.
-func TestBuildBenchSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_build.json")
-	err := cmdBuildBench([]string{
-		"-dataset", "osm", "-rows", "30000", "-rates", "0.05",
-		"-queries", "20", "-json", jsonPath, "-guard",
-	})
-	if err != nil {
-		t.Fatalf("buildbench: %v", err)
-	}
-	blob, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep buildBenchReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("report: %v", err)
-	}
-	if !rep.GuardOK || len(rep.Streaming) != 1 || rep.Streaming[0].CountMismatches != 0 {
-		t.Fatalf("unexpected report: %+v", rep)
 	}
 }

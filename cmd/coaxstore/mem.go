@@ -92,12 +92,3 @@ func vmHWM() int64 {
 
 // mib renders bytes as mebibytes for human output.
 func mib(b uint64) float64 { return float64(b) / (1 << 20) }
-
-// heapInUse garbage-collects and reports the live Go heap, so a
-// before/after delta isolates what one load pinned in memory.
-func heapInUse() int64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapInuse)
-}

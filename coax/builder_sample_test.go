@@ -11,8 +11,7 @@ import (
 // must still find every correlation group, and the outlier ratio — the
 // fraction of rows the weaker sampled models push into the slow path —
 // must stay within a small absolute and relative band of the full-scan
-// build (measured headroom ≈ 2× the observed drift; see BENCH_build.json
-// for the tracked values).
+// build (measured headroom ≈ 2× the observed drift).
 func TestSampledFDDegradationBounded(t *testing.T) {
 	const (
 		rows      = 60000

@@ -504,6 +504,32 @@ func TestClusterHedging(t *testing.T) {
 	tc.nodes[tc.addrs[0]].SetDelay(0)
 }
 
+// Regression: a hedge launched at a dead node used to fail its shards on the
+// spot — no replica left to try — although the slow primary it was racing
+// was still going to answer.
+func TestClusterHedgeToDeadNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tc := startCluster(t, testTable(rng, 3000), 8, 2, 2, WithHedgeDelay(time.Millisecond))
+	r := workload.RandRect(rng, tc.table)
+	want := collectOracle(tc.oracle, r, index.Spec{})
+
+	// Node 0 is slow enough for every hedge to fire; node 1, the only other
+	// replica of everything, is gone.
+	tc.nodes[tc.addrs[0]].SetDelay(100 * time.Millisecond)
+	tc.nodes[tc.addrs[1]].Close()
+	for i := 0; i < 3; i++ {
+		got, complete := collectRouter(t, tc.router, r, index.Spec{})
+		if !complete {
+			t.Fatal("query incomplete")
+		}
+		sortRows(got)
+		sortRows(want)
+		if !rowsEqual(got, want) {
+			t.Fatalf("query %d: %d rows, oracle %d", i, len(got), len(want))
+		}
+	}
+}
+
 // Stats must count every logical row exactly once despite replication.
 func TestClusterStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))

@@ -37,10 +37,11 @@ type Node struct {
 	// serving tier; rejected requests answer an Overloaded error frame.
 	adm *serve.Admission
 
-	// delay is an injected per-request straggler latency (clusterbench's
-	// slow-replica knob); draining, when > 0, rejects every request with
-	// an Overloaded error carrying that many milliseconds of Retry-After
-	// (a deterministic overload for tests and rolling restarts).
+	// delay is an injected per-request straggler latency (coaxserve node
+	// -straggler: the slow replica hedged reads race); draining, when > 0,
+	// rejects every request with an Overloaded error carrying that many
+	// milliseconds of Retry-After (a deterministic overload for tests and
+	// rolling restarts).
 	delay    atomic.Int64
 	draining atomic.Int64
 
@@ -93,7 +94,7 @@ func NewNode(shards map[int]*shard.Sharded, globalShards int, opts ...NodeOption
 }
 
 // SetDelay injects an artificial latency before every request — the
-// straggler knob clusterbench uses to demonstrate hedged reads.
+// straggler that demonstrates hedged reads.
 func (n *Node) SetDelay(d time.Duration) { n.delay.Store(int64(d)) }
 
 // SetDraining makes the node reject every request with an Overloaded

@@ -436,8 +436,20 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 		finishShard(st)
 	}
 
+	// inFlight reports whether an attempt still running may yet answer g.
+	inFlight := func(g int) bool {
+		for _, att := range attempts {
+			if att.shards[g] {
+				return true
+			}
+		}
+		return false
+	}
+
 	// retry re-plans a set of undelivered shards onto their next replicas
-	// (failover); shards with no replicas left fail.
+	// (failover); shards with no replicas left fail — unless another attempt
+	// is still out for them: a hedge that lost its node must not fail the
+	// shard under the primary it was racing, nor the reverse.
 	retry := func(shards []int, cause error) {
 		var live []int
 		for _, g := range shards {
@@ -446,7 +458,9 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 				continue
 			}
 			if st.next >= len(rt.replicas[g]) {
-				failShard(g, st, cause)
+				if !inFlight(g) {
+					failShard(g, st, cause)
+				}
 				continue
 			}
 			live = append(live, g)

@@ -14,7 +14,7 @@ import (
 // maintaining the live multiset those operations imply — so the same
 // generator both drives an index and serves as its correctness oracle (the
 // property tests scan LiveView through internal/scan) and powers the
-// mutation-mix serving benchmark (cmd/coaxserve mutbench).
+// write stream of the hot-mixed benchmark workload (bench/coaxperf).
 
 // OpKind is one mixed-workload operation type.
 type OpKind int
