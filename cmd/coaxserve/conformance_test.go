@@ -64,6 +64,9 @@ func conformanceRows(tab *coax.Table) []confRow {
 		{name: "too few bounds", path: "/query", body: `{"min":[1]}`, local: 400},
 		{name: "too many bounds", path: "/query", body: `{"max":[1,2,3,4,5]}`, local: 400},
 		{name: "unknown field", path: "/query", body: `{"limit":1,"offset":2}`, local: 400},
+		{name: "second value after the body", path: "/query", body: `{"limit":0} {"limit":-1}`, local: 400},
+		{name: "garbage after the body", path: "/batch", body: `{"queries":[{"limit":0}]}xyz`, local: 400},
+		{name: "whitespace after the body", path: "/query", body: `{"limit":0}` + " \n\t", local: 200},
 		{name: "early, limit 0", path: "/query", body: `{"limit":0,"early":true}`, local: 400},
 		{name: "early, limit -1", path: "/query", body: `{"limit":-1,"early":true}`, local: 400},
 		{name: "agg with early", path: "/query", body: `{"limit":1,"early":true,"agg":{"op":"count"}}`, local: 400},
@@ -85,6 +88,12 @@ func conformanceRows(tab *coax.Table) []confRow {
 		{name: "delete again", path: "/delete", body: `{"row":[123456.5,2,40,-75]}`, local: 404},
 		{name: "update an absent row", path: "/update", body: `{"old":` + testRow + `,"new":` + testRow + `}`, local: 404},
 		{name: "insert a short row", path: "/insert", body: `{"row":[1]}`, local: 400},
+		{name: "insert a huge value", path: "/insert", body: `{"row":[900001,1,40,1.7e308]}`, local: 200},
+		{name: "insert another", path: "/insert", body: `{"row":[900002,2,41,1.7e308]}`, local: 200},
+		{name: "agg sum overflows", path: "/query", body: `{"agg":{"op":"sum","dim":3}}`, local: 500},
+		{name: "agg sum overflows again", path: "/query", body: `{"agg":{"op":"sum","dim":3}}`, local: 500},
+		{name: "delete the huge value", path: "/delete", body: `{"row":[900001,1,40,1.7e308]}`, local: 200},
+		{name: "delete the other", path: "/delete", body: `{"row":[900002,2,41,1.7e308]}`, local: 200},
 		{name: "insert a non-numeric row", path: "/insert", body: `{"row":[1,"NaN",3,4]}`, local: 400},
 		{name: "update to a short row", path: "/update", body: `{"old":` + testRow + `,"new":[1]}`, local: 400},
 
@@ -118,6 +127,7 @@ func conformanceRows(tab *coax.Table) []confRow {
 type confReply struct {
 	status int
 	header http.Header
+	length int64 // the Content-Length the server declared, -1 when it sent none
 	body   []byte
 }
 
@@ -140,7 +150,7 @@ func do(t *testing.T, base string, row confRow) confReply {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return confReply{resp.StatusCode, resp.Header, body}
+	return confReply{resp.StatusCode, resp.Header, resp.ContentLength, body}
 }
 
 // shape reduces a decoded JSON value to its structure: object keys and
@@ -208,6 +218,12 @@ func TestHTTPConformance(t *testing.T) {
 			got := do(t, srv.URL, row)
 			if got.status != want {
 				t.Errorf("%s: %s: status %d, want %d (%s)", b.name, row.name, got.status, want, got.body)
+			}
+			// An answer is finished before its first byte is sent, so it
+			// always declares its length.
+			answer := strings.HasPrefix(row.path, "/query") || strings.HasPrefix(row.path, "/batch")
+			if answer && got.status == http.StatusOK && got.length != int64(len(got.body)) {
+				t.Errorf("%s: %s: Content-Length %d on a %d-byte body", b.name, row.name, got.length, len(got.body))
 			}
 			replies[bi] = append(replies[bi], got)
 		}

@@ -97,7 +97,7 @@ func rectToRequest(r index.Rect) rectRequest {
 }
 
 // testIndex builds the 8000-row, 4-shard OSM index most HTTP tests serve.
-func testIndex(t *testing.T) *coax.ShardedIndex {
+func testIndex(t testing.TB) *coax.ShardedIndex {
 	t.Helper()
 	so := coax.DefaultShardOptions()
 	so.NumShards = 4

@@ -28,7 +28,7 @@ import (
 var (
 	httpRequests   = obs.NewCounter("coax_http_requests_total", "HTTP requests served.")
 	httpErrors     = obs.NewCounter("coax_http_errors_total", "HTTP responses with a 4xx or 5xx status.")
-	httpRespErrors = obs.NewCounter("coax_http_response_errors_total", "Responses whose body failed to encode or send after the status was committed.")
+	httpRespErrors = obs.NewCounter("coax_http_response_errors_total", "Answers that could not be encoded (replied as 500) and bodies that failed to send after the status was committed.")
 	httpSeconds    = obs.NewHistogram("coax_http_request_seconds", "HTTP request latency in seconds.", 1e-5, 60)
 	httpInflight   = obs.NewGauge("coax_http_inflight_requests", "HTTP requests currently being served.")
 	slowQueries    = obs.NewCounter("coax_slow_queries_total", "Queries slower than the slow-query threshold.")

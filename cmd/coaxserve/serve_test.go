@@ -6,12 +6,19 @@ package main
 // unknown-snapshot-version report, and the response-encode error counter.
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,6 +168,117 @@ func TestSnapshotVersionUnknown(t *testing.T) {
 	}
 	if v := snapshotVersionOf(garbled); v != 0 {
 		t.Errorf("garbled header: version %d, want 0", v)
+	}
+}
+
+// sortedReply is a /query or /batch reply with the rows of every result
+// sorted: the engine yields rows in no fixed order.
+func sortedReply(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var b batchResponse
+	if err := json.Unmarshal(body, &b); err != nil {
+		t.Errorf("reply is not JSON: %v: %.200s", err, body)
+		return nil
+	}
+	if b.Results == nil {
+		b.Results = make([]queryResponse, 1)
+		if err := json.Unmarshal(body, &b.Results[0]); err != nil {
+			t.Errorf("reply is not JSON: %v: %.200s", err, body)
+			return nil
+		}
+	}
+	for _, res := range b.Results {
+		sort.Slice(res.Rows, func(i, j int) bool { return slices.Compare(res.Rows[i], res.Rows[j]) < 0 })
+	}
+	sorted, err := json.Marshal(b)
+	if err != nil {
+		t.Errorf("re-encoding the reply: %v", err)
+	}
+	return sorted
+}
+
+// Cached bodies are shared by every goroutine that hits them, while misses
+// next to them encode into pooled scratch buffers: under concurrent hits,
+// misses, evictions and coalescing every reply must still carry exactly what
+// an idle server's does.
+func TestConcurrentRepliesAreStable(t *testing.T) {
+	idx := testIndex(t)
+	var rows []confRow
+	for i := 0; i < 24; i++ {
+		rows = append(rows, confRow{path: "/query", body: fmt.Sprintf(`{"min":[null,%d,null,null],"max":[null,%d,null,null],"limit":-1}`, i*500, i*500+1500)})
+	}
+	rows = append(rows,
+		confRow{path: "/query", body: `{"agg":{"op":"max","dim":3,"group_by_dim":2},"max":[null,200,null,null]}`},
+		confRow{path: "/batch", body: `{"queries":[{"limit":0},{"min":[null,500,null,null],"max":[null,900,null,null],"limit":-1}]}`})
+	idle := serveFront(t, testBackend(idx), 0, nil)
+	want := make([][]byte, len(rows))
+	for i, row := range rows {
+		got := do(t, idle.URL, row)
+		if got.status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", row.body, got.status, got.body)
+		}
+		want[i] = sortedReply(t, got.body)
+	}
+
+	// 16 entries, one per stripe: two dozen keys keep evicting each other.
+	srv := serveFront(t, testBackend(idx), 16, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for n := 0; n < 40; n++ {
+				i := rng.Intn(len(rows))
+				if got := do(t, srv.URL, rows[i]); got.status != http.StatusOK || !bytes.Equal(sortedReply(t, got.body), want[i]) {
+					t.Errorf("%s: status %d, reply differs from the idle server's", rows[i].body, got.status)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if cs := getStats(t, srv.URL).Cache; cs.Hits == 0 || cs.LRUEvictions == 0 {
+		t.Errorf("the run was meant to mix hits and evictions: %+v", *cs)
+	}
+}
+
+// Regression: a SUM that overflows to +Inf has no JSON form. It used to reach
+// the client as a 200 with an empty body (the status line went out before
+// the encoder failed) and that answer was cached; it is a 500 that says
+// which aggregate overflowed, counted, and computed afresh each time.
+func TestNonFiniteAggregateIs500(t *testing.T) {
+	_, srv := testServerHardened(t, 256, nil)
+	huge := [][]float64{{900001, 1, 40, 1.7e308}, {900002, 2, 41, 1.7e308}}
+	for _, row := range huge {
+		if resp := postJSON(t, srv.URL+"/insert", insertRequest{Row: row}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert: status %d", resp.StatusCode)
+		}
+	}
+	before := httpRespErrors.Value()
+	sum := confRow{path: "/query", body: `{"agg":{"op":"sum","dim":3}}`}
+	for attempt := 1; attempt <= 2; attempt++ {
+		got := do(t, srv.URL, sum)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(got.body, &e); got.status != http.StatusInternalServerError || err != nil ||
+			!strings.Contains(e.Error, "sum over dim 3 overflowed") {
+			t.Fatalf("attempt %d: status %d, body %q; want 500 naming the overflowed aggregate", attempt, got.status, got.body)
+		}
+	}
+	if got := httpRespErrors.Value() - before; got != 2 {
+		t.Errorf("response-error counter advanced by %v, want 2", got)
+	}
+	if cs := getStats(t, srv.URL).Cache; cs.Hits != 0 || cs.Entries != 0 {
+		t.Errorf("the failed answer was cached: %+v", *cs)
+	}
+	// The same aggregate answers again once it is representable.
+	if resp := postJSON(t, srv.URL+"/delete", insertRequest{Row: huge[0]}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: status %d", resp.StatusCode)
+	}
+	if got := do(t, srv.URL, sum); got.status != http.StatusOK || !bytes.HasPrefix(got.body, []byte(`{"count":8001,"agg":{"op":"sum"`)) {
+		t.Fatalf("after the delete: status %d, body %s", got.status, got.body)
 	}
 }
 

@@ -5,6 +5,12 @@ package main
 // table over a backend — the in-process sharded index (local.go) or the
 // cluster scatter-gather (router.go). What differs between the two modes is
 // the backend value, nothing else.
+//
+// A /query or /batch answer is its reply bytes from the moment the scan ends
+// (encode.go): rows are encoded as the backend yields them, coalesced
+// callers and the result cache share the finished body, and a cache hit is
+// one Write. encoding/json writes only the cold replies — /stats, /healthz,
+// /compact, the slowlog, mutation acks and errors.
 
 import (
 	"context"
@@ -12,9 +18,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"github.com/coax-index/coax/coax"
@@ -38,7 +46,7 @@ const (
 )
 
 // backend is the engine behind the HTTP surface. Its errors carry their own
-// status: see writeResult.
+// status: see writeFailure.
 type backend interface {
 	// The result cache validates entries against the backend's per-shard
 	// mutation versions.
@@ -205,34 +213,6 @@ type batchRequest struct {
 	Queries []rectRequest `json:"queries"`
 }
 
-type queryResponse struct {
-	Count   int           `json:"count"`
-	Rows    [][]float64   `json:"rows,omitempty"`
-	Agg     *aggResponse  `json:"agg,omitempty"`
-	Explain *coax.Explain `json:"explain,omitempty"`
-}
-
-// aggResponse carries an aggregate answer: "value" is omitted when the
-// aggregate is undefined (min/max/avg over zero rows) or when the result
-// is grouped — grouped answers live in "groups", sorted by ascending key.
-type aggResponse struct {
-	Op       string     `json:"op"`
-	Count    int64      `json:"count"`
-	Value    *float64   `json:"value,omitempty"`
-	Groups   []aggGroup `json:"groups,omitempty"`
-	Complete bool       `json:"complete"`
-}
-
-type aggGroup struct {
-	Key   float64 `json:"key"`
-	Count int64   `json:"count"`
-	Value float64 `json:"value"`
-}
-
-type batchResponse struct {
-	Results []queryResponse `json:"results"`
-}
-
 type insertRequest struct {
 	Row []float64 `json:"row"`
 }
@@ -317,26 +297,39 @@ func (q *rectRequest) compile(be backend) (r coax.Rect, spec index.AggSpec, err 
 
 // --- errors ---
 
-// requestError marks a failure as the client's: writeResult answers 400.
+// requestError marks a failure as the client's: writeFailure answers 400.
 type requestError struct{ error }
 
 // unansweredError marks a scatter-gather in which some shard had no replica
-// left to answer it: the cluster's fault, so writeResult answers 502.
+// left to answer it: the cluster's fault, so writeFailure answers 502.
 type unansweredError struct{ error }
 
-// writeResult finishes every request that reached the engine. It owns the
-// whole error→status table, for both backends and for queries and mutations
-// alike.
-func (f *front) writeResult(w http.ResponseWriter, req *http.Request, v any, err error) {
+// writeResult finishes a /query or /batch that reached the engine: the
+// finished body in one Write with its Content-Length, or the failure.
+func (f *front) writeResult(w http.ResponseWriter, req *http.Request, body []byte, err error) {
+	if err != nil {
+		f.writeFailure(w, req, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		httpRespErrors.Inc()
+		fmt.Fprintf(os.Stderr, "writing response: %v\n", err)
+	}
+}
+
+// writeFailure owns the whole error→status table, for both backends and for
+// queries and mutations alike.
+func (f *front) writeFailure(w http.ResponseWriter, req *http.Request, err error) {
 	var (
 		reqErr requestError
 		rowErr *lifecycle.RowError
 		shed   *cluster.OverloadError
 		unans  unansweredError
+		encErr encodeError
 	)
 	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, v)
 	case errors.As(err, &reqErr), errors.As(err, &rowErr):
 		writeError(w, http.StatusBadRequest, err)
 	case errors.Is(err, core.ErrNotFound):
@@ -353,6 +346,9 @@ func (f *front) writeResult(w http.ResponseWriter, req *http.Request, v any, err
 	case errors.As(err, &unans):
 		writeError(w, http.StatusBadGateway, err)
 	default:
+		if errors.As(err, &encErr) {
+			httpRespErrors.Inc()
+		}
 		writeError(w, http.StatusInternalServerError, err)
 	}
 }
@@ -403,8 +399,8 @@ func newMux(f *front) http.Handler {
 		if !readJSON(w, req, &q) {
 			return
 		}
-		resp, err := f.query(req, &q)
-		f.writeResult(w, req, resp, err)
+		body, err := f.query(req, &q)
+		f.writeResult(w, req, body, err)
 	})
 
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, req *http.Request) {
@@ -412,18 +408,18 @@ func newMux(f *front) http.Handler {
 		if !readJSON(w, req, &b) {
 			return
 		}
-		resp, err := f.batch(req, &b)
-		f.writeResult(w, req, resp, err)
+		body, err := f.batch(req, &b)
+		f.writeResult(w, req, body, err)
 	})
 
 	// Mutations validate inside the engine (the shared
-	// lifecycle.ValidateRow path); writeResult maps the error kinds.
+	// lifecycle.ValidateRow path); writeFailure maps the error kinds.
 	mutation := func(w http.ResponseWriter, req *http.Request, err error) {
-		var reply map[string]int64
-		if err == nil {
-			reply = map[string]int64{"rows": be.liveRows()}
+		if err != nil {
+			f.writeFailure(w, req, err)
+			return
 		}
-		f.writeResult(w, req, reply, err)
+		writeJSON(w, http.StatusOK, map[string]int64{"rows": be.liveRows()})
 	}
 	mux.HandleFunc("POST /insert", func(w http.ResponseWriter, req *http.Request) {
 		var ins insertRequest
@@ -455,7 +451,7 @@ func explainRequested(req *http.Request) bool {
 
 // query answers one /query body: validation, admission, then the cached
 // row or aggregate execution.
-func (f *front) query(req *http.Request, q *rectRequest) (*queryResponse, error) {
+func (f *front) query(req *http.Request, q *rectRequest) ([]byte, error) {
 	r, spec, err := q.compile(f.be)
 	if err != nil {
 		return nil, requestError{err}
@@ -468,10 +464,10 @@ func (f *front) query(req *http.Request, q *rectRequest) (*queryResponse, error)
 		// The key names resolved positions, so "col":"lon" and "dim":3 share
 		// one cache line: they are the same computation.
 		key := serve.Key(r, 0, false, fmt.Sprintf("%s(%d) by %d", spec.Op, spec.Col, spec.Group))
-		return f.answer(req, key, r, func() (*queryResponse, error) { return f.runAgg(req, r, spec) })
+		return f.answer(req, key, r, func() ([]byte, error) { return f.runAgg(req, r, spec) })
 	}
 	limit, early := q.limit(), q.Early
-	return f.answer(req, serve.Key(r, limit, early, ""), r, func() (*queryResponse, error) {
+	return f.answer(req, serve.Key(r, limit, early, ""), r, func() ([]byte, error) {
 		return f.runRows(req, r, limit, early)
 	})
 }
@@ -483,7 +479,10 @@ func (f *front) query(req *http.Request, q *rectRequest) (*queryResponse, error)
 // means the leader's client disconnected and cancelled the shared scan; a
 // caller whose own request is still live retries directly instead of
 // inheriting it. Every other error is the answer, and is never cached.
-func (f *front) answer(req *http.Request, key string, r coax.Rect, run func() (*queryResponse, error)) (*queryResponse, error) {
+//
+// The body returned is shared by every coalesced caller and every future
+// hit: it is only ever written to a connection, never modified.
+func (f *front) answer(req *http.Request, key string, r coax.Rect, run func() ([]byte, error)) ([]byte, error) {
 	if f.qcache == nil || explainRequested(req) {
 		return run()
 	}
@@ -495,62 +494,56 @@ func (f *front) answer(req *http.Request, key string, r coax.Rect, run func() (*
 		}
 		return nil, err
 	}
-	// The cached response is shared by every coalesced caller and future
-	// hits; it is only ever serialized, never mutated.
-	return v.(*queryResponse), nil
+	return v.([]byte), nil
 }
 
-// runRows answers one rectangle. Without early mode the count covers every
-// match and only limit rows are retained; with it, the backend stops
-// scanning once limit rows were found.
-func (f *front) runRows(req *http.Request, r coax.Rect, limit int, early bool) (*queryResponse, error) {
+// scan runs one rectangle into rb. Without early mode the count covers every
+// match and only rb's limit rows are encoded; with it, the backend stops
+// scanning once that many rows were found.
+func (f *front) scan(req *http.Request, r coax.Rect, early bool, rb *rowsBody) (reply, error) {
 	stopAfter := 0
 	if early {
-		stopAfter = limit
+		stopAfter = rb.limit
 	}
-	resp := &queryResponse{}
-	exp, err := f.be.runRows(req.Context(), r, stopAfter, explainRequested(req), func(row []float64) bool {
-		resp.Count++
-		if limit < 0 || len(resp.Rows) < limit {
-			resp.Rows = append(resp.Rows, row) // backends yield stable copies
-		}
-		return true
-	})
+	exp, err := f.be.runRows(req.Context(), r, stopAfter, explainRequested(req), rb.add)
+	if err != nil {
+		return reply{}, err
+	}
+	return rb.finish(exp)
+}
+
+// runRows answers one rectangle.
+func (f *front) runRows(req *http.Request, r coax.Rect, limit int, early bool) ([]byte, error) {
+	rb := newRowsBody(limit)
+	defer rb.release()
+	rep, err := f.scan(req, r, early, &rb)
 	if err != nil {
 		return nil, err
 	}
-	resp.Explain = exp
-	return resp, nil
+	return rep.body(), nil
 }
 
-// runAgg answers one aggregation and shapes it into the wire form.
-func (f *front) runAgg(req *http.Request, r coax.Rect, spec index.AggSpec) (*queryResponse, error) {
+// runAgg answers one aggregation.
+func (f *front) runAgg(req *http.Request, r coax.Rect, spec index.AggSpec) ([]byte, error) {
 	res, err := f.be.runAgg(req.Context(), r, spec, explainRequested(req))
 	if err != nil {
 		return nil, err
 	}
-	ar := &aggResponse{Op: res.Op, Count: res.Count, Complete: res.Complete}
-	if res.Valid {
-		ar.Value = &res.Value
+	rep, err := aggReply(res, spec)
+	if err != nil {
+		return nil, err
 	}
-	if res.Groups != nil {
-		ar.Groups = make([]aggGroup, len(res.Groups))
-		for i, g := range res.Groups {
-			ar.Groups[i] = aggGroup(g)
-		}
-	}
-	return &queryResponse{Count: int(res.Count), Agg: ar, Explain: res.Explain}, nil
+	return rep.body(), nil
 }
 
 // batch answers one /batch body. A plain batch is one backend fan-out;
 // per-query explain reports (or any early-termination request) need
 // per-query executions.
-func (f *front) batch(req *http.Request, b *batchRequest) (*batchResponse, error) {
+func (f *front) batch(req *http.Request, b *batchRequest) ([]byte, error) {
 	if len(b.Queries) > maxBatchQueries {
 		return nil, requestError{fmt.Errorf("batch has %d queries, limit is %d", len(b.Queries), maxBatchQueries)}
 	}
 	rects := make([]coax.Rect, len(b.Queries))
-	limits := make([]int, len(b.Queries))
 	perQuery := explainRequested(req)
 	for i := range b.Queries {
 		q := &b.Queries[i]
@@ -563,35 +556,41 @@ func (f *front) batch(req *http.Request, b *batchRequest) (*batchResponse, error
 		if err != nil {
 			return nil, requestError{fmt.Errorf("query %d: %w", i, err)}
 		}
-		rects[i], limits[i] = r, q.limit()
+		rects[i] = r
 		perQuery = perQuery || q.Early
 	}
 	if err := f.adm.Acquire(req.Context()); err != nil {
 		return nil, err
 	}
 	defer f.adm.Release()
-	resp := &batchResponse{Results: make([]queryResponse, len(rects))}
-	if perQuery {
-		for i := range rects {
-			res, err := f.runRows(req, rects[i], limits[i], b.Queries[i].Early)
-			if err != nil {
-				return nil, fmt.Errorf("query %d: %w", i, err)
-			}
-			resp.Results[i] = *res
-		}
-		return resp, nil
+	bodies := make([]rowsBody, len(rects))
+	for i := range bodies {
+		bodies[i] = newRowsBody(b.Queries[i].limit())
 	}
-	err := f.be.runBatch(req.Context(), rects, func(qi int, row []float64) {
-		res := &resp.Results[qi]
-		res.Count++
-		if limits[qi] < 0 || len(res.Rows) < limits[qi] {
-			res.Rows = append(res.Rows, row) // rows are stable copies
+	defer func() {
+		for i := range bodies {
+			bodies[i].release()
 		}
-	})
-	if err != nil {
-		return nil, err
+	}()
+	if !perQuery {
+		err := f.be.runBatch(req.Context(), rects, func(qi int, row []float64) { bodies[qi].add(row) })
+		if err != nil {
+			return nil, err
+		}
 	}
-	return resp, nil
+	replies := make([]reply, len(rects))
+	for i := range rects {
+		var err error
+		if perQuery {
+			replies[i], err = f.scan(req, rects[i], b.Queries[i].Early, &bodies[i])
+		} else {
+			replies[i], err = bodies[i].finish(nil) // the fan-out above filled it
+		}
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return batchBody(replies), nil
 }
 
 func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
@@ -600,6 +599,11 @@ func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	// Decode stops after the first value; a body is exactly one.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, errors.New("decoding request: unexpected data after the JSON value"))
 		return false
 	}
 	return true
@@ -611,8 +615,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// The response is already committed (status line sent), so the error
 		// cannot reach the client as a status — count it and log it instead
-		// of discarding it. Typical causes: the client hung up mid-body, or
-		// an unencodable value (NaN) reached the response path.
+		// of discarding it. Typical cause: the client hung up mid-body.
 		httpRespErrors.Inc()
 		fmt.Fprintf(os.Stderr, "writing response: %v\n", err)
 	}

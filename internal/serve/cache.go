@@ -11,14 +11,29 @@ import (
 // fragmenting a small capacity into useless per-stripe quotas.
 const cacheShards = 16
 
+// maxEntryBytes is the largest reply body the cache retains. A "limit":-1
+// answer over a wide rectangle is table-sized; it is still computed once and
+// shared with its coalesced callers, but holding it would spend the memory
+// of thousands of ordinary entries on one LRU slot.
+const maxEntryBytes = 1 << 20
+
 // entry is one cached answer plus the invalidation capture that guards it:
 // the versions of shards [lo, lo+len(vers)) at the moment the computing
-// query began.
+// query began. A []byte value — a finished reply body — is shared read-only
+// by every goroutine that hits the entry; nobody may write to it.
 type entry struct {
 	key  string
 	lo   int
 	vers []uint64
 	val  any
+	size int64 // valueBytes(val)
+}
+
+// valueBytes is what the cache accounts for a value: the length of a reply
+// body, nothing for any other type.
+func valueBytes(val any) int64 {
+	b, _ := val.([]byte)
+	return int64(len(b))
 }
 
 // cacheStripe is one LRU stripe: a map for lookup and an intrusive list
@@ -38,6 +53,7 @@ type Cache struct {
 	src     Invalidator
 	stripes [cacheShards]cacheStripe
 	entries atomic.Int64
+	bytes   atomic.Int64 // sum of the held entries' sizes
 	cap     int
 
 	hits, misses, stale, evicts atomic.Int64
@@ -93,6 +109,7 @@ func (c *Cache) Get(key string) (any, bool) {
 			delete(st.elems, key)
 			st.mu.Unlock()
 			c.entries.Add(-1)
+			c.bytes.Add(-e.size)
 			c.stale.Add(1)
 			c.misses.Add(1)
 			cacheStaleEvicts.Inc()
@@ -111,27 +128,37 @@ func (c *Cache) Get(key string) (any, bool) {
 // Put stores val for key with its version capture: vers holds the
 // mutation versions of shards [lo, lo+len(vers)) read before the value was
 // computed. An existing entry for key is replaced; over-capacity stripes
-// evict their least-recently-used entry.
+// evict their least-recently-used entry. A body larger than maxEntryBytes
+// is not retained.
 func (c *Cache) Put(key string, lo int, vers []uint64, val any) {
+	size := valueBytes(val)
+	if size > maxEntryBytes {
+		return
+	}
 	st := &c.stripes[fnv64(key)%cacheShards]
 	st.mu.Lock()
 	if el, ok := st.elems[key]; ok {
 		e := el.Value.(*entry)
-		e.lo, e.vers, e.val = lo, vers, val
+		c.bytes.Add(size - e.size)
+		e.lo, e.vers, e.val, e.size = lo, vers, val, size
 		st.lru.MoveToFront(el)
 		st.mu.Unlock()
 		return
 	}
-	st.elems[key] = st.lru.PushFront(&entry{key: key, lo: lo, vers: vers, val: val})
+	st.elems[key] = st.lru.PushFront(&entry{key: key, lo: lo, vers: vers, val: val, size: size})
 	evicted := 0
+	freed := int64(0)
 	for st.lru.Len() > st.cap {
 		back := st.lru.Back()
 		st.lru.Remove(back)
-		delete(st.elems, back.Value.(*entry).key)
+		e := back.Value.(*entry)
+		delete(st.elems, e.key)
+		freed += e.size
 		evicted++
 	}
 	st.mu.Unlock()
 	c.entries.Add(int64(1 - evicted))
+	c.bytes.Add(size - freed)
 	if evicted > 0 {
 		c.evicts.Add(int64(evicted))
 		cacheEvicts.Add(int64(evicted))
@@ -144,6 +171,7 @@ func (c *Cache) Len() int { return int(c.entries.Load()) }
 // CacheStats is the /stats view of the cache.
 type CacheStats struct {
 	Entries        int   `json:"entries"`
+	Bytes          int64 `json:"bytes"`
 	Capacity       int   `json:"capacity"`
 	Hits           int64 `json:"hits"`
 	Misses         int64 `json:"misses"`
@@ -155,6 +183,7 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Entries:        c.Len(),
+		Bytes:          c.bytes.Load(),
 		Capacity:       c.cap,
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),

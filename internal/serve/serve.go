@@ -79,12 +79,14 @@ type QueryCache struct {
 }
 
 // NewQueryCache builds a query cache of at most capacity entries over src
-// and registers the cache-occupancy gauge (latest registration wins, like
+// and registers the cache-occupancy gauges (latest registration wins, like
 // the index-health gauges).
 func NewQueryCache(src Invalidator, capacity int) *QueryCache {
 	qc := &QueryCache{src: src, cache: NewCache(src, capacity)}
 	obs.NewGaugeFunc("coax_cache_entries", "Entries currently held by the result cache.",
 		func() float64 { return float64(qc.cache.Len()) })
+	obs.NewGaugeFunc("coax_cache_bytes", "Reply bytes currently held by the result cache.",
+		func() float64 { return float64(qc.cache.bytes.Load()) })
 	return qc
 }
 

@@ -128,6 +128,99 @@ func TestCacheLRUKeepsRecent(t *testing.T) {
 	}
 }
 
+// The cache accounts the bytes of the reply bodies it holds through every
+// way an entry leaves it, and declines a body too large to be worth a slot.
+func TestCacheBytesAccounting(t *testing.T) {
+	inv := newFakeInv(2)
+	c := NewCache(inv, 1) // one entry per stripe
+	body := func(n int) []byte { return make([]byte, n) }
+	held := func(want int64, why string) {
+		t.Helper()
+		if got := c.Stats().Bytes; got != want {
+			t.Fatalf("%s: cache accounts %d bytes, want %d", why, got, want)
+		}
+	}
+
+	c.Put("a", 0, []uint64{0}, body(100))
+	held(100, "first put")
+	c.Put("a", 0, []uint64{0}, body(40))
+	held(40, "replacement")
+	c.Put("not a body", 0, []uint64{0}, 12345)
+	held(40, "a non-[]byte value weighs nothing")
+
+	// LRU eviction: find a second key on a's stripe.
+	other := ""
+	for i := 0; other == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); fnv64(k)%cacheShards == fnv64("a")%cacheShards {
+			other = k
+		}
+	}
+	c.Put(other, 1, []uint64{0}, body(7))
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a survived an over-capacity stripe")
+	}
+	held(7, "LRU eviction")
+
+	// Stale eviction.
+	inv.vers[1].Add(1)
+	if _, ok := c.Get(other); ok {
+		t.Fatal("stale entry was served")
+	}
+	held(0, "stale eviction")
+
+	// An oversize body is not retained; one at the limit is.
+	c.Put("big", 0, []uint64{0}, body(maxEntryBytes+1))
+	if _, ok := c.Get("big"); ok {
+		t.Fatal("oversize body was retained")
+	}
+	held(0, "oversize put")
+	c.Put("big", 0, []uint64{0}, body(maxEntryBytes))
+	held(maxEntryBytes, "body at the limit")
+}
+
+// An oversize answer is still computed once and shared with the callers
+// that coalesced onto it; only retention is declined.
+func TestQueryCacheOversizeSharedNotRetained(t *testing.T) {
+	qc := NewQueryCache(newFakeInv(1), 16)
+	r := rect2(0, 0, 1, 1)
+	key := Key(r, -1, false, "")
+	big := make([]byte, maxEntryBytes+1)
+
+	var computes atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	compute := func() (any, error) {
+		if computes.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return big, nil
+	}
+	const followers = 4
+	var wg sync.WaitGroup
+	for i := 0; i < 1+followers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, fromCache, err := qc.Do(key, r, compute)
+			if body, _ := v.([]byte); err != nil || fromCache || len(body) != len(big) {
+				t.Errorf("Do = (%d bytes, fromCache %v, %v)", len(body), fromCache, err)
+			}
+		}()
+	}
+	<-entered
+	// Followers coalesce only while the leader is inside compute: give them
+	// a moment to park on it, as TestSingleFlightCoalesces does.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times for %d coalesced callers", n, 1+followers)
+	}
+	if st := qc.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("oversize body retained: %+v", st)
+	}
+}
+
 func TestSingleFlightCoalesces(t *testing.T) {
 	var g flightGroup
 	const n = 8
