@@ -256,10 +256,11 @@ func newLocalBackend(idx *coax.ShardedIndex, snap *coax.Snapshot, th lifecycle.T
 
 func (l *localBackend) liveRows() int64 { return int64(l.Len()) }
 
-// pageErr reports a corrupt page met while decoding a mapped snapshot. The
-// scan path reads such a page as empty, so every execution checks this
-// before its answer can reach a client or the cache; the error is sticky,
-// and from then on the server refuses to answer rather than answer short.
+// pageErr reports a corrupt page met while reading a mapped snapshot. The
+// scan path skips such a page, so every execution — query or mutation —
+// checks this before its answer can reach a client or the cache; the error
+// is sticky, and from then on the server refuses to answer rather than
+// answer short.
 func (l *localBackend) pageErr() error {
 	if l.snap == nil {
 		return nil
@@ -269,6 +270,35 @@ func (l *localBackend) pageErr() error {
 		return fmt.Errorf("snapshot page corrupt: %w", err)
 	}
 	return nil
+}
+
+// Mutations hold to the same rule as reads. Delete and Update find their row
+// by reading its page, and a page that no longer reads holds no match: the
+// engine would say "not found" about a row that is there. So the latch is
+// consulted before the engine is touched — once it is set nothing more is
+// applied — and again before the ack, where it outranks whatever the engine
+// made of the page it could not read.
+func (l *localBackend) mutate(apply func() error) error {
+	if err := l.pageErr(); err != nil {
+		return err
+	}
+	err := apply()
+	if perr := l.pageErr(); perr != nil {
+		return perr
+	}
+	return err
+}
+
+func (l *localBackend) Insert(row []float64) error {
+	return l.mutate(func() error { return l.ShardedIndex.Insert(row) })
+}
+
+func (l *localBackend) Delete(row []float64) error {
+	return l.mutate(func() error { return l.ShardedIndex.Delete(row) })
+}
+
+func (l *localBackend) Update(old, new []float64) error {
+	return l.mutate(func() error { return l.ShardedIndex.Update(old, new) })
 }
 
 // runRows executes through the v2 engine: ctx cancels an in-flight fan-out

@@ -306,6 +306,85 @@ func TestCorruptPageRefused(t *testing.T) {
 	}
 }
 
+// TestMutationOnCorruptPage is the regression test for mutation acks that
+// went out without a look at the page-error latch: /delete finds its row by
+// reading the row's page, a page that fails its checksum holds no match, and
+// the client was told 404 about a row that exists — only the next read
+// turned into a 500. A mutation that lands on an unreadable page is refused
+// like a read (500, counted, nothing applied), and so is every one after it.
+func TestMutationOnCorruptPage(t *testing.T) {
+	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
+	single, err := coax.Build(tab, coax.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/corrupt.v3"
+	if err := coax.SaveFileV3(path, single, true); err != nil {
+		t.Fatal(err)
+	}
+	// The primary grid's pages are laid out in cell order, so the last byte
+	// of its data region belongs to the last non-empty cell: take two rows
+	// of that cell, then flip a byte inside its page blob.
+	var victims [][]float64
+	single.Primary().CellPages(func(_ int, page []float64) {
+		if len(page) >= 2*tab.Dims() {
+			victims = [][]float64{
+				append([]float64(nil), page[:tab.Dims()]...),
+				append([]float64(nil), page[len(page)-tab.Dims():]...),
+			}
+		}
+	})
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mmapsnap.Inspect(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range st.Sections {
+		if sec.ID == "pgr3" {
+			blob[sec.Offset+sec.Len-9] ^= 0xff
+		}
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	idx, snap, err := openIndex(path, "", "", 0, 0, 2, 0)
+	if err != nil {
+		t.Fatalf("openIndex: %v", err)
+	}
+	defer snap.Close()
+	srv := serveFront(t, newLocalBackend(idx, snap, coax.DefaultThresholds(), 0), 64, nil)
+
+	row := func(r []float64) string {
+		b, _ := json.Marshal(r)
+		return string(b)
+	}
+	_, before := scrape(t, srv.URL, "coax_snapshot_page_errors_total")
+	rows := []confRow{
+		// A row the index does not hold, routed to a healthy page: absent.
+		{name: "delete an absent row", path: "/delete", body: `{"row":[-5,-5,-5,-5]}`, local: 404},
+		{name: "delete a row of the corrupt page", path: "/delete", body: `{"row":` + row(victims[0]) + `}`, local: 500},
+		{name: "update a row of the corrupt page", path: "/update", body: `{"old":` + row(victims[1]) + `,"new":[1,2,3,4]}`, local: 500},
+		{name: "insert after the latch", path: "/insert", body: `{"row":[1,2,3,4]}`, local: 500},
+		{name: "delete an absent row after the latch", path: "/delete", body: `{"row":[-5,-5,-5,-5]}`, local: 500},
+		{name: "query after the latch", path: "/query", body: `{"limit":0}`, local: 500},
+	}
+	for _, r := range rows {
+		if got := do(t, srv.URL, r); got.status != r.local {
+			t.Errorf("%s: status %d, want %d (%s)", r.name, got.status, r.local, got.body)
+		}
+	}
+	if _, after := scrape(t, srv.URL, "coax_snapshot_page_errors_total"); after-before != 5 {
+		t.Errorf("coax_snapshot_page_errors_total advanced by %v, want 5", after-before)
+	}
+	if idx.Len() != tab.Len() {
+		t.Errorf("refused mutations changed the row count: %d, want %d", idx.Len(), tab.Len())
+	}
+}
+
 // TestQueryValidationRejectsInvertedBounds is the regression test for the
 // v2 validation rule: a rectangle whose min exceeds its max on any
 // dimension would silently match nothing, so it is rejected with a 400.

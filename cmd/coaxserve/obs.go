@@ -33,7 +33,7 @@ var (
 	httpInflight   = obs.NewGauge("coax_http_inflight_requests", "HTTP requests currently being served.")
 	slowQueries    = obs.NewCounter("coax_slow_queries_total", "Queries slower than the slow-query threshold.")
 
-	snapshotPageErrors = obs.NewCounter("coax_snapshot_page_errors_total", "Queries refused because a page of the mapped snapshot failed its checksum.")
+	snapshotPageErrors = obs.NewCounter("coax_snapshot_page_errors_total", "Requests refused because a page of the mapped snapshot failed its checks.")
 )
 
 // --- request middleware ---

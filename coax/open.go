@@ -23,8 +23,9 @@ const (
 // sections laid out as fixed-width 64-byte-aligned pages that OpenFile can
 // serve straight from a memory mapping, without decoding the file onto the
 // heap. With compress set, each grid cell page is stored columnar
-// (delta/frame-of-reference bit-packed) and decompressed lazily per page
-// into a bounded cache on first access. The write is atomic, like SaveFile.
+// (delta/frame-of-reference bit-packed) and decoded on every read, only the
+// rows a scan can use, with nothing retained. The write is atomic, like
+// SaveFile.
 func SaveFileV3(path string, idx *Index, compress bool) error {
 	blob, err := mmapsnap.EncodeIndex(idx, mmapsnap.Options{Compress: compress})
 	if err != nil {
@@ -89,10 +90,13 @@ func (s *Snapshot) Version() uint32 { return s.version }
 // without mmap support.
 func (s *Snapshot) Mapped() bool { return s.ms != nil && s.ms.Mapped() }
 
-// PageErr returns the first corruption detected while lazily decompressing
-// a v3 page, if any — the scan path reads a corrupt page as empty rather
-// than failing mid-query. Callers that need an up-front guarantee should
-// verify the file with `coaxstore info -verify` (or mmapsnap.Verify).
+// PageErr returns the first corruption detected while reading a compressed
+// v3 page, if any — every read re-checks the page (CRC, layout, sort
+// order), and the scan path skips a page that fails rather than failing
+// mid-query, so a query, Delete, Update or Compact that met one looks like
+// a short answer, a missing row or a no-op until this is consulted. The
+// error is sticky. Callers that need an up-front guarantee should verify
+// the file with `coaxstore info -verify` (or mmapsnap.Verify).
 func (s *Snapshot) PageErr() error {
 	if s.ms == nil {
 		return nil
@@ -128,28 +132,33 @@ func (s *Snapshot) Serving(workers int) (*ShardedIndex, error) {
 // O(rows): startup cost and steady-state resident memory shift to the
 // kernel page cache, shared across processes serving the same file. The
 // trade-offs run the other way on the query path — uncompressed pages are
-// read at mapping speed, compressed pages pay a one-off per-page decode —
-// and a v3 Snapshot must be kept open (and its file unmodified) for as
-// long as its indexes are in use.
+// read at mapping speed with no decode at all, compressed pages are decoded
+// on every read (the sort column, then only the rows inside the query's
+// window, into scratch the scan owns; rows handed to a Yield are valid only
+// during that call, as everywhere) — and a v3 Snapshot must be kept open
+// (and its file unmodified) for as long as its indexes are in use.
 func OpenFile(path string) (*Snapshot, error) {
 	return OpenFileOptions(path, OpenOptions{})
 }
 
-// OpenOptions tunes OpenFile.
+// OpenOptions tunes OpenFile. It has no effective field left.
 type OpenOptions struct {
-	// PageCacheBytes bounds the decoded-page cache of a compressed v3
-	// snapshot; 0 means the default (32 MiB).
+	// PageCacheBytes is ignored.
+	//
+	// Deprecated: it bounded a cache of decoded pages that no longer
+	// exists — compressed pages are decoded per read and never retained.
+	// The field remains so existing callers compile.
 	PageCacheBytes int64
 }
 
-// OpenFileOptions is OpenFile with explicit options.
-func OpenFileOptions(path string, opt OpenOptions) (*Snapshot, error) {
+// OpenFileOptions is OpenFile; see OpenOptions.
+func OpenFileOptions(path string, _ OpenOptions) (*Snapshot, error) {
 	v, err := PeekSnapshotVersion(path)
 	if err != nil {
 		return nil, err
 	}
 	if v == mmapsnap.Version {
-		ms, err := mmapsnap.OpenFile(path, mmapsnap.OpenOptions{PageCacheBytes: opt.PageCacheBytes})
+		ms, err := mmapsnap.OpenFile(path)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,8 @@ import (
 // compression), OpenFile over the mapped v3 file must return exactly the
 // rows and aggregate values of the heap-decoded v2 load — bitwise, query
 // by query — including under concurrent readers (CI runs this under
-// -race, which exercises the shared decoded-page cache).
+// -race: readers of a compressed file share only the mapping, each scan
+// decoding into scratch of its own).
 
 func TestPropertyMappedMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -185,7 +186,7 @@ func requireSameAnswers(t *testing.T, heap, mapped *coax.Snapshot, r coax.Rect, 
 
 // concurrentCompare runs the whole query set from several goroutines at
 // once against the mapped snapshot, checking counts against the heap
-// baseline — the race detector watches the shared page cache underneath.
+// baseline — the race detector watches the per-read page decode underneath.
 func concurrentCompare(t *testing.T, heap, mapped *coax.Snapshot, queries []coax.Rect) {
 	t.Helper()
 	hq, mq := querierOf(t, heap), querierOf(t, mapped)

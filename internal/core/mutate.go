@@ -196,7 +196,10 @@ type deleter interface {
 
 // Compact merges delta pages into main storage and drops tombstoned rows in
 // the primary grid and, when the outliers live in a grid file, the outlier
-// index too (R-tree outliers delete in place and need no compaction).
+// index too (R-tree outliers delete in place and need no compaction). A
+// grid served from a mapped snapshot with a page that no longer reads stays
+// exactly as it was; the snapshot's PageErr carries the cause, which is why
+// the grid's own error is dropped here.
 func (c *COAX) Compact() {
 	track := obs.On()
 	var start time.Time
@@ -204,10 +207,10 @@ func (c *COAX) Compact() {
 		start = time.Now()
 	}
 	if c.primary != nil {
-		c.primary.Compact()
+		_ = c.primary.Compact()
 	}
 	if g, ok := c.outliers.(*gridfile.GridFile); ok {
-		g.Compact()
+		_ = g.Compact()
 	}
 	if track {
 		obs.Compactions.Inc()

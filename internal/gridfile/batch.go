@@ -21,11 +21,13 @@ func (g *GridFile) BatchKernel() string { return "grid-batch" }
 var _ index.ScanBatcher = (*GridFile)(nil)
 
 // batchScratch is the per-call scratch of one ScanBatch: the selection
-// words and the tombstone window. Allocated once per scan (two 128-byte
-// slices), never shared — the grid file stays safe for concurrent readers.
+// words, the tombstone window, and — for a store-backed grid file — the
+// buffer its pages decode into. Allocated once per scan, never shared — the
+// grid file stays safe for concurrent readers.
 type batchScratch struct {
 	sel  []uint64
 	dead []uint64
+	page []float64
 }
 
 // ScanBatch implements index.ScanBatcher. It visits exactly the rows
@@ -87,25 +89,26 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 // batchCell is scanCell's batch counterpart: the same span and the same
 // counters, with selection and tombstone filtering done word-wise.
 func (g *GridFile) batchCell(c int, r index.Rect, yield index.BatchYield, probe *index.Probe, scratch *batchScratch) bool {
-	page := g.cellPage(c)
-	if len(page) == 0 {
+	min, max := g.queryWindow(r)
+	span, first, ok := g.mainSpan(c, min, max, &scratch.page)
+	if !ok {
 		return true
 	}
 	dims := g.dims
-	lo, hi := g.querySpan(page, r)
+	rows := len(span) / dims
 	if probe != nil {
 		probe.Pages++
-		probe.Scanned += int64(hi - lo)
+		probe.Scanned += int64(rows)
 	}
-	base := int(g.offsets[c]) // global slot of the page's first row
-	for s := lo; s < hi; s += index.BatchRows {
-		n := hi - s
+	base := int(g.offsets[c]) + first // global slot of the span's first row
+	for s := 0; s < rows; s += index.BatchRows {
+		n := rows - s
 		if n > index.BatchRows {
 			n = index.BatchRows
 		}
 		words := index.BatchWords(n)
 		b := index.Batch{
-			Page: page[s*dims : (s+n)*dims],
+			Page: span[s*dims : (s+n)*dims],
 			Dims: dims,
 			Rows: n,
 			Sel:  scratch.sel[:words],

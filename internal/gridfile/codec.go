@@ -31,13 +31,11 @@ func (g *GridFile) Encode(w *binio.Writer) {
 		w.Float64s(g.data)
 	} else {
 		// Store-backed (memory-mapped) pages: emit the payload cell by cell
-		// through cellPage — byte-identical to Float64s over the resident
+		// through CellPages — byte-identical to Float64s over the resident
 		// concatenation — without materializing a contiguous copy or
 		// mutating any state under a read lock.
 		w.Uint64(uint64(g.mainRows() * g.dims))
-		for c := 0; c < g.NumCells(); c++ {
-			w.RawFloat64s(g.cellPage(c))
-		}
+		g.CellPages(func(_ int, page []float64) { w.RawFloat64s(page) })
 	}
 
 	cells := make([]int, 0, len(g.overflow))
@@ -107,8 +105,8 @@ func Decode(r *binio.Reader) (*GridFile, error) {
 
 // validateDecoded checks the invariants Build guarantees by construction.
 // verifyPages additionally proves every main page sorted on the sort
-// dimension — an O(rows) pass a lazily-decoded (store-backed) grid file
-// defers to per-page decode time instead.
+// dimension — an O(rows) pass a store-backed grid file leaves to its
+// store, which proves it on every page read instead.
 func (g *GridFile) validateDecoded(verifyPages bool) error {
 	if g.dims < 1 {
 		return fmt.Errorf("gridfile: dims %d < 1", g.dims)

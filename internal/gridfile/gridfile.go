@@ -9,6 +9,7 @@ package gridfile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/coax-index/coax/internal/dataset"
@@ -58,9 +59,10 @@ type GridFile struct {
 	offsets []int64     // per cell: starting row within data; len = cells+1
 
 	// store, when non-nil, supplies main-page rows instead of data — the
-	// hook a memory-mapped snapshot uses to decompress cell pages lazily
-	// (see internal/mmapsnap). All read paths go through cellPage, so a
-	// store-backed grid file answers queries identically to a resident one.
+	// hook a memory-mapped snapshot uses to decode compressed cell pages on
+	// read (see internal/mmapsnap). Every main-page read goes through
+	// mainSpan, so a store-backed grid file answers queries identically to
+	// a resident one.
 	store PageStore
 
 	// Insert support (see insert.go): per-cell delta pages merged back by
@@ -249,11 +251,48 @@ func (g *GridFile) sortCell(c int) {
 	sort.Sort(&cellSorter{data: page, dims: g.dims, key: g.cfg.SortDim, tmp: make([]float64, g.dims)})
 }
 
+// cellPage is cell c's main page in resident storage; a store-backed grid
+// file has none and reads through mainSpan instead.
 func (g *GridFile) cellPage(c int) []float64 {
-	if g.store != nil {
-		return g.store.CellPage(c)
-	}
 	return g.data[g.offsets[c]*int64(g.dims) : g.offsets[c+1]*int64(g.dims)]
+}
+
+// mainSpan returns the rows of cell c's main page whose sort-dimension
+// value lies in [min, max] (sortSpan's interval) and the page-relative
+// index of the first: a subslice of resident storage, or for a store-backed
+// grid file rows the store wrote into *buf — scratch the calling scan owns,
+// replaced here when the store had to grow it — and therefore valid only
+// until the next mainSpan with the same scratch. ok is false for an empty
+// cell and for a page the store could not read.
+func (g *GridFile) mainSpan(c int, min, max float64, buf *[]float64) (rows []float64, first int, ok bool) {
+	if g.offsets[c] == g.offsets[c+1] {
+		return nil, 0, false
+	}
+	if g.store == nil {
+		page := g.cellPage(c)
+		lo, hi := g.sortSpan(page, min, max)
+		return page[lo*g.dims : hi*g.dims], lo, true
+	}
+	rows, first, ok = g.store.CellSpan(c, min, max, *buf)
+	if cap(rows) > cap(*buf) {
+		*buf = rows[:0]
+	}
+	return rows, first, ok
+}
+
+// mainPage returns cell c's whole main page — for a store-backed grid file
+// mainSpan over the unbounded window, with mainSpan's lifetime. Here ok is
+// false only for a page the store could not read; an empty cell is an
+// empty page.
+func (g *GridFile) mainPage(c int, buf *[]float64) (page []float64, ok bool) {
+	if g.store == nil {
+		return g.cellPage(c), true
+	}
+	if g.offsets[c] == g.offsets[c+1] {
+		return nil, true
+	}
+	page, _, ok = g.mainSpan(c, math.Inf(-1), math.Inf(1), buf)
+	return page, ok
 }
 
 // mainRows reports the number of row slots in the main pages (live and
@@ -351,6 +390,7 @@ func (g *GridFile) Scan(r index.Rect, yield index.Yield, probe *index.Probe) boo
 	// Odometer over the cell sub-lattice [lo, hi].
 	idx := make([]int, nd)
 	copy(idx, lo)
+	var buf []float64 // store-backed pages decode here; yielded rows die with the call
 	for {
 		if probe.Aborted() {
 			return false // cancelled: stop even if no cell ever matches
@@ -359,7 +399,7 @@ func (g *GridFile) Scan(r index.Rect, yield index.Yield, probe *index.Probe) boo
 		for i := range idx {
 			c += idx[i] * g.strides[i]
 		}
-		if !g.scanCell(c, r, yield, probe) {
+		if !g.scanCell(c, r, yield, probe, &buf) {
 			return false
 		}
 		if g.inserted > 0 {
@@ -384,8 +424,9 @@ func (g *GridFile) Scan(r index.Rect, yield index.Yield, probe *index.Probe) boo
 
 // sortSpan returns the row interval [lo, hi) of a page that can hold
 // values in [min, max] on the sort dimension — the whole page when in-cell
-// sorting is disabled. Every page walk (query and delete, main and
-// overflow) locates its candidates through this one helper.
+// sorting is disabled, never an inverted interval. Every page walk (query
+// and delete, main and overflow) locates its candidates through this one
+// helper or through a PageStore that applies the same two predicates.
 func (g *GridFile) sortSpan(page []float64, min, max float64) (lo, hi int) {
 	nRows := len(page) / g.dims
 	sd := g.cfg.SortDim
@@ -394,46 +435,57 @@ func (g *GridFile) sortSpan(page []float64, min, max float64) (lo, hi int) {
 	}
 	lo = sort.Search(nRows, func(i int) bool { return page[i*g.dims+sd] >= min })
 	hi = sort.Search(nRows, func(i int) bool { return page[i*g.dims+sd] > max })
+	if hi < lo {
+		hi = lo
+	}
 	return lo, hi
 }
 
-// querySpan is sortSpan over a query rectangle's sort-dimension window.
+// queryWindow is a query rectangle's window on the sort dimension,
+// unbounded when there is none.
+func (g *GridFile) queryWindow(r index.Rect) (min, max float64) {
+	if sd := g.cfg.SortDim; sd >= 0 {
+		return r.Min[sd], r.Max[sd]
+	}
+	return math.Inf(-1), math.Inf(1)
+}
+
+// rowWindow is the sort-dimension window pinned to one row's value — the
+// candidates an exact-match delete scans.
+func (g *GridFile) rowWindow(row []float64) (min, max float64) {
+	if sd := g.cfg.SortDim; sd >= 0 {
+		return row[sd], row[sd]
+	}
+	return math.Inf(-1), math.Inf(1)
+}
+
+// querySpan is sortSpan over a query rectangle's window.
 func (g *GridFile) querySpan(page []float64, r index.Rect) (lo, hi int) {
-	if sd := g.cfg.SortDim; sd >= 0 {
-		return g.sortSpan(page, r.Min[sd], r.Max[sd])
-	}
-	return g.sortSpan(page, 0, 0)
+	min, max := g.queryWindow(r)
+	return g.sortSpan(page, min, max)
 }
 
-// rowSpan is sortSpan pinned to one row's sort-dimension value — the
-// candidate window an exact-match delete scans.
-func (g *GridFile) rowSpan(page []float64, row []float64) (lo, hi int) {
-	if sd := g.cfg.SortDim; sd >= 0 {
-		return g.sortSpan(page, row[sd], row[sd])
-	}
-	return g.sortSpan(page, 0, 0)
-}
-
-func (g *GridFile) scanCell(c int, r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	page := g.cellPage(c)
-	if len(page) == 0 {
+func (g *GridFile) scanCell(c int, r index.Rect, yield index.Yield, probe *index.Probe, buf *[]float64) bool {
+	min, max := g.queryWindow(r)
+	span, first, ok := g.mainSpan(c, min, max, buf)
+	if !ok {
 		return true
 	}
 	dims := g.dims
-	lo, hi := g.querySpan(page, r)
+	n := len(span) / dims
 	if probe != nil {
 		probe.Pages++
-		probe.Scanned += int64(hi - lo)
+		probe.Scanned += int64(n)
 	}
-	base := int(g.offsets[c]) // global slot of the page's first row
-	for i := lo; i < hi; i++ {
+	base := int(g.offsets[c]) + first // global slot of the span's first row
+	for i := 0; i < n; i++ {
 		if g.deadCount > 0 && g.isDead(base+i) {
 			if probe != nil {
 				probe.Tombstones++
 			}
 			continue // tombstoned: filtered at the visitor boundary
 		}
-		row := page[i*dims : (i+1)*dims]
+		row := span[i*dims : (i+1)*dims]
 		if r.Contains(row) {
 			if probe != nil {
 				probe.Matched++

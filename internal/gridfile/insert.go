@@ -80,16 +80,18 @@ func (g *GridFile) Delete(row []float64) bool {
 }
 
 // deleteMain tombstones the first live exact match in cell c's main page.
+// A page its store cannot read holds no match; the store has latched why.
 func (g *GridFile) deleteMain(c int, row []float64) bool {
-	page := g.cellPage(c)
+	min, max := g.rowWindow(row)
+	var buf []float64
+	span, first, _ := g.mainSpan(c, min, max, &buf)
 	dims := g.dims
-	lo, hi := g.rowSpan(page, row)
-	base := int(g.offsets[c])
-	for i := lo; i < hi; i++ {
+	base := int(g.offsets[c]) + first
+	for i := 0; i*dims < len(span); i++ {
 		if g.deadCount > 0 && g.isDead(base+i) {
 			continue
 		}
-		if lifecycle.RowsEqual(page[i*dims:(i+1)*dims], row) {
+		if lifecycle.RowsEqual(span[i*dims:(i+1)*dims], row) {
 			g.setDead(base + i)
 			return true
 		}
@@ -104,7 +106,8 @@ func (g *GridFile) deleteOverflow(c int, row []float64) bool {
 		return false
 	}
 	dims := g.dims
-	lo, hi := g.rowSpan(page.data, row)
+	min, max := g.rowWindow(row)
+	lo, hi := g.sortSpan(page.data, min, max)
 	for i := lo; i < hi; i++ {
 		if lifecycle.RowsEqual(page.data[i*dims:(i+1)*dims], row) {
 			copy(page.data[i*dims:], page.data[(i+1)*dims:])
@@ -183,17 +186,26 @@ func (g *GridFile) SetDeadSlots(slots []int64) error {
 // equivalent to one built over the live data (with the original grid
 // boundaries — boundaries are not recomputed, so heavily drifted data
 // distributions warrant a full rebuild instead; see internal/lifecycle).
-func (g *GridFile) Compact() {
+//
+// A store-backed grid file becomes resident. If its store cannot read one
+// of the pages, Compact changes nothing — the store stays, overflow and
+// tombstones stay, Len() still counts the rows the unread page holds — and
+// returns an error; the store has latched the cause on its side.
+func (g *GridFile) Compact() error {
 	if g.inserted == 0 && g.deadCount == 0 {
-		return
+		return nil
 	}
 	nCells := g.NumCells()
 	live := g.Len()
 	newData := make([]float64, 0, live*g.dims)
 	newOffsets := make([]int64, nCells+1)
+	var buf []float64
 	for c := 0; c < nCells; c++ {
 		newOffsets[c] = int64(len(newData) / g.dims)
-		page := g.cellPage(c)
+		page, ok := g.mainPage(c, &buf)
+		if !ok {
+			return fmt.Errorf("gridfile: compact: main page of cell %d is unreadable", c)
+		}
 		base := int(g.offsets[c])
 		for i := 0; i*g.dims < len(page); i++ {
 			if g.deadCount > 0 && g.isDead(base+i) {
@@ -219,6 +231,7 @@ func (g *GridFile) Compact() {
 			g.sortCell(c)
 		}
 	}
+	return nil
 }
 
 // scanOverflow visits matching rows of one cell's overflow page, using the

@@ -12,15 +12,29 @@ import (
 // row payload, and ExportParts hands an encoder the same pieces.
 
 // PageStore supplies the rows of main cell pages on demand. A store-backed
-// grid file holds no resident row payload: cellPage(c) delegates here, so
-// compressed snapshot pages can be decoded lazily into a bounded cache.
+// grid file holds no resident row payload: every main-page read goes
+// through mainSpan, which asks the store for just the rows the read can
+// use, so a compressed snapshot page is decoded into the reader's scratch
+// and nothing about it is retained.
 type PageStore interface {
-	// CellPage returns cell c's main page, row-major, exactly
-	// offsets[c+1]-offsets[c] rows. The slice is read-only and must stay
-	// valid while the caller iterates it (implementations pin it for the
-	// duration via their cache). On an unreadable page the store records a
-	// sticky error on its side and returns an empty page.
-	CellPage(c int) []float64
+	// CellSpan returns, row-major, the rows of cell c's main page whose
+	// sort-dimension value lies in [min, max] — the interval sortSpan
+	// computes (first row >= min up to the first row > max), or the whole
+	// page when the grid has no sort dimension or the window is unbounded
+	// (-Inf, +Inf) — and the page-relative index of the first of them.
+	//
+	// buf is scratch the caller owns. rows is written into it when its
+	// capacity suffices; otherwise rows starts a larger allocation, which
+	// the caller adopts as its scratch for the next call. Either way rows
+	// is valid only until the caller's next CellSpan with that scratch, and
+	// the store keeps no reference to it. A store must be safe for
+	// concurrent calls with distinct scratch.
+	//
+	// ok is false when the page cannot be read: the store has recorded the
+	// cause on its side (a sticky error the snapshot's owner checks) and
+	// rows is empty. Readers skip the page; a writer that needs every row
+	// (Compact) must not proceed.
+	CellSpan(c int, min, max float64, buf []float64) (rows []float64, first int, ok bool)
 }
 
 // Parts is the deconstructed state of a grid file. Slices may alias
@@ -173,10 +187,16 @@ func (g *GridFile) ExportParts() Parts {
 
 // CellPages calls fn with every cell's main page in cell order — the
 // encoder-side iterator that works for both resident and store-backed grid
-// files without exposing storage details.
+// files without exposing storage details. page is read-only and valid only
+// during the call: a store-backed page is decoded into one buffer the
+// iteration reuses. A page the store cannot read arrives empty (the store
+// latches the cause), so an encoder of a mapped index checks the
+// snapshot's PageErr before trusting its output.
 func (g *GridFile) CellPages(fn func(c int, page []float64)) {
+	var buf []float64
 	for c := 0; c < g.NumCells(); c++ {
-		fn(c, g.cellPage(c))
+		page, _ := g.mainPage(c, &buf)
+		fn(c, page)
 	}
 }
 

@@ -1,0 +1,216 @@
+package gridfile
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"github.com/coax-index/coax/internal/index"
+)
+
+// fakeStore is a PageStore over a private copy of a resident grid file's
+// main pages. It honours the contract the way a decoding store does — rows
+// are always written into the caller's scratch, which is scribbled over
+// first so a reader holding rows across calls sees garbage — and reads of
+// the cell in fail report !ok.
+type fakeStore struct {
+	data    []float64
+	offsets []int64
+	dims    int
+	sortDim int
+	fail    int // cell that cannot be read, or -1
+	failed  int // reads refused
+}
+
+func newFakeStore(g *GridFile) *fakeStore {
+	return &fakeStore{
+		data:    append([]float64(nil), g.data...),
+		offsets: append([]int64(nil), g.offsets...),
+		dims:    g.dims,
+		sortDim: g.cfg.SortDim,
+		fail:    -1,
+	}
+}
+
+func (s *fakeStore) CellSpan(c int, min, max float64, buf []float64) ([]float64, int, bool) {
+	if c == s.fail {
+		s.failed++
+		return nil, 0, false
+	}
+	page := s.data[s.offsets[c]*int64(s.dims) : s.offsets[c+1]*int64(s.dims)]
+	n := len(page) / s.dims
+	lo, hi := 0, n
+	if sd := s.sortDim; sd >= 0 {
+		lo = sort.Search(n, func(i int) bool { return page[i*s.dims+sd] >= min })
+		hi = sort.Search(n, func(i int) bool { return page[i*s.dims+sd] > max })
+		if hi < lo {
+			hi = lo
+		}
+	}
+	if cap(buf) < len(page) {
+		buf = make([]float64, len(page))
+	}
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	return buf[:copy(buf, page[lo*s.dims:hi*s.dims])], lo, true
+}
+
+// storeBacked rebuilds g around a fakeStore of its own pages.
+func storeBacked(t *testing.T, g *GridFile) (*GridFile, *fakeStore) {
+	t.Helper()
+	store := newFakeStore(g)
+	p := g.ExportParts()
+	p.Data, p.Store, p.TrustPages = nil, store, true
+	m, err := FromParts(p)
+	if err != nil {
+		t.Fatalf("FromParts: %v", err)
+	}
+	if !m.Mapped() {
+		t.Fatal("store-backed grid file does not report Mapped")
+	}
+	return m, store
+}
+
+// requireSamePaths holds a store-backed grid file to its resident twin on
+// both scan paths: the same rows and the same probe counters, so the same
+// pages and rows were visited.
+func requireSamePaths(t *testing.T, label string, want, got *GridFile, rects []index.Rect) {
+	t.Helper()
+	for qi, r := range rects {
+		wr, wp := rowPath(want, r)
+		gr, gp := rowPath(got, r)
+		sortRows(wr)
+		sortRows(gr)
+		sameRows(t, gr, wr)
+		if gp.Pages != wp.Pages || gp.Scanned != wp.Scanned || gp.Matched != wp.Matched || gp.Tombstones != wp.Tombstones {
+			t.Fatalf("%s query %d: row probe {pages %d scanned %d matched %d tombstones %d}, resident {%d %d %d %d}", label, qi,
+				gp.Pages, gp.Scanned, gp.Matched, gp.Tombstones, wp.Pages, wp.Scanned, wp.Matched, wp.Tombstones)
+		}
+		br, bp := batchPath(got, r)
+		sortRows(br)
+		sameRows(t, br, wr)
+		sameProbe(t, label, gp, bp)
+	}
+}
+
+func storeTestRects(rng *rand.Rand, dims int) []index.Rect {
+	rects := []index.Rect{index.Full(dims)}
+	for i := 0; i < 60; i++ {
+		rects = append(rects, randQueryRect(rng, dims))
+	}
+	return rects
+}
+
+// TestStoreBackedMatchesResident drives a store-backed grid file and the
+// resident one it was cut from through the same queries and mutations, with
+// and without a sort dimension.
+func TestStoreBackedMatchesResident(t *testing.T) {
+	for _, sortDim := range []int{2, -1} {
+		rng := rand.New(rand.NewSource(17))
+		tab := randomTable(rng, 3000, 4)
+		cfg := Config{GridDims: []int{0, 1}, SortDim: sortDim, CellsPerDim: 5, Mode: Quantile}
+		heap, err := Build(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, _ := storeBacked(t, heap)
+		rects := storeTestRects(rng, tab.Dims())
+		requireSamePaths(t, "fresh", heap, mapped, rects)
+
+		for i := 0; i < 200; i++ {
+			row := tab.Row(rng.Intn(tab.Len()))
+			if h, m := heap.Delete(row), mapped.Delete(row); h != m {
+				t.Fatalf("Delete(%v): resident %v, store-backed %v", row, h, m)
+			}
+			nr := append([]float64(nil), row...)
+			nr[3] += 0.25
+			if err := heap.Insert(nr); err != nil {
+				t.Fatal(err)
+			}
+			if err := mapped.Insert(nr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if heap.Len() != mapped.Len() || heap.Tombstones() != mapped.Tombstones() {
+			t.Fatalf("after mutations: len %d/%d tombstones %d/%d", heap.Len(), mapped.Len(), heap.Tombstones(), mapped.Tombstones())
+		}
+		requireSamePaths(t, "mutated", heap, mapped, rects)
+		// Encode carries pages, not tombstones (the snapshot codec stores
+		// those beside it), so the decoded copy holds every stored row.
+		if got := roundTrip(t, mapped); got.Len() != heap.StoredRows() {
+			t.Fatalf("Encode of a store-backed grid file decoded to %d rows, want %d", got.Len(), heap.StoredRows())
+		}
+
+		if err := heap.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := mapped.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if mapped.Mapped() {
+			t.Fatal("still store-backed after Compact")
+		}
+		requireSamePaths(t, "compacted", heap, mapped, rects)
+	}
+}
+
+// TestCompactUnreadablePageLeavesGridIntact: a Compact that meets a page
+// its store cannot read must not proceed on the rows it could read — the
+// grid keeps its store, its overflow pages, its tombstones and its count —
+// and must say so; once the page reads again the same Compact completes
+// with every row.
+func TestCompactUnreadablePageLeavesGridIntact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tab := randomTable(rng, 2000, 3)
+	heap, err := Build(tab, Config{GridDims: []int{0}, SortDim: 1, CellsPerDim: 8, Mode: Quantile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, store := storeBacked(t, heap)
+	for i := 0; i < 40; i++ {
+		row := tab.Row(rng.Intn(tab.Len()))
+		if heap.Delete(row) != mapped.Delete(row) {
+			t.Fatalf("Delete(%v) disagrees", row)
+		}
+		nr := append([]float64(nil), row...)
+		nr[2] += 0.5
+		heap.Insert(nr)
+		mapped.Insert(nr)
+	}
+	wantLen, wantIns, wantDead := mapped.Len(), mapped.Inserted(), mapped.Tombstones()
+	rects := storeTestRects(rng, tab.Dims())
+
+	store.fail = 3
+	if heap.CellSizes()[store.fail] == 0 {
+		t.Fatal("test cell is empty")
+	}
+	if err := mapped.Compact(); err == nil {
+		t.Fatal("Compact over an unreadable page reported success")
+	}
+	if store.failed == 0 {
+		t.Fatal("Compact never asked for the failing page")
+	}
+	if !mapped.Mapped() {
+		t.Fatal("Compact dropped the store it could not read in full")
+	}
+	if mapped.Len() != wantLen || mapped.Inserted() != wantIns || mapped.Tombstones() != wantDead {
+		t.Fatalf("after failed Compact: len %d inserted %d tombstones %d, want %d %d %d",
+			mapped.Len(), mapped.Inserted(), mapped.Tombstones(), wantLen, wantIns, wantDead)
+	}
+
+	store.fail = -1
+	requireSamePaths(t, "after failed Compact", heap, mapped, rects)
+	if err := mapped.Compact(); err != nil {
+		t.Fatalf("Compact once the page reads again: %v", err)
+	}
+	if err := heap.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if mapped.Mapped() || mapped.Len() != wantLen || mapped.StoredRows() != wantLen {
+		t.Fatalf("after Compact: mapped=%v len=%d stored=%d, want resident with %d", mapped.Mapped(), mapped.Len(), mapped.StoredRows(), wantLen)
+	}
+	requireSamePaths(t, "compacted", heap, mapped, rects)
+}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"sort"
 )
 
 // Per-cell page compression. Each grid cell's main page compresses
@@ -193,127 +194,225 @@ func (c *blobCursor) take(n int) ([]byte, error) {
 	return s, nil
 }
 
-func (c *blobCursor) u8() (byte, error) {
-	s, err := c.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return s[0], nil
+// colView is one column of a page blob, located but not decoded: where its
+// values are and how to unpack any one of them. Fixed-width packing makes a
+// column random-access, so a reader unpacks only the rows it wants. A raw
+// page is viewed as dims raw columns interleaved at stride dims*8.
+type colView struct {
+	enc    byte
+	width  int    // packed encodings: bits per value, 0..64
+	base   uint64 // encIntFOR: column minimum; encFloatXR: reference bits
+	stride int    // encRawCol: bytes from one row's value to the next
+	raw    []byte // the values: f64 bit patterns, or the packed words
 }
 
-func (c *blobCursor) u64() (uint64, error) {
-	s, err := c.take(8)
-	if err != nil {
-		return 0, err
+// stackCols is how many column views a page read keeps on its stack; a
+// wider page spills the views to the heap.
+const stackCols = 16
+
+// viewPage checks a page blob's CRC and walks its headers once — page kind,
+// then per column the encoding, base, pack width and the byte range the row
+// count implies — appending one view per column to cols. Reaching the
+// blob's last byte exactly is the consumption check, so a view never reads
+// outside its range and no byte of the blob goes unaccounted for. rows ≥ 1:
+// an empty cell has no blob.
+func viewPage(blob []byte, rows, dims int, cols []colView) ([]colView, error) {
+	if len(blob) < 5 {
+		return nil, fmt.Errorf("%w: blob of %d bytes", ErrPage, len(blob))
 	}
-	return binary.LittleEndian.Uint64(s), nil
+	want := binary.LittleEndian.Uint32(blob)
+	if got := crc32.Checksum(blob[4:], castagnoli); got != want {
+		return nil, fmt.Errorf("%w: page CRC %#08x, want %#08x", ErrPage, got, want)
+	}
+	c := blobCursor{b: blob, off: 5}
+	switch kind := blob[4]; kind {
+	case pageRaw:
+		raw, err := c.take(rows * dims * 8)
+		if err != nil {
+			return nil, err
+		}
+		for d := 0; d < dims; d++ {
+			cols = append(cols, colView{enc: encRawCol, stride: dims * 8, raw: raw[d*8:]})
+		}
+	case pageColumnar:
+		for d := 0; d < dims; d++ {
+			v, err := viewColumn(&c, rows)
+			if err != nil {
+				return nil, err
+			}
+			cols = append(cols, v)
+		}
+	default:
+		return nil, fmt.Errorf("%w: unknown page kind %d", ErrPage, kind)
+	}
+	if c.off != len(blob) {
+		return nil, fmt.Errorf("%w: %d trailing blob bytes", ErrPage, len(blob)-c.off)
+	}
+	return cols, nil
+}
+
+func viewColumn(c *blobCursor, rows int) (v colView, err error) {
+	h, err := c.take(1)
+	if err != nil {
+		return v, err
+	}
+	switch v.enc = h[0]; v.enc {
+	case encRawCol:
+		v.stride = 8
+		v.raw, err = c.take(rows * 8)
+	case encIntFOR, encFloatXR:
+		if h, err = c.take(9); err != nil { // u64 base, u8 width
+			return v, err
+		}
+		v.base, v.width = binary.LittleEndian.Uint64(h), int(h[8])
+		if v.width > 64 {
+			return v, fmt.Errorf("%w: pack width %d", ErrPage, v.width)
+		}
+		if v.raw, err = c.take(packedBytes(rows, v.width)); v.width == 0 {
+			v.raw = zeroWord[:] // a constant column stores no words; unpack reads this one
+		}
+	default:
+		err = fmt.Errorf("%w: unknown column encoding %d", ErrPage, v.enc)
+	}
+	return v, err
+}
+
+// zeroWord stands in for the words a width-0 column does not store.
+var zeroWord [8]byte
+
+// unpack decodes rows [lo, hi) of the column into dst[at], dst[at+step],
+// … — the one set of unpack loops behind every page read: raw values, then
+// for both packed encodings values of up to 57 bits, which one unaligned
+// 8-byte load holds whatever their offset in its first byte, then the
+// values that may straddle two words — wider ones, and the last few of a
+// column, where that load would run past the words. The view is taken by
+// value so the loops keep its fields in registers across the stores.
+func (v colView) unpack(dst []float64, at, step, lo, hi int) {
+	raw, base, width, isInt := v.raw, v.base, v.width, v.enc == encIntFOR
+	if v.enc == encRawCol {
+		for r := lo; r < hi; r++ {
+			dst[at] = math.Float64frombits(binary.LittleEndian.Uint64(raw[r*v.stride:]))
+			at += step
+		}
+		return
+	}
+	var mask uint64 = math.MaxUint64
+	if width < 64 {
+		mask = 1<<uint(width) - 1
+	}
+	oneLoad := lo // rows below it start at a byte with 8 bytes left
+	switch {
+	case width == 0:
+		oneLoad = hi // every row reads zeroWord at bit 0
+	case width <= 57 && len(raw) >= 8:
+		oneLoad = min(hi, (8*len(raw)-57)/width+1)
+	}
+	r, bit := lo, lo*width
+	for ; r < oneLoad; r, bit, at = r+1, bit+width, at+step {
+		x := binary.LittleEndian.Uint64(raw[bit>>3:]) >> uint(bit&7)
+		dst[at] = unpacked(isInt, base, x&mask)
+	}
+	for ; r < hi; r, bit, at = r+1, bit+width, at+step {
+		wi, off := bit>>6<<3, uint(bit&63)
+		x := binary.LittleEndian.Uint64(raw[wi:]) >> off
+		if off+uint(width) > 64 {
+			x |= binary.LittleEndian.Uint64(raw[wi+8:]) << (64 - off)
+		}
+		dst[at] = unpacked(isInt, base, x&mask)
+	}
+}
+
+// unpacked undoes the frame of reference on one unpacked value.
+func unpacked(isInt bool, base, x uint64) float64 {
+	if isInt {
+		return float64(int64(base + x))
+	}
+	return math.Float64frombits(base ^ x)
+}
+
+// firstDescent reports the first row at which keys (one value every step,
+// starting at keys[0]) descend, or -1 when none does.
+func firstDescent(keys []float64, step int) int {
+	for i := step; i < len(keys); i += step {
+		if keys[i] < keys[i-step] {
+			return i / step
+		}
+	}
+	return -1
+}
+
+func errUnsorted(sortDim, row int) error {
+	return fmt.Errorf("%w: decoded page not sorted on dimension %d at row %d", ErrPage, sortDim, row)
 }
 
 // decodePage decompresses one cell blob into dst (len rows*dims,
 // row-major), verifying the blob CRC, exact consumption, and — when a sort
 // dimension is set — the page's sort invariant, so a corrupt page can
-// never silently desort a binary-searched cell.
+// never silently desort a binary-searched cell. It is readSpan's view and
+// unpack over every row, for the callers that want the page whole (Verify,
+// the codec tests).
 func decodePage(blob []byte, dst []float64, rows, dims, sortDim int) error {
-	if len(blob) < 5 {
-		return fmt.Errorf("%w: blob of %d bytes", ErrPage, len(blob))
-	}
-	want := binary.LittleEndian.Uint32(blob)
-	if got := crc32.Checksum(blob[4:], castagnoli); got != want {
-		return fmt.Errorf("%w: page CRC %#08x, want %#08x", ErrPage, got, want)
-	}
-	c := &blobCursor{b: blob, off: 4}
-	kind, err := c.u8()
+	var stack [stackCols]colView
+	cols, err := viewPage(blob, rows, dims, stack[:0])
 	if err != nil {
 		return err
 	}
-	switch kind {
-	case pageRaw:
-		raw, err := c.take(rows * dims * 8)
-		if err != nil {
-			return err
-		}
-		for i := range dst[:rows*dims] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
-	case pageColumnar:
-		for d := 0; d < dims; d++ {
-			if err := decodeColumn(c, dst, rows, dims, d); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown page kind %d", ErrPage, kind)
-	}
-	if c.off != len(blob) {
-		return fmt.Errorf("%w: %d trailing blob bytes", ErrPage, len(blob)-c.off)
+	for d := range cols {
+		cols[d].unpack(dst, d, dims, 0, rows)
 	}
 	if sortDim >= 0 {
-		for r := 1; r < rows; r++ {
-			if dst[r*dims+sortDim] < dst[(r-1)*dims+sortDim] {
-				return fmt.Errorf("%w: decoded page not sorted on dimension %d at row %d", ErrPage, sortDim, r)
-			}
+		if r := firstDescent(dst[sortDim:rows*dims], dims); r >= 0 {
+			return errUnsorted(sortDim, r)
 		}
 	}
 	return nil
 }
 
-func decodeColumn(c *blobCursor, dst []float64, rows, dims, d int) error {
-	enc, err := c.u8()
+// readSpan is the read path of a compressed page, whole on every read: CRC
+// and header walk (viewPage), the sort column decoded in full and proven
+// sorted, the span [lo, hi) located on it with gridfile.sortSpan's two
+// predicates, and only then rows lo..hi-1 of every column unpacked into
+// buf, row-major. With no sort dimension the span is the page. buf is
+// replaced by a larger allocation when too small for the page plus its
+// sort column; rows is a prefix of whichever was used, and lo is the
+// page-relative index of its first row.
+func readSpan(blob []byte, n, dims, sortDim int, min, max float64, buf []float64) (rows []float64, lo int, err error) {
+	var stack [stackCols]colView
+	cols, err := viewPage(blob, n, dims, stack[:0])
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	switch enc {
-	case encRawCol:
-		raw, err := c.take(rows * 8)
-		if err != nil {
-			return err
-		}
-		for r := 0; r < rows; r++ {
-			dst[r*dims+d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[r*8:]))
-		}
-		return nil
-	case encIntFOR, encFloatXR:
-		base, err := c.u64()
-		if err != nil {
-			return err
-		}
-		w, err := c.u8()
-		if err != nil {
-			return err
-		}
-		width := int(w)
-		if width > 64 {
-			return fmt.Errorf("%w: pack width %d", ErrPage, width)
-		}
-		raw, err := c.take(packedBytes(rows, width))
-		if err != nil {
-			return err
-		}
-		var mask uint64 = math.MaxUint64
-		if width < 64 {
-			mask = 1<<uint(width) - 1
-		}
-		word := func(i int) uint64 { return binary.LittleEndian.Uint64(raw[i*8:]) }
-		bit := 0
-		for r := 0; r < rows; r++ {
-			var v uint64
-			if width > 0 {
-				wi, off := bit>>6, uint(bit&63)
-				v = word(wi) >> off
-				if off+uint(width) > 64 {
-					v |= word(wi+1) << (64 - off)
-				}
-				v &= mask
-				bit += width
-			}
-			if enc == encIntFOR {
-				dst[r*dims+d] = float64(int64(base + v))
-			} else {
-				dst[r*dims+d] = math.Float64frombits(base ^ v)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown column encoding %d", ErrPage, enc)
+	need := n * dims
+	if sortDim >= 0 {
+		need += n
 	}
+	if cap(buf) < need {
+		// At least doubled, so a scan grows its scratch a few times, not
+		// once for every page larger than the last.
+		buf = make([]float64, need+cap(buf))
+	}
+	lo, hi := 0, n
+	keys := buf[n*dims : need] // past the widest span, so rows can start at buf[0]
+	if sortDim >= 0 {
+		cols[sortDim].unpack(keys, 0, 1, 0, n)
+		if r := firstDescent(keys, 1); r >= 0 {
+			return nil, 0, errUnsorted(sortDim, r)
+		}
+		lo = sort.Search(n, func(i int) bool { return keys[i] >= min })
+		hi = sort.Search(n, func(i int) bool { return keys[i] > max })
+		if hi < lo {
+			hi = lo
+		}
+	}
+	rows = buf[:(hi-lo)*dims]
+	for d := range cols {
+		if d == sortDim {
+			for i, k := range keys[lo:hi] {
+				rows[i*dims+d] = k
+			}
+			continue
+		}
+		cols[d].unpack(rows, d, dims, lo, hi)
+	}
+	return rows, lo, nil
 }

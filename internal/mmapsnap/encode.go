@@ -15,7 +15,7 @@ import (
 // Options controls a v3 encode.
 type Options struct {
 	// Compress enables per-page columnar compression of grid data regions.
-	// Compressed pages decode lazily through a bounded LRU on open;
+	// Compressed pages are decoded on every read, straight out of the mapping;
 	// uncompressed ones are served zero-copy from the mapping.
 	Compress bool
 }

@@ -16,7 +16,7 @@ import (
 // table) followed by 64-byte-aligned fixed-width regions: the offsets
 // directory, the tombstone bitmap, the optional compressed-page directory,
 // and the row data itself. Uncompressed data is aliased straight out of
-// the mapping; compressed data decodes lazily per cell through a
+// the mapping; compressed data is decoded per read, per cell, through a
 // gridStore.
 
 // gridSection is the parsed header plus region byte ranges.
@@ -278,6 +278,9 @@ func validateGridDir(s *gridSection) (offsets []int64, pagedir []uint64, err err
 	if s.dims < 1 || s.dims > maxGridDims {
 		return nil, nil, fmt.Errorf("%w: grid section dims %d", ErrLayout, s.dims)
 	}
+	if s.sortDim >= s.dims { // page reads index the column views by it
+		return nil, nil, fmt.Errorf("%w: sort dimension %d of %d", ErrLayout, s.sortDim, s.dims)
+	}
 	offsets = asInt64s(s.offsetsB)
 	if len(offsets) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty offsets region", ErrLayout)
@@ -330,9 +333,8 @@ func validateGridDir(s *gridSection) (offsets []int64, pagedir []uint64, err err
 }
 
 // openGridSection assembles a queryable grid file over a parsed section.
-// id/cache/errs wire compressed sections into the snapshot's shared page
-// LRU and sticky error latch.
-func openGridSection(s *gridSection, id int, cache *pageLRU, errs *errBox) (*gridfile.GridFile, error) {
+// errs wires a compressed section into the snapshot's sticky error latch.
+func openGridSection(s *gridSection, errs *errBox) (*gridfile.GridFile, error) {
 	offsets, pagedir, err := validateGridDir(s)
 	if err != nil {
 		return nil, err
@@ -353,13 +355,11 @@ func openGridSection(s *gridSection, id int, cache *pageLRU, errs *errBox) (*gri
 	}
 	if s.compressed {
 		parts.Store = &gridStore{
-			id:      id,
 			data:    s.dataB,
 			pagedir: pagedir,
 			rows:    offsets,
 			dims:    s.dims,
 			sortDim: s.sortDim,
-			cache:   cache,
 			errs:    errs,
 		}
 	} else {

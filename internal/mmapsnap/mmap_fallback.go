@@ -20,7 +20,7 @@ func (m *mapping) close() error {
 
 // OpenFile opens a version-3 snapshot by reading it into a 64-byte-aligned
 // heap buffer — the graceful fallback for platforms without mmap.
-func OpenFile(path string, opt OpenOptions) (*Snapshot, error) {
+func OpenFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -35,7 +35,7 @@ func OpenFile(path string, opt OpenOptions) (*Snapshot, error) {
 		return nil, err
 	}
 	m := &mapping{data: data}
-	sn, err := openBlob(m.data, opt, m, false)
+	sn, err := openBlob(m.data, m, false)
 	if err != nil {
 		return nil, err
 	}

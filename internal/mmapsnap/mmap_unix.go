@@ -50,7 +50,7 @@ func mapFile(f *os.File, size int64) (*mapping, bool, error) {
 // OpenFile opens a version-3 snapshot file, mapping it when the platform
 // allows and falling back to an aligned heap read otherwise. The returned
 // snapshot must be Closed when no longer in use.
-func OpenFile(path string, opt OpenOptions) (*Snapshot, error) {
+func OpenFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func OpenFile(path string, opt OpenOptions) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sn, err := openBlob(m.data, opt, m, mapped)
+	sn, err := openBlob(m.data, m, mapped)
 	if err != nil {
 		m.close()
 		return nil, err

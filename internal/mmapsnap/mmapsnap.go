@@ -5,8 +5,8 @@
 // decoding the whole snapshot into heap. Optional per-page columnar
 // compression (delta + bit-packing for integer-valued columns,
 // frame-of-reference XOR packing for floats) trades the zero-copy alias
-// for lazy per-cell decompression into a small bounded LRU of decoded
-// pages.
+// for a per-read decode of just the rows a scan can use, into scratch the
+// scan owns; nothing decoded is retained (see readSpan).
 //
 // # Container layout (version 3)
 //
@@ -34,8 +34,8 @@
 // open. Page-structured sections ("pgr3", "ogr3", shard sub-blobs
 // "s000"…) are *not* checksummed at open — that would force reading every
 // byte and defeat O(1) start — their structure is bounds-checked eagerly,
-// their content verified lazily (each compressed page carries its own
-// CRC) or on demand via Verify.
+// their content verified on every read (each compressed page carries its
+// own CRC) or on demand via Verify.
 //
 // The lifecycle section "lifs" carries only the scalar state (epoch,
 // staleness baseline, drift tracker); tombstones live as bitmap regions
@@ -99,8 +99,8 @@ var (
 	ErrTruncated = errors.New("mmapsnap: truncated snapshot")
 	ErrLayout    = errors.New("mmapsnap: invalid section layout")
 	ErrChecksum  = errors.New("mmapsnap: section checksum mismatch")
-	// ErrPage is the sticky error a page store records when a lazily
-	// decoded page is corrupt; see Snapshot.PageErr.
+	// ErrPage is the sticky error a page store records when a page it is
+	// asked to read is corrupt; see Snapshot.PageErr.
 	ErrPage = errors.New("mmapsnap: corrupt page")
 )
 
@@ -184,7 +184,7 @@ func parseTOC(blob []byte) ([]tocEntry, error) {
 }
 
 // sectionPayload returns a section's bytes, CRC-verified for plain
-// sections (page-structured content is verified lazily or via Verify).
+// sections (page-structured content is verified on read or via Verify).
 func sectionPayload(blob []byte, e tocEntry) ([]byte, error) {
 	p := blob[e.off : e.off+e.len]
 	if e.flags&flagPages == 0 {

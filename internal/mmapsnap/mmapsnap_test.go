@@ -92,7 +92,7 @@ func TestRoundTripSingle(t *testing.T) {
 			if err := Verify(blob); err != nil {
 				t.Fatalf("kind=%v compress=%v: Verify: %v", kind, compress, err)
 			}
-			sn, err := OpenBytes(blob, OpenOptions{})
+			sn, err := OpenBytes(blob)
 			if err != nil {
 				t.Fatalf("kind=%v compress=%v: OpenBytes: %v", kind, compress, err)
 			}
@@ -128,7 +128,7 @@ func TestRoundTripSharded(t *testing.T) {
 		if err := Verify(blob); err != nil {
 			t.Fatalf("Verify: %v", err)
 		}
-		sn, err := OpenBytes(blob, OpenOptions{})
+		sn, err := OpenBytes(blob)
 		if err != nil {
 			t.Fatalf("OpenBytes: %v", err)
 		}
@@ -154,7 +154,7 @@ func TestMappedMutationAndReencode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn, err := OpenBytes(blob, OpenOptions{})
+		sn, err := OpenBytes(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestOpenFileMapped(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sn, err := OpenFile(path, OpenOptions{})
+	sn, err := OpenFile(path)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
@@ -276,27 +276,10 @@ func TestCompressionShrinksIntHeavyData(t *testing.T) {
 	t.Logf("plain %d bytes, compressed %d bytes (%.2fx)", len(plain), len(packed), float64(len(plain))/float64(len(packed)))
 }
 
-func TestPageLRUBounded(t *testing.T) {
-	tab := testTable(t, 8000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
-	blob, err := EncodeIndex(idx, Options{Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A tiny cache forces constant eviction; answers must stay identical.
-	sn, err := OpenBytes(blob, OpenOptions{PageCacheBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, idx, sn.Index(), testQueries(tab))
-	if err := sn.PageErr(); err != nil {
-		t.Fatalf("PageErr: %v", err)
-	}
-}
-
 // TestConcurrentReaders hammers one compressed snapshot from many
-// goroutines through a deliberately tiny page cache, so decode races and
-// evictions overlap in-flight scans. Run with -race.
+// goroutines: the read path is stateless — each scan decodes into its own
+// scratch — so nothing but the mapping and the error latch is shared. Run
+// with -race.
 func TestConcurrentReaders(t *testing.T) {
 	tab := testTable(t, 5000)
 	idx := buildIndex(t, tab, core.OutlierGrid)
@@ -304,7 +287,7 @@ func TestConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := OpenBytes(blob, OpenOptions{PageCacheBytes: 8192})
+	sn, err := OpenBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +327,7 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 		// Truncations anywhere must error, never panic.
 		for _, n := range []int{0, 4, 11, 15, 16, headerSize + 8, len(blob) / 2, len(blob) - 1} {
-			if _, err := OpenBytes(blob[:n], OpenOptions{}); err == nil {
+			if _, err := OpenBytes(blob[:n]); err == nil {
 				t.Errorf("compress=%v: truncation to %d bytes opened", compress, n)
 			}
 		}
@@ -359,10 +342,10 @@ func TestCorruptionDetected(t *testing.T) {
 }
 
 func TestVersionMismatch(t *testing.T) {
-	if _, err := OpenBytes([]byte("COAXSNAPxxxx"), OpenOptions{}); !errors.Is(err, ErrVersion) {
+	if _, err := OpenBytes([]byte("COAXSNAPxxxx")); !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion, got %v", err)
 	}
-	if _, err := OpenBytes([]byte("NOTASNAPxxxx"), OpenOptions{}); !errors.Is(err, ErrBadMagic) {
+	if _, err := OpenBytes([]byte("NOTASNAPxxxx")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
 	}
 	// A v2 file must be rejected by mmapsnap with ErrVersion, not mangled.
@@ -372,7 +355,7 @@ func TestVersionMismatch(t *testing.T) {
 	if err := snapshot.Encode(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBytes(buf.Bytes(), OpenOptions{}); !errors.Is(err, ErrVersion) {
+	if _, err := OpenBytes(buf.Bytes()); !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion for v2 file, got %v", err)
 	}
 }

@@ -13,13 +13,6 @@ import (
 	"github.com/coax-index/coax/internal/shard"
 )
 
-// OpenOptions controls how a v3 snapshot is opened.
-type OpenOptions struct {
-	// PageCacheBytes bounds the decoded-page LRU shared by all compressed
-	// grid sections of this snapshot; 0 means DefaultPageCacheBytes.
-	PageCacheBytes int64
-}
-
 // Snapshot is an opened v3 snapshot: a single index or a sharded one,
 // backed by a mapping, a heap buffer, or caller-owned bytes.
 type Snapshot struct {
@@ -55,10 +48,10 @@ func (s *Snapshot) Sharded() *shard.Sharded {
 // than resident heap.
 func (s *Snapshot) Mapped() bool { return s.mapped }
 
-// PageErr returns the first lazily-detected page corruption, if any. The
+// PageErr returns the first page corruption a read detected, if any. The
 // scan path cannot surface an error mid-query — a corrupt compressed page
-// reads as empty — so callers that need a guarantee check this after
-// querying, or run Verify up front.
+// is skipped — so callers that need a guarantee check this after querying
+// or mutating, or run Verify up front.
 func (s *Snapshot) PageErr() error { return s.errs.get() }
 
 // Close releases the mapping. The snapshot's indexes must not be used
@@ -72,48 +65,35 @@ func (s *Snapshot) Close() error {
 	return m.close()
 }
 
-// openState carries the per-open shared machinery into nested blobs.
-type openState struct {
-	cache  *pageLRU
-	errs   *errBox
-	nextID int
-}
-
-func (st *openState) storeID() int {
-	id := st.nextID
-	st.nextID++
-	return id
-}
-
 // OpenBytes opens a v3 snapshot over data. When data is 64-byte aligned
 // (an mmap'd file, or a buffer from alignedBuffer) the fixed-width regions
 // are aliased zero-copy; otherwise the blob is first copied into an
 // aligned buffer. The returned snapshot does not own data.
-func OpenBytes(data []byte, opt OpenOptions) (*Snapshot, error) {
+func OpenBytes(data []byte) (*Snapshot, error) {
 	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%pageAlign != 0 {
 		buf := alignedBuffer(len(data))
 		copy(buf, data)
 		data = buf
 	}
-	return openBlob(data, opt, nil, false)
+	return openBlob(data, nil, false)
 }
 
-func openBlob(data []byte, opt OpenOptions, m *mapping, mapped bool) (*Snapshot, error) {
-	st := &openState{cache: newPageLRU(opt.PageCacheBytes), errs: &errBox{}}
+func openBlob(data []byte, m *mapping, mapped bool) (*Snapshot, error) {
+	errs := &errBox{} // shared by every grid of the snapshot, nested shards included
 	entries, err := parseTOC(data)
 	if err != nil {
 		return nil, err
 	}
-	sn := &Snapshot{mapping: m, mapped: mapped, errs: st.errs}
+	sn := &Snapshot{mapping: m, mapped: mapped, errs: errs}
 	if e, ok := find(entries, secShardMeta); ok {
-		sh, err := openSharded(data, entries, e, st)
+		sh, err := openSharded(data, entries, e, errs)
 		if err != nil {
 			return nil, err
 		}
 		sn.single = &shardedOrSingle{sh: sh}
 		return sn, nil
 	}
-	idx, err := openSingle(data, entries, st)
+	idx, err := openSingle(data, entries, errs)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +135,7 @@ func attach(blob []byte, entries []tocEntry, id string, required bool, fn func(*
 }
 
 // openSingle assembles one COAX index from a single-index blob.
-func openSingle(blob []byte, entries []tocEntry, st *openState) (*core.COAX, error) {
+func openSingle(blob []byte, entries []tocEntry, errs *errBox) (*core.COAX, error) {
 	var idx *core.COAX
 	err := attach(blob, entries, secMeta, true, func(r *binio.Reader) error {
 		var err error
@@ -169,7 +149,7 @@ func openSingle(blob []byte, entries []tocEntry, st *openState) (*core.COAX, err
 		return nil, err
 	}
 	if e, ok := find(entries, secPrimary); ok {
-		g, err := openGridEntry(blob, e, st)
+		g, err := openGridEntry(blob, e, errs)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +158,7 @@ func openSingle(blob []byte, entries []tocEntry, st *openState) (*core.COAX, err
 		}
 	}
 	if e, ok := find(entries, secOutlGrid); ok {
-		g, err := openGridEntry(blob, e, st)
+		g, err := openGridEntry(blob, e, errs)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +195,7 @@ func openSingle(blob []byte, entries []tocEntry, st *openState) (*core.COAX, err
 	return idx, nil
 }
 
-func openGridEntry(blob []byte, e tocEntry, st *openState) (*gridfile.GridFile, error) {
+func openGridEntry(blob []byte, e tocEntry, errs *errBox) (*gridfile.GridFile, error) {
 	payload, err := sectionPayload(blob, e)
 	if err != nil {
 		return nil, err
@@ -224,7 +204,7 @@ func openGridEntry(blob []byte, e tocEntry, st *openState) (*gridfile.GridFile, 
 	if err != nil {
 		return nil, fmt.Errorf("mmapsnap: section %q: %w", e.id, err)
 	}
-	g, err := openGridSection(sec, st.storeID(), st.cache, st.errs)
+	g, err := openGridSection(sec, errs)
 	if err != nil {
 		return nil, fmt.Errorf("mmapsnap: section %q: %w", e.id, err)
 	}
@@ -232,9 +212,8 @@ func openGridEntry(blob []byte, e tocEntry, st *openState) (*gridfile.GridFile, 
 }
 
 // openSharded assembles a sharded index: the layout section plus one
-// nested v3 blob per shard, all sharing this open's page cache and error
-// latch.
-func openSharded(blob []byte, entries []tocEntry, layout tocEntry, st *openState) (*shard.Sharded, error) {
+// nested v3 blob per shard, all sharing this open's error latch.
+func openSharded(blob []byte, entries []tocEntry, layout tocEntry, errs *errBox) (*shard.Sharded, error) {
 	payload, err := sectionPayload(blob, layout)
 	if err != nil {
 		return nil, err
@@ -266,7 +245,7 @@ func openSharded(blob []byte, entries []tocEntry, layout tocEntry, st *openState
 		if _, nested := find(subEntries, secShardMeta); nested {
 			return nil, fmt.Errorf("%w: shard %d is itself sharded", ErrLayout, i)
 		}
-		idx, err := openSingle(sub, subEntries, st)
+		idx, err := openSingle(sub, subEntries, errs)
 		if err != nil {
 			return nil, fmt.Errorf("mmapsnap: shard %d: %w", i, err)
 		}

@@ -1,93 +1,24 @@
 package mmapsnap
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
 
-// DefaultPageCacheBytes bounds the decoded-page LRU shared by every
-// compressed grid section of one opened snapshot.
-const DefaultPageCacheBytes = 32 << 20
-
-// pageKey identifies one decoded page: which store (a snapshot may map
-// several grids — primary and outliers, times shards) and which cell.
-type pageKey struct {
-	store int
-	cell  int
-}
-
-// pageLRU is a byte-bounded cache of decoded pages. Decoding happens
-// outside the lock (two goroutines may race to decode the same page; both
-// results are identical, one wins). Evicted slices stay valid for callers
-// already iterating them — the GC reclaims them when the last reference
-// drops — so eviction never invalidates an in-flight scan.
-type pageLRU struct {
-	mu       sync.Mutex
-	capacity int64
-	size     int64
-	order    *list.List // front = most recent; values are pageKey
-	entries  map[pageKey]*list.Element
-	pages    map[pageKey][]float64
-}
-
-func newPageLRU(capacity int64) *pageLRU {
-	if capacity <= 0 {
-		capacity = DefaultPageCacheBytes
-	}
-	return &pageLRU{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[pageKey]*list.Element),
-		pages:    make(map[pageKey][]float64),
-	}
-}
-
-func (c *pageLRU) get(k pageKey) ([]float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return c.pages[k], true
-}
-
-func (c *pageLRU) put(k pageKey, page []float64) {
-	cost := int64(len(page) * 8)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[k]; ok {
-		return // lost a decode race; keep the incumbent
-	}
-	c.entries[k] = c.order.PushFront(k)
-	c.pages[k] = page
-	c.size += cost
-	for c.size > c.capacity && c.order.Len() > 1 {
-		el := c.order.Back()
-		old := el.Value.(pageKey)
-		c.order.Remove(el)
-		c.size -= int64(len(c.pages[old]) * 8)
-		delete(c.entries, old)
-		delete(c.pages, old)
-	}
-}
-
-// gridStore implements gridfile.PageStore over a compressed data region:
-// CellPage looks the cell up in the shared LRU, decoding its blob on a
-// miss. A corrupt blob records a sticky error on the snapshot and reads as
-// an empty page — the query path cannot return an error mid-scan, so the
-// caller checks Snapshot.PageErr after querying (and Verify can prove the
-// whole file sound up front).
+// gridStore implements gridfile.PageStore over a compressed data region.
+// It holds no decoded state: every CellSpan reads the cell's blob out of
+// the mapping through readSpan — every check, every time — into scratch the
+// calling scan owns, so readers share nothing but the read-only mapping. A
+// corrupt blob records a sticky error on the snapshot and reads as not ok —
+// the query path cannot return an error mid-scan, so the caller checks
+// Snapshot.PageErr after querying (and Verify can prove the whole file
+// sound up front).
 type gridStore struct {
-	id      int
 	data    []byte   // compressed data region (aliases the mapping)
 	pagedir []uint64 // cells+1 blob-end offsets into data
 	rows    []int64  // cells+1 row offsets (the grid directory)
 	dims    int
 	sortDim int
-	cache   *pageLRU
 	errs    *errBox
 }
 
@@ -111,22 +42,17 @@ func (b *errBox) get() error {
 	return b.err
 }
 
-// CellPage implements gridfile.PageStore.
-func (s *gridStore) CellPage(c int) []float64 {
-	rows := int(s.rows[c+1] - s.rows[c])
-	if rows == 0 {
-		return nil
+// CellSpan implements gridfile.PageStore.
+func (s *gridStore) CellSpan(c int, min, max float64, buf []float64) (rows []float64, first int, ok bool) {
+	n := int(s.rows[c+1] - s.rows[c])
+	if n == 0 {
+		return nil, 0, true
 	}
-	k := pageKey{store: s.id, cell: c}
-	if page, ok := s.cache.get(k); ok {
-		return page
-	}
-	page := make([]float64, rows*s.dims)
 	blob := s.data[s.pagedir[c]:s.pagedir[c+1]]
-	if err := decodePage(blob, page, rows, s.dims, s.sortDim); err != nil {
+	rows, first, err := readSpan(blob, n, s.dims, s.sortDim, min, max, buf)
+	if err != nil {
 		s.errs.set(fmt.Errorf("cell %d: %w", c, err))
-		return nil
+		return nil, 0, false
 	}
-	s.cache.put(k, page)
-	return page
+	return rows, first, true
 }
