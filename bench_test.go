@@ -310,12 +310,17 @@ func BenchmarkAblationTranslation(b *testing.B) {
 			orig := airlineRange[i%len(airlineRange)]
 			probe := stripped[i%len(stripped)]
 			n := 0
-			airlineCOAX.QueryPrimary(probe, func(row []float64) {
-				if orig.Contains(row) {
-					n++
-				}
-			})
-			airlineCOAX.QueryOutliers(orig, func([]float64) { n++ })
+			if p := airlineCOAX.Primary(); p != nil {
+				p.Scan(probe, func(row []float64) bool {
+					if orig.Contains(row) {
+						n++
+					}
+					return true
+				}, nil)
+			}
+			if o := airlineCOAX.Outliers(); o != nil {
+				o.Scan(orig, func([]float64) bool { n++; return true }, nil)
+			}
 			matches += n
 		}
 		sink = matches

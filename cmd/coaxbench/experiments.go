@@ -88,19 +88,35 @@ func (c *runContext) runFig4a() {
 	t.Fprint(os.Stdout)
 }
 
+// measurePartitions times COAX's two partitions separately (the "COAX
+// (primary)" / "COAX (outliers)" series of Figures 6–8) through the
+// accessors the benchmark harness uses: the primary grid scanned with the
+// translated rectangle intersected with the query, the outlier index with
+// the query itself.
+func measurePartitions(cx *core.COAX, queries []index.Rect) (primary, outliers bench.QueryStats) {
+	n := 0
+	count := func([]float64) bool { n++; return true }
+	primary = bench.Measure("COAX (primary)", queries, func(q index.Rect) int {
+		n = 0
+		if routed, feasible := cx.Translate(q); feasible && cx.Primary() != nil {
+			cx.Primary().Scan(routed.Intersect(q), count, nil)
+		}
+		return n
+	})
+	outliers = bench.Measure("COAX (outliers)", queries, func(q index.Rect) int {
+		n = 0
+		if cx.Outliers() != nil {
+			cx.Outliers().Scan(q, count, nil)
+		}
+		return n
+	})
+	return primary, outliers
+}
+
 // fig6Row measures every index on one workload and adds rows to the table.
 func fig6Rows(t *bench.Table, label string, queries []index.Rect,
 	cx *core.COAX, baselines []index.Interface) {
-	p := bench.Measure("COAX (primary)", queries, func(q index.Rect) int {
-		n := 0
-		cx.QueryPrimary(q, func([]float64) { n++ })
-		return n
-	})
-	o := bench.Measure("COAX (outliers)", queries, func(q index.Rect) int {
-		n := 0
-		cx.QueryOutliers(q, func([]float64) { n++ })
-		return n
-	})
+	p, o := measurePartitions(cx, queries)
 	tot := bench.MeasureIndex(cx, queries)
 	t.Add(label, "COAX (primary)", bench.FormatNs(p.AvgNs()), fmt.Sprint(p.Matches))
 	t.Add("", "COAX (outliers)", bench.FormatNs(o.AvgNs()), fmt.Sprint(o.Matches))
@@ -172,16 +188,7 @@ func (c *runContext) runFig7() {
 		if err != nil {
 			fatalf("fig7 workload: %v", err)
 		}
-		p := bench.Measure("COAX (primary)", qs, func(q index.Rect) int {
-			n := 0
-			cx.QueryPrimary(q, func([]float64) { n++ })
-			return n
-		})
-		o := bench.Measure("COAX (outliers)", qs, func(q index.Rect) int {
-			n := 0
-			cx.QueryOutliers(q, func([]float64) { n++ })
-			return n
-		})
+		p, o := measurePartitions(cx, qs)
 		rts := bench.MeasureIndex(rt, qs)
 		cfs := bench.MeasureIndex(cf, qs)
 		t.Add(f.label, "COAX (primary)", bench.FormatNs(p.AvgNs()), fmt.Sprint(p.Matches))

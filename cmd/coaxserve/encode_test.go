@@ -403,3 +403,23 @@ func BenchmarkQueryMiss(b *testing.B) {
 		b.Fatalf("status %d", rec.Code)
 	}
 }
+
+// BenchmarkAggMiss is BenchmarkQueryMiss's aggregate twin: the same moving
+// bound, so each request is a new cache key — scan, fold, encode a reply of
+// a hundred bytes, Put. Against BenchmarkQueryMiss it separates what a miss
+// costs in the handler from what it costs in the row reply.
+func BenchmarkAggMiss(b *testing.B) {
+	f, req, rec, _ := hitFixture(b)
+	dim := 3
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Body.Reset()
+		lo := -1 - float64(i) // ids start at 0: every row still matches
+		body, err := f.query(req, &rectRequest{Min: []*float64{&lo, nil, nil, nil}, Agg: &aggRequest{Op: "sum", Dim: &dim}})
+		f.writeResult(rec, req, body, err)
+	}
+	if rec.Code != http.StatusOK {
+		b.Fatalf("status %d", rec.Code)
+	}
+}

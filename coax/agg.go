@@ -182,6 +182,7 @@ func (q *Query) Aggregate(idx Querier, agg Aggregation) (*AggResult, error) {
 
 	var st *index.AggState
 	var complete bool
+	var crep *core.ProbeReport // the engine's report, when one was taken
 	switch ix := idx.(type) {
 	case *ShardedIndex:
 		var rep *shard.Report
@@ -193,10 +194,10 @@ func (q *Query) Aggregate(idx Querier, agg Aggregation) (*AggResult, error) {
 		if exp != nil {
 			exp.fromShard(rep)
 			exp.fromTrace(spec.Trace)
+			crep = &rep.Core
 		}
 	case *Index:
 		st = index.NewAggState(aspec)
-		var crep *core.ProbeReport
 		if exp != nil || track {
 			crep = &core.ProbeReport{}
 		}
@@ -224,7 +225,7 @@ func (q *Query) Aggregate(idx Querier, agg Aggregation) (*AggResult, error) {
 	if exp != nil {
 		exp.Elapsed = time.Since(start)
 		exp.Complete = complete
-		fillAggExplain(exp, aspec, st)
+		fillAggExplain(exp, aspec, st, crep)
 		res.Explain = exp
 	}
 	if q.ctx != nil && q.ctx.Err() != nil {
@@ -271,14 +272,15 @@ func newAggResult(op index.AggOp, st *index.AggState, complete bool) *AggResult 
 	return res
 }
 
-// fillAggExplain completes the EXPLAIN's aggregation section from the
-// probe totals (kernels were already recorded by fromCore).
-func fillAggExplain(exp *Explain, aspec index.AggSpec, st *index.AggState) {
-	if exp.Agg == nil {
-		exp.Agg = &AggExplain{}
+// fillAggExplain adds the EXPLAIN's aggregation section: the aggregate, the
+// kernels named by the engine's report (nil on the generic path), and the
+// batch shape from the probe totals.
+func fillAggExplain(exp *Explain, aspec index.AggSpec, st *index.AggState, crep *core.ProbeReport) {
+	a := &AggExplain{Op: aspec.Op.String()}
+	exp.Agg = a
+	if crep != nil {
+		a.PrimaryKernel, a.OutlierKernel = crep.PrimaryKernel, crep.OutlierKernel
 	}
-	a := exp.Agg
-	a.Op = aspec.Op.String()
 	if aspec.Op.NeedsColumn() {
 		a.Column = exp.colName(aspec.Col)
 	}

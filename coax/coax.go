@@ -73,14 +73,16 @@ func FullRect(dims int) Rect { return index.Full(dims) }
 // PointQuery returns the degenerate rectangle matching exactly p.
 func PointQuery(p []float64) Rect { return index.Point(p) }
 
-// Visitor receives one matching row per call — the legacy query callback.
+// Visitor receives one matching row per call — the legacy query callback,
+// which lives only at this public edge: (*Index).Query and
+// (*ShardedIndex).Query adapt it onto the engines' one execution path.
 // Under the unified v2 ownership contract, the slice is only guaranteed
 // valid for the duration of the call, whichever index answers; copy rows
 // you retain, or build the query with Query.Stable() (or use Collect,
 // whose rows are always stable copies). *ShardedIndex happens to pass
 // stable copies on this legacy path too — a guarantee kept for
 // compatibility, not one the contract extends to new code.
-type Visitor = index.Visitor
+type Visitor = func(row []float64)
 
 // Options configures a Build. Start from DefaultOptions.
 type Options = core.Options

@@ -52,8 +52,9 @@ type Explain struct {
 	Shards []ShardSpan `json:"shards,omitempty"`
 
 	// Agg describes an aggregation execution: the op, the scan kernels
-	// dispatched per partition, and the batch-path shape (batches, rows per
-	// batch, bitmap selectivity). Nil for row queries.
+	// that answered each partition, and the shape of the batches it folded
+	// (count, rows per batch, bitmap selectivity). Nil for row queries,
+	// whose batches are reported per partition in Primary and Outlier.
 	Agg *AggExplain `json:"agg,omitempty"`
 
 	// RowsEmitted counts rows delivered to the caller's visitor.
@@ -81,7 +82,8 @@ type ProbeStats struct {
 	// visitor boundary.
 	TombstonesFiltered int64 `json:"tombstones_filtered"`
 	// Batches is the number of selection-bitmap batches the partition's
-	// vectorized kernel processed; zero on the row-at-a-time path.
+	// scan kernel handed to the query's consumer — rows and aggregates run
+	// the same kernel, so a row query reports them too.
 	Batches int64 `json:"batches,omitempty"`
 }
 
@@ -93,9 +95,9 @@ type AggExplain struct {
 	Op      string `json:"op"`
 	Column  string `json:"column,omitempty"`
 	GroupBy string `json:"group_by,omitempty"`
-	// PrimaryKernel/OutlierKernel name the scan kernel dispatched per
-	// partition ("grid-batch", "rtree-batch", "row-fallback", ...); empty
-	// when that partition was pruned.
+	// PrimaryKernel/OutlierKernel name the scan kernel that answered each
+	// partition ("grid-batch", "rtree-batch"); empty when that partition
+	// was pruned.
 	PrimaryKernel string `json:"primary_kernel,omitempty"`
 	OutlierKernel string `json:"outlier_kernel,omitempty"`
 	// Batches is the total selection-bitmap batches processed;
@@ -196,13 +198,6 @@ func (e *Explain) fromCore(rep *core.ProbeReport) {
 		TombstonesFiltered: rep.Outlier.Tombstones,
 		Batches:            rep.Outlier.Batches,
 	}
-	if rep.PrimaryKernel != "" || rep.OutlierKernel != "" {
-		if e.Agg == nil {
-			e.Agg = &AggExplain{}
-		}
-		e.Agg.PrimaryKernel = rep.PrimaryKernel
-		e.Agg.OutlierKernel = rep.OutlierKernel
-	}
 	e.Translations = make([]TranslationStep, 0, len(rep.Translations))
 	for _, tr := range rep.Translations {
 		e.Translations = append(e.Translations, TranslationStep{
@@ -277,8 +272,8 @@ func (e *Explain) String() string {
 			}
 			return
 		}
-		fmt.Fprintf(&b, "%s: %d pages, %d rows scanned, %d matched, %d tombstones filtered\n",
-			label, p.Pages, p.RowsScanned, p.RowsMatched, p.TombstonesFiltered)
+		fmt.Fprintf(&b, "%s: %d pages in %d batches, %d rows scanned, %d matched, %d tombstones filtered\n",
+			label, p.Pages, p.Batches, p.RowsScanned, p.RowsMatched, p.TombstonesFiltered)
 	}
 	if !e.PrimaryFeasible {
 		fmt.Fprintf(&b, "primary: skipped (translation infeasible)\n")

@@ -273,9 +273,9 @@ func (q *Query) Run(idx Querier, visit Yield) (Result, error) {
 	}
 
 	// Sharded executions count their own query metrics inside shard.Exec
-	// (that layer also answers the legacy batch path, so it owns the
-	// counters); the single-index and generic paths are counted here — the
-	// only layer that sees those queries whole.
+	// (that layer also answers Query/BatchQuery, so it owns the counters);
+	// the single-index and generic paths are counted here — the only layer
+	// that sees those queries whole.
 	track := obs.On()
 	var crep *core.ProbeReport
 

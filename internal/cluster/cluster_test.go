@@ -478,6 +478,35 @@ func TestClusterOverloadPropagation(t *testing.T) {
 	}
 }
 
+// Regression: when every replica of a shard sheds, the shard's hint is the
+// largest across the replicas tried, whichever was tried first — the router
+// used to keep only the hint of the replica it tried last, so a ring that
+// put the slowest-draining node first on every shard lost it. Both nodes
+// host every shard, so the try order is forced here rather than left to the
+// hash of two random ports.
+func TestClusterRetryAfterIsMaxAcrossAttempts(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	tc := startCluster(t, testTable(rng, 2000), 8, 2, 2, WithHedging(false))
+	tc.nodes[tc.addrs[0]].SetDraining(1500 * time.Millisecond)
+	tc.nodes[tc.addrs[1]].SetDraining(3500 * time.Millisecond)
+	for _, order := range [][]string{{tc.addrs[0], tc.addrs[1]}, {tc.addrs[1], tc.addrs[0]}} {
+		for g := range tc.router.replicas {
+			tc.router.replicas[g] = order
+		}
+		_, rowsErr := tc.router.Exec(index.Full(4), index.Spec{}, func([]float64) bool { return true })
+		_, _, aggErr := tc.router.ExecAgg(index.Full(4), index.Spec{}, index.AggSpec{Op: index.AggCount, Col: -1, Group: -1})
+		for _, err := range []error{rowsErr, aggErr} {
+			var oe *OverloadError
+			if !errors.As(err, &oe) {
+				t.Fatalf("tried %v: got %v, want *OverloadError", order, err)
+			}
+			if oe.RetryAfter != 3500*time.Millisecond {
+				t.Errorf("tried %v: RetryAfter = %s, want the largest hint (3.5s)", order, oe.RetryAfter)
+			}
+		}
+	}
+}
+
 // An injected straggler must not hold queries hostage when hedging is on:
 // the backup replica answers while the slow node sleeps.
 func TestClusterHedging(t *testing.T) {

@@ -185,6 +185,9 @@ type shardState struct {
 	failed    bool
 	next      int                  // next replica index to try
 	bufs      map[uint64][]float64 // per-attempt row accumulation (query mode)
+	// retryAfter is the largest back-off hint among the replicas that shed
+	// this shard so far; if the shard fails for overload, that is its hint.
+	retryAfter time.Duration
 }
 
 // Exec scatter-gathers one rectangle query across the cluster under the
@@ -284,7 +287,7 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 	// stopCh is the cluster-wide stop signal — the remote analogue of the
 	// in-process atomic stop flag. Closing it makes every in-flight RPC
 	// send a Cancel frame; the context watcher below closes it the moment
-	// the context is done, exactly like shard.Exec's watcher goroutine.
+	// the context is done, as the in-process fan-out raises its flag.
 	stopCh := make(chan struct{})
 	var stopOnce sync.Once
 	raiseStop := func() { stopOnce.Do(func() { close(stopCh) }) }
@@ -419,11 +422,9 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 
 	failShard := func(g int, st *shardState, err error) {
 		st.failed = true
-		if oe, ok := err.(*overloadedError); ok {
+		if _, ok := err.(*overloadedError); ok {
 			failedOverload++
-			if oe.retryAfter > maxRetryAfter {
-				maxRetryAfter = oe.retryAfter
-			}
+			maxRetryAfter = max(maxRetryAfter, st.retryAfter)
 		} else {
 			failedOther++
 			if failErr == nil {
@@ -449,13 +450,18 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 	// retry re-plans a set of undelivered shards onto their next replicas
 	// (failover); shards with no replicas left fail — unless another attempt
 	// is still out for them: a hedge that lost its node must not fail the
-	// shard under the primary it was racing, nor the reverse.
+	// shard under the primary it was racing, nor the reverse. A replica that
+	// shed the shard leaves its hint behind, so a shard every replica shed
+	// fails with the largest of them, as a shed mutation does.
 	retry := func(shards []int, cause error) {
 		var live []int
 		for _, g := range shards {
 			st := &states[g]
 			if st.delivered || st.failed {
 				continue
+			}
+			if oe, ok := cause.(*overloadedError); ok {
+				st.retryAfter = max(st.retryAfter, oe.retryAfter)
 			}
 			if st.next >= len(rt.replicas[g]) {
 				if !inFlight(g) {

@@ -4,42 +4,47 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/coax-index/coax/internal/dataset"
+	"github.com/coax-index/coax/internal/enginetest"
 	"github.com/coax-index/coax/internal/index"
 )
 
-// copyTable deep-copies a table so per-kind mutations stay independent.
-func copyTable(t *dataset.Table) *dataset.Table {
-	cp := dataset.NewTable(t.Cols)
-	for i := 0; i < t.Len(); i++ {
-		cp.Append(t.Row(i))
+// coaxEngine is COAX as the engine table drives it: Exec behind Scan for
+// rows, ExecAgg for folds, the two partitions' counters summed.
+func coaxEngine(c *COAX) enginetest.Engine {
+	return enginetest.Engine{
+		Rows: c.Scan,
+		Fold: func(r index.Rect, st *index.AggState, p *index.Probe) bool {
+			var rep ProbeReport
+			complete := c.ExecAgg(r, index.Spec{}, st, &rep)
+			p.Add(rep.Primary)
+			p.Add(rep.Outlier)
+			return complete
+		},
 	}
-	return cp
 }
 
-// foldRowPath runs the row-at-a-time execution and folds the same
-// aggregate in the visitor — the oracle the pushdown must reproduce.
-func foldRowPath(c *COAX, r index.Rect, spec index.AggSpec) (*index.AggState, *ProbeReport) {
-	st := index.NewAggState(spec)
-	rep := &ProbeReport{}
-	c.Exec(r, index.Spec{}, func(row []float64) bool {
-		st.FoldRow(row)
-		return true
-	}, rep)
-	return st, rep
-}
-
-// TestExecAggMatchesExec is the probe-parity regression test: on both
-// outlier-index kinds, across fresh/tombstoned/compacted states, ExecAgg
-// must produce bit-identical aggregates AND a ProbeReport identical to the
-// row path's — same pages, rows scanned, tombstones skipped, rows matched —
-// with Batches and the kernel names as the only batch-path additions.
+// TestExecAggMatchesExec is COAX's rows of the engine table
+// (internal/enginetest): on both outlier-index kinds, across fresh, inserted
+// (overflow), tombstoned, both and compacted states, Exec and ExecAgg — the
+// two consumers of the one plan — are compared against the reference row
+// loop over the live rows: the same multiset, bit-identical aggregates for
+// all five ops and a grouped one, and a ProbeReport whose counters add up
+// and do not depend on the consumer.
 func TestExecAggMatchesExec(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tab := fdTable(rng, 20000, 0.12)
+	// Column 3 is aggregated (quantized), column 2 categorical.
+	shape := func(tab *dataset.Table) *dataset.Table {
+		enginetest.Quantize(tab, 3)
+		for i := 0; i < tab.Len(); i++ {
+			tab.Row(i)[2] = math.Floor(tab.Row(i)[2] / 10)
+		}
+		return tab
+	}
+	tab := shape(fdTable(rng, 20000, 0.12))
+	fresh := shape(fdTable(rng, 1500, 0.3)) // rows to insert: inliers and outliers
 
 	kinds := map[string]OutlierIndexKind{
 		"grid-outliers":  OutlierGrid,
@@ -49,126 +54,45 @@ func TestExecAggMatchesExec(t *testing.T) {
 		t.Run(kname, func(t *testing.T) {
 			opt := testOptions()
 			opt.OutlierKind = kind
-			c, err := Build(copyTable(tab), opt)
+			c, err := Build(tab, opt)
 			if err != nil {
 				t.Fatal(err)
+			}
+			live := enginetest.NewLive(tab)
+			insert := func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					if err := c.Insert(fresh.Row(i)); err != nil {
+						t.Fatal(err)
+					}
+					live.Insert(fresh.Row(i))
+				}
+			}
+			remove := func(lo, hi int) {
+				for i := lo; i < hi; i += 2 {
+					if err := c.Delete(tab.Row(i)); err != nil || !live.Delete(tab.Row(i)) {
+						t.Fatalf("Delete(%v): %v", tab.Row(i), err)
+					}
+				}
 			}
 			states := []struct {
 				name string
 				prep func()
 			}{
 				{"fresh", func() {}},
-				{"tombstoned", func() {
-					for i := 0; i < 2000; i += 2 {
-						if err := c.Delete(tab.Row(i)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}},
+				{"overflow", func() { insert(0, 700) }},
 				{"compacted", func() { c.Compact() }},
-			}
-			specs := []index.AggSpec{
-				{Op: index.AggCount, Col: -1, Group: -1},
-				{Op: index.AggSum, Col: 3, Group: -1},
-				{Op: index.AggMin, Col: 1, Group: -1},
-				{Op: index.AggMax, Col: 0, Group: -1},
-				{Op: index.AggAvg, Col: 3, Group: -1},
+				{"tombstoned", func() { remove(0, 2000) }},
+				{"overflow+tombstoned", func() { insert(700, 1500); remove(2000, 3000) }},
 			}
 			for _, state := range states {
 				state.prep()
-				for qi := 0; qi < 30; qi++ {
-					r := randQuery(rng, tab)
-					for _, spec := range specs {
-						want, wantRep := foldRowPath(c, r, spec)
-						got := index.NewAggState(spec)
-						gotRep := &ProbeReport{}
-						if !c.ExecAgg(r, index.Spec{}, got, gotRep) {
-							t.Fatalf("%s: unaborted ExecAgg incomplete", state.name)
-						}
-						sameAggState(t, state.name, spec, got, want)
-						sameReport(t, state.name, gotRep, wantRep)
-					}
+				rects := []index.Rect{index.Full(4)}
+				for qi := 0; qi < 24; qi++ {
+					rects = append(rects, randQuery(rng, tab))
 				}
+				enginetest.Check(t, state.name, live.Table(tab.Cols), coaxEngine(c), rects, 3, 2)
 			}
 		})
-	}
-}
-
-// sameAggState requires bit-identical fold results: the batch path visits
-// rows in exactly the row path's order, so even SUM must match to the bit.
-func sameAggState(t *testing.T, label string, spec index.AggSpec, got, want *index.AggState) {
-	t.Helper()
-	eq := func(a, b index.AggCell) bool {
-		return a.Count == b.Count &&
-			math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
-			(a.Count == 0 || (math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
-				math.Float64bits(a.Max) == math.Float64bits(b.Max)))
-	}
-	if !eq(got.All, want.All) {
-		t.Fatalf("%s op %v: batch fold %+v vs row fold %+v", label, spec.Op, got.All, want.All)
-	}
-	if len(got.Groups) != len(want.Groups) {
-		t.Fatalf("%s: %d groups batched vs %d row-folded", label, len(got.Groups), len(want.Groups))
-	}
-	for k, w := range want.Groups {
-		g := got.Groups[k]
-		if g == nil || !eq(*g, *w) {
-			t.Fatalf("%s group %g: batch fold %+v vs row fold %+v", label, k, g, w)
-		}
-	}
-}
-
-// sameReport compares the two execution reports field by field. Batches
-// and the kernel names exist only on the batch path; everything else —
-// translations, pruning flags, and every per-partition counter — must be
-// identical.
-func sameReport(t *testing.T, label string, got, want *ProbeReport) {
-	t.Helper()
-	g, w := *got, *want
-	g.Primary.Batches, g.Outlier.Batches = 0, 0
-	w.Primary.Batches, w.Outlier.Batches = 0, 0
-	g.PrimaryKernel, g.OutlierKernel = "", ""
-	w.PrimaryKernel, w.OutlierKernel = "", ""
-	if !reflect.DeepEqual(g.Translations, w.Translations) ||
-		g.PrimaryFeasible != w.PrimaryFeasible ||
-		g.PrimaryProbed != w.PrimaryProbed || g.OutlierProbed != w.OutlierProbed {
-		t.Fatalf("%s: plan diverged: batch %+v vs row %+v", label, g, w)
-	}
-	sameCounters := func(a, b index.Probe) bool {
-		return a.Pages == b.Pages && a.Scanned == b.Scanned &&
-			a.Matched == b.Matched && a.Tombstones == b.Tombstones
-	}
-	if !sameCounters(g.Primary, w.Primary) || !sameCounters(g.Outlier, w.Outlier) {
-		t.Fatalf("%s: counters diverged:\nbatch primary %+v outlier %+v\nrow   primary %+v outlier %+v",
-			label, g.Primary, g.Outlier, w.Primary, w.Outlier)
-	}
-	if got.PrimaryProbed && got.PrimaryKernel == "" {
-		t.Fatalf("%s: probed primary reported no kernel", label)
-	}
-}
-
-// TestExecAggGrouped exercises the grouped fold against a visitor-built
-// oracle map on a categorical synthetic column.
-func TestExecAggGrouped(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tab := fdTable(rng, 15000, 0.1)
-	// Make column 2 categorical so groups are meaningful.
-	for i := 0; i < tab.Len(); i++ {
-		tab.Row(i)[2] = math.Floor(tab.Row(i)[2] / 10)
-	}
-	c, err := Build(tab, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := index.AggSpec{Op: index.AggSum, Col: 3, Group: 2}
-	for qi := 0; qi < 20; qi++ {
-		r := randQuery(rng, tab)
-		want, _ := foldRowPath(c, r, spec)
-		got := index.NewAggState(spec)
-		if !c.ExecAgg(r, index.Spec{}, got, nil) {
-			t.Fatal("unaborted ExecAgg incomplete")
-		}
-		sameAggState(t, "grouped", spec, got, want)
 	}
 }
 

@@ -80,7 +80,7 @@ type COAX struct {
 	sortDim int
 
 	primary  *gridfile.GridFile // nil when every row is an outlier
-	outliers index.Interface    // nil when every row is an inlier
+	outliers OutlierIndex       // nil when every row is an inlier
 
 	// Bounding boxes of each partition (§8.2.3: "check whether the query
 	// intersects with the primary, the outlier, or both indexes"). Queries
@@ -104,6 +104,15 @@ type COAX struct {
 }
 
 var _ index.Interface = (*COAX)(nil)
+
+// OutlierIndex is what the plan needs of the structure holding the
+// outliers: the index contract plus the batch traversal the plan scans it
+// with. The grid file and the R-tree both qualify.
+type OutlierIndex interface {
+	index.Interface
+	index.ScanBatcher
+	index.Kernel
+}
 
 // Build constructs COAX over t.
 func Build(t *dataset.Table, opt Options) (*COAX, error) {
@@ -196,7 +205,7 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt Options) (*COAX, error)
 	return c, nil
 }
 
-func buildOutlierIndex(t *dataset.Table, opt Options) (index.Interface, error) {
+func buildOutlierIndex(t *dataset.Table, opt Options) (OutlierIndex, error) {
 	switch opt.OutlierKind {
 	case OutlierRTree:
 		capEntries := opt.OutlierRTreeCapacity
@@ -370,23 +379,6 @@ func (c *COAX) OutlierMemoryOverhead() int64 {
 		return 0
 	}
 	return c.outliers.MemoryOverhead()
-}
-
-// Query implements index.Interface: translated primary probe + outlier
-// probe, results merged. It is the legacy run-to-completion shim over Scan.
-func (c *COAX) Query(r index.Rect, visit index.Visitor) {
-	c.Scan(r, index.AsYield(visit), nil)
-}
-
-// QueryPrimary answers r from the primary index only (the "COAX (primary)"
-// series in Figures 6–8). Results are exact over the inlier partition.
-func (c *COAX) QueryPrimary(r index.Rect, visit index.Visitor) {
-	c.scanPrimary(r, index.AsYield(visit), nil, nil)
-}
-
-// QueryOutliers answers r from the outlier index only.
-func (c *COAX) QueryOutliers(r index.Rect, visit index.Visitor) {
-	c.scanOutliers(r, index.AsYield(visit), nil, nil)
 }
 
 // Translate converts r into the rectangle probed against the primary index

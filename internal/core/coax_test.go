@@ -319,8 +319,12 @@ func TestQuerySplitPrimaryOutlier(t *testing.T) {
 	}
 	r := randQuery(rng, tab)
 	var np, no, nall int
-	c.QueryPrimary(r, func([]float64) { np++ })
-	c.QueryOutliers(r, func([]float64) { no++ })
+	routed, feasible := c.Translate(r)
+	if !feasible {
+		t.Fatal("random query translated infeasible")
+	}
+	c.Primary().Scan(routed.Intersect(r), func([]float64) bool { np++; return true }, nil)
+	c.Outliers().Scan(r, func([]float64) bool { no++; return true }, nil)
 	c.Query(r, func([]float64) { nall++ })
 	if np+no != nall {
 		t.Errorf("primary %d + outliers %d != total %d", np, no, nall)

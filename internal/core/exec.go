@@ -7,11 +7,13 @@ import (
 	"github.com/coax-index/coax/internal/obs"
 )
 
-// Query execution v2: the stop-aware, instrumented entry points behind the
-// public query builder. Exec is the real engine; Scan adapts it to
-// index.Interface, and the legacy Query/QueryPrimary/QueryOutliers methods
-// in coax.go are run-to-completion shims over the same code, so every
-// caller exercises one scan path.
+// Query execution. The paper's query procedure is one plan (run): translate
+// each constrained dependent attribute into a predictor interval, probe the
+// reduced-dimension primary grid, probe the outlier index. Both partitions
+// are scanned in batches; what differs between queries is the consumer —
+// Exec walks each batch's selected rows through a yield (Batch.Each),
+// ExecAgg folds the selection bitmap into an aggregate. Scan and Query adapt
+// Exec to index.Interface and the public visitor.
 
 // Translation records one application of the paper's Eq. 2 during query
 // planning: the constraint on a dependent column mapped through its learned
@@ -49,10 +51,9 @@ type ProbeReport struct {
 	// scan.
 	Primary index.Probe
 	Outlier index.Probe
-	// PrimaryKernel and OutlierKernel name the scan kernel an aggregation
-	// execution dispatched per partition ("grid-batch", "rtree-batch",
-	// "row-fallback", ...); empty when the partition was pruned or the
-	// query ran the plain row path.
+	// PrimaryKernel and OutlierKernel name the batch kernel that scanned
+	// each partition ("grid-batch", "rtree-batch"); empty when the
+	// partition was pruned.
 	PrimaryKernel string
 	OutlierKernel string
 }
@@ -80,8 +81,8 @@ func (p *ProbeReport) Add(o *ProbeReport) {
 // ObserveProbe folds one finished probe's report into the package-level
 // scan metrics. It lives here — not in obs — because obs must stay
 // import-free of the engine packages; every layer that owns a complete
-// query (shard fan-out, legacy batch path, the public single-index path)
-// calls it once per underlying ProbeReport. Callers gate on obs.On().
+// query (the shard fan-out, the public single-index path) calls it once
+// per underlying ProbeReport. Callers gate on obs.On().
 func ObserveProbe(rep *ProbeReport) {
 	if rep == nil {
 		return
@@ -114,12 +115,19 @@ func (c *COAX) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
 	return complete
 }
 
-// Exec answers r under the v2 contract: yield's return value stops the
-// scan, spec.Ctx cancels it at row granularity, spec.Stable makes every
+// Query invokes visit for every row inside r — the public run-to-completion
+// visitor (coax.Querier) over Exec. Rows alias index internals and are valid
+// only during the call.
+func (c *COAX) Query(r index.Rect, visit func(row []float64)) {
+	c.Exec(r, index.Spec{}, func(row []float64) bool { visit(row); return true }, nil)
+}
+
+// Exec answers r row by row: yield's return value stops the scan, spec.Ctx
+// and spec.Abort cancel it within about one page, spec.Stable makes every
 // delivered row a private copy, and a non-nil rep is filled with the
 // execution report (translations applied, partitions probed or pruned,
-// pages/rows scanned, tombstones filtered). It reports whether the scan ran
-// to completion.
+// pages/rows scanned, tombstones filtered, batches run). It reports whether
+// the scan ran to completion.
 func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *ProbeReport) bool {
 	if spec.Stable {
 		inner := yield
@@ -129,8 +137,32 @@ func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Probe
 			return inner(cp)
 		}
 	}
-	// Cancellation reaches the scan through the probes' per-page abort
-	// hook — a yield-side check alone would never fire on a scan whose
+	return c.run(r, spec, rep, func(b *index.Batch) bool { return b.Each(yield) })
+}
+
+// ExecAgg answers r by folding every matching row into st straight off the
+// selection bitmaps: no row materialization, no visitor callbacks. Ctx,
+// Abort and rep behave as in Exec (Limit and Stable are meaningless for
+// aggregates and ignored). It reports whether the scan ran to completion
+// (false: it was aborted, and st holds a partial fold).
+func (c *COAX) ExecAgg(r index.Rect, spec index.Spec, st *index.AggState, rep *ProbeReport) bool {
+	return c.run(r, spec, rep, func(b *index.Batch) bool { st.FoldBatch(b); return true })
+}
+
+// run is the one plan every execution takes: prune each partition by its
+// bounding box, translate the rectangle (Eq. 2), scan the primary grid with
+// routed ∩ r, scan the outlier index with r, handing consume every batch.
+//
+// The primary is scanned with the intersection because routed widens the
+// dependent columns to ±∞ and tightens the predictors: routed ∩ r restores
+// the dependent constraints while keeping the tightened predictor intervals,
+// so membership in it is exactly "matched the routed rectangle and the
+// original". Grid routing and the sort-dimension span only read grid and
+// sort dimensions, which translation never loosens, so the cells walked and
+// spans scanned are those of the routed rectangle.
+func (c *COAX) run(r index.Rect, spec index.Spec, rep *ProbeReport, consume index.BatchYield) bool {
+	// Cancellation reaches the scans through the probes' per-page abort
+	// hook — a consumer-side check alone would never fire on a scan whose
 	// pages match nothing.
 	abort := spec.Abort
 	if spec.Ctx != nil {
@@ -139,20 +171,43 @@ func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Probe
 			return (prev != nil && prev()) || ctx.Err() != nil
 		}
 	}
-	if !c.scanPrimary(r, yield, rep, abort) {
-		return false
+
+	// Translation is rectangle-level planning: with a report requested it
+	// runs even for a pruned probe, so an EXPLAIN always shows the derived
+	// predictor intervals; without one a pruned probe skips the work.
+	pruned := c.primary == nil || r.Empty() || !r.Overlaps(c.primaryBounds)
+	if !pruned || rep != nil {
+		routed, feasible := c.translate(r, rep)
+		if !pruned && feasible {
+			var slot *index.Probe
+			if rep != nil {
+				rep.PrimaryProbed, rep.PrimaryKernel = true, c.primary.BatchKernel()
+				slot = &rep.Primary
+			}
+			if !c.primary.ScanBatch(routed.Intersect(r), consume, partitionProbe(slot, abort)) {
+				return false
+			}
+		}
 	}
 	if abort != nil && abort() {
 		return false
 	}
-	return c.scanOutliers(r, yield, rep, abort)
+	if c.outliers == nil || r.Empty() || !r.Overlaps(c.outlierBounds) {
+		return true
+	}
+	var slot *index.Probe
+	if rep != nil {
+		rep.OutlierProbed, rep.OutlierKernel = true, c.outliers.BatchKernel()
+		slot = &rep.Outlier
+	}
+	return c.outliers.ScanBatch(r, consume, partitionProbe(slot, abort))
 }
 
 // partitionProbe returns the probe to hand a partition's scan: the
 // report's counter block when a report is wanted, a throwaway otherwise —
 // a probe must exist whenever an abort hook needs carrying.
-func partitionProbe(slot *index.Probe, wantReport bool, abort func() bool) *index.Probe {
-	if wantReport {
+func partitionProbe(slot *index.Probe, abort func() bool) *index.Probe {
+	if slot != nil {
 		slot.Abort = abort
 		return slot
 	}
@@ -162,61 +217,23 @@ func partitionProbe(slot *index.Probe, wantReport bool, abort func() bool) *inde
 	return nil
 }
 
-// scanPrimary probes the primary grid with the translated rectangle,
-// re-checking every candidate against the original constraints.
-func (c *COAX) scanPrimary(r index.Rect, yield index.Yield, rep *ProbeReport, abort func() bool) bool {
-	pruned := c.primary == nil || r.Empty() || !r.Overlaps(c.primaryBounds)
-	if pruned && rep == nil {
-		return true // skip the translation work the probe would not use
-	}
-	// Translation is rectangle-level planning: with a report requested it
-	// runs even for a pruned probe, so an EXPLAIN always shows the derived
-	// predictor intervals.
-	routed, feasible := c.translate(r, rep)
-	if pruned || !feasible {
-		return true
-	}
-	if rep != nil {
-		rep.PrimaryProbed = true
-	}
-	probe := partitionProbe(repPrimary(rep), rep != nil, abort)
-	return c.primary.Scan(routed, func(row []float64) bool {
-		if !r.Contains(row) {
-			// Candidate matched the routed rectangle only; it is not a
-			// result, so it must not count as one.
-			if probe != nil {
-				probe.Matched--
-			}
-			return true
-		}
-		return yield(row)
-	}, probe)
-}
-
-// scanOutliers probes the outlier index with the original rectangle.
-func (c *COAX) scanOutliers(r index.Rect, yield index.Yield, rep *ProbeReport, abort func() bool) bool {
-	if c.outliers == nil || r.Empty() || !r.Overlaps(c.outlierBounds) {
-		return true
-	}
-	if rep != nil {
-		rep.OutlierProbed = true
-	}
-	probe := partitionProbe(repOutlier(rep), rep != nil, abort)
-	return c.outliers.Scan(r, yield, probe)
-}
-
-func repPrimary(rep *ProbeReport) *index.Probe {
+// ObserveAggKernels folds one finished aggregation's kernel usage into the
+// batch-kernel metrics: a dispatch count per partition kernel and the
+// bitmap-selected row total. Callers gate on obs.On(); like ObserveProbe it
+// is called once per underlying ProbeReport by the layer owning the whole
+// query.
+func ObserveAggKernels(rep *ProbeReport) {
 	if rep == nil {
-		return nil
+		return
 	}
-	return &rep.Primary
-}
-
-func repOutlier(rep *ProbeReport) *index.Probe {
-	if rep == nil {
-		return nil
+	if rep.PrimaryKernel != "" {
+		obs.KernelDispatch(rep.PrimaryKernel).Inc()
+		obs.BatchRowsSelected.Add(rep.Primary.Matched)
 	}
-	return &rep.Outlier
+	if rep.OutlierKernel != "" {
+		obs.KernelDispatch(rep.OutlierKernel).Inc()
+		obs.BatchRowsSelected.Add(rep.Outlier.Matched)
+	}
 }
 
 // translate implements Translate, optionally recording one Translation per

@@ -231,12 +231,12 @@ func (c *COAX) LiveRows() *dataset.Table {
 	}
 	t := dataset.NewTable(cols)
 	full := index.Full(c.dims)
-	collect := func(row []float64) { t.Append(row) }
+	collect := func(row []float64) bool { t.Append(row); return true }
 	if c.primary != nil {
-		c.primary.Query(full, collect)
+		c.primary.Scan(full, collect, nil)
 	}
 	if c.outliers != nil {
-		c.outliers.Query(full, collect)
+		c.outliers.Scan(full, collect, nil)
 	}
 	return t
 }

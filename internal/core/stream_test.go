@@ -13,9 +13,10 @@ import (
 
 func sortedRows(idx index.Interface, r index.Rect) [][]float64 {
 	var out [][]float64
-	idx.Query(r, func(row []float64) {
+	idx.Scan(r, func(row []float64) bool {
 		out = append(out, append([]float64(nil), row...))
-	})
+		return true
+	}, nil)
 	sort.Slice(out, func(i, j int) bool {
 		for d := range out[i] {
 			if out[i][d] != out[j][d] {

@@ -6,54 +6,56 @@ import (
 	"github.com/coax-index/coax/internal/index"
 )
 
-// Batch-at-a-time scanning (the vectorized sibling of Scan in gridfile.go).
-// The cell walk is identical — same odometer over the rectangle's cell
-// sub-lattice, same binary-searched sort-dimension span per page, same
-// probe counter semantics — but instead of yielding rows one at a time
-// through an interface call, each span is cut into windows of at most
-// index.BatchRows rows whose selection bitmap is computed by per-column
-// range loops and masked against the tombstone bitmap before the batch is
-// handed to the caller.
+// The cell walk — the one traversal of a grid file. ScanBatch runs an
+// odometer over the rectangle's cell sub-lattice, binary-searches each
+// page's sort-dimension span, cuts the span into windows of at most
+// index.BatchRows rows, computes each window's selection bitmap with
+// per-column range loops, masks it against the tombstone bitmap, and hands
+// the batch to the caller. Scan is its row consumer (Batch.Each).
 
 // BatchKernel implements index.Kernel.
 func (g *GridFile) BatchKernel() string { return "grid-batch" }
 
 var _ index.ScanBatcher = (*GridFile)(nil)
 
-// batchScratch is the per-call scratch of one ScanBatch: the selection
-// words, the tombstone window, and — for a store-backed grid file — the
-// buffer its pages decode into. Allocated once per scan, never shared — the
-// grid file stays safe for concurrent readers.
+// batchScratch is everything one ScanBatch derives or reuses across pages:
+// the prepared rectangle and its sort-dimension window, the Batch handed to
+// the yield with its selection words, the tombstone window, the odometer,
+// and — for a store-backed grid file — the buffer its pages decode into.
+// One allocation per scan, never shared, so nothing is allocated or
+// re-derived per page and the grid file stays safe for concurrent readers.
 type batchScratch struct {
-	sel  []uint64
-	dead []uint64
-	page []float64
+	rect     index.RectSel
+	min, max float64
+	batch    index.Batch
+	sel      [index.BatchRows / 64]uint64
+	dead     [index.BatchRows / 64]uint64
+	page     []float64
 }
 
-// ScanBatch implements index.ScanBatcher. It visits exactly the rows
-// Scan(r, ...) yields and accumulates identical probe counters (pages,
-// rows scanned, matches, tombstones), plus one Probe.Batches increment per
-// batch handed to yield. The scan stops — skipping every remaining page —
-// as soon as yield returns false or the probe's abort hook fires.
+// ScanBatch implements index.ScanBatcher: it hands yield every row of the
+// grid file inside r, as set bits of one batch per page window, and counts
+// pages, rows scanned, matches, tombstones and batches into probe. The scan
+// stops — skipping every remaining page — as soon as yield returns false
+// or the probe's abort hook fires.
 func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Probe) bool {
 	if r.Empty() {
 		return true
 	}
-	scratch := &batchScratch{sel: make([]uint64, index.BatchWords(index.BatchRows))}
-	if g.deadCount > 0 {
-		scratch.dead = make([]uint64, index.BatchWords(index.BatchRows))
-	}
+	s := &batchScratch{}
+	s.rect.Prepare(r)
+	s.min, s.max = g.queryWindow(r)
+	s.batch.Dims = g.dims
 
 	nd := len(g.cfg.GridDims)
-	lo := make([]int, nd)
-	hi := make([]int, nd)
+	odo := make([]int, 3*nd)
+	lo, hi, idx := odo[:nd], odo[nd:2*nd], odo[2*nd:]
 	for i, d := range g.cfg.GridDims {
 		lo[i] = g.locate(i, r.Min[d])
 		hi[i] = g.locate(i, r.Max[d])
 	}
 
-	// Odometer over the cell sub-lattice [lo, hi] — the same walk as Scan.
-	idx := make([]int, nd)
+	// Odometer over the cell sub-lattice [lo, hi].
 	copy(idx, lo)
 	for {
 		if probe.Aborted() {
@@ -63,12 +65,19 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 		for i := range idx {
 			c += idx[i] * g.strides[i]
 		}
-		if !g.batchCell(c, r, yield, probe, scratch) {
-			return false
+		if span, first, ok := g.mainSpan(c, s.min, s.max, &s.page); ok {
+			if !g.emit(span, int(g.offsets[c])+first, yield, probe, s) {
+				return false
+			}
 		}
 		if g.inserted > 0 {
-			if !g.batchOverflow(c, r, yield, probe, scratch) {
-				return false
+			if page := g.overflow[c]; page != nil && len(page.data) > 0 {
+				from, to := g.sortSpan(page.data, s.min, s.max)
+				// Overflow pages hold no tombstones (deletes there are
+				// in place), so there is no slot to mask against.
+				if !g.emit(page.data[from*g.dims:to*g.dims], -1, yield, probe, s) {
+					return false
+				}
 			}
 		}
 
@@ -86,45 +95,33 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 	}
 }
 
-// batchCell is scanCell's batch counterpart: the same span and the same
-// counters, with selection and tombstone filtering done word-wise.
-func (g *GridFile) batchCell(c int, r index.Rect, yield index.BatchYield, probe *index.Probe, scratch *batchScratch) bool {
-	min, max := g.queryWindow(r)
-	span, first, ok := g.mainSpan(c, min, max, &scratch.page)
-	if !ok {
-		return true
-	}
+// emit hands yield one page's span in windows of at most index.BatchRows
+// rows. slot is the global tombstone slot of the span's first row, or
+// negative for a span no tombstone can cover. It reports false as soon as
+// yield stops the scan.
+func (g *GridFile) emit(span []float64, slot int, yield index.BatchYield, probe *index.Probe, s *batchScratch) bool {
 	dims := g.dims
 	rows := len(span) / dims
 	if probe != nil {
 		probe.Pages++
 		probe.Scanned += int64(rows)
 	}
-	base := int(g.offsets[c]) + first // global slot of the span's first row
-	for s := 0; s < rows; s += index.BatchRows {
-		n := rows - s
-		if n > index.BatchRows {
-			n = index.BatchRows
-		}
+	b := &s.batch
+	for at := 0; at < rows; at += index.BatchRows {
+		n := min(rows-at, index.BatchRows)
 		words := index.BatchWords(n)
-		b := index.Batch{
-			Page: span[s*dims : (s+n)*dims],
-			Dims: dims,
-			Rows: n,
-			Sel:  scratch.sel[:words],
-		}
-		index.SelectRect(b.Page, dims, n, r, b.Sel)
-		if g.deadCount > 0 {
-			// The row path counts every tombstone in the span — matching or
-			// not — before the rectangle check, so count the whole window's
-			// dead bits, then clear them from the selection.
-			dead := g.deadWindow(base+s, n, scratch.dead[:words])
+		b.Page, b.Rows, b.Sel = span[at*dims:(at+n)*dims], n, s.sel[:words]
+		s.rect.Select(b.Page, dims, n, b.Sel)
+		if slot >= 0 && g.deadCount > 0 {
+			// Every tombstone in the window counts as filtered, selected
+			// or not; then the dead bits are cleared from the selection.
+			dead := g.deadWindow(slot+at, n, s.dead[:words])
 			if probe != nil {
 				probe.Tombstones += int64(dead)
 			}
 			if dead > 0 {
 				for w := range b.Sel {
-					b.Sel[w] &^= scratch.dead[w]
+					b.Sel[w] &^= s.dead[w]
 				}
 			}
 		}
@@ -132,43 +129,7 @@ func (g *GridFile) batchCell(c int, r index.Rect, yield index.BatchYield, probe 
 			probe.Matched += int64(b.Selected())
 			probe.Batches++
 		}
-		if !yield(&b) {
-			return false
-		}
-	}
-	return true
-}
-
-// batchOverflow is scanOverflow's batch counterpart. Overflow pages hold
-// no tombstones (deletes there are in-place), so no masking is needed.
-func (g *GridFile) batchOverflow(c int, r index.Rect, yield index.BatchYield, probe *index.Probe, scratch *batchScratch) bool {
-	page := g.overflow[c]
-	if page == nil || len(page.data) == 0 {
-		return true
-	}
-	dims := g.dims
-	lo, hi := g.querySpan(page.data, r)
-	if probe != nil {
-		probe.Pages++
-		probe.Scanned += int64(hi - lo)
-	}
-	for s := lo; s < hi; s += index.BatchRows {
-		n := hi - s
-		if n > index.BatchRows {
-			n = index.BatchRows
-		}
-		b := index.Batch{
-			Page: page.data[s*dims : (s+n)*dims],
-			Dims: dims,
-			Rows: n,
-			Sel:  scratch.sel[:index.BatchWords(n)],
-		}
-		index.SelectRect(b.Page, dims, n, r, b.Sel)
-		if probe != nil {
-			probe.Matched += int64(b.Selected())
-			probe.Batches++
-		}
-		if !yield(&b) {
+		if !yield(b) {
 			return false
 		}
 	}

@@ -1,123 +1,100 @@
 package gridfile
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/coax-index/coax/internal/enginetest"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/workload"
 )
 
-// rowPath collects rows and counters through the row-at-a-time scan.
-func rowPath(g *GridFile, r index.Rect) ([][]float64, index.Probe) {
-	var rows [][]float64
-	var p index.Probe
-	g.Scan(r, func(row []float64) bool {
-		rows = append(rows, append([]float64(nil), row...))
-		return true
-	}, &p)
-	return rows, p
-}
-
-// batchPath collects rows and counters through the batch kernel, via the
-// Each compatibility shim.
-func batchPath(g *GridFile, r index.Rect) ([][]float64, index.Probe) {
-	var rows [][]float64
-	var p index.Probe
-	g.ScanBatch(r, func(b *index.Batch) bool {
-		return b.Each(func(row []float64) bool {
-			rows = append(rows, append([]float64(nil), row...))
-			return true
-		})
-	}, &p)
-	return rows, p
-}
-
-// sameProbe insists the batch path reproduced the row path's counters
-// exactly; Batches is the one field that legitimately differs (always zero
-// on the row path).
-func sameProbe(t *testing.T, label string, row, batch index.Probe) {
-	t.Helper()
-	if batch.Pages != row.Pages || batch.Scanned != row.Scanned ||
-		batch.Matched != row.Matched || batch.Tombstones != row.Tombstones {
-		t.Fatalf("%s: batch probe {pages %d scanned %d matched %d tombstones %d} vs row {%d %d %d %d}",
-			label, batch.Pages, batch.Scanned, batch.Matched, batch.Tombstones,
-			row.Pages, row.Scanned, row.Matched, row.Tombstones)
-	}
-	if batch.Matched > 0 && batch.Batches == 0 {
-		t.Fatalf("%s: batch path matched %d rows in zero batches", label, batch.Matched)
-	}
-	if row.Batches != 0 {
-		t.Fatalf("%s: row path counted %d batches", label, row.Batches)
-	}
-}
-
-// TestScanBatchMatchesScan drives both paths over the same grid file in
-// every mutation state — fresh, with overflow inserts, with tombstones,
-// both, and compacted — and requires identical row multisets and identical
-// probe counters.
+// TestScanBatchMatchesScan is the grid file's rows of the engine table
+// (internal/enginetest): a resident grid and its store-backed twin, in every
+// mutation state — fresh, with overflow inserts, with tombstones, both, and
+// compacted — each driven through Scan, ScanBatch+Each and FoldBatch and
+// compared against the reference row loop over the live rows.
 func TestScanBatchMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tab := randomTable(rng, 4000, 3)
-	build := func() *GridFile {
-		g, err := Build(tab, Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 6})
-		if err != nil {
+	// Columns: two grid dimensions, the sort dimension (quantized — it is
+	// the aggregated column), and a categorical one to group by.
+	shape := func(row []float64) []float64 {
+		row[2], row[3] = math.Round(row[2]*16)/16+0, math.Floor(row[3]/10)
+		return row
+	}
+	tab := randomTable(rng, 4000, 4)
+	for i := 0; i < tab.Len(); i++ {
+		shape(tab.Row(i))
+	}
+	type twin struct {
+		heap, mapped *GridFile
+		live         *enginetest.Live
+	}
+	insert := func(t *testing.T, w twin, row []float64) {
+		if err := errors.Join(w.heap.Insert(row), w.mapped.Insert(row)); err != nil {
 			t.Fatal(err)
 		}
-		return g
+		w.live.Insert(row)
 	}
-	mutate := map[string]func(*GridFile){
-		"fresh": func(*GridFile) {},
-		"overflow": func(g *GridFile) {
+	remove := func(t *testing.T, w twin, row []float64) {
+		if h, m, l := w.heap.Delete(row), w.mapped.Delete(row), w.live.Delete(row); h != l || m != l {
+			t.Fatalf("Delete(%v): resident %v, store-backed %v, live rows %v", row, h, m, l)
+		}
+	}
+	states := map[string]func(*testing.T, twin){
+		"fresh": func(*testing.T, twin) {},
+		"overflow": func(t *testing.T, w twin) {
 			for i := 0; i < 300; i++ {
-				if err := g.Insert([]float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10}); err != nil {
-					t.Fatal(err)
-				}
+				insert(t, w, shape([]float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10}))
 			}
 		},
-		"tombstoned": func(g *GridFile) {
+		"tombstoned": func(t *testing.T, w twin) {
 			for i := 0; i < 500; i += 3 {
-				g.Delete(tab.Row(i))
+				remove(t, w, tab.Row(i))
 			}
 		},
-		"overflow+tombstoned": func(g *GridFile) {
+		"overflow+tombstoned": func(t *testing.T, w twin) {
 			for i := 0; i < 200; i++ {
-				if err := g.Insert(append([]float64(nil), tab.Row(i)...)); err != nil {
-					t.Fatal(err)
-				}
+				insert(t, w, tab.Row(i))
 			}
 			for i := 0; i < 600; i += 2 {
-				g.Delete(tab.Row(i))
+				remove(t, w, tab.Row(i))
 			}
 		},
-		"compacted": func(g *GridFile) {
+		"compacted": func(t *testing.T, w twin) {
 			for i := 0; i < 500; i += 3 {
-				g.Delete(tab.Row(i))
+				remove(t, w, tab.Row(i))
 			}
-			g.Compact()
+			if err := errors.Join(w.heap.Compact(), w.mapped.Compact()); err != nil {
+				t.Fatal(err)
+			}
 		},
 	}
-	for name, mut := range mutate {
+	for name, mutate := range states {
 		t.Run(name, func(t *testing.T) {
-			g := build()
-			mut(g)
-			rects := make([]index.Rect, 0, 42)
+			heap, err := Build(tab, Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, _ := storeBacked(t, heap)
+			w := twin{heap, mapped, enginetest.NewLive(tab)}
+			mutate(t, w)
+			rects := []index.Rect{index.Full(4), index.Point(tab.Row(7))}
 			for i := 0; i < 40; i++ {
 				rects = append(rects, workload.RandRect(rng, tab))
 			}
-			rects = append(rects, index.Full(3), index.Point(tab.Row(7)))
-			for _, r := range rects {
-				rowRows, rowProbe := rowPath(g, r)
-				batchRows, batchProbe := batchPath(g, r)
-				sameRows(t, batchRows, rowRows)
-				sameProbe(t, name, rowProbe, batchProbe)
-			}
+			live := w.live.Table(tab.Cols)
+			enginetest.Check(t, name+" resident", live, enginetest.Storage(heap), rects, 2, 3)
+			enginetest.Check(t, name+" store-backed", live, enginetest.Storage(mapped), rects, 2, 3)
 		})
 	}
 }
 
-// TestScanBatchStops verifies a false-returning batch yield stops the scan
-// exactly like a false-returning row yield, reporting incompleteness.
+// TestScanBatchStops verifies a false-returning batch yield stops the one
+// traversal, that a false-returning row yield stops it through the Scan
+// adapter, and that both report incompleteness.
 func TestScanBatchStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	tab := randomTable(rng, 2000, 2)
@@ -133,12 +110,20 @@ func TestScanBatchStops(t *testing.T) {
 	if complete || calls != 1 {
 		t.Fatalf("complete=%v after %d yields, want aborted after 1", complete, calls)
 	}
+	calls = 0
+	complete = g.Scan(index.Full(2), func([]float64) bool { calls++; return calls < 3 }, nil)
+	if complete || calls != 3 {
+		t.Fatalf("row scan: complete=%v after %d yields, want stopped at the 3rd row", complete, calls)
+	}
 
 	// An abort hook fires at page granularity even when nothing matches.
 	var p index.Probe
 	p.Abort = func() bool { return true }
 	if g.ScanBatch(index.Full(2), func(*index.Batch) bool { return true }, &p) {
 		t.Fatal("aborted scan reported complete")
+	}
+	if g.Scan(index.Full(2), func([]float64) bool { return true }, &p) || p.Pages != 0 {
+		t.Fatalf("aborted row scan reported complete or read %d pages", p.Pages)
 	}
 }
 

@@ -364,62 +364,12 @@ func (g *GridFile) MemoryOverhead() int64 {
 	return b
 }
 
-// Query implements index.Interface: the legacy run-to-completion shim over
-// Scan.
-func (g *GridFile) Query(r index.Rect, visit index.Visitor) {
-	g.Scan(r, index.AsYield(visit), nil)
-}
-
-// Scan implements index.Interface. It intersects the rectangle with the
-// cell lattice, visits only overlapping cells, uses binary search on the
-// in-cell sort dimension when that dimension is constrained, and checks
-// every candidate row against the full rectangle. The scan stops — skipping
-// every remaining page — as soon as yield returns false.
+// Scan implements index.Interface as the row consumer of ScanBatch: the
+// one cell walk computes each page's selection bitmap and Batch.Each hands
+// its set bits to yield. The scan stops — skipping every remaining page —
+// as soon as yield returns false.
 func (g *GridFile) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	if r.Empty() {
-		return true
-	}
-	nd := len(g.cfg.GridDims)
-	lo := make([]int, nd)
-	hi := make([]int, nd)
-	for i, d := range g.cfg.GridDims {
-		lo[i] = g.locate(i, r.Min[d])
-		hi[i] = g.locate(i, r.Max[d])
-	}
-
-	// Odometer over the cell sub-lattice [lo, hi].
-	idx := make([]int, nd)
-	copy(idx, lo)
-	var buf []float64 // store-backed pages decode here; yielded rows die with the call
-	for {
-		if probe.Aborted() {
-			return false // cancelled: stop even if no cell ever matches
-		}
-		c := 0
-		for i := range idx {
-			c += idx[i] * g.strides[i]
-		}
-		if !g.scanCell(c, r, yield, probe, &buf) {
-			return false
-		}
-		if g.inserted > 0 {
-			if !g.scanOverflow(c, r, yield, probe) {
-				return false
-			}
-		}
-
-		i := nd - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] <= hi[i] {
-				break
-			}
-			idx[i] = lo[i]
-		}
-		if i < 0 {
-			return true
-		}
-	}
+	return g.ScanBatch(r, func(b *index.Batch) bool { return b.Each(yield) }, probe)
 }
 
 // sortSpan returns the row interval [lo, hi) of a page that can hold
@@ -457,43 +407,4 @@ func (g *GridFile) rowWindow(row []float64) (min, max float64) {
 		return row[sd], row[sd]
 	}
 	return math.Inf(-1), math.Inf(1)
-}
-
-// querySpan is sortSpan over a query rectangle's window.
-func (g *GridFile) querySpan(page []float64, r index.Rect) (lo, hi int) {
-	min, max := g.queryWindow(r)
-	return g.sortSpan(page, min, max)
-}
-
-func (g *GridFile) scanCell(c int, r index.Rect, yield index.Yield, probe *index.Probe, buf *[]float64) bool {
-	min, max := g.queryWindow(r)
-	span, first, ok := g.mainSpan(c, min, max, buf)
-	if !ok {
-		return true
-	}
-	dims := g.dims
-	n := len(span) / dims
-	if probe != nil {
-		probe.Pages++
-		probe.Scanned += int64(n)
-	}
-	base := int(g.offsets[c]) + first // global slot of the span's first row
-	for i := 0; i < n; i++ {
-		if g.deadCount > 0 && g.isDead(base+i) {
-			if probe != nil {
-				probe.Tombstones++
-			}
-			continue // tombstoned: filtered at the visitor boundary
-		}
-		row := span[i*dims : (i+1)*dims]
-		if r.Contains(row) {
-			if probe != nil {
-				probe.Matched++
-			}
-			if !yield(row) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 )
 
@@ -232,32 +231,4 @@ func (g *GridFile) Compact() error {
 		}
 	}
 	return nil
-}
-
-// scanOverflow visits matching rows of one cell's overflow page, using the
-// same binary-search entry point as the main page; it reports false as soon
-// as yield stops the scan.
-func (g *GridFile) scanOverflow(c int, r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	page := g.overflow[c]
-	if page == nil || len(page.data) == 0 {
-		return true
-	}
-	dims := g.dims
-	lo, hi := g.querySpan(page.data, r)
-	if probe != nil {
-		probe.Pages++
-		probe.Scanned += int64(hi - lo)
-	}
-	for i := lo; i < hi; i++ {
-		row := page.data[i*dims : (i+1)*dims]
-		if r.Contains(row) {
-			if probe != nil {
-				probe.Matched++
-			}
-			if !yield(row) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -74,25 +74,27 @@ func storeBacked(t *testing.T, g *GridFile) (*GridFile, *fakeStore) {
 	return m, store
 }
 
-// requireSamePaths holds a store-backed grid file to its resident twin on
-// both scan paths: the same rows and the same probe counters, so the same
-// pages and rows were visited.
+// requireSamePaths holds a store-backed grid file to its resident twin: the
+// same rows and the same probe counters, so the same pages, rows and
+// batches were visited. (Both are held to the reference, consumer by
+// consumer, in TestScanBatchMatchesScan.)
 func requireSamePaths(t *testing.T, label string, want, got *GridFile, rects []index.Rect) {
 	t.Helper()
+	scanned := func(g *GridFile, r index.Rect) (rows [][]float64, p index.Probe) {
+		g.Scan(r, func(row []float64) bool {
+			rows = append(rows, append([]float64(nil), row...))
+			return true
+		}, &p)
+		return rows, p
+	}
 	for qi, r := range rects {
-		wr, wp := rowPath(want, r)
-		gr, gp := rowPath(got, r)
-		sortRows(wr)
-		sortRows(gr)
+		wr, wp := scanned(want, r)
+		gr, gp := scanned(got, r)
 		sameRows(t, gr, wr)
-		if gp.Pages != wp.Pages || gp.Scanned != wp.Scanned || gp.Matched != wp.Matched || gp.Tombstones != wp.Tombstones {
-			t.Fatalf("%s query %d: row probe {pages %d scanned %d matched %d tombstones %d}, resident {%d %d %d %d}", label, qi,
-				gp.Pages, gp.Scanned, gp.Matched, gp.Tombstones, wp.Pages, wp.Scanned, wp.Matched, wp.Tombstones)
+		if gp.Pages != wp.Pages || gp.Scanned != wp.Scanned || gp.Matched != wp.Matched || gp.Tombstones != wp.Tombstones || gp.Batches != wp.Batches {
+			t.Fatalf("%s query %d: probe {pages %d scanned %d matched %d tombstones %d batches %d}, resident {%d %d %d %d %d}", label, qi,
+				gp.Pages, gp.Scanned, gp.Matched, gp.Tombstones, gp.Batches, wp.Pages, wp.Scanned, wp.Matched, wp.Tombstones, wp.Batches)
 		}
-		br, bp := batchPath(got, r)
-		sortRows(br)
-		sameRows(t, br, wr)
-		sameProbe(t, label, gp, bp)
 	}
 }
 

@@ -7,13 +7,13 @@ import (
 )
 
 // Aggregation pushdown. An AggState folds rows into a running aggregate
-// without ever materializing them: the batch path folds straight off a
-// Batch's selection bitmap (COUNT is a popcount over the selection words;
-// SUM/MIN/MAX walk only the set bits of the value column), and the row
-// path folds one row at a time through FoldRow. Both paths perform the
-// identical floating-point operations in the identical order, so a batch
-// execution and a row execution of the same scan produce bit-identical
-// aggregates. Partial states from independent scans (the shards of a
+// without ever materializing them: FoldBatch folds straight off a Batch's
+// selection bitmap (COUNT is a popcount over the selection words;
+// SUM/MIN/MAX walk only the set bits of the value column). FoldRow folds
+// one row at a time — for callers that only have rows (a generic Querier,
+// a reference fold in tests) — performing the identical floating-point
+// operations, so folding a scan's rows in its order gives the bits its
+// batches give. Partial states from independent scans (the shards of a
 // fan-out) merge deterministically with Merge.
 
 // AggOp enumerates the supported aggregates.
@@ -95,7 +95,7 @@ type AggCell struct {
 }
 
 // fold absorbs one value. The operation order (extrema update, then sum,
-// then count) is the single definition both the batch and row paths use —
+// then count) is the single definition FoldBatch and FoldRow share —
 // bit-identical results depend on it.
 func (c *AggCell) fold(v float64) {
 	if c.Count == 0 {
@@ -224,8 +224,8 @@ func (a *AggState) FoldBatch(b *Batch) {
 	}
 }
 
-// FoldRow folds one row — the row-at-a-time fallback, performing exactly
-// the operations FoldBatch performs per selected row.
+// FoldRow folds one row, performing exactly the operations FoldBatch
+// performs per selected row.
 func (a *AggState) FoldRow(row []float64) {
 	if a.Spec.Group < 0 {
 		if a.Spec.Op == AggCount {

@@ -5,13 +5,12 @@ import (
 	"math/bits"
 )
 
-// Batch-at-a-time scanning. The row-at-a-time Scan contract pays an
-// interface call, a full Contains re-check, and a slice-header copy per
-// matching row; ScanBatch amortizes all three by evaluating the rectangle
-// as tight per-column loops over a page's rows and handing the caller one
-// selection bitmap per batch. Aggregations fold straight off the bitmap
-// (COUNT is a popcount; SUM/MIN/MAX walk only the set bits), and row
-// consumers recover the exact Scan behaviour through Batch.Each.
+// Batch-at-a-time scanning: the one traversal a storage engine owns.
+// ScanBatch evaluates the rectangle as tight per-column loops over a page's
+// rows and hands the caller one selection bitmap per batch. What differs
+// between queries is the consumer: aggregations fold straight off the
+// bitmap (COUNT is a popcount; SUM/MIN/MAX walk only the set bits), and row
+// queries walk its set bits through Batch.Each.
 
 // BatchRows is the maximum number of rows in one Batch: large enough to
 // amortize per-batch bookkeeping, small enough that a batch's selection
@@ -27,9 +26,9 @@ func BatchWords(rows int) int { return (rows + 63) >> 6 }
 // rectangle (and is not tombstoned). Tail bits past Rows are always zero,
 // so popcounts over Sel need no edge handling.
 //
-// Ownership follows the row-scan rule: Page and Sel alias scratch that is
-// reused after the yield returns, so consumers must copy anything they
-// retain.
+// Ownership follows the row-scan rule: the Batch itself, Page and Sel are
+// scratch of the scan that is refilled after the yield returns, so
+// consumers must copy anything they retain.
 type Batch struct {
 	// Page is the row-major window: Rows*Dims values, row i occupying
 	// Page[i*Dims : (i+1)*Dims].
@@ -46,12 +45,12 @@ type Batch struct {
 // should continue, mirroring Yield's contract at batch granularity.
 type BatchYield func(b *Batch) bool
 
-// ScanBatcher is the batch-at-a-time contract implemented alongside Scan
-// by indexes with vectorized kernels. ScanBatch visits exactly the rows
-// Scan(r, ...) would yield — as set bits instead of callbacks — and
-// accumulates the same probe counters (pages, rows scanned, matches,
-// tombstones) plus Probe.Batches. It reports whether the scan ran to
-// completion (false: the yield or the probe's abort hook stopped it).
+// ScanBatcher is the batch-at-a-time contract of the storage engines.
+// ScanBatch visits exactly the rows Scan(r, ...) yields — as set bits
+// instead of callbacks — and accumulates the same probe counters (pages,
+// rows scanned, matches, tombstones) plus Probe.Batches. It reports whether
+// the scan ran to completion (false: the yield or the probe's abort hook
+// stopped it).
 type ScanBatcher interface {
 	ScanBatch(r Rect, yield BatchYield, probe *Probe) bool
 }
@@ -76,10 +75,9 @@ func (b *Batch) Row(i int) []float64 {
 	return b.Page[i*b.Dims : (i+1)*b.Dims : (i+1)*b.Dims]
 }
 
-// Each drives a row-at-a-time yield off the selection bitmap — the
-// compatibility shim that makes a batch scan behave exactly like Scan. It
-// reports whether every selected row was delivered (false: yield stopped
-// it).
+// Each drives a row-at-a-time yield off the selection bitmap — how a row
+// query consumes a batch scan. It reports whether every selected row was
+// delivered (false: yield stopped it).
 func (b *Batch) Each(yield Yield) bool {
 	for w, word := range b.Sel {
 		base := w << 6
@@ -94,30 +92,50 @@ func (b *Batch) Each(yield Yield) bool {
 	return true
 }
 
-// SelectRect computes the selection bitmap of r over a row-major window:
-// bit i of sel is set iff r.Contains(row i). Each constrained dimension is
-// evaluated as one tight loop over its column (stride dims), producing
-// 64-bit match words that are AND-intersected across dimensions;
-// unconstrained dimensions cost nothing. sel must hold BatchWords(rows)
-// words; tail bits are left zero. The per-value test is the exact negation
-// of Contains' rejection test, so NaN handling matches the row path
-// bit-for-bit.
-func SelectRect(page []float64, dims, rows int, r Rect, sel []uint64) {
-	words := BatchWords(rows)
-	first := true
+// colRange is one constrained dimension of a rectangle.
+type colRange struct {
+	col    int
+	lo, hi float64
+}
+
+// RectSel is a rectangle prepared for selection over many windows: its
+// constrained columns and their bounds, derived once so that a scan pays
+// nothing per page for the dimensions the query leaves open. The zero
+// value is ready for Prepare.
+type RectSel struct {
+	n    int         // constrained dimensions
+	buf  [8]colRange // the first of them: the usual rectangle allocates nothing
+	rest []colRange  // any beyond
+}
+
+// Prepare resets s to select r.
+func (s *RectSel) Prepare(r Rect) {
+	s.n, s.rest = 0, s.rest[:0]
 	for d := range r.Min {
 		lo, hi := r.Min[d], r.Max[d]
 		if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
 			continue // unconstrained: every row passes
 		}
-		if first {
-			rangeBitsInit(page, dims, d, rows, lo, hi, sel[:words])
-			first = false
+		if s.n < len(s.buf) {
+			s.buf[s.n] = colRange{d, lo, hi}
 		} else {
-			rangeBitsAnd(page, dims, d, rows, lo, hi, sel[:words])
+			s.rest = append(s.rest, colRange{d, lo, hi})
 		}
+		s.n++
 	}
-	if first {
+}
+
+// Select computes the selection bitmap of the prepared rectangle over a
+// row-major window: bit i of sel is set iff the rectangle contains row i.
+// Each constrained dimension is evaluated as one tight loop over its
+// column (stride dims), producing 64-bit match words that are
+// AND-intersected across dimensions. sel must hold BatchWords(rows) words;
+// tail bits are left zero. The per-value test is the exact negation of
+// Contains' rejection test, so NaN handling matches the row path
+// bit-for-bit.
+func (s *RectSel) Select(page []float64, dims, rows int, sel []uint64) {
+	words := BatchWords(rows)
+	if s.n == 0 {
 		// No constrained dimension: all rows selected.
 		for w := 0; w < words; w++ {
 			sel[w] = ^uint64(0)
@@ -125,7 +143,29 @@ func SelectRect(page []float64, dims, rows int, r Rect, sel []uint64) {
 		if tail := rows & 63; tail != 0 {
 			sel[words-1] = (1 << uint(tail)) - 1
 		}
+		return
 	}
+	for i := 0; i < s.n; i++ {
+		var c colRange
+		if i < len(s.buf) {
+			c = s.buf[i]
+		} else {
+			c = s.rest[i-len(s.buf)]
+		}
+		if i == 0 {
+			rangeBitsInit(page, dims, c.col, rows, c.lo, c.hi, sel[:words])
+		} else {
+			rangeBitsAnd(page, dims, c.col, rows, c.lo, c.hi, sel[:words])
+		}
+	}
+}
+
+// SelectRect is the one-shot form of RectSel: Prepare(r) then Select. Scans
+// prepare once and select per page; this is for callers with one window.
+func SelectRect(page []float64, dims, rows int, r Rect, sel []uint64) {
+	var s RectSel
+	s.Prepare(r)
+	s.Select(page, dims, rows, sel)
 }
 
 // rangeBitsInit writes the match words of one column range test:

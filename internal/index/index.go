@@ -6,25 +6,19 @@ import (
 	"github.com/coax-index/coax/internal/obs"
 )
 
-// Visitor receives one matching row per call. It is the legacy
-// run-to-completion contract; new code should use Yield, whose return value
-// can stop the scan early.
+// Yield receives one matching row per call and reports whether the scan
+// should continue. Returning false stops the scan — the index abandons the
+// remaining pages, and a multi-shard engine signals every worker to stop.
 //
 // Ownership contract: the slice must be valid — unread and unwritten by
 // any other goroutine — for the full duration of the call. Single-threaded
 // indexes (grid file, R-tree, scan, COAX) pass a slice aliasing their
-// internals that may be reused after the call returns, so visitors must
-// copy rows they retain. Engines that merge results across goroutines
-// (internal/shard) may not hand out internal slices at all: they must copy
-// each row at the merge boundary before invoking the visitor, which makes
-// their rows stable copies that stay valid even after the call.
-type Visitor func(row []float64)
-
-// Yield is the v2 visitor contract: it receives one matching row per call
-// and reports whether the scan should continue. Returning false stops the
-// scan — the index abandons the remaining pages, and a multi-shard engine
-// signals every worker to stop. Row ownership follows the same rule as
-// Visitor unless the caller requested stable rows (Spec.Stable).
+// internals that may be reused after the call returns, so a yield must
+// copy rows it retains, unless the caller requested stable rows
+// (Spec.Stable). Engines that merge results across goroutines
+// (internal/shard) may not hand out internal slices at all: they copy each
+// row at the merge boundary before invoking the yield, which makes their
+// rows stable copies that stay valid even after the call.
 type Yield func(row []float64) bool
 
 // Probe accumulates the execution counters of one scan — the raw material
@@ -41,8 +35,10 @@ type Probe struct {
 	Matched int64
 	// Tombstones counts deleted rows filtered at the visitor boundary.
 	Tombstones int64
-	// Batches counts selection-bitmap batches processed by a batch scan;
-	// always zero on the row-at-a-time path.
+	// Batches counts the selection-bitmap batches handed to a ScanBatch
+	// yield. Engines whose Scan runs over ScanBatch (the grid file, and
+	// through it COAX) count them for row scans too; a Scan that tests rows
+	// in place (R-tree, full scan) leaves it zero.
 	Batches int64
 	// Abort, when non-nil, is polled at page boundaries; returning true
 	// stops the scan exactly as a false-returning yield would. This is how
@@ -108,9 +104,6 @@ type Interface interface {
 	Len() int
 	// Dims reports the row dimensionality.
 	Dims() int
-	// Query invokes visit for every indexed row inside r (the legacy
-	// run-to-completion entry point, a shim over Scan).
-	Query(r Rect, visit Visitor)
 	// Scan invokes yield for every indexed row inside r until yield
 	// returns false, accumulating execution counters into probe when it is
 	// non-nil. It reports whether the scan ran to completion (false: the
@@ -120,11 +113,6 @@ type Interface interface {
 	// index allocates beyond the row payload itself (grid boundaries, cell
 	// offset tables, tree nodes, model parameters).
 	MemoryOverhead() int64
-}
-
-// AsYield adapts a legacy visitor to the v2 contract; the scan never stops.
-func AsYield(visit Visitor) Yield {
-	return func(row []float64) bool { visit(row); return true }
 }
 
 // Count runs the query and returns the number of matching rows.

@@ -188,10 +188,6 @@ func (f fakeIndex) Name() string          { return "fake" }
 func (f fakeIndex) Len() int              { return len(f.rows) }
 func (f fakeIndex) Dims() int             { return 1 }
 func (f fakeIndex) MemoryOverhead() int64 { return 0 }
-func (f fakeIndex) Query(r Rect, visit Visitor) {
-	f.Scan(r, AsYield(visit), nil)
-}
-
 func (f fakeIndex) Scan(r Rect, yield Yield, probe *Probe) bool {
 	for _, row := range f.rows {
 		if r.Contains(row) {
@@ -204,4 +200,39 @@ func (f fakeIndex) Scan(r Rect, yield Yield, probe *Probe) bool {
 		}
 	}
 	return true
+}
+
+// TestSelectRectMatchesContains: bit i of the selection is r.Contains(row i)
+// for every window shape — more constrained dimensions than RectSel keeps
+// inline, none at all, NaN values, and row counts off the word boundary —
+// with the tail bits left zero.
+func TestSelectRectMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 300; trial++ {
+		dims, rows := 1+rng.Intn(12), rng.Intn(200)
+		page := make([]float64, dims*rows)
+		for i := range page {
+			if page[i] = rng.Float64()*4 - 2; rng.Intn(50) == 0 {
+				page[i] = math.NaN()
+			}
+		}
+		r := randRect(rng, dims)
+		for d := 0; d < dims; d++ {
+			if rng.Intn(3) == 0 || trial%10 == 0 {
+				r.Min[d], r.Max[d] = math.Inf(-1), math.Inf(1)
+			}
+		}
+		sel := make([]uint64, BatchWords(rows)+1)
+		sel[len(sel)-1] = 0xdead // past the window: must stay untouched
+		SelectRect(page, dims, rows, r, sel)
+		for i := 0; i < BatchWords(rows)*64; i++ {
+			want := i < rows && r.Contains(page[i*dims:(i+1)*dims])
+			if got := sel[i>>6]&(1<<uint(i&63)) != 0; got != want {
+				t.Fatalf("trial %d (%d dims, %d rows): bit %d is %v, Contains says %v", trial, dims, rows, i, got, want)
+			}
+		}
+		if sel[len(sel)-1] != 0xdead {
+			t.Fatalf("trial %d: SelectRect wrote past BatchWords(rows)", trial)
+		}
+	}
 }

@@ -11,11 +11,11 @@ import (
 // never formats labels. Ordering inside a block is ordering on the
 // /metrics page.
 
-// Query plane — updated by internal/shard (fan-out and legacy batch paths)
-// and by coax.Query.Run for single-index and generic execution. Queries are
-// counted exactly once, at the layer that owns the whole query: shard.Exec,
-// shard.BatchQuery, or coax.Run — never in core, which shards invoke once
-// per probed shard.
+// Query plane — updated by internal/shard (the fan-out and its three sinks)
+// and by coax.Query.Run/Aggregate for single-index and generic execution.
+// Queries are counted exactly once, at the layer that owns the whole query:
+// shard.Exec, shard.ExecAgg, shard.BatchQuery, or the coax package — never
+// in core, which shards invoke once per probed shard.
 var (
 	Queries        = NewCounter("coax_queries_total", "Queries executed (all paths: streaming, batch, generic).")
 	QuerySeconds   = NewHistogram("coax_query_seconds", "End-to-end query latency in seconds.", 1e-6, 10)
@@ -37,20 +37,19 @@ var (
 	TranslationsInfeas = NewCounter("coax_translations_infeasible_total", "Translations yielding an empty predictor interval (query answered from the outlier partition alone).")
 )
 
-// Batch-kernel plane — updated by the layers that own whole queries when
-// an execution ran the vectorized scan kernels (core.ObserveProbe folds
-// Probe.Batches; the aggregation paths count dispatches and selected
-// rows). One dispatch series is pre-registered per kernel name so the hot
-// path never formats labels.
+// Batch-kernel plane — updated by the layers that own whole queries. Every
+// execution, rows or aggregate, runs the batch scan kernels, so
+// core.ObserveProbe folds Probe.Batches for both; the aggregation paths
+// additionally count dispatches and selected rows. One dispatch series is
+// pre-registered per kernel name so the hot path never formats labels.
 var (
 	AggQueries        = NewCounter("coax_agg_queries_total", "Aggregation queries executed through the pushdown path.")
-	ScanBatches       = NewCounter("coax_scan_batches_total", "Selection-bitmap batches processed by vectorized scan kernels.")
+	ScanBatches       = NewCounter("coax_scan_batches_total", "Selection-bitmap batches processed by the scan kernels (row and aggregate queries).")
 	BatchRowsSelected = NewCounter("coax_scan_batch_rows_selected_total", "Rows selected by batch kernels' bitmaps (popcount over selection words).")
 
 	KernelGridBatch     = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "grid-batch"})
 	KernelRTreeBatch    = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "rtree-batch"})
 	KernelFullScanBatch = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "fullscan-batch"})
-	KernelRowFallback   = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "row-fallback"})
 	KernelOtherBatch    = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "batch"})
 )
 
@@ -64,8 +63,6 @@ func KernelDispatch(name string) *Counter {
 		return KernelRTreeBatch
 	case "fullscan-batch":
 		return KernelFullScanBatch
-	case "row-fallback":
-		return KernelRowFallback
 	}
 	return KernelOtherBatch
 }

@@ -4,47 +4,42 @@ import "github.com/coax-index/coax/internal/index"
 
 // Batch-at-a-time scanning for the R-tree. Leaf entries are scattered
 // across small nodes, so unlike the grid file there is no contiguous page
-// to bitmap in place; instead candidate rows are gathered into a reusable
-// row-major slab and the rectangle is evaluated per column over the slab
-// once it fills — the copies cost one memmove per candidate but remove the
-// per-row interface call and Contains re-check, which dominate on the
-// outlier path. Probe counters match the row path exactly: one page per
-// node visited, every leaf entry scanned, matches counted via the bitmap.
+// to bitmap in place; instead the descent gathers candidate rows into a
+// reusable row-major slab and the rectangle is evaluated per column over
+// the slab once it fills — the copies cost one memmove per candidate but
+// remove the per-row interface call and Contains re-check, which dominate
+// on the outlier path. Probe counters match Scan exactly: one page per node
+// visited, every leaf entry scanned, matches counted via the bitmap.
 
 // BatchKernel implements index.Kernel.
 func (rt *RTree) BatchKernel() string { return "rtree-batch" }
 
 var _ index.ScanBatcher = (*RTree)(nil)
 
-// rtGather accumulates candidate leaf rows until a batch is full.
+// rtGather is the scratch of one ScanBatch: the prepared rectangle, the
+// slab candidate rows accumulate in, and the Batch handed to the yield.
 type rtGather struct {
-	page []float64
-	rows int
-	sel  []uint64
-	r    index.Rect
-	dims int
+	rect  index.RectSel
+	batch index.Batch
+	sel   [index.BatchRows / 64]uint64
 }
 
 // emit evaluates and yields the gathered batch, then resets the gather.
 // It reports whether the scan should continue.
 func (g *rtGather) emit(yield index.BatchYield, probe *index.Probe) bool {
-	if g.rows == 0 {
+	b := &g.batch
+	if b.Rows == 0 {
 		return true
 	}
-	b := index.Batch{
-		Page: g.page,
-		Dims: g.dims,
-		Rows: g.rows,
-		Sel:  g.sel[:index.BatchWords(g.rows)],
-	}
-	index.SelectRect(b.Page, g.dims, g.rows, g.r, b.Sel)
+	b.Sel = g.sel[:index.BatchWords(b.Rows)]
+	g.rect.Select(b.Page, b.Dims, b.Rows, b.Sel)
 	if probe != nil {
 		probe.Matched += int64(b.Selected())
 		probe.Batches++
 	}
-	g.page = g.page[:0]
-	g.rows = 0
-	return yield(&b)
+	more := yield(b)
+	b.Page, b.Rows = b.Page[:0], 0
+	return more
 }
 
 // ScanBatch implements index.ScanBatcher: it visits exactly the rows
@@ -55,47 +50,19 @@ func (rt *RTree) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Pr
 	if r.Empty() || rt.n == 0 {
 		return true
 	}
-	g := &rtGather{
-		page: make([]float64, 0, index.BatchRows*rt.dims),
-		sel:  make([]uint64, index.BatchWords(index.BatchRows)),
-		r:    r,
-		dims: rt.dims,
-	}
-	if !rt.searchBatch(rt.root, r, g, yield, probe) {
-		return false
-	}
-	return g.emit(yield, probe) // flush the final partial batch
-}
-
-func (rt *RTree) searchBatch(nd *node, r index.Rect, g *rtGather, yield index.BatchYield, probe *index.Probe) bool {
-	if probe.Aborted() {
-		return false // cancelled: stop even if no node ever matches
-	}
-	if probe != nil {
-		probe.Pages++
-	}
-	if nd.leaf {
-		if probe != nil {
-			probe.Scanned += int64(len(nd.entries))
-		}
+	g := &rtGather{}
+	g.rect.Prepare(r)
+	g.batch.Dims = rt.dims
+	g.batch.Page = make([]float64, 0, index.BatchRows*rt.dims)
+	complete := rt.search(rt.root, r, probe, func(nd *node) bool {
+		b := &g.batch
 		for i := range nd.entries {
-			g.page = append(g.page, nd.entries[i].min...)
-			g.rows++
-			if g.rows == index.BatchRows {
-				if !g.emit(yield, probe) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for i := range nd.entries {
-		e := &nd.entries[i]
-		if overlaps(r, e.min, e.max) {
-			if !rt.searchBatch(e.child, r, g, yield, probe) {
+			b.Page = append(b.Page, nd.entries[i].min...)
+			if b.Rows++; b.Rows == index.BatchRows && !g.emit(yield, probe) {
 				return false
 			}
 		}
-	}
-	return true
+		return true
+	})
+	return complete && g.emit(yield, probe) // flush the final partial batch
 }

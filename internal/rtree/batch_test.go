@@ -1,76 +1,66 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
+	"github.com/coax-index/coax/internal/enginetest"
 	"github.com/coax-index/coax/internal/index"
 )
 
-// TestScanBatchMatchesScan drives the row path and the gather-based batch
-// kernel over the same tree — bulk-loaded, then with inserts and deletes —
-// and requires identical row multisets and identical probe counters.
+// TestScanBatchMatchesScan is the R-tree's rows of the engine table
+// (internal/enginetest): the tree bulk-loaded, then with inserts, then with
+// deletes, each state driven through Scan (which tests leaf entries in
+// place), ScanBatch+Each and FoldBatch (which gather them) and compared
+// against the reference row loop over the live rows — with the two
+// traversals required to visit the same nodes and entries.
 func TestScanBatchMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tab := randomTable(rng, 3000, 3)
+	// Column 2 is aggregated (quantized), column 3 categorical.
+	shape := func(row []float64) []float64 {
+		row[2], row[3] = math.Round(row[2]*16)/16, math.Floor(row[3]/10)
+		return row
+	}
+	tab := randomTable(rng, 3000, 4)
+	for i := 0; i < tab.Len(); i++ {
+		shape(tab.Row(i))
+	}
 	rt, err := Bulk(tab, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := enginetest.NewLive(tab)
+	e := enginetest.Storage(rt)
+	e.RowsInPlace = true
 	check := func(label string) {
+		rects := []index.Rect{index.Full(4)}
 		for i := 0; i < 40; i++ {
-			r := randRect(rng, 3)
-			if i == 0 {
-				r = index.Full(3)
-			}
-			var rowRows, batchRows [][]float64
-			var rowProbe, batchProbe index.Probe
-			rt.Scan(r, func(row []float64) bool {
-				rowRows = append(rowRows, append([]float64(nil), row...))
-				return true
-			}, &rowProbe)
-			rt.ScanBatch(r, func(b *index.Batch) bool {
-				return b.Each(func(row []float64) bool {
-					batchRows = append(batchRows, append([]float64(nil), row...))
-					return true
-				})
-			}, &batchProbe)
-			if len(rowRows) != len(batchRows) {
-				t.Fatalf("%s: %d rows batched vs %d scanned", label, len(batchRows), len(rowRows))
-			}
-			sortRows(rowRows)
-			sortRows(batchRows)
-			for j := range rowRows {
-				for d := range rowRows[j] {
-					if rowRows[j][d] != batchRows[j][d] {
-						t.Fatalf("%s: row %d differs: %v vs %v", label, j, batchRows[j], rowRows[j])
-					}
-				}
-			}
-			if batchProbe.Pages != rowProbe.Pages || batchProbe.Scanned != rowProbe.Scanned ||
-				batchProbe.Matched != rowProbe.Matched || batchProbe.Tombstones != rowProbe.Tombstones {
-				t.Fatalf("%s: batch probe %+v vs row probe %+v", label, batchProbe, rowProbe)
-			}
-			if rowProbe.Batches != 0 {
-				t.Fatalf("%s: row path counted batches", label)
-			}
+			rects = append(rects, randRect(rng, 4))
 		}
+		enginetest.Check(t, label, live.Table(tab.Cols), e, rects, 2, 3)
 	}
 	check("bulk")
 
 	for i := 0; i < 500; i++ {
-		rt.Insert([]float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100})
+		row := shape([]float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100})
+		if err := rt.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		live.Insert(row)
 	}
 	check("inserted")
 
 	for i := 0; i < 900; i += 3 {
-		rt.Delete(tab.Row(i))
+		if got, want := rt.Delete(tab.Row(i)), live.Delete(tab.Row(i)); got != want {
+			t.Fatalf("Delete(%v) = %v, live rows say %v", tab.Row(i), got, want)
+		}
 	}
 	check("deleted")
 }
 
-// TestScanBatchStops verifies batch-yield and abort-hook termination.
+// TestScanBatchStops verifies batch-yield, row-yield and abort-hook
+// termination of the one descent.
 func TestScanBatchStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tab := randomTable(rng, 5000, 2)
@@ -85,20 +75,16 @@ func TestScanBatchStops(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("yield ran %d times after returning false", calls)
 	}
+	calls = 0
+	if rt.Scan(index.Full(2), func([]float64) bool { calls++; return calls < 3 }, nil) || calls != 3 {
+		t.Fatalf("row scan went on for %d yields after the 3rd declined", calls)
+	}
 	var p index.Probe
 	p.Abort = func() bool { return true }
 	if rt.ScanBatch(index.Full(2), func(*index.Batch) bool { return true }, &p) {
 		t.Fatal("aborted scan reported complete")
 	}
-}
-
-func sortRows(rows [][]float64) {
-	sort.Slice(rows, func(i, j int) bool {
-		for d := range rows[i] {
-			if rows[i][d] != rows[j][d] {
-				return rows[i][d] < rows[j][d]
-			}
-		}
-		return false
-	})
+	if rt.Scan(index.Full(2), func([]float64) bool { return true }, &p) || p.Pages != 0 {
+		t.Fatalf("aborted row scan reported complete or visited %d nodes", p.Pages)
+	}
 }

@@ -144,33 +144,14 @@ func (rt *RTree) MemoryOverhead() int64 {
 	return walk(rt.root)
 }
 
-// Query implements index.Interface: the legacy run-to-completion shim over
-// Scan.
-func (rt *RTree) Query(r index.Rect, visit index.Visitor) {
-	rt.Scan(r, index.AsYield(visit), nil)
-}
-
-// Scan implements index.Interface with the standard recursive search; the
-// recursion unwinds — pruning every unvisited subtree — as soon as yield
+// Scan implements index.Interface: the descent tests each leaf's entries in
+// place, and unwinds — pruning every unvisited subtree — as soon as yield
 // returns false.
 func (rt *RTree) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
 	if r.Empty() || rt.n == 0 {
 		return true
 	}
-	return rt.search(rt.root, r, yield, probe)
-}
-
-func (rt *RTree) search(nd *node, r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	if probe.Aborted() {
-		return false // cancelled: stop even if no node ever matches
-	}
-	if probe != nil {
-		probe.Pages++
-	}
-	if nd.leaf {
-		if probe != nil {
-			probe.Scanned += int64(len(nd.entries))
-		}
+	return rt.search(rt.root, r, probe, func(nd *node) bool {
 		for i := range nd.entries {
 			if r.Contains(nd.entries[i].min) {
 				if probe != nil {
@@ -182,11 +163,30 @@ func (rt *RTree) search(nd *node, r index.Rect, yield index.Yield, probe *index.
 			}
 		}
 		return true
+	})
+}
+
+// search is the one descent behind Scan and ScanBatch: it visits every node
+// whose box overlaps r, counts pages and leaf entries into probe, and hands
+// each leaf to leaf — which tests the entries in place (Scan) or gathers
+// them into a batch (ScanBatch) and reports whether to go on.
+func (rt *RTree) search(nd *node, r index.Rect, probe *index.Probe, leaf func(*node) bool) bool {
+	if probe.Aborted() {
+		return false // cancelled: stop even if no node ever matches
+	}
+	if probe != nil {
+		probe.Pages++
+	}
+	if nd.leaf {
+		if probe != nil {
+			probe.Scanned += int64(len(nd.entries))
+		}
+		return leaf(nd)
 	}
 	for i := range nd.entries {
 		e := &nd.entries[i]
 		if overlaps(r, e.min, e.max) {
-			if !rt.search(e.child, r, yield, probe) {
+			if !rt.search(e.child, r, probe, leaf) {
 				return false
 			}
 		}

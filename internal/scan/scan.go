@@ -32,12 +32,6 @@ func (s *Scan) Dims() int { return s.t.Dims() }
 // MemoryOverhead implements index.Interface; a scan keeps no directory.
 func (s *Scan) MemoryOverhead() int64 { return 0 }
 
-// Query implements index.Interface: the legacy run-to-completion shim over
-// Scan.
-func (s *Scan) Query(r index.Rect, visit index.Visitor) {
-	s.Scan(r, index.AsYield(visit), nil)
-}
-
 // BatchKernel implements index.Kernel.
 func (s *Scan) BatchKernel() string { return "fullscan-batch" }
 
@@ -59,6 +53,11 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 		probe.Pages++
 		probe.Scanned += int64(rows)
 	}
+	var rect index.RectSel
+	rect.Prepare(r)
+	// One Batch per scan, refilled per window: a fresh one per window would
+	// escape through yield and cost an allocation each.
+	b := &index.Batch{Dims: dims}
 	sel := make([]uint64, index.BatchWords(index.BatchRows))
 	for off := 0; off < rows; off += index.BatchRows {
 		if probe.Aborted() {
@@ -68,18 +67,13 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 		if n > index.BatchRows {
 			n = index.BatchRows
 		}
-		b := index.Batch{
-			Page: data[off*dims : (off+n)*dims],
-			Dims: dims,
-			Rows: n,
-			Sel:  sel[:index.BatchWords(n)],
-		}
-		index.SelectRect(b.Page, dims, n, r, b.Sel)
+		b.Page, b.Rows, b.Sel = data[off*dims:(off+n)*dims], n, sel[:index.BatchWords(n)]
+		rect.Select(b.Page, dims, n, b.Sel)
 		if probe != nil {
 			probe.Matched += int64(b.Selected())
 			probe.Batches++
 		}
-		if !yield(&b) {
+		if !yield(b) {
 			return false
 		}
 	}
@@ -87,7 +81,8 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 }
 
 // Scan implements index.Interface by testing every row until yield stops
-// the scan.
+// the scan. It is the reference every engine's tests compare against, so it
+// stays a plain Contains loop that shares no code with the batch kernels.
 func (s *Scan) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
 	if r.Empty() {
 		return true

@@ -42,7 +42,7 @@ func TestScanVisitsRowsInOrder(t *testing.T) {
 	}
 	s := New(tab)
 	var got []float64
-	s.Query(index.Full(1), func(row []float64) { got = append(got, row[0]) })
+	s.Scan(index.Full(1), func(row []float64) bool { got = append(got, row[0]); return true }, nil)
 	for i, v := range got {
 		if v != float64(i) {
 			t.Fatalf("scan order broken: %v", got)

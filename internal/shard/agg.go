@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,25 +9,20 @@ import (
 	"github.com/coax-index/coax/internal/obs"
 )
 
-// Aggregation fan-out: ExecAgg is Exec's sibling for queries that want an
-// aggregate instead of rows. Each worker folds its shard's rows into a
-// private index.AggState through the shard's batch kernels (core.ExecAgg),
-// so no rows cross goroutines at all — the merge boundary carries one
-// partial aggregate per shard instead of row chunks. Partials are merged
-// at the gather point in shard order, making the floating-point result
-// deterministic run to run for a fixed shard layout. Cancellation uses the
-// same shared atomic stop flag and context watcher as Exec, observed by
-// every shard probe at page granularity.
-
 // ExecAgg fans the aggregation described by aspec across the shards r can
-// match and returns the merged state. spec.Ctx cancels the fan-out within
+// match and returns the merged state — the fan-out's aggregate sink. Each
+// probe folds its shard's rows into a private index.AggState through the
+// shard's batch kernels (core.ExecAgg), so no rows cross goroutines at all:
+// the merge boundary carries one partial aggregate per shard. Partials are
+// merged in shard order, making the floating-point result deterministic run
+// to run for a fixed shard layout. spec.Ctx cancels the fan-out within
 // about one page of work per worker (Limit and Stable are ignored —
 // aggregates consume every matching row). A non-nil rep is filled with the
 // fan-out report, including the kernels dispatched. The boolean reports
 // whether every shard ran to completion; false (cancellation) leaves a
 // partial fold in the returned state.
 func (s *Sharded) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec, rep *Report) (*index.AggState, bool) {
-	// This layer owns the whole query: count it exactly once, like Exec.
+	// Queries are counted exactly once, here.
 	track := obs.On()
 	var start time.Time
 	if track {
@@ -37,123 +30,31 @@ func (s *Sharded) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec, re
 		obs.Queries.Inc()
 		obs.AggQueries.Inc()
 	}
-	total := index.NewAggState(aspec)
 
-	if r.Empty() {
-		if rep != nil {
-			rep.ShardsPruned = len(s.shards)
+	f := s.plan([]index.Rect{r}, spec)
+	parts := make([]*index.AggState, len(f.probes))
+	var incomplete atomic.Bool
+	s.fanOut(f, rep, sink{scan: func(pi int, idx *core.COAX, crep *core.ProbeReport) func() {
+		parts[pi] = index.NewAggState(aspec)
+		if !idx.ExecAgg(r, index.Spec{Abort: f.stop.Load}, parts[pi], crep) {
+			incomplete.Store(true)
 		}
 		if track {
-			obs.ShardsPruned.Add(int64(len(s.shards)))
-			obs.QuerySeconds.Observe(time.Since(start).Seconds())
+			core.ObserveAggKernels(crep)
 		}
-		return total, true
-	}
-	lo, hi := s.shardRange(r)
-	probes := hi - lo + 1
-	if rep != nil {
-		rep.ShardsProbed = probes
-		rep.ShardsPruned = len(s.shards) - probes
-	}
-
-	var stop atomic.Bool
-	if spec.Ctx != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-spec.Ctx.Done():
-				stop.Store(true)
-			case <-watchDone:
-			}
-		}()
-	}
-
-	var reps []*core.ProbeReport
-	if rep != nil || track || spec.Trace != nil {
-		reps = make([]*core.ProbeReport, probes)
-		for i := range reps {
-			reps[i] = &core.ProbeReport{}
-		}
-	}
-	parts := make([]*index.AggState, probes)
-
-	var incomplete atomic.Bool
-	workers := min(s.workers, probes)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wtrack := obs.On()
-			for si := range work {
-				var crep *core.ProbeReport
-				if reps != nil {
-					crep = reps[si-lo]
-				}
-				st := index.NewAggState(aspec)
-				parts[si-lo] = st
-				var probeStart time.Time
-				if wtrack || spec.Trace != nil {
-					probeStart = time.Now()
-				}
-				slot := s.shards[si]
-				slot.mu.RLock()
-				// The shared stop flag rides in as the per-page abort hook,
-				// so every shard notices a cancelled context promptly even
-				// when its pages match nothing.
-				if !slot.idx.ExecAgg(r, index.Spec{Abort: stop.Load}, st, crep) {
-					incomplete.Store(true)
-				}
-				slot.mu.RUnlock()
-				if wtrack || spec.Trace != nil {
-					elapsed := time.Since(probeStart)
-					if wtrack {
-						obs.ShardScanSeconds.Observe(elapsed.Seconds())
-					}
-					if spec.Trace != nil && crep != nil {
-						spec.Trace.AddSpan(fmt.Sprintf("shard-%02d", si), elapsed,
-							crep.Primary.Pages+crep.Outlier.Pages,
-							crep.Primary.Scanned+crep.Outlier.Scanned)
-					}
-				}
-			}
-		}()
-	}
-	for si := lo; si <= hi; si++ {
-		work <- si
-	}
-	close(work)
-	wg.Wait()
-
-	// Gather: merge partials in shard order — the deterministic association
-	// that makes sums reproducible.
+		return nil
+	}})
+	total := index.NewAggState(aspec)
 	for _, st := range parts {
 		total.Merge(st)
 	}
 
-	complete := !incomplete.Load()
 	cancelled := spec.Done()
-	if cancelled {
-		complete = false
-	}
-	if rep != nil {
-		for _, crep := range reps {
-			rep.Core.Add(crep)
-		}
-	}
 	if track {
 		obs.QuerySeconds.Observe(time.Since(start).Seconds())
-		obs.ShardsProbed.Add(int64(probes))
-		obs.ShardsPruned.Add(int64(len(s.shards) - probes))
 		if cancelled {
 			obs.QueryCancelled.Inc()
 		}
-		for _, crep := range reps {
-			core.ObserveProbe(crep)
-			core.ObserveAggKernels(crep)
-		}
 	}
-	return total, complete
+	return total, !cancelled && !incomplete.Load()
 }

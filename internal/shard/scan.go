@@ -1,8 +1,8 @@
 package shard
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,15 +11,14 @@ import (
 	"github.com/coax-index/coax/internal/obs"
 )
 
-// Query execution v2 for the sharded engine. Unlike the legacy
-// Query/BatchQuery path — which buffers each probe's complete result set
-// and merges deterministically afterwards — Exec streams rows to the caller
-// while the fan-out is still running, so a satisfied limit, a false-
-// returning yield, or a cancelled context stops every worker promptly:
-// workers observe a shared atomic stop flag before producing each row, and
-// a context watcher raises the same flag the moment the context is done.
-// The price of streaming is delivery order: rows arrive in whatever order
-// the shards produce them.
+// Query execution for the sharded engine: one fan-out (fanOut) with three
+// sinks on it. Exec streams rows to the caller while the fan-out is still
+// running, so a satisfied limit, a false-returning yield, or a cancelled
+// context stops every worker promptly — the price of streaming is delivery
+// order: rows arrive in whatever order the shards produce them. ExecAgg
+// (agg.go) folds one partial aggregate per probe and merges them in shard
+// order. BatchQuery buffers each probe's rows and delivers them in (query,
+// shard) order once every probe has finished.
 
 // scanChunkRows is how many rows a worker accumulates before handing a
 // chunk to the merge loop; limited scans shrink it to the limit so the
@@ -60,26 +59,209 @@ func (s *Sharded) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool
 	return complete
 }
 
-// Exec fans r across the shards it can match under the v2 contract: rows
-// are delivered to yield on the calling goroutine as workers produce them,
-// yield's return value stops the whole fan-out, spec.Ctx cancels it within
-// about one page (chunk) of work, and spec.Limit lets each worker stop its
-// shard after that many local matches (any Limit matching rows satisfy the
-// caller, so a shard that alone found enough need not keep scanning). Rows
-// handed to yield are always stable copies — the merge-boundary copy makes
-// spec.Stable free here. The visitor must not mutate this index (Insert /
+// probe is one (query, shard) unit of a fan-out.
+type probe struct{ qi, si int }
+
+// fanout is one fan-out in flight.
+type fanout struct {
+	spec index.Spec
+	// probes lists every (query, shard) pair the rectangles can match,
+	// query-major — the order sinks merge in; pruned counts the pairs
+	// range routing (or an empty rectangle) ruled out.
+	probes []probe
+	pruned int
+	// inline: a pool of one worker is the caller — the probes run on the
+	// calling goroutine, with no goroutine to start and no hand-off to pay
+	// for. It is most queries that constrain the range column.
+	inline bool
+	// stop is the shared stop flag: every scan polls it once per page as
+	// its abort hook, a done context raises it, and a sink may raise it (a
+	// declined yield, a met limit) to stop every other worker.
+	stop atomic.Bool
+}
+
+// plan lists the probes of a batch; empty rectangles match no shard.
+func (s *Sharded) plan(rs []index.Rect, spec index.Spec) *fanout {
+	f := &fanout{spec: spec, probes: make([]probe, 0, len(rs))}
+	for qi, r := range rs {
+		if r.Empty() {
+			continue
+		}
+		lo, hi := s.shardRange(r)
+		for si := lo; si <= hi; si++ {
+			f.probes = append(f.probes, probe{qi, si})
+		}
+	}
+	f.pruned = len(rs)*len(s.shards) - len(f.probes)
+	f.inline = min(s.workers, len(f.probes)) == 1
+	return f
+}
+
+// sink is what one kind of query does with a fan-out's probes.
+type sink struct {
+	// scan runs probe pi against its shard under the shard's read lock, so
+	// it must not block, passing rep to the engine. The function it
+	// returns, if any, runs once the lock is released — the place for
+	// sends that may wait on the consumer.
+	scan func(pi int, idx *core.COAX, rep *core.ProbeReport) (unlocked func())
+	// gather, if set, runs on the calling goroutine while the workers run;
+	// finished, if set, is called by the last worker once every probe is
+	// done, so a gather ranging over a channel can have it closed. Neither
+	// runs for an inline fan-out: its unlocked hooks are already on the
+	// calling goroutine.
+	gather   func()
+	finished func()
+}
+
+// fanOut is the one fan-out behind Exec, ExecAgg and BatchQuery: it runs
+// every probe of f through k.scan on a bounded worker pool, stops them all
+// when the context is done, times each probe (coax_shard_scan_seconds, and
+// one trace span when the spec carries a trace), and once every worker has
+// finished merges the per-probe reports into rep and the scan metrics.
+// This layer owns whole queries, so it is where their page/row/translation
+// counters are fed — core runs once per probe and must not count.
+func (s *Sharded) fanOut(f *fanout, rep *Report, k sink) {
+	track := obs.On()
+	if rep != nil {
+		rep.ShardsProbed, rep.ShardsPruned = len(f.probes), f.pruned
+	}
+	if track {
+		obs.ShardsProbed.Add(int64(len(f.probes)))
+		obs.ShardsPruned.Add(int64(f.pruned))
+	}
+	if len(f.probes) == 0 {
+		return
+	}
+	if ctx := f.spec.Ctx; ctx != nil {
+		// AfterFunc runs on its own goroutine even for a context that is
+		// already done; that case must not scan anything first.
+		f.stop.Store(ctx.Err() != nil)
+		unwatch := context.AfterFunc(ctx, func() { f.stop.Store(true) })
+		defer unwatch()
+	}
+	// With instrumentation on, per-probe reports exist even when the caller
+	// asked for none, so the counters are fed from the same ProbeReport
+	// plumbing EXPLAIN uses.
+	var reps []core.ProbeReport
+	if rep != nil || track || f.spec.Trace != nil {
+		reps = make([]core.ProbeReport, len(f.probes))
+	}
+
+	// A batch executes shard-major (counting sort by shard): consecutive
+	// probes hit the same shard's pages, keeping large batches
+	// cache-resident per shard. Merge order is unaffected — sinks index
+	// their results by probe.
+	order := make([]int, len(f.probes))
+	starts := make([]int, len(s.shards)+1)
+	for _, p := range f.probes {
+		starts[p.si+1]++
+	}
+	for si := 1; si <= len(s.shards); si++ {
+		starts[si] += starts[si-1]
+	}
+	for pi, p := range f.probes {
+		order[starts[p.si]] = pi
+		starts[p.si]++
+	}
+
+	if f.inline {
+		for _, pi := range order {
+			s.runProbe(f, pi, reps, track, k.scan)
+		}
+	} else {
+		workers := min(s.workers, len(f.probes))
+		var next, live atomic.Int32
+		live.Store(int32(workers))
+		done := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			go func() {
+				for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
+					s.runProbe(f, order[i], reps, track, k.scan)
+				}
+				if live.Add(-1) == 0 {
+					if k.finished != nil {
+						k.finished()
+					}
+					close(done)
+				}
+			}()
+		}
+		if k.gather != nil {
+			k.gather()
+		}
+		<-done
+	}
+
+	for i := range reps {
+		if rep != nil {
+			rep.Core.Add(&reps[i])
+		}
+		if track {
+			core.ObserveProbe(&reps[i])
+		}
+	}
+}
+
+// runProbe is one probe of a fan-out: the query side's one read-lock site.
+func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track bool, scan func(int, *core.COAX, *core.ProbeReport) func()) {
+	si := f.probes[pi].si
+	var crep *core.ProbeReport
+	if reps != nil {
+		crep = &reps[pi]
+	}
+	var start time.Time
+	if track || f.spec.Trace != nil {
+		start = time.Now()
+	}
+	slot := s.shards[si]
+	slot.mu.RLock()
+	unlocked := scan(pi, slot.idx, crep)
+	slot.mu.RUnlock()
+	if track || f.spec.Trace != nil {
+		elapsed := time.Since(start)
+		if track {
+			obs.ShardScanSeconds.Observe(elapsed.Seconds())
+		}
+		if f.spec.Trace != nil { // reports exist whenever a trace does
+			f.spec.Trace.AddSpan(fmt.Sprintf("shard-%02d", si), elapsed,
+				crep.Primary.Pages+crep.Outlier.Pages,
+				crep.Primary.Scanned+crep.Outlier.Scanned)
+		}
+	}
+	if unlocked != nil {
+		unlocked()
+	}
+}
+
+// Exec fans r across the shards it can match: rows are delivered to yield
+// on the calling goroutine as workers produce them, yield's return value
+// stops the whole fan-out, spec.Ctx cancels it within about one page
+// (chunk) of work, and spec.Limit lets each worker stop its shard after
+// that many local matches (any Limit matching rows satisfy the caller, so a
+// shard that alone found enough need not keep scanning). Rows handed to
+// yield are always stable copies — the merge-boundary copy makes
+// spec.Stable free here. The yield must not mutate this index (Insert /
 // Delete / Update / rebuilds) from inside the call: probes hold shard read
-// locks while the visitor runs, so a reentrant write deadlocks; the legacy
-// Query/BatchQuery path, which buffers every row before visiting, remains
-// the surface for that pattern. A non-nil rep is filled with the fan-out
-// report. Exec reports whether the scan ran to completion (false: stopped
-// early by yield or cancellation).
+// locks while it runs, so a reentrant write deadlocks; Query/BatchQuery,
+// which buffer every row before visiting, are the surface for that
+// pattern. A non-nil rep is filled with the fan-out report. Exec reports
+// whether the scan ran to completion (false: stopped early by yield or
+// cancellation).
+//
+// Workers copy matching rows into chunks at the merge boundary and hand
+// them to the calling goroutine over a channel; the caller yields rows as
+// chunks arrive and raises the stop flag — observed by every worker before
+// each row — as soon as the yield declines, the limit hint is met, or the
+// context is done. Two rules keep it deadlock-free: the caller always
+// drains the channel to completion, so workers never block on a departed
+// consumer; and a worker never does a blocking send while holding its
+// shard's read lock — chunks that cannot be sent immediately accumulate
+// locally and are flushed after the probe releases the lock, so a stalled
+// consumer delays delivery, not the lock. An inline fan-out (one probe, or
+// one worker) has no channel: each probe's chunks accumulate under its
+// lock and are yielded once it is released.
 func (s *Sharded) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Report) bool {
-	// This layer owns the whole query, so it is where queries are counted
-	// exactly once (core.Exec runs once per probed shard and must not
-	// count). With instrumentation on, per-shard reports are created even
-	// when the caller asked for none, so page/row/translation counters are
-	// fed from the same ProbeReport plumbing EXPLAIN uses.
+	// Queries are counted exactly once, here.
 	track := obs.On()
 	var start time.Time
 	var delivered int64
@@ -93,196 +275,163 @@ func (s *Sharded) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Re
 		}
 	}
 
-	if r.Empty() {
-		if rep != nil {
-			rep.ShardsPruned = len(s.shards)
-		}
-		if track {
-			obs.ShardsPruned.Add(int64(len(s.shards)))
-			obs.QuerySeconds.Observe(time.Since(start).Seconds())
-		}
-		return true
+	f := s.plan([]index.Rect{r}, spec)
+	chunkRows := scanChunkRows
+	if spec.Limit > 0 && spec.Limit < chunkRows {
+		chunkRows = spec.Limit
 	}
-	lo, hi := s.shardRange(r)
-	probes := hi - lo + 1
-	if rep != nil {
-		rep.ShardsProbed = probes
-		rep.ShardsPruned = len(s.shards) - probes
-	}
-
-	var stop atomic.Bool
-	if spec.Ctx != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-spec.Ctx.Done():
-				stop.Store(true)
-			case <-watchDone:
+	chunkLen := chunkRows * s.dims
+	complete := true
+	// deliver yields one chunk's rows; it runs on the calling goroutine.
+	// The context is checked once per chunk — the "about one page"
+	// cancellation granularity — while the stop flag (set by the context, a
+	// declined yield, or a met limit) is checked per row.
+	deliver := func(buf []float64) {
+		if spec.Done() {
+			f.stop.Store(true)
+		}
+		for off := 0; off+s.dims <= len(buf); off += s.dims {
+			if f.stop.Load() {
+				break // stopping: discard the rest of the chunk
 			}
-		}()
-	}
-
-	var reps []*core.ProbeReport
-	if rep != nil || track || spec.Trace != nil {
-		reps = make([]*core.ProbeReport, probes)
-		for i := range reps {
-			reps[i] = &core.ProbeReport{}
+			// Full-capacity sub-slices keep a retaining caller from
+			// reaching neighbouring rows through append.
+			if !yield(buf[off : off+s.dims : off+s.dims]) {
+				f.stop.Store(true)
+				complete = false
+				break
+			}
 		}
 	}
-
-	complete := s.execStream(r, spec, yield, reps, &stop, lo, hi)
+	var out chan []float64
+	if !f.inline {
+		out = make(chan []float64, min(s.workers, len(f.probes)))
+	}
+	s.fanOut(f, rep, sink{
+		scan: func(_ int, idx *core.COAX, crep *core.ProbeReport) func() {
+			var pending [][]float64
+			flush := func(buf []float64) {
+				select {
+				case out <- buf: // never ready on the nil channel of an inline fan-out
+				default:
+					pending = append(pending, buf)
+				}
+			}
+			buf := make([]float64, 0, chunkLen)
+			produced := 0
+			idx.Exec(r, index.Spec{Abort: f.stop.Load}, func(row []float64) bool {
+				if f.stop.Load() {
+					return false
+				}
+				buf = append(buf, row...) // the merge-boundary copy
+				produced++
+				if len(buf) >= chunkLen {
+					flush(buf)
+					buf = make([]float64, 0, chunkLen)
+				}
+				// Any spec.Limit matching rows satisfy the caller, so
+				// this shard alone has produced enough: stop it.
+				return spec.Limit <= 0 || produced < spec.Limit
+			}, crep)
+			if len(buf) > 0 {
+				flush(buf)
+			}
+			if pending == nil {
+				return nil
+			}
+			// With the lock released, hand over what the non-blocking
+			// sends could not: straight to the yield when this already is
+			// the calling goroutine, else by sends that always terminate,
+			// because the caller drains until close. A raised stop flag
+			// means the caller discards everything anyway — skip it.
+			return func() {
+				for _, p := range pending {
+					if f.stop.Load() {
+						break
+					}
+					if f.inline {
+						deliver(p)
+					} else {
+						out <- p
+					}
+				}
+			}
+		},
+		finished: func() { close(out) },
+		gather: func() {
+			for buf := range out {
+				deliver(buf)
+			}
+		},
+	})
+	// Any cancellation makes the result incomplete.
 	cancelled := spec.Done()
 	if cancelled {
 		complete = false
 	}
-
-	if rep != nil {
-		for _, crep := range reps {
-			rep.Core.Add(crep)
-		}
-	}
 	if track {
 		obs.QuerySeconds.Observe(time.Since(start).Seconds())
 		obs.QueryRows.Add(delivered)
-		obs.ShardsProbed.Add(int64(probes))
-		obs.ShardsPruned.Add(int64(len(s.shards) - probes))
 		switch {
 		case cancelled:
 			obs.QueryCancelled.Inc()
 		case !complete:
 			obs.EarlyStops.Inc()
 		}
-		for _, crep := range reps {
-			core.ObserveProbe(crep)
-		}
 	}
 	return complete
 }
 
-// execStream is the fan-out behind Exec: workers copy matching rows into
-// chunks at the merge boundary and hand them to the calling goroutine over
-// a channel; the caller yields rows as chunks arrive and raises the stop
-// flag — observed by every worker before each row — as soon as the yield
-// declines, the limit hint is met, or the context is done. Two rules keep
-// it deadlock-free: the caller always drains the channel to completion, so
-// workers never block on a departed consumer; and a worker never does a
-// blocking send while holding its shard's read lock — chunks that cannot
-// be sent immediately accumulate locally and are flushed after the probe
-// releases the lock, so a stalled consumer delays delivery, not the lock.
-func (s *Sharded) execStream(r index.Rect, spec index.Spec, yield index.Yield, reps []*core.ProbeReport, stop *atomic.Bool, lo, hi int) bool {
-	chunkRows := scanChunkRows
-	if spec.Limit > 0 && spec.Limit < chunkRows {
-		chunkRows = spec.Limit
-	}
-	chunkLen := chunkRows * s.dims
-	workers := min(s.workers, hi-lo+1)
+// BatchVisitor receives one matching row per call together with the batch
+// position of the query it matched. The row slice is a stable copy (see the
+// package comment on visitor ownership).
+type BatchVisitor func(qi int, row []float64)
 
-	out := make(chan []float64, workers)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			track := obs.On()
-			for si := range work {
-				var crep *core.ProbeReport
-				if reps != nil {
-					crep = reps[si-lo]
-				}
-				var pending [][]float64
-				flush := func(buf []float64) {
-					select {
-					case out <- buf:
-					default:
-						pending = append(pending, buf)
-					}
-				}
-				var probeStart time.Time
-				if track || spec.Trace != nil {
-					probeStart = time.Now()
-				}
-				slot := s.shards[si]
-				slot.mu.RLock()
-				buf := make([]float64, 0, chunkLen)
-				produced := 0
-				// The shared stop flag rides in as the per-page abort hook,
-				// so a probe whose pages match nothing still notices a met
-				// limit or a cancelled context within one page.
-				slot.idx.Exec(r, index.Spec{Abort: stop.Load}, func(row []float64) bool {
-					if stop.Load() {
-						return false
-					}
-					buf = append(buf, row...) // the merge-boundary copy
-					produced++
-					if len(buf) >= chunkLen {
-						flush(buf)
-						buf = make([]float64, 0, chunkLen)
-					}
-					// Any spec.Limit matching rows satisfy the caller, so
-					// this shard alone has produced enough: stop it.
-					return spec.Limit <= 0 || produced < spec.Limit
-				}, crep)
-				if len(buf) > 0 {
-					flush(buf)
-				}
-				slot.mu.RUnlock()
-				if track || spec.Trace != nil {
-					elapsed := time.Since(probeStart)
-					if track {
-						obs.ShardScanSeconds.Observe(elapsed.Seconds())
-					}
-					if spec.Trace != nil && crep != nil {
-						spec.Trace.AddSpan(fmt.Sprintf("shard-%02d", si), elapsed,
-							crep.Primary.Pages+crep.Outlier.Pages,
-							crep.Primary.Scanned+crep.Outlier.Scanned)
-					}
-				}
-				// Deliver what the non-blocking sends could not; no lock is
-				// held now, and the caller drains until close, so these
-				// sends always terminate. A raised stop flag means the
-				// caller discards everything anyway — skip the handoff.
-				for _, p := range pending {
-					if stop.Load() {
-						break
-					}
-					out <- p
-				}
-			}
-		}()
-	}
-	go func() {
-		for si := lo; si <= hi; si++ {
-			work <- si
-		}
-		close(work)
-		wg.Wait()
-		close(out)
-	}()
+// Query invokes visit on the calling goroutine for every row inside r —
+// the public run-to-completion visitor (coax.Querier) over BatchQuery, with
+// its guarantees: stable copies, and a visitor free to mutate the index.
+func (s *Sharded) Query(r index.Rect, visit func(row []float64)) {
+	s.BatchQuery([]index.Rect{r}, func(_ int, row []float64) { visit(row) })
+}
 
-	complete := true
-	for buf := range out {
-		// The context is checked once per chunk — the "about one page"
-		// cancellation granularity — while the stop flag (set by the
-		// watcher, a declined yield, or a met limit) is checked per row.
-		// Exec's final Done() check turns any cancellation into an
-		// incomplete result.
-		if spec.Done() {
-			stop.Store(true)
-		}
-		for off := 0; off+s.dims <= len(buf); off += s.dims {
-			if stop.Load() {
-				break // stopping: discard the rest of the chunk
-			}
-			// Full-capacity sub-slices keep a retaining caller from
-			// reaching neighbouring rows through append.
-			if !yield(buf[off : off+s.dims : off+s.dims]) {
-				stop.Store(true)
-				complete = false
-				break
-			}
+// BatchQuery answers a batch of rectangles in one fan-out: every (query,
+// overlapping shard) pair is one probe whose matches are copied into its
+// own buffer — the merge-boundary copy that makes the delivered slices
+// stable — and once every probe has finished the buffers are visited in
+// (query, shard) order on the calling goroutine. No lock is held by then,
+// so the visitor may mutate the index. Every query of the batch is answered
+// exactly, including duplicates and empty rectangles.
+func (s *Sharded) BatchQuery(rs []index.Rect, visit BatchVisitor) {
+	// The batch owns its queries end to end: one count per rectangle, one
+	// batch latency per call.
+	track := obs.On()
+	if track {
+		start := time.Now()
+		obs.Queries.Add(int64(len(rs)))
+		defer func() { obs.BatchSeconds.Observe(time.Since(start).Seconds()) }()
+	}
+	f := s.plan(rs, index.Spec{})
+	bufs := make([][]float64, len(f.probes))
+	s.fanOut(f, nil, sink{scan: func(pi int, idx *core.COAX, crep *core.ProbeReport) func() {
+		var buf []float64 // grown here, published once: workers share bufs' cache lines
+		idx.Exec(rs[f.probes[pi].qi], index.Spec{}, func(row []float64) bool {
+			buf = append(buf, row...)
+			return true
+		}, crep)
+		bufs[pi] = buf
+		return nil
+	}})
+
+	// Full-capacity sub-slices keep a retaining visitor from reaching
+	// neighbouring rows through append.
+	var delivered int64
+	for pi, buf := range bufs {
+		for o := 0; o+s.dims <= len(buf); o += s.dims {
+			visit(f.probes[pi].qi, buf[o:o+s.dims:o+s.dims])
+			delivered++
 		}
 	}
-	return complete
+	if track {
+		obs.QueryRows.Add(delivered)
+	}
 }

@@ -14,26 +14,29 @@
 //
 // # Concurrency and visitor ownership
 //
-// A Sharded index is safe for concurrent use: Query, BatchQuery, and Insert
-// may be called from any number of goroutines. Each shard is guarded by its
-// own RWMutex — queries take read locks, inserts write-lock only the one
-// shard the row routes to.
+// A Sharded index is safe for concurrent use: Exec, ExecAgg, Query,
+// BatchQuery, and the mutations may be called from any number of
+// goroutines. Each shard is guarded by its own RWMutex — queries take read
+// locks (in one place, the fan-out's runProbe), inserts write-lock only the
+// one shard the row routes to.
 //
-// Because rows are produced by worker goroutines and delivered to the
-// caller's visitor afterwards, the fan-out cannot hand the visitor slices
-// that alias live index internals. Workers therefore copy every matching
-// row into a per-worker buffer at the merge boundary, and the visitor
-// receives sub-slices of those buffers. This gives Sharded a stronger
-// guarantee than index.Visitor's baseline contract: rows passed to the
-// visitor are stable copies that remain valid after the call returns and
-// are never overwritten by a later match.
+// Because rows are produced by worker goroutines and delivered on the
+// caller's goroutine, the fan-out cannot hand the caller slices that alias
+// live index internals. Workers therefore copy every matching row at the
+// merge boundary — into chunks for Exec, into per-probe buffers for
+// Query/BatchQuery — and the caller receives sub-slices of those copies.
+// This gives Sharded a stronger guarantee than index.Yield's baseline
+// contract: rows are stable copies that remain valid after the call returns
+// and are never overwritten by a later match.
 //
-// The flip side of copy-at-merge is that a fan-out buffers its complete
-// result set before the first visitor call, so a query's memory cost is
-// proportional to the rows it matches — a full-table rectangle buffers the
+// Exec streams: chunks reach the yield while the scan is still running, so
+// its memory cost is bounded by the chunks in flight. Query and BatchQuery
+// buffer their complete result set before the first visitor call (which is
+// what lets that visitor mutate the index), so their memory cost is
+// proportional to the rows they match — a full-table rectangle buffers the
 // whole table. Callers serving untrusted input should bound rectangle
-// selectivity or batch width at their own layer (cmd/coaxserve caps
-// request size and batch length).
+// selectivity or batch width at their own layer (cmd/coaxserve caps request
+// size and batch length).
 package shard
 
 import (
@@ -44,13 +47,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
-	"github.com/coax-index/coax/internal/obs"
 	"github.com/coax-index/coax/internal/softfd"
 )
 
@@ -550,140 +551,6 @@ func (s *Sharded) Update(old, new []float64) error {
 		return err
 	}
 	return nil
-}
-
-// BatchVisitor receives one matching row per call together with the batch
-// position of the query it matched. The row slice is a stable copy (see the
-// package comment on visitor ownership).
-type BatchVisitor func(qi int, row []float64)
-
-// task is one (query, shard) probe of a fan-out.
-type task struct {
-	qi, si int
-	rows   []float64 // matching rows, flattened; filled by a worker
-}
-
-// Query implements index.Interface by fanning r across the shards it can
-// match. Rows are delivered on the calling goroutine.
-func (s *Sharded) Query(r index.Rect, visit index.Visitor) {
-	s.BatchQuery([]index.Rect{r}, func(_ int, row []float64) { visit(row) })
-}
-
-// BatchQuery answers a batch of rectangles in one fan-out: every (query,
-// overlapping shard) pair becomes a task, tasks run on a bounded worker
-// pool, and results are merged back in batch order on the calling
-// goroutine. Rows handed to visit are stable copies. Every query of the
-// batch is answered exactly, including duplicates and empty rectangles.
-func (s *Sharded) BatchQuery(rs []index.Rect, visit BatchVisitor) {
-	// The batch path owns its queries end to end, so it counts them here
-	// (one per rectangle) and observes one batch latency per call; the
-	// per-probe page/row counters are folded in runTask.
-	track := obs.On()
-	var start time.Time
-	if track {
-		start = time.Now()
-		obs.Queries.Add(int64(len(rs)))
-		defer func() {
-			obs.BatchSeconds.Observe(time.Since(start).Seconds())
-		}()
-	}
-
-	tasks := make([]task, 0, len(rs))
-	for qi, r := range rs {
-		if r.Empty() {
-			continue
-		}
-		lo, hi := s.shardRange(r)
-		for si := lo; si <= hi; si++ {
-			tasks = append(tasks, task{qi: qi, si: si})
-		}
-	}
-	if track {
-		obs.ShardsProbed.Add(int64(len(tasks)))
-		obs.ShardsPruned.Add(int64(len(rs)*len(s.shards) - len(tasks)))
-	}
-	if len(tasks) == 0 {
-		return
-	}
-
-	// Execute shard-major (counting sort by shard): consecutive probes hit
-	// the same shard's pages, keeping large batches cache-resident per
-	// shard. Merge order is unaffected — it walks tasks, which stays
-	// query-major.
-	order := make([]int, len(tasks))
-	starts := make([]int, len(s.shards)+1)
-	for i := range tasks {
-		starts[tasks[i].si+1]++
-	}
-	for si := 1; si <= len(s.shards); si++ {
-		starts[si] += starts[si-1]
-	}
-	for ti := range tasks {
-		order[starts[tasks[ti].si]] = ti
-		starts[tasks[ti].si]++
-	}
-
-	workers := min(s.workers, len(tasks))
-	if workers <= 1 {
-		for _, ti := range order {
-			s.runTask(rs, &tasks[ti])
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ti := range work {
-					s.runTask(rs, &tasks[ti])
-				}
-			}()
-		}
-		for _, ti := range order {
-			work <- ti
-		}
-		close(work)
-		wg.Wait()
-	}
-
-	// Merge: tasks were appended in (qi, si) order, so delivery is
-	// deterministic. Full-capacity sub-slices keep a retaining visitor from
-	// reaching neighbouring rows through append.
-	var delivered int64
-	for _, t := range tasks {
-		for o := 0; o+s.dims <= len(t.rows); o += s.dims {
-			visit(t.qi, t.rows[o:o+s.dims:o+s.dims])
-			delivered++
-		}
-	}
-	if track {
-		obs.QueryRows.Add(delivered)
-	}
-}
-
-// runTask probes one shard with one rectangle, copying matches into the
-// task's buffer — the merge-boundary copy that makes the delivered slices
-// stable.
-func (s *Sharded) runTask(rs []index.Rect, t *task) {
-	track := obs.On()
-	var crep *core.ProbeReport
-	var start time.Time
-	if track {
-		crep = &core.ProbeReport{}
-		start = time.Now()
-	}
-	slot := s.shards[t.si]
-	slot.mu.RLock()
-	slot.idx.Exec(rs[t.qi], index.Spec{}, func(row []float64) bool {
-		t.rows = append(t.rows, row...)
-		return true
-	}, crep)
-	slot.mu.RUnlock()
-	if track {
-		obs.ShardScanSeconds.Observe(time.Since(start).Seconds())
-		core.ObserveProbe(crep)
-	}
 }
 
 // ShardVersion reports shard i's current mutation version without taking
