@@ -4,8 +4,9 @@ package main
 // reflecting over a response value: byte for byte what encoding/json wrote
 // for the structs this replaced (kept in encode_test.go as the oracle), so
 // "count" stays the first member, "rows" is omitted when empty, and every
-// body ends in the newline json.Encoder appends. Rows are encoded as the
-// scan yields them; nothing holds a [][]float64.
+// body ends in the newline json.Encoder appends. A row reply is encoded
+// from a finished page — the exact count and the rows the engine kept
+// (coax.Query.Head) — so no row is copied or formatted only to be dropped.
 
 import (
 	"encoding/json"
@@ -57,9 +58,9 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'f', -1, 64)
 }
 
-// rowsBody encodes the rows of one rectangle as they arrive: the first
-// limit rows (all of them when limit is negative) into a pooled scratch
-// buffer, the rest only counted.
+// rowsBody encodes the rows of one rectangle: the first limit rows (all of
+// them when limit is negative) into a pooled scratch buffer, the rest only
+// counted.
 type rowsBody struct {
 	limit, count, kept int
 	scratch            *[]byte
@@ -81,8 +82,27 @@ func (rb *rowsBody) release() {
 	rb.scratch, rb.rows = nil, nil
 }
 
-// add is the scan's yield: it never stops the scan, because the count
-// covers every match.
+// page lays a finished page into the body: its rows, of which the first
+// limit are encoded, and its exact count.
+func (rb *rowsBody) page(res *coax.HeadResult) {
+	for _, row := range res.Rows {
+		rb.add(row)
+	}
+	rb.count = res.Count
+}
+
+// headOf is a finished row fold as a page: its rows are views of the
+// fold's copies.
+func headOf(st *index.RowsState, complete bool) *coax.HeadResult {
+	res := &coax.HeadResult{Count: int(st.Count), Rows: make([][]float64, st.Held()), Complete: complete}
+	for i := range res.Rows {
+		res.Rows[i] = st.Row(i)
+	}
+	return res
+}
+
+// add counts one row and encodes it while fewer than limit are. It always
+// reports true: a body takes every row it is given.
 func (rb *rowsBody) add(row []float64) bool {
 	rb.count++
 	if rb.limit >= 0 && rb.kept >= rb.limit {
@@ -119,7 +139,7 @@ type reply struct {
 	rows, agg, explain []byte
 }
 
-// finish closes the scan. The reply's rows are still the scratch buffer, so
+// finish closes the body. The reply's rows are still the scratch buffer, so
 // it must be laid out (body, batchBody) before release.
 func (rb *rowsBody) finish(exp *coax.Explain) (reply, error) {
 	if rb.nonFinite {

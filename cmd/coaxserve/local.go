@@ -301,22 +301,20 @@ func (l *localBackend) Update(old, new []float64) error {
 	return l.mutate(func() error { return l.ShardedIndex.Update(old, new) })
 }
 
-// runRows executes through the v2 engine: ctx cancels an in-flight fan-out
-// when the client disconnects. When the slow-query log is armed, every
-// query runs with EXPLAIN so a slow one can be logged with its full
-// execution report; the report only reaches the caller that asked for it.
-func (l *localBackend) runRows(ctx context.Context, r coax.Rect, stopAfter int, explain bool, yield coax.Yield) (*coax.Explain, error) {
-	// Stable() makes retained rows private copies; for the sharded engine
-	// that guarantee is free (its merge boundary copies anyway), so this
-	// does not add a second copy per row.
-	q := coax.FromRect(r).WithContext(ctx).Stable()
+// runRows executes through the v2 engine as a fold (coax.Query.Head): ctx
+// cancels an in-flight fan-out when the client disconnects. When the
+// slow-query log is armed, every query runs with EXPLAIN so a slow one can
+// be logged with its full execution report; the report only reaches the
+// caller that asked for it.
+func (l *localBackend) runRows(ctx context.Context, r coax.Rect, keep int, early, explain bool) (*coax.HeadResult, error) {
+	q := coax.FromRect(r).WithContext(ctx)
 	if explain || l.slowlog != nil {
 		q.WithExplain()
 	}
-	if stopAfter > 0 {
-		q.Limit(stopAfter)
+	if early {
+		q.Limit(keep)
 	}
-	res, err := q.Run(l.ShardedIndex, yield)
+	res, err := q.Head(l.ShardedIndex, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -325,9 +323,9 @@ func (l *localBackend) runRows(ctx context.Context, r coax.Rect, stopAfter int, 
 	}
 	l.slowlog.observe(res.Explain)
 	if !explain {
-		return nil, nil
+		res.Explain = nil
 	}
-	return res.Explain, nil
+	return res, nil
 }
 
 // runAgg executes through the pushdown engine, like runRows.
@@ -364,10 +362,21 @@ func (l *localBackend) runAgg(ctx context.Context, r coax.Rect, spec index.AggSp
 	return res, nil
 }
 
-// runBatch is one amortised fan-out for the whole batch.
-func (l *localBackend) runBatch(_ context.Context, rects []coax.Rect, visit func(qi int, row []float64)) error {
-	l.BatchQuery(rects, visit)
-	return l.pageErr()
+// runBatch is one amortised fan-out for the whole batch, its pages in
+// (query, shard) order.
+func (l *localBackend) runBatch(ctx context.Context, rects []coax.Rect, keep int) ([]*coax.HeadResult, error) {
+	states, complete := l.ExecRows(rects, index.Spec{Ctx: ctx}, index.RowsState{Keep: keep}, nil)
+	if err := l.pageErr(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pages := make([]*coax.HeadResult, len(states))
+	for i := range states {
+		pages[i] = headOf(&states[i], complete)
+	}
+	return pages, nil
 }
 
 type statsResponse struct {

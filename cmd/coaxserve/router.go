@@ -85,15 +85,23 @@ func finish(ctx context.Context, err error) error {
 	return unansweredError{err}
 }
 
-// runRows scatter-gathers one rectangle; a positive stopAfter rides into
-// the cluster spec so every node stops scanning once its shards have
-// produced enough rows.
-func (c clusterBackend) runRows(ctx context.Context, r coax.Rect, stopAfter int, explain bool, yield coax.Yield) (*coax.Explain, error) {
+// runRows scatter-gathers one rectangle and folds the router's rows into a
+// page. With early, keep rides into the cluster spec as its limit, so every
+// node stops scanning once its shards have produced enough rows.
+func (c clusterBackend) runRows(ctx context.Context, r coax.Rect, keep int, early, explain bool) (*coax.HeadResult, error) {
 	if explain {
 		return nil, errNoExplain
 	}
-	_, err := c.Exec(r, index.Spec{Ctx: ctx, Limit: stopAfter}, yield)
-	return nil, finish(ctx, err)
+	st := index.RowsState{Keep: keep, Early: early}
+	spec := index.Spec{Ctx: ctx}
+	if early {
+		spec.Limit = keep
+	}
+	complete, err := c.Exec(r, spec, st.FoldRow)
+	if err = finish(ctx, err); err != nil {
+		return nil, err
+	}
+	return headOf(&st, complete), nil
 }
 
 // runAgg scatter-gathers one aggregation and extracts the merged state the
@@ -125,17 +133,16 @@ func (c clusterBackend) runAgg(ctx context.Context, r coax.Rect, spec index.AggS
 
 // runBatch is one scatter-gather per query: the wire protocol has no batch
 // request.
-func (c clusterBackend) runBatch(ctx context.Context, rects []coax.Rect, visit func(qi int, row []float64)) error {
+func (c clusterBackend) runBatch(ctx context.Context, rects []coax.Rect, keep int) ([]*coax.HeadResult, error) {
+	pages := make([]*coax.HeadResult, len(rects))
 	for qi, r := range rects {
-		_, err := c.runRows(ctx, r, 0, false, func(row []float64) bool {
-			visit(qi, row)
-			return true
-		})
+		p, err := c.runRows(ctx, r, keep, false, false)
 		if err != nil {
-			return fmt.Errorf("query %d: %w", qi, err)
+			return nil, fmt.Errorf("query %d: %w", qi, err)
 		}
+		pages[qi] = p
 	}
-	return nil
+	return pages, nil
 }
 
 // routerStatsResponse is the router's GET /stats body: the cluster shape

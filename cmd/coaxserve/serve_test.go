@@ -172,7 +172,7 @@ func TestSnapshotVersionUnknown(t *testing.T) {
 }
 
 // sortedReply is a /query or /batch reply with the rows of every result
-// sorted: the engine yields rows in no fixed order.
+// sorted, so replies compare as multisets.
 func sortedReply(t *testing.T, body []byte) []byte {
 	t.Helper()
 	var b batchResponse

@@ -7,9 +7,10 @@ package main
 // the backend value, nothing else.
 //
 // A /query or /batch answer is its reply bytes from the moment the scan ends
-// (encode.go): rows are encoded as the backend yields them, coalesced
-// callers and the result cache share the finished body, and a cache hit is
-// one Write. encoding/json writes only the cold replies — /stats, /healthz,
+// (encode.go): the backend answers a rectangle with a page — the exact count
+// and the rows the reply keeps — which is encoded once; coalesced callers
+// and the result cache share the finished body, and a cache hit is one
+// Write. encoding/json writes only the cold replies — /stats, /healthz,
 // /compact, the slowlog, mutation acks and errors.
 
 import (
@@ -62,13 +63,15 @@ type backend interface {
 	// liveRows is the row count a mutation reply carries.
 	liveRows() int64
 
-	// runRows yields every row matching r, stopping the scan after stopAfter
-	// rows when that is positive. The report is non-nil only with explain.
-	runRows(ctx context.Context, r coax.Rect, stopAfter int, explain bool, yield coax.Yield) (*coax.Explain, error)
+	// runRows answers r with a page: the exact number of matching rows and
+	// the first keep of them (every one when keep is negative). With early
+	// the scan stops once keep rows match, and the count counts only those.
+	// The page's report is non-nil only with explain.
+	runRows(ctx context.Context, r coax.Rect, keep int, early, explain bool) (*coax.HeadResult, error)
 	runAgg(ctx context.Context, r coax.Rect, spec index.AggSpec, explain bool) (*coax.AggResult, error)
-	// runBatch answers rects[qi] for every qi, handing each matching row to
-	// visit on the calling goroutine.
-	runBatch(ctx context.Context, rects []coax.Rect, visit func(qi int, row []float64)) error
+	// runBatch answers rects[qi] for every qi with a page of at most keep
+	// rows, as runRows does without early or explain.
+	runBatch(ctx context.Context, rects []coax.Rect, keep int) ([]*coax.HeadResult, error)
 
 	// stats is the GET /stats body, with tier embedded in it.
 	stats(tier tierStats) any
@@ -497,26 +500,23 @@ func (f *front) answer(req *http.Request, key string, r coax.Rect, run func() ([
 	return v.([]byte), nil
 }
 
-// scan runs one rectangle into rb. Without early mode the count covers every
-// match and only rb's limit rows are encoded; with it, the backend stops
-// scanning once that many rows were found.
-func (f *front) scan(req *http.Request, r coax.Rect, early bool, rb *rowsBody) (reply, error) {
-	stopAfter := 0
-	if early {
-		stopAfter = rb.limit
-	}
-	exp, err := f.be.runRows(req.Context(), r, stopAfter, explainRequested(req), rb.add)
+// page answers one rectangle into rb: the count covers every match and
+// only rb's limit rows are kept, or with early the backend stops scanning
+// once that many rows were found.
+func (f *front) page(req *http.Request, r coax.Rect, early bool, rb *rowsBody) (reply, error) {
+	res, err := f.be.runRows(req.Context(), r, rb.limit, early, explainRequested(req))
 	if err != nil {
 		return reply{}, err
 	}
-	return rb.finish(exp)
+	rb.page(res)
+	return rb.finish(res.Explain)
 }
 
 // runRows answers one rectangle.
 func (f *front) runRows(req *http.Request, r coax.Rect, limit int, early bool) ([]byte, error) {
 	rb := newRowsBody(limit)
 	defer rb.release()
-	rep, err := f.scan(req, r, early, &rb)
+	rep, err := f.page(req, r, early, &rb)
 	if err != nil {
 		return nil, err
 	}
@@ -573,16 +573,29 @@ func (f *front) batch(req *http.Request, b *batchRequest) ([]byte, error) {
 		}
 	}()
 	if !perQuery {
-		err := f.be.runBatch(req.Context(), rects, func(qi int, row []float64) { bodies[qi].add(row) })
+		// One fan-out keeps as many rows as the widest query does; each body
+		// encodes its own limit of them.
+		keep := 0
+		for i := range b.Queries {
+			if l := b.Queries[i].limit(); l < 0 || keep < 0 {
+				keep = -1
+			} else {
+				keep = max(keep, l)
+			}
+		}
+		pages, err := f.be.runBatch(req.Context(), rects, keep)
 		if err != nil {
 			return nil, err
+		}
+		for i, p := range pages {
+			bodies[i].page(p)
 		}
 	}
 	replies := make([]reply, len(rects))
 	for i := range rects {
 		var err error
 		if perQuery {
-			replies[i], err = f.scan(req, rects[i], b.Queries[i].Early, &bodies[i])
+			replies[i], err = f.page(req, rects[i], b.Queries[i].Early, &bodies[i])
 		} else {
 			replies[i], err = bodies[i].finish(nil) // the fan-out above filled it
 		}

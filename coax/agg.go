@@ -172,77 +172,26 @@ func (q *Query) Aggregate(idx Querier, agg Aggregation) (*AggResult, error) {
 		}
 	}
 
-	var exp *Explain
-	if q.explain {
-		exp = newExplain(idx, r)
-	}
-	spec := index.Spec{Ctx: q.ctx}
-	track := obs.On()
-	start := time.Now()
-
-	var st *index.AggState
-	var complete bool
-	var crep *core.ProbeReport // the engine's report, when one was taken
-	switch ix := idx.(type) {
-	case *ShardedIndex:
-		var rep *shard.Report
-		if exp != nil {
-			rep = &shard.Report{}
-			spec.Trace = obs.NewTrace()
-		}
-		st, complete = ix.ExecAgg(r, spec, aspec, rep)
-		if exp != nil {
-			exp.fromShard(rep)
-			exp.fromTrace(spec.Trace)
-			crep = &rep.Core
-		}
-	case *Index:
-		st = index.NewAggState(aspec)
-		if exp != nil || track {
-			crep = &core.ProbeReport{}
-		}
-		complete = ix.ExecAgg(r, spec, st, crep)
-		if exp != nil {
-			exp.fromCore(crep)
-		}
-		if track {
-			q.observeAgg(start, crep)
-		}
-	default:
-		// Generic Querier: the legacy visitor path with a row-at-a-time
-		// fold — correct, but without kernel pushdown or early abort.
-		st = index.NewAggState(aspec)
-		complete = runGeneric(idx, r, spec, func(row []float64) bool {
-			st.FoldRow(row)
-			return true
-		})
-		if track {
-			q.observeAgg(start, nil)
-		}
-	}
-
+	st := index.NewAggState(aspec)
+	complete, exp, crep, err := q.fold(idx, r, st,
+		func(ix *ShardedIndex, spec index.Spec, rep *shard.Report) bool {
+			got, complete := ix.ExecAgg(r, spec, aspec, rep)
+			st = got
+			return complete
+		},
+		q.observeAgg)
 	res := newAggResult(agg.op, st, complete)
 	if exp != nil {
-		exp.Elapsed = time.Since(start)
-		exp.Complete = complete
 		fillAggExplain(exp, aspec, st, crep)
 		res.Explain = exp
 	}
-	if q.ctx != nil && q.ctx.Err() != nil {
-		res.Complete = false
-		if exp != nil {
-			exp.Cancelled = true
-			exp.Complete = false
-		}
-		return res, q.ctx.Err()
-	}
-	return res, nil
+	return res, err
 }
 
 // observeAgg records one finished non-sharded aggregation in the
 // query-plane and batch-kernel metrics (the sharded path counts inside
 // shard.ExecAgg, the layer owning that fan-out).
-func (q *Query) observeAgg(start time.Time, crep *core.ProbeReport) {
+func (q *Query) observeAgg(start time.Time, _ bool, crep *core.ProbeReport) {
 	obs.Queries.Inc()
 	obs.AggQueries.Inc()
 	obs.QuerySeconds.Observe(time.Since(start).Seconds())

@@ -55,6 +55,31 @@ func ExampleQuery_limit() {
 	// Output: 3
 }
 
+// ExampleQuery_Head answers a paged query: the exact number of matching
+// rows and the first of them. The engine copies only the rows it returns;
+// the rest of the matches are counted off its selection bitmaps.
+func ExampleQuery_Head() {
+	table := coax.NewTable([]string{"seq", "temp", "reading"})
+	for i := 0; i < 8000; i++ {
+		seq := float64(i)
+		table.Append([]float64{seq, 20 + seq*0.01, float64(i % 100)})
+	}
+	idx, err := coax.BuildSharded(table, coax.DefaultOptions(), coax.DefaultShardOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	page, err := coax.NewQuery().
+		Where("reading", coax.Eq(7)).
+		Where("seq", coax.AtLeast(4000)).
+		Head(idx, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(page.Count, len(page.Rows), page.Complete)
+	// Output: 40 2 true
+}
+
 // ExampleQuery_aggregate computes an aggregate entirely inside the scan
 // kernels: COUNT is a popcount over selection bitmaps, SUM/MIN/MAX walk
 // only the set bits of the value column, and no row is materialized.

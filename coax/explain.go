@@ -57,7 +57,8 @@ type Explain struct {
 	// whose batches are reported per partition in Primary and Outlier.
 	Agg *AggExplain `json:"agg,omitempty"`
 
-	// RowsEmitted counts rows delivered to the caller's visitor.
+	// RowsEmitted counts rows delivered to the caller's visitor — for
+	// Head and Count, the rows counted.
 	RowsEmitted int `json:"rows_emitted"`
 	// Limited/Cancelled/Complete report what ended the scan: a satisfied
 	// Limit, a cancelled context, or exhaustion.

@@ -3,7 +3,9 @@ package coax
 // Query API v2: a composable, name-based query surface over *Index and
 // *ShardedIndex. A Query is built from predicates on named (or positional)
 // columns, optionally bounded by Limit, cancelled through a context, and
-// executed with Run, Count, Collect, or Explain. Internally it compiles to
+// executed with Run, Collect, Head, Count, or Explain. Run and Collect
+// stream rows to the caller; Head and Count are folds that copy only the
+// rows they return and count the rest. Internally it compiles to
 // the same index.Rect plan the legacy Query(Rect, Visitor) call uses, so
 // both surfaces answer identically; the v2 path additionally supports
 // early termination (a satisfied Limit or a false-returning visitor stops
@@ -80,7 +82,7 @@ type pred struct {
 
 // Query is a composable description of a range scan. Build one with
 // NewQuery (or FromRect), refine it with the chainable With/Where methods,
-// and execute it with Run, Count, Collect, or Explain. A Query value is
+// and execute it with Run, Collect, Head, Count, or Explain. A Query value is
 // not safe for concurrent mutation but may be executed any number of
 // times, concurrently, once built.
 type Query struct {
@@ -367,10 +369,147 @@ func runGeneric(idx Querier, r Rect, spec index.Spec, yield Yield) bool {
 }
 
 // Count executes the query and returns the number of matching rows —
-// capped at the Limit when one is set.
+// capped at the Limit when one is set. It is Head keeping no rows: the
+// engines count matches off their selection bitmaps and copy nothing.
 func (q *Query) Count(idx Querier) (int, error) {
-	res, err := q.Run(idx, func([]float64) bool { return true })
-	return res.Rows, err
+	res, err := q.Head(idx, 0)
+	if res == nil {
+		return 0, err
+	}
+	return res.Count, err
+}
+
+// HeadResult is the outcome of Head: how many rows match, and the first of
+// them.
+type HeadResult struct {
+	// Count is the exact number of matching rows — capped at the Limit when
+	// one is set.
+	Count int
+	// Rows holds the first k matching rows (fewer when fewer match): stable
+	// private copies, in shard order, then scan order — the same rows for
+	// the same index, whatever the timing of a sharded fan-out.
+	Rows [][]float64
+	// Complete reports whether the scan visited every matching row; false
+	// when the Limit or a cancelled context stopped it.
+	Complete bool
+	// Explain is the execution report, non-nil when the query was built
+	// with WithExplain. RowsEmitted is the rows counted.
+	Explain *Explain
+}
+
+// Head compiles and executes the query as a fold: it returns the exact
+// number of matching rows and the first k of them (every row when k is
+// negative). It is the shape of a paged reply, and it costs what the page
+// costs: the engines copy a row only while fewer than k are held and count
+// the rest of the matches off their selection bitmaps, so rows that would be
+// dropped are never materialized. A Limit stops the scan once that many rows
+// match, capping the count exactly as in Count; the context cancels the scan
+// as in Run, returning its error alongside the partial result.
+func (q *Query) Head(idx Querier, k int) (*HeadResult, error) {
+	r, err := q.Compile(idx)
+	if err != nil {
+		return nil, err
+	}
+	st := index.RowsState{Keep: k}
+	if q.limit > 0 {
+		// Any Limit matches satisfy the query; k of them are returned.
+		st = index.RowsState{Keep: q.limit, Early: true}
+	}
+	res := &HeadResult{}
+	res.Complete, res.Explain, _, err = q.fold(idx, r, &st,
+		func(ix *ShardedIndex, spec index.Spec, rep *shard.Report) bool {
+			states, complete := ix.ExecRows([]Rect{r}, spec, st, rep)
+			st = states[0]
+			return complete
+		},
+		func(start time.Time, complete bool, crep *core.ProbeReport) {
+			q.observe(start, Result{Rows: int(st.Count), Complete: complete}, crep)
+		})
+	res.Count = int(st.Count)
+	held := st.Held()
+	if k >= 0 {
+		held = min(held, k)
+	}
+	res.Rows = make([][]float64, held)
+	for i := range res.Rows {
+		res.Rows[i] = st.Row(i)
+	}
+	if exp := res.Explain; exp != nil {
+		exp.RowsEmitted = res.Count
+		exp.Limited = st.Early && res.Count >= q.limit
+	}
+	return res, err
+}
+
+// fold is the skeleton Head and Aggregate share: it executes the compiled
+// rectangle r against idx as a fold into st. A sharded index runs sharded,
+// whose fan-out folds every shard into a private state, merges the states
+// into st and counts the query itself; a single index folds st through its
+// batch kernels, and any other Querier folds its visitor's rows one at a
+// time — correct, but without kernel pushdown or early abort — and both are
+// counted through observe. It returns whether the fold ran to completion,
+// the execution report when the query asked for one, the engine's report
+// when one was taken (nil on the generic path), and the context's error
+// when it was cancelled.
+func (q *Query) fold(idx Querier, r Rect, st interface {
+	FoldBatch(*index.Batch) bool
+	FoldRow([]float64) bool
+}, sharded func(*ShardedIndex, index.Spec, *shard.Report) bool,
+	observe func(start time.Time, complete bool, crep *core.ProbeReport)) (bool, *Explain, *core.ProbeReport, error) {
+	var exp *Explain
+	if q.explain {
+		exp = newExplain(idx, r)
+	}
+	spec := index.Spec{Ctx: q.ctx}
+	track := obs.On()
+	start := time.Now()
+
+	var complete bool
+	var crep *core.ProbeReport
+	switch ix := idx.(type) {
+	case *ShardedIndex:
+		var rep *shard.Report
+		if exp != nil {
+			rep = &shard.Report{}
+			// A trace turns the EXPLAIN's shard totals into a per-shard
+			// breakdown: each fan-out worker records one timed span.
+			spec.Trace = obs.NewTrace()
+		}
+		complete = sharded(ix, spec, rep)
+		if exp != nil {
+			exp.fromShard(rep)
+			exp.fromTrace(spec.Trace)
+			crep = &rep.Core
+		}
+	case *Index:
+		if exp != nil || track {
+			crep = &core.ProbeReport{}
+		}
+		complete = ix.ExecAgg(r, spec, st, crep)
+		if exp != nil {
+			exp.fromCore(crep)
+		}
+		if track {
+			observe(start, complete, crep)
+		}
+	default:
+		complete = runGeneric(idx, r, spec, st.FoldRow)
+		if track {
+			observe(start, complete, nil)
+		}
+	}
+	if exp != nil {
+		exp.Elapsed = time.Since(start)
+		exp.Complete = complete
+	}
+	if q.ctx != nil && q.ctx.Err() != nil {
+		if exp != nil {
+			exp.Cancelled = true
+			exp.Complete = false
+		}
+		return false, exp, crep, q.ctx.Err()
+	}
+	return complete, exp, crep, nil
 }
 
 // Collect executes the query and returns the matching rows, capped at the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -112,18 +113,83 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 			if wantN := min(k, len(legacy)); len(limited) != wantN {
 				t.Fatalf("%s rect %v: Limit(%d) returned %d rows, want %d", name, r, k, len(limited), wantN)
 			}
-			set := make(map[string]int, len(legacy))
-			for _, row := range legacy {
-				set[rowKey(row)]++
-			}
-			for _, row := range limited {
-				key := rowKey(row)
-				if set[key] == 0 {
-					t.Fatalf("%s rect %v: Limit(%d) returned row %v outside the legacy result", name, r, k, row)
+			within := func(what string, rows [][]float64) {
+				set := make(map[string]int, len(legacy))
+				for _, row := range legacy {
+					set[rowKey(row)]++
 				}
-				set[key]--
+				for _, row := range rows {
+					key := rowKey(row)
+					if set[key] == 0 {
+						t.Fatalf("%s rect %v: %s returned row %v outside the legacy result", name, r, what, row)
+					}
+					set[key]--
+				}
 			}
+			within(fmt.Sprintf("Limit(%d)", k), limited)
+
+			// Head(k): the exact count and the first k rows of the whole
+			// result; with a Limit, the count capped at it.
+			all, err := coax.FromRect(r).Head(idx, -1)
+			if err != nil {
+				t.Fatalf("%s: Head: %v", name, err)
+			}
+			if all.Count != len(legacy) || len(all.Rows) != len(legacy) || !all.Complete {
+				t.Fatalf("%s rect %v: Head(-1) = %d rows of %d (complete %v), legacy %d", name, r, len(all.Rows), all.Count, all.Complete, len(legacy))
+			}
+			within("Head(-1)", all.Rows)
+			head, err := coax.FromRect(r).Head(idx, k)
+			if err != nil {
+				t.Fatalf("%s: Head: %v", name, err)
+			}
+			if head.Count != len(legacy) || fmt.Sprint(head.Rows) != fmt.Sprint(all.Rows[:min(k, len(legacy))]) {
+				t.Fatalf("%s rect %v: Head(%d) = %d rows of %d, not the first of Head(-1)'s %d", name, r, k, len(head.Rows), head.Count, len(all.Rows))
+			}
+			capped, err := coax.FromRect(r).Limit(k).Head(idx, 1)
+			if err != nil {
+				t.Fatalf("%s: Limit(%d).Head: %v", name, k, err)
+			}
+			if wantN := min(k, len(legacy)); capped.Count != wantN || len(capped.Rows) != min(1, wantN) || capped.Complete != (len(legacy) < k) {
+				t.Fatalf("%s rect %v: Limit(%d).Head(1) = %d rows of %d (complete %v), total %d", name, r, k, len(capped.Rows), capped.Count, capped.Complete, len(legacy))
+			}
+			within("Limit.Head", capped.Rows)
 		}
+	}
+}
+
+// Count is a popcount: on a 4-shard index it allocates the same for 2 000
+// matches as for 32 000 — a fixed few kilobytes of fan-out bookkeeping, no
+// row copied.
+func TestCountAllocsIndependentOfMatches(t *testing.T) {
+	tab := coax.GenerateOSM(coax.DefaultOSMConfig(32000))
+	so := coax.DefaultShardOptions()
+	so.NumShards, so.Workers, so.Partition = 4, 4, coax.ShardByHash
+	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := func(q *coax.Query, want int) (mallocs, allocated uint64) {
+		t.Helper()
+		if n, err := q.Count(idx); err != nil || n != want {
+			t.Fatalf("Count = %d, %v; want %d", n, err, want)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			q.Count(idx)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	fewMallocs, _ := cost(coax.NewQuery().WhereDim(0, coax.Between(1000, 2999)), 2000)
+	manyMallocs, manyBytes := cost(coax.NewQuery(), 32000)
+	t.Logf("32000 matches: %d mallocs, %d bytes; 2000 matches: %d mallocs", manyMallocs, manyBytes, fewMallocs)
+	if manyBytes >= 32<<10 {
+		t.Errorf("Count over 32000 matches allocated %d bytes, ceiling %d", manyBytes, 32<<10)
+	}
+	if manyMallocs > fewMallocs+fewMallocs/10 {
+		t.Errorf("Count made %d mallocs over 32000 matches, %d over 2000: allocation grows with matches", manyMallocs, fewMallocs)
 	}
 }
 

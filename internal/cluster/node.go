@@ -317,11 +317,12 @@ func (n *Node) engineFor(c *wire.Conn, id uint64, g int) *shard.Sharded {
 	return nil
 }
 
-// handleQuery streams each requested shard's matching rows as RowChunk
-// frames, one ShardEOF per shard, and a final Done. The per-request stop
-// flag rides into every local scan as its abort hook, so a Cancel frame
-// stops remote work within about one page — the cluster-level mirror of
-// the in-process contract.
+// handleQuery folds each requested shard into its rows (every match, or
+// with a limit the first Limit of them) and frames them as RowChunks of
+// nodeChunkRows rows sliced from the fold, one ShardEOF per shard, and a
+// final Done. The per-request stop flag rides into every local scan as its
+// abort hook, so a Cancel frame stops remote work within about one page —
+// the cluster-level mirror of the in-process contract.
 func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
 	r := index.Rect{Min: q.Min, Max: q.Max}
 	if len(q.Min) != n.dims || len(q.Max) != n.dims {
@@ -329,8 +330,11 @@ func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
 			Msg: fmt.Sprintf("rect has %d/%d dims, node has %d", len(q.Min), len(q.Max), n.dims)})
 		return
 	}
+	keep := index.RowsState{Keep: -1}
+	if q.Limit > 0 {
+		keep = index.RowsState{Keep: int(q.Limit), Early: true}
+	}
 	complete := true
-	chunk := make([]float64, 0, nodeChunkRows*n.dims)
 	for _, g := range q.Shards {
 		s := n.engineFor(c, q.ID, g)
 		if s == nil {
@@ -340,31 +344,19 @@ func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
 			complete = false
 			break
 		}
-		var rows int64
-		spec := index.Spec{Limit: int(q.Limit), Abort: stop.Load}
-		shardComplete := s.Exec(r, spec, func(row []float64) bool {
-			chunk = append(chunk, row...)
-			rows++
-			if len(chunk) >= nodeChunkRows*n.dims {
-				if err := c.Send(&wire.RowChunk{ID: q.ID, Shard: g, Rows: chunk}); err != nil {
-					stop.Store(true)
-					return false
-				}
-				chunk = chunk[:0]
-			}
-			return q.Limit <= 0 || rows < q.Limit
-		}, nil)
-		if len(chunk) > 0 {
+		states, shardComplete := s.ExecRows([]index.Rect{r}, index.Spec{Abort: stop.Load}, keep, nil)
+		st := &states[0]
+		for rows := st.Rows; len(rows) > 0; {
+			chunk := rows[:min(len(rows), nodeChunkRows*n.dims)]
 			if err := c.Send(&wire.RowChunk{ID: q.ID, Shard: g, Rows: chunk}); err != nil {
 				return
 			}
-			chunk = chunk[:0]
+			rows = rows[len(chunk):]
 		}
 		// A scan the limit stopped is still complete for the router's
 		// purposes — it has every row it asked this shard for.
-		limited := q.Limit > 0 && rows >= q.Limit
-		shardComplete = shardComplete || limited
-		if err := c.Send(&wire.ShardEOF{ID: q.ID, Shard: g, Rows: rows, Complete: shardComplete}); err != nil {
+		shardComplete = shardComplete || keep.Early && st.Count >= q.Limit
+		if err := c.Send(&wire.ShardEOF{ID: q.ID, Shard: g, Rows: st.Count, Complete: shardComplete}); err != nil {
 			return
 		}
 		complete = complete && shardComplete

@@ -14,15 +14,17 @@ import (
 // coaxEngine is COAX as the engine table drives it: Exec behind Scan for
 // rows, ExecAgg for folds, the two partitions' counters summed.
 func coaxEngine(c *COAX) enginetest.Engine {
+	fold := func(r index.Rect, st interface{ FoldBatch(*index.Batch) bool }, p *index.Probe) bool {
+		var rep ProbeReport
+		complete := c.ExecAgg(r, index.Spec{}, st, &rep)
+		p.Add(rep.Primary)
+		p.Add(rep.Outlier)
+		return complete
+	}
 	return enginetest.Engine{
-		Rows: c.Scan,
-		Fold: func(r index.Rect, st *index.AggState, p *index.Probe) bool {
-			var rep ProbeReport
-			complete := c.ExecAgg(r, index.Spec{}, st, &rep)
-			p.Add(rep.Primary)
-			p.Add(rep.Outlier)
-			return complete
-		},
+		Rows:     c.Scan,
+		Fold:     func(r index.Rect, st *index.AggState, p *index.Probe) bool { return fold(r, st, p) },
+		FoldRows: func(r index.Rect, st *index.RowsState, p *index.Probe) bool { return fold(r, st, p) },
 	}
 }
 

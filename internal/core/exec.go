@@ -12,8 +12,9 @@ import (
 // reduced-dimension primary grid, probe the outlier index. Both partitions
 // are scanned in batches; what differs between queries is the consumer —
 // Exec walks each batch's selected rows through a yield (Batch.Each),
-// ExecAgg folds the selection bitmap into an aggregate. Scan and Query adapt
-// Exec to index.Interface and the public visitor.
+// ExecAgg folds the selection bitmap into a fold state: an aggregate, or a
+// row reply that copies its first rows and counts the rest. Scan and Query
+// adapt Exec to index.Interface and the public visitor.
 
 // Translation records one application of the paper's Eq. 2 during query
 // planning: the constraint on a dependent column mapped through its learned
@@ -140,13 +141,14 @@ func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Probe
 	return c.run(r, spec, rep, func(b *index.Batch) bool { return b.Each(yield) })
 }
 
-// ExecAgg answers r by folding every matching row into st straight off the
-// selection bitmaps: no row materialization, no visitor callbacks. Ctx,
-// Abort and rep behave as in Exec (Limit and Stable are meaningless for
-// aggregates and ignored). It reports whether the scan ran to completion
-// (false: it was aborted, and st holds a partial fold).
-func (c *COAX) ExecAgg(r index.Rect, spec index.Spec, st *index.AggState, rep *ProbeReport) bool {
-	return c.run(r, spec, rep, func(b *index.Batch) bool { st.FoldBatch(b); return true })
+// ExecAgg answers r by folding every batch into st straight off its
+// selection bitmap, with no visitor callback per row: st is an
+// *index.AggState, or an *index.RowsState for a row reply. Ctx, Abort and
+// rep behave as in Exec (Limit and Stable are ignored: the fold decides what
+// it keeps). It reports whether the scan ran to completion (false: it was
+// aborted or st declined a batch, and st holds a partial fold).
+func (c *COAX) ExecAgg(r index.Rect, spec index.Spec, st interface{ FoldBatch(*index.Batch) bool }, rep *ProbeReport) bool {
+	return c.run(r, spec, rep, st.FoldBatch)
 }
 
 // run is the one plan every execution takes: prune each partition by its

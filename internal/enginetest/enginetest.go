@@ -1,13 +1,17 @@
 // Package enginetest is the one table every engine's tests hold it to. An
 // engine in some state is driven through each of its consumers — a row
-// scan, a batch scan walked with Batch.Each, and an aggregate fold for all
-// five ops plus a grouped one — and every consumer is compared against
-// internal/scan's plain row loop over the live rows: the same multiset, the
-// same aggregate bits, and probe counters that add up.
+// scan, a batch scan walked with Batch.Each, an aggregate fold for all five
+// ops plus a grouped one, and a row-reply fold (index.RowsState) for every
+// Keep in {0, 1, 100, all} with and without early stop — and every consumer
+// is compared against internal/scan's plain row loop over the live rows:
+// the same multiset, the same aggregate bits, the same counts, and probe
+// counters that add up.
 package enginetest
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -29,9 +33,17 @@ type Engine struct {
 	// sharded engine; nil for a storage engine, whose fold is FoldBatch
 	// over Batches.
 	Fold func(r index.Rect, st *index.AggState, probe *index.Probe) bool
+	// FoldRows folds r into a row reply, as Fold does into an aggregate:
+	// ExecAgg for COAX, ExecRows for the sharded engine, nil for a storage
+	// engine.
+	FoldRows func(r index.Rect, st *index.RowsState, probe *index.Probe) bool
 	// RowsInPlace says Rows tests rows where they lie (the R-tree, whose
 	// baseline cost must not pay for a gather) and so reports no batches.
 	RowsInPlace bool
+	// RowsUnordered says Rows delivers in no fixed order (the sharded
+	// engine's streaming Exec), so a row-reply fold cannot be replayed row
+	// by row over it; its held rows are held to the fold's own order.
+	RowsUnordered bool
 }
 
 // Storage is the Engine of a storage engine's two traversals.
@@ -106,7 +118,13 @@ func Check(t *testing.T, label string, live *dataset.Table, e Engine, rects []in
 	fold := e.Fold
 	if fold == nil {
 		fold = func(r index.Rect, st *index.AggState, probe *index.Probe) bool {
-			return e.Batches(r, func(b *index.Batch) bool { st.FoldBatch(b); return true }, probe)
+			return e.Batches(r, st.FoldBatch, probe)
+		}
+	}
+	foldRows := e.FoldRows
+	if foldRows == nil {
+		foldRows = func(r index.Rect, st *index.RowsState, probe *index.Probe) bool {
+			return e.Batches(r, st.FoldBatch, probe)
 		}
 	}
 	for qi, r := range rects {
@@ -182,7 +200,68 @@ func Check(t *testing.T, label string, live *dataset.Table, e Engine, rects []in
 			}
 			counters("fold", &p, p.Scanned > 0)
 		}
+
+		// The row reply: the engine's scan order is that of its fold keeping
+		// every row, whose rows are the reference's; every other fold holds
+		// a prefix of them and the exact count (capped at Keep in early mode).
+		var all index.RowsState
+		for _, keep := range []int{-1, 0, 1, 100} {
+			for _, early := range []bool{false, true} {
+				consumer := fmt.Sprintf("rows fold keep %d early %v", keep, early)
+				got := index.RowsState{Keep: keep, Early: early}
+				var p index.Probe
+				complete := foldRows(r, &got, &p)
+				wantCount := int64(len(want))
+				if early && keep >= 0 {
+					wantCount = min(wantCount, int64(keep))
+				}
+				if got.Count != wantCount {
+					t.Fatalf("%s query %d %s: count %d, reference %d of %d", label, qi, consumer, got.Count, wantCount, len(want))
+				}
+				if !complete && !(early && got.Count == int64(keep)) {
+					t.Fatalf("%s query %d %s: stopped short at %d of %d rows", label, qi, consumer, got.Count, len(want))
+				}
+				if keep == -1 && !early {
+					all = got
+					held := make([][]float64, all.Held())
+					for i := range held {
+						held[i] = all.Row(i)
+					}
+					sortRows(held)
+					if !sameRows(held, want) {
+						t.Fatalf("%s query %d %s: held rows are not the reference's", label, qi, consumer)
+					}
+				}
+				wantHeld := int(got.Count)
+				if keep >= 0 {
+					wantHeld = min(wantHeld, keep)
+				}
+				if got.Held() != wantHeld || !slices.Equal(got.Rows, all.Rows[:len(got.Rows)]) {
+					t.Fatalf("%s query %d %s: holds %d rows, not the first %d the full fold holds", label, qi, consumer, got.Held(), wantHeld)
+				}
+				if !early {
+					counters(consumer, &p, p.Scanned > 0)
+				}
+				if e.RowsUnordered {
+					continue
+				}
+				// FoldRow over the row scan agrees with the batch fold, row
+				// for row.
+				byRow := index.RowsState{Keep: keep, Early: early}
+				if e.Rows(r, byRow.FoldRow, nil) != complete || byRow.Count != got.Count || !slices.Equal(byRow.Rows, got.Rows) {
+					t.Fatalf("%s query %d %s: FoldRow over the row scan holds %d of %d, the batch fold %d of %d", label, qi, consumer,
+						byRow.Held(), byRow.Count, got.Held(), got.Count)
+				}
+			}
+		}
 	}
+}
+
+// sameRows requires bit-identical rows.
+func sameRows(a, b [][]float64) bool {
+	return slices.EqualFunc(a, b, func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+	})
 }
 
 // sameCell requires bit-identical aggregates.

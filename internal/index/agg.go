@@ -185,14 +185,15 @@ func (a *AggState) cell(key float64) *AggCell {
 // FoldBatch folds every selected row of b into the state. Ungrouped COUNT
 // never touches the page — it is a popcount over the selection words;
 // every other shape walks only the set bits, reading just the columns the
-// spec needs.
-func (a *AggState) FoldBatch(b *Batch) {
+// spec needs. An aggregate consumes every matching row, so it always
+// reports that the scan should go on.
+func (a *AggState) FoldBatch(b *Batch) bool {
 	if a.Spec.Group < 0 {
 		if a.Spec.Op == AggCount {
 			for _, w := range b.Sel {
 				a.All.Count += int64(bits.OnesCount64(w))
 			}
-			return
+			return true
 		}
 		col := a.Spec.Col
 		for w, word := range b.Sel {
@@ -203,7 +204,7 @@ func (a *AggState) FoldBatch(b *Batch) {
 				a.All.fold(b.Page[i*b.Dims+col])
 			}
 		}
-		return
+		return true
 	}
 	gcol := a.Spec.Group
 	counting := a.Spec.Op == AggCount
@@ -222,25 +223,27 @@ func (a *AggState) FoldBatch(b *Batch) {
 			}
 		}
 	}
+	return true
 }
 
 // FoldRow folds one row, performing exactly the operations FoldBatch
-// performs per selected row.
-func (a *AggState) FoldRow(row []float64) {
+// performs per selected row; like FoldBatch it always reports true.
+func (a *AggState) FoldRow(row []float64) bool {
 	if a.Spec.Group < 0 {
 		if a.Spec.Op == AggCount {
 			a.All.Count++
-			return
+		} else {
+			a.All.fold(row[a.Spec.Col])
 		}
-		a.All.fold(row[a.Spec.Col])
-		return
+		return true
 	}
 	c := a.cell(row[a.Spec.Group])
 	if a.Spec.Op == AggCount {
 		c.Count++
-		return
+	} else {
+		c.fold(row[a.Spec.Col])
 	}
-	c.fold(row[a.Spec.Col])
+	return true
 }
 
 // Merge absorbs another state's partial into a. Callers merging several

@@ -1,0 +1,160 @@
+package index
+
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// The row reply as a fold. A RowsState answers "how many rows match, and
+// what are the first k of them" the way an AggState answers an aggregate:
+// FoldBatch copies selected rows out of a batch only while fewer than Keep
+// are held and counts the rest of the selection with a popcount, so a query
+// that keeps k rows copies k rows, however many match. FoldRow does the same
+// for callers that only have rows, and Merge combines the partial states of
+// independent scans (the shards of a fan-out) in the order they are merged.
+
+// RowsState is the running state of one row reply (or one shard's
+// partial). The zero value counts matches and holds no rows. Not safe for
+// concurrent use; fan-outs give each worker its own state and Merge at the
+// gather point.
+type RowsState struct {
+	// Keep is how many rows to hold — the first Keep matches in scan
+	// order — or every match when negative.
+	Keep int
+	// Early stops the fold once Keep rows are held: FoldBatch and FoldRow
+	// then decline, and Count counts only the held rows.
+	Early bool
+	// Count is the number of matching rows folded.
+	Count int64
+	// Rows holds the held rows back to back, Dims values each. They are
+	// copies: nothing aliases the scanned pages.
+	Rows []float64
+	// Dims is the width of a held row, set by the first fold that holds one.
+	Dims int
+}
+
+// Held reports the number of rows held.
+func (s *RowsState) Held() int {
+	if s.Dims == 0 {
+		return 0
+	}
+	return len(s.Rows) / s.Dims
+}
+
+// Row returns held row i. The slice is capped at its own length, so a
+// caller appending to it cannot reach the next row.
+func (s *RowsState) Row(i int) []float64 {
+	return s.Rows[i*s.Dims : (i+1)*s.Dims : (i+1)*s.Dims]
+}
+
+// room is how many more rows the state will hold.
+func (s *RowsState) room() int {
+	if s.Keep < 0 {
+		return math.MaxInt
+	}
+	return s.Keep - s.Held()
+}
+
+// FoldBatch folds the selected rows of b: it copies them, in order, while
+// fewer than Keep are held, and counts the remaining selection off the
+// bitmap. It reports whether the scan should go on — false only in early
+// mode, once Keep rows are held. Storage grows with the rows held, so a
+// huge Keep over a small result allocates for the result.
+func (s *RowsState) FoldBatch(b *Batch) bool {
+	room := s.room()
+	switch {
+	case room > 0:
+		s.Dims = b.Dims
+		if n := min(room, b.Selected()); n > 0 {
+			s.grow(n, b.Dims)
+		}
+	case s.Early:
+		// Full before this batch (Keep 0): decline it if it has a row to
+		// fold, as FoldRow declines the first row it is handed.
+		return b.Selected() == 0
+	}
+	for w, word := range b.Sel {
+		base := w << 6
+		for ; word != 0 && room > 0; room-- {
+			i := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			s.Rows = append(s.Rows, b.Row(i)...)
+			s.Count++
+		}
+		if room == 0 {
+			if s.Early {
+				return false
+			}
+			s.Count += int64(bits.OnesCount64(word))
+			for _, rest := range b.Sel[w+1:] {
+				s.Count += int64(bits.OnesCount64(rest))
+			}
+			return true
+		}
+	}
+	return true
+}
+
+// firstHeldRows is how many rows a fold's storage starts with, unless Keep
+// is smaller: growing from a handful of rows would copy and clear the held
+// rows several times over before reaching a reply's size.
+const firstHeldRows = 256
+
+// grow makes room for n more held rows of dims values each. Storage starts
+// at firstHeldRows rows (Keep, if fewer) and at least doubles: appends
+// past a few hundred values grow it by a quarter at a time and leave
+// several times the kept rows behind.
+func (s *RowsState) grow(n, dims int) {
+	if cap(s.Rows) == 0 {
+		first := firstHeldRows
+		if s.Keep >= 0 {
+			first = min(first, s.Keep)
+		}
+		n = max(n, first)
+	}
+	if need := n * dims; len(s.Rows)+need > cap(s.Rows) {
+		s.Rows = slices.Grow(s.Rows, max(need, cap(s.Rows)))
+	}
+}
+
+// FoldRow folds one row exactly as FoldBatch folds a selected one, and
+// reports whether the scan should go on; it is an index.Yield.
+func (s *RowsState) FoldRow(row []float64) bool {
+	if s.Keep >= 0 && len(s.Rows) >= s.Keep*len(row) {
+		// Full: count only, or in early mode decline.
+		if s.Early {
+			return false
+		}
+		s.Count++
+		return true
+	}
+	s.Dims = len(row)
+	s.grow(1, len(row))
+	s.Rows = append(s.Rows, row...)
+	s.Count++
+	return !s.Early || s.Keep < 0 || len(s.Rows) < s.Keep*len(row)
+}
+
+// Merge appends o's fold to s's: the counts add (capped at Keep in early
+// mode) and o's held rows follow s's, up to Keep. Merging the partials of a
+// fan-out in shard order gives the rows of shard order, then scan order.
+// While s's Rows is nil, s takes over o's row storage rather than copy it,
+// so o must not be used afterwards.
+func (s *RowsState) Merge(o *RowsState) {
+	s.Count += o.Count
+	if s.Early && s.Keep >= 0 && s.Count > int64(s.Keep) {
+		s.Count = int64(s.Keep)
+	}
+	take := min(o.Held(), s.room())
+	if take <= 0 {
+		return
+	}
+	rows := o.Rows[:take*o.Dims]
+	s.Dims = o.Dims
+	if s.Rows == nil {
+		s.Rows = rows
+		return
+	}
+	s.Rows = append(s.Rows, rows...)
+}

@@ -11,16 +11,16 @@ import (
 // never formats labels. Ordering inside a block is ordering on the
 // /metrics page.
 
-// Query plane — updated by internal/shard (the fan-out and its three sinks)
-// and by coax.Query.Run/Aggregate for single-index and generic execution.
+// Query plane — updated by internal/shard (the fan-out and its sinks) and
+// by coax.Query.Run/Head/Aggregate for single-index and generic execution.
 // Queries are counted exactly once, at the layer that owns the whole query:
-// shard.Exec, shard.ExecAgg, shard.BatchQuery, or the coax package — never
-// in core, which shards invoke once per probed shard.
+// shard.Exec, shard.ExecAgg, shard.ExecRows, or the coax package — never in
+// core, which shards invoke once per probed shard.
 var (
 	Queries        = NewCounter("coax_queries_total", "Queries executed (all paths: streaming, batch, generic).")
 	QuerySeconds   = NewHistogram("coax_query_seconds", "End-to-end query latency in seconds.", 1e-6, 10)
-	BatchSeconds   = NewHistogram("coax_batch_seconds", "End-to-end batch latency in seconds (one observation per BatchQuery call).", 1e-6, 10)
-	QueryRows      = NewCounter("coax_query_rows_total", "Rows delivered to query callers.")
+	BatchSeconds   = NewHistogram("coax_batch_seconds", "End-to-end batch latency in seconds (one observation per multi-rectangle fan-out).", 1e-6, 10)
+	QueryRows      = NewCounter("coax_query_rows_total", "Rows delivered to query callers (for a fold that keeps only some, the rows matched).")
 	EarlyStops     = NewCounter("coax_query_early_stops_total", "Queries stopped early by a met limit or a declining visitor.")
 	QueryCancelled = NewCounter("coax_query_cancelled_total", "Queries stopped by context cancellation.")
 

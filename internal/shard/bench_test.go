@@ -10,7 +10,9 @@ import (
 
 // BenchmarkBatchQuery is the only timing of the /batch path, which no
 // benchmark workload covers: 64 selective rectangles over 8 hash shards,
-// 512 probes per call, executed shard-major and delivered query-major.
+// 512 probes per call, executed shard-major and merged query-major —
+// visiting every row (BatchQuery), and as /batch runs it, keeping the first
+// 100 rows of each query and counting the rest (ExecRows).
 func BenchmarkBatchQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(62))
 	tab := fdTable(rng, 100000, 0.1)
@@ -25,11 +27,23 @@ func BenchmarkBatchQuery(b *testing.B) {
 		r.Min[0], r.Max[0] = lo, lo+10 // 1 % of the predictor's range
 		rects[i] = r
 	}
-	rows := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.BatchQuery(rects, func(int, []float64) { rows++ })
-	}
-	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.Run("visit", func(b *testing.B) {
+		rows := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.BatchQuery(rects, func(int, []float64) { rows++ })
+		}
+		b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	})
+	b.Run("ExecRows", func(b *testing.B) {
+		var rows int64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			states, _ := s.ExecRows(rects, index.Spec{}, index.RowsState{Keep: 100}, nil)
+			for _, st := range states {
+				rows += st.Count
+			}
+		}
+		b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	})
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // shardedEngine is the sharded engine as the engine table drives it: Exec
-// behind Scan for rows, ExecAgg for folds.
+// behind Scan for rows, ExecAgg and ExecRows for folds.
 func shardedEngine(s *shard.Sharded) enginetest.Engine {
 	return enginetest.Engine{
 		Rows: s.Scan,
@@ -27,15 +27,25 @@ func shardedEngine(s *shard.Sharded) enginetest.Engine {
 			p.Add(rep.Core.Outlier)
 			return complete
 		},
+		FoldRows: func(r index.Rect, st *index.RowsState, p *index.Probe) bool {
+			var rep shard.Report
+			got, complete := s.ExecRows([]index.Rect{r}, index.Spec{}, *st, &rep)
+			*st = got[0]
+			p.Add(rep.Core.Primary)
+			p.Add(rep.Core.Outlier)
+			return complete
+		},
+		RowsUnordered: true,
 	}
 }
 
-// TestFanOut drives the one fan-out through its three sinks — Exec, ExecAgg
-// and BatchQuery — with a pool of workers and with the pool of one that runs
-// inline on the caller. "reference" is the sharded engine's rows of the
-// engine table (internal/enginetest); the rest pin what each sink promises
-// on top of the answer: stopping, limits, row ownership, the mutating
-// visitor, and one coax_queries_total per query. Run under -race.
+// TestFanOut drives the one fan-out through its two sinks — streaming Exec,
+// and the fold behind ExecAgg, ExecRows and BatchQuery — with a pool of
+// workers and with the pool of one that runs inline on the caller.
+// "reference" is the sharded engine's rows of the engine table
+// (internal/enginetest); the rest pin what each sink promises on top of the
+// answer: stopping, limits, row ownership, the mutating visitor, and one
+// coax_queries_total per query. Run under -race.
 func TestFanOut(t *testing.T) {
 	t.Run("pooled", func(t *testing.T) {
 		testFanOut(t, shard.Options{NumShards: 6, Workers: 4, Partition: shard.ByHash})
@@ -154,6 +164,15 @@ func testFanOut(t *testing.T, so shard.Options) {
 		if _, complete = s.ExecAgg(full, index.Spec{Ctx: ctx}, countAll, nil); complete {
 			t.Fatal("ExecAgg on a done context reported complete")
 		}
+		if got, complete := s.ExecRows([]index.Rect{full}, index.Spec{Ctx: ctx}, index.RowsState{Keep: -1}, nil); complete || got[0].Count >= int64(total) {
+			t.Fatalf("pre-cancelled ExecRows: complete=%v, counted %d of %d", complete, got[0].Count, total)
+		}
+		// The caller's own abort hook (a cluster node's cancel flag) stops
+		// every probe too.
+		aborted := index.Spec{Abort: func() bool { return true }}
+		if got, complete := s.ExecRows([]index.Rect{full}, aborted, index.RowsState{}, nil); complete || got[0].Count >= int64(total) {
+			t.Fatalf("aborted ExecRows: complete=%v, counted %d of %d", complete, got[0].Count, total)
+		}
 	})
 
 	t.Run("retained rows", func(t *testing.T) {
@@ -190,6 +209,9 @@ func testFanOut(t *testing.T, so shard.Options) {
 			}
 			if n := counted(func() { s.Query(r, func([]float64) {}) }); n != 1 {
 				t.Fatalf("Query counted %d queries", n)
+			}
+			if n := counted(func() { s.ExecRows([]index.Rect{r}, index.Spec{}, index.RowsState{Keep: 5}, nil) }); n != 1 {
+				t.Fatalf("ExecRows counted %d queries", n)
 			}
 		}
 		if n := counted(func() { s.BatchQuery([]index.Rect{full, empty, full}, func(int, []float64) {}) }); n != 3 {

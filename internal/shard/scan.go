@@ -11,14 +11,15 @@ import (
 	"github.com/coax-index/coax/internal/obs"
 )
 
-// Query execution for the sharded engine: one fan-out (fanOut) with three
+// Query execution for the sharded engine: one fan-out (fanOut) with two
 // sinks on it. Exec streams rows to the caller while the fan-out is still
 // running, so a satisfied limit, a false-returning yield, or a cancelled
 // context stops every worker promptly — the price of streaming is delivery
-// order: rows arrive in whatever order the shards produce them. ExecAgg
-// (agg.go) folds one partial aggregate per probe and merges them in shard
-// order. BatchQuery buffers each probe's rows and delivers them in (query,
-// shard) order once every probe has finished.
+// order: rows arrive in whatever order the shards produce them. The fold
+// sink (fold.go) gives each probe a private fold state and merges the states
+// in (query, shard) order once every probe has finished: ExecAgg folds
+// aggregates, ExecRows folds row replies (an exact count and the first rows),
+// and BatchQuery visits the rows of a fold that keeps them all.
 
 // scanChunkRows is how many rows a worker accumulates before handing a
 // chunk to the merge loop; limited scans shrink it to the limit so the
@@ -80,6 +81,12 @@ type fanout struct {
 	stop atomic.Bool
 }
 
+// aborted is a fold probe's abort hook: the shared stop flag, or the
+// caller's own hook (a cluster node's per-request cancel flag).
+func (f *fanout) aborted() bool {
+	return f.stop.Load() || f.spec.Abort != nil && f.spec.Abort()
+}
+
 // plan lists the probes of a batch; empty rectangles match no shard.
 func (s *Sharded) plan(rs []index.Rect, spec index.Spec) *fanout {
 	f := &fanout{spec: spec, probes: make([]probe, 0, len(rs))}
@@ -113,7 +120,7 @@ type sink struct {
 	finished func()
 }
 
-// fanOut is the one fan-out behind Exec, ExecAgg and BatchQuery: it runs
+// fanOut is the one fan-out behind Exec and the fold sink: it runs
 // every probe of f through k.scan on a bounded worker pool, stops them all
 // when the context is done, times each probe (coax_shard_scan_seconds, and
 // one trace span when the spec carries a trace), and once every worker has
@@ -380,58 +387,4 @@ func (s *Sharded) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Re
 		}
 	}
 	return complete
-}
-
-// BatchVisitor receives one matching row per call together with the batch
-// position of the query it matched. The row slice is a stable copy (see the
-// package comment on visitor ownership).
-type BatchVisitor func(qi int, row []float64)
-
-// Query invokes visit on the calling goroutine for every row inside r —
-// the public run-to-completion visitor (coax.Querier) over BatchQuery, with
-// its guarantees: stable copies, and a visitor free to mutate the index.
-func (s *Sharded) Query(r index.Rect, visit func(row []float64)) {
-	s.BatchQuery([]index.Rect{r}, func(_ int, row []float64) { visit(row) })
-}
-
-// BatchQuery answers a batch of rectangles in one fan-out: every (query,
-// overlapping shard) pair is one probe whose matches are copied into its
-// own buffer — the merge-boundary copy that makes the delivered slices
-// stable — and once every probe has finished the buffers are visited in
-// (query, shard) order on the calling goroutine. No lock is held by then,
-// so the visitor may mutate the index. Every query of the batch is answered
-// exactly, including duplicates and empty rectangles.
-func (s *Sharded) BatchQuery(rs []index.Rect, visit BatchVisitor) {
-	// The batch owns its queries end to end: one count per rectangle, one
-	// batch latency per call.
-	track := obs.On()
-	if track {
-		start := time.Now()
-		obs.Queries.Add(int64(len(rs)))
-		defer func() { obs.BatchSeconds.Observe(time.Since(start).Seconds()) }()
-	}
-	f := s.plan(rs, index.Spec{})
-	bufs := make([][]float64, len(f.probes))
-	s.fanOut(f, nil, sink{scan: func(pi int, idx *core.COAX, crep *core.ProbeReport) func() {
-		var buf []float64 // grown here, published once: workers share bufs' cache lines
-		idx.Exec(rs[f.probes[pi].qi], index.Spec{}, func(row []float64) bool {
-			buf = append(buf, row...)
-			return true
-		}, crep)
-		bufs[pi] = buf
-		return nil
-	}})
-
-	// Full-capacity sub-slices keep a retaining visitor from reaching
-	// neighbouring rows through append.
-	var delivered int64
-	for pi, buf := range bufs {
-		for o := 0; o+s.dims <= len(buf); o += s.dims {
-			visit(f.probes[pi].qi, buf[o:o+s.dims:o+s.dims])
-			delivered++
-		}
-	}
-	if track {
-		obs.QueryRows.Add(delivered)
-	}
 }

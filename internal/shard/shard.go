@@ -14,29 +14,39 @@
 //
 // # Concurrency and visitor ownership
 //
-// A Sharded index is safe for concurrent use: Exec, ExecAgg, Query,
-// BatchQuery, and the mutations may be called from any number of
+// A Sharded index is safe for concurrent use: Exec, ExecAgg, ExecRows,
+// Query, BatchQuery, and the mutations may be called from any number of
 // goroutines. Each shard is guarded by its own RWMutex — queries take read
 // locks (in one place, the fan-out's runProbe), inserts write-lock only the
 // one shard the row routes to.
 //
+// A query runs on one fan-out with one of two sinks. The streaming sink
+// (Exec, behind Scan and the public Run/Collect) hands rows to the caller
+// while the scan is still running. The fold sink (ExecAgg, ExecRows, and
+// Query/BatchQuery over it, behind the public Head/Count/Aggregate) gives
+// each probe a private fold state — an aggregate, or a row reply holding an
+// exact count and the first rows — and merges the states in (query, shard)
+// order, so a fold's answer does not depend on worker timing.
+//
 // Because rows are produced by worker goroutines and delivered on the
 // caller's goroutine, the fan-out cannot hand the caller slices that alias
-// live index internals. Workers therefore copy every matching row at the
-// merge boundary — into chunks for Exec, into per-probe buffers for
-// Query/BatchQuery — and the caller receives sub-slices of those copies.
-// This gives Sharded a stronger guarantee than index.Yield's baseline
-// contract: rows are stable copies that remain valid after the call returns
-// and are never overwritten by a later match.
+// live index internals. Workers therefore copy every row they deliver at
+// the merge boundary — into chunks for Exec, into per-probe fold states for
+// ExecRows/Query/BatchQuery — and the caller receives sub-slices of those
+// copies. This gives Sharded a stronger guarantee than index.Yield's
+// baseline contract: rows are stable copies that remain valid after the
+// call returns and are never overwritten by a later match. A row reply
+// copies only the rows it keeps; the rest of its matches are counted off
+// the selection bitmaps.
 //
 // Exec streams: chunks reach the yield while the scan is still running, so
-// its memory cost is bounded by the chunks in flight. Query and BatchQuery
-// buffer their complete result set before the first visitor call (which is
-// what lets that visitor mutate the index), so their memory cost is
-// proportional to the rows they match — a full-table rectangle buffers the
-// whole table. Callers serving untrusted input should bound rectangle
-// selectivity or batch width at their own layer (cmd/coaxserve caps request
-// size and batch length).
+// its memory cost is bounded by the chunks in flight. ExecRows holds the
+// rows it keeps, and Query and BatchQuery keep every row before the first
+// visitor call (which is what lets that visitor mutate the index), so their
+// memory cost is proportional to the rows they match — a full-table
+// rectangle buffers the whole table. Callers serving untrusted input should
+// bound rectangle selectivity or batch width at their own layer
+// (cmd/coaxserve caps request size and batch length).
 package shard
 
 import (
