@@ -92,10 +92,10 @@ func (c clusterBackend) runRows(ctx context.Context, r coax.Rect, keep int, earl
 	if explain {
 		return nil, errNoExplain
 	}
-	st := index.RowsState{Keep: keep, Early: early}
+	st := index.RowsState{Keep: keep}
 	spec := index.Spec{Ctx: ctx}
 	if early {
-		spec.Limit = keep
+		st.Limit, spec.Limit = keep, keep
 	}
 	complete, err := c.Exec(r, spec, st.FoldRow)
 	if err = finish(ctx, err); err != nil {

@@ -361,11 +361,10 @@ const collectBlockRows = 256
 // Collect runs a query and returns all matching rows. The returned rows
 // are always stable private copies, regardless of the backing index — they
 // stay valid indefinitely and share nothing with the index internals. The
-// result is preallocated from a row-count hint (the index's row count,
-// bounded so selective queries stay cheap), and row payloads are carved
-// from block allocations rather than one make per row.
+// result starts small (a query may match one row of millions) and row
+// payloads are carved from block allocations rather than one make per row.
 func Collect(idx Querier, r Rect) [][]float64 {
-	out := make([][]float64, 0, collectHint(idx.Len(), 0))
+	out := make([][]float64, 0, min(idx.Len(), 64))
 	var block []float64
 	idx.Query(r, func(row []float64) {
 		if len(block) < len(row) {

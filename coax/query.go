@@ -3,14 +3,15 @@ package coax
 // Query API v2: a composable, name-based query surface over *Index and
 // *ShardedIndex. A Query is built from predicates on named (or positional)
 // columns, optionally bounded by Limit, cancelled through a context, and
-// executed with Run, Collect, Head, Count, or Explain. Run and Collect
-// stream rows to the caller; Head and Count are folds that copy only the
-// rows they return and count the rest. Internally it compiles to
-// the same index.Rect plan the legacy Query(Rect, Visitor) call uses, so
-// both surfaces answer identically; the v2 path additionally supports
-// early termination (a satisfied Limit or a false-returning visitor stops
-// the scan, across every shard of a sharded index), context cancellation,
-// a uniform row-ownership rule (Stable), and EXPLAIN reports.
+// executed with Run, Collect, Head, Count, or Explain. Every execution is a
+// fold on one skeleton (Query.fold): Head copies the rows it returns and
+// counts the rest, Count and Explain are Head keeping none, Collect is Head
+// keeping all, and Run hands each folded row to its visitor. Internally it
+// compiles to the same index.Rect plan the legacy Query(Rect, Visitor) call
+// uses, so both surfaces answer identically; the v2 path additionally
+// supports early termination (a satisfied Limit or a false-returning
+// visitor stops the scan, across every shard of a sharded index), context
+// cancellation, a uniform row-ownership rule (Stable), and EXPLAIN reports.
 
 import (
 	"context"
@@ -244,91 +245,59 @@ type Result struct {
 // Run compiles and executes the query, invoking visit for every matching
 // row until the Limit is reached, visit returns false, or the context is
 // cancelled — whichever comes first. On cancellation it returns the
-// context's error alongside the partial result. The visitor must not
-// mutate the index being scanned (a sharded scan holds shard read locks
-// while it runs, so a reentrant Insert/Delete/Update deadlocks): collect
-// first, then mutate.
+// context's error alongside the partial result. Rows arrive in Head's
+// order — on a sharded index shard order, then scan order — so the same
+// query on the same index visits the same rows in the same order.
+//
+// On a sharded index each shard's matches are folded under its read lock
+// and visited once it is released, one shard at a time in shard order, by
+// the fan-out worker that folded them: visit is never called concurrently,
+// but with more than one worker it may run on a goroutine other than the
+// caller's, and Run holds at most one shard's matches per worker. The
+// visitor must not mutate the index being scanned — shards not yet folded
+// may or may not see the change: collect first, then mutate.
 func (q *Query) Run(idx Querier, visit Yield) (Result, error) {
 	r, err := q.Compile(idx)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{}
-	var exp *Explain
-	if q.explain {
-		exp = newExplain(idx, r)
-		res.Explain = exp
-	}
-	spec := index.Spec{Ctx: q.ctx, Limit: q.limit, Stable: q.stable}
-
+	var res Result
 	limited := false
 	yield := func(row []float64) bool {
 		res.Rows++
 		if !visit(row) {
 			return false
 		}
-		if q.limit > 0 && res.Rows >= q.limit {
-			limited = true
-			return false
-		}
-		return true
+		limited = q.limit > 0 && res.Rows >= q.limit
+		return !limited
 	}
-
-	// Sharded executions count their own query metrics inside shard.Exec
-	// (that layer also answers Query/BatchQuery, so it owns the counters);
-	// the single-index and generic paths are counted here — the only layer
-	// that sees those queries whole.
-	track := obs.On()
-	var crep *core.ProbeReport
-
-	start := time.Now()
-	switch ix := idx.(type) {
-	case *ShardedIndex:
-		var rep *shard.Report
-		if exp != nil {
-			rep = &shard.Report{}
-			// A trace turns the EXPLAIN's shard totals into a per-shard
-			// breakdown: each fan-out worker records one timed span.
-			spec.Trace = obs.NewTrace()
-		}
-		res.Complete = ix.Exec(r, spec, yield, rep)
-		if exp != nil {
-			exp.fromShard(rep)
-			exp.fromTrace(spec.Trace)
-		}
-	case *Index:
-		if exp != nil || track {
-			crep = &core.ProbeReport{}
-		}
-		res.Complete = ix.Exec(r, spec, yield, crep)
-		if exp != nil {
-			exp.fromCore(crep)
-		}
-		if track {
-			q.observe(start, res, crep)
-		}
-	default:
-		res.Complete = runGeneric(idx, r, spec, yield)
-		if track {
-			q.observe(start, res, nil)
-		}
+	// A sharded fold hands out stable copies already; any other engine walks
+	// its batches through the yield, copying each row when asked to.
+	walk := yield
+	if q.stable {
+		walk = func(row []float64) bool { return yield(append([]float64(nil), row...)) }
 	}
-	if exp != nil {
-		exp.Elapsed = time.Since(start)
+	res.Complete, res.Explain, _, err = q.fold(idx, r, yieldFold(walk),
+		func(ix *ShardedIndex, spec index.Spec, rep *shard.Report) bool {
+			spec.Limit = q.limit
+			return ix.Exec(r, spec, yield, rep)
+		},
+		func(start time.Time, complete bool, crep *core.ProbeReport) {
+			q.observe(start, Result{Rows: res.Rows, Complete: complete}, crep)
+		})
+	if exp := res.Explain; exp != nil {
 		exp.RowsEmitted = res.Rows
 		exp.Limited = limited
-		exp.Complete = res.Complete
 	}
-	if q.ctx != nil && q.ctx.Err() != nil {
-		res.Complete = false
-		if exp != nil {
-			exp.Cancelled = true
-			exp.Complete = false
-		}
-		return res, q.ctx.Err()
-	}
-	return res, nil
+	return res, err
 }
+
+// yieldFold is Run's fold state on an unsharded engine: each batch's
+// selected rows walk through the yield — what core's Exec hands its plan.
+type yieldFold Yield
+
+func (y yieldFold) FoldBatch(b *index.Batch) bool { return b.Each(Yield(y)) }
+func (y yieldFold) FoldRow(row []float64) bool    { return y(row) }
 
 // observe records one finished non-sharded execution in the query-plane
 // metrics. crep may be nil (generic path: no probe report exists).
@@ -346,24 +315,13 @@ func (q *Query) observe(start time.Time, res Result, crep *core.ProbeReport) {
 }
 
 // runGeneric executes the plan against a plain Querier that offers only
-// the legacy visitor. The limit, context, and stability options are still
-// honored at the visitor boundary, but the underlying scan cannot be
-// aborted, so early termination saves no work here.
+// the legacy visitor. A declining yield and the context are still honored
+// at the visitor boundary, but the underlying scan cannot be aborted, so
+// early termination saves no work here.
 func runGeneric(idx Querier, r Rect, spec index.Spec, yield Yield) bool {
 	stopped := false
 	idx.Query(r, func(row []float64) {
-		if stopped || spec.Done() {
-			stopped = true
-			return
-		}
-		if spec.Stable {
-			cp := make([]float64, len(row))
-			copy(cp, row)
-			row = cp
-		}
-		if !yield(row) {
-			stopped = true
-		}
+		stopped = stopped || spec.Done() || !yield(row)
 	})
 	return !stopped
 }
@@ -410,11 +368,8 @@ func (q *Query) Head(idx Querier, k int) (*HeadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := index.RowsState{Keep: k}
-	if q.limit > 0 {
-		// Any Limit matches satisfy the query; k of them are returned.
-		st = index.RowsState{Keep: q.limit, Early: true}
-	}
+	// Any Limit matches satisfy the query; k of them are returned.
+	st := index.RowsState{Keep: k, Limit: q.limit}
 	res := &HeadResult{}
 	res.Complete, res.Explain, _, err = q.fold(idx, r, &st,
 		func(ix *ShardedIndex, spec index.Spec, rep *shard.Report) bool {
@@ -426,25 +381,22 @@ func (q *Query) Head(idx Querier, k int) (*HeadResult, error) {
 			q.observe(start, Result{Rows: int(st.Count), Complete: complete}, crep)
 		})
 	res.Count = int(st.Count)
-	held := st.Held()
-	if k >= 0 {
-		held = min(held, k)
-	}
-	res.Rows = make([][]float64, held)
+	res.Rows = make([][]float64, st.Held())
 	for i := range res.Rows {
 		res.Rows[i] = st.Row(i)
 	}
 	if exp := res.Explain; exp != nil {
 		exp.RowsEmitted = res.Count
-		exp.Limited = st.Early && res.Count >= q.limit
+		exp.Limited = q.limit > 0 && res.Count >= q.limit
 	}
 	return res, err
 }
 
-// fold is the skeleton Head and Aggregate share: it executes the compiled
-// rectangle r against idx as a fold into st. A sharded index runs sharded,
-// whose fan-out folds every shard into a private state, merges the states
-// into st and counts the query itself; a single index folds st through its
+// fold is the skeleton every execution shares — Run, Head and Aggregate: it
+// executes the compiled rectangle r against idx as a fold into st. A
+// sharded index runs sharded, whose fan-out folds every shard into a
+// private state, hands the states to st (or to Run's visitor) in shard
+// order and counts the query itself; a single index folds st through its
 // batch kernels, and any other Querier folds its visitor's rows one at a
 // time — correct, but without kernel pushdown or early abort — and both are
 // counted through observe. It returns whether the fold ran to completion,
@@ -513,42 +465,26 @@ func (q *Query) fold(idx Querier, r Rect, st interface {
 }
 
 // Collect executes the query and returns the matching rows, capped at the
-// Limit when one is set. Returned rows are always stable private copies,
-// whichever index answers. The result is preallocated from the limit (or
-// a bounded row-count hint) as its sizing hint.
+// Limit when one is set: Head keeping every row. Returned rows are always
+// stable private copies in Head's order, whichever index answers.
 func (q *Query) Collect(idx Querier) ([][]float64, error) {
-	out := make([][]float64, 0, collectHint(idx.Len(), q.limit))
-	qq := q.clone().Stable()
-	_, err := qq.Run(idx, func(row []float64) bool {
-		out = append(out, row) // stable: rows are private copies
-		return true
-	})
-	return out, err
+	res, err := q.Head(idx, -1)
+	if res == nil {
+		return nil, err
+	}
+	return res.Rows, err
 }
 
-// Explain executes the query, discarding rows, and returns its
+// Explain executes the query as Head keeping no row and returns its
 // execution report — the EXPLAIN ANALYZE of the builder. The scan honors
 // Limit and the context exactly as Run does, so the report describes the
-// work a real execution performs.
+// work a real execution performs, without copying a row.
 func (q *Query) Explain(idx Querier) (*Explain, error) {
 	qq := q.clone()
 	qq.explain = true
-	res, err := qq.Run(idx, func([]float64) bool { return true })
-	return res.Explain, err
-}
-
-// collectHint sizes a result slice. A Limit is an exact upper bound on the
-// result, so it (capped by the row count) is used directly; without one
-// the result size is unknown, so start small and let append's geometric
-// growth take over — preallocating from the full row count would spend a
-// slice header per indexed row on a query that may match one.
-func collectHint(rows, limit int) int {
-	const (
-		unknownHint = 64
-		maxHint     = 4096 // a huge Limit on a selective query must not preallocate it all
-	)
-	if limit > 0 {
-		return min(limit, rows, maxHint)
+	res, err := qq.Head(idx, 0)
+	if res == nil {
+		return nil, err
 	}
-	return min(rows, unknownHint)
+	return res.Explain, err
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -159,7 +160,8 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 
 // Count is a popcount: on a 4-shard index it allocates the same for 2 000
 // matches as for 32 000 — a fixed few kilobytes of fan-out bookkeeping, no
-// row copied.
+// row copied — and so do a Count capped by a Limit and an Explain, which
+// keep no row either.
 func TestCountAllocsIndependentOfMatches(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(32000))
 	so := coax.DefaultShardOptions()
@@ -168,28 +170,76 @@ func TestCountAllocsIndependentOfMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := func(q *coax.Query, want int) (mallocs, allocated uint64) {
+	count := func(q *coax.Query) func() (int, error) { return func() (int, error) { return q.Count(idx) } }
+	cost := func(run func() (int, error), want int) (mallocs, allocated uint64) {
 		t.Helper()
-		if n, err := q.Count(idx); err != nil || n != want {
-			t.Fatalf("Count = %d, %v; want %d", n, err, want)
+		if n, err := run(); err != nil || n != want {
+			t.Fatalf("counted %d, %v; want %d", n, err, want)
 		}
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			q.Count(idx)
+			run()
 		}
 		runtime.ReadMemStats(&after)
 		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	fewMallocs, _ := cost(coax.NewQuery().WhereDim(0, coax.Between(1000, 2999)), 2000)
-	manyMallocs, manyBytes := cost(coax.NewQuery(), 32000)
+	fewMallocs, _ := cost(count(coax.NewQuery().WhereDim(0, coax.Between(1000, 2999))), 2000)
+	manyMallocs, manyBytes := cost(count(coax.NewQuery()), 32000)
 	t.Logf("32000 matches: %d mallocs, %d bytes; 2000 matches: %d mallocs", manyMallocs, manyBytes, fewMallocs)
 	if manyBytes >= 32<<10 {
 		t.Errorf("Count over 32000 matches allocated %d bytes, ceiling %d", manyBytes, 32<<10)
 	}
 	if manyMallocs > fewMallocs+fewMallocs/10 {
 		t.Errorf("Count made %d mallocs over 32000 matches, %d over 2000: allocation grows with matches", manyMallocs, fewMallocs)
+	}
+	explain := func() (int, error) {
+		exp, err := coax.NewQuery().Explain(idx)
+		if exp == nil {
+			return 0, err
+		}
+		return exp.RowsEmitted, err
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (int, error)
+		want int
+	}{
+		{"Limit(30000).Count", count(coax.NewQuery().Limit(30000)), 30000},
+		{"Explain", explain, 32000},
+	} {
+		mallocs, bytes := cost(c.run, c.want)
+		t.Logf("%s: %d mallocs, %d bytes", c.name, mallocs, bytes)
+		if bytes >= 32<<10 {
+			t.Errorf("%s allocated %d bytes, ceiling %d", c.name, bytes, 32<<10)
+		}
+	}
+}
+
+// TestRunOrderDeterministic: Run folds each shard and yields the shards in
+// order, so Collect on a pooled hash-sharded index returns the same rows in
+// the same order every time — Head's rows.
+func TestRunOrderDeterministic(t *testing.T) {
+	tab := coax.GenerateOSM(coax.DefaultOSMConfig(20000))
+	so := coax.DefaultShardOptions()
+	so.NumShards, so.Workers, so.Partition = 4, 4, coax.ShardByHash
+	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := coax.NewQuery().Head(idx, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 50; run++ {
+		got, err := coax.NewQuery().Collect(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != tab.Len() || !slices.EqualFunc(got, head.Rows, slices.Equal[[]float64]) {
+			t.Fatalf("Collect run %d returned %d rows in another order than Head's %d", run, len(got), len(head.Rows))
+		}
 	}
 }
 
@@ -260,7 +310,7 @@ func TestShardedCancellation(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(40000))
 	so := coax.DefaultShardOptions()
 	so.NumShards = 4
-	so.Workers = 4 // force the parallel streaming path even on 1 CPU
+	so.Workers = 4 // force the pooled fan-out even on 1 CPU
 	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +331,8 @@ func TestShardedCancellation(t *testing.T) {
 	}
 
 	// Cancelled mid-scan by the visitor: the fan-out stops within one page
-	// (one 128-row delivery chunk — the context is polled at chunk
-	// boundaries) instead of streaming the remaining tens of thousands of
+	// (the context is polled before every row yielded, and by every probe
+	// once per page) instead of yielding the remaining tens of thousands of
 	// rows.
 	ctx, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
@@ -296,7 +346,7 @@ func TestShardedCancellation(t *testing.T) {
 	if res.Complete {
 		t.Error("cancelled scan reported Complete")
 	}
-	const pageRows = 128 // internal/shard scanChunkRows
+	const pageRows = 128
 	if res.Rows < 1 || res.Rows > pageRows {
 		t.Fatalf("rows delivered after mid-scan cancellation = %d, want within one %d-row page", res.Rows, pageRows)
 	}
@@ -465,11 +515,11 @@ func TestStableOwnership(t *testing.T) {
 	}
 }
 
-// TestMutatingVisitorDoesNotDeadlock regression-tests the streaming
-// fan-out's lock discipline: a worker never blocks on delivery while
-// holding its shard's read lock, so a visitor that mutates the index —
-// discouraged, but possible — waits for the in-flight probe instead of
-// deadlocking against it.
+// TestMutatingVisitorDoesNotDeadlock regression-tests the fan-out's lock
+// discipline: a probe's rows are yielded only once its shard's read lock is
+// released, and a worker waiting for its turn holds none, so a visitor that
+// mutates the index — discouraged, but possible — waits for the in-flight
+// probes instead of deadlocking against them.
 func TestMutatingVisitorDoesNotDeadlock(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(3000))
 	so := coax.DefaultShardOptions()

@@ -330,10 +330,7 @@ func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
 			Msg: fmt.Sprintf("rect has %d/%d dims, node has %d", len(q.Min), len(q.Max), n.dims)})
 		return
 	}
-	keep := index.RowsState{Keep: -1}
-	if q.Limit > 0 {
-		keep = index.RowsState{Keep: int(q.Limit), Early: true}
-	}
+	keep := index.RowsState{Keep: -1, Limit: int(q.Limit)}
 	complete := true
 	for _, g := range q.Shards {
 		s := n.engineFor(c, q.ID, g)
@@ -355,7 +352,7 @@ func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
 		}
 		// A scan the limit stopped is still complete for the router's
 		// purposes — it has every row it asked this shard for.
-		shardComplete = shardComplete || keep.Early && st.Count >= q.Limit
+		shardComplete = shardComplete || keep.Limit > 0 && st.Count >= q.Limit
 		if err := c.Send(&wire.ShardEOF{ID: q.ID, Shard: g, Rows: st.Count, Complete: shardComplete}); err != nil {
 			return
 		}

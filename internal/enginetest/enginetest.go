@@ -2,7 +2,7 @@
 // engine in some state is driven through each of its consumers — a row
 // scan, a batch scan walked with Batch.Each, an aggregate fold for all five
 // ops plus a grouped one, and a row-reply fold (index.RowsState) for every
-// Keep in {0, 1, 100, all} with and without early stop — and every consumer
+// Keep in {0, 1, 100, all} by every Limit in {none, 1, 100} — and every consumer
 // is compared against internal/scan's plain row loop over the live rows:
 // the same multiset, the same aggregate bits, the same counts, and probe
 // counters that add up.
@@ -40,10 +40,6 @@ type Engine struct {
 	// RowsInPlace says Rows tests rows where they lie (the R-tree, whose
 	// baseline cost must not pay for a gather) and so reports no batches.
 	RowsInPlace bool
-	// RowsUnordered says Rows delivers in no fixed order (the sharded
-	// engine's streaming Exec), so a row-reply fold cannot be replayed row
-	// by row over it; its held rows are held to the fold's own order.
-	RowsUnordered bool
 }
 
 // Storage is the Engine of a storage engine's two traversals.
@@ -203,25 +199,25 @@ func Check(t *testing.T, label string, live *dataset.Table, e Engine, rects []in
 
 		// The row reply: the engine's scan order is that of its fold keeping
 		// every row, whose rows are the reference's; every other fold holds
-		// a prefix of them and the exact count (capped at Keep in early mode).
+		// a prefix of them and the exact count (capped at a positive Limit).
 		var all index.RowsState
 		for _, keep := range []int{-1, 0, 1, 100} {
-			for _, early := range []bool{false, true} {
-				consumer := fmt.Sprintf("rows fold keep %d early %v", keep, early)
-				got := index.RowsState{Keep: keep, Early: early}
+			for _, limit := range []int{0, 1, 100} {
+				consumer := fmt.Sprintf("rows fold keep %d limit %d", keep, limit)
+				got := index.RowsState{Keep: keep, Limit: limit}
 				var p index.Probe
 				complete := foldRows(r, &got, &p)
 				wantCount := int64(len(want))
-				if early && keep >= 0 {
-					wantCount = min(wantCount, int64(keep))
+				if limit > 0 {
+					wantCount = min(wantCount, int64(limit))
 				}
 				if got.Count != wantCount {
 					t.Fatalf("%s query %d %s: count %d, reference %d of %d", label, qi, consumer, got.Count, wantCount, len(want))
 				}
-				if !complete && !(early && got.Count == int64(keep)) {
+				if !complete && !(limit > 0 && got.Count == int64(limit)) {
 					t.Fatalf("%s query %d %s: stopped short at %d of %d rows", label, qi, consumer, got.Count, len(want))
 				}
-				if keep == -1 && !early {
+				if keep == -1 && limit == 0 {
 					all = got
 					held := make([][]float64, all.Held())
 					for i := range held {
@@ -239,15 +235,12 @@ func Check(t *testing.T, label string, live *dataset.Table, e Engine, rects []in
 				if got.Held() != wantHeld || !slices.Equal(got.Rows, all.Rows[:len(got.Rows)]) {
 					t.Fatalf("%s query %d %s: holds %d rows, not the first %d the full fold holds", label, qi, consumer, got.Held(), wantHeld)
 				}
-				if !early {
+				if limit == 0 {
 					counters(consumer, &p, p.Scanned > 0)
-				}
-				if e.RowsUnordered {
-					continue
 				}
 				// FoldRow over the row scan agrees with the batch fold, row
 				// for row.
-				byRow := index.RowsState{Keep: keep, Early: early}
+				byRow := index.RowsState{Keep: keep, Limit: limit}
 				if e.Rows(r, byRow.FoldRow, nil) != complete || byRow.Count != got.Count || !slices.Equal(byRow.Rows, got.Rows) {
 					t.Fatalf("%s query %d %s: FoldRow over the row scan holds %d of %d, the batch fold %d of %d", label, qi, consumer,
 						byRow.Held(), byRow.Count, got.Held(), got.Count)

@@ -70,9 +70,10 @@ type Spec struct {
 	// of cancellation.
 	Ctx context.Context
 	// Limit is the maximum number of rows the caller will consume, or ≤ 0
-	// for all of them. It is a sizing and short-circuit hint — the caller's
-	// yield still enforces the exact cutoff — letting a sharded engine stop
-	// each shard after Limit local matches and size its buffers to match.
+	// for all of them. A single-index scan ignores it — the caller's yield
+	// enforces the cutoff — while engines that fan out stop each shard after
+	// Limit local matches (the sharded engine also yields only the first
+	// Limit rows).
 	Limit int
 	// Stable requires every row handed to the yield to be a private copy
 	// that stays valid after the call returns, regardless of which engine

@@ -22,9 +22,11 @@ type RowsState struct {
 	// Keep is how many rows to hold — the first Keep matches in scan
 	// order — or every match when negative.
 	Keep int
-	// Early stops the fold once Keep rows are held: FoldBatch and FoldRow
-	// then decline, and Count counts only the held rows.
-	Early bool
+	// Limit, when positive, stops the fold once that many rows match:
+	// FoldBatch and FoldRow then decline, Count stops at Limit, and no more
+	// than Limit rows are held. It is independent of Keep, so a capped count
+	// (Keep 0) copies nothing.
+	Limit int
 	// Count is the number of matching rows folded.
 	Count int64
 	// Rows holds the held rows back to back, Dims values each. They are
@@ -48,31 +50,42 @@ func (s *RowsState) Row(i int) []float64 {
 	return s.Rows[i*s.Dims : (i+1)*s.Dims : (i+1)*s.Dims]
 }
 
-// room is how many more rows the state will hold.
+// room is how many more rows the state will hold. While it is positive,
+// every row counted is held, so Count - Held is zero and the Limit bounds
+// the rows held as it bounds the count.
 func (s *RowsState) room() int {
-	if s.Keep < 0 {
-		return math.MaxInt
+	room := math.MaxInt
+	if s.Keep >= 0 {
+		room = s.Keep - s.Held()
 	}
-	return s.Keep - s.Held()
+	if s.Limit > 0 {
+		room = min(room, s.Limit-int(s.Count))
+	}
+	return room
+}
+
+// capped caps Count at a positive Limit and reports whether the fold should
+// go on: false once Limit rows match.
+func (s *RowsState) capped() bool {
+	if s.Limit <= 0 || s.Count < int64(s.Limit) {
+		return true
+	}
+	s.Count = int64(s.Limit)
+	return false
 }
 
 // FoldBatch folds the selected rows of b: it copies them, in order, while
 // fewer than Keep are held, and counts the remaining selection off the
-// bitmap. It reports whether the scan should go on — false only in early
-// mode, once Keep rows are held. Storage grows with the rows held, so a
-// huge Keep over a small result allocates for the result.
+// bitmap. It reports whether the scan should go on — false only once Limit
+// rows match. Storage grows with the rows held, so a huge Keep over a small
+// result allocates for the result.
 func (s *RowsState) FoldBatch(b *Batch) bool {
 	room := s.room()
-	switch {
-	case room > 0:
+	if room > 0 {
 		s.Dims = b.Dims
 		if n := min(room, b.Selected()); n > 0 {
 			s.grow(n, b.Dims)
 		}
-	case s.Early:
-		// Full before this batch (Keep 0): decline it if it has a row to
-		// fold, as FoldRow declines the first row it is handed.
-		return b.Selected() == 0
 	}
 	for w, word := range b.Sel {
 		base := w << 6
@@ -83,17 +96,14 @@ func (s *RowsState) FoldBatch(b *Batch) bool {
 			s.Count++
 		}
 		if room == 0 {
-			if s.Early {
-				return false
-			}
 			s.Count += int64(bits.OnesCount64(word))
 			for _, rest := range b.Sel[w+1:] {
 				s.Count += int64(bits.OnesCount64(rest))
 			}
-			return true
+			break
 		}
 	}
-	return true
+	return s.capped()
 }
 
 // firstHeldRows is how many rows a fold's storage starts with, unless Keep
@@ -121,32 +131,30 @@ func (s *RowsState) grow(n, dims int) {
 // FoldRow folds one row exactly as FoldBatch folds a selected one, and
 // reports whether the scan should go on; it is an index.Yield.
 func (s *RowsState) FoldRow(row []float64) bool {
-	if s.Keep >= 0 && len(s.Rows) >= s.Keep*len(row) {
-		// Full: count only, or in early mode decline.
-		if s.Early {
-			return false
-		}
-		s.Count++
-		return true
+	if !s.capped() {
+		return false // already at the Limit: decline, uncounted
 	}
-	s.Dims = len(row)
-	s.grow(1, len(row))
-	s.Rows = append(s.Rows, row...)
+	// The rows held never outnumber Count, which is below the Limit here,
+	// so only Keep bounds them — checked without dividing: this is a
+	// per-row path.
+	if s.Keep < 0 || len(s.Rows) < s.Keep*len(row) {
+		s.Dims = len(row)
+		s.grow(1, len(row))
+		s.Rows = append(s.Rows, row...)
+	}
 	s.Count++
-	return !s.Early || s.Keep < 0 || len(s.Rows) < s.Keep*len(row)
+	return s.capped()
 }
 
-// Merge appends o's fold to s's: the counts add (capped at Keep in early
-// mode) and o's held rows follow s's, up to Keep. Merging the partials of a
-// fan-out in shard order gives the rows of shard order, then scan order.
-// While s's Rows is nil, s takes over o's row storage rather than copy it,
-// so o must not be used afterwards.
+// Merge appends o's fold to s's: the counts add (capped at Limit) and o's
+// held rows follow s's, up to Keep. Merging the partials of a fan-out in
+// shard order gives the rows of shard order, then scan order. While s's
+// Rows is nil, s takes over o's row storage rather than copy it, so o must
+// not be used afterwards.
 func (s *RowsState) Merge(o *RowsState) {
-	s.Count += o.Count
-	if s.Early && s.Keep >= 0 && s.Count > int64(s.Keep) {
-		s.Count = int64(s.Keep)
-	}
 	take := min(o.Held(), s.room())
+	s.Count += o.Count
+	s.capped()
 	if take <= 0 {
 		return
 	}

@@ -17,10 +17,10 @@ import (
 // shard.Exec, shard.ExecAgg, shard.ExecRows, or the coax package — never in
 // core, which shards invoke once per probed shard.
 var (
-	Queries        = NewCounter("coax_queries_total", "Queries executed (all paths: streaming, batch, generic).")
+	Queries        = NewCounter("coax_queries_total", "Queries executed (all paths: single, batch, generic).")
 	QuerySeconds   = NewHistogram("coax_query_seconds", "End-to-end query latency in seconds.", 1e-6, 10)
 	BatchSeconds   = NewHistogram("coax_batch_seconds", "End-to-end batch latency in seconds (one observation per multi-rectangle fan-out).", 1e-6, 10)
-	QueryRows      = NewCounter("coax_query_rows_total", "Rows delivered to query callers (for a fold that keeps only some, the rows matched).")
+	QueryRows      = NewCounter("coax_query_rows_total", "Rows matched by queries, capped at their limit.")
 	EarlyStops     = NewCounter("coax_query_early_stops_total", "Queries stopped early by a met limit or a declining visitor.")
 	QueryCancelled = NewCounter("coax_query_cancelled_total", "Queries stopped by context cancellation.")
 

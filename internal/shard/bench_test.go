@@ -47,3 +47,31 @@ func BenchmarkBatchQuery(b *testing.B) {
 		b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 	})
 }
+
+// BenchmarkExec times the row fold behind Scan and the public Run: every
+// match of a selective rectangle over 8 hash shards on a pool of 4 workers,
+// each probe's rows yielded in merge order once its turn comes (all), and
+// the same rectangle limited to its first 100 rows (limit100).
+func BenchmarkExec(b *testing.B) {
+	rng := rand.New(rand.NewSource(63))
+	tab := fdTable(rng, 100000, 0.1)
+	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 8, Workers: 4, Partition: shard.ByHash})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := index.Full(tab.Dims())
+	r.Min[0], r.Max[0] = 400, 450 // 5 % of the predictor's range
+	for _, c := range []struct {
+		name  string
+		limit int
+	}{{"all", 0}, {"limit100", 100}} {
+		b.Run(c.name, func(b *testing.B) {
+			rows := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Exec(r, index.Spec{Limit: c.limit}, func([]float64) bool { rows++; return true }, nil)
+			}
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/coax-index/coax/internal/dataset"
@@ -15,7 +16,9 @@ import (
 )
 
 // shardedEngine is the sharded engine as the engine table drives it: Exec
-// behind Scan for rows, ExecAgg and ExecRows for folds.
+// behind Scan for rows, ExecAgg and ExecRows for folds. Exec yields in
+// ExecRows' merge order, so the table replays its row folds over Scan row
+// for row.
 func shardedEngine(s *shard.Sharded) enginetest.Engine {
 	return enginetest.Engine{
 		Rows: s.Scan,
@@ -35,17 +38,16 @@ func shardedEngine(s *shard.Sharded) enginetest.Engine {
 			p.Add(rep.Core.Outlier)
 			return complete
 		},
-		RowsUnordered: true,
 	}
 }
 
-// TestFanOut drives the one fan-out through its two sinks — streaming Exec,
-// and the fold behind ExecAgg, ExecRows and BatchQuery — with a pool of
-// workers and with the pool of one that runs inline on the caller.
-// "reference" is the sharded engine's rows of the engine table
-// (internal/enginetest); the rest pin what each sink promises on top of the
-// answer: stopping, limits, row ownership, the mutating visitor, and one
-// coax_queries_total per query. Run under -race.
+// TestFanOut drives the one fan-out — the fold behind Exec, ExecAgg,
+// ExecRows and BatchQuery — with a pool of workers and with the pool of one
+// that runs inline on the caller. "reference" is the sharded engine's rows
+// of the engine table (internal/enginetest); the rest pin what each entry
+// point promises on top of the answer: stopping, limits, merge order, row
+// ownership, the mutating visitor, and one coax_queries_total per query.
+// Run under -race.
 func TestFanOut(t *testing.T) {
 	t.Run("pooled", func(t *testing.T) {
 		testFanOut(t, shard.Options{NumShards: 6, Workers: 4, Partition: shard.ByHash})
@@ -117,32 +119,80 @@ func testFanOut(t *testing.T, so shard.Options) {
 	})
 
 	t.Run("limit across shards", func(t *testing.T) {
+		// Exactly the first k rows of ExecRows' merge order, though every
+		// probe stops early.
 		const k = 10
 		var rep shard.Report
-		n := 0
-		s.Exec(full, index.Spec{Limit: k}, func([]float64) bool { n++; return true }, &rep)
-		// Every shard stops itself after k local matches.
-		if n < k || n > k*rep.ShardsProbed {
-			t.Fatalf("Limit %d over %d shards delivered %d rows", k, rep.ShardsProbed, n)
+		var got [][]float64
+		if s.Exec(full, index.Spec{Limit: k}, func(row []float64) bool { got = append(got, row); return true }, &rep) {
+			t.Fatal("limited Exec reported complete")
+		}
+		head, _ := s.ExecRows([]index.Rect{full}, index.Spec{}, index.RowsState{Keep: k}, nil)
+		if want := heldRows(&head[0]); !rowsEqual(got, want) {
+			t.Fatalf("Limit %d delivered %d rows, not the first %d of the merge order", k, len(got), len(want))
 		}
 		if scanned := rep.Core.Primary.Scanned + rep.Core.Outlier.Scanned; scanned >= int64(total) {
 			t.Fatalf("Limit %d still scanned %d of %d rows", k, scanned, total)
 		}
-		n = 0
+		n := 0
 		if s.Exec(full, index.Spec{Limit: k}, func([]float64) bool { n++; return n < k }, nil) || n != k {
 			t.Fatalf("yield stopping at the limit saw %d rows, want exactly %d and an incomplete scan", n, k)
 		}
 	})
 
+	t.Run("early decline", func(t *testing.T) {
+		// A worker claims its next probe only after passing the turn of its
+		// last one, so once the first probe's yield declines, every probe
+		// not yet claimed stops before its first page: a decline costs the
+		// probes in flight — the first when inline, at most one per worker
+		// pooled — plus at most one page for every other probe.
+		pages := func(tr *obs.Trace) (per []int64, sum int64) {
+			for _, sp := range tr.Spans() {
+				per = append(per, sp.Pages)
+				sum += sp.Pages
+			}
+			return per, sum
+		}
+		all := obs.NewTrace()
+		s.Exec(full, index.Spec{Trace: all}, func([]float64) bool { return true }, nil)
+		_, fullPages := pages(all)
+		declined := obs.NewTrace()
+		calls := 0
+		if s.Exec(full, index.Spec{Trace: declined}, func([]float64) bool { calls++; return false }, nil) || calls != 1 {
+			t.Fatalf("declined Exec went on for %d yields", calls)
+		}
+		inFlight := 1
+		if so.Workers > 1 {
+			inFlight = so.Workers
+		}
+		per, sum := pages(declined)
+		if len(per) <= inFlight {
+			t.Fatalf("%d probes for %d workers: nothing left to stop", len(per), inFlight)
+		}
+		// Spans arrive in finishing order: count, not position, the probes
+		// that read more than a page.
+		sorted := append([]int64(nil), per...)
+		slices.Sort(sorted)
+		for _, p := range sorted[:len(per)-inFlight] {
+			if p > 1 {
+				t.Fatalf("probe pages after the decline %v: more than %d probes read beyond a page", per, inFlight)
+			}
+		}
+		if sum >= fullPages {
+			t.Fatalf("declined Exec read %d pages, the full scan %d", sum, fullPages)
+		}
+	})
+
 	t.Run("cancellation", func(t *testing.T) {
-		// Mid-scan, from the yield: Exec stops within the chunk in hand.
+		// Mid-scan, from the yield: the context is checked before every row,
+		// well within the 128 rows of a page.
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
 		if s.Exec(full, index.Spec{Ctx: ctx}, func([]float64) bool { n++; cancel(); return true }, nil) {
 			t.Fatal("cancelled Exec reported complete")
 		}
 		if n < 1 || n > 128 {
-			t.Fatalf("%d rows delivered after the first cancelled the context, want within one 128-row chunk", n)
+			t.Fatalf("%d rows delivered after the first cancelled the context, want at most 128", n)
 		}
 		// Already cancelled: nothing is delivered, the fold is partial.
 		if s.Exec(full, index.Spec{Ctx: ctx}, func([]float64) bool { t.Error("row delivered on a cancelled context"); return true }, nil) {
@@ -176,14 +226,16 @@ func testFanOut(t *testing.T, so shard.Options) {
 	})
 
 	t.Run("retained rows", func(t *testing.T) {
+		// Stable copies, in the merge order every call repeats.
+		all, _ := s.ExecRows([]index.Rect{full}, index.Spec{}, index.RowsState{Keep: -1}, nil)
 		var retained, copies [][]float64
 		s.Exec(full, index.Spec{}, func(row []float64) bool {
 			retained = append(retained, row)
 			copies = append(copies, append([]float64(nil), row...))
 			return true
 		}, nil)
-		if len(retained) != total {
-			t.Fatalf("Exec delivered %d of %d rows", len(retained), total)
+		if !rowsEqual(copies, heldRows(&all[0])) || len(retained) != total {
+			t.Fatalf("Exec delivered %d of %d rows, not in ExecRows' order", len(retained), total)
 		}
 		for i := range retained {
 			if !rowsEqual(retained[i:i+1], copies[i:i+1]) || cap(retained[i]) != len(retained[i]) {
@@ -236,4 +288,13 @@ func testFanOut(t *testing.T, so shard.Options) {
 			t.Fatalf("%d rows left after the visitor deleted every row it was shown (last query %d)", s.Len(), lastQuery)
 		}
 	})
+}
+
+// heldRows lists the rows a fold holds.
+func heldRows(st *index.RowsState) [][]float64 {
+	rows := make([][]float64, st.Held())
+	for i := range rows {
+		rows[i] = st.Row(i)
+	}
+	return rows
 }

@@ -10,25 +10,6 @@ import (
 	"github.com/coax-index/coax/internal/obs"
 )
 
-// fold is the fan-out's fold sink, behind ExecAgg, ExecRows and BatchQuery:
-// run(pi, idx, abort, crep) folds probe pi's shard into that probe's private
-// state under the shard's read lock, through the batch kernels
-// (core.ExecAgg), so no row crosses a goroutine; the caller merges the
-// states in (query, shard) order once fold returns — the order that makes
-// floating-point sums and kept rows the same run to run for a fixed shard
-// layout. It reports whether every probe ran to completion and neither the
-// context nor spec.Abort stopped the fan-out.
-func (s *Sharded) fold(f *fanout, rep *Report, run func(pi int, idx *core.COAX, abort func() bool, crep *core.ProbeReport) bool) bool {
-	var incomplete atomic.Bool
-	s.fanOut(f, rep, sink{scan: func(pi int, idx *core.COAX, crep *core.ProbeReport) func() {
-		if !run(pi, idx, f.aborted, crep) {
-			incomplete.Store(true)
-		}
-		return nil
-	}})
-	return !f.spec.Done() && !incomplete.Load()
-}
-
 // ExecAgg fans the aggregation described by aspec across the shards r can
 // match and returns the merged state: each probe folds its shard into a
 // private index.AggState, and the partials merge in shard order, so the
@@ -50,9 +31,9 @@ func (s *Sharded) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec, re
 
 	f := s.plan([]index.Rect{r}, spec)
 	parts := make([]*index.AggState, len(f.probes))
-	complete := s.fold(f, rep, func(pi int, idx *core.COAX, abort func() bool, crep *core.ProbeReport) bool {
+	complete := s.fanOut(f, rep, func(pi int, idx *core.COAX, crep *core.ProbeReport) bool {
 		parts[pi] = index.NewAggState(aspec)
-		ok := idx.ExecAgg(r, index.Spec{Abort: abort}, parts[pi], crep)
+		ok := idx.ExecAgg(r, index.Spec{Abort: f.aborted}, parts[pi], crep)
 		if track {
 			core.ObserveAggKernels(crep)
 		}
@@ -73,22 +54,23 @@ func (s *Sharded) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec, re
 }
 
 // ExecRows answers a batch of rectangles as row replies in one fan-out:
-// query qi's state holds its exact match count and its first keep.Keep
-// matching rows (every row when negative) in shard order, then scan order —
-// the same rows for the same index, whatever the worker timing. keep gives
-// every query's Keep and Early; its Count and Rows must be empty. Each probe
-// folds its shard into a private index.RowsState, which copies a row only
-// while fewer than Keep are held and counts the rest off the selection
-// bitmap, so no match crosses the merge only to be dropped. An early query
-// stops each probe once the probes before it in merge order hold Keep rows
-// between them, which leaves its answer unchanged. spec.Ctx and spec.Abort
-// stop the fan-out within about one page of work per worker; Limit and
-// Stable are ignored (kept rows are always private copies). A non-nil rep is
+// query qi's state holds its exact match count — capped at keep.Limit when
+// positive — and its first keep.Keep matching rows (every row when
+// negative) in shard order, then scan order — the same rows for the same
+// index, whatever the worker timing. keep gives every query's Keep and
+// Limit; its Count and Rows must be empty. Each probe folds its shard into
+// a private index.RowsState, which copies a row only while fewer than Keep
+// are held and counts the rest off the selection bitmap, so no match
+// crosses the merge only to be dropped. A limited query stops each probe
+// once the probes before it in merge order hold Limit rows between them,
+// which leaves its answer unchanged. spec.Ctx and spec.Abort stop the
+// fan-out within about one page of work per worker; spec.Limit and Stable
+// are ignored (kept rows are always private copies). A non-nil rep is
 // filled with the fan-out report. The boolean reports whether every query
-// ran to completion: false when the fan-out was stopped or an early query
-// reached Keep.
+// ran to completion: false when the fan-out was stopped or a query reached
+// its Limit.
 func (s *Sharded) ExecRows(rs []index.Rect, spec index.Spec, keep index.RowsState, rep *Report) ([]index.RowsState, bool) {
-	f, parts, complete := s.foldRows(rs, spec, keep, rep)
+	f, parts, complete := s.foldRows(rs, spec, keep, rep, nil)
 	size := make([]int, len(rs))
 	for pi, p := range f.probes {
 		size[p.qi] += len(parts[pi].Rows)
@@ -98,6 +80,9 @@ func (s *Sharded) ExecRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 		out[qi] = keep
 		if keep.Keep >= 0 {
 			size[qi] = min(size[qi], keep.Keep*s.dims)
+		}
+		if keep.Limit > 0 {
+			size[qi] = min(size[qi], keep.Limit*s.dims)
 		}
 	}
 	for pi, p := range f.probes {
@@ -113,7 +98,11 @@ func (s *Sharded) ExecRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 
 // foldRows is ExecRows up to the merge: the fan-out, the query metrics, and
 // the per-probe states, indexed like f.probes — in (query, shard) order.
-func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsState, rep *Report) (*fanout, []index.RowsState, bool) {
+// With visit set (one rectangle, whose probes run in merge order), each
+// probe hands its state to visit once its lock is released and every probe
+// before it has been visited, then drops its rows; a false visit stops the
+// fan-out and leaves the query incomplete.
+func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsState, rep *Report, visit func(*index.RowsState) bool) (*fanout, []index.RowsState, bool) {
 	// Queries are counted exactly once, here: one per rectangle, and one
 	// latency per call — a query's, or a batch's.
 	track := obs.On()
@@ -125,21 +114,40 @@ func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 
 	f := s.plan(rs, spec)
 	parts := make([]index.RowsState, len(f.probes))
-	early := keep.Early && keep.Keep >= 0
-	var done []atomic.Int64 // early: 1 + the rows each finished probe holds
-	if early {
+	limit := int64(max(keep.Limit, 0))
+	var done []atomic.Int64 // limited: 1 + the rows each completed probe counts
+	if limit > 0 {
 		done = make([]atomic.Int64, len(f.probes))
 	}
-	complete := s.fold(f, rep, func(pi int, idx *core.COAX, abort func() bool, crep *core.ProbeReport) bool {
+	visited := true
+	if visit != nil {
+		// Probe pi's turn opens when turn[pi] is closed. A probe passes the
+		// turn on even when stopped, so no worker waits forever.
+		turn := make([]chan struct{}, len(f.probes)+1)
+		for i := range turn {
+			turn[i] = make(chan struct{})
+		}
+		close(turn[0])
+		f.then = func(pi int) {
+			<-turn[pi]
+			if !f.aborted() && !visit(&parts[pi]) {
+				visited = false
+				f.stop.Store(true)
+			}
+			parts[pi].Rows = nil
+			close(turn[pi+1])
+		}
+	}
+	complete := s.fanOut(f, rep, func(pi int, idx *core.COAX, crep *core.ProbeReport) bool {
 		// Folded into its own state and published once: workers share
 		// parts' cache lines.
 		qi, st := f.probes[pi].qi, keep
 		defer func() { parts[pi] = st }()
 		if done == nil {
-			return idx.ExecAgg(rs[qi], index.Spec{Abort: abort}, &st, crep)
+			return idx.ExecAgg(rs[qi], index.Spec{Abort: f.aborted}, &st, crep)
 		}
-		// An early query keeps its first Keep rows in merge order, so a
-		// probe may stop once the finished probes before it hold that many:
+		// A limited query keeps its first Limit rows in merge order, so a
+		// probe may stop once the completed probes before it count that many:
 		// none of its rows could be merged, and the answer stays the same.
 		covered := func() bool {
 			var n int64
@@ -148,9 +156,9 @@ func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 					n += c - 1
 				}
 			}
-			return n >= int64(keep.Keep)
+			return n >= limit
 		}
-		ok := idx.ExecAgg(rs[qi], index.Spec{Abort: func() bool { return abort() || covered() }}, &st, crep)
+		ok := idx.ExecAgg(rs[qi], index.Spec{Abort: func() bool { return f.aborted() || covered() }}, &st, crep)
 		done[pi].Store(st.Count + 1)
 		return ok
 	})
@@ -160,14 +168,16 @@ func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 	}
 	var rows, limited int64
 	for _, n := range counts {
-		if early && n >= int64(keep.Keep) {
-			n = int64(keep.Keep)
+		capped := limit > 0 && n >= limit
+		if capped {
+			n = limit
+		}
+		if capped || !visited {
 			limited++
 			complete = false
 		}
 		rows += n
 	}
-
 	if track {
 		if len(rs) == 1 {
 			obs.QuerySeconds.Observe(time.Since(start).Seconds())
@@ -202,7 +212,7 @@ func (s *Sharded) Query(r index.Rect, visit func(row []float64)) {
 // lock is held by then, so the visitor may mutate the index. Every query of
 // the batch is answered exactly, including duplicates and empty rectangles.
 func (s *Sharded) BatchQuery(rs []index.Rect, visit BatchVisitor) {
-	f, parts, _ := s.foldRows(rs, index.Spec{}, index.RowsState{Keep: -1}, nil)
+	f, parts, _ := s.foldRows(rs, index.Spec{}, index.RowsState{Keep: -1}, nil, nil)
 	for pi := range parts {
 		st := &parts[pi]
 		for i := 0; i < st.Held(); i++ {

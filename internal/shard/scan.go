@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,21 +12,13 @@ import (
 	"github.com/coax-index/coax/internal/obs"
 )
 
-// Query execution for the sharded engine: one fan-out (fanOut) with two
-// sinks on it. Exec streams rows to the caller while the fan-out is still
-// running, so a satisfied limit, a false-returning yield, or a cancelled
-// context stops every worker promptly — the price of streaming is delivery
-// order: rows arrive in whatever order the shards produce them. The fold
-// sink (fold.go) gives each probe a private fold state and merges the states
-// in (query, shard) order once every probe has finished: ExecAgg folds
-// aggregates, ExecRows folds row replies (an exact count and the first rows),
-// and BatchQuery visits the rows of a fold that keeps them all.
-
-// scanChunkRows is how many rows a worker accumulates before handing a
-// chunk to the merge loop; limited scans shrink it to the limit so the
-// first satisfying rows are delivered (and the fan-out stopped) as early as
-// possible.
-const scanChunkRows = 128
+// Query execution for the sharded engine: one fan-out (fanOut) that folds
+// every (query, shard) probe into a private state under the shard's read
+// lock. ExecAgg folds aggregates and ExecRows row replies (an exact count
+// and the first rows), merging the states in (query, shard) order once every
+// probe is done; BatchQuery visits the rows of a fold that keeps them
+// all; Exec yields each probe's rows as its turn in that order comes. So no
+// answer depends on worker timing.
 
 // Report describes one v2 fan-out: how many shards the rectangle pruned
 // versus probed, plus the aggregated per-shard execution report
@@ -67,7 +60,7 @@ type probe struct{ qi, si int }
 type fanout struct {
 	spec index.Spec
 	// probes lists every (query, shard) pair the rectangles can match,
-	// query-major — the order sinks merge in; pruned counts the pairs
+	// query-major — the order states merge in; pruned counts the pairs
 	// range routing (or an empty rectangle) ruled out.
 	probes []probe
 	pruned int
@@ -76,13 +69,16 @@ type fanout struct {
 	// for. It is most queries that constrain the range column.
 	inline bool
 	// stop is the shared stop flag: every scan polls it once per page as
-	// its abort hook, a done context raises it, and a sink may raise it (a
+	// its abort hook, a done context raises it, and a visit may raise it (a
 	// declined yield, a met limit) to stop every other worker.
 	stop atomic.Bool
+	// then, if set, runs once probe pi's read lock is released, on the
+	// goroutine that ran the probe.
+	then func(pi int)
 }
 
-// aborted is a fold probe's abort hook: the shared stop flag, or the
-// caller's own hook (a cluster node's per-request cancel flag).
+// aborted is a probe's abort hook: the shared stop flag, or the caller's
+// own hook (a cluster node's per-request cancel flag).
 func (f *fanout) aborted() bool {
 	return f.stop.Load() || f.spec.Abort != nil && f.spec.Abort()
 }
@@ -104,30 +100,19 @@ func (s *Sharded) plan(rs []index.Rect, spec index.Spec) *fanout {
 	return f
 }
 
-// sink is what one kind of query does with a fan-out's probes.
-type sink struct {
-	// scan runs probe pi against its shard under the shard's read lock, so
-	// it must not block, passing rep to the engine. The function it
-	// returns, if any, runs once the lock is released — the place for
-	// sends that may wait on the consumer.
-	scan func(pi int, idx *core.COAX, rep *core.ProbeReport) (unlocked func())
-	// gather, if set, runs on the calling goroutine while the workers run;
-	// finished, if set, is called by the last worker once every probe is
-	// done, so a gather ranging over a channel can have it closed. Neither
-	// runs for an inline fan-out: its unlocked hooks are already on the
-	// calling goroutine.
-	gather   func()
-	finished func()
-}
-
-// fanOut is the one fan-out behind Exec and the fold sink: it runs
-// every probe of f through k.scan on a bounded worker pool, stops them all
-// when the context is done, times each probe (coax_shard_scan_seconds, and
-// one trace span when the spec carries a trace), and once every worker has
-// finished merges the per-probe reports into rep and the scan metrics.
-// This layer owns whole queries, so it is where their page/row/translation
-// counters are fed — core runs once per probe and must not count.
-func (s *Sharded) fanOut(f *fanout, rep *Report, k sink) {
+// fanOut is the one fan-out behind every query: on a bounded worker pool it
+// runs scan for every probe of f — scan folds probe pi's shard into that
+// probe's private state under the shard's read lock, so it must not block,
+// passing rep to the engine and f.aborted as its abort hook, and reports
+// whether the probe ran to completion. It stops every probe when the
+// context is done, times each probe (coax_shard_scan_seconds, and one trace
+// span when the spec carries a trace), and once every worker is done
+// merges the per-probe reports into rep and the scan metrics. This layer
+// owns whole queries, so it is where their page/row/translation counters
+// are fed — core runs once per probe and must not count. fanOut reports
+// whether every probe ran to completion and neither the context nor
+// spec.Abort stopped the fan-out.
+func (s *Sharded) fanOut(f *fanout, rep *Report, scan func(pi int, idx *core.COAX, rep *core.ProbeReport) bool) bool {
 	track := obs.On()
 	if rep != nil {
 		rep.ShardsProbed, rep.ShardsPruned = len(f.probes), f.pruned
@@ -137,7 +122,7 @@ func (s *Sharded) fanOut(f *fanout, rep *Report, k sink) {
 		obs.ShardsPruned.Add(int64(f.pruned))
 	}
 	if len(f.probes) == 0 {
-		return
+		return !f.spec.Done()
 	}
 	if ctx := f.spec.Ctx; ctx != nil {
 		// AfterFunc runs on its own goroutine even for a context that is
@@ -156,8 +141,8 @@ func (s *Sharded) fanOut(f *fanout, rep *Report, k sink) {
 
 	// A batch executes shard-major (counting sort by shard): consecutive
 	// probes hit the same shard's pages, keeping large batches
-	// cache-resident per shard. Merge order is unaffected — sinks index
-	// their results by probe.
+	// cache-resident per shard. Merge order is unaffected — states are
+	// indexed by probe — and a single rectangle's probes run in merge order.
 	order := make([]int, len(f.probes))
 	starts := make([]int, len(s.shards)+1)
 	for _, p := range f.probes {
@@ -171,32 +156,29 @@ func (s *Sharded) fanOut(f *fanout, rep *Report, k sink) {
 		starts[p.si]++
 	}
 
+	var incomplete atomic.Bool
+	run := func(pi int) {
+		if !s.runProbe(f, pi, reps, track, scan) {
+			incomplete.Store(true)
+		}
+	}
 	if f.inline {
 		for _, pi := range order {
-			s.runProbe(f, pi, reps, track, k.scan)
+			run(pi)
 		}
 	} else {
-		workers := min(s.workers, len(f.probes))
-		var next, live atomic.Int32
-		live.Store(int32(workers))
-		done := make(chan struct{})
-		for w := 0; w < workers; w++ {
+		var next atomic.Int32
+		var wg sync.WaitGroup
+		for range min(s.workers, len(f.probes)) {
+			wg.Add(1)
 			go func() {
+				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
-					s.runProbe(f, order[i], reps, track, k.scan)
-				}
-				if live.Add(-1) == 0 {
-					if k.finished != nil {
-						k.finished()
-					}
-					close(done)
+					run(order[i])
 				}
 			}()
 		}
-		if k.gather != nil {
-			k.gather()
-		}
-		<-done
+		wg.Wait()
 	}
 
 	for i := range reps {
@@ -207,10 +189,11 @@ func (s *Sharded) fanOut(f *fanout, rep *Report, k sink) {
 			core.ObserveProbe(&reps[i])
 		}
 	}
+	return !f.spec.Done() && !incomplete.Load()
 }
 
 // runProbe is one probe of a fan-out: the query side's one read-lock site.
-func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track bool, scan func(int, *core.COAX, *core.ProbeReport) func()) {
+func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track bool, scan func(int, *core.COAX, *core.ProbeReport) bool) bool {
 	si := f.probes[pi].si
 	var crep *core.ProbeReport
 	if reps != nil {
@@ -222,7 +205,7 @@ func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track boo
 	}
 	slot := s.shards[si]
 	slot.mu.RLock()
-	unlocked := scan(pi, slot.idx, crep)
+	complete := scan(pi, slot.idx, crep)
 	slot.mu.RUnlock()
 	if track || f.spec.Trace != nil {
 		elapsed := time.Since(start)
@@ -235,156 +218,45 @@ func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track boo
 				crep.Primary.Scanned+crep.Outlier.Scanned)
 		}
 	}
-	if unlocked != nil {
-		unlocked()
+	if f.then != nil {
+		f.then(pi)
 	}
+	return complete
 }
 
-// Exec fans r across the shards it can match: rows are delivered to yield
-// on the calling goroutine as workers produce them, yield's return value
-// stops the whole fan-out, spec.Ctx cancels it within about one page
-// (chunk) of work, and spec.Limit lets each worker stop its shard after
-// that many local matches (any Limit matching rows satisfy the caller, so a
-// shard that alone found enough need not keep scanning). Rows handed to
-// yield are always stable copies — the merge-boundary copy makes
-// spec.Stable free here. The yield must not mutate this index (Insert /
-// Delete / Update / rebuilds) from inside the call: probes hold shard read
-// locks while it runs, so a reentrant write deadlocks; Query/BatchQuery,
-// which buffer every row before visiting, are the surface for that
-// pattern. A non-nil rep is filled with the fan-out report. Exec reports
-// whether the scan ran to completion (false: stopped early by yield or
-// cancellation).
+// Exec fans r across the shards it can match as a row fold, and yields the
+// matching rows in ExecRows' order — shard order, then scan order — so the
+// same index yields the same rows in the same order. Each probe folds its
+// shard into a private index.RowsState: every match, or with spec.Limit the
+// first Limit of them, a limited probe also stopping once the probes before
+// it hold Limit rows, as ExecRows' limited queries do. Once its read lock is
+// released, the probe waits for the probes before it to be yielded, yields
+// its own rows and passes the turn on. yield is therefore never called
+// concurrently, nor under a lock; it runs on the calling goroutine for a
+// pool of one, else on the fan-out worker that folded the probe. Memory: a
+// worker holds the one probe it folded until that probe's turn, so Exec
+// holds at most one probe's matches per worker (one in all when inline) —
+// unless the yield retains rows.
 //
-// Workers copy matching rows into chunks at the merge boundary and hand
-// them to the calling goroutine over a channel; the caller yields rows as
-// chunks arrive and raises the stop flag — observed by every worker before
-// each row — as soon as the yield declines, the limit hint is met, or the
-// context is done. Two rules keep it deadlock-free: the caller always
-// drains the channel to completion, so workers never block on a departed
-// consumer; and a worker never does a blocking send while holding its
-// shard's read lock — chunks that cannot be sent immediately accumulate
-// locally and are flushed after the probe releases the lock, so a stalled
-// consumer delays delivery, not the lock. An inline fan-out (one probe, or
-// one worker) has no channel: each probe's chunks accumulate under its
-// lock and are yielded once it is released.
+// A false return from yield, a met Limit or a done spec.Ctx raises the stop
+// flag every running probe polls once per page; the context is also checked
+// before each row. Rows are stable copies with full-capacity slices (so
+// spec.Stable is free), valid after the call. The yield must not mutate this
+// index (Insert / Delete / Update / rebuilds): probes not yet folded may or
+// may not see the change. Query/BatchQuery, which visit after the fan-out,
+// are the surface for that pattern. A non-nil rep is filled with the fan-out
+// report. Exec reports whether the scan ran to completion (false: stopped
+// early by yield, Limit or cancellation).
 func (s *Sharded) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Report) bool {
-	// Queries are counted exactly once, here.
-	track := obs.On()
-	var start time.Time
-	var delivered int64
-	if track {
-		start = time.Now()
-		obs.Queries.Inc()
-		inner := yield
-		yield = func(row []float64) bool {
-			delivered++
-			return inner(row)
-		}
-	}
-
-	f := s.plan([]index.Rect{r}, spec)
-	chunkRows := scanChunkRows
-	if spec.Limit > 0 && spec.Limit < chunkRows {
-		chunkRows = spec.Limit
-	}
-	chunkLen := chunkRows * s.dims
-	complete := true
-	// deliver yields one chunk's rows; it runs on the calling goroutine.
-	// The context is checked once per chunk — the "about one page"
-	// cancellation granularity — while the stop flag (set by the context, a
-	// declined yield, or a met limit) is checked per row.
-	deliver := func(buf []float64) {
-		if spec.Done() {
-			f.stop.Store(true)
-		}
-		for off := 0; off+s.dims <= len(buf); off += s.dims {
-			if f.stop.Load() {
-				break // stopping: discard the rest of the chunk
-			}
-			// Full-capacity sub-slices keep a retaining caller from
-			// reaching neighbouring rows through append.
-			if !yield(buf[off : off+s.dims : off+s.dims]) {
-				f.stop.Store(true)
-				complete = false
-				break
-			}
-		}
-	}
-	var out chan []float64
-	if !f.inline {
-		out = make(chan []float64, min(s.workers, len(f.probes)))
-	}
-	s.fanOut(f, rep, sink{
-		scan: func(_ int, idx *core.COAX, crep *core.ProbeReport) func() {
-			var pending [][]float64
-			flush := func(buf []float64) {
-				select {
-				case out <- buf: // never ready on the nil channel of an inline fan-out
-				default:
-					pending = append(pending, buf)
-				}
-			}
-			buf := make([]float64, 0, chunkLen)
-			produced := 0
-			idx.Exec(r, index.Spec{Abort: f.stop.Load}, func(row []float64) bool {
-				if f.stop.Load() {
+	left := spec.Limit // rows the limit still admits; never reaches 0 when ≤ 0
+	_, _, complete := s.foldRows([]index.Rect{r}, spec, index.RowsState{Keep: -1, Limit: spec.Limit}, rep,
+		func(st *index.RowsState) bool {
+			for i := range st.Held() {
+				if left--; spec.Done() || !yield(st.Row(i)) || left == 0 {
 					return false
 				}
-				buf = append(buf, row...) // the merge-boundary copy
-				produced++
-				if len(buf) >= chunkLen {
-					flush(buf)
-					buf = make([]float64, 0, chunkLen)
-				}
-				// Any spec.Limit matching rows satisfy the caller, so
-				// this shard alone has produced enough: stop it.
-				return spec.Limit <= 0 || produced < spec.Limit
-			}, crep)
-			if len(buf) > 0 {
-				flush(buf)
 			}
-			if pending == nil {
-				return nil
-			}
-			// With the lock released, hand over what the non-blocking
-			// sends could not: straight to the yield when this already is
-			// the calling goroutine, else by sends that always terminate,
-			// because the caller drains until close. A raised stop flag
-			// means the caller discards everything anyway — skip it.
-			return func() {
-				for _, p := range pending {
-					if f.stop.Load() {
-						break
-					}
-					if f.inline {
-						deliver(p)
-					} else {
-						out <- p
-					}
-				}
-			}
-		},
-		finished: func() { close(out) },
-		gather: func() {
-			for buf := range out {
-				deliver(buf)
-			}
-		},
-	})
-	// Any cancellation makes the result incomplete.
-	cancelled := spec.Done()
-	if cancelled {
-		complete = false
-	}
-	if track {
-		obs.QuerySeconds.Observe(time.Since(start).Seconds())
-		obs.QueryRows.Add(delivered)
-		switch {
-		case cancelled:
-			obs.QueryCancelled.Inc()
-		case !complete:
-			obs.EarlyStops.Inc()
-		}
-	}
+			return true
+		})
 	return complete
 }

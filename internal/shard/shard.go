@@ -20,30 +20,20 @@
 // locks (in one place, the fan-out's runProbe), inserts write-lock only the
 // one shard the row routes to.
 //
-// A query runs on one fan-out with one of two sinks. The streaming sink
-// (Exec, behind Scan and the public Run/Collect) hands rows to the caller
-// while the scan is still running. The fold sink (ExecAgg, ExecRows, and
-// Query/BatchQuery over it, behind the public Head/Count/Aggregate) gives
-// each probe a private fold state — an aggregate, or a row reply holding an
-// exact count and the first rows — and merges the states in (query, shard)
-// order, so a fold's answer does not depend on worker timing.
+// Every query is a fold on one fan-out: each (query, shard) probe folds its
+// shard into a private state under the shard's read lock — an aggregate
+// (ExecAgg), or a row reply holding an exact count and the first rows
+// (ExecRows, and Exec and Query/BatchQuery over the same fold) — and the
+// states are taken in (query, shard) order, so no answer depends on worker
+// timing. A fold copies the rows it keeps out of the scanned pages and counts
+// the rest off the selection bitmaps, so the rows handed out are stable
+// copies: valid after the call, never overwritten by a later match — a
+// stronger guarantee than index.Yield's baseline contract.
 //
-// Because rows are produced by worker goroutines and delivered on the
-// caller's goroutine, the fan-out cannot hand the caller slices that alias
-// live index internals. Workers therefore copy every row they deliver at
-// the merge boundary — into chunks for Exec, into per-probe fold states for
-// ExecRows/Query/BatchQuery — and the caller receives sub-slices of those
-// copies. This gives Sharded a stronger guarantee than index.Yield's
-// baseline contract: rows are stable copies that remain valid after the
-// call returns and are never overwritten by a later match. A row reply
-// copies only the rows it keeps; the rest of its matches are counted off
-// the selection bitmaps.
-//
-// Exec streams: chunks reach the yield while the scan is still running, so
-// its memory cost is bounded by the chunks in flight. ExecRows holds the
-// rows it keeps, and Query and BatchQuery keep every row before the first
-// visitor call (which is what lets that visitor mutate the index), so their
-// memory cost is proportional to the rows they match — a full-table
+// Memory follows the rows kept. ExecRows holds the rows it keeps; Exec holds
+// one probe's matches per worker, yielding each probe's rows once its turn
+// comes; Query and BatchQuery keep every row before the first visitor call
+// (which is what lets that visitor mutate the index), so a full-table
 // rectangle buffers the whole table. Callers serving untrusted input should
 // bound rectangle selectivity or batch width at their own layer
 // (cmd/coaxserve caps request size and batch length).
@@ -177,44 +167,11 @@ func Build(t *dataset.Table, opt core.Options, so Options) (*Sharded, error) {
 
 // BuildWithFD builds a sharded index from pre-detected dependencies.
 func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Options) (*Sharded, error) {
-	k := so.NumShards
-	if k == 0 {
-		k = runtime.GOMAXPROCS(0)
+	s, err := newSharded(t, fd, so)
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 || k > MaxShards {
-		return nil, fmt.Errorf("shard: NumShards %d out of range [1,%d]", k, MaxShards)
-	}
-	if t.Len() == 0 {
-		return nil, fmt.Errorf("shard: cannot build over an empty table")
-	}
-	s := &Sharded{
-		dims:      t.Dims(),
-		partition: so.Partition,
-		col:       -1,
-		workers:   poolSize(so.Workers),
-	}
-
-	switch so.Partition {
-	case ByRange:
-		col := so.Column
-		if col < 0 {
-			col = autoRangeColumn(fd)
-		}
-		if col >= t.Dims() {
-			return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, t.Dims())
-		}
-		s.col = col
-		s.cuts = rangeCuts(t.Column(col), k)
-	case ByHash:
-		// No routing state beyond the shard count.
-	default:
-		return nil, fmt.Errorf("shard: unknown partition kind %d", so.Partition)
-	}
-
-	s.shards = make([]*shardSlot, k)
-	for i := range s.shards {
-		s.shards[i] = &shardSlot{}
-	}
+	k := len(s.shards)
 
 	// Partition rows. Shard tables may be empty (k > distinct values); an
 	// empty shard still gets a COAX skeleton so inserts can land later.
@@ -258,6 +215,49 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Option
 		return nil, buildErr
 	}
 	s.n.Store(int64(t.Len()))
+	return s, nil
+}
+
+// newSharded returns an index of K empty shard slots that routes rows as
+// so asks, its range cut points the quantiles of t's partition column — the
+// whole table, or the sample a streaming build starts from.
+func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error) {
+	k := so.NumShards
+	if k == 0 {
+		k = runtime.GOMAXPROCS(0)
+	}
+	if k < 1 || k > MaxShards {
+		return nil, fmt.Errorf("shard: NumShards %d out of range [1,%d]", k, MaxShards)
+	}
+	if t.Len() == 0 {
+		return nil, fmt.Errorf("shard: cannot build over an empty table")
+	}
+	s := &Sharded{
+		dims:      t.Dims(),
+		partition: so.Partition,
+		col:       -1,
+		workers:   poolSize(so.Workers),
+	}
+	switch so.Partition {
+	case ByRange:
+		col := so.Column
+		if col < 0 {
+			col = autoRangeColumn(fd)
+		}
+		if col >= t.Dims() {
+			return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, t.Dims())
+		}
+		s.col = col
+		s.cuts = rangeCuts(t.Column(col), k)
+	case ByHash:
+		// No routing state beyond the shard count.
+	default:
+		return nil, fmt.Errorf("shard: unknown partition kind %d", so.Partition)
+	}
+	s.shards = make([]*shardSlot, k)
+	for i := range s.shards {
+		s.shards[i] = &shardSlot{}
+	}
 	return s, nil
 }
 

@@ -8,7 +8,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/coax-index/coax/internal/core"
@@ -21,35 +20,16 @@ import (
 // (shards × channel depth × batch) rows.
 const streamBatchRows = 1024
 
-// router maps rows to shard ordinals using the same rules as a serving
-// Sharded, before one exists.
-type router struct {
-	partition Partition
-	col       int
-	cuts      []float64
-	k         int
-}
-
-func (r *router) route(row []float64) int {
-	if r.partition == ByHash {
-		return int(hashRow(row) % uint64(r.k))
-	}
-	v := row[r.col]
-	return sort.Search(len(r.cuts), func(j int) bool { return r.cuts[j] > v })
-}
-
 // StreamBuilder constructs a Sharded index from a stream of rows. Add may
 // only be called from one goroutine; placement itself runs on per-shard
 // workers concurrently with ingestion.
 type StreamBuilder struct {
-	rt      router
-	workers int
+	s *Sharded // routes rows now; its empty slots take the shards at Finish
 
 	builders []*core.StreamBuilder
-	chans    []chan []float64 // flattened row batches; ownership transfers
+	batches  []chan dataset.Chunk // per shard; ownership transfers
 	wg       sync.WaitGroup
 
-	dims    int
 	staging [][]float64 // per shard: partially filled batch
 	n       int
 }
@@ -59,38 +39,15 @@ type StreamBuilder struct {
 // partitioning the cut points are quantiles of the sample's partition
 // column. totalHint ≥ 0 sizes per-shard preallocation; -1 when unknown.
 func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, opt core.Options, so Options, totalHint int) (*StreamBuilder, error) {
-	k := so.NumShards
-	if k == 0 {
-		k = poolSize(0)
-	}
-	if k < 1 || k > MaxShards {
-		return nil, fmt.Errorf("shard: NumShards %d out of range [1,%d]", k, MaxShards)
-	}
 	if sample.Len() == 0 {
 		return nil, fmt.Errorf("shard: streaming build needs a non-empty sample")
 	}
-
-	b := &StreamBuilder{
-		rt:      router{partition: so.Partition, col: -1, k: k},
-		workers: poolSize(so.Workers),
-		dims:    sample.Dims(),
+	s, err := newSharded(sample, fd, so)
+	if err != nil {
+		return nil, err
 	}
-	switch so.Partition {
-	case ByRange:
-		col := so.Column
-		if col < 0 {
-			col = autoRangeColumn(fd)
-		}
-		if col >= sample.Dims() {
-			return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, sample.Dims())
-		}
-		b.rt.col = col
-		b.rt.cuts = rangeCuts(sample.Column(col), k)
-	case ByHash:
-		// No routing state beyond the shard count.
-	default:
-		return nil, fmt.Errorf("shard: unknown partition kind %d", so.Partition)
-	}
+	b := &StreamBuilder{s: s}
+	k := len(s.shards)
 
 	perShard := -1
 	if totalHint >= 0 {
@@ -107,14 +64,14 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 	}
 	for i := 0; i < sample.Len(); i++ {
 		row := sample.Row(i)
-		slabs[b.rt.route(row)].Append(row)
+		slabs[s.routeRow(row)].Append(row)
 	}
 	minSlab := 2 * opt.PrimaryCellsPerDim
 	if minSlab < 32 {
 		minSlab = 32
 	}
 	b.builders = make([]*core.StreamBuilder, k)
-	b.chans = make([]chan []float64, k)
+	b.batches = make([]chan dataset.Chunk, k)
 	b.staging = make([][]float64, k)
 	for i := 0; i < k; i++ {
 		slab := slabs[i]
@@ -126,17 +83,15 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		b.builders[i] = sb
-		b.chans[i] = make(chan []float64, 2)
+		b.batches[i] = make(chan dataset.Chunk, 2)
 	}
 	for i := 0; i < k; i++ {
 		b.wg.Add(1)
 		go func(i int) {
 			defer b.wg.Done()
-			sb := b.builders[i]
-			dims := b.dims
-			for batch := range b.chans[i] {
-				for o := 0; o+dims <= len(batch); o += dims {
-					sb.Add(batch[o : o+dims])
+			for c := range b.batches[i] {
+				for r := range c.Rows() {
+					b.builders[i].Add(c.Row(r))
 				}
 			}
 		}(i)
@@ -148,19 +103,20 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 // be reused by the caller immediately: rows are copied into batch buffers
 // before they cross a goroutine boundary.
 func (b *StreamBuilder) Add(c dataset.Chunk) error {
-	if c.Cols != b.dims {
-		return fmt.Errorf("shard: chunk has %d columns, builder has %d", c.Cols, b.dims)
+	dims := b.s.dims
+	if c.Cols != dims {
+		return fmt.Errorf("shard: chunk has %d columns, builder has %d", c.Cols, dims)
 	}
 	for i := 0; i < c.Rows(); i++ {
 		row := c.Row(i)
-		si := b.rt.route(row)
+		si := b.s.routeRow(row)
 		stage := b.staging[si]
 		if stage == nil {
-			stage = make([]float64, 0, streamBatchRows*b.dims)
+			stage = make([]float64, 0, streamBatchRows*dims)
 		}
 		stage = append(stage, row...)
-		if len(stage) >= streamBatchRows*b.dims {
-			b.chans[si] <- stage
+		if len(stage) >= streamBatchRows*dims {
+			b.batches[si] <- dataset.Chunk{Cols: dims, Data: stage}
 			stage = nil
 		}
 		b.staging[si] = stage
@@ -177,23 +133,23 @@ func (b *StreamBuilder) Rows() int { return b.n }
 func (b *StreamBuilder) Finish() (*Sharded, error) {
 	for si, stage := range b.staging {
 		if len(stage) > 0 {
-			b.chans[si] <- stage
+			b.batches[si] <- dataset.Chunk{Cols: b.s.dims, Data: stage}
 			b.staging[si] = nil
 		}
-		close(b.chans[si])
+		close(b.batches[si])
 	}
 	b.wg.Wait()
 
 	if b.n == 0 {
 		return nil, fmt.Errorf("shard: cannot build over an empty stream")
 	}
-	idxs := make([]*core.COAX, len(b.builders))
 	for i, sb := range b.builders {
 		idx, err := sb.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		idxs[i] = idx
+		b.s.shards[i].idx = idx
+		b.s.n.Add(int64(idx.Len()))
 	}
-	return Reassemble(idxs, b.rt.partition, b.rt.col, b.rt.cuts, b.workers)
+	return b.s, nil
 }
