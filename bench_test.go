@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/gridfile"
@@ -371,31 +370,24 @@ func BenchmarkSoftFDDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryV2Limit measures the Query API v2 early-termination path:
-// Limit(k) through the public builder versus a full Collect of the same
-// broad rectangle, on the airline COAX index.
+// BenchmarkQueryV2Limit measures early termination: a row fold keeping and
+// stopping at k rows versus one keeping every match of the same broad
+// rectangle, on the airline COAX index.
 func BenchmarkQueryV2Limit(b *testing.B) {
 	setup(b)
 	gen := workload.NewGenerator(airlineTab, 7)
 	rects := gen.KNNRects(32, 5000)
-	for _, k := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("limit-%d", k), func(b *testing.B) {
-			rows := 0
-			for i := 0; i < b.N; i++ {
-				got, err := coax.CollectLimit(airlineCOAX, rects[i%len(rects)], k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows += len(got)
-			}
-			sink = rows
-		})
-	}
-	b.Run("full-collect", func(b *testing.B) {
+	collect := func(b *testing.B, keep index.RowsState) {
 		rows := 0
 		for i := 0; i < b.N; i++ {
-			rows += len(coax.Collect(airlineCOAX, rects[i%len(rects)]))
+			st := keep
+			airlineCOAX.ExecAgg(rects[i%len(rects)], index.Spec{}, &st, nil)
+			rows += st.Held()
 		}
 		sink = rows
-	})
+	}
+	for _, k := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("limit-%d", k), func(b *testing.B) { collect(b, index.RowsState{Keep: k, Limit: k}) })
+	}
+	b.Run("full-collect", func(b *testing.B) { collect(b, index.RowsState{Keep: -1}) })
 }

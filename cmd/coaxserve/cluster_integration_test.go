@@ -28,6 +28,7 @@ import (
 	"github.com/coax-index/coax/internal/cluster"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/index"
+	"github.com/coax-index/coax/internal/shard"
 	"github.com/coax-index/coax/internal/workload"
 )
 
@@ -346,7 +347,7 @@ func TestClusterNodeSnapshotIn(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(rows))
 	so := coax.DefaultShardOptions()
 	so.NumShards = 4
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
+	idx, err := shard.Build(tab, coax.DefaultOptions(), so)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/cluster"
 	"github.com/coax-index/coax/internal/serve"
+	"github.com/coax-index/coax/internal/shard"
 	"github.com/coax-index/coax/internal/workload"
 )
 
@@ -186,7 +187,7 @@ func TestHTTPConformance(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(6000))
 	so := coax.DefaultShardOptions()
 	so.NumShards = 4
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
+	idx, err := shard.Build(tab, coax.DefaultOptions(), so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestHTTPConformance(t *testing.T) {
 func TestQueryGolden(t *testing.T) {
 	so := coax.DefaultShardOptions()
 	so.NumShards = 1
-	idx, err := coax.BuildSharded(coax.GenerateOSM(coax.DefaultOSMConfig(2000)), coax.DefaultOptions(), so)
+	idx, err := shard.Build(coax.GenerateOSM(coax.DefaultOSMConfig(2000)), coax.DefaultOptions(), so)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,11 +97,11 @@ func rectToRequest(r index.Rect) rectRequest {
 }
 
 // testIndex builds the 8000-row, 4-shard OSM index most HTTP tests serve.
-func testIndex(t testing.TB) *coax.ShardedIndex {
+func testIndex(t testing.TB) *coax.Index {
 	t.Helper()
 	so := coax.DefaultShardOptions()
 	so.NumShards = 4
-	idx, err := coax.BuildSharded(coax.GenerateOSM(coax.DefaultOSMConfig(8000)), coax.DefaultOptions(), so)
+	idx, err := shard.Build(coax.GenerateOSM(coax.DefaultOSMConfig(8000)), coax.DefaultOptions(), so)
 	if err != nil {
 		t.Fatalf("BuildSharded: %v", err)
 	}
@@ -109,7 +109,7 @@ func testIndex(t testing.TB) *coax.ShardedIndex {
 }
 
 // testBackend wraps idx the way serve mode does, compactor idle.
-func testBackend(idx *coax.ShardedIndex) *localBackend {
+func testBackend(idx *coax.Index) *localBackend {
 	return newLocalBackend(idx, nil, coax.DefaultThresholds(), 0)
 }
 

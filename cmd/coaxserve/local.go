@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/coax-index/coax/coax"
-	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/obs"
@@ -125,10 +124,11 @@ func snapshotVersionOf(path string) uint32 {
 
 // openSnapshot opens the snapshot at path for serving, whatever its format
 // version: v3 files are memory-mapped (heap fallback where mmap is
-// unavailable), v1/v2 files decode onto the heap. Either layout comes back
-// as a sharded serving layer; the returned Snapshot owns a v3 file's
-// mapping and must stay referenced for the life of the server.
-func openSnapshot(in string, workers int) (*coax.ShardedIndex, *coax.Snapshot, error) {
+// unavailable), v1/v2 files decode onto the heap, and a single-index file
+// opens as one shard; the index's fan-out pool is sized to workers. The
+// returned Snapshot owns a v3 file's mapping and must stay referenced for
+// the life of the server.
+func openSnapshot(in string, workers int) (*coax.Index, *coax.Snapshot, error) {
 	sn, err := coax.OpenFile(in)
 	if err != nil {
 		return nil, nil, fmt.Errorf("loading %s: %w", in, err)
@@ -147,12 +147,11 @@ func openSnapshot(in string, workers int) (*coax.ShardedIndex, *coax.Snapshot, e
 	return idx, sn, nil
 }
 
-// openIndex loads a sharded snapshot, wraps a single-index snapshot into a
-// one-shard serving layer, or builds a sharded index at startup — from a
-// CSV file/stdin or a synthetic generator, streamed straight into the
-// per-shard builders when -sample is set. The Snapshot is nil for an index
-// built at startup.
-func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax.ShardedIndex, *coax.Snapshot, error) {
+// openIndex opens a snapshot (a single-index file as one shard) or builds
+// an index at startup — from a CSV file/stdin or a synthetic generator,
+// streamed straight into the per-shard builders when -sample is set. The
+// Snapshot is nil for an index built at startup.
+func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax.Index, *coax.Snapshot, error) {
 	if in != "" {
 		return openSnapshot(in, workers)
 	}
@@ -227,10 +226,10 @@ func makeTable(ds string, rows int) (*coax.Table, error) {
 	}
 }
 
-// localBackend serves from an in-process sharded index. The embedded index
-// supplies the engine half of backend (versions, schema, mutations).
+// localBackend serves from an in-process index. The embedded index supplies
+// the engine half of backend (versions, schema, mutations).
 type localBackend struct {
-	*coax.ShardedIndex
+	*coax.Index
 	// snap owns the mapping of a v3 snapshot and latches its lazily detected
 	// page corruption; nil when the index was built at startup.
 	snap      *coax.Snapshot
@@ -244,13 +243,13 @@ type localBackend struct {
 
 // newLocalBackend wraps idx with a compactor polling every sweep (not yet
 // started) and no slowlog — the shape tests use as is.
-func newLocalBackend(idx *coax.ShardedIndex, snap *coax.Snapshot, th lifecycle.Thresholds, sweep time.Duration) *localBackend {
+func newLocalBackend(idx *coax.Index, snap *coax.Snapshot, th lifecycle.Thresholds, sweep time.Duration) *localBackend {
 	return &localBackend{
-		ShardedIndex: idx,
-		snap:         snap,
-		compactor:    lifecycle.NewCompactor(idx, th, sweep),
-		th:           th,
-		snapVersion:  snapshot.Version,
+		Index:       idx,
+		snap:        snap,
+		compactor:   lifecycle.NewCompactor(idx, th, sweep),
+		th:          th,
+		snapVersion: snapshot.Version,
 	}
 }
 
@@ -290,15 +289,15 @@ func (l *localBackend) mutate(apply func() error) error {
 }
 
 func (l *localBackend) Insert(row []float64) error {
-	return l.mutate(func() error { return l.ShardedIndex.Insert(row) })
+	return l.mutate(func() error { return l.Index.Insert(row) })
 }
 
 func (l *localBackend) Delete(row []float64) error {
-	return l.mutate(func() error { return l.ShardedIndex.Delete(row) })
+	return l.mutate(func() error { return l.Index.Delete(row) })
 }
 
 func (l *localBackend) Update(old, new []float64) error {
-	return l.mutate(func() error { return l.ShardedIndex.Update(old, new) })
+	return l.mutate(func() error { return l.Index.Update(old, new) })
 }
 
 // runRows executes through the v2 engine as a fold (coax.Query.Head): ctx
@@ -314,7 +313,7 @@ func (l *localBackend) runRows(ctx context.Context, r coax.Rect, keep int, early
 	if early {
 		q.Limit(keep)
 	}
-	res, err := q.Head(l.ShardedIndex, keep)
+	res, err := q.Head(l.Index, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +347,7 @@ func (l *localBackend) runAgg(ctx context.Context, r coax.Rect, spec index.AggSp
 	case index.AggAvg:
 		agg = coax.AvgDim(spec.Col)
 	}
-	res, err := q.Aggregate(l.ShardedIndex, agg)
+	res, err := q.Aggregate(l.Index, agg)
 	if err != nil {
 		return nil, err
 	}
@@ -531,18 +530,7 @@ func (l *localBackend) registerGauges() {
 	obs.NewGaugeFunc("coax_memory_overhead_bytes", "Index directory overhead beyond row payload.",
 		func() float64 { return float64(l.MemoryOverhead()) })
 	obs.NewGaugeFunc("coax_primary_pages", "Grid pages across all primary partitions.",
-		func() float64 {
-			var pages int
-			for i := 0; i < l.NumShards(); i++ {
-				l.WithShard(i, func(c *core.COAX) error {
-					if c.HasPrimary() {
-						pages += c.Primary().NumCells()
-					}
-					return nil
-				})
-			}
-			return float64(pages)
-		})
+		func() float64 { return float64(l.BuildStats().PrimaryCells) })
 	obs.NewGaugeFunc("coax_stale_shards", "Shards currently stale under the serving thresholds.",
 		func() float64 { return float64(len(l.StaleShards(l.th))) })
 }

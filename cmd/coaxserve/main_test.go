@@ -10,10 +10,13 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/core"
+	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/mmapsnap"
+	"github.com/coax-index/coax/internal/snapshot"
 )
 
-func testServer(t *testing.T) (*coax.ShardedIndex, *httptest.Server) {
+func testServer(t *testing.T) (*coax.Index, *httptest.Server) {
 	t.Helper()
 	idx := testIndex(t)
 	return idx, serveFront(t, testBackend(idx), 0, nil)
@@ -97,7 +100,7 @@ func TestQueryEndpoint(t *testing.T) {
 	r.Min[1], r.Max[1] = 0, 50000
 	var window queryResponse
 	postJSON(t, srv.URL+"/query", q, &window)
-	if want := coax.Count(idx, r); window.Count != want {
+	if want, _ := coax.FromRect(r).Count(idx); window.Count != want {
 		t.Errorf("window count = %d, want %d", window.Count, want)
 	}
 
@@ -165,22 +168,42 @@ func TestInsertEndpoint(t *testing.T) {
 	}
 }
 
-func TestOpenIndexWrapsSingleSnapshot(t *testing.T) {
-	tab := coax.GenerateOSM(coax.DefaultOSMConfig(3000))
-	single, err := coax.Build(tab, coax.DefaultOptions())
+// singleLayout builds a core index over tab and writes it to path in the
+// single-index layout earlier releases wrote: format v3 (compressed or not)
+// when v3 is set, else v2.
+func singleLayout(t *testing.T, tab *coax.Table, path string, v3, compress bool) *core.COAX {
+	t.Helper()
+	c, err := core.Build(tab, coax.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/single.coax"
-	if err := coax.SaveFile(path, single); err != nil {
+	var blob []byte
+	if v3 {
+		blob, err = mmapsnap.EncodeIndex(c, mmapsnap.Options{Compress: compress})
+	} else {
+		var buf bytes.Buffer
+		err = snapshot.Encode(&buf, c)
+		blob = buf.Bytes()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestOpenIndexWrapsSingleSnapshot(t *testing.T) {
+	tab := coax.GenerateOSM(coax.DefaultOSMConfig(3000))
+	path := t.TempDir() + "/single.coax"
+	singleLayout(t, tab, path, false, false)
 	idx, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 	if err != nil {
 		t.Fatalf("openIndex(single snapshot): %v", err)
 	}
-	if idx.NumShards() != 1 || idx.Len() != tab.Len() {
-		t.Errorf("wrapped index: %d shards, %d rows", idx.NumShards(), idx.Len())
+	if st := idx.BuildStats(); st.Shards != 1 || st.Rows != tab.Len() || st.Workers != 2 {
+		t.Errorf("wrapped index: %d shards, %d rows, %d workers", st.Shards, st.Rows, st.Workers)
 	}
 }
 
@@ -190,15 +213,9 @@ func TestOpenIndexWrapsSingleSnapshot(t *testing.T) {
 // version reporting must say 3.
 func TestOpenIndexServesV3Snapshot(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
-	single, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, compress := range []bool{false, true} {
 		path := fmt.Sprintf("%s/v3-%v.coax", t.TempDir(), compress)
-		if err := coax.SaveFileV3(path, single, compress); err != nil {
-			t.Fatal(err)
-		}
+		single := singleLayout(t, tab, path, true, compress)
 		idx, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 		if err != nil {
 			t.Fatalf("openIndex(v3, compress=%v): %v", compress, err)
@@ -212,11 +229,7 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nHeap, err := coax.FromRect(r).Count(single)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nMapped != nHeap {
+		if nHeap := index.Count(single, r); nMapped != nHeap {
 			t.Errorf("compress=%v: mapped count %d, heap %d", compress, nMapped, nHeap)
 		}
 		if v := snapshotVersionOf(path); v != coax.SnapshotVersionV3 {
@@ -232,14 +245,8 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 // "corrupt", and a counted metric.
 func TestCorruptPageRefused(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
-	single, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := t.TempDir() + "/corrupt.v3"
-	if err := coax.SaveFileV3(path, single, true); err != nil {
-		t.Fatal(err)
-	}
+	singleLayout(t, tab, path, true, true)
 	// Flip a byte in the compressed data region, which Open does not read
 	// (a flip in a plain section fails the open, as it should).
 	blob, err := os.ReadFile(path)
@@ -314,14 +321,8 @@ func TestCorruptPageRefused(t *testing.T) {
 // like a read (500, counted, nothing applied), and so is every one after it.
 func TestMutationOnCorruptPage(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
-	single, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := t.TempDir() + "/corrupt.v3"
-	if err := coax.SaveFileV3(path, single, true); err != nil {
-		t.Fatal(err)
-	}
+	single := singleLayout(t, tab, path, true, true)
 	// The primary grid's pages are laid out in cell order, so the last byte
 	// of its data region belongs to the last non-empty cell: take two rows
 	// of that cell, then flip a byte inside its page blob.

@@ -16,6 +16,7 @@ import (
 
 	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/serve"
+	"github.com/coax-index/coax/internal/shard"
 )
 
 // wideRows is the row count of the wide fixture; ids run 0..wideRows-1, and
@@ -24,19 +25,19 @@ const wideRows = 40000
 
 var wide struct {
 	once sync.Once
-	idx  *coax.ShardedIndex
+	idx  *coax.Index
 	err  error
 }
 
 // wideIndex is a 4-shard, 4-worker OSM index large enough for one query to
 // match tens of thousands of rows across several probes — the shape of a
 // mapped-cold miss. It is built once per test binary.
-func wideIndex(t testing.TB) *coax.ShardedIndex {
+func wideIndex(t testing.TB) *coax.Index {
 	t.Helper()
 	wide.once.Do(func() {
 		so := coax.DefaultShardOptions()
 		so.NumShards, so.Workers = 4, 4
-		wide.idx, wide.err = coax.BuildSharded(coax.GenerateOSM(coax.DefaultOSMConfig(wideRows)), coax.DefaultOptions(), so)
+		wide.idx, wide.err = shard.Build(coax.GenerateOSM(coax.DefaultOSMConfig(wideRows)), coax.DefaultOptions(), so)
 	})
 	if wide.err != nil {
 		t.Fatalf("BuildSharded: %v", wide.err)

@@ -27,7 +27,7 @@ import (
 )
 
 // testServerHardened is testServer with the hardening layer switched on.
-func testServerHardened(t *testing.T, cacheSize int, adm *serve.Admission) (*coax.ShardedIndex, *httptest.Server) {
+func testServerHardened(t *testing.T, cacheSize int, adm *serve.Admission) (*coax.Index, *httptest.Server) {
 	t.Helper()
 	idx := testIndex(t)
 	return idx, serveFront(t, testBackend(idx), cacheSize, adm)

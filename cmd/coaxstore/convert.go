@@ -13,7 +13,8 @@ import (
 // streaming heap-decoded container) and v3 (the page-aligned memory-mapped
 // container). Either direction works — the opened index is re-encoded in
 // the target format, so a fleet can migrate to mapped serving with
-// `convert -to 3` and roll back with `convert -to 2`.
+// `convert -to 3` and roll back with `convert -to 2`. A single-index file
+// is written as a one-shard index.
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	var (
@@ -32,7 +33,7 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	t0 := time.Now()
-	sn, err := coax.OpenFile(*in)
+	idx, sn, err := loadAnyIndex(*in)
 	if err != nil {
 		return err
 	}
@@ -42,17 +43,9 @@ func cmdConvert(args []string) error {
 	t0 = time.Now()
 	switch *to {
 	case 3:
-		if sh := sn.Sharded(); sh != nil {
-			err = coax.SaveShardedFileV3(*out, sh, *compress)
-		} else {
-			err = coax.SaveFileV3(*out, sn.Index(), *compress)
-		}
+		err = coax.SaveShardedFileV3(*out, idx, *compress)
 	case 2:
-		if sh := sn.Sharded(); sh != nil {
-			err = coax.SaveShardedFile(*out, sh)
-		} else {
-			err = coax.SaveFile(*out, sn.Index())
-		}
+		err = coax.SaveShardedFile(*out, idx)
 	default:
 		return fmt.Errorf("unsupported target version %d (want 2 or 3)", *to)
 	}

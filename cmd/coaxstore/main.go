@@ -150,7 +150,7 @@ func cmdBuild(args []string) error {
 	base, peak := mw.Stop()
 
 	t0 = time.Now()
-	if err := coax.SaveFile(*out, idx); err != nil {
+	if err := coax.SaveShardedFile(*out, idx); err != nil {
 		return err
 	}
 	saveDur := time.Since(t0)
@@ -245,33 +245,6 @@ func progressPrinter() func(coax.BuildProgress) {
 	}
 }
 
-func loadTable(csvPath, ds string, rows int, seed int64) (*coax.Table, error) {
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return coax.ReadCSV(f)
-	}
-	switch ds {
-	case "osm":
-		cfg := coax.DefaultOSMConfig(rows)
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return coax.GenerateOSM(cfg), nil
-	case "airline":
-		cfg := coax.DefaultAirlineConfig(rows)
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return coax.GenerateAirline(cfg), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want osm or airline)", ds)
-	}
-}
-
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("in", "index.coax", "snapshot path")
@@ -279,33 +252,34 @@ func cmdInfo(args []string) error {
 	verify := fs.Bool("verify", false, "v3 snapshots: check every section CRC and decode every compressed page before reporting")
 	fs.Parse(args)
 
-	if v, err := coax.PeekSnapshotVersion(*in); err == nil && v == coax.SnapshotVersionV3 {
-		return infoV3(*in, *metrics, *verify)
-	}
-
-	f, err := os.Open(*in)
+	v, err := coax.PeekSnapshotVersion(*in)
 	if err != nil {
 		return err
 	}
-	info, err := snapshot.Inspect(f)
-	f.Close()
+	if v == coax.SnapshotVersionV3 {
+		err = framesV3(*in, *verify)
+	} else {
+		err = framesV2(*in)
+	}
 	if err != nil {
 		return err
-	}
-	fmt.Printf("%s: COAX snapshot, format version %d\n", *in, info.Version)
-	for _, s := range info.Sections {
-		fmt.Printf("  section %q  %10d bytes  crc32c %08x\n", s.ID, s.Len, s.CRC)
 	}
 
 	t0 := time.Now()
-	idx, err := coax.LoadFile(*in)
+	idx, sn, err := loadAnyIndex(*in)
 	if err != nil {
 		return err
 	}
-	loadDur := time.Since(t0)
+	defer sn.Close()
+	how := "heap"
+	if sn.Mapped() {
+		how = "mapped"
+	} else if v == coax.SnapshotVersionV3 {
+		how = "heap fallback"
+	}
+	fmt.Printf("opened in %v (%s)\n", time.Since(t0).Round(time.Microsecond), how)
 	s := idx.BuildStats()
-	fmt.Printf("loaded in %v\n", loadDur.Round(time.Microsecond))
-	fmt.Printf("  rows %d, dims %d, sort dim %d\n", s.Rows, s.Dims, s.SortDim)
+	fmt.Printf("  rows %d, dims %d, sort dim %d, %d %s shard(s)\n", s.Rows, s.Dims, s.SortDim, s.Shards, s.Partition)
 	fmt.Printf("  primary rows %d (%.1f%%), outlier rows %d\n", s.PrimaryRows, 100*s.PrimaryRatio, s.OutlierRows)
 	for _, g := range s.Groups {
 		fmt.Printf("  group: predictor col %d → members %v\n", g.Predictor, g.Members)
@@ -319,10 +293,28 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-// infoV3 describes a memory-mapped (format v3) snapshot: the section table
-// with per-section on-disk vs decoded sizes and compression ratios, then
-// the index stats from a mapped open.
-func infoV3(path string, metrics, verify bool) error {
+// framesV2 lists the checksummed sections of a format v1/v2 snapshot.
+func framesV2(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	info, err := snapshot.Inspect(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: COAX snapshot, format version %d\n", path, info.Version)
+	for _, s := range info.Sections {
+		fmt.Printf("  section %q  %10d bytes  crc32c %08x\n", s.ID, s.Len, s.CRC)
+	}
+	return nil
+}
+
+// framesV3 describes a memory-mapped (format v3) snapshot's section table,
+// with per-section on-disk vs decoded sizes and compression ratios, after
+// checking every section and page when verify is set.
+func framesV3(path string, verify bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -349,41 +341,12 @@ func infoV3(path string, metrics, verify bool) error {
 		fmt.Printf("  shard %d:\n", i)
 		printSections("    ", sh)
 	}
-
 	if verify {
 		t0 := time.Now()
 		if err := mmapsnap.Verify(data); err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
 		fmt.Printf("verified every section CRC and page in %v\n", time.Since(t0).Round(time.Microsecond))
-	}
-
-	t0 := time.Now()
-	sn, err := coax.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	defer sn.Close()
-	openDur := time.Since(t0)
-	how := "heap fallback"
-	if sn.Mapped() {
-		how = "mapped"
-	}
-	fmt.Printf("opened in %v (%s)\n", openDur.Round(time.Microsecond), how)
-	if sh := sn.Sharded(); sh != nil {
-		fmt.Printf("  sharded index: %d shards, %d live rows, %d dims\n", sh.NumShards(), sh.Len(), sh.Dims())
-		return nil
-	}
-	idx := sn.Index()
-	s := idx.BuildStats()
-	fmt.Printf("  rows %d, dims %d, sort dim %d\n", s.Rows, s.Dims, s.SortDim)
-	fmt.Printf("  primary rows %d (%.1f%%), outlier rows %d\n", s.PrimaryRows, 100*s.PrimaryRatio, s.OutlierRows)
-	for _, g := range s.Groups {
-		fmt.Printf("  group: predictor col %d → members %v\n", g.Predictor, g.Members)
-	}
-	if metrics {
-		fmt.Println()
-		writeOfflineMetrics(os.Stdout, idx)
 	}
 	return nil
 }
@@ -400,11 +363,7 @@ func writeOfflineMetrics(w io.Writer, idx *coax.Index) {
 	reg.Gauge("coax_tombstone_ratio", "Fraction of stored rows that are tombstones.").Set(life.TombstoneRatio)
 	reg.Gauge("coax_index_epoch", "Sum of shard rebuild epochs (advances on every rebuild).").Set(float64(life.Epoch))
 	reg.Gauge("coax_memory_overhead_bytes", "Index directory overhead beyond row payload.").Set(float64(idx.MemoryOverhead()))
-	pages := 0
-	if idx.HasPrimary() {
-		pages = idx.Primary().NumCells()
-	}
-	reg.Gauge("coax_primary_pages", "Grid pages across all primary partitions.").Set(float64(pages))
+	reg.Gauge("coax_primary_pages", "Grid pages across all primary partitions.").Set(float64(idx.BuildStats().PrimaryCells))
 	reg.WritePrometheus(w)
 }
 
@@ -434,26 +393,30 @@ func cmdQuery(args []string) error {
 	}
 
 	t0 = time.Now()
-	count := 0
-	idx.Query(r, func(row []float64) {
-		if count < *limit {
-			fmt.Println(formatRow(row))
-		}
-		count++
-	})
+	keep := *limit
+	if keep < 0 {
+		keep = 0 // count only, as for 0
+	}
+	res, err := coax.FromRect(r).Head(idx, keep)
+	if err != nil {
+		return err
+	}
 	queryDur := time.Since(t0)
 	if err := sn.PageErr(); err != nil {
 		return fmt.Errorf("%s: corrupt page touched during query: %w", *in, err)
 	}
+	for _, row := range res.Rows {
+		fmt.Println(formatRow(row))
+	}
 	fmt.Printf("%d rows matched %v (load %v, query %v)\n",
-		count, r, loadDur.Round(time.Microsecond), queryDur.Round(time.Microsecond))
+		res.Count, r, loadDur.Round(time.Microsecond), queryDur.Round(time.Microsecond))
 	return nil
 }
 
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	var (
-		in      = fs.String("in", "index.coax", "snapshot path (single-index or sharded)")
+		in      = fs.String("in", "index.coax", "snapshot path")
 		min     = fs.String("min", "", "comma-separated lower bounds; '_' leaves a dimension unconstrained")
 		max     = fs.String("max", "", "comma-separated upper bounds; '_' leaves a dimension unconstrained")
 		wheres  = fs.String("where", "", "comma-separated name-based predicates col:lo:hi ('_' for an open side), e.g. airtime:60:90")
@@ -519,20 +482,18 @@ func cmdExplain(args []string) error {
 }
 
 // loadAnyIndex opens a snapshot whichever layout or format version it
-// holds: a single index or a sharded one, heap-decoded (v1/v2) or
-// memory-mapped (v3). The mapping of a v3 file stays valid until process
-// exit — the one-shot subcommands never unmap. Callers must check the
-// returned snapshot's PageErr after querying: compressed v3 pages are
-// CRC-verified lazily, so a corrupt page surfaces there, not at open.
-func loadAnyIndex(path string) (coax.Querier, *coax.Snapshot, error) {
+// holds: heap-decoded (v1/v2) or memory-mapped (v3), a single-index file as
+// one shard. The query and explain subcommands never unmap a v3 file: the
+// mapping stays valid until process exit. Callers must check the returned
+// snapshot's PageErr after querying: compressed v3 pages are CRC-verified
+// lazily, so a corrupt page surfaces there, not at open.
+func loadAnyIndex(path string) (*coax.Index, *coax.Snapshot, error) {
 	sn, err := coax.OpenFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("loading %s: %w", path, err)
 	}
-	if idx := sn.Index(); idx != nil {
-		return idx, sn, nil
-	}
-	return sn.Sharded(), sn, nil
+	idx, err := sn.Serving(0)
+	return idx, sn, err
 }
 
 // fillBounds parses a comma-separated bound list into dst; '_' (or an empty

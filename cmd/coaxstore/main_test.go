@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +11,8 @@ import (
 
 // TestBuildInfoQueryBench drives the full CLI flow against a temp
 // directory: build → save, then info / query answer from the snapshot
-// alone.
+// alone — the built file, and 2-shard v2 and v3 files (what coaxserve
+// serve -save and convert write), through the same path.
 func TestBuildInfoQueryBench(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "osm.coax")
@@ -21,39 +20,68 @@ func TestBuildInfoQueryBench(t *testing.T) {
 	if err := cmdBuild([]string{"-dataset", "osm", "-rows", "20000", "-out", snap}); err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("snapshot missing: %v", err)
-	}
-	if err := cmdInfo([]string{"-in", snap, "-metrics"}); err != nil {
-		t.Fatalf("info: %v", err)
-	}
-	// The offline metric rendering uses the exact series names coaxserve
-	// exports at /metrics, so the two views can be diffed name for name.
-	idx, err := coax.LoadFile(snap)
+	so := coax.DefaultShardOptions()
+	so.NumShards = 2
+	sharded, err := coax.NewBuilder(coax.ColumnsSchema([]string{"id", "timestamp", "lat", "lon"}), coax.DefaultOptions()).
+		BuildSharded(coax.NewOSMSource(coax.DefaultOSMConfig(20000), 0), so)
 	if err != nil {
-		t.Fatalf("reloading snapshot: %v", err)
+		t.Fatal(err)
 	}
-	var prom bytes.Buffer
-	writeOfflineMetrics(&prom, idx)
-	for _, series := range []string{
-		"coax_live_rows", "coax_outlier_ratio", "coax_tombstone_ratio",
-		"coax_index_epoch", "coax_memory_overhead_bytes", "coax_primary_pages",
-	} {
-		if !strings.Contains(prom.String(), "# TYPE "+series+" gauge") {
-			t.Errorf("offline metrics missing %s:\n%s", series, prom.String())
+	shardedV2, shardedV3 := filepath.Join(dir, "sharded.v2"), filepath.Join(dir, "sharded.v3")
+	if err := coax.SaveShardedFile(shardedV2, sharded); err != nil {
+		t.Fatal(err)
+	}
+	if err := coax.SaveShardedFileV3(shardedV3, sharded, true); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{snap, shardedV2, shardedV3} {
+		info := stdoutOf(t, func() error { return cmdInfo([]string{"-in", path, "-metrics"}) })
+		// The offline metric rendering uses the exact series names coaxserve
+		// exports at /metrics, so the two views can be diffed name for name.
+		for _, series := range []string{
+			"coax_live_rows", "coax_outlier_ratio", "coax_tombstone_ratio",
+			"coax_index_epoch", "coax_memory_overhead_bytes", "coax_primary_pages",
+		} {
+			if !strings.Contains(info, "# TYPE "+series+" gauge") {
+				t.Errorf("%s: info -metrics lacks %s:\n%s", path, series, info)
+			}
+		}
+		if !strings.Contains(info, "primary rows ") || !strings.Contains(info, "coax_live_rows 20000\n") ||
+			strings.Contains(info, "coax_primary_pages 0\n") {
+			t.Errorf("%s: info lacks the index stats:\n%s", path, info)
+		}
+		// Constrain the timestamp (a dependent column): answering requires the
+		// persisted soft-FD models, not a re-detection.
+		if err := cmdQuery([]string{"-in", path, "-min", "_,100,_,_", "-max", "_,5000,_,_"}); err != nil {
+			t.Fatalf("query %s: %v", path, err)
+		}
+		if err := cmdQuery([]string{"-in", path, "-min", "10,_,_,_", "-max", "200,_,_,_", "-limit", "3"}); err != nil {
+			t.Fatalf("query %s with limit: %v", path, err)
 		}
 	}
-	if !strings.Contains(prom.String(), fmt.Sprintf("coax_live_rows %d", idx.Len())) {
-		t.Errorf("coax_live_rows disagrees with the index (%d rows):\n%s", idx.Len(), prom.String())
+}
+
+// stdoutOf runs fn with os.Stdout sent to a file and returns what it wrote.
+func stdoutOf(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Constrain the timestamp (a dependent column): answering requires the
-	// persisted soft-FD models, not a re-detection.
-	if err := cmdQuery([]string{"-in", snap, "-min", "_,100,_,_", "-max", "_,5000,_,_"}); err != nil {
-		t.Fatalf("query: %v", err)
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := cmdQuery([]string{"-in", snap, "-min", "10,_,_,_", "-max", "200,_,_,_", "-limit", "3"}); err != nil {
-		t.Fatalf("query with limit: %v", err)
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(out)
 }
 
 func TestQueryBadBounds(t *testing.T) {
@@ -118,17 +146,21 @@ func TestStreamingBuildSubcommand(t *testing.T) {
 		t.Fatalf("streaming build: %v", err)
 	}
 
-	a, err := coax.LoadFile(exact)
+	a, _, err := loadAnyIndex(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := coax.LoadFile(streamed)
+	b, _, err := loadAnyIndex(streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := coax.FullRect(4)
 	r.Min[1], r.Max[1] = 5000, 30000
-	if ca, cb := coax.Count(a, r), coax.Count(b, r); ca != cb {
-		t.Fatalf("streamed snapshot counts %d, exact counts %d", cb, ca)
+	ca, err := coax.FromRect(r).Count(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb, err := coax.FromRect(r).Count(b); err != nil || ca != cb {
+		t.Fatalf("streamed snapshot counts %d (%v), exact counts %d", cb, err, ca)
 	}
 }

@@ -4,9 +4,9 @@ package coax
 // optionally grouped by a categorical column, executed entirely inside the
 // scan kernels — COUNT is a popcount over selection bitmaps, SUM/MIN/MAX
 // walk only the set bits of the value column, and no row is ever
-// materialized or handed to a visitor. The sharded engine folds one
-// partial aggregate per shard and merges them in shard order at the gather
-// point, so results are deterministic run to run for a fixed shard layout.
+// materialized or handed to a visitor. The fan-out folds one partial
+// aggregate per shard and merges them in shard order at the gather point,
+// so results are deterministic run to run for a fixed shard layout.
 //
 //	total, err := coax.NewQuery().
 //		Where("lat", coax.Between(45, 50)).
@@ -18,11 +18,9 @@ package coax
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/index"
-	"github.com/coax-index/coax/internal/obs"
 	"github.com/coax-index/coax/internal/shard"
 )
 
@@ -125,10 +123,10 @@ type GroupResult struct {
 
 // resolveCol resolves a column reference against the index, mirroring the
 // name resolution Compile applies to predicates.
-func resolveCol(idx Querier, ref colRef, what string) (int, error) {
+func resolveCol(idx *Index, ref colRef, what string) (int, error) {
 	d := ref.dim
 	if ref.name != "" {
-		cols := columnsOf(idx)
+		cols := idx.Columns()
 		d = -1
 		for i, c := range cols {
 			if c == ref.name {
@@ -151,11 +149,10 @@ func resolveCol(idx Querier, ref colRef, what string) (int, error) {
 
 // Aggregate compiles and executes the query as an aggregation pushdown:
 // the engine folds matching rows into the aggregate inside its scan
-// kernels and no row reaches this layer. Limit and Stable are ignored
-// (aggregates consume every matching row); the context cancels the scan
-// exactly as in Run, returning the context's error alongside the partial
-// result.
-func (q *Query) Aggregate(idx Querier, agg Aggregation) (*AggResult, error) {
+// kernels and no row reaches this layer. Limit is ignored (aggregates
+// consume every matching row); the context cancels the scan exactly as in
+// Run, returning the context's error alongside the partial result.
+func (q *Query) Aggregate(idx *Index, agg Aggregation) (*AggResult, error) {
 	r, err := q.Compile(idx)
 	if err != nil {
 		return nil, err
@@ -172,34 +169,18 @@ func (q *Query) Aggregate(idx Querier, agg Aggregation) (*AggResult, error) {
 		}
 	}
 
-	st := index.NewAggState(aspec)
-	complete, exp, crep, err := q.fold(idx, r, st,
-		func(ix *ShardedIndex, spec index.Spec, rep *shard.Report) bool {
-			got, complete := ix.ExecAgg(r, spec, aspec, rep)
-			st = got
-			return complete
-		},
-		q.observeAgg)
+	var st *index.AggState
+	complete, exp, crep, err := q.fold(idx, r, func(spec index.Spec, rep *shard.Report) bool {
+		got, complete := idx.ExecAgg(r, spec, aspec, rep)
+		st = got
+		return complete
+	})
 	res := newAggResult(agg.op, st, complete)
 	if exp != nil {
 		fillAggExplain(exp, aspec, st, crep)
 		res.Explain = exp
 	}
 	return res, err
-}
-
-// observeAgg records one finished non-sharded aggregation in the
-// query-plane and batch-kernel metrics (the sharded path counts inside
-// shard.ExecAgg, the layer owning that fan-out).
-func (q *Query) observeAgg(start time.Time, _ bool, crep *core.ProbeReport) {
-	obs.Queries.Inc()
-	obs.AggQueries.Inc()
-	obs.QuerySeconds.Observe(time.Since(start).Seconds())
-	if q.ctx != nil && q.ctx.Err() != nil {
-		obs.QueryCancelled.Inc()
-	}
-	core.ObserveProbe(crep)
-	core.ObserveAggKernels(crep)
 }
 
 // newAggResult extracts the public result from a folded state.
@@ -222,14 +203,11 @@ func newAggResult(op index.AggOp, st *index.AggState, complete bool) *AggResult 
 }
 
 // fillAggExplain adds the EXPLAIN's aggregation section: the aggregate, the
-// kernels named by the engine's report (nil on the generic path), and the
-// batch shape from the probe totals.
+// kernels named by the engine's report, and the batch shape from the probe
+// totals.
 func fillAggExplain(exp *Explain, aspec index.AggSpec, st *index.AggState, crep *core.ProbeReport) {
-	a := &AggExplain{Op: aspec.Op.String()}
+	a := &AggExplain{Op: aspec.Op.String(), PrimaryKernel: crep.PrimaryKernel, OutlierKernel: crep.OutlierKernel}
 	exp.Agg = a
-	if crep != nil {
-		a.PrimaryKernel, a.OutlierKernel = crep.PrimaryKernel, crep.OutlierKernel
-	}
 	if aspec.Op.NeedsColumn() {
 		a.Column = exp.colName(aspec.Col)
 	}

@@ -8,71 +8,35 @@ import (
 	"github.com/coax-index/coax/coax"
 )
 
-// Property: for every engine shape (single vs sharded, grid vs R-tree
+// Property: for every engine shape (one shard vs four, grid vs R-tree
 // outlier index) in every mutation state (fresh, tombstoned, compacted),
 // Query.Aggregate must agree with running the same query and folding the
 // rows in the visitor. COUNT/MIN/MAX are order-independent and must match
-// bitwise everywhere; SUM must match bitwise on the single-index engines
-// (the batch fold visits rows in scan order) and within float tolerance on
-// the sharded engine, whose row-path baseline folds in nondeterministic
-// arrival order while the pushdown merges per-shard partials in shard
-// order. The race detector covers the sharded fan-out when CI runs this
-// under -race.
-
-// aggQuerier is the slice of engine surface the property needs.
-type aggQuerier interface {
-	coax.Querier
-	Delete(row []float64) error
-	Compact()
-}
+// bitwise everywhere; SUM must match bitwise on one shard (the batch fold
+// visits rows in Run's scan order) and within float tolerance on four,
+// where Run sums every row in shard order while the pushdown merges
+// per-shard partials. The race detector covers the fan-out when CI runs
+// this under -race.
 
 func TestPropertyAggregateMatchesRowFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(20000))
 
-	build := map[string]func(t *testing.T) aggQuerier{
-		"single/grid": func(t *testing.T) aggQuerier {
-			idx, err := coax.Build(copyOSM(tab), coax.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return idx
-		},
-		"single/rtree": func(t *testing.T) aggQuerier {
+	for _, shape := range []struct {
+		name   string
+		shards int
+		kind   coax.OutlierIndexKind
+	}{
+		{"one-shard/grid", 1, coax.OutlierGrid},
+		{"one-shard/rtree", 1, coax.OutlierRTree},
+		{"sharded/grid", 4, coax.OutlierGrid},
+		{"sharded/rtree", 4, coax.OutlierRTree},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
 			opt := coax.DefaultOptions()
-			opt.OutlierKind = coax.OutlierRTree
-			idx, err := coax.Build(copyOSM(tab), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return idx
-		},
-		"sharded/grid": func(t *testing.T) aggQuerier {
-			so := coax.DefaultShardOptions()
-			so.NumShards = 4
-			idx, err := coax.BuildSharded(copyOSM(tab), coax.DefaultOptions(), so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return idx
-		},
-		"sharded/rtree": func(t *testing.T) aggQuerier {
-			opt := coax.DefaultOptions()
-			opt.OutlierKind = coax.OutlierRTree
-			so := coax.DefaultShardOptions()
-			so.NumShards = 4
-			idx, err := coax.BuildSharded(copyOSM(tab), opt, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return idx
-		},
-	}
-
-	for name, mk := range build {
-		t.Run(name, func(t *testing.T) {
-			idx := mk(t)
-			exact := len(name) > 6 && name[:6] == "single"
+			opt.OutlierKind = shape.kind
+			idx := build(t, copyOSM(tab), opt, shape.shards)
+			exact := shape.shards == 1
 			states := []struct {
 				name string
 				prep func()
@@ -91,7 +55,7 @@ func TestPropertyAggregateMatchesRowFold(t *testing.T) {
 				state.prep()
 				for qi := 0; qi < 15; qi++ {
 					r := randOSMRect(rng, tab)
-					checkAggProperty(t, idx, r, name+"/"+state.name, exact)
+					checkAggProperty(t, idx, r, shape.name+"/"+state.name, exact)
 				}
 			}
 		})
@@ -100,7 +64,7 @@ func TestPropertyAggregateMatchesRowFold(t *testing.T) {
 
 // checkAggProperty compares every aggregate op (plus one GROUP BY) against
 // a visitor fold of the same query.
-func checkAggProperty(t *testing.T, idx aggQuerier, r coax.Rect, label string, exact bool) {
+func checkAggProperty(t *testing.T, idx *coax.Index, r coax.Rect, label string, exact bool) {
 	t.Helper()
 	var n int64
 	var sum, minv, maxv float64
@@ -176,19 +140,10 @@ func checkAggProperty(t *testing.T, idx aggQuerier, r coax.Rect, label string, e
 }
 
 // TestPropertyGroupByMatchesRowFold checks the grouped fold on the airline
-// carrier column across single and sharded engines.
+// carrier column of a 3-shard index against the table.
 func TestPropertyGroupByMatchesRowFold(t *testing.T) {
 	tab := coax.GenerateAirline(coax.DefaultAirlineConfig(15000))
-	single, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := coax.DefaultShardOptions()
-	so.NumShards = 3
-	sharded, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, tab, coax.DefaultOptions(), 3)
 
 	r := coax.FullRect(tab.Dims())
 	type cell struct {
@@ -196,7 +151,8 @@ func TestPropertyGroupByMatchesRowFold(t *testing.T) {
 		sum float64
 	}
 	want := map[float64]*cell{}
-	for _, row := range coax.Collect(single, r) {
+	for i := 0; i < tab.Len(); i++ {
+		row := tab.Row(i)
 		c := want[row[7]] // carrier
 		if c == nil {
 			c = &cell{}
@@ -206,31 +162,29 @@ func TestPropertyGroupByMatchesRowFold(t *testing.T) {
 		c.sum += row[2] // airtime
 	}
 
-	for name, idx := range map[string]coax.Querier{"single": single, "sharded": sharded} {
-		res, err := coax.FromRect(r).GroupBy("carrier").Aggregate(idx, coax.Avg("airtime"))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	res, err := coax.FromRect(r).GroupBy("carrier").Aggregate(idx, coax.Avg("airtime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Valid {
+		t.Fatal("grouped result claims an ungrouped value")
+	}
+	if len(res.Groups) != len(want) {
+		t.Fatalf("%d groups, want %d", len(res.Groups), len(want))
+	}
+	prev := math.Inf(-1)
+	for _, g := range res.Groups {
+		if g.Key <= prev {
+			t.Fatalf("group keys not ascending: %g after %g", g.Key, prev)
 		}
-		if res.Valid {
-			t.Fatalf("%s: grouped result claims an ungrouped value", name)
+		prev = g.Key
+		w := want[g.Key]
+		if w == nil || g.Count != w.n {
+			t.Fatalf("group %g count %d, want %+v", g.Key, g.Count, w)
 		}
-		if len(res.Groups) != len(want) {
-			t.Fatalf("%s: %d groups, want %d", name, len(res.Groups), len(want))
-		}
-		prev := math.Inf(-1)
-		for _, g := range res.Groups {
-			if g.Key <= prev {
-				t.Fatalf("%s: group keys not ascending: %g after %g", name, g.Key, prev)
-			}
-			prev = g.Key
-			w := want[g.Key]
-			if w == nil || g.Count != w.n {
-				t.Fatalf("%s: group %g count %d, want %+v", name, g.Key, g.Count, w)
-			}
-			avg := w.sum / float64(w.n)
-			if rel := math.Abs(g.Value-avg) / math.Max(math.Abs(avg), 1); rel > 1e-9 {
-				t.Fatalf("%s: group %g avg %v, want %v", name, g.Key, g.Value, avg)
-			}
+		avg := w.sum / float64(w.n)
+		if rel := math.Abs(g.Value-avg) / math.Max(math.Abs(avg), 1); rel > 1e-9 {
+			t.Fatalf("group %g avg %v, want %v", g.Key, g.Value, avg)
 		}
 	}
 }

@@ -1,14 +1,13 @@
-// Ingestion & Build API v2: a streaming, schema-aware Builder.
+// Ingestion & Build API: a streaming, schema-aware Builder, the one way an
+// Index is built.
 //
-// The v1 surface (Build, BuildSharded, ReadCSV) demands a fully
-// materialized Table, so build memory is a multiple of the dataset. The
-// Builder instead consumes a RowSource — chunks of rows from a CSV stream,
-// an in-memory table, or a generator — and, when a sample size is set,
-// runs the paper's pipeline in two bounded-memory phases: reservoir-sample
-// the stream, detect soft FDs and fit predictors on the sample, then
-// stream every row exactly once into its final primary/outlier placement.
-// Inputs no larger than the sample take the exact in-memory path, so small
-// builds stay bit-for-bit identical to Build.
+// The Builder consumes a RowSource — chunks of rows from a CSV stream, an
+// in-memory table (NewTableSource), or a generator — and, when a sample
+// size is set, runs the paper's pipeline in two bounded-memory phases:
+// reservoir-sample the stream, detect soft FDs and fit predictors on the
+// sample, then stream every row exactly once into its final primary/outlier
+// placement. Inputs no larger than the sample take the exact in-memory
+// path, so small builds stay bit-for-bit identical to a full-scan build.
 //
 //	schema, _ := coax.NewSchema(
 //		coax.Float("distance"), coax.Float("elapsed"), coax.Float("airtime"),
@@ -29,7 +28,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/obs"
 	"github.com/coax-index/coax/internal/shard"
@@ -95,9 +93,8 @@ func NewSchema(cols ...SchemaColumn) (*Schema, error) {
 }
 
 // TableSchema derives an all-Float schema from a table's column names —
-// the migration bridge for v1 callers (and the basis of the legacy Build
-// shim). Unlike NewSchema it accepts empty or duplicate names, preserving
-// v1's indifference to them.
+// the bridge for building an in-memory table. Unlike NewSchema it accepts
+// empty or duplicate names.
 func TableSchema(t *Table) *Schema {
 	cols := make([]SchemaColumn, t.Dims())
 	for i := range cols {
@@ -213,8 +210,8 @@ type BuildProgress struct {
 	Total int
 }
 
-// Builder is the v2 build surface. Configure it fluently, then call Build
-// or BuildSharded with a RowSource. A Builder is single-use per Build call
+// Builder is the build surface. Configure it fluently, then call Build or
+// BuildSharded with a RowSource. A Builder is single-use per Build call
 // but carries no per-build state, so it may be reused sequentially.
 type Builder struct {
 	schema     *Schema
@@ -235,7 +232,7 @@ func NewBuilder(schema *Schema, opt Options) *Builder {
 
 // SampleSize sets the row-sample budget for soft-FD detection and grid
 // boundary estimation. 0 (the default) disables sampling: the whole input
-// is materialized and built exactly as v1's Build would. With n > 0,
+// is materialized and built exactly. With n > 0,
 // inputs of at most n rows still take the exact path — sampling only
 // engages, and memory stays bounded, once the input outgrows the sample.
 func (b *Builder) SampleSize(n int) *Builder { b.sampleSize = n; return b }
@@ -451,63 +448,16 @@ func (b *Builder) samplePhase(src RowSource, opt Options, names []string) (*samp
 	return &sampled{sample: prefix, fd: fd, total: -1, prefix: prefix}, nil
 }
 
-// Build constructs a single COAX index from src.
+// Build constructs a one-shard index from src, whose queries run inline on
+// the caller: BuildSharded with ShardOptions{NumShards: 1}.
 func (b *Builder) Build(src RowSource) (*Index, error) {
-	b = b.instrumented()
-	opt, names, err := b.prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	if b.sampleSize <= 0 {
-		t, err := dataset.Materialize(src)
-		if err != nil {
-			return nil, err
-		}
-		b.report("place", t.Len(), t.Len())
-		idx, err := core.Build(t, opt)
-		if err == nil {
-			b.track.finish(t.Len(), 0, 0)
-		}
-		return idx, err
-	}
-
-	sp, err := b.samplePhase(src, opt, names)
-	if err != nil {
-		return nil, err
-	}
-	if sp.whole {
-		b.report("place", sp.sample.Len(), sp.sample.Len())
-		idx, err := core.Build(sp.sample, opt)
-		if err == nil {
-			b.track.finish(sp.sample.Len(), sp.sample.Len(), b.sampleSize)
-		}
-		return idx, err
-	}
-
-	totalHint := sp.total
-	if totalHint < 0 {
-		totalHint = dataset.SizeHint(src)
-	}
-	sb, err := core.NewStreamBuilder(names, sp.fd, sp.sample, opt, totalHint)
-	if err != nil {
-		return nil, err
-	}
-	place := func(row []float64) { sb.Add(row) }
-	if err := b.placePhase(src, sp, place, func() int { return sb.Rows() }); err != nil {
-		return nil, err
-	}
-	b.report("finish", sb.Rows(), sb.Rows())
-	idx, err := sb.Finish()
-	if err == nil {
-		b.track.finish(sb.Rows(), sp.sample.Len(), b.sampleSize)
-	}
-	return idx, err
+	return b.BuildSharded(src, ShardOptions{NumShards: 1})
 }
 
-// BuildSharded constructs a sharded COAX index from src, routing chunks to
-// per-shard streaming builders on a worker pool — the whole table is never
-// held in one place.
-func (b *Builder) BuildSharded(src RowSource, so ShardOptions) (*ShardedIndex, error) {
+// BuildSharded constructs an index of so.NumShards shards from src, routing
+// chunks to per-shard streaming builders on a worker pool — the whole table
+// is never held in one place.
+func (b *Builder) BuildSharded(src RowSource, so ShardOptions) (*Index, error) {
 	b = b.instrumented()
 	opt, names, err := b.prepare(src)
 	if err != nil {
@@ -547,7 +497,7 @@ func (b *Builder) BuildSharded(src RowSource, so ShardOptions) (*ShardedIndex, e
 	if err != nil {
 		return nil, err
 	}
-	if err := b.placePhaseChunks(src, sp, sb); err != nil {
+	if err := b.placePhase(src, sp, sb); err != nil {
 		return nil, err
 	}
 	b.report("finish", sb.Rows(), sb.Rows())
@@ -558,33 +508,9 @@ func (b *Builder) BuildSharded(src RowSource, so ShardOptions) (*ShardedIndex, e
 	return idx, err
 }
 
-// placePhase streams the prefix (if any) and the remainder of src through
-// place, reporting progress per chunk.
-func (b *Builder) placePhase(src RowSource, sp *sampled, place func([]float64), placed func() int) error {
-	if sp.prefix != nil {
-		for i := 0; i < sp.prefix.Len(); i++ {
-			place(sp.prefix.Row(i))
-		}
-		b.report("place", placed(), dataset.SizeHint(src))
-	}
-	for {
-		c, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for i := 0; i < c.Rows(); i++ {
-			place(c.Row(i))
-		}
-		b.report("place", placed(), dataset.SizeHint(src))
-	}
-}
-
-// placePhaseChunks is placePhase for the sharded builder, which accepts
-// whole chunks (it re-batches per shard internally).
-func (b *Builder) placePhaseChunks(src RowSource, sp *sampled, sb *shard.StreamBuilder) error {
+// placePhase streams the prefix (if any) and the remainder of src into sb
+// chunk by chunk (sb re-batches per shard), reporting progress per chunk.
+func (b *Builder) placePhase(src RowSource, sp *sampled, sb *shard.StreamBuilder) error {
 	if sp.prefix != nil {
 		if err := sb.Add(dataset.Chunk{Cols: sp.prefix.Dims(), Data: sp.prefix.Data}); err != nil {
 			return err

@@ -2,24 +2,15 @@ package coax_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/coax-index/coax/coax"
 )
 
-// snapshotBytes serialises idx with Save.
+// snapshotBytes serialises idx with SaveSharded.
 func snapshotBytes(t *testing.T, idx *coax.Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := coax.Save(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func shardedSnapshotBytes(t *testing.T, idx *coax.ShardedIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := coax.SaveSharded(&buf, idx); err != nil {
@@ -45,39 +36,12 @@ func randRect(rng *rand.Rand, tab *coax.Table) coax.Rect {
 	return r
 }
 
-func sortedCollect(idx coax.Querier, r coax.Rect) [][]float64 {
-	rows := coax.Collect(idx, r)
-	sort.Slice(rows, func(i, j int) bool {
-		for d := range rows[i] {
-			if rows[i][d] != rows[j][d] {
-				return rows[i][d] < rows[j][d]
-			}
-		}
-		return false
-	})
-	return rows
-}
-
-func equalRows(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		for d := range a[i] {
-			if a[i][d] != b[i][d] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestPropertyStreamingEquivalentToLegacy is the satellite property test:
-// across datasets × outlier kinds, (1) every full-sample Builder path —
-// table source, whole-input reservoir, whole-input CSV prefix — produces
-// byte-identical snapshots to the legacy in-memory build, and (2) sampled
-// streaming builds (models learned on a strict sample) answer every query
-// identically to legacy on single and sharded indexes.
+// across datasets × outlier kinds × one or three shards, (1) every
+// full-sample Builder path — whole-input reservoir, whole-input CSV prefix —
+// produces a byte-identical snapshot to the full-scan in-memory build, and
+// (2) sampled streaming builds (models learned on a strict sample) answer
+// every query identically to it.
 func TestPropertyStreamingEquivalentToLegacy(t *testing.T) {
 	type dataset struct {
 		name string
@@ -89,108 +53,57 @@ func TestPropertyStreamingEquivalentToLegacy(t *testing.T) {
 	}
 
 	for _, ds := range datasets {
-		for _, kind := range []coax.OutlierIndexKind{coax.OutlierGrid, coax.OutlierRTree} {
-			opt := coax.DefaultOptions()
-			opt.OutlierKind = kind
-
-			legacy, err := coax.Build(ds.tab, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := snapshotBytes(t, legacy)
-			schema := coax.TableSchema(ds.tab)
-
-			// Full-scan builder (the shim path).
-			full, err := coax.NewBuilder(schema, opt).Build(coax.NewTableSource(ds.tab, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, snapshotBytes(t, full)) {
-				t.Fatalf("%s/%d: full-scan builder snapshot differs from legacy", ds.name, kind)
-			}
-
-			// Sampled mode whose budget covers the whole input: the
-			// reservoir keeps every row in order, so this must also be
-			// bit-for-bit.
-			whole, err := coax.NewBuilder(schema, opt).
-				SampleSize(ds.tab.Len() + 1).
-				Build(coax.NewTableSource(ds.tab, 1024))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, snapshotBytes(t, whole)) {
-				t.Fatalf("%s/%d: whole-sample builder snapshot differs from legacy", ds.name, kind)
-			}
-
-			// Same, through a one-shot CSV stream (prefix path; CSV float
-			// formatting round-trips exactly).
-			var csvBuf bytes.Buffer
-			if err := coax.WriteCSV(&csvBuf, ds.tab); err != nil {
-				t.Fatal(err)
-			}
-			csvSrc, err := coax.NewCSVSource(bytes.NewReader(csvBuf.Bytes()), 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			csvWhole, err := coax.NewBuilder(schema, opt).
-				SampleSize(ds.tab.Len() + 1).
-				Build(csvSrc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, snapshotBytes(t, csvWhole)) {
-				t.Fatalf("%s/%d: CSV whole-prefix builder snapshot differs from legacy", ds.name, kind)
-			}
-
-			// Strictly sampled streaming: different models are allowed,
-			// different answers are not.
-			sampled, err := coax.NewBuilder(schema, opt).
-				SampleSize(ds.tab.Len() / 8).
-				Build(coax.NewTableSource(ds.tab, 1024))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(kind)*100 + 7))
-			for q := 0; q < 30; q++ {
-				r := randRect(rng, ds.tab)
-				if !equalRows(sortedCollect(legacy, r), sortedCollect(sampled, r)) {
-					t.Fatalf("%s/%d: sampled single query %d differs", ds.name, kind, q)
-				}
-			}
-		}
-
-		// Sharded: legacy vs full-scan builder (bit-for-bit) and sampled
-		// streaming (query-equivalent).
-		opt := coax.DefaultOptions()
-		so := coax.DefaultShardOptions()
-		so.NumShards = 3
-		legacySharded, err := coax.BuildSharded(ds.tab, opt, so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSharded := shardedSnapshotBytes(t, legacySharded)
 		schema := coax.TableSchema(ds.tab)
+		for _, kind := range []coax.OutlierIndexKind{coax.OutlierGrid, coax.OutlierRTree} {
+			for _, shards := range []int{1, 3} {
+				name := fmt.Sprintf("%s/%d/%d shards", ds.name, kind, shards)
+				opt := coax.DefaultOptions()
+				opt.OutlierKind = kind
+				so := coax.DefaultShardOptions()
+				so.NumShards = shards
+				builder := func(sample int, src coax.RowSource) *coax.Index {
+					idx, err := coax.NewBuilder(schema, opt).SampleSize(sample).BuildSharded(src, so)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return idx
+				}
 
-		fullSharded, err := coax.NewBuilder(schema, opt).
-			BuildSharded(coax.NewTableSource(ds.tab, 0), so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantSharded, shardedSnapshotBytes(t, fullSharded)) {
-			t.Fatalf("%s: full-scan sharded snapshot differs from legacy", ds.name)
-		}
+				full := builder(0, coax.NewTableSource(ds.tab, 0))
+				want := snapshotBytes(t, full)
 
-		sampledSharded, err := coax.NewBuilder(schema, opt).
-			SampleSize(ds.tab.Len()/8).
-			BuildSharded(coax.NewTableSource(ds.tab, 1024), so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(99))
-		for q := 0; q < 30; q++ {
-			r := randRect(rng, ds.tab)
-			if !equalRows(sortedCollect(legacySharded, r), sortedCollect(sampledSharded, r)) {
-				t.Fatalf("%s: sampled sharded query %d differs", ds.name, q)
+				// Sampled mode whose budget covers the whole input: the
+				// reservoir keeps every row in order, so this must be
+				// bit-for-bit.
+				whole := builder(ds.tab.Len()+1, coax.NewTableSource(ds.tab, 1024))
+				if !bytes.Equal(want, snapshotBytes(t, whole)) {
+					t.Fatalf("%s: whole-sample builder snapshot differs from full scan", name)
+				}
+
+				// Same, through a one-shot CSV stream (prefix path; CSV float
+				// formatting round-trips exactly).
+				var csvBuf bytes.Buffer
+				if err := coax.WriteCSV(&csvBuf, ds.tab); err != nil {
+					t.Fatal(err)
+				}
+				csvSrc, err := coax.NewCSVSource(bytes.NewReader(csvBuf.Bytes()), 512)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, snapshotBytes(t, builder(ds.tab.Len()+1, csvSrc))) {
+					t.Fatalf("%s: CSV whole-prefix builder snapshot differs from full scan", name)
+				}
+
+				// Strictly sampled streaming: different models are allowed,
+				// different answers are not.
+				sampled := builder(ds.tab.Len()/8, coax.NewTableSource(ds.tab, 1024))
+				rng := rand.New(rand.NewSource(int64(kind)*100 + 7))
+				for q := 0; q < 30; q++ {
+					r := randRect(rng, ds.tab)
+					if !equalRows(sortedCollect(t, full, r), sortedCollect(t, sampled, r)) {
+						t.Fatalf("%s: sampled query %d differs", name, q)
+					}
+				}
 			}
 		}
 	}

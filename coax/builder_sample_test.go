@@ -35,11 +35,7 @@ func TestSampledFDDegradationBounded(t *testing.T) {
 
 	for _, w := range workloads {
 		opt := coax.DefaultOptions()
-		full, err := coax.Build(w.tab, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := full.BuildStats()
+		fs := build(t, w.tab, opt, 1).BuildStats()
 		fullRatio := float64(fs.OutlierRows) / float64(fs.Rows)
 
 		for _, rate := range []float64{0.01, 0.10} {
@@ -65,7 +61,7 @@ func TestSampledFDDegradationBounded(t *testing.T) {
 					w.name, rate, ratio, relFactor, fullRatio)
 			}
 			// Exactness is non-negotiable at any sample rate.
-			if got, want := coax.Count(idx, coax.FullRect(w.tab.Dims())), w.tab.Len(); got != want {
+			if got, want := count(t, idx, coax.FullRect(w.tab.Dims())), w.tab.Len(); got != want {
 				t.Errorf("%s@%g: index holds %d rows, want %d", w.name, rate, got, want)
 			}
 		}

@@ -11,11 +11,14 @@
 // constrain a dependent attribute are translated through the learned model
 // into constraints on its predictor, so results remain exact.
 //
-// Basic usage (Query API v2 — see the Query builder in query.go):
+// There is one index type, Index: a Builder builds it (one shard, or K
+// with BuildSharded), OpenFile opens it from a snapshot of any format, and
+// a Query runs on it. Basic usage (see the Query builder in query.go):
 //
 //	table := coax.NewTable([]string{"distance", "airtime", "carrier"})
 //	// ... table.Append(row) for every row ...
-//	idx, err := coax.Build(table, coax.DefaultOptions())
+//	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).
+//		Build(coax.NewTableSource(table, 0))
 //	if err != nil { ... }
 //	rows, err := coax.NewQuery().
 //		Where("airtime", coax.Between(60, 90)).
@@ -34,7 +37,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
 	"time"
 
 	"github.com/coax-index/coax/internal/core"
@@ -73,15 +75,9 @@ func FullRect(dims int) Rect { return index.Full(dims) }
 // PointQuery returns the degenerate rectangle matching exactly p.
 func PointQuery(p []float64) Rect { return index.Point(p) }
 
-// Visitor receives one matching row per call — the legacy query callback,
-// which lives only at this public edge: (*Index).Query and
-// (*ShardedIndex).Query adapt it onto the engines' one execution path.
-// Under the unified v2 ownership contract, the slice is only guaranteed
-// valid for the duration of the call, whichever index answers; copy rows
-// you retain, or build the query with Query.Stable() (or use Collect,
-// whose rows are always stable copies). *ShardedIndex happens to pass
-// stable copies on this legacy path too — a guarantee kept for
-// compatibility, not one the contract extends to new code.
+// Visitor receives one matching row per call — the legacy callback of
+// (*Index).Query, which folds every match of the rectangle before the first
+// call. Rows are stable copies, and the visitor may mutate the index.
 type Visitor = func(row []float64)
 
 // Options configures a Build. Start from DefaultOptions.
@@ -115,40 +111,43 @@ type Group = softfd.Group
 // column D within margins [−EpsLB, +EpsUB].
 type PairModel = softfd.PairModel
 
-// Stats summarises a build: detected groups, primary/outlier row counts,
-// grid dimensionality, and directory overheads.
-type Stats = core.Stats
+// Stats summarises an index: detected groups, primary/outlier row counts,
+// grid dimensionality and directory overheads, summed over its shards, plus
+// the shard layout and fan-out pool.
+type Stats = shard.Stats
 
-// Index is a built COAX index. It is safe for concurrent readers once
-// built, and supports single-writer mutation: Insert, Delete, and Update
-// classify each row against the learned models and route it into (or out
-// of) the primary or outlier partition; deletes tombstone main-page rows
-// and queries filter the tombstones at the visitor boundary. Watch
-// LifecycleStats for drift and call Rebuild when the index goes stale; for
-// fully concurrent mutation and online self-healing use ShardedIndex.
-type Index = core.COAX
+// Index is a built COAX index: K shards (one unless built with
+// BuildSharded), each a reduced-dimension primary grid plus an outlier
+// index over the soft FDs every shard shares. It answers a query by folding
+// each shard the rectangle can match under that shard's read lock, on a
+// bounded worker pool — inline on the caller when one shard is probed — and
+// taking the folds in shard order, so answers never depend on timing.
+//
+// It is safe for fully concurrent use: queries, Insert, Delete and Update
+// may race freely. A mutation classifies its row against the learned models
+// and routes it into (or out of) one shard's primary or outlier partition.
+// Shards rebuild independently and online (RebuildShard, RebuildStale,
+// RebuildAll, or a background Compactor): queries and mutations keep
+// running against the old epoch while its replacement is built, a delta log
+// catches the swap up, and only that one shard's writes block briefly.
+type Index = shard.Sharded
 
-// Build learns the soft FDs of t and constructs the index. It is a thin
-// shim over the v2 Builder in full-scan mode (see builder.go), kept
-// bit-for-bit identical to the v1 behaviour: a fresh table source
-// materializes back to t itself and the exact in-memory build runs over
-// it.
-func Build(t *Table, opt Options) (*Index, error) {
-	return NewBuilder(TableSchema(t), opt).Build(NewTableSource(t, 0))
-}
+// ShardedIndex is Index, under the name it had when a sharded index was a
+// type of its own.
+type ShardedIndex = Index
 
 // ErrNotFound is returned by Delete and Update when no live row equals the
 // given one.
 var ErrNotFound = core.ErrNotFound
 
-// ErrRebuildInProgress is returned by ShardedIndex.RebuildShard when that
-// shard is already mid-rebuild.
+// ErrRebuildInProgress is returned by Index.RebuildShard when that shard is
+// already mid-rebuild.
 var ErrRebuildInProgress = shard.ErrRebuildInProgress
 
-// LifecycleStats is the mutation-health snapshot of an Index or
-// ShardedIndex: live/stored/tombstoned row counts, outlier ratio against
-// its build-time baseline, per-dependency model residual drift, mutation
-// counters, and the rebuild epoch.
+// LifecycleStats is the mutation-health snapshot of an Index: live/stored/
+// tombstoned row counts, outlier ratio against its build-time baseline,
+// per-dependency model residual drift, mutation counters, and the rebuild
+// epoch.
 type LifecycleStats = lifecycle.Stats
 
 // GroupDrift reports how far inserted rows have drifted from one learned
@@ -162,8 +161,8 @@ type Thresholds = lifecycle.Thresholds
 // DefaultThresholds returns the staleness rules used by the serving layer.
 func DefaultThresholds() Thresholds { return lifecycle.DefaultThresholds() }
 
-// Compactor is the background maintenance loop: it polls a ShardedIndex
-// for shards stale under its thresholds and rebuilds them online — the
+// Compactor is the background maintenance loop: it polls an Index for
+// shards stale under its thresholds and rebuilds them online — the
 // self-healing loop of cmd/coaxserve.
 type Compactor = lifecycle.Compactor
 
@@ -172,27 +171,8 @@ type SweepResult = lifecycle.SweepResult
 
 // NewCompactor creates a compactor over idx; call Start for background
 // polling, Kick for an immediate sweep, Stop to shut it down.
-func NewCompactor(idx *ShardedIndex, th Thresholds, interval time.Duration) *Compactor {
+func NewCompactor(idx *Index, th Thresholds, interval time.Duration) *Compactor {
 	return lifecycle.NewCompactor(idx, th, interval)
-}
-
-// Save writes a built index to w in the versioned COAX snapshot format
-// (magic, format version, checksummed sections — see internal/snapshot). A
-// loaded snapshot answers queries identically to the index that was saved,
-// without re-running soft-FD detection or index construction.
-func Save(w io.Writer, idx *Index) error { return snapshot.Encode(w, idx) }
-
-// Load reads an index previously written by Save. Corrupted, truncated, or
-// version-incompatible input yields an error, never a panic. The returned
-// index is safe for concurrent readers.
-func Load(r io.Reader) (*Index, error) { return snapshot.Decode(r) }
-
-// SaveFile writes a built index to path via Save. The write is atomic: the
-// snapshot goes to a temporary file in the same directory, is fsynced, and
-// is renamed over path only once complete — a crash or full disk midway
-// neither leaves a torn snapshot at path nor destroys the previous one.
-func SaveFile(path string, idx *Index) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return Save(w, idx) })
 }
 
 // atomicWriteFile streams emit's output to a temporary file beside path and
@@ -244,32 +224,6 @@ func atomicWriteFile(path string, emit func(io.Writer) error) error {
 	return nil
 }
 
-// LoadFile reads an index from a file written by SaveFile.
-func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(bufio.NewReaderSize(f, 1<<20))
-}
-
-// Sharded serving layer. BuildSharded partitions a table into K shards,
-// builds an independent COAX per shard in parallel, and answers queries by
-// fanning rectangles (or whole batches of rectangles) across shards on a
-// bounded worker pool — the path for serving heavy concurrent traffic. See
-// internal/shard for the concurrency and visitor-ownership contract.
-
-// ShardedIndex is a partitioned COAX index built by BuildSharded. It
-// answers Query interchangeably with *Index, adds BatchQuery for amortised
-// fan-out over many rectangles, and — unlike *Index — is safe for fully
-// concurrent use: Query, BatchQuery, Insert, Delete, and Update may race
-// freely. Shards rebuild independently and online (RebuildShard,
-// RebuildStale, or a background Compactor): queries and mutations keep
-// running against the old epoch while its replacement is built, a delta
-// log catches the swap up, and only that one shard's writes block briefly.
-type ShardedIndex = shard.Sharded
-
 // ShardOptions configures BuildSharded. Start from DefaultShardOptions.
 type ShardOptions = shard.Options
 
@@ -294,95 +248,37 @@ type BatchVisitor = shard.BatchVisitor
 // one worker per CPU.
 func DefaultShardOptions() ShardOptions { return shard.DefaultOptions() }
 
-// BuildSharded learns the soft FDs of t once, partitions the table, and
-// constructs one COAX per shard in parallel. Like Build, it is a thin
-// bit-for-bit shim over the v2 Builder in full-scan mode.
-func BuildSharded(t *Table, opt Options, so ShardOptions) (*ShardedIndex, error) {
-	return NewBuilder(TableSchema(t), opt).BuildSharded(NewTableSource(t, 0), so)
-}
+// SaveSharded writes idx to w in the versioned COAX snapshot format (magic,
+// format version, checksummed sections — see internal/snapshot): a
+// shard-layout section followed by one section per shard. A loaded snapshot
+// answers queries identically to the index that was saved, without
+// re-running soft-FD detection or index construction. Encoding takes
+// per-shard read locks, so the index may keep serving while it is saved.
+func SaveSharded(w io.Writer, idx *Index) error { return snapshot.EncodeSharded(w, idx) }
 
-// SaveSharded writes a sharded index to w in the versioned COAX snapshot
-// format: a shard-layout section followed by one checksummed section per
-// shard. Encoding takes per-shard read locks, so the index may keep
-// serving while it is being saved.
-func SaveSharded(w io.Writer, idx *ShardedIndex) error { return snapshot.EncodeSharded(w, idx) }
+// LoadSharded reads an index from a format v1/v2 snapshot: one written by
+// SaveSharded, or a single-index file of an earlier release, as one shard.
+// Corrupted, truncated, or version-incompatible input yields the decoder's
+// error, never a panic.
+func LoadSharded(r io.Reader) (*Index, error) { return snapshot.DecodeAny(r) }
 
-// LoadSharded reads a sharded index previously written by SaveSharded. The
-// returned index is immediately safe for concurrent use. Loading a
-// single-index snapshot yields an error directing the caller to Load.
-func LoadSharded(r io.Reader) (*ShardedIndex, error) { return snapshot.DecodeSharded(r) }
-
-// SaveShardedFile writes a sharded index to path with the same atomic
-// write-then-rename protocol as SaveFile.
-func SaveShardedFile(path string, idx *ShardedIndex) error {
+// SaveShardedFile writes idx to path via SaveSharded. The write is atomic:
+// the snapshot goes to a temporary file in the same directory, is fsynced,
+// and is renamed over path only once complete — a crash or full disk midway
+// neither leaves a torn snapshot at path nor destroys the previous one.
+func SaveShardedFile(path string, idx *Index) error {
 	return atomicWriteFile(path, func(w io.Writer) error { return SaveSharded(w, idx) })
 }
 
-// LoadShardedFile reads a sharded index from a file written by
-// SaveShardedFile.
-func LoadShardedFile(path string) (*ShardedIndex, error) {
+// LoadShardedFile reads an index from a format v1/v2 file via LoadSharded;
+// OpenFile opens every format version.
+func LoadShardedFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return LoadSharded(bufio.NewReaderSize(f, 1<<20))
-}
-
-// Querier is the query surface shared by *Index and *ShardedIndex; Count,
-// Collect, and the v2 Query builder accept either. Both implementations
-// also offer Columns() (name-based predicates) and the stop-aware v2
-// execution path; a third-party Querier still works, but without
-// engine-level early termination.
-type Querier interface {
-	Len() int
-	Dims() int
-	Query(r Rect, visit Visitor)
-}
-
-// Count runs a query and returns the number of matching rows. It is a
-// run-to-completion shim over the v2 scan; use FromRect(r).Limit(k) or
-// CountLimit to stop counting at a threshold.
-func Count(idx Querier, r Rect) int {
-	n := 0
-	idx.Query(r, func([]float64) { n++ })
-	return n
-}
-
-// CountLimit counts matching rows, stopping the scan — across every shard
-// — once k have been seen; it returns min(k, total). k ≤ 0 counts all.
-func CountLimit(idx Querier, r Rect, k int) (int, error) {
-	return FromRect(r).Limit(k).Count(idx)
-}
-
-// collectBlockRows rows share one backing allocation in Collect.
-const collectBlockRows = 256
-
-// Collect runs a query and returns all matching rows. The returned rows
-// are always stable private copies, regardless of the backing index — they
-// stay valid indefinitely and share nothing with the index internals. The
-// result starts small (a query may match one row of millions) and row
-// payloads are carved from block allocations rather than one make per row.
-func Collect(idx Querier, r Rect) [][]float64 {
-	out := make([][]float64, 0, min(idx.Len(), 64))
-	var block []float64
-	idx.Query(r, func(row []float64) {
-		if len(block) < len(row) {
-			block = make([]float64, collectBlockRows*len(row))
-		}
-		cp := block[:len(row):len(row)]
-		block = block[len(row):]
-		copy(cp, row)
-		out = append(out, cp)
-	})
-	return out
-}
-
-// CollectLimit collects up to k matching rows, stopping the scan — across
-// every shard — as soon as it has them. Rows are stable copies. k ≤ 0
-// collects all.
-func CollectLimit(idx Querier, r Rect, k int) ([][]float64, error) {
-	return FromRect(r).Limit(k).Collect(idx)
 }
 
 // Synthetic dataset generators. The repository's benchmarks run on

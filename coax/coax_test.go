@@ -21,7 +21,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	opt := coax.DefaultOptions()
 	opt.SoftFD.SampleCount = 5000
-	idx, err := coax.Build(table, opt)
+	idx, err := coax.NewBuilder(coax.TableSchema(table), opt).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	// Range query on the dependent column only.
 	q := coax.FullRect(3)
 	q.Min[1], q.Max[1] = 90, 120
-	n := coax.Count(idx, q)
+	n := count(t, idx, q)
 
 	// Verify against a manual scan of the table.
 	want := 0
@@ -51,8 +51,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("Count = %d, want %d", n, want)
 	}
 
-	rows := coax.Collect(idx, q)
-	if len(rows) != want {
+	rows, err := coax.FromRect(q).Collect(idx)
+	if err != nil || len(rows) != want {
 		t.Errorf("Collect returned %d rows, want %d", len(rows), want)
 	}
 	for _, row := range rows {
@@ -63,9 +63,32 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Point query round trip.
 	p := coax.PointQuery(table.Row(42))
-	if coax.Count(idx, p) < 1 {
+	if count(t, idx, p) < 1 {
 		t.Error("point query lost its row")
 	}
+}
+
+// build builds tab into an index of the given number of shards, under the
+// default shard options otherwise.
+func build(t testing.TB, tab *coax.Table, opt coax.Options, shards int) *coax.Index {
+	t.Helper()
+	so := coax.DefaultShardOptions()
+	so.NumShards = shards
+	idx, err := coax.NewBuilder(coax.TableSchema(tab), opt).BuildSharded(coax.NewTableSource(tab, 0), so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// count is the number of rows of idx inside r.
+func count(t testing.TB, idx *coax.Index, r coax.Rect) int {
+	t.Helper()
+	n, err := coax.FromRect(r).Count(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestGeneratorsThroughPublicAPI(t *testing.T) {
@@ -112,10 +135,7 @@ func TestBuildOnRealisticAirline(t *testing.T) {
 	opt.SoftFD.SampleCount = 10000
 	// Categorical columns are excluded from FD detection, as a DBA would.
 	opt.SoftFD.ExcludeCols = []int{6, 7}
-	idx, err := coax.Build(table, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, table, opt, 1)
 	st := idx.BuildStats()
 	if len(st.Groups) < 1 {
 		t.Fatal("no FD groups detected on airline data")
@@ -138,7 +158,7 @@ func TestBuildOnRealisticAirline(t *testing.T) {
 			want++
 		}
 	}
-	if got := coax.Count(idx, q); got != want {
+	if got := count(t, idx, q); got != want {
 		t.Errorf("airline query: %d, want %d", got, want)
 	}
 }

@@ -15,7 +15,7 @@ func ExampleQuery() {
 		seq := float64(i)
 		table.Append([]float64{seq, 20 + seq*0.01, float64(i % 100)})
 	}
-	idx, err := coax.Build(table, coax.DefaultOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,8 @@ func ExampleQuery_limit() {
 		seq := float64(i)
 		table.Append([]float64{seq, 20 + seq*0.01, float64(i % 100)})
 	}
-	idx, err := coax.BuildSharded(table, coax.DefaultOptions(), coax.DefaultShardOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).
+		BuildSharded(coax.NewTableSource(table, 0), coax.DefaultShardOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +65,8 @@ func ExampleQuery_Head() {
 		seq := float64(i)
 		table.Append([]float64{seq, 20 + seq*0.01, float64(i % 100)})
 	}
-	idx, err := coax.BuildSharded(table, coax.DefaultOptions(), coax.DefaultShardOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).
+		BuildSharded(coax.NewTableSource(table, 0), coax.DefaultShardOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func ExampleQuery_aggregate() {
 		seq := float64(i)
 		table.Append([]float64{seq, 20 + seq*0.01, float64(i % 100)})
 	}
-	idx, err := coax.Build(table, coax.DefaultOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func ExampleQuery_groupBy() {
 		seq := float64(i)
 		table.Append([]float64{seq, 20 + seq*0.01, float64(i % 3)})
 	}
-	idx, err := coax.Build(table, coax.DefaultOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func ExampleQuery_groupBy() {
 // scan split.
 func ExampleQuery_explain() {
 	table := coax.GenerateAirline(coax.DefaultAirlineConfig(40000))
-	idx, err := coax.Build(table, coax.DefaultOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

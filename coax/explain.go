@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/obs"
 	"github.com/coax-index/coax/internal/shard"
 )
@@ -43,12 +42,13 @@ type Explain struct {
 	Primary ProbeStats `json:"primary"`
 	Outlier ProbeStats `json:"outlier"`
 
-	// ShardsProbed/ShardsPruned describe the fan-out of a sharded index;
-	// both are zero when a single index answered.
+	// ShardsProbed/ShardsPruned describe the fan-out: the shards the
+	// rectangle probed and those range routing ruled out (a one-shard index
+	// probes its one shard).
 	ShardsProbed int `json:"shards_probed"`
 	ShardsPruned int `json:"shards_pruned"`
 	// Shards breaks the fan-out down per probed shard — one timed span per
-	// probe, sorted by shard ordinal. Empty when a single index answered.
+	// probe, sorted by shard ordinal.
 	Shards []ShardSpan `json:"shards,omitempty"`
 
 	// Agg describes an aggregation execution: the op, the scan kernels
@@ -152,8 +152,8 @@ func finitePtr(v float64) *float64 {
 	return &cp
 }
 
-func newExplain(idx Querier, r Rect) *Explain {
-	e := &Explain{Columns: columnsOf(idx)}
+func newExplain(idx *Index, r Rect) *Explain {
+	e := &Explain{Columns: idx.Columns()}
 	allEmpty := true
 	for _, c := range e.Columns {
 		if c != "" {
@@ -181,7 +181,10 @@ func (e *Explain) colName(d int) string {
 	return fmt.Sprintf("col%d", d)
 }
 
-func (e *Explain) fromCore(rep *core.ProbeReport) {
+func (e *Explain) fromShard(sr *shard.Report) {
+	rep := &sr.Core
+	e.ShardsProbed = sr.ShardsProbed
+	e.ShardsPruned = sr.ShardsPruned
 	e.PrimaryFeasible = rep.PrimaryFeasible
 	e.PrimaryProbed = rep.PrimaryProbed
 	e.OutlierProbed = rep.OutlierProbed
@@ -211,12 +214,6 @@ func (e *Explain) fromCore(rep *core.ProbeReport) {
 			Feasible:     tr.Feasible,
 		})
 	}
-}
-
-func (e *Explain) fromShard(rep *shard.Report) {
-	e.fromCore(&rep.Core)
-	e.ShardsProbed = rep.ShardsProbed
-	e.ShardsPruned = rep.ShardsPruned
 }
 
 // fromTrace folds the fan-out's per-shard spans into the report, sorted by

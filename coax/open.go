@@ -5,42 +5,29 @@ import (
 	"io"
 	"os"
 
+	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/mmapsnap"
 	"github.com/coax-index/coax/internal/shard"
 	"github.com/coax-index/coax/internal/snapshot"
 )
 
 // Snapshot format versions. Versions 1 and 2 are the streaming heap-decoded
-// container written by Save/SaveFile; version 3 is the page-aligned
-// memory-mapped container written by SaveFileV3 (see internal/mmapsnap for
-// the layout).
+// container written by SaveSharded/SaveShardedFile; version 3 is the
+// page-aligned memory-mapped container written by SaveShardedFileV3 (see
+// internal/mmapsnap for the layout).
 const (
 	SnapshotVersion   = snapshot.Version
 	SnapshotVersionV3 = mmapsnap.Version
 )
 
-// SaveFileV3 writes a built index to path in snapshot format v3: hot
-// sections laid out as fixed-width 64-byte-aligned pages that OpenFile can
-// serve straight from a memory mapping, without decoding the file onto the
-// heap. With compress set, each grid cell page is stored columnar
-// (delta/frame-of-reference bit-packed) and decoded on every read, only the
-// rows a scan can use, with nothing retained. The write is atomic, like
-// SaveFile.
-func SaveFileV3(path string, idx *Index, compress bool) error {
-	blob, err := mmapsnap.EncodeIndex(idx, mmapsnap.Options{Compress: compress})
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(blob)
-		return err
-	})
-}
-
-// SaveShardedFileV3 writes a sharded index to path in snapshot format v3;
-// every shard becomes a nested page-aligned blob under one mapping. See
-// SaveFileV3.
-func SaveShardedFileV3(path string, idx *ShardedIndex, compress bool) error {
+// SaveShardedFileV3 writes idx to path in snapshot format v3: hot sections
+// laid out as fixed-width 64-byte-aligned pages that OpenFile can serve
+// straight from a memory mapping, without decoding the file onto the heap;
+// every shard is a nested page-aligned blob under the one mapping. With
+// compress set, each grid cell page is stored columnar (delta/frame-of-
+// reference bit-packed) and decoded on every read, only the rows a scan can
+// use, with nothing retained. The write is atomic, like SaveShardedFile.
+func SaveShardedFileV3(path string, idx *Index, compress bool) error {
 	blob, err := mmapsnap.EncodeSharded(idx, mmapsnap.Options{Compress: compress})
 	if err != nil {
 		return err
@@ -66,21 +53,14 @@ func PeekSnapshotVersion(path string) (uint32, error) {
 	return mmapsnap.PeekVersion(head[:])
 }
 
-// Snapshot is an index opened from a snapshot file of any format version.
-// It holds either a single Index or a ShardedIndex (never both), and — for
-// a mapped v3 file — owns the mapping backing them.
+// Snapshot is an index opened from a snapshot file of any format version
+// and either layout — a single-index file opens as one shard — and, for a
+// mapped v3 file, the mapping backing it.
 type Snapshot struct {
 	idx     *Index
-	sh      *ShardedIndex
 	ms      *mmapsnap.Snapshot
 	version uint32
 }
-
-// Index returns the single index, or nil when the snapshot is sharded.
-func (s *Snapshot) Index() *Index { return s.idx }
-
-// Sharded returns the sharded index, or nil for a single-index snapshot.
-func (s *Snapshot) Sharded() *ShardedIndex { return s.sh }
 
 // Version is the on-disk format version the snapshot was opened from.
 func (s *Snapshot) Version() uint32 { return s.version }
@@ -104,8 +84,8 @@ func (s *Snapshot) PageErr() error {
 	return s.ms.PageErr()
 }
 
-// Close releases the mapping of a v3 snapshot; the indexes obtained from
-// this snapshot must not be used afterwards. Closing a heap-loaded snapshot
+// Close releases the mapping of a v3 snapshot; the index obtained from this
+// snapshot must not be used afterwards. Closing a heap-loaded snapshot
 // is a no-op.
 func (s *Snapshot) Close() error {
 	if s.ms == nil {
@@ -114,29 +94,30 @@ func (s *Snapshot) Close() error {
 	return s.ms.Close()
 }
 
-// Serving returns the snapshot's index as a sharded serving layer,
-// wrapping a single index into one shard — what cmd/coaxserve serves from.
-func (s *Snapshot) Serving(workers int) (*ShardedIndex, error) {
-	if s.sh != nil {
-		return s.sh, nil
-	}
-	return shard.Reassemble([]*Index{s.idx}, shard.ByHash, -1, nil, workers)
+// Serving returns the snapshot's index with its query fan-out pool sized to
+// workers (one per CPU when workers ≤ 0) — what cmd/coaxserve serves from.
+// The error is always nil.
+func (s *Snapshot) Serving(workers int) (*Index, error) {
+	s.idx.SetWorkers(workers)
+	return s.idx, nil
 }
 
 // OpenFile opens a snapshot of any format version from path, dispatching
 // on the header: version 3 files are memory-mapped and served in place
 // (falling back to an aligned heap read where mmap is unavailable), while
-// version 1/2 files are decoded onto the heap exactly as LoadFile does.
+// version 1/2 files are decoded onto the heap by LoadShardedFile. Either
+// way the file is decoded once, and a damaged file reports the decoder's
+// own error.
 //
-// Compared to LoadFile, opening a v3 file is O(directory) instead of
+// Compared to a heap load, opening a v3 file is O(directory) instead of
 // O(rows): startup cost and steady-state resident memory shift to the
 // kernel page cache, shared across processes serving the same file. The
 // trade-offs run the other way on the query path — uncompressed pages are
 // read at mapping speed with no decode at all, compressed pages are decoded
 // on every read (the sort column, then only the rows inside the query's
-// window, into scratch the scan owns; rows handed to a Yield are valid only
-// during that call, as everywhere) — and a v3 Snapshot must be kept open
-// (and its file unmodified) for as long as its indexes are in use.
+// window, into scratch the scan owns, which a query's fold copies the rows
+// it keeps out of) — and a v3 Snapshot must be kept open
+// (and its file unmodified) for as long as its index is in use.
 func OpenFile(path string) (*Snapshot, error) {
 	return OpenFileOptions(path, OpenOptions{})
 }
@@ -157,19 +138,23 @@ func OpenFileOptions(path string, _ OpenOptions) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v == mmapsnap.Version {
-		ms, err := mmapsnap.OpenFile(path)
+	if v != mmapsnap.Version {
+		idx, err := LoadShardedFile(path)
 		if err != nil {
 			return nil, err
 		}
-		return &Snapshot{idx: ms.Index(), sh: ms.Sharded(), ms: ms, version: v}, nil
+		return &Snapshot{idx: idx, version: v}, nil
 	}
-	if sh, err := LoadShardedFile(path); err == nil {
-		return &Snapshot{sh: sh, version: v}, nil
-	}
-	idx, err := LoadFile(path)
+	ms, err := mmapsnap.OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{idx: idx, version: v}, nil
+	idx := ms.Sharded()
+	if idx == nil {
+		if idx, err = shard.Reassemble([]*core.COAX{ms.Index()}, shard.ByHash, -1, nil, 0); err != nil {
+			ms.Close()
+			return nil, err
+		}
+	}
+	return &Snapshot{idx: idx, ms: ms, version: v}, nil
 }

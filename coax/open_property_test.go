@@ -1,60 +1,88 @@
 package coax_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/core"
+	"github.com/coax-index/coax/internal/mmapsnap"
+	"github.com/coax-index/coax/internal/snapshot"
 )
 
 // Property: a snapshot serves bit-identical answers no matter how it is
-// opened. For every engine shape (single vs sharded, grid vs R-tree
-// outliers) and both v3 encodings (raw pages and per-page columnar
-// compression), OpenFile over the mapped v3 file must return exactly the
-// rows and aggregate values of the heap-decoded v2 load — bitwise, query
-// by query — including under concurrent readers (CI runs this under
-// -race: readers of a compressed file share only the mapping, each scan
-// decoding into scratch of its own).
+// opened. For a 4-shard index (grid outliers), OpenFile over the mapped v3
+// file — raw pages and per-page columnar compression — must return exactly
+// the rows and aggregate values of the heap-decoded v2 load, bitwise, query
+// by query, including under concurrent readers (CI runs this under -race:
+// readers of a compressed file share only the mapping, each scan decoding
+// into scratch of its own). Files of the single-index layout earlier
+// releases wrote — v1, v2 and v3, R-tree outliers — open as a one-shard
+// Index held to the same property.
 
 func TestPropertyMappedMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(12000))
+	queries := make([]coax.Rect, 0, 21)
+	for i := 0; i < 20; i++ {
+		queries = append(queries, randOSMRect(rng, tab))
+	}
+	queries = append(queries, coax.FullRect(tab.Dims()))
 
+	// A shape saves one index to dir as the heap file every other file is
+	// compared with, and reports the shards it was built with.
 	type saved struct {
-		v2, v3, v3c string // heap format, v3 raw, v3 compressed
+		heap   string
+		others []string
+		shards int
 	}
 	shapes := map[string]func(t *testing.T, dir string) saved{
-		"single/grid": func(t *testing.T, dir string) saved {
-			return saveSingle(t, dir, tab, coax.OutlierGrid)
-		},
-		"single/rtree": func(t *testing.T, dir string) saved {
-			return saveSingle(t, dir, tab, coax.OutlierRTree)
-		},
 		"sharded/grid": func(t *testing.T, dir string) saved {
+			idx := build(t, copyOSM(tab), coax.DefaultOptions(), 4)
+			s := saved{filepath.Join(dir, "s.v2"), []string{filepath.Join(dir, "s.v3"), filepath.Join(dir, "s.v3c")}, 4}
+			if err := coax.SaveShardedFile(s.heap, idx); err != nil {
+				t.Fatal(err)
+			}
+			for i, path := range s.others {
+				if err := coax.SaveShardedFileV3(path, idx, i == 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s
+		},
+		"single-layout": func(t *testing.T, dir string) saved {
 			opt := coax.DefaultOptions()
-			so := coax.DefaultShardOptions()
-			so.NumShards = 4
-			idx, err := coax.BuildSharded(copyOSM(tab), opt, so)
+			opt.OutlierKind = coax.OutlierRTree
+			c, err := core.Build(copyOSM(tab), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := saved{
-				v2:  filepath.Join(dir, "s.v2"),
-				v3:  filepath.Join(dir, "s.v3"),
-				v3c: filepath.Join(dir, "s.v3c"),
-			}
-			if err := coax.SaveShardedFile(s.v2, idx); err != nil {
+			var v2 bytes.Buffer
+			if err := snapshot.Encode(&v2, c); err != nil {
 				t.Fatal(err)
 			}
-			if err := coax.SaveShardedFileV3(s.v3, idx, false); err != nil {
-				t.Fatal(err)
+			files := map[string][]byte{"i.v2": v2.Bytes(), "i.v1": asV1(t, v2.Bytes())}
+			for name, compress := range map[string]bool{"i.v3": false, "i.v3c": true} {
+				if files[name], err = mmapsnap.EncodeIndex(c, mmapsnap.Options{Compress: compress}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := coax.SaveShardedFileV3(s.v3c, idx, true); err != nil {
-				t.Fatal(err)
+			s := saved{heap: filepath.Join(dir, "i.v2"), shards: 1}
+			for name, blob := range files {
+				path := filepath.Join(dir, name)
+				if err := os.WriteFile(path, blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if path != s.heap {
+					s.others = append(s.others, path)
+				}
 			}
 			return s
 		},
@@ -63,30 +91,24 @@ func TestPropertyMappedMatchesHeap(t *testing.T) {
 	for name, save := range shapes {
 		t.Run(name, func(t *testing.T) {
 			s := save(t, t.TempDir())
-			heap := openSnap(t, s.v2)
+			heap := openSnap(t, s.heap)
 			defer heap.Close()
 			if heap.Mapped() {
 				t.Fatal("v2 snapshot reports mapped")
 			}
-			queries := make([]coax.Rect, 0, 21)
-			for i := 0; i < 20; i++ {
-				queries = append(queries, randOSMRect(rng, tab))
-			}
-			queries = append(queries, coax.FullRect(tab.Dims()))
-
-			for _, path := range []string{s.v3, s.v3c} {
-				mapped := openSnap(t, path)
-				if mapped.Version() != coax.SnapshotVersionV3 {
-					t.Fatalf("%s: version %d", path, mapped.Version())
+			for _, path := range s.others {
+				other := openSnap(t, path)
+				if n := serving(t, other).NumShards(); n != s.shards {
+					t.Fatalf("%s: opened %d shards, want %d", path, n, s.shards)
 				}
 				for qi, r := range queries {
-					requireSameAnswers(t, heap, mapped, r, qi)
+					requireSameAnswers(t, heap, other, r, qi)
 				}
-				concurrentCompare(t, heap, mapped, queries)
-				if err := mapped.PageErr(); err != nil {
+				concurrentCompare(t, heap, other, queries)
+				if err := other.PageErr(); err != nil {
 					t.Fatalf("%s: page error: %v", path, err)
 				}
-				if err := mapped.Close(); err != nil {
+				if err := other.Close(); err != nil {
 					t.Fatalf("%s: close: %v", path, err)
 				}
 			}
@@ -94,27 +116,23 @@ func TestPropertyMappedMatchesHeap(t *testing.T) {
 	}
 }
 
-func saveSingle(t *testing.T, dir string, tab *coax.Table, kind coax.OutlierIndexKind) (s struct{ v2, v3, v3c string }) {
+// asV1 rewrites a v2 single-index snapshot as format v1: the same file
+// without the sections that postdate v1 ("life", and the trailing "cols"),
+// its header patched to version 1 and the remaining section count.
+func asV1(t *testing.T, v2 []byte) []byte {
 	t.Helper()
-	opt := coax.DefaultOptions()
-	opt.OutlierKind = kind
-	idx, err := coax.Build(copyOSM(tab), opt)
+	info, err := snapshot.Inspect(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.v2 = filepath.Join(dir, "i.v2")
-	s.v3 = filepath.Join(dir, "i.v3")
-	s.v3c = filepath.Join(dir, "i.v3c")
-	if err := coax.SaveFile(s.v2, idx); err != nil {
-		t.Fatal(err)
+	v1, sections := append([]byte(nil), v2...), info.Sections
+	for n := len(sections); n > 0 && (sections[n-1].ID == "life" || sections[n-1].ID == "cols"); n-- {
+		v1 = v1[:len(v1)-(4+8+int(sections[n-1].Len)+4)] // id, length, payload, CRC
+		sections = sections[:n-1]
 	}
-	if err := coax.SaveFileV3(s.v3, idx, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := coax.SaveFileV3(s.v3c, idx, true); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	binary.LittleEndian.PutUint32(v1[12:], uint32(len(sections)))
+	return v1
 }
 
 func openSnap(t *testing.T, path string) *coax.Snapshot {
@@ -126,24 +144,21 @@ func openSnap(t *testing.T, path string) *coax.Snapshot {
 	return sn
 }
 
-// querierOf returns whichever index shape the snapshot holds.
-func querierOf(t *testing.T, sn *coax.Snapshot) coax.Querier {
+// serving is the index sn opened.
+func serving(t *testing.T, sn *coax.Snapshot) *coax.Index {
 	t.Helper()
-	if idx := sn.Index(); idx != nil {
-		return idx
+	idx, err := sn.Serving(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sh := sn.Sharded(); sh != nil {
-		return sh
-	}
-	t.Fatal("snapshot holds no index")
-	return nil
+	return idx
 }
 
 // requireSameAnswers compares rows and every aggregate of one rectangle,
-// bitwise.
+// bitwise. Aggregates name columns by position: a v1 file has no names.
 func requireSameAnswers(t *testing.T, heap, mapped *coax.Snapshot, r coax.Rect, qi int) {
 	t.Helper()
-	hq, mq := querierOf(t, heap), querierOf(t, mapped)
+	hq, mq := serving(t, heap), serving(t, mapped)
 
 	hr, err := coax.FromRect(r).Collect(hq)
 	if err != nil {
@@ -167,7 +182,7 @@ func requireSameAnswers(t *testing.T, heap, mapped *coax.Snapshot, r coax.Rect, 
 	}
 
 	for _, agg := range []coax.Aggregation{
-		coax.CountRows(), coax.Sum("lon"), coax.Min("lat"), coax.Max("lon"), coax.Avg("lat"),
+		coax.CountRows(), coax.SumDim(3), coax.MinDim(2), coax.MaxDim(3), coax.AvgDim(2),
 	} {
 		ha, err := coax.FromRect(r).Aggregate(hq, agg)
 		if err != nil {
@@ -189,7 +204,7 @@ func requireSameAnswers(t *testing.T, heap, mapped *coax.Snapshot, r coax.Rect, 
 // baseline — the race detector watches the per-read page decode underneath.
 func concurrentCompare(t *testing.T, heap, mapped *coax.Snapshot, queries []coax.Rect) {
 	t.Helper()
-	hq, mq := querierOf(t, heap), querierOf(t, mapped)
+	hq, mq := serving(t, heap), serving(t, mapped)
 	want := make([]int, len(queries))
 	for i, r := range queries {
 		n, err := coax.FromRect(r).Count(hq)

@@ -1,17 +1,18 @@
 package coax
 
-// Query API v2: a composable, name-based query surface over *Index and
-// *ShardedIndex. A Query is built from predicates on named (or positional)
-// columns, optionally bounded by Limit, cancelled through a context, and
-// executed with Run, Collect, Head, Count, or Explain. Every execution is a
-// fold on one skeleton (Query.fold): Head copies the rows it returns and
-// counts the rest, Count and Explain are Head keeping none, Collect is Head
-// keeping all, and Run hands each folded row to its visitor. Internally it
+// Query API: a composable, name-based query surface over an *Index. A Query
+// is built from predicates on named (or positional) columns, optionally
+// bounded by Limit, cancelled through a context, and executed with Run,
+// Collect, Head, Count, Aggregate or Explain. Every execution is a fold on
+// one skeleton (Query.fold) over the index's fan-out, which counts the
+// query: Head copies the rows it returns and counts the rest, Count and
+// Explain are Head keeping none, Collect is Head keeping all, Run hands each
+// folded row to its visitor, and Aggregate folds an aggregate. Internally it
 // compiles to the same index.Rect plan the legacy Query(Rect, Visitor) call
-// uses, so both surfaces answer identically; the v2 path additionally
+// uses, so both surfaces answer identically; this path additionally
 // supports early termination (a satisfied Limit or a false-returning
-// visitor stops the scan, across every shard of a sharded index), context
-// cancellation, a uniform row-ownership rule (Stable), and EXPLAIN reports.
+// visitor stops the scan, across every shard), context cancellation and
+// EXPLAIN reports. Every row it hands out is a stable copy.
 
 import (
 	"context"
@@ -26,10 +27,10 @@ import (
 	"github.com/coax-index/coax/internal/shard"
 )
 
-// Yield is the v2 visitor: it receives one matching row per call and
-// reports whether the scan should continue — returning false stops it,
-// including every worker of a sharded fan-out. Unless the query was built
-// with Stable(), the row slice is only valid for the duration of the call.
+// Yield is Run's visitor: it receives one matching row per call and reports
+// whether the scan should continue — returning false stops it, including
+// every worker of the fan-out. The row is a stable copy, valid after the
+// call.
 type Yield = index.Yield
 
 // Predicate is one constraint on a single column, built with Between, Eq,
@@ -91,7 +92,6 @@ type Query struct {
 	preds   []pred
 	limit   int
 	ctx     context.Context
-	stable  bool
 	explain bool
 	group   *colRef // aggregation grouping (agg.go); nil when ungrouped
 }
@@ -144,16 +144,6 @@ func (q *Query) WithContext(ctx context.Context) *Query {
 	return q
 }
 
-// Stable requires every row handed to the visitor to be a private copy
-// that stays valid after the call returns. This is the one ownership rule
-// both *Index and *ShardedIndex honor identically; without it, rows are
-// only valid for the duration of the visitor call, whichever index
-// answers.
-func (q *Query) Stable() *Query {
-	q.stable = true
-	return q
-}
-
 // WithExplain makes execution fill Result.Explain with the query's
 // execution report.
 func (q *Query) WithExplain() *Query {
@@ -161,18 +151,10 @@ func (q *Query) WithExplain() *Query {
 	return q
 }
 
-// columnsOf reports the column names an index carries, or nil.
-func columnsOf(idx Querier) []string {
-	if c, ok := idx.(interface{ Columns() []string }); ok {
-		return c.Columns()
-	}
-	return nil
-}
-
 // Compile resolves the query against idx into the rectangle plan the
 // engine probes. It fails on an invalid predicate, an unknown column name,
 // or a positional predicate out of range.
-func (q *Query) Compile(idx Querier) (Rect, error) {
+func (q *Query) Compile(idx *Index) (Rect, error) {
 	dims := idx.Dims()
 	var r Rect
 	if q.rect != nil {
@@ -198,7 +180,7 @@ func (q *Query) Compile(idx Querier) (Rect, error) {
 		d := pr.dim
 		if pr.name != "" {
 			if cols == nil {
-				cols = columnsOf(idx)
+				cols = idx.Columns()
 			}
 			d = -1
 			for i, c := range cols {
@@ -246,45 +228,35 @@ type Result struct {
 // row until the Limit is reached, visit returns false, or the context is
 // cancelled — whichever comes first. On cancellation it returns the
 // context's error alongside the partial result. Rows arrive in Head's
-// order — on a sharded index shard order, then scan order — so the same
-// query on the same index visits the same rows in the same order.
+// order — shard order, then scan order — so the same query on the same
+// index visits the same rows in the same order.
 //
-// On a sharded index each shard's matches are folded under its read lock
-// and visited once it is released, one shard at a time in shard order, by
-// the fan-out worker that folded them: visit is never called concurrently,
-// but with more than one worker it may run on a goroutine other than the
-// caller's, and Run holds at most one shard's matches per worker. The
-// visitor must not mutate the index being scanned — shards not yet folded
-// may or may not see the change: collect first, then mutate.
-func (q *Query) Run(idx Querier, visit Yield) (Result, error) {
+// Each shard's matches are folded under its read lock and visited once it
+// is released, one shard at a time in shard order, by the fan-out worker
+// that folded them: visit is never called concurrently, but with more than
+// one worker it may run on a goroutine other than the caller's. Run holds at
+// most one shard's matches per worker — on a one-shard index, every match of
+// the rectangle (or its first Limit) before the first visit. The visitor
+// must not mutate the index being scanned — shards not yet folded may or
+// may not see the change: collect first, then mutate.
+func (q *Query) Run(idx *Index, visit Yield) (Result, error) {
 	r, err := q.Compile(idx)
 	if err != nil {
 		return Result{}, err
 	}
 	var res Result
 	limited := false
-	yield := func(row []float64) bool {
-		res.Rows++
-		if !visit(row) {
-			return false
-		}
-		limited = q.limit > 0 && res.Rows >= q.limit
-		return !limited
-	}
-	// A sharded fold hands out stable copies already; any other engine walks
-	// its batches through the yield, copying each row when asked to.
-	walk := yield
-	if q.stable {
-		walk = func(row []float64) bool { return yield(append([]float64(nil), row...)) }
-	}
-	res.Complete, res.Explain, _, err = q.fold(idx, r, yieldFold(walk),
-		func(ix *ShardedIndex, spec index.Spec, rep *shard.Report) bool {
-			spec.Limit = q.limit
-			return ix.Exec(r, spec, yield, rep)
-		},
-		func(start time.Time, complete bool, crep *core.ProbeReport) {
-			q.observe(start, Result{Rows: res.Rows, Complete: complete}, crep)
-		})
+	res.Complete, res.Explain, _, err = q.fold(idx, r, func(spec index.Spec, rep *shard.Report) bool {
+		spec.Limit = q.limit
+		return idx.Exec(r, spec, func(row []float64) bool {
+			res.Rows++
+			if !visit(row) {
+				return false
+			}
+			limited = q.limit > 0 && res.Rows >= q.limit
+			return !limited
+		}, rep)
+	})
 	if exp := res.Explain; exp != nil {
 		exp.RowsEmitted = res.Rows
 		exp.Limited = limited
@@ -292,44 +264,10 @@ func (q *Query) Run(idx Querier, visit Yield) (Result, error) {
 	return res, err
 }
 
-// yieldFold is Run's fold state on an unsharded engine: each batch's
-// selected rows walk through the yield — what core's Exec hands its plan.
-type yieldFold Yield
-
-func (y yieldFold) FoldBatch(b *index.Batch) bool { return b.Each(Yield(y)) }
-func (y yieldFold) FoldRow(row []float64) bool    { return y(row) }
-
-// observe records one finished non-sharded execution in the query-plane
-// metrics. crep may be nil (generic path: no probe report exists).
-func (q *Query) observe(start time.Time, res Result, crep *core.ProbeReport) {
-	obs.Queries.Inc()
-	obs.QuerySeconds.Observe(time.Since(start).Seconds())
-	obs.QueryRows.Add(int64(res.Rows))
-	switch {
-	case q.ctx != nil && q.ctx.Err() != nil:
-		obs.QueryCancelled.Inc()
-	case !res.Complete:
-		obs.EarlyStops.Inc()
-	}
-	core.ObserveProbe(crep)
-}
-
-// runGeneric executes the plan against a plain Querier that offers only
-// the legacy visitor. A declining yield and the context are still honored
-// at the visitor boundary, but the underlying scan cannot be aborted, so
-// early termination saves no work here.
-func runGeneric(idx Querier, r Rect, spec index.Spec, yield Yield) bool {
-	stopped := false
-	idx.Query(r, func(row []float64) {
-		stopped = stopped || spec.Done() || !yield(row)
-	})
-	return !stopped
-}
-
 // Count executes the query and returns the number of matching rows —
 // capped at the Limit when one is set. It is Head keeping no rows: the
 // engines count matches off their selection bitmaps and copy nothing.
-func (q *Query) Count(idx Querier) (int, error) {
+func (q *Query) Count(idx *Index) (int, error) {
 	res, err := q.Head(idx, 0)
 	if res == nil {
 		return 0, err
@@ -345,7 +283,7 @@ type HeadResult struct {
 	Count int
 	// Rows holds the first k matching rows (fewer when fewer match): stable
 	// private copies, in shard order, then scan order — the same rows for
-	// the same index, whatever the timing of a sharded fan-out.
+	// the same index, whatever the timing of the fan-out.
 	Rows [][]float64
 	// Complete reports whether the scan visited every matching row; false
 	// when the Limit or a cancelled context stopped it.
@@ -363,7 +301,7 @@ type HeadResult struct {
 // dropped are never materialized. A Limit stops the scan once that many rows
 // match, capping the count exactly as in Count; the context cancels the scan
 // as in Run, returning its error alongside the partial result.
-func (q *Query) Head(idx Querier, k int) (*HeadResult, error) {
+func (q *Query) Head(idx *Index, k int) (*HeadResult, error) {
 	r, err := q.Compile(idx)
 	if err != nil {
 		return nil, err
@@ -371,15 +309,11 @@ func (q *Query) Head(idx Querier, k int) (*HeadResult, error) {
 	// Any Limit matches satisfy the query; k of them are returned.
 	st := index.RowsState{Keep: k, Limit: q.limit}
 	res := &HeadResult{}
-	res.Complete, res.Explain, _, err = q.fold(idx, r, &st,
-		func(ix *ShardedIndex, spec index.Spec, rep *shard.Report) bool {
-			states, complete := ix.ExecRows([]Rect{r}, spec, st, rep)
-			st = states[0]
-			return complete
-		},
-		func(start time.Time, complete bool, crep *core.ProbeReport) {
-			q.observe(start, Result{Rows: int(st.Count), Complete: complete}, crep)
-		})
+	res.Complete, res.Explain, _, err = q.fold(idx, r, func(spec index.Spec, rep *shard.Report) bool {
+		states, complete := idx.ExecRows([]Rect{r}, spec, st, rep)
+		st = states[0]
+		return complete
+	})
 	res.Count = int(st.Count)
 	res.Rows = make([][]float64, st.Held())
 	for i := range res.Rows {
@@ -393,66 +327,31 @@ func (q *Query) Head(idx Querier, k int) (*HeadResult, error) {
 }
 
 // fold is the skeleton every execution shares — Run, Head and Aggregate: it
-// executes the compiled rectangle r against idx as a fold into st. A
-// sharded index runs sharded, whose fan-out folds every shard into a
-// private state, hands the states to st (or to Run's visitor) in shard
-// order and counts the query itself; a single index folds st through its
-// batch kernels, and any other Querier folds its visitor's rows one at a
-// time — correct, but without kernel pushdown or early abort — and both are
-// counted through observe. It returns whether the fold ran to completion,
-// the execution report when the query asked for one, the engine's report
-// when one was taken (nil on the generic path), and the context's error
-// when it was cancelled.
-func (q *Query) fold(idx Querier, r Rect, st interface {
-	FoldBatch(*index.Batch) bool
-	FoldRow([]float64) bool
-}, sharded func(*ShardedIndex, index.Spec, *shard.Report) bool,
-	observe func(start time.Time, complete bool, crep *core.ProbeReport)) (bool, *Explain, *core.ProbeReport, error) {
+// runs exec, which fans the compiled rectangle r across idx's shards as a
+// fold, each probe into a private state taken in shard order, and counts
+// the query itself. It returns whether the fold ran to completion, the
+// execution report and the engine's report when the query asked for one,
+// and the context's error when it was cancelled.
+func (q *Query) fold(idx *Index, r Rect, exec func(index.Spec, *shard.Report) bool) (bool, *Explain, *core.ProbeReport, error) {
+	spec := index.Spec{Ctx: q.ctx}
 	var exp *Explain
+	var rep *shard.Report
 	if q.explain {
 		exp = newExplain(idx, r)
+		rep = &shard.Report{}
+		// A trace turns the EXPLAIN's shard totals into a per-shard
+		// breakdown: each fan-out worker records one timed span.
+		spec.Trace = obs.NewTrace()
 	}
-	spec := index.Spec{Ctx: q.ctx}
-	track := obs.On()
 	start := time.Now()
-
-	var complete bool
+	complete := exec(spec, rep)
 	var crep *core.ProbeReport
-	switch ix := idx.(type) {
-	case *ShardedIndex:
-		var rep *shard.Report
-		if exp != nil {
-			rep = &shard.Report{}
-			// A trace turns the EXPLAIN's shard totals into a per-shard
-			// breakdown: each fan-out worker records one timed span.
-			spec.Trace = obs.NewTrace()
-		}
-		complete = sharded(ix, spec, rep)
-		if exp != nil {
-			exp.fromShard(rep)
-			exp.fromTrace(spec.Trace)
-			crep = &rep.Core
-		}
-	case *Index:
-		if exp != nil || track {
-			crep = &core.ProbeReport{}
-		}
-		complete = ix.ExecAgg(r, spec, st, crep)
-		if exp != nil {
-			exp.fromCore(crep)
-		}
-		if track {
-			observe(start, complete, crep)
-		}
-	default:
-		complete = runGeneric(idx, r, spec, st.FoldRow)
-		if track {
-			observe(start, complete, nil)
-		}
-	}
 	if exp != nil {
+		exp.fromShard(rep)
+		exp.fromTrace(spec.Trace)
 		exp.Elapsed = time.Since(start)
 		exp.Complete = complete
+		crep = &rep.Core
 	}
 	if q.ctx != nil && q.ctx.Err() != nil {
 		if exp != nil {
@@ -465,9 +364,9 @@ func (q *Query) fold(idx Querier, r Rect, st interface {
 }
 
 // Collect executes the query and returns the matching rows, capped at the
-// Limit when one is set: Head keeping every row. Returned rows are always
-// stable private copies in Head's order, whichever index answers.
-func (q *Query) Collect(idx Querier) ([][]float64, error) {
+// Limit when one is set: Head keeping every row. Returned rows are stable
+// private copies in Head's order.
+func (q *Query) Collect(idx *Index) ([][]float64, error) {
 	res, err := q.Head(idx, -1)
 	if res == nil {
 		return nil, err
@@ -479,7 +378,7 @@ func (q *Query) Collect(idx Querier) ([][]float64, error) {
 // execution report — the EXPLAIN ANALYZE of the builder. The scan honors
 // Limit and the context exactly as Run does, so the report describes the
 // work a real execution performs, without copying a row.
-func (q *Query) Explain(idx Querier) (*Explain, error) {
+func (q *Query) Explain(idx *Index) (*Explain, error) {
 	qq := q.clone()
 	qq.explain = true
 	res, err := qq.Head(idx, 0)

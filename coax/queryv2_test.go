@@ -15,11 +15,12 @@ import (
 	"github.com/coax-index/coax/internal/workload"
 )
 
-// queryV2Indexes builds the four engine configurations the v2 surface must
-// agree on: single and sharded, each with grid and R-tree outliers.
-func queryV2Indexes(t *testing.T, tab *coax.Table) map[string]coax.Querier {
+// queryV2Indexes builds the four engine configurations the query surface
+// must agree on: one shard (inline) and four (pooled), each with grid and
+// R-tree outliers.
+func queryV2Indexes(t *testing.T, tab *coax.Table) map[string]*coax.Index {
 	t.Helper()
-	out := make(map[string]coax.Querier)
+	out := make(map[string]*coax.Index)
 	for _, kind := range []struct {
 		name string
 		k    coax.OutlierIndexKind
@@ -27,19 +28,9 @@ func queryV2Indexes(t *testing.T, tab *coax.Table) map[string]coax.Querier {
 		opt := coax.DefaultOptions()
 		opt.SoftFD.SampleCount = 5000
 		opt.OutlierKind = kind.k
-		single, err := coax.Build(tab, opt)
-		if err != nil {
-			t.Fatalf("Build(%s): %v", kind.name, err)
-		}
-		out["single-"+kind.name] = single
-
-		so := coax.DefaultShardOptions()
-		so.NumShards = 4
-		so.Workers = 4
-		sharded, err := coax.BuildSharded(tab, opt, so)
-		if err != nil {
-			t.Fatalf("BuildSharded(%s): %v", kind.name, err)
-		}
+		out["one-shard-"+kind.name] = build(t, tab, opt, 1)
+		sharded := build(t, tab, opt, 4)
+		sharded.SetWorkers(4)
 		out["sharded-"+kind.name] = sharded
 	}
 	return out
@@ -64,9 +55,9 @@ func sortedKeys(rows [][]float64) []string {
 }
 
 // TestV2EquivalentToLegacy is the property test of the acceptance
-// criteria: for random rectangles, the v2 builder — via FromRect and via
+// criteria: for random rectangles, the query builder — via FromRect and via
 // per-dimension predicates — returns exactly the multiset the legacy
-// Query(Rect, Visitor) path returns, on single and sharded indexes with
+// Query(Rect, Visitor) path returns, on one-shard and 4-shard indexes with
 // both outlier kinds, and Limit(k) returns exactly min(k, total) rows all
 // of which belong to that multiset.
 func TestV2EquivalentToLegacy(t *testing.T) {
@@ -77,7 +68,8 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		r := workload.RandRect(rng, tab)
 		for name, idx := range indexes {
-			legacy := coax.Collect(idx, r)
+			var legacy [][]float64
+			idx.Query(r, func(row []float64) { legacy = append(legacy, row) })
 			want := sortedKeys(legacy)
 
 			// Path 1: FromRect.
@@ -107,9 +99,9 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 
 			// Limit(k): exactly min(k, total) rows, all from the legacy set.
 			k := 1 + rng.Intn(20)
-			limited, err := coax.CollectLimit(idx, r, k)
+			limited, err := coax.FromRect(r).Limit(k).Collect(idx)
 			if err != nil {
-				t.Fatalf("%s: CollectLimit: %v", name, err)
+				t.Fatalf("%s: Limit.Collect: %v", name, err)
 			}
 			if wantN := min(k, len(legacy)); len(limited) != wantN {
 				t.Fatalf("%s rect %v: Limit(%d) returned %d rows, want %d", name, r, k, len(limited), wantN)
@@ -164,12 +156,7 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 // keep no row either.
 func TestCountAllocsIndependentOfMatches(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(32000))
-	so := coax.DefaultShardOptions()
-	so.NumShards, so.Workers, so.Partition = 4, 4, coax.ShardByHash
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := hashSharded(t, tab)
 	count := func(q *coax.Query) func() (int, error) { return func() (int, error) { return q.Count(idx) } }
 	cost := func(run func() (int, error), want int) (mallocs, allocated uint64) {
 		t.Helper()
@@ -217,17 +204,24 @@ func TestCountAllocsIndependentOfMatches(t *testing.T) {
 	}
 }
 
+// hashSharded builds tab into a pooled 4-shard hash-partitioned index.
+func hashSharded(t *testing.T, tab *coax.Table) *coax.Index {
+	t.Helper()
+	so := coax.DefaultShardOptions()
+	so.NumShards, so.Workers, so.Partition = 4, 4, coax.ShardByHash
+	idx, err := coax.NewBuilder(coax.TableSchema(tab), coax.DefaultOptions()).BuildSharded(coax.NewTableSource(tab, 0), so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
 // TestRunOrderDeterministic: Run folds each shard and yields the shards in
 // order, so Collect on a pooled hash-sharded index returns the same rows in
 // the same order every time — Head's rows.
 func TestRunOrderDeterministic(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(20000))
-	so := coax.DefaultShardOptions()
-	so.NumShards, so.Workers, so.Partition = 4, 4, coax.ShardByHash
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := hashSharded(t, tab)
 	head, err := coax.NewQuery().Head(idx, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +243,7 @@ func TestWhereByName(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(8000))
 	opt := coax.DefaultOptions()
 	opt.SoftFD.SampleCount = 4000
-	idx, err := coax.Build(tab, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, tab, opt, 1)
 
 	// osm columns: id, timestamp, lat, lon.
 	q := coax.NewQuery().Where("lat", coax.Between(-10, 10)).Where("lon", coax.AtLeast(0))
@@ -287,14 +278,14 @@ func TestWhereByName(t *testing.T) {
 
 	// Names survive the snapshot round trip (the "cols" section).
 	path := t.TempDir() + "/named.coax"
-	if err := coax.SaveFile(path, idx); err != nil {
+	if err := coax.SaveShardedFile(path, idx); err != nil {
 		t.Fatal(err)
 	}
-	back, err := coax.LoadFile(path)
+	back, err := coax.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := q.Count(back)
+	n2, err := q.Count(serving(t, back))
 	if err != nil {
 		t.Fatalf("name-based query on loaded snapshot: %v", err)
 	}
@@ -308,13 +299,8 @@ func TestWhereByName(t *testing.T) {
 // after cancellation, and the call returns the context's error.
 func TestShardedCancellation(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(40000))
-	so := coax.DefaultShardOptions()
-	so.NumShards = 4
-	so.Workers = 4 // force the pooled fan-out even on 1 CPU
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, tab, coax.DefaultOptions(), 4)
+	idx.SetWorkers(4) // force the pooled fan-out even on 1 CPU
 
 	// Pre-cancelled: nothing may be delivered.
 	done, cancel := context.WithCancel(context.Background())
@@ -353,14 +339,11 @@ func TestShardedCancellation(t *testing.T) {
 }
 
 // TestLimitStopsScanWork asserts early termination saves engine work, not
-// just visitor calls: on a single index (deterministic, single-threaded) a
+// just visitor calls: on a one-shard index (inline, deterministic) a
 // Limit(5) scan examines far fewer rows than the full scan does.
 func TestLimitStopsScanWork(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(30000))
-	idx, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, tab, coax.DefaultOptions(), 1)
 	full, err := coax.NewQuery().Explain(idx)
 	if err != nil {
 		t.Fatal(err)
@@ -390,10 +373,7 @@ func TestLimitStopsScanWork(t *testing.T) {
 // primary/outlier row-scan split.
 func TestExplainAirline(t *testing.T) {
 	tab := coax.GenerateAirline(coax.DefaultAirlineConfig(40000))
-	idx, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, tab, coax.DefaultOptions(), 1)
 	st := idx.BuildStats()
 	if len(st.Groups) == 0 {
 		t.Fatal("no soft-FD groups detected on the airline table")
@@ -431,17 +411,18 @@ func TestExplainAirline(t *testing.T) {
 	if got := exp.Primary.RowsMatched + exp.Outlier.RowsMatched; got != int64(rows) {
 		t.Errorf("explain matched %d rows, visitor saw %d", got, rows)
 	}
-	if legacy := coax.Count(idx, mustCompile(t, q, idx)); legacy != rows {
-		t.Errorf("v2 delivered %d rows, legacy %d", rows, legacy)
-	}
-
-	// The sharded engine reports its fan-out on top of the same numbers.
-	so := coax.DefaultShardOptions()
-	so.NumShards = 4
-	sharded, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
+	r, err := q.Compile(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	legacy := 0
+	idx.Query(r, func([]float64) { legacy++ })
+	if legacy != rows {
+		t.Errorf("Run delivered %d rows, legacy %d", rows, legacy)
+	}
+
+	// A 4-shard index reports its fan-out on top of the same numbers.
+	sharded := build(t, tab, coax.DefaultOptions(), 4)
 	sexp, err := coax.NewQuery().Where("airtime", coax.Between(60, 90)).Explain(sharded)
 	if err != nil {
 		t.Fatal(err)
@@ -457,59 +438,32 @@ func TestExplainAirline(t *testing.T) {
 	}
 }
 
-func mustCompile(t *testing.T, q *coax.Query, idx coax.Querier) coax.Rect {
-	t.Helper()
-	r, err := q.Compile(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// TestStableOwnership asserts the unified contract: rows from a Stable()
-// query survive later index mutation and compaction on both engines.
+// TestStableOwnership asserts the ownership contract: rows handed to Run's
+// visitor are stable copies that survive later index mutation and
+// compaction, on one shard and on four.
 func TestStableOwnership(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(5000))
-	single, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := coax.DefaultShardOptions()
-	so.NumShards = 2
-	sharded, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, idx := range map[string]coax.Querier{"single": single, "sharded": sharded} {
-		var retained [][]float64
-		var copies [][]float64
-		_, err := coax.NewQuery().Stable().Limit(50).Run(idx, func(row []float64) bool {
+	for _, shards := range []int{1, 2} {
+		idx := build(t, tab, coax.DefaultOptions(), shards)
+		var retained, copies [][]float64
+		_, err := coax.NewQuery().Limit(50).Run(idx, func(row []float64) bool {
 			retained = append(retained, row)
-			cp := make([]float64, len(row))
-			copy(cp, row)
-			copies = append(copies, cp)
+			copies = append(copies, append([]float64(nil), row...))
 			return true
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%d shards: %v", shards, err)
 		}
 		// Mutate and compact: aliasing rows would be rewritten.
-		mut := idx.(interface {
-			Insert(row []float64) error
-			Delete(row []float64) error
-		})
 		for i := 0; i < 100; i++ {
-			if err := mut.Insert([]float64{float64(i), float64(i), 0, 0}); err != nil {
+			if err := idx.Insert([]float64{float64(i), float64(i), 0, 0}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if c, ok := idx.(interface{ Compact() }); ok {
-			c.Compact()
-		}
+		idx.Compact()
 		for i := range retained {
 			if rowKey(retained[i]) != rowKey(copies[i]) {
-				t.Fatalf("%s: stable row %d changed after mutation", name, i)
+				t.Fatalf("%d shards: row %d changed after mutation", shards, i)
 			}
 		}
 	}
@@ -522,13 +476,8 @@ func TestStableOwnership(t *testing.T) {
 // probes instead of deadlocking against them.
 func TestMutatingVisitorDoesNotDeadlock(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(3000))
-	so := coax.DefaultShardOptions()
-	so.NumShards = 4
-	so.Workers = 4
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, tab, coax.DefaultOptions(), 4)
+	idx.SetWorkers(4)
 	deleted := 0
 	res, err := coax.NewQuery().Limit(200).Run(idx, func(row []float64) bool {
 		if err := idx.Delete(row); err == nil { // rows are stable copies
@@ -560,10 +509,7 @@ func TestCancelledZeroMatchScanStops(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		tab.Append([]float64{float64(i), float64((i % 2) * 100)})
 	}
-	idx, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := build(t, tab, coax.DefaultOptions(), 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -9,19 +9,19 @@ import (
 	"github.com/coax-index/coax/coax"
 )
 
-func buildShardedOSM(t *testing.T, rows, shards int) (*coax.Table, *coax.ShardedIndex) {
+func buildShardedOSM(t *testing.T, rows, shards int) (*coax.Table, *coax.Index) {
 	t.Helper()
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(rows))
-	so := coax.DefaultShardOptions()
-	so.NumShards = shards
-	idx, err := coax.BuildSharded(tab, coax.DefaultOptions(), so)
-	if err != nil {
-		t.Fatalf("BuildSharded: %v", err)
-	}
-	return tab, idx
+	return tab, build(t, tab, coax.DefaultOptions(), shards)
 }
 
-func sortedRows(rows [][]float64) [][]float64 {
+// sortedCollect is every row of idx inside r, in ascending order.
+func sortedCollect(t testing.TB, idx *coax.Index, r coax.Rect) [][]float64 {
+	t.Helper()
+	rows, err := coax.FromRect(r).Collect(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		for k := range a {
@@ -34,9 +34,23 @@ func sortedRows(rows [][]float64) [][]float64 {
 	return rows
 }
 
+func equalRows(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for d := range a[i] {
+			if a[i][d] != b[i][d] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestBuildShardedMatchesBuild(t *testing.T) {
 	tab, sharded := buildShardedOSM(t, 20000, 4)
-	single, err := coax.Build(tab, coax.DefaultOptions())
+	single, err := coax.NewBuilder(coax.TableSchema(tab), coax.DefaultOptions()).Build(coax.NewTableSource(tab, 0))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -56,17 +70,8 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 		queries = append(queries, q)
 	}
 	for qi, q := range queries {
-		want := sortedRows(coax.Collect(single, q))
-		got := sortedRows(coax.Collect(sharded, q))
-		if len(want) != len(got) {
-			t.Fatalf("query %d: %d rows, want %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			for k := range want[i] {
-				if want[i][k] != got[i][k] {
-					t.Fatalf("query %d row %d differs", qi, i)
-				}
-			}
+		if !equalRows(sortedCollect(t, single, q), sortedCollect(t, sharded, q)) {
+			t.Fatalf("query %d: the 4-shard and one-shard indexes differ", qi)
 		}
 	}
 
@@ -74,7 +79,7 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 	counts := make([]int, len(queries))
 	sharded.BatchQuery(queries, func(qi int, _ []float64) { counts[qi]++ })
 	for qi, q := range queries {
-		if want := coax.Count(single, q); counts[qi] != want {
+		if want := count(t, single, q); counts[qi] != want {
 			t.Fatalf("batch query %d: count %d, want %d", qi, counts[qi], want)
 		}
 	}
@@ -82,6 +87,7 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	tab, idx := buildShardedOSM(t, 10000, 3)
+	full := coax.FullRect(tab.Dims())
 
 	var buf bytes.Buffer
 	if err := coax.SaveSharded(&buf, idx); err != nil {
@@ -91,9 +97,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSharded: %v", err)
 	}
-	full := coax.FullRect(tab.Dims())
-	if w, g := coax.Count(idx, full), coax.Count(loaded, full); w != g {
-		t.Fatalf("loaded counts %d, want %d", g, w)
+	if w, g := count(t, idx, full), count(t, loaded, full); w != g || loaded.NumShards() != 3 {
+		t.Fatalf("loaded %d shards counting %d, want 3 counting %d", loaded.NumShards(), g, w)
 	}
 
 	path := filepath.Join(t.TempDir(), "sharded.coax")
@@ -104,27 +109,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadShardedFile: %v", err)
 	}
-	if w, g := coax.Count(idx, full), coax.Count(fromFile, full); w != g {
+	if w, g := count(t, idx, full), count(t, fromFile, full); w != g {
 		t.Fatalf("file round trip counts %d, want %d", g, w)
-	}
-
-	// Cross-loading must fail with a clear error in both directions.
-	if _, err := coax.LoadShardedFile(path); err != nil {
-		t.Fatalf("sanity reload: %v", err)
-	}
-	if _, err := coax.LoadFile(path); err == nil {
-		t.Error("Load accepted a sharded snapshot")
-	}
-	singlePath := filepath.Join(t.TempDir(), "single.coax")
-	single, err := coax.Build(tab, coax.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coax.SaveFile(singlePath, single); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coax.LoadShardedFile(singlePath); err == nil {
-		t.Error("LoadSharded accepted a single-index snapshot")
 	}
 }
 
@@ -132,11 +118,11 @@ func TestShardedInsertServesConcurrently(t *testing.T) {
 	tab, idx := buildShardedOSM(t, 5000, 4)
 	row := make([]float64, tab.Dims())
 	copy(row, tab.Row(0))
-	before := coax.Count(idx, coax.FullRect(tab.Dims()))
+	before := count(t, idx, coax.FullRect(tab.Dims()))
 	if err := idx.Insert(row); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	if got := coax.Count(idx, coax.FullRect(tab.Dims())); got != before+1 {
+	if got := count(t, idx, coax.FullRect(tab.Dims())); got != before+1 {
 		t.Fatalf("count after insert = %d, want %d", got, before+1)
 	}
 }

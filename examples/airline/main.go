@@ -22,7 +22,7 @@ func main() {
 	opt.SoftFD.ExcludeCols = []int{6, 7} // dayofweek, carrier
 
 	start := time.Now()
-	idx, err := coax.Build(table, opt)
+	idx, err := coax.NewBuilder(coax.TableSchema(table), opt).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,9 +16,16 @@ func main() {
 	fmt.Println("generating synthetic OSM data (500k nodes: id, timestamp, lat, lon)...")
 	table := coax.GenerateOSM(coax.DefaultOSMConfig(500000))
 
-	idx, err := coax.Build(table, coax.DefaultOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		log.Fatal(err)
+	}
+	count := func(q coax.Rect) int {
+		n, err := coax.FromRect(q).Count(idx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return n
 	}
 	st := idx.BuildStats()
 	fmt.Printf("detected groups: %d; primary ratio %.1f%%; grid dims %d\n",
@@ -33,7 +40,7 @@ func main() {
 	q.Min[1], q.Max[1] = tsMax*0.25, tsMax*0.35 // a 10% slice of history
 
 	start := time.Now()
-	n := coax.Count(idx, q)
+	n := count(q)
 	fmt.Printf("nodes in the box edited during that window: %d (%v)\n", n, time.Since(start))
 
 	// Pure spatial query (no correlated attribute involved).
@@ -41,13 +48,13 @@ func main() {
 	q2.Min[2], q2.Max[2] = 42.2, 42.6
 	q2.Min[3], q2.Max[3] = -71.3, -70.8
 	start = time.Now()
-	n = coax.Count(idx, q2)
+	n = count(q2)
 	fmt.Printf("nodes in the Boston box: %d (%v)\n", n, time.Since(start))
 
 	// Recent-history query via the dependent attribute only.
 	q3 := coax.FullRect(4)
 	q3.Min[1] = tsMax * 0.95
 	start = time.Now()
-	n = coax.Count(idx, q3)
+	n = count(q3)
 	fmt.Printf("nodes edited in the newest 5%% of history: %d (%v)\n", n, time.Since(start))
 }

@@ -22,7 +22,7 @@ func main() {
 		table.Append([]float64{seq, capturedAt, reading})
 	}
 
-	idx, err := coax.Build(table, coax.DefaultOptions())
+	idx, err := coax.NewBuilder(coax.TableSchema(table), coax.DefaultOptions()).Build(coax.NewTableSource(table, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,6 +58,7 @@ func main() {
 	fmt.Printf("seq in [50k, 60k] with |reading| <= 5: fetched first %d rows\n", len(rows))
 
 	// The legacy rectangle surface still works and answers identically.
-	p := coax.PointQuery(table.Row(777))
-	fmt.Printf("point query found %d row(s)\n", coax.Count(idx, p))
+	found := 0
+	idx.Query(coax.PointQuery(table.Row(777)), func([]float64) { found++ })
+	fmt.Printf("point query found %d row(s)\n", found)
 }

@@ -32,7 +32,7 @@ func main() {
 		opt := coax.DefaultOptions()
 		opt.SoftFD.ExcludeCols = []int{6, 7}
 		opt.SoftFD.MaxMarginFrac = margin
-		idx, err := coax.Build(table, opt)
+		idx, err := coax.NewBuilder(coax.TableSchema(table), opt).Build(coax.NewTableSource(table, 0))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func main() {
 		opt := coax.DefaultOptions()
 		opt.SoftFD.ExcludeCols = []int{6, 7}
 		opt.PrimaryCellsPerDim = cells
-		idx, err := coax.Build(table, opt)
+		idx, err := coax.NewBuilder(coax.TableSchema(table), opt).Build(coax.NewTableSource(table, 0))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +62,11 @@ func timeQueries(idx *coax.Index, queries []coax.Rect) time.Duration {
 	start := time.Now()
 	total := 0
 	for _, q := range queries {
-		total += coax.Count(idx, q)
+		n, err := coax.FromRect(q).Count(idx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		total += n
 	}
 	_ = total
 	return time.Since(start) / time.Duration(len(queries))

@@ -325,7 +325,7 @@ func TestQuerySplitPrimaryOutlier(t *testing.T) {
 	}
 	c.Primary().Scan(routed.Intersect(r), func([]float64) bool { np++; return true }, nil)
 	c.Outliers().Scan(r, func([]float64) bool { no++; return true }, nil)
-	c.Query(r, func([]float64) { nall++ })
+	c.Scan(r, func([]float64) bool { nall++; return true }, nil)
 	if np+no != nall {
 		t.Errorf("primary %d + outliers %d != total %d", np, no, nall)
 	}

@@ -13,8 +13,8 @@ import (
 // are scanned in batches; what differs between queries is the consumer —
 // Exec walks each batch's selected rows through a yield (Batch.Each),
 // ExecAgg folds the selection bitmap into a fold state: an aggregate, or a
-// row reply that copies its first rows and counts the rest. Scan and Query
-// adapt Exec to index.Interface and the public visitor.
+// row reply that copies its first rows and counts the rest. Scan adapts Exec
+// to index.Interface.
 
 // Translation records one application of the paper's Eq. 2 during query
 // planning: the constraint on a dependent column mapped through its learned
@@ -81,9 +81,9 @@ func (p *ProbeReport) Add(o *ProbeReport) {
 
 // ObserveProbe folds one finished probe's report into the package-level
 // scan metrics. It lives here — not in obs — because obs must stay
-// import-free of the engine packages; every layer that owns a complete
-// query (the shard fan-out, the public single-index path) calls it once
-// per underlying ProbeReport. Callers gate on obs.On().
+// import-free of the engine packages; the layer that owns a complete query
+// (the shard fan-out) calls it once per underlying ProbeReport. Callers gate
+// on obs.On().
 func ObserveProbe(rep *ProbeReport) {
 	if rep == nil {
 		return
@@ -116,36 +116,20 @@ func (c *COAX) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
 	return complete
 }
 
-// Query invokes visit for every row inside r — the public run-to-completion
-// visitor (coax.Querier) over Exec. Rows alias index internals and are valid
-// only during the call.
-func (c *COAX) Query(r index.Rect, visit func(row []float64)) {
-	c.Exec(r, index.Spec{}, func(row []float64) bool { visit(row); return true }, nil)
-}
-
 // Exec answers r row by row: yield's return value stops the scan, spec.Ctx
-// and spec.Abort cancel it within about one page, spec.Stable makes every
-// delivered row a private copy, and a non-nil rep is filled with the
-// execution report (translations applied, partitions probed or pruned,
-// pages/rows scanned, tombstones filtered, batches run). It reports whether
-// the scan ran to completion.
+// and spec.Abort cancel it within about one page, and a non-nil rep is
+// filled with the execution report (translations applied, partitions probed
+// or pruned, pages/rows scanned, tombstones filtered, batches run). Rows
+// alias index internals and are valid only during the call. It reports
+// whether the scan ran to completion.
 func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *ProbeReport) bool {
-	if spec.Stable {
-		inner := yield
-		yield = func(row []float64) bool {
-			cp := make([]float64, len(row))
-			copy(cp, row)
-			return inner(cp)
-		}
-	}
 	return c.run(r, spec, rep, func(b *index.Batch) bool { return b.Each(yield) })
 }
 
 // ExecAgg answers r by folding every batch into st straight off its
 // selection bitmap, with no visitor callback per row: st is an
 // *index.AggState, or an *index.RowsState for a row reply. Ctx, Abort and
-// rep behave as in Exec (Limit and Stable are ignored: the fold decides what
-// it keeps). It reports whether the scan ran to completion (false: it was
+// rep behave as in Exec (Limit is ignored: the fold decides what it keeps). It reports whether the scan ran to completion (false: it was
 // aborted or st declined a batch, and st holds a partial fold).
 func (c *COAX) ExecAgg(r index.Rect, spec index.Spec, st interface{ FoldBatch(*index.Batch) bool }, rep *ProbeReport) bool {
 	return c.run(r, spec, rep, st.FoldBatch)

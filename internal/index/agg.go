@@ -10,8 +10,8 @@ import (
 // without ever materializing them: FoldBatch folds straight off a Batch's
 // selection bitmap (COUNT is a popcount over the selection words;
 // SUM/MIN/MAX walk only the set bits of the value column). FoldRow folds
-// one row at a time — for callers that only have rows (a generic Querier,
-// a reference fold in tests) — performing the identical floating-point
+// one row at a time — for callers that only have rows (a reference fold in
+// tests) — performing the identical floating-point
 // operations, so folding a scan's rows in its order gives the bits its
 // batches give. Partial states from independent scans (the shards of a
 // fan-out) merge deterministically with Merge.

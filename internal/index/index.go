@@ -14,11 +14,9 @@ import (
 // any other goroutine — for the full duration of the call. Single-threaded
 // indexes (grid file, R-tree, scan, COAX) pass a slice aliasing their
 // internals that may be reused after the call returns, so a yield must
-// copy rows it retains, unless the caller requested stable rows
-// (Spec.Stable). Engines that merge results across goroutines
-// (internal/shard) may not hand out internal slices at all: they copy each
-// row at the merge boundary before invoking the yield, which makes their
-// rows stable copies that stay valid even after the call.
+// copy rows it retains. Engines that fold each probe under a lock and yield
+// after releasing it (internal/shard) hand out the rows the fold copied,
+// which are stable copies that stay valid even after the call.
 type Yield func(row []float64) bool
 
 // Probe accumulates the execution counters of one scan — the raw material
@@ -75,10 +73,6 @@ type Spec struct {
 	// Limit local matches (the sharded engine also yields only the first
 	// Limit rows).
 	Limit int
-	// Stable requires every row handed to the yield to be a private copy
-	// that stays valid after the call returns, regardless of which engine
-	// answers the query.
-	Stable bool
 	// Abort, when non-nil, is polled at page granularity alongside Ctx;
 	// returning true stops the scan. Engines composing engines (the shard
 	// fan-out) use it to propagate their shared stop flag into per-shard

@@ -4,8 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/coax-index/coax/internal/core"
+	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/shard"
+	"github.com/coax-index/coax/internal/workload"
 )
 
 // BenchmarkBatchQuery is the only timing of the /batch path, which no
@@ -72,6 +75,56 @@ func BenchmarkExec(b *testing.B) {
 				s.Exec(r, index.Spec{Limit: c.limit}, func([]float64) bool { rows++; return true }, nil)
 			}
 			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}
+
+// BenchmarkOneShard prices the one-shard index (the public coax.Index a
+// Builder's Build returns) against the engine it wraps: ExecRows on a
+// one-shard Reassemble of a 200 k-row OSM core.COAX versus that COAX's own
+// ExecAgg folding the same index.RowsState{Keep: 100}, over random
+// rectangles matching 500–2 000 rows (wide) and one-row point rectangles
+// (point). On point the difference is the fixed cost of a call: the plan,
+// the metrics and the merge.
+func BenchmarkOneShard(b *testing.B) {
+	tab := dataset.GenerateOSM(dataset.DefaultOSMConfig(200000))
+	c, err := core.Build(tab, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := shard.Reassemble([]*core.COAX{c}, shard.ByHash, -1, nil, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(64))
+	var wide, point []index.Rect
+	for len(wide) < 32 {
+		r := workload.RandRect(rng, tab)
+		if n := index.Count(c, r); n >= 500 && n <= 2000 {
+			wide = append(wide, r)
+		}
+	}
+	for len(point) < 32 {
+		point = append(point, index.Point(tab.Row(rng.Intn(tab.Len()))))
+	}
+	keep := index.RowsState{Keep: 100}
+	for _, set := range []struct {
+		name  string
+		rects []index.Rect
+	}{{"wide", wide}, {"point", point}} {
+		b.Run(set.name+"/core", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st := keep
+				c.ExecAgg(set.rects[i%len(set.rects)], index.Spec{}, &st, nil)
+			}
+		})
+		b.Run(set.name+"/one-shard", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i % len(set.rects)
+				s.ExecRows(set.rects[j:j+1], index.Spec{}, keep, nil)
+			}
 		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 // private index.AggState, and the partials merge in shard order, so the
 // floating-point result is deterministic run to run for a fixed shard
 // layout. spec.Ctx and spec.Abort stop the fan-out within about one page of
-// work per worker (Limit and Stable are ignored — aggregates consume every
-// matching row). A non-nil rep is filled with the fan-out report, including
+// work per worker (Limit is ignored — aggregates consume every matching
+// row). A non-nil rep is filled with the fan-out report, including
 // the kernels dispatched. The boolean reports whether every shard ran to
 // completion; false leaves a partial fold in the returned state.
 func (s *Sharded) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec, rep *Report) (*index.AggState, bool) {
@@ -64,8 +64,8 @@ func (s *Sharded) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec, re
 // crosses the merge only to be dropped. A limited query stops each probe
 // once the probes before it in merge order hold Limit rows between them,
 // which leaves its answer unchanged. spec.Ctx and spec.Abort stop the
-// fan-out within about one page of work per worker; spec.Limit and Stable
-// are ignored (kept rows are always private copies). A non-nil rep is
+// fan-out within about one page of work per worker; spec.Limit is ignored
+// (keep.Limit caps the count). Kept rows are private copies. A non-nil rep is
 // filled with the fan-out report. The boolean reports whether every query
 // ran to completion: false when the fan-out was stopped or a query reached
 // its Limit.
@@ -199,9 +199,10 @@ func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 // package comment on visitor ownership).
 type BatchVisitor func(qi int, row []float64)
 
-// Query invokes visit on the calling goroutine for every row inside r —
-// the public run-to-completion visitor (coax.Querier) over BatchQuery, with
-// its guarantees: stable copies, and a visitor free to mutate the index.
+// Query invokes visit on the calling goroutine for every row inside r — the
+// legacy run-to-completion visitor over BatchQuery, with its guarantees:
+// stable copies, and a visitor free to mutate the index. It holds every
+// match before the first call.
 func (s *Sharded) Query(r index.Rect, visit func(row []float64)) {
 	s.BatchQuery([]index.Rect{r}, func(_ int, row []float64) { visit(row) })
 }

@@ -64,10 +64,11 @@ type fanout struct {
 	// range routing (or an empty rectangle) ruled out.
 	probes []probe
 	pruned int
-	// inline: a pool of one worker is the caller — the probes run on the
-	// calling goroutine, with no goroutine to start and no hand-off to pay
-	// for. It is most queries that constrain the range column.
-	inline bool
+	// workers is the pool size, at most one per probe. A pool of one worker
+	// is the caller: the probes run on the calling goroutine, with no
+	// goroutine to start and no hand-off to pay for — every query on a
+	// one-shard index, and most that constrain the range column.
+	workers int
 	// stop is the shared stop flag: every scan polls it once per page as
 	// its abort hook, a done context raises it, and a visit may raise it (a
 	// declined yield, a met limit) to stop every other worker.
@@ -96,7 +97,7 @@ func (s *Sharded) plan(rs []index.Rect, spec index.Spec) *fanout {
 		}
 	}
 	f.pruned = len(rs)*len(s.shards) - len(f.probes)
-	f.inline = min(s.workers, len(f.probes)) == 1
+	f.workers = min(int(s.workers.Load()), len(f.probes))
 	return f
 }
 
@@ -162,14 +163,14 @@ func (s *Sharded) fanOut(f *fanout, rep *Report, scan func(pi int, idx *core.COA
 			incomplete.Store(true)
 		}
 	}
-	if f.inline {
+	if f.workers == 1 {
 		for _, pi := range order {
 			run(pi)
 		}
 	} else {
 		var next atomic.Int32
 		var wg sync.WaitGroup
-		for range min(s.workers, len(f.probes)) {
+		for range f.workers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -235,18 +236,19 @@ func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track boo
 // concurrently, nor under a lock; it runs on the calling goroutine for a
 // pool of one, else on the fan-out worker that folded the probe. Memory: a
 // worker holds the one probe it folded until that probe's turn, so Exec
-// holds at most one probe's matches per worker (one in all when inline) —
-// unless the yield retains rows.
+// holds at most one probe's matches per worker (one in all when inline, so
+// on a one-shard index the rectangle's matches, or its first Limit) — unless
+// the yield retains rows.
 //
 // A false return from yield, a met Limit or a done spec.Ctx raises the stop
 // flag every running probe polls once per page; the context is also checked
-// before each row. Rows are stable copies with full-capacity slices (so
-// spec.Stable is free), valid after the call. The yield must not mutate this
-// index (Insert / Delete / Update / rebuilds): probes not yet folded may or
-// may not see the change. Query/BatchQuery, which visit after the fan-out,
-// are the surface for that pattern. A non-nil rep is filled with the fan-out
-// report. Exec reports whether the scan ran to completion (false: stopped
-// early by yield, Limit or cancellation).
+// before each row. Rows are stable copies with capped slices, valid after
+// the call. The yield must not mutate this index (Insert / Delete / Update /
+// rebuilds): probes not yet folded may or may not see the change.
+// Query/BatchQuery, which visit after the fan-out, are the surface for that
+// pattern. A non-nil rep is filled with the fan-out report. Exec reports
+// whether the scan ran to completion (false: stopped early by yield, Limit
+// or cancellation).
 func (s *Sharded) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Report) bool {
 	left := spec.Limit // rows the limit still admits; never reaches 0 when ≤ 0
 	_, _, complete := s.foldRows([]index.Rect{r}, spec, index.RowsState{Keep: -1, Limit: spec.Limit}, rep,

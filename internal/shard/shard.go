@@ -32,11 +32,15 @@
 //
 // Memory follows the rows kept. ExecRows holds the rows it keeps; Exec holds
 // one probe's matches per worker, yielding each probe's rows once its turn
-// comes; Query and BatchQuery keep every row before the first visitor call
-// (which is what lets that visitor mutate the index), so a full-table
-// rectangle buffers the whole table. Callers serving untrusted input should
-// bound rectangle selectivity or batch width at their own layer
-// (cmd/coaxserve caps request size and batch length).
+// comes — on a one-shard index, the rectangle's matches; Query and BatchQuery
+// keep every row before the first visitor call (which is what lets that
+// visitor mutate the index), so a full-table rectangle buffers the whole
+// table. Callers serving untrusted input should bound rectangle selectivity
+// or batch width at their own layer (cmd/coaxserve caps request size and
+// batch length).
+//
+// A one-shard Sharded is the public single index (coax.Index): its fan-out
+// has one probe, which runs inline on the calling goroutine.
 package shard
 
 import (
@@ -136,16 +140,16 @@ type shardSlot struct {
 }
 
 // Sharded is a partitioned COAX index. Build one with Build (or reassemble
-// a decoded snapshot with Reassemble); it satisfies index.Interface, so it
-// answers queries interchangeably with a single *core.COAX.
+// a decoded snapshot with Reassemble); it satisfies index.Interface and
+// returns exactly the rows a single *core.COAX over the same table returns.
 type Sharded struct {
 	dims int
 	n    atomic.Int64
 
 	partition Partition
-	col       int       // range column; -1 under ByHash
-	cuts      []float64 // K-1 ascending cut points; shard j holds cuts[j-1] <= v < cuts[j]
-	workers   int
+	col       int          // range column; -1 under ByHash
+	cuts      []float64    // K-1 ascending cut points; shard j holds cuts[j-1] <= v < cuts[j]
+	workers   atomic.Int64 // query fan-out pool size (SetWorkers)
 
 	shards []*shardSlot
 }
@@ -174,15 +178,19 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Option
 	k := len(s.shards)
 
 	// Partition rows. Shard tables may be empty (k > distinct values); an
-	// empty shard still gets a COAX skeleton so inserts can land later.
-	tabs := make([]*dataset.Table, k)
-	for i := range tabs {
-		tabs[i] = dataset.NewTable(t.Cols)
-		tabs[i].Grow(t.Len()/k + 1)
-	}
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		tabs[s.routeRow(row)].Append(row)
+	// empty shard still gets a COAX skeleton so inserts can land later. One
+	// shard is built over t itself, with no staging copy.
+	tabs := []*dataset.Table{t}
+	if k > 1 {
+		tabs = make([]*dataset.Table, k)
+		for i := range tabs {
+			tabs[i] = dataset.NewTable(t.Cols)
+			tabs[i].Grow(t.Len()/k + 1)
+		}
+		for i := 0; i < t.Len(); i++ {
+			row := t.Row(i)
+			tabs[s.routeRow(row)].Append(row)
+		}
 	}
 	// Build shards in parallel on a bounded pool; construction is the
 	// expensive step and each shard is independent.
@@ -232,12 +240,8 @@ func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("shard: cannot build over an empty table")
 	}
-	s := &Sharded{
-		dims:      t.Dims(),
-		partition: so.Partition,
-		col:       -1,
-		workers:   poolSize(so.Workers),
-	}
+	s := &Sharded{dims: t.Dims(), partition: so.Partition, col: -1}
+	s.SetWorkers(so.Workers)
 	switch so.Partition {
 	case ByRange:
 		col := so.Column
@@ -248,7 +252,7 @@ func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error
 			return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, t.Dims())
 		}
 		s.col = col
-		s.cuts = rangeCuts(t.Column(col), k)
+		s.cuts = rangeCuts(t, col, k)
 	case ByHash:
 		// No routing state beyond the shard count.
 	default:
@@ -280,7 +284,8 @@ func Reassemble(shards []*core.COAX, partition Partition, col int, cuts []float6
 		}
 		n += idx.Len()
 	}
-	s := &Sharded{dims: dims, partition: partition, col: -1, workers: poolSize(workers)}
+	s := &Sharded{dims: dims, partition: partition, col: -1}
+	s.SetWorkers(workers)
 	switch partition {
 	case ByRange:
 		if col < 0 || col >= dims {
@@ -322,12 +327,12 @@ func autoRangeColumn(fd softfd.Result) int {
 	return best
 }
 
-// rangeCuts places k-1 cut points on the quantiles of col.
-func rangeCuts(col []float64, k int) []float64 {
+// rangeCuts places k-1 cut points on the quantiles of t's column col.
+func rangeCuts(t *dataset.Table, col, k int) []float64 {
 	if k <= 1 {
 		return nil
 	}
-	sorted := append([]float64(nil), col...)
+	sorted := t.Column(col)
 	sort.Float64s(sorted)
 	cuts := make([]float64, k-1)
 	for i := 1; i < k; i++ {
@@ -342,6 +347,10 @@ func poolSize(n int) int {
 	}
 	return n
 }
+
+// SetWorkers sizes the query fan-out pool: n workers, or one per CPU when
+// n ≤ 0. A query already running keeps the pool it planned with.
+func (s *Sharded) SetWorkers(n int) { s.workers.Store(int64(poolSize(n))) }
 
 // routeRow maps a row to its shard ordinal.
 func (s *Sharded) routeRow(row []float64) int {
@@ -588,13 +597,15 @@ func (s *Sharded) Versions() []uint64 {
 // them.
 func (s *Sharded) ShardSpan(r index.Rect) (lo, hi int) { return s.shardRange(r) }
 
-// Stats summarises the sharded build.
+// Stats summarises the sharded index: its shards' build statistics summed
+// (the groups, dependent dims and sort dim come from the dependencies every
+// shard shares), and its layout and fan-out.
 type Stats struct {
+	core.Stats
 	Shards          int
-	Rows            int
-	Dims            int
 	Partition       string
 	RangeColumn     int // -1 under ByHash
+	Workers         int // query fan-out pool size
 	RowsPerShard    []int
 	MemoryOverheadB int64
 }
@@ -602,18 +613,32 @@ type Stats struct {
 // BuildStats reports the current shape of the sharded index.
 func (s *Sharded) BuildStats() Stats {
 	st := Stats{
-		Shards:      len(s.shards),
-		Rows:        s.Len(),
-		Dims:        s.dims,
-		Partition:   s.partition.String(),
-		RangeColumn: s.col,
+		Shards:       len(s.shards),
+		Partition:    s.partition.String(),
+		RangeColumn:  s.col,
+		Workers:      int(s.workers.Load()),
+		RowsPerShard: make([]int, len(s.shards)),
 	}
-	st.RowsPerShard = make([]int, len(s.shards))
 	for i, slot := range s.shards {
 		slot.mu.RLock()
-		st.RowsPerShard[i] = slot.idx.Len()
-		st.MemoryOverheadB += slot.idx.MemoryOverhead()
+		cs := slot.idx.BuildStats()
 		slot.mu.RUnlock()
+		st.RowsPerShard[i] = cs.Rows
+		if i == 0 {
+			st.Stats = cs
+			continue
+		}
+		st.Rows += cs.Rows
+		st.PrimaryRows += cs.PrimaryRows
+		st.OutlierRows += cs.OutlierRows
+		st.PrimaryCells += cs.PrimaryCells
+		st.PrimaryOverheadB += cs.PrimaryOverheadB
+		st.OutlierOverheadB += cs.OutlierOverheadB
+		st.ModelOverheadB += cs.ModelOverheadB
 	}
+	if st.Rows > 0 {
+		st.PrimaryRatio = float64(st.PrimaryRows) / float64(st.Rows)
+	}
+	st.MemoryOverheadB = st.PrimaryOverheadB + st.OutlierOverheadB + st.ModelOverheadB
 	return st
 }

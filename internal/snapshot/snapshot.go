@@ -158,6 +158,11 @@ func Decode(r io.Reader) (*core.COAX, error) {
 	if _, ok := sections[secShardMeta]; ok {
 		return nil, ErrSharded
 	}
+	return decodeSingle(sections)
+}
+
+// decodeSingle reassembles a single index from its file's sections.
+func decodeSingle(sections map[string][]byte) (*core.COAX, error) {
 	metaPayload, ok := sections[secMeta]
 	if !ok {
 		return nil, fmt.Errorf("snapshot: missing %q section", secMeta)
@@ -253,6 +258,30 @@ func DecodeSharded(r io.Reader) (*shard.Sharded, error) {
 		}
 		return nil, fmt.Errorf("snapshot: missing %q section", secShardMeta)
 	}
+	return decodeSharded(sections, layout)
+}
+
+// DecodeAny reads a snapshot of either layout as a sharded index — a sharded
+// file as it was saved, a single-index file as one shard — reading and
+// checksumming the file once. Its errors are the decoders' own.
+func DecodeAny(r io.Reader) (*shard.Sharded, error) {
+	sections, err := readFile(r)
+	if err != nil {
+		return nil, err
+	}
+	if layout, ok := sections[secShardMeta]; ok {
+		return decodeSharded(sections, layout)
+	}
+	idx, err := decodeSingle(sections)
+	if err != nil {
+		return nil, err
+	}
+	return shard.Reassemble([]*core.COAX{idx}, shard.ByHash, -1, nil, 0)
+}
+
+// decodeSharded reassembles a sharded index from its file's sections, the
+// "shmt" layout payload among them.
+func decodeSharded(sections map[string][]byte, layout []byte) (*shard.Sharded, error) {
 	br := binio.NewReader(layout)
 	k := br.Int()
 	partition := shard.Partition(br.Int())
