@@ -205,7 +205,8 @@ func BenchmarkFig7Selectivity(b *testing.B) {
 }
 
 // Figure 8: the runtime/memory trade-off — each sub-benchmark reports its
-// directory bytes as a metric next to its latency.
+// directory bytes (COAX also its outlier directory's share) as metrics next
+// to its latency.
 func BenchmarkFig8MemoryTradeoff(b *testing.B) {
 	setup(b)
 	for _, cells := range []int{4, 16, 64} {
@@ -217,6 +218,7 @@ func BenchmarkFig8MemoryTradeoff(b *testing.B) {
 		}
 		b.Run(sprintfCells("COAX", cells), func(b *testing.B) {
 			b.ReportMetric(float64(cx.MemoryOverhead()), "dir-bytes")
+			b.ReportMetric(float64(cx.OutlierMemoryOverhead()), "outlier-dir-bytes")
 			benchQueries(b, cx, airlineRange)
 		})
 	}
@@ -281,8 +283,16 @@ func BenchmarkAblationOutlierKind(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("OutlierRTree", func(b *testing.B) { benchQueries(b, rtVariant, airlineRange) })
-	b.Run("OutlierGrid", func(b *testing.B) { benchQueries(b, gridVariant, airlineRange) })
+	for _, v := range []struct {
+		name string
+		cx   *core.COAX
+	}{{"OutlierRTree", rtVariant}, {"OutlierGrid", gridVariant}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportMetric(float64(v.cx.MemoryOverhead()), "dir-bytes")
+			b.ReportMetric(float64(v.cx.OutlierMemoryOverhead()), "outlier-dir-bytes")
+			benchQueries(b, v.cx, airlineRange)
+		})
+	}
 }
 
 // Ablation: query translation on vs off. "Off" probes the primary index

@@ -284,6 +284,14 @@ func cmdInfo(args []string) error {
 	for _, g := range s.Groups {
 		fmt.Printf("  group: predictor col %d → members %v\n", g.Predictor, g.Members)
 	}
+	if s.OutlierCells > 0 {
+		layout := "layout"
+		if s.Shards > 1 {
+			layout = "shard 0's layout"
+		}
+		fmt.Printf("  outlier grid: %d pages; %s: grid on columns %v, sorted on column %d\n",
+			s.OutlierCells, layout, s.OutlierGridDims, s.OutlierSortDim)
+	}
 	fmt.Printf("  directory overhead: primary %dB, outlier %dB, models %dB\n",
 		s.PrimaryOverheadB, s.OutlierOverheadB, s.ModelOverheadB)
 	if *metrics {
@@ -363,7 +371,9 @@ func writeOfflineMetrics(w io.Writer, idx *coax.Index) {
 	reg.Gauge("coax_tombstone_ratio", "Fraction of stored rows that are tombstones.").Set(life.TombstoneRatio)
 	reg.Gauge("coax_index_epoch", "Sum of shard rebuild epochs (advances on every rebuild).").Set(float64(life.Epoch))
 	reg.Gauge("coax_memory_overhead_bytes", "Index directory overhead beyond row payload.").Set(float64(idx.MemoryOverhead()))
-	reg.Gauge("coax_primary_pages", "Grid pages across all primary partitions.").Set(float64(idx.BuildStats().PrimaryCells))
+	st := idx.BuildStats()
+	reg.Gauge("coax_primary_pages", "Grid pages across all primary partitions.").Set(float64(st.PrimaryCells))
+	reg.Gauge("coax_outlier_pages", "Grid pages across all outlier partitions (0 for R-tree outliers).").Set(float64(st.OutlierCells))
 	reg.WritePrometheus(w)
 }
 

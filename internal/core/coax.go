@@ -23,10 +23,11 @@ import (
 type OutlierIndexKind int
 
 const (
-	// OutlierGrid stores outliers in a quantile grid file over all
-	// dimensions — the layout sketched in the paper's Figure 1 and the
-	// default. The resolution obeys the directory-size rule, so the
-	// outlier directory stays proportional to the (small) outlier set.
+	// OutlierGrid stores outliers in a quantile grid file — the default.
+	// Its layout (which columns get grid lines, how many cells, the in-cell
+	// sort column) is chosen at build time by a cost model over sampled
+	// rectangles (see outlierlayout.go), never with a directory larger than
+	// the paper's §8.2.1 rule allows for a grid over every column.
 	OutlierGrid OutlierIndexKind = iota
 	// OutlierRTree stores outliers in a bulk-loaded R-tree; an ablation
 	// alternative that trades directory size for tighter pruning.
@@ -40,9 +41,9 @@ type Options struct {
 	SoftFD softfd.Config
 	// PrimaryCellsPerDim is the grid resolution of the primary index.
 	PrimaryCellsPerDim int
-	// OutlierCellsPerDim is the grid resolution of the outlier index when
-	// OutlierKind == OutlierGrid; 0 sizes it automatically so the outlier
-	// directory never exceeds the outlier data (the paper's memory rule).
+	// OutlierCellsPerDim, when ≥ 1, overrides the outlier grid's layout
+	// (OutlierKind == OutlierGrid) with a grid over every column at this
+	// resolution, unsorted; 0 lets the build choose the layout by cost.
 	OutlierCellsPerDim int
 	// OutlierKind selects the outlier structure.
 	OutlierKind OutlierIndexKind
@@ -196,7 +197,7 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt Options) (*COAX, error)
 	}
 
 	if outlierTab.Len() > 0 {
-		out, err := buildOutlierIndex(outlierTab, opt)
+		out, err := c.buildOutlierIndex(outlierTab, t)
 		if err != nil {
 			return nil, fmt.Errorf("core: building outlier index: %w", err)
 		}
@@ -205,32 +206,16 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt Options) (*COAX, error)
 	return c, nil
 }
 
-func buildOutlierIndex(t *dataset.Table, opt Options) (OutlierIndex, error) {
-	switch opt.OutlierKind {
+// buildOutlierIndex indexes the outlier rows of the table sampled by rows
+// (whose rectangles score the grid layouts).
+func (c *COAX) buildOutlierIndex(outliers, rows *dataset.Table) (OutlierIndex, error) {
+	switch c.outlierKind {
 	case OutlierRTree:
-		capEntries := opt.OutlierRTreeCapacity
-		if capEntries < 2 {
-			capEntries = 10
-		}
-		return rtree.Bulk(t, rtree.Config{MaxEntries: capEntries})
+		return rtree.Bulk(outliers, rtree.Config{MaxEntries: c.outlierRTreeCap})
 	case OutlierGrid:
-		cells := opt.OutlierCellsPerDim
-		if cells < 1 {
-			cells = gridfile.DirectoryBoundedCells(t.Dims(), t.SizeBytes())
-		}
-		dims := make([]int, t.Dims())
-		for i := range dims {
-			dims[i] = i
-		}
-		return gridfile.Build(t, gridfile.Config{
-			GridDims:    dims,
-			SortDim:     -1,
-			CellsPerDim: cells,
-			Mode:        gridfile.Quantile,
-			Label:       "COAX-outliers",
-		})
+		return gridfile.Build(outliers, c.outlierGridConfig(outliers, outliers.Len(), rows))
 	default:
-		return nil, fmt.Errorf("core: unknown outlier index kind %d", opt.OutlierKind)
+		return nil, fmt.Errorf("core: unknown outlier index kind %d", c.outlierKind)
 	}
 }
 
@@ -395,17 +380,24 @@ func (c *COAX) Translate(r index.Rect) (routed index.Rect, feasible bool) {
 
 // Stats summarises the build for Table 1 and the experiment reports.
 type Stats struct {
-	Rows             int
-	Dims             int
-	Groups           []softfd.Group
-	DependentDims    int
-	IndexedDims      int // dims receiving grid lines or the sort position
-	GridDims         int // primary grid dimensionality (n − m − 1)
-	SortDim          int
-	PrimaryRows      int
-	OutlierRows      int
-	PrimaryRatio     float64
-	PrimaryCells     int
+	Rows          int
+	Dims          int
+	Groups        []softfd.Group
+	DependentDims int
+	IndexedDims   int // dims receiving grid lines or the sort position
+	GridDims      int // primary grid dimensionality (n − m − 1)
+	SortDim       int
+	PrimaryRows   int
+	OutlierRows   int
+	PrimaryRatio  float64
+	PrimaryCells  int
+	// OutlierCells, OutlierGridDims and OutlierSortDim describe a grid
+	// outlier index's layout: its cells, the columns with grid lines, and
+	// the in-cell sort column (-1 unsorted). Zero, nil and -1 for an R-tree
+	// or an index without outliers.
+	OutlierCells     int
+	OutlierGridDims  []int
+	OutlierSortDim   int
 	PrimaryOverheadB int64
 	OutlierOverheadB int64
 	ModelOverheadB   int64
@@ -418,6 +410,7 @@ func (c *COAX) BuildStats() Stats {
 		Dims:           c.dims,
 		Groups:         c.fd.Groups,
 		SortDim:        c.sortDim,
+		OutlierSortDim: -1,
 		PrimaryRows:    c.primaryN,
 		OutlierRows:    c.outlierN,
 		ModelOverheadB: c.fd.ModelBytes(),
@@ -438,6 +431,9 @@ func (c *COAX) BuildStats() Stats {
 	}
 	if c.outliers != nil {
 		s.OutlierOverheadB = c.outliers.MemoryOverhead()
+	}
+	if g, ok := c.outliers.(*gridfile.GridFile); ok {
+		s.OutlierCells, s.OutlierGridDims, s.OutlierSortDim = g.NumCells(), g.GridDims(), g.SortDim()
 	}
 	return s
 }

@@ -330,7 +330,8 @@ func (c *COAX) initPrimary(row []float64) error {
 }
 
 // initOutliers lazily creates the outlier index on the first outlying
-// insert.
+// insert. A one-row grid gets the layout chooser's degenerate case: one
+// page, sorted on the sort column.
 func (c *COAX) initOutliers(row []float64) error {
 	seed := dataset.NewTable(make([]string, c.dims))
 	seed.Append(row)
@@ -342,17 +343,7 @@ func (c *COAX) initOutliers(row []float64) error {
 		}
 		c.outliers = rt
 	default:
-		dims := make([]int, c.dims)
-		for i := range dims {
-			dims[i] = i
-		}
-		g, err := gridfile.Build(seed, gridfile.Config{
-			GridDims:    dims,
-			SortDim:     -1,
-			CellsPerDim: 2,
-			Mode:        gridfile.Quantile,
-			Label:       "COAX-outliers",
-		})
+		g, err := gridfile.Build(seed, c.outlierGridConfig(seed, seed.Len(), seed))
 		if err != nil {
 			return fmt.Errorf("core: lazily creating outlier grid: %w", err)
 		}

@@ -151,6 +151,12 @@ func TestInsertLazyOutlierCreation(t *testing.T) {
 	if index.Count(c, index.Point(bad)) != 1 {
 		t.Error("outlier inserted into lazily created index not found")
 	}
+	// One row gets the layout chooser's degenerate case, not a lattice over
+	// every column: one page, sorted on the primary's sort column.
+	if st := c.BuildStats(); st.OutlierCells != 1 || len(st.OutlierGridDims) != 0 || st.OutlierSortDim != st.SortDim {
+		t.Errorf("lazy outlier grid: %d cells on %v sorted on %d, want 1 cell sorted on %d",
+			st.OutlierCells, st.OutlierGridDims, st.OutlierSortDim, st.SortDim)
+	}
 	// Same path with an R-tree outlier index.
 	optRT := testOptions()
 	optRT.OutlierKind = OutlierRTree

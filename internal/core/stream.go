@@ -26,6 +26,7 @@ type StreamBuilder struct {
 	primary    *gridfile.Streamer
 	outStream  *gridfile.Streamer // grid outliers: streamed like the primary
 	outStaging *dataset.Table     // r-tree outliers: buffered for bulk load
+	sample     *dataset.Table     // with outStaging: scores the staged grid's layout
 	n          int
 }
 
@@ -33,8 +34,9 @@ type StreamBuilder struct {
 // row sample of the incoming stream (it seeds the primary and outlier grid
 // boundaries); fd holds the dependencies detected on that sample.
 // totalHint ≥ 0 preallocates for the expected stream length and sizes the
-// outlier grid directory; pass -1 when unknown (grid outliers then fall
-// back to staging, since the directory rule needs a size estimate).
+// outlier grid from the outlier count it implies at the sampled rate; pass
+// -1 when unknown (grid outliers then fall back to staging, since the
+// layout needs a size estimate).
 func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, opt Options, totalHint int) (*StreamBuilder, error) {
 	if opt.PrimaryCellsPerDim < 1 {
 		return nil, fmt.Errorf("core: PrimaryCellsPerDim must be ≥ 1, got %d", opt.PrimaryCellsPerDim)
@@ -97,32 +99,28 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 	}
 
 	// Outliers: a grid outlier index streams against sample-estimated
-	// boundaries whenever its resolution is known up front — explicitly
-	// configured, or derivable from the directory-size rule and a stream
-	// length estimate. Otherwise (R-tree bulk load, unknown length) rows
-	// stage in a table whose size the accepted dependencies bound.
+	// boundaries whenever its layout can be chosen up front — explicitly
+	// configured, or from the sample and an outlier count estimated from a
+	// stream length. Otherwise (R-tree bulk load, unknown length) rows stage
+	// in a table whose size the accepted dependencies bound.
 	if opt.OutlierKind == OutlierGrid && (opt.OutlierCellsPerDim >= 1 || totalHint >= 0) {
-		cells := opt.OutlierCellsPerDim
-		if cells < 1 {
-			estBytes := int64(outlierHint) * int64(c.dims) * 8
-			cells = gridfile.DirectoryBoundedCells(c.dims, estBytes)
+		sampleOutliers := dataset.NewTable(sample.Cols)
+		for i, in := range inlier {
+			if !in {
+				sampleOutliers.Append(sample.Row(i))
+			}
 		}
-		allDims := make([]int, c.dims)
-		for i := range allDims {
-			allDims[i] = i
+		estOutliers := 0
+		if totalHint >= 0 {
+			estOutliers = int(int64(totalHint) * int64(sampleOutliers.Len()) / int64(sample.Len()))
 		}
-		outCfg := gridfile.Config{
-			GridDims:    allDims,
-			SortDim:     -1,
-			CellsPerDim: cells,
-			Mode:        gridfile.Quantile,
-			Label:       "COAX-outliers",
-		}
+		outCfg := c.outlierGridConfig(sampleOutliers, estOutliers, sample)
 		b.outStream, err = newSampleStreamer(sample, inlier, false, outCfg, outlierHint)
 		if err != nil {
 			return nil, fmt.Errorf("core: preparing outlier streamer: %w", err)
 		}
 	} else {
+		b.sample = sample
 		b.outStaging = dataset.NewTable(sample.Cols)
 		if outlierHint > 0 {
 			b.outStaging.Grow(outlierHint)
@@ -214,13 +212,13 @@ func (b *StreamBuilder) Finish() (*COAX, error) {
 			}
 			c.outliers = out
 		} else {
-			out, err := buildOutlierIndex(b.outStaging, c.opt)
+			out, err := c.buildOutlierIndex(b.outStaging, b.sample)
 			if err != nil {
 				return nil, fmt.Errorf("core: building outlier index: %w", err)
 			}
 			c.outliers = out
 		}
 	}
-	b.outStream, b.outStaging = nil, nil
+	b.outStream, b.outStaging, b.sample = nil, nil, nil
 	return c, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -163,5 +164,37 @@ func TestStreamBuilderEmptyFinishYieldsSkeleton(t *testing.T) {
 	}
 	if idx.Len() != 1 {
 		t.Fatalf("Len after insert = %d", idx.Len())
+	}
+}
+
+// TestStreamBuilderFullSampleSameOutlierLayout: with the whole table as its
+// sample, the streaming build estimates the outlier count exactly and so
+// chooses the in-memory build's outlier layout.
+func TestStreamBuilderFullSampleSameOutlierLayout(t *testing.T) {
+	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(20000))
+	opt := DefaultOptions()
+	legacy, err := Build(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewStreamBuilder(tab.Cols, legacy.FD(), tab, opt, tab.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tab.Len(); i++ {
+		sb.Add(tab.Row(i))
+	}
+	streamed, err := sb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, ss := legacy.BuildStats(), streamed.BuildStats()
+	if ls.OutlierRows < 2*outlierPageRows {
+		t.Fatalf("only %d outliers: the layout is not chosen", ls.OutlierRows)
+	}
+	if ls.OutlierCells != ss.OutlierCells || ls.OutlierSortDim != ss.OutlierSortDim ||
+		!slices.Equal(ls.OutlierGridDims, ss.OutlierGridDims) {
+		t.Fatalf("outlier layout: streamed %d cells on %v sorted on %d, in-memory %d cells on %v sorted on %d",
+			ss.OutlierCells, ss.OutlierGridDims, ss.OutlierSortDim, ls.OutlierCells, ls.OutlierGridDims, ls.OutlierSortDim)
 	}
 }

@@ -200,18 +200,22 @@ func uniformBounds(col []float64, cells int) []float64 {
 	return out
 }
 
-// locate maps a value to its cell slot along grid axis i: the largest slot
-// whose lower boundary does not exceed v, clamped to the valid range. Build
-// and query use the same function, so assignment is consistent.
-func (g *GridFile) locate(i int, v float64) int {
-	b := g.bounds[i]
+// locate maps a value to its cell slot along grid axis i. Build and query
+// use the same function, so assignment is consistent.
+func (g *GridFile) locate(i int, v float64) int { return Slot(g.bounds[i], v) }
+
+// Slot maps v to its cell slot along one grid axis whose CellsPerDim+1
+// ascending boundaries are b: the largest slot whose lower boundary does not
+// exceed v, clamped to the valid range. A slot whose two boundaries coincide
+// (a repeated quantile) is therefore never returned unless it is the last.
+func Slot(b []float64, v float64) int {
 	// First boundary index with b[idx] > v; the cell is the one before it.
 	idx := sort.Search(len(b), func(j int) bool { return b[j] > v }) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx > g.cfg.CellsPerDim-1 {
-		idx = g.cfg.CellsPerDim - 1
+	if idx > len(b)-2 {
+		idx = len(b) - 2
 	}
 	return idx
 }

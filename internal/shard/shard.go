@@ -599,7 +599,8 @@ func (s *Sharded) ShardSpan(r index.Rect) (lo, hi int) { return s.shardRange(r) 
 
 // Stats summarises the sharded index: its shards' build statistics summed
 // (the groups, dependent dims and sort dim come from the dependencies every
-// shard shares), and its layout and fan-out.
+// shard shares; the outlier grid's dims and sort dim are shard 0's, since
+// each shard chooses its own layout), and its layout and fan-out.
 type Stats struct {
 	core.Stats
 	Shards          int
@@ -632,6 +633,7 @@ func (s *Sharded) BuildStats() Stats {
 		st.PrimaryRows += cs.PrimaryRows
 		st.OutlierRows += cs.OutlierRows
 		st.PrimaryCells += cs.PrimaryCells
+		st.OutlierCells += cs.OutlierCells
 		st.PrimaryOverheadB += cs.PrimaryOverheadB
 		st.OutlierOverheadB += cs.OutlierOverheadB
 		st.ModelOverheadB += cs.ModelOverheadB

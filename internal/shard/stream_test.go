@@ -179,3 +179,64 @@ func TestShardStreamBuilderEmptyStream(t *testing.T) {
 		t.Fatal("empty stream must not build")
 	}
 }
+
+// TestOutlierDirectoryWithinData holds both build paths to the paper's
+// §8.2.1 rule on every shard: the outlier directory never outweighs the
+// outlier rows it indexes. The streaming path sizes the outlier grid from
+// an outlier count estimated on the sample (it once sized it from a
+// capacity hint padded by 4 096 rows and broke the rule on small shards).
+func TestOutlierDirectoryWithinData(t *testing.T) {
+	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(200_000))
+	opt := core.DefaultOptions()
+	rng := rand.New(rand.NewSource(8))
+	sample := dataset.NewTable(tab.Cols)
+	for i := 0; i < tab.Len(); i++ {
+		if rng.Float64() < 0.05 {
+			sample.Append(tab.Row(i))
+		}
+	}
+	fd, err := softfd.DetectSample(sample, opt.SoftFD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := Options{NumShards: 4, Partition: ByRange, Column: -1}
+	inMemory, err := BuildWithFD(tab, fd, opt, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewStreamBuilder(tab.Cols, fd, sample, opt, so, tab.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := dataset.NewTableSource(tab, 1024)
+	for {
+		c, err := src.Next()
+		if err != nil {
+			break
+		}
+		if err := sb.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streamed, err := sb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]*Sharded{"in-memory": inMemory, "streamed": streamed} {
+		cells := 0
+		for i := range idx.NumShards() {
+			idx.WithShard(i, func(c *core.COAX) error {
+				st := c.BuildStats()
+				cells += st.OutlierCells
+				if data := int64(st.OutlierRows) * int64(tab.Dims()) * 8; st.OutlierOverheadB > data {
+					t.Errorf("%s shard %d: outlier directory %d B for %d B of outliers (%d cells)",
+						name, i, st.OutlierOverheadB, data, st.OutlierCells)
+				}
+				return nil
+			})
+		}
+		if got := idx.BuildStats().OutlierCells; got != cells {
+			t.Errorf("%s: Stats.OutlierCells %d, shards hold %d", name, got, cells)
+		}
+	}
+}
