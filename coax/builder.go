@@ -6,8 +6,9 @@
 // size is set, runs the paper's pipeline in two bounded-memory phases:
 // reservoir-sample the stream, detect soft FDs and fit predictors on the
 // sample, then stream every row exactly once into its final primary/outlier
-// placement. Inputs no larger than the sample take the exact in-memory
-// path, so small builds stay bit-for-bit identical to a full-scan build.
+// placement. Inputs no larger than the sample are materialized and placed
+// the same way with the table as its own sample, so small builds stay
+// bit-for-bit identical to a full-scan build.
 //
 //	schema, _ := coax.NewSchema(
 //		coax.Float("distance"), coax.Float("elapsed"), coax.Float("airtime"),
@@ -232,9 +233,9 @@ func NewBuilder(schema *Schema, opt Options) *Builder {
 
 // SampleSize sets the row-sample budget for soft-FD detection and grid
 // boundary estimation. 0 (the default) disables sampling: the whole input
-// is materialized and built exactly. With n > 0,
-// inputs of at most n rows still take the exact path — sampling only
-// engages, and memory stays bounded, once the input outgrows the sample.
+// is materialized and is its own sample. With n > 0, inputs of at most n
+// rows are still their own sample — sampling only engages, and memory
+// stays bounded, once the input outgrows the sample.
 func (b *Builder) SampleSize(n int) *Builder { b.sampleSize = n; return b }
 
 // Progress installs a callback invoked once per chunk and phase change on
@@ -372,7 +373,7 @@ type sampled struct {
 	sample *Table        // the row sample (or the entire small input)
 	fd     softfd.Result // dependencies detected on the sample
 	total  int           // rows seen in the sampling pass, -1 in prefix mode
-	whole  bool          // sample IS the whole input: take the exact path
+	whole  bool          // sample IS the whole input: build over it as its own sample
 	prefix *Table        // prefix mode: buffered rows that must be replayed
 }
 
@@ -406,7 +407,7 @@ func (b *Builder) samplePhase(src RowSource, opt Options, names []string) (*samp
 		sample := dataset.View(names, res.Rows())
 		if !res.Saturated() {
 			// The reservoir holds every row in arrival order: the input is
-			// small — take the exact in-memory path on it.
+			// small — build over it as its own sample.
 			return &sampled{sample: sample, whole: true, total: total}, nil
 		}
 		if err := resetter.Reset(); err != nil {
@@ -427,7 +428,7 @@ func (b *Builder) samplePhase(src RowSource, opt Options, names []string) (*samp
 	for prefix.Len() <= k {
 		c, err := src.Next()
 		if err == io.EOF {
-			// Whole input fits the sample budget: exact path.
+			// Whole input fits the sample budget: it is its own sample.
 			return &sampled{sample: prefix, whole: true, total: prefix.Len()}, nil
 		}
 		if err != nil {

@@ -131,10 +131,14 @@ func Build(t *dataset.Table, opt Options) (*COAX, error) {
 	return BuildWithFD(t, fd, opt)
 }
 
-// newSkeleton assembles the model-dependent state shared by the in-memory
-// and streaming builds: dependency routing, the mutation tracker, and the
-// sort dimension. The caller still owes row counts and index structures.
+// newSkeleton assembles the model-dependent state of an index with no rows
+// yet: dependency routing, the mutation tracker, the sort dimension, and
+// empty partition bounds. The caller still owes row counts and index
+// structures.
 func newSkeleton(cols []string, dims int, fd softfd.Result, opt Options) (*COAX, error) {
+	if opt.PrimaryCellsPerDim < 1 {
+		return nil, fmt.Errorf("core: PrimaryCellsPerDim must be ≥ 1, got %d", opt.PrimaryCellsPerDim)
+	}
 	c := &COAX{
 		dims:            dims,
 		cols:            append([]string(nil), cols...),
@@ -143,9 +147,8 @@ func newSkeleton(cols []string, dims int, fd softfd.Result, opt Options) (*COAX,
 		outlierKind:     opt.OutlierKind,
 		outlierRTreeCap: opt.OutlierRTreeCapacity,
 		opt:             opt,
-	}
-	if c.primaryCells < 1 {
-		c.primaryCells = 1
+		primaryBounds:   emptyBounds(dims),
+		outlierBounds:   emptyBounds(dims),
 	}
 	if c.outlierRTreeCap < 2 {
 		c.outlierRTreeCap = 10
@@ -166,44 +169,23 @@ func newSkeleton(cols []string, dims int, fd softfd.Result, opt Options) (*COAX,
 	return c, nil
 }
 
-// BuildWithFD constructs COAX from pre-detected dependencies; used by tests
-// and by tools that detect once and build several variants.
+// BuildWithFD constructs COAX over t from pre-detected dependencies: the
+// streaming build with t as its own sample, so the boundaries are exact
+// quantiles and the partitions are sized exactly. An empty table yields an
+// insertable skeleton. Used by the sharded build, Rebuild, and tools that
+// detect once and build several variants.
 func BuildWithFD(t *dataset.Table, fd softfd.Result, opt Options) (*COAX, error) {
-	c, err := newSkeleton(t.Cols, t.Dims(), fd, opt)
+	if t.Len() == 0 {
+		return newSkeleton(t.Cols, t.Dims(), fd, opt)
+	}
+	b, err := NewStreamBuilder(t.Cols, fd, t, opt, t.Len())
 	if err != nil {
 		return nil, err
 	}
-	c.n = t.Len()
-
-	primaryTab, outlierTab := c.split(t)
-	c.primaryN, c.outlierN = primaryTab.Len(), outlierTab.Len()
-	if c.n > 0 {
-		c.baseOutlierRatio = float64(c.outlierN) / float64(c.n)
+	for i := 0; i < t.Len(); i++ {
+		b.Add(t.Row(i))
 	}
-
-	if primaryTab.Len() > 0 {
-		cfg := gridfile.Config{
-			GridDims:    c.primaryGridDims(),
-			SortDim:     c.sortDim,
-			CellsPerDim: opt.PrimaryCellsPerDim,
-			Mode:        gridfile.Quantile,
-			Label:       "COAX-primary",
-		}
-		p, err := gridfile.Build(primaryTab, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: building primary index: %w", err)
-		}
-		c.primary = p
-	}
-
-	if outlierTab.Len() > 0 {
-		out, err := c.buildOutlierIndex(outlierTab, t)
-		if err != nil {
-			return nil, fmt.Errorf("core: building outlier index: %w", err)
-		}
-		c.outliers = out
-	}
-	return c, nil
+	return b.Finish()
 }
 
 // buildOutlierIndex indexes the outlier rows of the table sampled by rows
@@ -264,26 +246,6 @@ func (c *COAX) primaryGridDims() []int {
 		dims = append(dims, d)
 	}
 	return dims
-}
-
-// split partitions rows into inliers (within every group model's margins)
-// and outliers, tracking each partition's bounding box for probe pruning.
-func (c *COAX) split(t *dataset.Table) (primary, outliers *dataset.Table) {
-	primary = dataset.NewTable(t.Cols)
-	outliers = dataset.NewTable(t.Cols)
-	c.primaryBounds = emptyBounds(c.dims)
-	c.outlierBounds = emptyBounds(c.dims)
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		if c.rowIsInlier(row) {
-			primary.Append(row)
-			extendBounds(&c.primaryBounds, row)
-		} else {
-			outliers.Append(row)
-			extendBounds(&c.outlierBounds, row)
-		}
-	}
-	return primary, outliers
 }
 
 // emptyBounds is the identity element for extendBounds: an inverted box

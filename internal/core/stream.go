@@ -1,17 +1,20 @@
-// Two-phase streaming build (ingestion API v2). Phase one — sampling and
-// soft-FD detection — happens before a StreamBuilder exists: the caller
-// draws a row sample (reservoir or prefix), detects dependencies on it, and
-// hands both here. Phase two streams every row exactly once: inliers go
-// straight into the primary grid file's own storage through a
-// gridfile.Streamer whose cell boundaries are quantile estimates from the
-// sample, and outliers either stream the same way (grid outlier index) or
-// accumulate in a staging table (R-tree, whose bulk load needs all rows —
-// bounded by construction: an accepted dependency keeps at least
-// MinInlierFrac of the data primary). Nothing ever holds the full table.
+// The one build path. Every index is built by streaming each row once into
+// its final placement, against dependencies and grid boundaries learned
+// from a row sample; the in-memory build (BuildWithFD) passes the table as
+// its own sample, so its boundaries are exact quantiles and its partitions
+// are sized exactly. Sampling and soft-FD detection happen before a
+// StreamBuilder exists: the caller draws a sample (reservoir or prefix),
+// detects dependencies on it, and hands both here. Inliers then go straight
+// into the primary grid file's own storage through a gridfile.Streamer;
+// outliers stream the same way (grid outlier index) or accumulate in a
+// staging table (R-tree, whose bulk load needs all rows — bounded by
+// construction: an accepted dependency keeps at least MinInlierFrac of the
+// data primary). Nothing but the finished index holds the streamed rows.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/gridfile"
@@ -38,9 +41,6 @@ type StreamBuilder struct {
 // -1 when unknown (grid outliers then fall back to staging, since the
 // layout needs a size estimate).
 func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, opt Options, totalHint int) (*StreamBuilder, error) {
-	if opt.PrimaryCellsPerDim < 1 {
-		return nil, fmt.Errorf("core: PrimaryCellsPerDim must be ≥ 1, got %d", opt.PrimaryCellsPerDim)
-	}
 	if sample.Len() == 0 {
 		return nil, fmt.Errorf("core: streaming build needs a non-empty sample")
 	}
@@ -51,14 +51,10 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 	if err != nil {
 		return nil, err
 	}
-	c.primaryBounds = emptyBounds(c.dims)
-	c.outlierBounds = emptyBounds(c.dims)
-
 	b := &StreamBuilder{c: c}
 
 	// Classify the sample once: its inlier rows seed the primary grid
-	// boundaries (the same population the in-memory build computes exact
-	// quantiles over) and its outlier rate sizes the outlier structures.
+	// boundaries and its outlier rate sizes the outlier structures.
 	inlier := make([]bool, sample.Len())
 	inliers := 0
 	for i := range inlier {
@@ -76,22 +72,20 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 		Mode:        gridfile.Quantile,
 		Label:       "COAX-primary",
 	}
-	// Capacity hints carry slack: the sampled inlier fraction is an
-	// estimate, and a hint that undershoots by even one row would trigger
-	// an append-growth whose copy transiently doubles the largest buffer —
-	// the exact spike streaming exists to avoid. Both are clamped to the
-	// stream length.
+	// A sample as long as the stream is the stream itself (BuildWithFD), so
+	// both partitions' sizes are known exactly. Otherwise the capacity hints
+	// carry slack: the sampled inlier fraction is an estimate, and a hint
+	// that undershoots by even one row would trigger an append-growth whose
+	// copy transiently doubles the largest buffer — the exact spike
+	// streaming exists to avoid. Both are clamped to the stream length.
 	primaryHint := -1
 	outlierHint := -1
-	if totalHint >= 0 {
-		primaryHint = int(float64(totalHint)*inlierFrac*1.05) + 4096
-		outlierHint = int(float64(totalHint)*(1-inlierFrac)*1.25) + 4096
-		if primaryHint > totalHint+1 {
-			primaryHint = totalHint + 1
-		}
-		if outlierHint > totalHint+1 {
-			outlierHint = totalHint + 1
-		}
+	switch {
+	case totalHint == sample.Len():
+		primaryHint, outlierHint = inliers, totalHint-inliers
+	case totalHint >= 0:
+		primaryHint = min(int(float64(totalHint)*inlierFrac*1.05)+4096, totalHint+1)
+		outlierHint = min(int(float64(totalHint)*(1-inlierFrac)*1.25)+4096, totalHint+1)
 	}
 	b.primary, err = newSampleStreamer(sample, inlier, true, primaryCfg, primaryHint)
 	if err != nil {
@@ -135,18 +129,13 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 // sample when that class sampled empty — boundary clamping keeps any later
 // value routable.
 func newSampleStreamer(sample *dataset.Table, inlier []bool, wantInlier bool, cfg gridfile.Config, capacityRows int) (*gridfile.Streamer, error) {
-	matching := 0
-	for _, in := range inlier {
-		if in == wantInlier {
-			matching++
-		}
-	}
+	all := !slices.Contains(inlier, wantInlier) // the class sampled empty
 	bounds := make([][]float64, len(cfg.GridDims))
 	vals := make([]float64, 0, sample.Len())
 	for bi, d := range cfg.GridDims {
 		vals = vals[:0]
 		for i := 0; i < sample.Len(); i++ {
-			if matching == 0 || inlier[i] == wantInlier {
+			if all || inlier[i] == wantInlier {
 				vals = append(vals, sample.Row(i)[d])
 			}
 		}
@@ -160,7 +149,7 @@ func newSampleStreamer(sample *dataset.Table, inlier []bool, wantInlier bool, cf
 }
 
 // Add streams one row (copied) into the build, classifying it against the
-// learned dependencies exactly as the in-memory build's split pass does.
+// learned dependencies into the primary or the outlier partition.
 func (b *StreamBuilder) Add(row []float64) {
 	if len(row) != b.c.dims {
 		panic(fmt.Sprintf("core: row has %d values, builder has %d dims", len(row), b.c.dims))
@@ -183,7 +172,7 @@ func (b *StreamBuilder) Add(row []float64) {
 func (b *StreamBuilder) Rows() int { return b.n }
 
 // Finish assembles the index. A builder that received no rows yields an
-// empty skeleton (mirroring BuildWithFD over an empty shard table) so
+// empty skeleton (as BuildWithFD does over an empty shard table) so
 // sharded builds can keep empty shards insertable; the public API rejects
 // zero-row single builds before calling Finish.
 func (b *StreamBuilder) Finish() (*COAX, error) {

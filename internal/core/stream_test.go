@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
+	"github.com/coax-index/coax/internal/binio"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/softfd"
@@ -43,11 +46,76 @@ func sameRows(a, b [][]float64) bool {
 	return true
 }
 
+// encodeIndex is every section a snapshot writes of c, concatenated.
+func encodeIndex(t *testing.T, c *COAX) []byte {
+	w := binio.NewWriter()
+	c.EncodeMeta(w)
+	c.EncodeColumns(w)
+	c.EncodeFD(w)
+	if c.HasPrimary() {
+		c.EncodePrimary(w)
+	}
+	if c.HasOutliers() {
+		if err := c.EncodeOutliers(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.EncodeLifecycle(w)
+	return w.Bytes()
+}
+
+// TestBuildWithFDDeterministic: two builds of one table encode to identical
+// bytes, with grid outliers (whose layout the cost model chooses) and with
+// R-tree outliers.
+func TestBuildWithFDDeterministic(t *testing.T) {
+	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(20000))
+	fd, err := softfd.Detect(tab, DefaultOptions().SoftFD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []OutlierIndexKind{OutlierGrid, OutlierRTree} {
+		opt := DefaultOptions()
+		opt.OutlierKind = kind
+		var enc [2][]byte
+		for i := range enc {
+			c, err := BuildWithFD(tab, fd, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c.BuildStats(); st.PrimaryRows == 0 || st.OutlierRows < 2*outlierPageRows {
+				t.Fatalf("kind %d: split %d/%d leaves a partition untested", kind, st.PrimaryRows, st.OutlierRows)
+			}
+			enc[i] = encodeIndex(t, c)
+		}
+		if !bytes.Equal(enc[0], enc[1]) {
+			t.Errorf("kind %d: two builds of one table encode differently", kind)
+		}
+	}
+}
+
+// streamShuffled streams tab's rows in a seeded random order into a
+// builder whose sample is tab itself.
+func streamShuffled(t *testing.T, tab *dataset.Table, fd softfd.Result, opt Options, seed int64) *COAX {
+	t.Helper()
+	sb, err := NewStreamBuilder(tab.Cols, fd, tab, opt, tab.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(tab.Len()) {
+		sb.Add(tab.Row(i))
+	}
+	c, err := sb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestStreamBuilderFullSampleMatchesBuild drives the streaming build with
-// the whole table as its sample: classification, boundaries, and outlier
-// structure must then agree exactly with the in-memory build, so the two
-// indexes answer every query identically and report the same partition
-// split.
+// the whole table as its sample but the rows arriving in a shuffled order:
+// classification, boundaries, and outlier structure come from the sample,
+// so they must agree exactly with the in-memory build, and the two indexes
+// answer every query identically and report the same partition split.
 func TestStreamBuilderFullSampleMatchesBuild(t *testing.T) {
 	for _, kind := range []OutlierIndexKind{OutlierGrid, OutlierRTree} {
 		tab := dataset.GenerateOSM(dataset.DefaultOSMConfig(20000))
@@ -58,19 +126,7 @@ func TestStreamBuilderFullSampleMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fd := legacy.FD()
-
-		sb, err := NewStreamBuilder(tab.Cols, fd, tab, opt, tab.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < tab.Len(); i++ {
-			sb.Add(tab.Row(i))
-		}
-		streamed, err := sb.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
+		streamed := streamShuffled(t, tab, legacy.FD(), opt, 3)
 
 		ls, ss := legacy.BuildStats(), streamed.BuildStats()
 		if ls.PrimaryRows != ss.PrimaryRows || ls.OutlierRows != ss.OutlierRows {
@@ -86,6 +142,58 @@ func TestStreamBuilderFullSampleMatchesBuild(t *testing.T) {
 			if !sameRows(sortedRows(legacy, r), sortedRows(streamed, r)) {
 				t.Fatalf("kind %d: query %d differs", kind, q)
 			}
+		}
+	}
+}
+
+// TestStreamBuilderFullSampleSameOutlierLayout: with the whole table as its
+// sample, the streaming build estimates the outlier count exactly and so
+// chooses the in-memory build's outlier layout, whatever order the rows
+// arrive in.
+func TestStreamBuilderFullSampleSameOutlierLayout(t *testing.T) {
+	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(20000))
+	opt := DefaultOptions()
+	legacy, err := Build(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := streamShuffled(t, tab, legacy.FD(), opt, 7)
+	ls, ss := legacy.BuildStats(), streamed.BuildStats()
+	if ls.OutlierRows < 2*outlierPageRows {
+		t.Fatalf("only %d outliers: the layout is not chosen", ls.OutlierRows)
+	}
+	if ls.OutlierCells != ss.OutlierCells || ls.OutlierSortDim != ss.OutlierSortDim ||
+		!slices.Equal(ls.OutlierGridDims, ss.OutlierGridDims) {
+		t.Fatalf("outlier layout: streamed %d cells on %v sorted on %d, in-memory %d cells on %v sorted on %d",
+			ss.OutlierCells, ss.OutlierGridDims, ss.OutlierSortDim, ls.OutlierCells, ls.OutlierGridDims, ls.OutlierSortDim)
+	}
+}
+
+// TestBuildWithFDAllocatesOneCopy: the in-memory build copies the table
+// once, into the finished index's pages; everything else it allocates
+// (classification, boundary sorts, the cell permutation, the outlier
+// layout's samples) stays well under three more copies.
+func TestBuildWithFDAllocatesOneCopy(t *testing.T) {
+	for _, tab := range []*dataset.Table{
+		dataset.GenerateOSM(dataset.DefaultOSMConfig(200_000)),
+		dataset.GenerateAirline(dataset.DefaultAirlineConfig(200_000)),
+	} {
+		opt := DefaultOptions()
+		fd, err := softfd.Detect(tab, opt.SoftFD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := BuildWithFD(tab, fd, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(tab.SizeBytes())
+		t.Logf("%d×%d table: build allocates %.2f× its bytes", c.Len(), tab.Dims(), ratio)
+		if ratio > 4 {
+			t.Errorf("%d×%d table: build allocates %.2f× its bytes, want ≤ 4×", c.Len(), tab.Dims(), ratio)
 		}
 	}
 }
@@ -164,37 +272,5 @@ func TestStreamBuilderEmptyFinishYieldsSkeleton(t *testing.T) {
 	}
 	if idx.Len() != 1 {
 		t.Fatalf("Len after insert = %d", idx.Len())
-	}
-}
-
-// TestStreamBuilderFullSampleSameOutlierLayout: with the whole table as its
-// sample, the streaming build estimates the outlier count exactly and so
-// chooses the in-memory build's outlier layout.
-func TestStreamBuilderFullSampleSameOutlierLayout(t *testing.T) {
-	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(20000))
-	opt := DefaultOptions()
-	legacy, err := Build(tab, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := NewStreamBuilder(tab.Cols, legacy.FD(), tab, opt, tab.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tab.Len(); i++ {
-		sb.Add(tab.Row(i))
-	}
-	streamed, err := sb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, ss := legacy.BuildStats(), streamed.BuildStats()
-	if ls.OutlierRows < 2*outlierPageRows {
-		t.Fatalf("only %d outliers: the layout is not chosen", ls.OutlierRows)
-	}
-	if ls.OutlierCells != ss.OutlierCells || ls.OutlierSortDim != ss.OutlierSortDim ||
-		!slices.Equal(ls.OutlierGridDims, ss.OutlierGridDims) {
-		t.Fatalf("outlier layout: streamed %d cells on %v sorted on %d, in-memory %d cells on %v sorted on %d",
-			ss.OutlierCells, ss.OutlierGridDims, ss.OutlierSortDim, ls.OutlierCells, ls.OutlierGridDims, ls.OutlierSortDim)
 	}
 }

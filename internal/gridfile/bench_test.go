@@ -2,8 +2,10 @@ package gridfile
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
+	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
 )
 
@@ -65,6 +67,38 @@ func BenchmarkScanBatch(b *testing.B) {
 			benchScan(b, func(r index.Rect, p *index.Probe) {
 				g.ScanBatch(r, func(batch *index.Batch) bool { n += batch.Selected(); return true }, p)
 			})
+		})
+	}
+}
+
+// BenchmarkBuild times a primary-like build (24×24 cells, sorted on the
+// third column) over 200 k rows arriving in sort-column order or shuffled.
+// Finish keeps each cell's rows in arrival order, so presorted input stays
+// cheap to sort.
+func BenchmarkBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(48))
+	shuffled := randomTable(rng, 200_000, 3)
+	rows := make([][]float64, shuffled.Len())
+	for i := range rows {
+		rows[i] = shuffled.Row(i)
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i][2] < rows[j][2] })
+	presorted := dataset.NewTable(shuffled.Cols)
+	for _, row := range rows {
+		presorted.Append(row)
+	}
+	cfg := Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 24}
+	for _, tc := range []struct {
+		name string
+		tab  *dataset.Table
+	}{{"presorted", presorted}, {"shuffled", shuffled}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Build(tc.tab, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

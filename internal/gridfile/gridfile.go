@@ -81,82 +81,56 @@ type GridFile struct {
 
 var _ index.Interface = (*GridFile)(nil)
 
-// Build constructs a grid file over every row of t.
+// Build constructs a grid file over every row of t: the streaming build with
+// the table as its own sample, so its boundaries are exact quantiles (or the
+// exact uniform spacing) of the data.
 func Build(t *dataset.Table, cfg Config) (*GridFile, error) {
-	if err := validate(t, cfg); err != nil {
+	if err := cfg.check(t.Dims()); err != nil {
 		return nil, err
 	}
-	g := &GridFile{cfg: cfg, dims: t.Dims(), n: t.Len()}
-
-	g.bounds = make([][]float64, len(cfg.GridDims))
+	if t.Len() == 0 {
+		return nil, errEmpty
+	}
+	bounds := make([][]float64, len(cfg.GridDims))
 	for i, d := range cfg.GridDims {
-		col := t.Column(d)
-		switch cfg.Mode {
-		case Quantile:
-			g.bounds[i] = stats.Quantiles(col, cfg.CellsPerDim)
-		case Uniform:
-			g.bounds[i] = uniformBounds(col, cfg.CellsPerDim)
-		default:
-			return nil, fmt.Errorf("gridfile: unknown bounds mode %d", cfg.Mode)
+		b, err := SampleBounds(t.Column(d), cfg)
+		if err != nil {
+			return nil, err
 		}
+		bounds[i] = b
 	}
-
-	nCells := 1
-	g.strides = make([]int, len(cfg.GridDims))
-	for i := len(cfg.GridDims) - 1; i >= 0; i-- {
-		g.strides[i] = nCells
-		nCells *= cfg.CellsPerDim
+	s, err := NewStreamer(t.Dims(), cfg, bounds, t.Len())
+	if err != nil {
+		return nil, err
 	}
-
-	// Pass 1: count rows per cell.
-	counts := make([]int64, nCells)
 	for i := 0; i < t.Len(); i++ {
-		counts[g.cellOf(t.Row(i))]++
+		s.Add(t.Row(i))
 	}
-	g.offsets = make([]int64, nCells+1)
-	for c := 0; c < nCells; c++ {
-		g.offsets[c+1] = g.offsets[c] + counts[c]
-	}
-
-	// Pass 2: scatter rows into their cell pages.
-	g.data = make([]float64, t.Len()*g.dims)
-	cursor := make([]int64, nCells)
-	copy(cursor, g.offsets[:nCells])
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		c := g.cellOf(row)
-		copy(g.data[cursor[c]*int64(g.dims):], row)
-		cursor[c]++
-	}
-
-	// Pass 3: sort each cell page on the sort dimension.
-	if cfg.SortDim >= 0 {
-		for c := 0; c < nCells; c++ {
-			g.sortCell(c)
-		}
-	}
-	return g, nil
+	return s.Finish()
 }
 
-func validate(t *dataset.Table, cfg Config) error {
+var errEmpty = fmt.Errorf("gridfile: cannot build over an empty table")
+
+// check validates cfg for a dims-column grid file.
+func (cfg Config) check(dims int) error {
 	if cfg.CellsPerDim < 1 {
 		return fmt.Errorf("gridfile: CellsPerDim must be ≥ 1, got %d", cfg.CellsPerDim)
 	}
-	if t.Len() == 0 {
-		return fmt.Errorf("gridfile: cannot build over an empty table")
+	if dims < 1 {
+		return fmt.Errorf("gridfile: dims must be ≥ 1, got %d", dims)
 	}
 	seen := make(map[int]bool, len(cfg.GridDims))
 	for _, d := range cfg.GridDims {
-		if d < 0 || d >= t.Dims() {
-			return fmt.Errorf("gridfile: grid dimension %d out of range [0,%d)", d, t.Dims())
+		if d < 0 || d >= dims {
+			return fmt.Errorf("gridfile: grid dimension %d out of range [0,%d)", d, dims)
 		}
 		if seen[d] {
 			return fmt.Errorf("gridfile: grid dimension %d listed twice", d)
 		}
 		seen[d] = true
 	}
-	if cfg.SortDim >= t.Dims() {
-		return fmt.Errorf("gridfile: sort dimension %d out of range [0,%d)", cfg.SortDim, t.Dims())
+	if cfg.SortDim >= dims {
+		return fmt.Errorf("gridfile: sort dimension %d out of range [0,%d)", cfg.SortDim, dims)
 	}
 	if cfg.SortDim >= 0 && seen[cfg.SortDim] {
 		return fmt.Errorf("gridfile: sort dimension %d must not also be a grid dimension", cfg.SortDim)

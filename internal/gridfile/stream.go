@@ -2,52 +2,32 @@ package gridfile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/coax-index/coax/internal/stats"
 )
 
 // Streamer builds a grid file one row at a time against pre-computed cell
-// boundaries (typically quantile estimates from a sample), so ingestion
-// never holds a second full copy of the data: rows accumulate in arrival
-// order in what becomes the grid file's own page storage, and Finish
-// groups them by cell with an in-place American-flag permutation, looking
-// cell ordinals up on the fly instead of materializing a tag array. Peak
-// memory beyond the finished index is the per-cell cursor bookkeeping plus
-// append slack when no capacity hint was given — O(cells + chunk), never
-// O(rows).
-type Streamer struct {
-	g   *GridFile
-	n   int
-	tmp []float64
-}
+// boundaries — quantile estimates from a sample, or, for Build, the exact
+// quantiles of the table it is fed. Rows accumulate in arrival order in
+// what becomes the grid file's own page storage, so ingestion never holds
+// a second copy of the data. Finish groups them by cell with a stable
+// in-place permutation: one pass looks every row's cell up once and turns
+// it into the row's destination slot (a 4-byte-per-row array), a second
+// follows the permutation's cycles. Each cell therefore lists its rows in
+// arrival order — input already sorted on the sort dimension stays sorted —
+// and peak memory beyond the finished index is that array plus the
+// per-cell counts, plus append slack when no capacity hint was given.
+type Streamer struct{ g *GridFile }
 
 // NewStreamer prepares a streaming build of a dims-column grid file.
 // bounds supplies the grid lines: one ascending slice of CellsPerDim+1
 // boundaries per entry of cfg.GridDims. capacityRows ≥ 0 preallocates
 // storage for that many rows.
 func NewStreamer(dims int, cfg Config, bounds [][]float64, capacityRows int) (*Streamer, error) {
-	if cfg.CellsPerDim < 1 {
-		return nil, fmt.Errorf("gridfile: CellsPerDim must be ≥ 1, got %d", cfg.CellsPerDim)
-	}
-	if dims < 1 {
-		return nil, fmt.Errorf("gridfile: dims must be ≥ 1, got %d", dims)
-	}
-	seen := make(map[int]bool, len(cfg.GridDims))
-	for _, d := range cfg.GridDims {
-		if d < 0 || d >= dims {
-			return nil, fmt.Errorf("gridfile: grid dimension %d out of range [0,%d)", d, dims)
-		}
-		if seen[d] {
-			return nil, fmt.Errorf("gridfile: grid dimension %d listed twice", d)
-		}
-		seen[d] = true
-	}
-	if cfg.SortDim >= dims {
-		return nil, fmt.Errorf("gridfile: sort dimension %d out of range [0,%d)", cfg.SortDim, dims)
-	}
-	if cfg.SortDim >= 0 && seen[cfg.SortDim] {
-		return nil, fmt.Errorf("gridfile: sort dimension %d must not also be a grid dimension", cfg.SortDim)
+	if err := cfg.check(dims); err != nil {
+		return nil, err
 	}
 	if len(bounds) != len(cfg.GridDims) {
 		return nil, fmt.Errorf("gridfile: %d boundary slices for %d grid dimensions", len(bounds), len(cfg.GridDims))
@@ -72,11 +52,10 @@ func NewStreamer(dims int, cfg Config, bounds [][]float64, capacityRows int) (*S
 		nCells *= cfg.CellsPerDim
 	}
 
-	s := &Streamer{g: g, tmp: make([]float64, dims)}
 	if capacityRows > 0 {
 		g.data = make([]float64, 0, capacityRows*dims)
 	}
-	return s, nil
+	return &Streamer{g: g}, nil
 }
 
 // Add appends one row (copied) to the build.
@@ -85,61 +64,72 @@ func (s *Streamer) Add(row []float64) {
 		panic(fmt.Sprintf("gridfile: row has %d values, streamer has %d dims", len(row), s.g.dims))
 	}
 	s.g.data = append(s.g.data, row...)
-	s.n++
 }
 
 // Rows reports how many rows have been added.
-func (s *Streamer) Rows() int { return s.n }
+func (s *Streamer) Rows() int { return len(s.g.data) / s.g.dims }
 
-// Finish groups the buffered rows by cell in place, sorts each cell page on
-// the sort dimension, and returns the completed grid file. The Streamer
-// must not be used afterwards.
+// Finish groups the buffered rows by cell in place, keeping each cell's
+// rows in arrival order, sorts each cell page on the sort dimension, and
+// returns the completed grid file. The Streamer must not be used
+// afterwards.
 func (s *Streamer) Finish() (*GridFile, error) {
-	g := s.g
-	if s.n == 0 {
-		return nil, fmt.Errorf("gridfile: cannot build over an empty table")
+	g, n := s.g, s.Rows()
+	if n == 0 {
+		return nil, errEmpty
 	}
-	g.n = s.n
+	if int64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("gridfile: %d rows exceed a grid file's limit of 2^32-1", n)
+	}
+	g.n = n
 
 	nCells := 1
 	for range g.cfg.GridDims {
 		nCells *= g.cfg.CellsPerDim
 	}
-	dims := int64(g.dims)
-	rowAt := func(i int64) []float64 { return g.data[i*dims : (i+1)*dims] }
+	dims := g.dims
+	rowAt := func(i int) []float64 { return g.data[i*dims : (i+1)*dims] }
 
-	counts := make([]int64, nCells)
-	for i := int64(0); i < int64(s.n); i++ {
-		counts[g.cellOf(rowAt(i))]++
-	}
+	// dest holds each row's cell, then its destination slot: the cell's
+	// offset plus the rows of that cell that arrived before it.
+	dest := make([]uint32, n)
 	g.offsets = make([]int64, nCells+1)
-	for c := 0; c < nCells; c++ {
-		g.offsets[c+1] = g.offsets[c] + counts[c]
+	for i := range dest {
+		c := g.cellOf(rowAt(i))
+		dest[i] = uint32(c)
+		g.offsets[c+1]++
 	}
-
-	// In-place American-flag permutation: walk each cell's region and swap
-	// misplaced rows directly into their home cell's cursor. Regions before
-	// the current one are already complete, so every examined row belongs
-	// at or after it; each swap settles one row, making the pass O(n) row
-	// moves with no tag array — cell ordinals are recomputed from the row
-	// itself.
+	for c := 0; c < nCells; c++ {
+		g.offsets[c+1] += g.offsets[c]
+	}
 	cursor := make([]int64, nCells)
 	copy(cursor, g.offsets[:nCells])
-	for c := 0; c < nCells; c++ {
-		for i := cursor[c]; i < g.offsets[c+1]; {
-			ri := rowAt(i)
-			t := g.cellOf(ri)
-			if t == c {
-				i++
-				cursor[c] = i
-				continue
-			}
-			rj := rowAt(cursor[t])
-			copy(s.tmp, ri)
-			copy(ri, rj)
-			copy(rj, s.tmp)
-			cursor[t]++
+	for i, c := range dest {
+		dest[i] = uint32(cursor[c])
+		cursor[c]++
+	}
+
+	// Follow each cycle of the permutation: carry the row displaced from
+	// each slot on to its own destination, marking slots settled as they
+	// fill, until the cycle closes where it began.
+	carry, spare := make([]float64, dims), make([]float64, dims)
+	for i := range dest {
+		if int(dest[i]) == i {
+			continue
 		}
+		copy(carry, rowAt(i))
+		j := int(dest[i])
+		dest[i] = uint32(i)
+		for j != i {
+			rj := rowAt(j)
+			copy(spare, rj)
+			copy(rj, carry)
+			carry, spare = spare, carry
+			next := int(dest[j])
+			dest[j] = uint32(j)
+			j = next
+		}
+		copy(rowAt(i), carry)
 	}
 
 	if g.cfg.SortDim >= 0 {
@@ -150,9 +140,8 @@ func (s *Streamer) Finish() (*GridFile, error) {
 	return g, nil
 }
 
-// SampleBounds derives streaming grid boundaries from sampled column
-// values: quantile or uniform placement over the sample, matching the
-// boundary rule Build applies to the full data.
+// SampleBounds derives grid boundaries from a column's values — a sample's,
+// or for Build the whole table's: quantile or uniform placement over them.
 func SampleBounds(sampleCol []float64, cfg Config) ([]float64, error) {
 	if len(sampleCol) == 0 {
 		return nil, fmt.Errorf("gridfile: no sample values to place boundaries on")

@@ -1,103 +1,86 @@
 package gridfile
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"github.com/coax-index/coax/internal/binio"
 	"github.com/coax-index/coax/internal/dataset"
-	"github.com/coax-index/coax/internal/index"
-	"github.com/coax-index/coax/internal/workload"
 )
 
-// collectSorted gathers every row matching r and sorts them for multiset
-// comparison.
-func collectSorted(g index.Interface, r index.Rect) [][]float64 {
-	var out [][]float64
-	g.Scan(r, func(row []float64) bool {
-		out = append(out, append([]float64(nil), row...))
-		return true
-	}, nil)
-	sort.Slice(out, func(i, j int) bool {
-		for d := range out[i] {
-			if out[i][d] != out[j][d] {
-				return out[i][d] < out[j][d]
-			}
-		}
-		return false
-	})
-	return out
-}
-
-func rowsEqual(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		for d := range a[i] {
-			if a[i][d] != b[i][d] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func TestStreamerMatchesBuild(t *testing.T) {
+// TestBuildDeterministic: two builds of one table encode to identical
+// bytes, sorted and unsorted, with and without grid dimensions.
+func TestBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := dataset.NewTable([]string{"a", "b", "c"})
 	for i := 0; i < 5000; i++ {
 		tab.Append([]float64{rng.NormFloat64() * 10, rng.Float64() * 100, float64(rng.Intn(50))})
 	}
-
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"sorted", Config{GridDims: []int{0, 2}, SortDim: 1, CellsPerDim: 8, Mode: Quantile}},
 		{"unsorted", Config{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 5, Mode: Quantile}},
+		{"uniform", Config{GridDims: []int{1}, SortDim: 2, CellsPerDim: 6, Mode: Uniform}},
 		{"no grid dims", Config{GridDims: nil, SortDim: 0, CellsPerDim: 4, Mode: Quantile}},
 	} {
-		built, err := Build(tab, tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: Build: %v", tc.name, err)
+		var enc [2][]byte
+		for i := range enc {
+			g, err := Build(tab, tc.cfg)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", tc.name, err)
+			}
+			w := binio.NewWriter()
+			g.Encode(w)
+			enc[i] = w.Bytes()
 		}
-		// Feed the streamer the same boundaries Build derived, so cell
-		// assignment is identical and only the assembly path differs.
-		bounds := make([][]float64, len(tc.cfg.GridDims))
-		for i := range bounds {
-			bounds[i] = built.bounds[i]
+		if !bytes.Equal(enc[0], enc[1]) {
+			t.Errorf("%s: two builds of one table encode differently", tc.name)
 		}
-		st, err := NewStreamer(tab.Dims(), tc.cfg, bounds, -1)
-		if err != nil {
-			t.Fatalf("%s: NewStreamer: %v", tc.name, err)
-		}
-		for i := 0; i < tab.Len(); i++ {
-			st.Add(tab.Row(i))
-		}
-		streamed, err := st.Finish()
-		if err != nil {
-			t.Fatalf("%s: Finish: %v", tc.name, err)
-		}
+	}
+}
 
-		if streamed.Len() != built.Len() || streamed.NumCells() != built.NumCells() {
-			t.Fatalf("%s: len/cells mismatch: %d/%d vs %d/%d",
-				tc.name, streamed.Len(), streamed.NumCells(), built.Len(), built.NumCells())
-		}
-		// Identical per-cell populations.
-		bs, ss := built.CellSizes(), streamed.CellSizes()
-		for c := range bs {
-			if bs[c] != ss[c] {
-				t.Fatalf("%s: cell %d holds %d streamed vs %d built rows", tc.name, c, ss[c], bs[c])
+// TestStreamerKeepsArrivalOrder: Finish groups rows by cell stably, so with
+// in-cell sorting off every cell lists its rows in the order they were
+// added, whatever order the cells arrived in.
+func TestStreamerKeepsArrivalOrder(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(31))
+	cfg := Config{GridDims: []int{1, 2}, SortDim: -1, CellsPerDim: 7, Mode: Quantile}
+	bounds := [][]float64{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2, 3, 4, 5, 6, 7}}
+	st, err := NewStreamer(3, cfg, bounds, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n { // column 0 is the arrival number
+		st.Add([]float64{float64(i), float64(rng.Intn(7)), float64(rng.Intn(7))})
+	}
+	g, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, n)
+	for c := range g.NumCells() {
+		page := g.cellPage(c)
+		prev := -1.0
+		for r := 0; r < len(page); r += g.dims {
+			row := page[r : r+g.dims]
+			if g.cellOf(row) != c {
+				t.Fatalf("row %v placed in cell %d, belongs in %d", row, c, g.cellOf(row))
 			}
-		}
-		// Identical query answers on random rectangles.
-		qrng := rand.New(rand.NewSource(11))
-		for q := 0; q < 50; q++ {
-			r := workload.RandRect(qrng, tab)
-			if !rowsEqual(collectSorted(built, r), collectSorted(streamed, r)) {
-				t.Fatalf("%s: query %d differs", tc.name, q)
+			if row[0] <= prev {
+				t.Fatalf("cell %d lists row %v after row %v", c, row[0], prev)
 			}
+			prev = row[0]
+			seen[int(row[0])] = true
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("row %d lost", i)
 		}
 	}
 }
