@@ -92,7 +92,7 @@ func cmdBuild(args []string) error {
 		csvPath = fs.String("csv", "", "build from a CSV file instead of a synthetic dataset; '-' streams stdin")
 		out     = fs.String("out", "index.coax", "snapshot output path")
 		outlier = fs.String("outlier", "grid", "outlier index kind: grid|rtree")
-		cells   = fs.Int("cells", 0, "primary grid cells per dimension (0 keeps the default)")
+		cells   = fs.Int("cells", 0, "most primary grid cells per dimension; a column with fewer values gets one cell per value (0 keeps the default)")
 		sample  = fs.Int("sample", 0, "streaming build: detect soft FDs on this many sampled rows and stream placement in bounded memory (0: materialize and build exactly)")
 		chunk   = fs.Int("chunk", 0, "rows per ingest chunk (0: default)")
 		noSpill = fs.Bool("no-spill", false, "sampled stdin builds: keep the one-pass prefix sample instead of spilling stdin to a temp file for an unbiased two-pass reservoir")
@@ -284,11 +284,15 @@ func cmdInfo(args []string) error {
 	for _, g := range s.Groups {
 		fmt.Printf("  group: predictor col %d → members %v\n", g.Predictor, g.Members)
 	}
+	layout := "layout"
+	if s.Shards > 1 {
+		layout = "shard 0's layout"
+	}
+	if s.PrimaryAxisCells != nil {
+		fmt.Printf("  primary grid: %d pages; %s: cells per axis %v on columns %v, sorted on column %d\n",
+			s.PrimaryCells, layout, s.PrimaryAxisCells, s.PrimaryGridDims, s.SortDim)
+	}
 	if s.OutlierCells > 0 {
-		layout := "layout"
-		if s.Shards > 1 {
-			layout = "shard 0's layout"
-		}
 		fmt.Printf("  outlier grid: %d pages; %s: grid on columns %v, sorted on column %d\n",
 			s.OutlierCells, layout, s.OutlierGridDims, s.OutlierSortDim)
 	}

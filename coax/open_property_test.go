@@ -57,6 +57,30 @@ func TestPropertyMappedMatchesHeap(t *testing.T) {
 			}
 			return s
 		},
+		// Latitude and longitude rounded to whole degrees hold 10 and 15
+		// values, so the primary cuts each into one cell per value: a grid
+		// whose axes are below CellsPerDim and differ from each other.
+		"sharded/per-value axes": func(t *testing.T, dir string) saved {
+			coarse := copyOSM(tab)
+			for i := 0; i < coarse.Len(); i++ {
+				row := coarse.Row(i)
+				row[2], row[3] = math.Round(row[2]), math.Round(row[3])
+			}
+			idx := build(t, coarse, coax.DefaultOptions(), 4)
+			if cells := idx.BuildStats().PrimaryAxisCells; len(cells) != 2 || cells[0] > 10 || cells[1] > 15 || cells[0] == cells[1] {
+				t.Fatalf("primary cells per axis %v, want one per whole degree of latitude and longitude", cells)
+			}
+			s := saved{filepath.Join(dir, "p.v2"), []string{filepath.Join(dir, "p.v3"), filepath.Join(dir, "p.v3c")}, 4}
+			if err := coax.SaveShardedFile(s.heap, idx); err != nil {
+				t.Fatal(err)
+			}
+			for i, path := range s.others {
+				if err := coax.SaveShardedFileV3(path, idx, i == 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s
+		},
 		"single-layout": func(t *testing.T, dir string) saved {
 			opt := coax.DefaultOptions()
 			opt.OutlierKind = coax.OutlierRTree

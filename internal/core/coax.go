@@ -39,7 +39,9 @@ const (
 type Options struct {
 	// SoftFD configures dependency detection.
 	SoftFD softfd.Config
-	// PrimaryCellsPerDim is the grid resolution of the primary index.
+	// PrimaryCellsPerDim is the grid resolution of the primary index: the
+	// most cells any of its grid dimensions gets. A column with fewer
+	// distinct values gets one cell per value (gridfile.SampleBounds).
 	PrimaryCellsPerDim int
 	// OutlierCellsPerDim, when ≥ 1, overrides the outlier grid's layout
 	// (OutlierKind == OutlierGrid) with a grid over every column at this
@@ -353,6 +355,11 @@ type Stats struct {
 	OutlierRows   int
 	PrimaryRatio  float64
 	PrimaryCells  int
+	// PrimaryGridDims and PrimaryAxisCells describe the primary grid's
+	// layout: the columns with grid lines and the cells along each of them.
+	// Nil for an index without inliers.
+	PrimaryGridDims  []int
+	PrimaryAxisCells []int
 	// OutlierCells, OutlierGridDims and OutlierSortDim describe a grid
 	// outlier index's layout: its cells, the columns with grid lines, and
 	// the in-cell sort column (-1 unsorted). Zero, nil and -1 for an R-tree
@@ -389,6 +396,7 @@ func (c *COAX) BuildStats() Stats {
 	}
 	if c.primary != nil {
 		s.PrimaryCells = c.primary.NumCells()
+		s.PrimaryGridDims, s.PrimaryAxisCells = c.primary.GridDims(), c.primary.AxisCells()
 		s.PrimaryOverheadB = c.primary.MemoryOverhead()
 	}
 	if c.outliers != nil {

@@ -197,6 +197,45 @@ func TestInsertLazyPrimaryCreation(t *testing.T) {
 	}
 }
 
+// TestInsertLazyPrimaryIsOneCell inserts into the skeleton an empty shard
+// builds. The first row seeds the primary alone, so every grid axis sees
+// one value and gets one cell: the primary is one cell, not a lattice of
+// PrimaryCellsPerDim cells per axis around a single row. Rows with other
+// values clamp into that cell and are still found.
+func TestInsertLazyPrimaryIsOneCell(t *testing.T) {
+	c, err := BuildWithFD(dataset.NewTable([]string{"a", "b", "c", "d"}), softfd.Result{}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	live := dataset.NewTable([]string{"a", "b", "c", "d"})
+	insert := func(row []float64) {
+		if err := c.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		live.Append(row)
+	}
+	insert([]float64{1, 2, 3, 4})
+	if st := c.BuildStats(); st.PrimaryCells != 1 {
+		t.Fatalf("lazy primary: %d cells, %d B directory; want 1 cell", st.PrimaryCells, st.PrimaryOverheadB)
+	}
+	for range 300 {
+		insert([]float64{rng.Float64() * 100, rng.NormFloat64() * 50, float64(rng.Intn(7)), -rng.Float64()})
+	}
+	for i := range live.Len() {
+		if row := live.Row(i); index.Count(c, index.Point(row)) != 1 {
+			t.Fatalf("row %d %v not found", i, row)
+		}
+	}
+	oracle := scan.New(live)
+	for trial := range 50 {
+		r := randQuery(rng, live)
+		if got, want := index.Count(c, r), index.Count(oracle, r); got != want {
+			t.Fatalf("trial %d: %d, want %d", trial, got, want)
+		}
+	}
+}
+
 func TestBoundsPruning(t *testing.T) {
 	// A query entirely outside the outlier bounding box must still return
 	// exact results (pruning is an optimisation, not a semantics change),

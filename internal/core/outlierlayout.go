@@ -9,7 +9,6 @@ import (
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/gridfile"
 	"github.com/coax-index/coax/internal/index"
-	"github.com/coax-index/coax/internal/stats"
 )
 
 // Outlier layout. The paper's §8.2.1 rule bounds the outlier directory by
@@ -25,7 +24,10 @@ import (
 //     dimension as keep outlierPageRows rows per page on average, and sort
 //     each page on the sort column like the primary; the all-column ceiling
 //     layout and a single sorted page are candidates too, and no
-//     candidate's directory exceeds the ceiling's;
+//     candidate's directory exceeds the ceiling's. As in every grid, that
+//     resolution is a per-axis maximum: a column with fewer distinct values
+//     gets one cell per value (gridfile.SampleBounds), and the candidate is
+//     scored with those boundaries;
 //   - a candidate's score is expected pages × outlierPageNS + expected rows
 //     scanned × outlierRowNS over layoutQueries rectangles, counted
 //     analytically on a sample of at most layoutSampleRows outlier rows
@@ -82,8 +84,8 @@ func (c *COAX) outlierGridConfig(outliers *dataset.Table, total int, rows *datas
 	return chooseOutlierLayout(outliers, total, rows, c.sortDim)
 }
 
-// ceilingLayout grids every column at cells per dimension, unsorted — the
-// layout the §8.2.1 rule bounds.
+// ceilingLayout grids every column at up to cells per dimension, unsorted —
+// the layout the §8.2.1 rule bounds.
 func ceilingLayout(dims, cells int) gridfile.Config {
 	all := make([]int, dims)
 	for i := range all {
@@ -113,7 +115,7 @@ func chooseOutlierLayout(outliers *dataset.Table, total int, rows *dataset.Table
 	if lattice(dims, ceiling.CellsPerDim) <= layoutMaxCells {
 		consider(ceiling)
 	}
-	maxDir := directoryBytes(len(ceiling.GridDims), ceiling.CellsPerDim)
+	maxDir := gridfile.DirectoryBytes(slices.Repeat([]int{ceiling.CellsPerDim}, dims))
 	var free []int
 	for d := 0; d < dims; d++ {
 		if d != sortDim {
@@ -122,7 +124,7 @@ func chooseOutlierLayout(outliers *dataset.Table, total int, rows *dataset.Table
 	}
 	for k := 1; k <= min(outlierMaxGridDims, len(free)); k++ {
 		cells := floorRoot(total/outlierPageRows, k)
-		for cells > 1 && (directoryBytes(k, cells) > maxDir || lattice(k, cells) > layoutMaxCells) {
+		for cells > 1 && (gridfile.DirectoryBytes(slices.Repeat([]int{cells}, k)) > maxDir || lattice(k, cells) > layoutMaxCells) {
 			cells--
 		}
 		if cells < 2 {
@@ -139,19 +141,14 @@ func chooseOutlierLayout(outliers *dataset.Table, total int, rows *dataset.Table
 	return best
 }
 
-// lattice is the number of cells of a grid with k dimensions of cells each.
+// lattice is cells to the power k: the most cells a grid with k
+// dimensions of at most cells each can have.
 func lattice(k, cells int) int64 {
 	n := int64(1)
 	for range k {
 		n *= int64(cells)
 	}
 	return n
-}
-
-// directoryBytes is GridFile.MemoryOverhead of a freshly built grid with k
-// grid dimensions of cells each: boundaries, offset table, strides.
-func directoryBytes(k, cells int) int64 {
-	return 8 * (int64(k)*int64(cells+1) + lattice(k, cells) + 1 + int64(k))
 }
 
 // floorRoot returns ⌊n^(1/k)⌋ for n ≥ 0, exact despite floating point.
@@ -272,23 +269,25 @@ func layoutRects(t *dataset.Table) []index.Rect {
 }
 
 // axis holds one grid axis of a candidate as costed on the sample: its
-// quantile bounds, computed exactly as gridfile.Build computes them on the
-// data, and every sample row's slot along it.
+// bounds, placed by gridfile.SampleBounds as the build places them on the
+// data (so a column with few distinct values gets one cell per value), and
+// every sample row's slot along it.
 type axis struct {
 	bounds []float64
 	slot   []int32
 }
 
-// axis returns column d cut into cells slots; candidates share axes.
+// axis returns column d cut into at most cells slots; candidates share axes.
 func (m *layoutModel) axis(d, cells int) axis {
 	key := [2]int{d, cells}
 	if ax, ok := m.axes[key]; ok {
 		return ax
 	}
-	ax := axis{bounds: make([]float64, cells+1), slot: make([]int32, len(m.rows))}
-	for j := range ax.bounds {
-		ax.bounds[j] = stats.QuantileSorted(m.sorted[d], float64(j)/float64(cells))
+	bounds, err := gridfile.SampleBounds(m.sorted[d], gridfile.Config{CellsPerDim: cells, Mode: gridfile.Quantile})
+	if err != nil {
+		panic(err) // the sample is never empty and cells ≥ 1
 	}
+	ax := axis{bounds: bounds, slot: make([]int32, len(m.rows))}
 	for p, row := range m.rows {
 		ax.slot[p] = int32(gridfile.Slot(ax.bounds, row[d]))
 	}
@@ -312,7 +311,7 @@ func (m *layoutModel) cost(cfg gridfile.Config) float64 {
 	cells := 1
 	for i := k - 1; i >= 0; i-- {
 		strides[i] = cells
-		cells *= cfg.CellsPerDim
+		cells *= len(axes[i].bounds) - 1
 	}
 
 	// A cell histogram of the sample, and its positions grouped by cell:

@@ -102,8 +102,9 @@ func TestChooseOutlierLayoutSmallPartitions(t *testing.T) {
 	}
 	// The ceiling bounds every candidate's directory.
 	cfg := chooseOutlierLayout(tab, tab.Len(), tab, 1)
-	if got, limit := directoryBytes(len(cfg.GridDims), cfg.CellsPerDim),
-		directoryBytes(tab.Dims(), gridfile.DirectoryBoundedCells(tab.Dims(), tab.SizeBytes())); got > limit {
+	uniform := func(k, cells int) int64 { return gridfile.DirectoryBytes(slices.Repeat([]int{cells}, k)) }
+	if got, limit := uniform(len(cfg.GridDims), cfg.CellsPerDim),
+		uniform(tab.Dims(), gridfile.DirectoryBoundedCells(tab.Dims(), tab.SizeBytes())); got > limit {
 		t.Errorf("layout %+v: directory %d B over the ceiling's %d B", cfg, got, limit)
 	}
 }

@@ -134,20 +134,15 @@ func (g *GridFile) validateDecoded(verifyPages bool) error {
 		return fmt.Errorf("gridfile: sort dimension %d is also a grid dimension", g.cfg.SortDim)
 	}
 
-	nCells := 1
-	g.strides = make([]int, len(g.cfg.GridDims))
-	for i := len(g.cfg.GridDims) - 1; i >= 0; i-- {
-		g.strides[i] = nCells
-		next := nCells * g.cfg.CellsPerDim
-		if next/g.cfg.CellsPerDim != nCells {
-			return fmt.Errorf("gridfile: cell lattice overflows int")
-		}
-		nCells = next
+	if len(g.bounds) != len(g.cfg.GridDims) {
+		return fmt.Errorf("gridfile: %d boundary vectors for %d grid dims", len(g.bounds), len(g.cfg.GridDims))
 	}
+	strides, nCells, err := lattice(g.bounds, g.cfg.CellsPerDim)
+	if err != nil {
+		return err
+	}
+	g.strides = strides
 	for i, b := range g.bounds {
-		if len(b) != g.cfg.CellsPerDim+1 {
-			return fmt.Errorf("gridfile: boundary vector %d has %d entries, want %d", i, len(b), g.cfg.CellsPerDim+1)
-		}
 		for j := 1; j < len(b); j++ {
 			if !(b[j] >= b[j-1]) { // also rejects NaN
 				return fmt.Errorf("gridfile: boundaries of grid dim %d not ascending at %d", i, j)

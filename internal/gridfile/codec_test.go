@@ -1,7 +1,9 @@
 package gridfile
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/coax-index/coax/internal/binio"
@@ -78,6 +80,29 @@ func TestCodecRoundTrip(t *testing.T) {
 	requireSameQueries(t, g, got, tab)
 }
 
+// TestCodecRoundTripPerAxisCells: a grid whose axes have different cell
+// counts — a continuous column at the maximum, a five-value column at one
+// cell per value — decodes with the same counts and the same answers.
+func TestCodecRoundTripPerAxisCells(t *testing.T) {
+	tab := testTable(4000, 3, 6)
+	for i := range tab.Len() {
+		tab.Row(i)[1] = math.Floor(math.Mod(math.Abs(tab.Row(i)[1]), 5))
+	}
+	g, err := Build(tab, Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 8, Mode: Quantile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.AxisCells(); !slices.Equal(got, []int{8, 5}) {
+		t.Fatalf("cells per axis %v, want [8 5]", got)
+	}
+	got := roundTrip(t, g)
+	if !slices.Equal(got.AxisCells(), g.AxisCells()) || got.NumCells() != 40 || got.MemoryOverhead() != g.MemoryOverhead() {
+		t.Fatalf("decoded %v cells per axis (%d cells, %d B), built %v (%d B)",
+			got.AxisCells(), got.NumCells(), got.MemoryOverhead(), g.AxisCells(), g.MemoryOverhead())
+	}
+	requireSameQueries(t, g, got, tab)
+}
+
 func TestCodecRoundTripWithOverflow(t *testing.T) {
 	tab := testTable(2000, 3, 2)
 	g, err := Build(tab, Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 4, Mode: Uniform})
@@ -120,6 +145,10 @@ func TestCodecRejectsCorruptStructure(t *testing.T) {
 		"offset order":   func(m *GridFile) { m.offsets[1] = m.offsets[len(m.offsets)-1] + 5 },
 		"bounds order":   func(m *GridFile) { m.bounds[0][0] = m.bounds[0][len(m.bounds[0])-1] + 1 },
 		"grid dim range": func(m *GridFile) { m.cfg.GridDims[0] = 7 },
+		"bounds short":   func(m *GridFile) { m.bounds[0] = m.bounds[0][:1] },
+		"bounds over max": func(m *GridFile) {
+			m.bounds[0] = append(m.bounds[0], m.bounds[0][len(m.bounds[0])-1])
+		},
 		"unsorted cell": func(m *GridFile) {
 			// Break the in-cell sort order of the first cell with ≥ 2 rows.
 			for c := 0; c < m.NumCells(); c++ {
@@ -146,6 +175,31 @@ func TestCodecRejectsCorruptStructure(t *testing.T) {
 		clone.Encode(w)
 		if _, err := Decode(binio.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: Decode accepted corrupt structure", name)
+		}
+	}
+}
+
+// TestFromPartsRejectsBoundsLength: an axis needs 2 to CellsPerDim+1
+// boundaries — at least one cell, at most the stored maximum — on the
+// assembly path a mapped snapshot opens through, as in Decode.
+func TestFromPartsRejectsBoundsLength(t *testing.T) {
+	g, err := Build(testTable(500, 2, 5), Config{GridDims: []int{0}, SortDim: 1, CellsPerDim: 4, Mode: Quantile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromParts(g.ExportParts()); err != nil {
+		t.Fatalf("unmodified parts: %v", err)
+	}
+	b := g.ExportParts().Bounds[0]
+	for name, bounds := range map[string][]float64{
+		"no boundary":  nil,
+		"one boundary": b[:1],
+		"over the max": append(slices.Clone(b), b[len(b)-1]),
+	} {
+		p := g.ExportParts()
+		p.Bounds = [][]float64{bounds}
+		if _, err := FromParts(p); err == nil {
+			t.Errorf("%s: FromParts accepted %d boundaries with CellsPerDim %d", name, len(bounds), p.CellsPerDim)
 		}
 	}
 }

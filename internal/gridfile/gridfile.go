@@ -38,8 +38,11 @@ type Config struct {
 	// SortDim is the column on which rows are sorted inside each cell, or
 	// -1 to disable in-cell sorting. Must not also appear in GridDims.
 	SortDim int
-	// CellsPerDim is the number of cells along every grid dimension (the
-	// paper uses the same number of grid lines for each attribute).
+	// CellsPerDim is the most cells any grid dimension may have (the paper
+	// uses the same number of grid lines for each attribute). Each axis
+	// takes its own count from its boundary vector: Quantile placement
+	// gives a column whose values number d ≤ CellsPerDim exactly d cells,
+	// one per value (see SampleBounds), and every other column CellsPerDim.
 	CellsPerDim int
 	// Mode selects quantile or uniform boundary placement.
 	Mode BoundsMode
@@ -53,7 +56,7 @@ type GridFile struct {
 	cfg     Config
 	dims    int
 	n       int
-	bounds  [][]float64 // per grid dim: CellsPerDim+1 ascending boundaries
+	bounds  [][]float64 // per grid dim: 2 to CellsPerDim+1 ascending boundaries
 	strides []int       // row-major strides over the cell lattice
 	data    []float64   // all rows, grouped by cell, row-major
 	offsets []int64     // per cell: starting row within data; len = cells+1
@@ -138,6 +141,40 @@ func (cfg Config) check(dims int) error {
 	return nil
 }
 
+// lattice returns the row-major strides over the cell lattice whose axis i
+// is cut by bounds[i] into len(bounds[i])-1 cells, and the number of cells.
+// Every axis must have between 1 and maxCells cells.
+func lattice(bounds [][]float64, maxCells int) (strides []int, cells int, err error) {
+	strides = make([]int, len(bounds))
+	cells = 1
+	for i := len(bounds) - 1; i >= 0; i-- {
+		n := len(bounds[i]) - 1
+		if n < 1 || n > maxCells {
+			return nil, 0, fmt.Errorf("gridfile: boundary vector %d has %d entries, want 2 to %d", i, len(bounds[i]), maxCells+1)
+		}
+		strides[i] = cells
+		next := cells * n
+		if next/n != cells {
+			return nil, 0, fmt.Errorf("gridfile: cell lattice overflows int")
+		}
+		cells = next
+	}
+	return strides, cells, nil
+}
+
+// DirectoryBytes is the directory of a grid file with cells[i] cells along
+// grid axis i and no overflow pages or tombstones: its boundary vectors,
+// its per-cell offset table and its strides. MemoryOverhead adds the
+// mutation state to it; the outlier layout chooser bounds candidates by it.
+func DirectoryBytes(cells []int) int64 {
+	slots, lat := int64(1), int64(1) // the offset table's closing entry; the lattice
+	for _, n := range cells {
+		slots += int64(n) + 1 + 1 // boundaries and stride
+		lat *= int64(n)
+	}
+	return 8 * (slots + lat)
+}
+
 // DirectoryBoundedCells returns the largest cells-per-dim (capped at 64)
 // such that a gridDims-dimensional directory of 8-byte slots does not
 // exceed dataBytes — the paper's §8.2.1 rule that an index directory must
@@ -178,8 +215,8 @@ func uniformBounds(col []float64, cells int) []float64 {
 // use the same function, so assignment is consistent.
 func (g *GridFile) locate(i int, v float64) int { return Slot(g.bounds[i], v) }
 
-// Slot maps v to its cell slot along one grid axis whose CellsPerDim+1
-// ascending boundaries are b: the largest slot whose lower boundary does not
+// Slot maps v to its cell slot along one grid axis whose ascending
+// boundaries are b: the largest slot whose lower boundary does not
 // exceed v, clamped to the valid range. A slot whose two boundaries coincide
 // (a repeated quantile) is therefore never returned unless it is the last.
 func Slot(b []float64, v float64) int {
@@ -303,6 +340,16 @@ func (g *GridFile) Dims() int { return g.dims }
 // NumCells reports the total number of cells in the lattice.
 func (g *GridFile) NumCells() int { return len(g.offsets) - 1 }
 
+// AxisCells returns the number of cells along each grid dimension, in
+// GridDims order.
+func (g *GridFile) AxisCells() []int {
+	out := make([]int, len(g.bounds))
+	for i, b := range g.bounds {
+		out[i] = len(b) - 1
+	}
+	return out
+}
+
 // GridDims returns a copy of the columns that receive grid lines.
 func (g *GridFile) GridDims() []int {
 	out := make([]int, len(g.cfg.GridDims))
@@ -329,12 +376,7 @@ func (g *GridFile) CellSizes() []int {
 // MemoryOverhead implements index.Interface: the directory only — grid
 // boundaries plus the per-cell offset table — excluding the row payload.
 func (g *GridFile) MemoryOverhead() int64 {
-	var b int64
-	for _, bd := range g.bounds {
-		b += int64(len(bd) * 8)
-	}
-	b += int64(len(g.offsets) * 8)
-	b += int64(len(g.strides) * 8)
+	b := DirectoryBytes(g.AxisCells())
 	// Each live overflow page costs a map slot and a slice header; the row
 	// payload inside it is data, not directory.
 	b += int64(len(g.overflow)) * 48

@@ -43,12 +43,12 @@ type PageStore interface {
 type Parts struct {
 	GridDims    []int
 	SortDim     int
-	CellsPerDim int
+	CellsPerDim int // the most cells any axis may have; Bounds give each its own
 	Mode        BoundsMode
 	Label       string
 
 	Dims    int
-	Bounds  [][]float64 // per grid dim: CellsPerDim+1 ascending boundaries
+	Bounds  [][]float64 // per grid dim: 2 to CellsPerDim+1 ascending boundaries, one more than its cells
 	Offsets []int64     // per cell starting row; len = cells+1
 
 	// Exactly one of Data and Store backs the main pages: Data holds the

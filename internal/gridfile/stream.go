@@ -22,8 +22,9 @@ import (
 type Streamer struct{ g *GridFile }
 
 // NewStreamer prepares a streaming build of a dims-column grid file.
-// bounds supplies the grid lines: one ascending slice of CellsPerDim+1
-// boundaries per entry of cfg.GridDims. capacityRows ≥ 0 preallocates
+// bounds supplies the grid lines: one ascending slice of 2 to
+// CellsPerDim+1 boundaries per entry of cfg.GridDims, which cut that axis
+// into one cell fewer than it has boundaries. capacityRows ≥ 0 preallocates
 // storage for that many rows.
 func NewStreamer(dims int, cfg Config, bounds [][]float64, capacityRows int) (*Streamer, error) {
 	if err := cfg.check(dims); err != nil {
@@ -33,23 +34,17 @@ func NewStreamer(dims int, cfg Config, bounds [][]float64, capacityRows int) (*S
 		return nil, fmt.Errorf("gridfile: %d boundary slices for %d grid dimensions", len(bounds), len(cfg.GridDims))
 	}
 
-	g := &GridFile{cfg: cfg, dims: dims}
+	strides, nCells, err := lattice(bounds, cfg.CellsPerDim)
+	if err != nil {
+		return nil, err
+	}
+	g := &GridFile{cfg: cfg, dims: dims, strides: strides, offsets: make([]int64, nCells+1)}
 	g.bounds = make([][]float64, len(bounds))
 	for i, b := range bounds {
-		if len(b) != cfg.CellsPerDim+1 {
-			return nil, fmt.Errorf("gridfile: boundary slice %d has %d values, want %d", i, len(b), cfg.CellsPerDim+1)
-		}
 		if !sort.Float64sAreSorted(b) {
 			return nil, fmt.Errorf("gridfile: boundary slice %d is not ascending", i)
 		}
 		g.bounds[i] = append([]float64(nil), b...)
-	}
-
-	nCells := 1
-	g.strides = make([]int, len(cfg.GridDims))
-	for i := len(cfg.GridDims) - 1; i >= 0; i-- {
-		g.strides[i] = nCells
-		nCells *= cfg.CellsPerDim
 	}
 
 	if capacityRows > 0 {
@@ -83,17 +78,13 @@ func (s *Streamer) Finish() (*GridFile, error) {
 	}
 	g.n = n
 
-	nCells := 1
-	for range g.cfg.GridDims {
-		nCells *= g.cfg.CellsPerDim
-	}
+	nCells := g.NumCells()
 	dims := g.dims
 	rowAt := func(i int) []float64 { return g.data[i*dims : (i+1)*dims] }
 
 	// dest holds each row's cell, then its destination slot: the cell's
 	// offset plus the rows of that cell that arrived before it.
 	dest := make([]uint32, n)
-	g.offsets = make([]int64, nCells+1)
 	for i := range dest {
 		c := g.cellOf(rowAt(i))
 		dest[i] = uint32(c)
@@ -141,17 +132,48 @@ func (s *Streamer) Finish() (*GridFile, error) {
 }
 
 // SampleBounds derives grid boundaries from a column's values — a sample's,
-// or for Build the whole table's: quantile or uniform placement over them.
+// or for Build the whole table's: quantile or uniform placement over them,
+// CellsPerDim cells. Under Quantile placement a column holding d ≤
+// CellsPerDim distinct values gets d cells instead, with those values as
+// the boundaries, so each value has a slot of its own and no slot is
+// empty: the finest split such an axis can have, at the smallest
+// directory.
 func SampleBounds(sampleCol []float64, cfg Config) ([]float64, error) {
 	if len(sampleCol) == 0 {
 		return nil, fmt.Errorf("gridfile: no sample values to place boundaries on")
 	}
+	if cfg.CellsPerDim < 1 {
+		return nil, fmt.Errorf("gridfile: CellsPerDim must be ≥ 1, got %d", cfg.CellsPerDim)
+	}
 	switch cfg.Mode {
 	case Quantile:
-		return stats.Quantiles(sampleCol, cfg.CellsPerDim), nil
+		sorted := append([]float64(nil), sampleCol...)
+		sort.Float64s(sorted)
+		if b := valueBounds(sorted, cfg.CellsPerDim); b != nil {
+			return b, nil
+		}
+		return stats.QuantilesSorted(sorted, cfg.CellsPerDim), nil
 	case Uniform:
 		return uniformBounds(sampleCol, cfg.CellsPerDim), nil
 	default:
 		return nil, fmt.Errorf("gridfile: unknown bounds mode %d", cfg.Mode)
 	}
+}
+
+// valueBounds returns the boundaries that give each distinct value of the
+// ascending column its own cell — the values, the largest repeated to close
+// the last cell, since Slot clamps it into the cell it opens — or nil when
+// the column holds more than cells distinct values.
+func valueBounds(sorted []float64, cells int) []float64 {
+	out := make([]float64, 1, min(cells, len(sorted))+1)
+	out[0] = sorted[0]
+	for _, v := range sorted[1:] {
+		if v != out[len(out)-1] {
+			if len(out) == cells {
+				return nil
+			}
+			out = append(out, v)
+		}
+	}
+	return append(out, out[len(out)-1])
 }

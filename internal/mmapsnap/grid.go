@@ -23,7 +23,7 @@ import (
 type gridSection struct {
 	gridDims    []int
 	sortDim     int
-	cellsPerDim int
+	cellsPerDim int // the most cells an axis may have; each bounds vector gives its own
 	mode        int
 	label       string
 	dims        int

@@ -46,7 +46,8 @@
 //	u64 headerLen
 //	binio header: grid config, partition bounds, overflow pages, a region
 //	  table (offset/length of each region below, relative to the section),
-//	  and a compressed flag
+//	  and a compressed flag; axis i has len(bounds[i])−1 cells, at most the
+//	  config's CellsPerDim, and cells is their product
 //	padding to 64
 //	offsets region   (cells+1) × i64   row offsets (the grid directory)
 //	dead region      bitmap words, u64 each (may be empty)

@@ -599,8 +599,9 @@ func (s *Sharded) ShardSpan(r index.Rect) (lo, hi int) { return s.shardRange(r) 
 
 // Stats summarises the sharded index: its shards' build statistics summed
 // (the groups, dependent dims and sort dim come from the dependencies every
-// shard shares; the outlier grid's dims and sort dim are shard 0's, since
-// each shard chooses its own layout), and its layout and fan-out.
+// shard shares; the primary grid's cells per axis and the outlier grid's
+// dims and sort dim are shard 0's, since each shard places its own grid
+// lines and chooses its own outlier layout), and its layout and fan-out.
 type Stats struct {
 	core.Stats
 	Shards          int

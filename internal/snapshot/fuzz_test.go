@@ -3,6 +3,7 @@ package snapshot_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/coax-index/coax/internal/core"
@@ -26,6 +27,36 @@ func fuzzSeedTable() *dataset.Table {
 		t.Append([]float64{x, d, rng.Float64() * 10})
 	}
 	return t
+}
+
+// perValueSeedTable adds to fuzzSeedTable's shape a column of five values,
+// which the primary grid cuts into one cell per value beside a continuous
+// column at the full resolution: a grid whose axes differ in cell count.
+func perValueSeedTable() *dataset.Table {
+	rng := rand.New(rand.NewSource(98))
+	t := dataset.NewTable([]string{"x", "d", "u", "k"})
+	for i := 0; i < 400; i++ {
+		x := rng.Float64() * 100
+		d := 3*x + 7 + rng.NormFloat64()
+		if rng.Float64() < 0.2 {
+			d = rng.Float64() * 400
+		}
+		t.Append([]float64{x, d, rng.Float64() * 10, float64(rng.Intn(5))})
+	}
+	return t
+}
+
+// perValueSeed builds the index over perValueSeedTable and proves its
+// primary grid has axes of different cell counts.
+func perValueSeed(f *testing.F, opt core.Options) *core.COAX {
+	idx, err := core.Build(perValueSeedTable(), opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if cells := idx.BuildStats().PrimaryAxisCells; !slices.Contains(cells, 5) || !slices.Contains(cells, opt.PrimaryCellsPerDim) {
+		f.Fatalf("per-value seed: primary cells per axis %v, want a 5 beside a %d", cells, opt.PrimaryCellsPerDim)
+	}
+	return idx
 }
 
 // FuzzSnapshotDecode drives every snapshot entry point with arbitrary
@@ -67,6 +98,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, tabBuf.Bytes())
+	var perValueBuf bytes.Buffer
+	if err := snapshot.Encode(&perValueBuf, perValueSeed(f, opt)); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, perValueBuf.Bytes())
 
 	for _, blob := range seeds {
 		f.Add(blob)

@@ -93,6 +93,11 @@ func Quantiles(xs []float64, k int) []float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	return QuantilesSorted(sorted, k)
+}
+
+// QuantilesSorted is Quantiles for data already in ascending order.
+func QuantilesSorted(sorted []float64, k int) []float64 {
 	out := make([]float64, k+1)
 	for i := 0; i <= k; i++ {
 		out[i] = QuantileSorted(sorted, float64(i)/float64(k))
