@@ -1,18 +1,26 @@
-// Package benchmarks holds one testing.B benchmark per table and figure of
-// the paper's evaluation, plus ablations for the design decisions listed
-// in DESIGN.md §5. Run with:
+// Package benchmarks reproduces the paper's evaluation (§8): one testing.B
+// benchmark per table, figure, equation and theorem, plus ablations of
+// COAX's design decisions. README.md's "Reproducing the paper (§8)" maps
+// each of them to its metrics. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run NONE -bench . -benchtime 1x .
 //
 // Custom metrics attached via b.ReportMetric carry the non-latency numbers
-// (primary ratio, directory bytes, matches per query).
+// (primary ratio, directory bytes, matches per query, theory against
+// measurement, the headline ratios). Absolute latencies depend on the
+// machine; the claim shapes (who wins, by what factor) are what the paper
+// reports.
 package benchmarks
 
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
@@ -22,9 +30,7 @@ import (
 	"github.com/coax-index/coax/internal/scan"
 	"github.com/coax-index/coax/internal/softfd"
 	"github.com/coax-index/coax/internal/theory"
-	"github.com/coax-index/coax/internal/unigrid"
 	"github.com/coax-index/coax/internal/workload"
-	"math/rand"
 )
 
 const benchRows = 100000
@@ -33,18 +39,24 @@ var (
 	sink int
 
 	benchOnce    sync.Once
-	airlineTab   *dataset.Table
-	osmTab       *dataset.Table
-	airlineCOAX  *core.COAX
-	osmCOAX      *core.COAX
-	airlineRTree *rtree.RTree
-	osmRTree     *rtree.RTree
-	airlineGrid  *gridfile.GridFile
-	osmGrid      *gridfile.GridFile
-
-	airlineRange, airlinePoint []index.Rect
-	osmRange, osmPoint         []index.Rect
+	benchErr     error
+	airline, osm *benchData
 )
+
+// benchData is one dataset with its COAX index, the paper's baselines and
+// its query workloads.
+type benchData struct {
+	name string
+	tab  *dataset.Table
+	opt  core.Options
+
+	coax  *core.COAX
+	rtree *rtree.RTree
+	grid  *gridfile.GridFile // Full Grid
+	cols  *gridfile.GridFile // Column Files
+
+	rangeQ, pointQ []index.Rect
+}
 
 func airlineOptions() core.Options {
 	opt := core.DefaultOptions()
@@ -55,245 +67,366 @@ func airlineOptions() core.Options {
 func setup(b *testing.B) {
 	b.Helper()
 	benchOnce.Do(func() {
-		airlineTab = dataset.GenerateAirline(dataset.DefaultAirlineConfig(benchRows))
-		osmTab = dataset.GenerateOSM(dataset.DefaultOSMConfig(benchRows))
-
-		var err error
-		airlineCOAX, err = core.Build(airlineTab, airlineOptions())
-		if err != nil {
-			panic(err)
+		airline, benchErr = newBenchData("Airline", dataset.GenerateAirline(dataset.DefaultAirlineConfig(benchRows)), airlineOptions())
+		if benchErr == nil {
+			osm, benchErr = newBenchData("OSM", dataset.GenerateOSM(dataset.DefaultOSMConfig(benchRows)), core.DefaultOptions())
 		}
-		osmCOAX, err = core.Build(osmTab, core.DefaultOptions())
-		if err != nil {
-			panic(err)
-		}
-		airlineRTree, err = rtree.Bulk(airlineTab, rtree.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		osmRTree, err = rtree.Bulk(osmTab, rtree.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		airlineGrid, err = unigrid.Build(airlineTab, 5)
-		if err != nil {
-			panic(err)
-		}
-		osmGrid, err = unigrid.Build(osmTab, 32)
-		if err != nil {
-			panic(err)
-		}
-
-		ag := workload.NewGenerator(airlineTab, 42)
-		og := workload.NewGenerator(osmTab, 42)
-		airlineRange = ag.KNNRects(64, 1000)
-		airlinePoint = ag.PointQueries(64)
-		osmRange = og.KNNRects(64, 1000)
-		osmPoint = og.PointQueries(64)
 	})
+	if benchErr != nil {
+		b.Fatal(benchErr)
+	}
 }
 
-func benchQueries(b *testing.B, idx index.Interface, queries []index.Rect) {
+// newBenchData builds every index over tab and draws its workloads. The
+// baseline grids take as many cells per axis as §8.2.1's memory rule
+// allows.
+func newBenchData(name string, tab *dataset.Table, opt core.Options) (*benchData, error) {
+	d := &benchData{name: name, tab: tab, opt: opt}
+	var err error
+	if d.coax, err = core.Build(tab, opt); err != nil {
+		return nil, err
+	}
+	if d.rtree, err = rtree.Bulk(tab, rtree.DefaultConfig()); err != nil {
+		return nil, err
+	}
+	n := tab.Dims()
+	if d.grid, err = buildBaseline(tab, fullGrid(n, gridfile.DirectoryBoundedCells(n, tab.SizeBytes()))); err != nil {
+		return nil, err
+	}
+	if d.cols, err = buildBaseline(tab, columnFiles(n, gridfile.DirectoryBoundedCells(n-1, tab.SizeBytes()))); err != nil {
+		return nil, err
+	}
+	gen := workload.NewGenerator(tab, 42)
+	d.rangeQ = gen.KNNRects(64, 1000)
+	d.pointQ = gen.PointQueries(64)
+	return d, nil
+}
+
+// fullGrid is the Full Grid baseline of §8.1.3: every column cut into
+// cells equal-width cells, with no order inside a cell.
+func fullGrid(dims, cells int) gridfile.Config {
+	return gridfile.Config{
+		GridDims: columns(dims, -1), SortDim: -1,
+		CellsPerDim: cells, Mode: gridfile.Uniform, Label: "FullGrid",
+	}
+}
+
+// columnFiles is the Column Files baseline of §8.1.3: quantile cells on
+// every column but the first, and the rows of a cell sorted on the first.
+func columnFiles(dims, cells int) gridfile.Config {
+	return gridfile.Config{
+		GridDims: columns(dims, 0), SortDim: 0,
+		CellsPerDim: cells, Mode: gridfile.Quantile, Label: "ColumnFiles",
+	}
+}
+
+// columns lists the columns 0..dims-1 other than skip.
+func columns(dims, skip int) []int {
+	out := make([]int, 0, dims)
+	for i := range dims {
+		if i != skip {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// buildBaseline builds a baseline grid and holds it to §8.2.1's memory
+// rule: its directory must not outweigh the table it indexes.
+func buildBaseline(tab *dataset.Table, cfg gridfile.Config) (*gridfile.GridFile, error) {
+	g, err := gridfile.Build(tab, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if g.MemoryOverhead() > tab.SizeBytes() {
+		return nil, fmt.Errorf("%s at %d cells per axis: directory %d B exceeds the table's %d B",
+			cfg.Label, cfg.CellsPerDim, g.MemoryOverhead(), tab.SizeBytes())
+	}
+	return g, nil
+}
+
+// benchCount times count over the queries in turn and reports the matches
+// per query and the directory bytes of the structure it probes.
+func benchCount(b *testing.B, queries []index.Rect, dirBytes int64, count func(index.Rect) int) {
 	b.Helper()
 	b.ResetTimer()
 	matches := 0
 	for i := 0; i < b.N; i++ {
-		matches += index.Count(idx, queries[i%len(queries)])
+		matches += count(queries[i%len(queries)])
 	}
 	sink = matches
 	b.ReportMetric(float64(matches)/float64(b.N), "matches/query")
+	b.ReportMetric(float64(dirBytes), "dir-bytes")
 }
 
-// BenchmarkTable1PrimaryRatio regenerates Table 1's primary-index ratios:
-// the build cost is the measured operation, and the ratios are attached as
-// metrics.
-func BenchmarkTable1PrimaryRatio(b *testing.B) {
+func benchQueries(b *testing.B, idx index.Interface, queries []index.Rect) {
+	b.Helper()
+	benchCount(b, queries, idx.MemoryOverhead(), func(q index.Rect) int { return index.Count(idx, q) })
+}
+
+// benchPartitions runs the "COAX (primary)" and "COAX (outliers)" series
+// of Figures 6 and 7: the primary grid probed with the translated
+// rectangle clipped to the query, the outlier index with the query itself.
+func benchPartitions(b *testing.B, cx *core.COAX, queries []index.Rect) {
+	b.Run("COAXPrimary", func(b *testing.B) {
+		benchCount(b, queries, cx.PrimaryMemoryOverhead(), func(q index.Rect) int {
+			routed, feasible := cx.Translate(q)
+			if !feasible || cx.Primary() == nil {
+				return 0
+			}
+			return index.Count(cx.Primary(), routed.Intersect(q))
+		})
+	})
+	b.Run("COAXOutliers", func(b *testing.B) {
+		benchCount(b, queries, cx.OutlierMemoryOverhead(), func(q index.Rect) int {
+			if cx.Outliers() == nil {
+				return 0
+			}
+			return index.Count(cx.Outliers(), q)
+		})
+	})
+}
+
+// BenchmarkTable1 regenerates Table 1 for both datasets: the build is the
+// measured operation, and the table's columns are attached as metrics
+// (the correlated groups, predictor starred, go to the log).
+func BenchmarkTable1(b *testing.B) {
 	setup(b)
-	for i := 0; i < b.N; i++ {
-		cx, err := core.Build(airlineTab, airlineOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := cx.BuildStats()
-		b.ReportMetric(st.PrimaryRatio, "airline-primary-ratio")
-		b.ReportMetric(float64(st.DependentDims), "airline-dependent-dims")
+	for _, d := range []*benchData{airline, osm} {
+		b.Run(d.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cx, err := core.Build(d.tab, d.opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st := cx.BuildStats()
+				b.ReportMetric(float64(st.Rows), "rows")
+				b.ReportMetric(float64(st.Dims), "dims")
+				b.ReportMetric(float64(len(st.Groups)), "fd-groups")
+				b.ReportMetric(float64(st.DependentDims), "dependent-dims")
+				b.ReportMetric(float64(st.IndexedDims), "indexed-dims")
+				b.ReportMetric(float64(st.GridDims), "grid-dims")
+				b.ReportMetric(st.PrimaryRatio, "primary-ratio")
+				if i == 0 {
+					b.Logf("correlated groups: %s", describeGroups(st.Groups, d.tab.Cols))
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkFig4aPageLengths builds the 2-D OSM grid of Figure 4a and
-// reports the skew of its page-length distribution.
+// describeGroups renders groups as "(a*, b, c); (d*, e)", the predictor
+// of each group starred.
+func describeGroups(groups []softfd.Group, cols []string) string {
+	if len(groups) == 0 {
+		return "none"
+	}
+	var parts []string
+	for _, g := range groups {
+		names := make([]string, len(g.Members))
+		for j, m := range g.Members {
+			names[j] = cols[m]
+			if m == g.Predictor {
+				names[j] += "*"
+			}
+		}
+		parts = append(parts, "("+strings.Join(names, ", ")+")")
+	}
+	return strings.Join(parts, "; ")
+}
+
+// BenchmarkFig4aPageLengths builds the 2-D OSM grid of Figure 4a (lat/lon,
+// 32×32 quantile cells) and summarises its page-length distribution.
 func BenchmarkFig4aPageLengths(b *testing.B) {
 	setup(b)
 	for i := 0; i < b.N; i++ {
-		g, err := gridfile.Build(osmTab, gridfile.Config{
+		g, err := gridfile.Build(osm.tab, gridfile.Config{
 			GridDims: []int{2, 3}, SortDim: -1, CellsPerDim: 32, Mode: gridfile.Quantile,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		sizes := g.CellSizes()
-		maxSize, sum := 0, 0
+		sizes := slices.Clone(g.CellSizes())
+		slices.Sort(sizes)
+		empty := 0
 		for _, s := range sizes {
-			sum += s
-			if s > maxSize {
-				maxSize = s
+			if s == 0 {
+				empty++
 			}
 		}
-		mean := float64(sum) / float64(len(sizes))
-		b.ReportMetric(float64(maxSize)/mean, "max/mean-page-length")
+		at := func(q float64) float64 { return float64(sizes[int(q*float64(len(sizes)-1))]) }
+		mean := float64(osm.tab.Len()) / float64(len(sizes))
+		b.ReportMetric(float64(len(sizes)), "pages")
+		b.ReportMetric(float64(empty)/float64(len(sizes)), "empty-page-share")
+		b.ReportMetric(mean, "mean-page-length")
+		b.ReportMetric(at(0.5), "p50-page-length")
+		b.ReportMetric(at(0.9), "p90-page-length")
+		b.ReportMetric(at(0.99), "p99-page-length")
+		b.ReportMetric(at(1), "max-page-length")
+		b.ReportMetric(at(1)/mean, "max/mean-page-length")
 	}
 }
 
 // Figure 6: point and range queries on both datasets, one sub-benchmark
-// per (workload, index) cell of the figure.
+// per (workload, index) cell of the figure, COAX's two partitions apart.
 func BenchmarkFig6(b *testing.B) {
 	setup(b)
-	cases := []struct {
-		name    string
-		idx     index.Interface
-		queries []index.Rect
-	}{
-		{"AirlineRange/COAX", airlineCOAX, airlineRange},
-		{"AirlineRange/RTree", airlineRTree, airlineRange},
-		{"AirlineRange/FullGrid", airlineGrid, airlineRange},
-		{"AirlineRange/FullScan", scan.New(airlineTab), airlineRange},
-		{"AirlinePoint/COAX", airlineCOAX, airlinePoint},
-		{"AirlinePoint/RTree", airlineRTree, airlinePoint},
-		{"AirlinePoint/FullGrid", airlineGrid, airlinePoint},
-		{"AirlinePoint/FullScan", scan.New(airlineTab), airlinePoint},
-		{"OSMRange/COAX", osmCOAX, osmRange},
-		{"OSMRange/RTree", osmRTree, osmRange},
-		{"OSMRange/FullGrid", osmGrid, osmRange},
-		{"OSMRange/FullScan", scan.New(osmTab), osmRange},
-		{"OSMPoint/COAX", osmCOAX, osmPoint},
-		{"OSMPoint/RTree", osmRTree, osmPoint},
-		{"OSMPoint/FullGrid", osmGrid, osmPoint},
-		{"OSMPoint/FullScan", scan.New(osmTab), osmPoint},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) { benchQueries(b, c.idx, c.queries) })
+	for _, d := range []*benchData{airline, osm} {
+		for _, w := range []struct {
+			name    string
+			queries []index.Rect
+		}{{"Range", d.rangeQ}, {"Point", d.pointQ}} {
+			b.Run(d.name+w.name, func(b *testing.B) {
+				for _, idx := range []index.Interface{d.coax, d.rtree, d.grid, scan.New(d.tab)} {
+					b.Run(idx.Name(), func(b *testing.B) { benchQueries(b, idx, w.queries) })
+				}
+				benchPartitions(b, d.coax, w.queries)
+			})
+		}
 	}
 }
 
 // Figure 7: range queries at the paper's four selectivity levels on the
-// airline data, COAX vs R-Tree vs Column Files.
+// airline data ({35K, 150K, 750K, 1.5M} of 7M rows, as fractions of
+// benchRows), COAX vs R-Tree vs Column Files.
 func BenchmarkFig7Selectivity(b *testing.B) {
 	setup(b)
-	gen := workload.NewGenerator(airlineTab, 7)
-	cf, err := gridfile.Build(airlineTab, gridfile.Config{
-		GridDims: []int{1, 2, 3, 4, 5, 6, 7}, SortDim: 0,
-		CellsPerDim: 4, Mode: gridfile.Quantile, Label: "ColumnFiles",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	gen := workload.NewGenerator(airline.tab, 7)
 	for _, sel := range []struct {
 		name string
 		frac float64
 	}{
 		{"0.5pct", 0.005}, {"2.1pct", 0.0214}, {"10.7pct", 0.107}, {"21.4pct", 0.214},
 	} {
-		target := int(sel.frac * float64(airlineTab.Len()))
+		target := int(sel.frac * float64(airline.tab.Len()))
 		queries, err := gen.SelectivityRects(32, target)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(sel.name+"/COAX", func(b *testing.B) { benchQueries(b, airlineCOAX, queries) })
-		b.Run(sel.name+"/RTree", func(b *testing.B) { benchQueries(b, airlineRTree, queries) })
-		b.Run(sel.name+"/ColumnFiles", func(b *testing.B) { benchQueries(b, cf, queries) })
+		b.Run(sel.name, func(b *testing.B) {
+			for _, idx := range []index.Interface{airline.coax, airline.rtree, airline.cols} {
+				b.Run(idx.Name(), func(b *testing.B) { benchQueries(b, idx, queries) })
+			}
+			benchPartitions(b, airline.coax, queries)
+		})
 	}
 }
 
-// Figure 8: the runtime/memory trade-off — each sub-benchmark reports its
-// directory bytes (COAX also its primary and outlier directories' shares)
-// as metrics next to its latency. PrimaryCellsPerDim caps each primary
-// axis; a column with fewer values than the cap (airline's dayofweek has 7,
-// carrier 18) gets one cell per value.
+// Figure 8: the runtime/memory trade-off on both datasets — each
+// sub-benchmark reports its directory bytes (COAX also its primary and
+// outlier directories' shares) next to its latency. PrimaryCellsPerDim
+// caps each primary axis; a column with fewer values than the cap
+// (airline's dayofweek has 7, carrier 18) gets one cell per value. The
+// Column Files series ends at the memory rule's cell count.
 func BenchmarkFig8MemoryTradeoff(b *testing.B) {
 	setup(b)
-	for _, cells := range []int{4, 16, 64} {
-		opt := airlineOptions()
-		opt.PrimaryCellsPerDim = cells
-		cx, err := core.Build(airlineTab, opt)
-		if err != nil {
-			b.Fatal(err)
+	for _, d := range []*benchData{airline, osm} {
+		for _, cells := range []int{4, 16, 64} {
+			opt := d.opt
+			opt.PrimaryCellsPerDim = cells
+			cx, err := core.Build(d.tab, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/COAX/%d", d.name, cells), func(b *testing.B) {
+				benchQueries(b, cx, d.rangeQ) // resets the timer, which drops metrics reported before it
+				b.ReportMetric(float64(cx.PrimaryMemoryOverhead()), "primary-dir-bytes")
+				b.ReportMetric(float64(cx.OutlierMemoryOverhead()), "outlier-dir-bytes")
+			})
 		}
-		b.Run(sprintfCells("COAX", cells), func(b *testing.B) {
-			benchQueries(b, cx, airlineRange) // resets the timer, which drops metrics reported before it
-			b.ReportMetric(float64(cx.MemoryOverhead()), "dir-bytes")
-			b.ReportMetric(float64(cx.PrimaryMemoryOverhead()), "primary-dir-bytes")
-			b.ReportMetric(float64(cx.OutlierMemoryOverhead()), "outlier-dir-bytes")
-		})
-	}
-	for _, capEntries := range []int{4, 16, 32} {
-		rt, err := rtree.Bulk(airlineTab, rtree.Config{MaxEntries: capEntries})
-		if err != nil {
-			b.Fatal(err)
+		bound := gridfile.DirectoryBoundedCells(d.tab.Dims()-1, d.tab.SizeBytes())
+		sweep := slices.DeleteFunc([]int{2, 4, 8, 16, 32, 64}, func(c int) bool { return c >= bound })
+		for _, cells := range append(sweep, bound) {
+			cf, err := buildBaseline(d.tab, columnFiles(d.tab.Dims(), cells))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/ColumnFiles/%d", d.name, cells), func(b *testing.B) { benchQueries(b, cf, d.rangeQ) })
 		}
-		b.Run(sprintfCells("RTree", capEntries), func(b *testing.B) {
-			benchQueries(b, rt, airlineRange)
-			b.ReportMetric(float64(rt.MemoryOverhead()), "dir-bytes")
-		})
+		for _, capEntries := range []int{4, 16, 32} {
+			rt, err := rtree.Bulk(d.tab, rtree.Config{MaxEntries: capEntries})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/RTree/%d", d.name, capEntries), func(b *testing.B) { benchQueries(b, rt, d.rangeQ) })
+		}
 	}
 }
 
-func sprintfCells(prefix string, n int) string {
-	return prefix + "/" + itoa(n)
+// rangeTimes times COAX, the R-tree and the full grid on each range
+// rectangle in turn, so that a drift of the machine during the loop falls
+// on all three alike.
+func (d *benchData) rangeTimes() (coaxT, rtreeT, gridT time.Duration) {
+	for _, q := range d.rangeQ {
+		t0 := time.Now()
+		sink += index.Count(d.coax, q)
+		t1 := time.Now()
+		sink += index.Count(d.rtree, q)
+		t2 := time.Now()
+		sink += index.Count(d.grid, q)
+		coaxT, rtreeT, gridT = coaxT+t1.Sub(t0), rtreeT+t2.Sub(t1), gridT+time.Since(t2)
+	}
+	return coaxT, rtreeT, gridT
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// BenchmarkHeadline measures the paper's two headline claims on the
+// airline data: lookups about 25 % faster than the best conventional
+// baseline, and a directory orders of magnitude smaller. The paper.*
+// metrics are the quantities bench/coaxperf's trace reports under the
+// same names on the served index.
+func BenchmarkHeadline(b *testing.B) {
+	setup(b)
+	var coaxT, rtreeT, gridT time.Duration
+	for i := 0; i < b.N; i++ {
+		c, r, g := airline.rangeTimes()
+		coaxT, rtreeT, gridT = coaxT+c, rtreeT+r, gridT+g
 	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	queries := float64(b.N * len(airline.rangeQ))
+	b.ReportMetric(float64(coaxT.Nanoseconds())/queries, "coax-ns/query")
+	b.ReportMetric(float64(rtreeT.Nanoseconds())/queries, "rtree-ns/query")
+	b.ReportMetric(float64(gridT.Nanoseconds())/queries, "fullgrid-ns/query")
+	b.ReportMetric(float64(rtreeT)/float64(coaxT), "paper.coax_vs_rtree_speedup")
+	b.ReportMetric(float64(gridT)/float64(coaxT), "paper.coax_vs_fullgrid_speedup")
+	b.ReportMetric(float64(min(rtreeT, gridT))/float64(coaxT), "coax-vs-best-baseline-speedup")
+	dir := float64(airline.coax.MemoryOverhead())
+	b.ReportMetric(dir, "coax-dir-bytes")
+	b.ReportMetric(float64(airline.rtree.MemoryOverhead()), "rtree-dir-bytes")
+	b.ReportMetric(float64(airline.grid.MemoryOverhead()), "fullgrid-dir-bytes")
+	b.ReportMetric(float64(airline.rtree.MemoryOverhead())/dir, "paper.rtree_over_coax_overhead")
+	b.ReportMetric(float64(airline.grid.MemoryOverhead())/dir, "fullgrid-over-coax-overhead")
 }
 
-// Ablation: in-cell sorted dimension on vs off (DESIGN.md §5). Without the
-// sorted dimension the primary grid needs an extra grid axis and loses the
+// Ablation: in-cell sorted dimension on vs off. Without the sorted
+// dimension the primary grid needs an extra grid axis and loses the
 // binary-search entry point.
 func BenchmarkAblationSortedDim(b *testing.B) {
 	setup(b)
-	on := airlineCOAX
 	optOff := airlineOptions()
 	optOff.DisableSortDim = true
-	off, err := core.Build(airlineTab, optOff)
+	off, err := core.Build(airline.tab, optOff)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("SortedDimOn", func(b *testing.B) { benchQueries(b, on, airlineRange) })
-	b.Run("SortedDimOff", func(b *testing.B) { benchQueries(b, off, airlineRange) })
+	b.Run("SortedDimOn", func(b *testing.B) { benchQueries(b, airline.coax, airline.rangeQ) })
+	b.Run("SortedDimOff", func(b *testing.B) { benchQueries(b, off, airline.rangeQ) })
 }
 
 // Ablation: R-tree vs grid-file outlier index.
 func BenchmarkAblationOutlierKind(b *testing.B) {
 	setup(b)
-	optRT := airlineOptions()
-	optRT.OutlierKind = core.OutlierRTree
-	rtVariant, err := core.Build(airlineTab, optRT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	optGrid := airlineOptions()
-	optGrid.OutlierKind = core.OutlierGrid
-	gridVariant, err := core.Build(airlineTab, optGrid)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, v := range []struct {
 		name string
-		cx   *core.COAX
-	}{{"OutlierRTree", rtVariant}, {"OutlierGrid", gridVariant}} {
+		kind core.OutlierIndexKind
+	}{{"OutlierRTree", core.OutlierRTree}, {"OutlierGrid", core.OutlierGrid}} {
+		opt := airlineOptions()
+		opt.OutlierKind = v.kind
+		cx, err := core.Build(airline.tab, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(v.name, func(b *testing.B) {
-			benchQueries(b, v.cx, airlineRange)
-			b.ReportMetric(float64(v.cx.MemoryOverhead()), "dir-bytes")
-			b.ReportMetric(float64(v.cx.OutlierMemoryOverhead()), "outlier-dir-bytes")
+			benchQueries(b, cx, airline.rangeQ)
+			b.ReportMetric(float64(cx.OutlierMemoryOverhead()), "outlier-dir-bytes")
 		})
 	}
 }
@@ -304,9 +437,10 @@ func BenchmarkAblationOutlierKind(b *testing.B) {
 // would have to do.
 func BenchmarkAblationTranslation(b *testing.B) {
 	setup(b)
-	deps := airlineCOAX.FD().DependentColumns()
-	stripped := make([]index.Rect, len(airlineRange))
-	for i, q := range airlineRange {
+	cx, queries := airline.coax, airline.rangeQ
+	deps := cx.FD().DependentColumns()
+	stripped := make([]index.Rect, len(queries))
+	for i, q := range queries {
 		s := q.Clone()
 		for d := range deps {
 			s.Min[d] = math.Inf(-1)
@@ -314,15 +448,15 @@ func BenchmarkAblationTranslation(b *testing.B) {
 		}
 		stripped[i] = s
 	}
-	b.Run("WithTranslation", func(b *testing.B) { benchQueries(b, airlineCOAX, airlineRange) })
+	b.Run("WithTranslation", func(b *testing.B) { benchQueries(b, cx, queries) })
 	b.Run("WithoutTranslation", func(b *testing.B) {
 		b.ResetTimer()
 		matches := 0
 		for i := 0; i < b.N; i++ {
-			orig := airlineRange[i%len(airlineRange)]
+			orig := queries[i%len(queries)]
 			probe := stripped[i%len(stripped)]
 			n := 0
-			if p := airlineCOAX.Primary(); p != nil {
+			if p := cx.Primary(); p != nil {
 				p.Scan(probe, func(row []float64) bool {
 					if orig.Contains(row) {
 						n++
@@ -330,7 +464,7 @@ func BenchmarkAblationTranslation(b *testing.B) {
 					return true
 				}, nil)
 			}
-			if o := airlineCOAX.Outliers(); o != nil {
+			if o := cx.Outliers(); o != nil {
 				o.Scan(orig, func([]float64) bool { n++; return true }, nil)
 			}
 			matches += n
@@ -339,17 +473,59 @@ func BenchmarkAblationTranslation(b *testing.B) {
 	})
 }
 
-// Theorem 7.1 as a benchmark: mean first-exit-time measurement, with the
-// theoretical prediction attached for comparison.
+// BenchmarkEq5Effectiveness checks Eq. 5, effectiveness = qy/(2ε+qy),
+// against a simulation of the translated scan over a band of 200 000
+// points.
+func BenchmarkEq5Effectiveness(b *testing.B) {
+	for _, eps := range []float64{5, 20, 50, 100, 200} {
+		for _, qy := range []float64{100, 400} {
+			b.Run(fmt.Sprintf("eps=%g/qy=%g", eps, qy), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(42))
+				for i := 0; i < b.N; i++ {
+					sim, err := theory.EmpiricalEffectiveness(2, eps, qy, 10000, 200000, rng)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(sim, "simulated-effectiveness")
+					b.ReportMetric(theory.Effectiveness(qy, eps), "theory-effectiveness")
+				}
+			})
+		}
+	}
+}
+
+// Theorems 7.1 and 7.3: mean and variance of the keys one linear segment
+// covers (the first exit time of the CSM random walk), measured over 2 000
+// walks with the theorems' predictions attached.
 func BenchmarkTheoremMFET(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
 	dist := theory.GapDist{Kind: theory.GapNormal, Mu: 1, Sigma: 0.5}
-	const eps = 10.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := theory.MeasureMFET(dist, dist.Mu, eps, 200, rng)
-		b.ReportMetric(m.Mean, "measured-keys/segment")
-		b.ReportMetric(theory.TheoremMFET(eps, dist.Sigma), "theory-keys/segment")
+	for _, eps := range []float64{5, 10, 20, 40} {
+		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			for i := 0; i < b.N; i++ {
+				m := theory.MeasureMFET(dist, dist.Mu, eps, 2000, rng)
+				b.ReportMetric(m.Mean, "measured-keys/segment")
+				b.ReportMetric(theory.TheoremMFET(eps, dist.Sigma), "theory-keys/segment")
+				b.ReportMetric(m.Variance, "measured-variance")
+				b.ReportMetric(theory.TheoremMFETVariance(eps, dist.Sigma), "theory-variance")
+			}
+		})
+	}
+}
+
+// Theorem 7.4: the segments needed to cover a stream of n keys, n·σ²/ε².
+func BenchmarkTheoremSegments(b *testing.B) {
+	dist := theory.GapDist{Kind: theory.GapNormal, Mu: 1, Sigma: 0.5}
+	for _, n := range []int{100000, 1000000} {
+		for _, eps := range []float64{5, 10, 20} {
+			b.Run(fmt.Sprintf("n=%d/eps=%g", n, eps), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(42))
+				for i := 0; i < b.N; i++ {
+					b.ReportMetric(float64(theory.CountSegments(dist, dist.Mu, eps, n, rng)), "measured-segments")
+					b.ReportMetric(theory.TheoremSegments(n, eps, dist.Sigma), "theory-segments")
+				}
+			})
+		}
 	}
 }
 
@@ -357,7 +533,7 @@ func BenchmarkTheoremMFET(b *testing.B) {
 func BenchmarkBuildCOAXAirline(b *testing.B) {
 	setup(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(airlineTab, airlineOptions()); err != nil {
+		if _, err := core.Build(airline.tab, airlineOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +542,7 @@ func BenchmarkBuildCOAXAirline(b *testing.B) {
 func BenchmarkBuildRTreeAirline(b *testing.B) {
 	setup(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := rtree.Bulk(airlineTab, rtree.DefaultConfig()); err != nil {
+		if _, err := rtree.Bulk(airline.tab, rtree.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,7 +553,7 @@ func BenchmarkSoftFDDetect(b *testing.B) {
 	cfg := softfd.DefaultConfig()
 	cfg.ExcludeCols = []int{dataset.AirDayOfWeek, dataset.AirCarrier}
 	for i := 0; i < b.N; i++ {
-		if _, err := softfd.Detect(airlineTab, cfg); err != nil {
+		if _, err := softfd.Detect(airline.tab, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -388,13 +564,13 @@ func BenchmarkSoftFDDetect(b *testing.B) {
 // rectangle, on the airline COAX index.
 func BenchmarkQueryV2Limit(b *testing.B) {
 	setup(b)
-	gen := workload.NewGenerator(airlineTab, 7)
+	gen := workload.NewGenerator(airline.tab, 7)
 	rects := gen.KNNRects(32, 5000)
 	collect := func(b *testing.B, keep index.RowsState) {
 		rows := 0
 		for i := 0; i < b.N; i++ {
 			st := keep
-			airlineCOAX.ExecAgg(rects[i%len(rects)], index.Spec{}, &st, nil)
+			airline.coax.ExecAgg(rects[i%len(rects)], index.Spec{}, &st, nil)
 			rows += st.Held()
 		}
 		sink = rows

@@ -12,38 +12,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 
-	"github.com/coax-index/coax/internal/bench"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/softfd"
 )
 
 func main() {
-	var (
-		sample  = flag.Int("sample", 20000, "detection sample size")
-		minR2   = flag.Float64("minr2", 0.75, "minimum inlier-band R² to accept a dependency")
-		maxFrac = flag.Float64("maxmargin", 0.30, "maximum total margin as a fraction of the dependent range")
-		exclude = flag.String("exclude", "", "comma-separated column indices to skip (categoricals)")
-		seed    = flag.Int64("seed", 42, "sampling seed")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fdscan [flags] data.csv")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fatal(err)
+// run is fdscan with its arguments and output streams passed in; it
+// returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fdscan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		sample  = fs.Int("sample", 20000, "detection sample size")
+		minR2   = fs.Float64("minr2", 0.75, "minimum inlier-band R² to accept a dependency")
+		maxFrac = fs.Float64("maxmargin", 0.30, "maximum total margin as a fraction of the dependent range")
+		exclude = fs.String("exclude", "", "comma-separated column indices to skip (categoricals)")
+		seed    = fs.Int64("seed", 42, "sampling seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	defer f.Close()
-	tab, err := dataset.ReadCSV(f)
-	if err != nil {
-		fatal(err)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: fdscan [flags] data.csv")
+		fs.PrintDefaults()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fdscan:", err)
+		return 1
 	}
 
 	cfg := softfd.DefaultConfig()
@@ -55,48 +60,50 @@ func main() {
 		for _, part := range strings.Split(*exclude, ",") {
 			c, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				fatal(fmt.Errorf("bad -exclude entry %q: %w", part, err))
+				return fail(fmt.Errorf("bad -exclude entry %q: %w", part, err))
 			}
 			cfg.ExcludeCols = append(cfg.ExcludeCols, c)
 		}
 	}
 
+	f, err := os.Open(fs.Arg(0))
+	if err != nil {
+		return fail(err)
+	}
+	defer f.Close()
+	tab, err := dataset.ReadCSV(f)
+	if err != nil {
+		return fail(err)
+	}
 	res, err := softfd.Detect(tab, cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	fmt.Printf("scanned %d rows x %d columns (%s)\n", tab.Len(), tab.Dims(), flag.Arg(0))
+	fmt.Fprintf(stdout, "scanned %d rows x %d columns (%s)\n", tab.Len(), tab.Dims(), fs.Arg(0))
 
-	pairs := bench.NewTable("accepted soft FDs (X → D means X predicts D)",
-		"X", "D", "slope", "intercept", "epsLB", "epsUB", "R2(inliers)", "inlier%")
+	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "\n== accepted soft FDs (X → D means X predicts D) ==")
+	fmt.Fprintln(tw, "X\tD\tslope\tintercept\tepsLB\tepsUB\tR2(inliers)\tinlier%")
 	for _, p := range res.Pairs {
-		pairs.Add(tab.Cols[p.X], tab.Cols[p.D],
-			fmt.Sprintf("%.5g", p.Model.Slope),
-			fmt.Sprintf("%.5g", p.Model.Intercept),
-			fmt.Sprintf("%.4g", p.EpsLB),
-			fmt.Sprintf("%.4g", p.EpsUB),
-			fmt.Sprintf("%.3f", p.R2),
-			fmt.Sprintf("%.1f%%", p.Inlier*100))
+		fmt.Fprintf(tw, "%s\t%s\t%.5g\t%.5g\t%.4g\t%.4g\t%.3f\t%.1f%%\n",
+			tab.Cols[p.X], tab.Cols[p.D], p.Model.Slope, p.Model.Intercept,
+			p.EpsLB, p.EpsUB, p.R2, p.Inlier*100)
 	}
-	pairs.Fprint(os.Stdout)
+	tw.Flush()
 
-	groups := bench.NewTable("merged groups (one predictor per group)",
-		"predictor", "dependents")
+	fmt.Fprintln(tw, "\n== merged groups (one predictor per group) ==")
+	fmt.Fprintln(tw, "predictor\tdependents")
 	for _, g := range res.Groups {
 		deps := make([]string, 0, len(g.Members)-1)
 		for _, d := range g.Dependents() {
 			deps = append(deps, tab.Cols[d])
 		}
-		groups.Add(tab.Cols[g.Predictor], strings.Join(deps, ", "))
+		fmt.Fprintf(tw, "%s\t%s\n", tab.Cols[g.Predictor], strings.Join(deps, ", "))
 	}
-	groups.Fprint(os.Stdout)
+	tw.Flush()
 	if len(res.Groups) == 0 {
-		fmt.Println("\nno soft functional dependencies detected")
+		fmt.Fprintln(stdout, "\nno soft functional dependencies detected")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fdscan:", err)
-	os.Exit(1)
+	return 0
 }

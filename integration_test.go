@@ -1,11 +1,12 @@
 package benchmarks
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
-	"github.com/coax-index/coax/internal/colfiles"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/gridfile"
@@ -14,7 +15,6 @@ import (
 	"github.com/coax-index/coax/internal/scan"
 	"github.com/coax-index/coax/internal/softfd"
 	"github.com/coax-index/coax/internal/theory"
-	"github.com/coax-index/coax/internal/unigrid"
 	"github.com/coax-index/coax/internal/workload"
 )
 
@@ -35,11 +35,11 @@ func TestAllIndexesAgreeOnAirline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fg, err := unigrid.Build(tab, 4)
+	fg, err := gridfile.Build(tab, fullGrid(tab.Dims(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := colfiles.Build(tab, 3, 0)
+	cf, err := gridfile.Build(tab, columnFiles(tab.Dims(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAllIndexesAgreeOnOSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fg, err := unigrid.Build(tab, 12)
+	fg, err := gridfile.Build(tab, fullGrid(tab.Dims(), 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func TestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestExperimentPipelinesSmoke exercises each experiment's computational
-// path at tiny scale so a broken experiment fails in `go test`, not only
-// when someone runs coaxbench.
+// TestExperimentPipelinesSmoke exercises the computational path of each
+// benchmark in bench_test.go at tiny scale, so a broken figure fails in
+// `go test`, not only under -bench.
 func TestExperimentPipelinesSmoke(t *testing.T) {
 	air := dataset.GenerateAirline(dataset.DefaultAirlineConfig(5000))
 	osm := dataset.GenerateOSM(dataset.DefaultOSMConfig(5000))
@@ -149,14 +149,34 @@ func TestExperimentPipelinesSmoke(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.SoftFD.SampleCount = 3000
 	opt.SoftFD.ExcludeCols = []int{dataset.AirDayOfWeek, dataset.AirCarrier}
-	cx, err := core.Build(air, opt)
-	if err != nil {
-		t.Fatal(err)
+	var d *benchData
+	t.Run("baselines", func(t *testing.T) {
+		var err error
+		if d, err = newBenchData("Airline", air, opt); err != nil { // fails on a baseline over the memory rule
+			t.Fatal(err)
+		}
+		for _, ix := range []index.Interface{d.coax, d.rtree, d.grid, d.cols} {
+			if ix.Len() != air.Len() {
+				t.Errorf("%s holds %d rows, want %d", ix.Name(), ix.Len(), air.Len())
+			}
+		}
+	})
+	if d == nil {
+		t.FailNow()
 	}
+	cx := d.coax
 	st := cx.BuildStats()
 	if st.Rows != 5000 || st.PrimaryRatio <= 0 || st.PrimaryRatio > 1 {
 		t.Errorf("airline stats implausible: %+v", st)
 	}
+	t.Run("describe-groups", func(t *testing.T) {
+		if g := describeGroups(st.Groups, air.Cols); len(st.Groups) == 0 || strings.Count(g, "*") != len(st.Groups) {
+			t.Errorf("correlated groups %q: want one starred predictor per group", g)
+		}
+		if g := describeGroups(nil, air.Cols); g != "none" {
+			t.Errorf("no groups render as %q, want none", g)
+		}
+	})
 
 	// Fig 4a path: cell-size distribution of a 2-D OSM grid.
 	g, err := gridfile.Build(osm, gridfile.Config{
@@ -199,8 +219,14 @@ func TestExperimentPipelinesSmoke(t *testing.T) {
 	if s := theory.CountSegments(dist, 1, 5, 10000, rng); s < 1 {
 		t.Error("segment count must be ≥ 1")
 	}
-	if eff, err := theory.EmpiricalEffectiveness(2, 10, 50, 1000, 20000, rng); err != nil || eff <= 0 || eff > 1 {
-		t.Errorf("effectiveness simulation: %g, %v", eff, err)
+	// Eq. 5 path: the simulated translated scan lands near the closed form.
+	if eff, err := theory.EmpiricalEffectiveness(2, 10, 50, 1000, 20000, rng); err != nil || math.Abs(eff-theory.Effectiveness(50, 10)) > 0.1 {
+		t.Errorf("effectiveness simulation: %g, %v; Eq. 5 gives %g", eff, err, theory.Effectiveness(50, 10))
+	}
+
+	// Headline path: COAX, the R-tree and the full grid timed in turn.
+	if c, r, g := d.rangeTimes(); c <= 0 || r <= 0 || g <= 0 {
+		t.Errorf("headline times COAX %v, R-tree %v, full grid %v", c, r, g)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package dataset defines the in-memory table format shared by every index
 // and provides the synthetic dataset generators that substitute for the
-// paper's OSM and Airline extracts (see DESIGN.md §4), plus a CSV loader
-// for experimenting with real data.
+// paper's OSM and Airline extracts (see osm.go, airline.go and README.md's
+// "Reproducing the paper (§8)"), plus a CSV loader for experimenting with
+// real data.
 package dataset
 
 import (

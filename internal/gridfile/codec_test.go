@@ -69,15 +69,26 @@ func requireSameQueries(t *testing.T, want, got index.Interface, tab *dataset.Ta
 
 func TestCodecRoundTrip(t *testing.T) {
 	tab := testTable(5000, 3, 1)
-	g, err := Build(tab, Config{GridDims: []int{0, 2}, SortDim: 1, CellsPerDim: 8, Mode: Quantile, Label: "test"})
-	if err != nil {
-		t.Fatal(err)
+	cases := []namedConfig{
+		// Column Files: quantile cells and a sort column; the label survives.
+		{"column-files", Config{GridDims: []int{0, 2}, SortDim: 1, CellsPerDim: 8, Mode: Quantile, Label: "ColumnFiles"}},
+		// Full Grid: every column gridded uniformly, no sort column.
+		{"full-grid", Config{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 6, Mode: Uniform, Label: "FullGrid"}},
 	}
-	got := roundTrip(t, g)
-	if got.Name() != "test" || got.Len() != g.Len() || got.Dims() != g.Dims() || got.NumCells() != g.NumCells() {
-		t.Fatalf("metadata mismatch after round trip")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := Build(tab, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := roundTrip(t, g)
+			if got.Name() != c.cfg.Label || got.Len() != g.Len() || got.Dims() != g.Dims() || got.NumCells() != g.NumCells() {
+				t.Fatalf("decoded %q: %d rows, %d dims, %d cells; built %q: %d, %d, %d",
+					got.Name(), got.Len(), got.Dims(), got.NumCells(), g.Name(), g.Len(), g.Dims(), g.NumCells())
+			}
+			requireSameQueries(t, g, got, tab)
+		})
 	}
-	requireSameQueries(t, g, got, tab)
 }
 
 // TestCodecRoundTripPerAxisCells: a grid whose axes have different cell

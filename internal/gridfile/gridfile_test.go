@@ -54,20 +54,28 @@ func sameRows(t *testing.T, got, want [][]float64) {
 	}
 }
 
+// namedConfig is one named case of a table of grid configurations.
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
 func TestBuildValidation(t *testing.T) {
 	tab := randomTable(rand.New(rand.NewSource(1)), 10, 3)
-	cases := []Config{
-		{GridDims: []int{0}, SortDim: -1, CellsPerDim: 0},           // bad cells
-		{GridDims: []int{0, 0}, SortDim: -1, CellsPerDim: 2},        // dup dim
-		{GridDims: []int{5}, SortDim: -1, CellsPerDim: 2},           // out of range
-		{GridDims: []int{0}, SortDim: 0, CellsPerDim: 2},            // sort == grid
-		{GridDims: []int{0}, SortDim: 9, CellsPerDim: 2},            // sort out of range
-		{GridDims: []int{0}, SortDim: -1, CellsPerDim: 2, Mode: 99}, // bad mode
+	cases := []namedConfig{
+		{"bad-cells", Config{GridDims: []int{0}, SortDim: -1, CellsPerDim: 0}},
+		{"dup-dim", Config{GridDims: []int{0, 0}, SortDim: -1, CellsPerDim: 2}},
+		{"grid-dim-out-of-range", Config{GridDims: []int{5}, SortDim: -1, CellsPerDim: 2}},
+		{"sort-dim-is-grid-dim", Config{GridDims: []int{0}, SortDim: 0, CellsPerDim: 2}},
+		{"sort-dim-out-of-range", Config{GridDims: []int{0}, SortDim: 9, CellsPerDim: 2}},
+		{"bad-mode", Config{GridDims: []int{0}, SortDim: -1, CellsPerDim: 2, Mode: 99}},
 	}
-	for i, cfg := range cases {
-		if _, err := Build(tab, cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Build(tab, c.cfg); err == nil {
+				t.Errorf("invalid config accepted: %+v", c.cfg)
+			}
+		})
 	}
 	if _, err := Build(dataset.NewTable([]string{"a"}), Config{CellsPerDim: 2, SortDim: -1}); err == nil {
 		t.Error("empty table accepted")
@@ -79,33 +87,49 @@ func TestQueryMatchesFullScan(t *testing.T) {
 	tab := randomTable(rng, 5000, 3)
 	oracle := scan.New(tab)
 
-	configs := []Config{
-		{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 8, Mode: Quantile},
-		{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 8, Mode: Uniform},
-		{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 8, Mode: Quantile},
-		{GridDims: []int{1}, SortDim: 0, CellsPerDim: 16, Mode: Quantile},
-		{GridDims: nil, SortDim: 0, CellsPerDim: 1, Mode: Quantile},
-		{GridDims: nil, SortDim: -1, CellsPerDim: 1, Mode: Quantile},
+	cases := []namedConfig{
+		{"quantile-every-column", Config{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 8, Mode: Quantile}},
+		// The paper's Full Grid baseline: every column gridded uniformly.
+		{"full-grid", Config{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 8, Mode: Uniform}},
+		// The paper's Column Files baseline: quantile cells on every column
+		// but one, and the rows of a cell sorted on that one.
+		{"column-files", Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 8, Mode: Quantile}},
+		{"one-axis-sorted", Config{GridDims: []int{1}, SortDim: 0, CellsPerDim: 16, Mode: Quantile}},
+		{"one-sorted-page", Config{GridDims: nil, SortDim: 0, CellsPerDim: 1, Mode: Quantile}},
+		{"one-page", Config{GridDims: nil, SortDim: -1, CellsPerDim: 1, Mode: Quantile}},
 	}
-	for ci, cfg := range configs {
-		g, err := Build(tab, cfg)
-		if err != nil {
-			t.Fatalf("config %d: %v", ci, err)
-		}
-		if g.Len() != tab.Len() {
-			t.Fatalf("config %d: Len = %d", ci, g.Len())
-		}
-		for trial := 0; trial < 30; trial++ {
-			r := randQueryRect(rng, 3)
-			sameRows(t, index.Collect(g, r), index.Collect(oracle, r))
-		}
-		// Point queries on existing rows.
-		for trial := 0; trial < 20; trial++ {
-			p := index.Point(tab.Row(rng.Intn(tab.Len())))
-			if index.Count(g, p) < 1 {
-				t.Fatalf("config %d: point query lost its own row", ci)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			g, err := Build(tab, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if g.Len() != tab.Len() {
+				t.Fatalf("Len = %d", g.Len())
+			}
+			// Only the grid dims get cells; a sort dim gets no grid lines.
+			if len(g.AxisCells()) != len(cfg.GridDims) {
+				t.Fatalf("cells per axis %v over grid dims %v", g.AxisCells(), cfg.GridDims)
+			}
+			// A uniform axis always takes the full CellsPerDim.
+			for _, n := range g.AxisCells() {
+				if cfg.Mode == Uniform && n != cfg.CellsPerDim {
+					t.Fatalf("cells per axis %v, want %d each", g.AxisCells(), cfg.CellsPerDim)
+				}
+			}
+			for trial := 0; trial < 30; trial++ {
+				r := randQueryRect(rng, 3)
+				sameRows(t, index.Collect(g, r), index.Collect(oracle, r))
+			}
+			// Point queries on existing rows.
+			for trial := 0; trial < 20; trial++ {
+				p := index.Point(tab.Row(rng.Intn(tab.Len())))
+				if index.Count(g, p) < 1 {
+					t.Fatal("point query lost its own row")
+				}
+			}
+		})
 	}
 }
 
