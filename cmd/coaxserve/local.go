@@ -18,7 +18,6 @@ import (
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/obs"
-	"github.com/coax-index/coax/internal/snapshot"
 )
 
 func cmdServe(args []string) error {
@@ -26,14 +25,14 @@ func cmdServe(args []string) error {
 	th := lifecycle.DefaultThresholds()
 	var (
 		addr    = fs.String("addr", ":8080", "listen address")
-		in      = fs.String("in", "", "serve from this snapshot (sharded or single-index)")
+		in      = fs.String("in", "", "serve from this v3 snapshot (sharded or single-index), memory-mapped")
 		ds      = fs.String("dataset", "osm", "synthetic dataset when -in is empty: osm|airline")
 		rows    = fs.Int("rows", 500000, "synthetic dataset size")
 		csvPath = fs.String("csv", "", "build the startup index from a CSV file ('-': stdin) instead of a synthetic dataset")
 		sample  = fs.Int("sample", 0, "streaming startup build: detect soft FDs on this many sampled rows and stream chunks straight to the shard builders (0: materialize first)")
 		shards  = fs.Int("shards", 0, "shard count (0: one per CPU)")
 		workers = fs.Int("workers", 0, "query fan-out workers (0: one per CPU)")
-		save    = fs.String("save", "", "persist the index as a sharded snapshot before serving")
+		save    = fs.String("save", "", "persist the index as an uncompressed v3 snapshot before serving (mutations made while serving are not saved)")
 		sweep   = fs.Duration("compact-interval", 30*time.Second, "background compactor poll interval (0 disables self-healing; /compact still works)")
 
 		debugAddr = fs.String("debug-addr", "", "serve pprof/expvar/metrics on this extra address (empty: disabled)")
@@ -53,10 +52,10 @@ func cmdServe(args []string) error {
 		return err
 	}
 	if *save != "" {
-		if err := coax.SaveShardedFile(*save, idx); err != nil {
+		if err := coax.SaveShardedFileV3(*save, idx, false); err != nil {
 			return fmt.Errorf("saving %s: %w", *save, err)
 		}
-		fmt.Printf("saved sharded snapshot to %s\n", *save)
+		fmt.Printf("saved v3 snapshot to %s\n", *save)
 	}
 
 	be := newLocalBackend(idx, snap, th, *sweep)
@@ -68,9 +67,6 @@ func cmdServe(args []string) error {
 	}
 	if *slowThr > 0 {
 		be.slowlog = newSlowLog(*slowThr, *slowSize)
-	}
-	if *in != "" {
-		be.snapVersion = snapshotVersionOf(*in)
 	}
 
 	bst := idx.BuildStats()
@@ -94,40 +90,11 @@ func cmdServe(args []string) error {
 	return tier(be).listenAndServe(*addr)
 }
 
-// snapshotVersionOf reads the format version of the snapshot at path, or 0
-// ("unknown") when the header cannot be read. Reporting the current format
-// version here would claim knowledge the server does not have — an operator
-// checking /healthz after a format migration would see the new version even
-// for a file whose header never parsed. The index was still loaded, so
-// serving proceeds; only the reported version degrades to unknown.
-func snapshotVersionOf(path string) uint32 {
-	v, err := coax.PeekSnapshotVersion(path)
-	if err != nil {
-		return 0
-	}
-	if v == coax.SnapshotVersionV3 {
-		return v
-	}
-	// v1/v2: run the streaming frame walk so a torn file still degrades to
-	// unknown rather than echoing a header the body contradicts.
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	info, err := snapshot.Inspect(f)
-	if err != nil {
-		return 0
-	}
-	return info.Version
-}
-
-// openSnapshot opens the snapshot at path for serving, whatever its format
-// version: v3 files are memory-mapped (heap fallback where mmap is
-// unavailable), v1/v2 files decode onto the heap, and a single-index file
-// opens as one shard; the index's fan-out pool is sized to workers. The
-// returned Snapshot owns a v3 file's mapping and must stay referenced for
-// the life of the server.
+// openSnapshot opens the v3 snapshot at path for serving, memory-mapped
+// (an aligned heap read where mmap is unavailable), a single-index file as
+// one shard; the index's fan-out pool is sized to workers. The returned
+// Snapshot owns the mapping and must stay referenced for the life of the
+// server. A v1/v2 file fails here, with an error naming coaxstore convert.
 func openSnapshot(in string, workers int) (*coax.Index, *coax.Snapshot, error) {
 	sn, err := coax.OpenFile(in)
 	if err != nil {
@@ -137,13 +104,11 @@ func openSnapshot(in string, workers int) (*coax.Index, *coax.Snapshot, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if sn.Version() == coax.SnapshotVersionV3 {
-		how := "memory-mapped"
-		if !sn.Mapped() {
-			how = "aligned heap read (mmap unavailable)"
-		}
-		fmt.Fprintf(os.Stderr, "opened %s as format v3: %s\n", in, how)
+	how := "memory-mapped"
+	if !sn.Mapped() {
+		how = "aligned heap read (mmap unavailable)"
 	}
+	fmt.Fprintf(os.Stderr, "opened %s as format v3: %s\n", in, how)
 	return idx, sn, nil
 }
 
@@ -230,26 +195,22 @@ func makeTable(ds string, rows int) (*coax.Table, error) {
 // the engine half of backend (versions, schema, mutations).
 type localBackend struct {
 	*coax.Index
-	// snap owns the mapping of a v3 snapshot and latches its lazily detected
+	// snap owns the mapping of the snapshot and latches its lazily detected
 	// page corruption; nil when the index was built at startup.
 	snap      *coax.Snapshot
 	compactor *lifecycle.Compactor
 	th        lifecycle.Thresholds
-	// snapVersion is the format version of the snapshot the server loaded,
-	// or the current format version when the index was built at startup.
-	snapVersion uint32
-	slowlog     *slowLog // nil: slow-query logging disabled
+	slowlog   *slowLog // nil: slow-query logging disabled
 }
 
 // newLocalBackend wraps idx with a compactor polling every sweep (not yet
 // started) and no slowlog — the shape tests use as is.
 func newLocalBackend(idx *coax.Index, snap *coax.Snapshot, th lifecycle.Thresholds, sweep time.Duration) *localBackend {
 	return &localBackend{
-		Index:       idx,
-		snap:        snap,
-		compactor:   lifecycle.NewCompactor(idx, th, sweep),
-		th:          th,
-		snapVersion: snapshot.Version,
+		Index:     idx,
+		snap:      snap,
+		compactor: lifecycle.NewCompactor(idx, th, sweep),
+		th:        th,
 	}
 }
 
@@ -437,7 +398,8 @@ func (l *localBackend) stats(tier tierStats) any {
 	return resp
 }
 
-// healthzResponse is the verbose /healthz body.
+// healthzResponse is the verbose /healthz body. SnapshotVersion is always
+// 3, the one snapshot format the server reads and writes.
 type healthzResponse struct {
 	Status          string  `json:"status"`
 	Epoch           uint64  `json:"epoch"`
@@ -460,7 +422,7 @@ func (l *localBackend) health(verbose bool, uptime time.Duration) (int, any) {
 		Status:          status,
 		Epoch:           l.LifecycleStats().Epoch,
 		StaleShards:     len(l.StaleShards(l.th)),
-		SnapshotVersion: l.snapVersion,
+		SnapshotVersion: coax.SnapshotVersionV3,
 		Rows:            l.Len(),
 		Shards:          l.NumShards(),
 		UptimeSeconds:   uptime.Seconds(),

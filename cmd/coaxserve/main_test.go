@@ -2,18 +2,20 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/index"
+	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/mmapsnap"
-	"github.com/coax-index/coax/internal/snapshot"
 )
 
 func testServer(t *testing.T) (*coax.Index, *httptest.Server) {
@@ -168,23 +170,15 @@ func TestInsertEndpoint(t *testing.T) {
 	}
 }
 
-// singleLayout builds a core index over tab and writes it to path in the
-// single-index layout earlier releases wrote: format v3 (compressed or not)
-// when v3 is set, else v2.
-func singleLayout(t *testing.T, tab *coax.Table, path string, v3, compress bool) *core.COAX {
+// singleLayout builds a core index over tab and writes it to path as the
+// single-index v3 file earlier releases wrote, compressed or not.
+func singleLayout(t *testing.T, tab *coax.Table, path string, compress bool) *core.COAX {
 	t.Helper()
 	c, err := core.Build(tab, coax.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blob []byte
-	if v3 {
-		blob, err = mmapsnap.EncodeIndex(c, mmapsnap.Options{Compress: compress})
-	} else {
-		var buf bytes.Buffer
-		err = snapshot.Encode(&buf, c)
-		blob = buf.Bytes()
-	}
+	blob, err := mmapsnap.EncodeIndex(c, mmapsnap.Options{Compress: compress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,16 +188,42 @@ func singleLayout(t *testing.T, tab *coax.Table, path string, v3, compress bool)
 	return c
 }
 
+// TestOpenIndexWrapsSingleSnapshot: a single-index file serves as one
+// shard. A file of another format version fails at startup with an error
+// naming coaxstore convert — the v2 fixture, and a v3 file whose version
+// field is garbled — and a file that is not a snapshot fails too.
 func TestOpenIndexWrapsSingleSnapshot(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(3000))
-	path := t.TempDir() + "/single.coax"
-	singleLayout(t, tab, path, false, false)
+	dir := t.TempDir()
+	path := dir + "/single.coax"
+	singleLayout(t, tab, path, false)
 	idx, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 	if err != nil {
 		t.Fatalf("openIndex(single snapshot): %v", err)
 	}
 	if st := idx.BuildStats(); st.Shards != 1 || st.Rows != tab.Len() || st.Workers != 2 {
 		t.Errorf("wrapped index: %d shards, %d rows, %d workers", st.Shards, st.Rows, st.Workers)
+	}
+
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob[8:], 0xdeadbeef)
+	garbled, junk := dir+"/garbled.coax", dir+"/junk.coax"
+	if err := os.WriteFile(garbled, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(junk, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"../../internal/snapshot/testdata/osm600-2shard.v2", garbled} {
+		if _, _, err := openIndex(bad, "", "", 0, 0, 2, 0); err == nil || !strings.Contains(err.Error(), "coaxstore convert") {
+			t.Errorf("openIndex(%s) error = %v, want one naming coaxstore convert", bad, err)
+		}
+	}
+	if _, _, err := openIndex(junk, "", "", 0, 0, 2, 0); err == nil {
+		t.Error("openIndex served a file that is not a snapshot")
 	}
 }
 
@@ -215,8 +235,8 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
 	for _, compress := range []bool{false, true} {
 		path := fmt.Sprintf("%s/v3-%v.coax", t.TempDir(), compress)
-		single := singleLayout(t, tab, path, true, compress)
-		idx, _, err := openIndex(path, "", "", 0, 0, 2, 0)
+		single := singleLayout(t, tab, path, compress)
+		idx, sn, err := openIndex(path, "", "", 0, 0, 2, 0)
 		if err != nil {
 			t.Fatalf("openIndex(v3, compress=%v): %v", compress, err)
 		}
@@ -232,8 +252,9 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 		if nHeap := index.Count(single, r); nMapped != nHeap {
 			t.Errorf("compress=%v: mapped count %d, heap %d", compress, nMapped, nHeap)
 		}
-		if v := snapshotVersionOf(path); v != coax.SnapshotVersionV3 {
-			t.Errorf("compress=%v: snapshotVersionOf = %d, want %d", compress, v, coax.SnapshotVersionV3)
+		_, body := newLocalBackend(idx, sn, lifecycle.DefaultThresholds(), 0).health(true, 0)
+		if h := body.(healthzResponse); h.SnapshotVersion != coax.SnapshotVersionV3 {
+			t.Errorf("compress=%v: /healthz snapshot version %d, want %d", compress, h.SnapshotVersion, coax.SnapshotVersionV3)
 		}
 	}
 }
@@ -246,7 +267,7 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 func TestCorruptPageRefused(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
 	path := t.TempDir() + "/corrupt.v3"
-	singleLayout(t, tab, path, true, true)
+	singleLayout(t, tab, path, true)
 	// Flip a byte in the compressed data region, which Open does not read
 	// (a flip in a plain section fails the open, as it should).
 	blob, err := os.ReadFile(path)
@@ -322,7 +343,7 @@ func TestCorruptPageRefused(t *testing.T) {
 func TestMutationOnCorruptPage(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
 	path := t.TempDir() + "/corrupt.v3"
-	single := singleLayout(t, tab, path, true, true)
+	single := singleLayout(t, tab, path, true)
 	// The primary grid's pages are laid out in cell order, so the last byte
 	// of its data region belongs to the last non-empty cell: take two rows
 	// of that cell, then flip a byte inside its page blob.

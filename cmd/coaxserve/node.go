@@ -37,7 +37,7 @@ func cmdNode(args []string) error {
 		rf     = fs.Int("replication", 2, "replication factor; must match the peers and routers")
 		ds     = fs.String("dataset", "osm", "synthetic dataset: osm|airline (identical on every node; rows route by value)")
 		rows   = fs.Int("rows", 100000, "synthetic dataset size")
-		in     = fs.String("in", "", "build this node's shards from a snapshot (any format version; every node must use the same file) instead of a synthetic dataset")
+		in     = fs.String("in", "", "build this node's shards from a v3 snapshot (sharded or single-index; every node must use the same file) instead of a synthetic dataset; `coaxstore convert` rewrites a v1/v2 file")
 
 		localShards = fs.Int("local-shards", 2, "local sub-shards per hosted global shard (the in-process fan-out width)")
 		workers     = fs.Int("workers", 0, "query fan-out workers per local engine (0: one per CPU)")

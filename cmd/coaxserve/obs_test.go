@@ -17,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coax-index/coax/internal/snapshot"
+	"github.com/coax-index/coax/coax"
 )
 
 // scrape fetches /metrics and returns the body plus the value of one sample
@@ -222,8 +222,8 @@ func TestHealthzVerbose(t *testing.T) {
 	if h.Rows != idx.Len() || h.Shards != idx.NumShards() {
 		t.Errorf("healthz rows/shards = %d/%d, index = %d/%d", h.Rows, h.Shards, idx.Len(), idx.NumShards())
 	}
-	if h.SnapshotVersion != snapshot.Version {
-		t.Errorf("snapshot version %d, want %d (built at startup)", h.SnapshotVersion, snapshot.Version)
+	if h.SnapshotVersion != coax.SnapshotVersionV3 {
+		t.Errorf("snapshot version %d, want %d", h.SnapshotVersion, coax.SnapshotVersionV3)
 	}
 	if h.Epoch != idx.LifecycleStats().Epoch {
 		t.Errorf("healthz epoch %d, engine reports %d", h.Epoch, idx.LifecycleStats().Epoch)

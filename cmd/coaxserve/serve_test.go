@@ -13,8 +13,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -152,22 +150,6 @@ func TestEarlyRequiresPositiveLimit(t *testing.T) {
 	b := batchRequest{Queries: []rectRequest{{Limit: &seven}, {Early: true, Limit: &zero}}}
 	if resp := postJSON(t, srv.URL+"/batch", b, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("batch with early+limit=0 element: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// Regression: an unreadable snapshot header used to report the *current*
-// format version — claiming knowledge the server does not have. It now
-// reports 0 ("unknown").
-func TestSnapshotVersionUnknown(t *testing.T) {
-	if v := snapshotVersionOf(filepath.Join(t.TempDir(), "missing.coax")); v != 0 {
-		t.Errorf("missing file: version %d, want 0", v)
-	}
-	garbled := filepath.Join(t.TempDir(), "garbled.coax")
-	if err := os.WriteFile(garbled, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if v := snapshotVersionOf(garbled); v != 0 {
-		t.Errorf("garbled header: version %d, want 0", v)
 	}
 }
 

@@ -9,7 +9,7 @@
 //	coaxstore build -csv flights.csv -outlier rtree -out flights.coax
 //	coaxstore build -csv flights.csv -sample 50000 -out flights.coax   # streaming, bounded memory
 //	coaxgen -dataset osm -n 10000000 -stream | coaxstore build -csv - -sample 50000
-//	coaxstore convert -in osm.coax -out osm.coax3 -compress   # v2 → mapped v3
+//	coaxstore convert -in old.coax -out osm.coax -compress   # v1/v2 (or v3) → v3, grid pages compressed
 //	coaxstore info -in osm.coax
 //	coaxstore info -in osm.coax -metrics   # health gauges, same names as coaxserve /metrics
 //	coaxstore query -in osm.coax -min '_,0,40,-75' -max '_,5000,41,-74'
@@ -32,7 +32,6 @@ import (
 	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/mmapsnap"
 	"github.com/coax-index/coax/internal/obs"
-	"github.com/coax-index/coax/internal/snapshot"
 )
 
 func main() {
@@ -70,12 +69,14 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `coaxstore — build once, query many times from disk
 
 subcommands:
-  build    build a COAX index and save it as a snapshot
-  convert  rewrite a snapshot between format versions (v2 heap-decoded ↔
-           v3 memory-mapped; -compress packs v3 grid pages columnar)
-  info     describe a snapshot file (format frame + index stats); for v3,
-           per-section on-disk vs decoded sizes and compression ratios;
-           -metrics adds the health gauges in Prometheus text form
+  build    build a COAX index and save it as a snapshot (format v3,
+           uncompressed, served memory-mapped)
+  convert  rewrite a snapshot as format v3: a v1/v2 file from an earlier
+           release, which nothing else reads, or a v3 file to change
+           -compress (grid pages packed columnar)
+  info     describe a snapshot file: per-section on-disk vs decoded sizes
+           and compression ratios, and index stats; -metrics adds the
+           health gauges in Prometheus text form
   query    answer a range/point query from a snapshot
   explain  run a query and report how it executed: soft-FD constraint
            translation, primary/outlier scan split, pages and rows touched
@@ -150,7 +151,7 @@ func cmdBuild(args []string) error {
 	base, peak := mw.Stop()
 
 	t0 = time.Now()
-	if err := coax.SaveShardedFile(*out, idx); err != nil {
+	if err := coax.SaveShardedFileV3(*out, idx, false); err != nil {
 		return err
 	}
 	saveDur := time.Since(t0)
@@ -249,35 +250,24 @@ func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("in", "index.coax", "snapshot path")
 	metrics := fs.Bool("metrics", false, "also print the index-health gauges in Prometheus text form, under the same series names coaxserve exports at /metrics")
-	verify := fs.Bool("verify", false, "v3 snapshots: check every section CRC and decode every compressed page before reporting")
+	verify := fs.Bool("verify", false, "check every section CRC and decode every compressed page before reporting")
 	fs.Parse(args)
 
-	v, err := coax.PeekSnapshotVersion(*in)
-	if err != nil {
-		return err
-	}
-	if v == coax.SnapshotVersionV3 {
-		err = framesV3(*in, *verify)
-	} else {
-		err = framesV2(*in)
-	}
-	if err != nil {
-		return err
-	}
-
 	t0 := time.Now()
-	idx, sn, err := loadAnyIndex(*in)
+	idx, sn, err := loadIndex(*in)
 	if err != nil {
 		return err
 	}
 	defer sn.Close()
-	how := "heap"
-	if sn.Mapped() {
-		how = "mapped"
-	} else if v == coax.SnapshotVersionV3 {
+	openDur := time.Since(t0)
+	if err := frames(*in, *verify); err != nil {
+		return err
+	}
+	how := "mapped"
+	if !sn.Mapped() {
 		how = "heap fallback"
 	}
-	fmt.Printf("opened in %v (%s)\n", time.Since(t0).Round(time.Microsecond), how)
+	fmt.Printf("opened in %v (%s)\n", openDur.Round(time.Microsecond), how)
 	s := idx.BuildStats()
 	fmt.Printf("  rows %d, dims %d, sort dim %d, %d %s shard(s)\n", s.Rows, s.Dims, s.SortDim, s.Shards, s.Partition)
 	fmt.Printf("  primary rows %d (%.1f%%), outlier rows %d\n", s.PrimaryRows, 100*s.PrimaryRatio, s.OutlierRows)
@@ -305,28 +295,10 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-// framesV2 lists the checksummed sections of a format v1/v2 snapshot.
-func framesV2(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	info, err := snapshot.Inspect(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: COAX snapshot, format version %d\n", path, info.Version)
-	for _, s := range info.Sections {
-		fmt.Printf("  section %q  %10d bytes  crc32c %08x\n", s.ID, s.Len, s.CRC)
-	}
-	return nil
-}
-
-// framesV3 describes a memory-mapped (format v3) snapshot's section table,
-// with per-section on-disk vs decoded sizes and compression ratios, after
-// checking every section and page when verify is set.
-func framesV3(path string, verify bool) error {
+// frames describes a snapshot's section table, with per-section on-disk vs
+// decoded sizes and compression ratios, after checking every section and
+// page when verify is set.
+func frames(path string, verify bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -392,7 +364,7 @@ func cmdQuery(args []string) error {
 	fs.Parse(args)
 
 	t0 := time.Now()
-	idx, sn, err := loadAnyIndex(*in)
+	idx, sn, err := loadIndex(*in)
 	if err != nil {
 		return err
 	}
@@ -439,7 +411,7 @@ func cmdExplain(args []string) error {
 	)
 	fs.Parse(args)
 
-	idx, sn, err := loadAnyIndex(*in)
+	idx, sn, err := loadIndex(*in)
 	if err != nil {
 		return err
 	}
@@ -495,13 +467,12 @@ func cmdExplain(args []string) error {
 	return nil
 }
 
-// loadAnyIndex opens a snapshot whichever layout or format version it
-// holds: heap-decoded (v1/v2) or memory-mapped (v3), a single-index file as
-// one shard. The query and explain subcommands never unmap a v3 file: the
-// mapping stays valid until process exit. Callers must check the returned
-// snapshot's PageErr after querying: compressed v3 pages are CRC-verified
-// lazily, so a corrupt page surfaces there, not at open.
-func loadAnyIndex(path string) (*coax.Index, *coax.Snapshot, error) {
+// loadIndex opens a v3 snapshot of either layout, memory-mapped, a
+// single-index file as one shard. The query and explain subcommands never
+// unmap it: the mapping stays valid until process exit. Callers must check
+// the returned snapshot's PageErr after querying: compressed pages are
+// CRC-verified lazily, so a corrupt page surfaces there, not at open.
+func loadIndex(path string) (*coax.Index, *coax.Snapshot, error) {
 	sn, err := coax.OpenFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("loading %s: %w", path, err)

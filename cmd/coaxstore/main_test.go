@@ -1,18 +1,23 @@
 package main
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/snapshot"
 )
 
 // TestBuildInfoQueryBench drives the full CLI flow against a temp
 // directory: build → save, then info / query answer from the snapshot
-// alone — the built file, and 2-shard v2 and v3 files (what coaxserve
-// serve -save and convert write), through the same path.
+// alone — the built file, and 2-shard raw and compressed files (what
+// coaxserve serve -save and convert -compress write), through the same path.
 func TestBuildInfoQueryBench(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "osm.coax")
@@ -27,16 +32,19 @@ func TestBuildInfoQueryBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedV2, shardedV3 := filepath.Join(dir, "sharded.v2"), filepath.Join(dir, "sharded.v3")
-	if err := coax.SaveShardedFile(shardedV2, sharded); err != nil {
+	raw, packed := filepath.Join(dir, "sharded.v3"), filepath.Join(dir, "sharded.v3c")
+	if err := coax.SaveShardedFileV3(raw, sharded, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := coax.SaveShardedFileV3(shardedV3, sharded, true); err != nil {
+	if err := coax.SaveShardedFileV3(packed, sharded, true); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{snap, shardedV2, shardedV3} {
+	for _, path := range []string{snap, raw, packed} {
 		info := stdoutOf(t, func() error { return cmdInfo([]string{"-in", path, "-metrics"}) })
+		if !strings.Contains(info, "format version 3") {
+			t.Errorf("%s: info does not report format version 3:\n%s", path, info)
+		}
 		// The offline metric rendering uses the exact series names coaxserve
 		// exports at /metrics, so the two views can be diffed name for name.
 		for _, series := range []string{
@@ -146,11 +154,11 @@ func TestStreamingBuildSubcommand(t *testing.T) {
 		t.Fatalf("streaming build: %v", err)
 	}
 
-	a, _, err := loadAnyIndex(exact)
+	a, _, err := loadIndex(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := loadAnyIndex(streamed)
+	b, _, err := loadIndex(streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,4 +171,84 @@ func TestStreamingBuildSubcommand(t *testing.T) {
 	if cb, err := coax.FromRect(r).Count(b); err != nil || ca != cb {
 		t.Fatalf("streamed snapshot counts %d (%v), exact counts %d", cb, err, ca)
 	}
+}
+
+// TestConvertSubcommand converts each committed v1/v2 fixture to v3, then
+// that file to a compressed one: both answer every query bit-identically to
+// the legacy decode. The unconverted file is refused by info with an error
+// naming convert.
+func TestConvertSubcommand(t *testing.T) {
+	dir := t.TempDir()
+	for _, file := range []string{"osm600-2shard.v2", "osm-rtree.v1"} {
+		in := filepath.Join("..", "..", "internal", "snapshot", "testdata", file)
+		data, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := snapshot.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdInfo([]string{"-in", in}); err == nil || !strings.Contains(err.Error(), "coaxstore convert") {
+			t.Errorf("info on %s: %v, want an error naming coaxstore convert", file, err)
+		}
+		raw, packed := filepath.Join(dir, file+".v3"), filepath.Join(dir, file+".v3c")
+		stdoutOf(t, func() error { return cmdConvert([]string{"-in", in, "-out", raw}) })
+		stdoutOf(t, func() error { return cmdConvert([]string{"-in", raw, "-out", packed, "-compress"}) })
+		for _, path := range []string{raw, packed} {
+			idx, sn, err := loadIndex(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 30 rectangles between the values of random rows, and the full one.
+			rows, err := coax.NewQuery().Collect(legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			rects := []coax.Rect{coax.FullRect(idx.Dims())}
+			for range 30 {
+				r := coax.FullRect(idx.Dims())
+				for d := range idx.Dims() {
+					if rng.Intn(2) == 0 {
+						a, b := rows[rng.Intn(len(rows))][d], rows[rng.Intn(len(rows))][d]
+						r.Min[d], r.Max[d] = min(a, b), max(a, b)
+					}
+				}
+				rects = append(rects, r)
+			}
+			for qi, r := range rects {
+				want, err := coax.FromRect(r).Collect(legacy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := coax.FromRect(r).Collect(idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.EqualFunc(sortRows(want), sortRows(got), func(a, b []float64) bool {
+					return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+				}) {
+					t.Fatalf("%s query %d: %d rows, legacy decode %d, or rows differ", path, qi, len(got), len(want))
+				}
+			}
+			if err := sn.PageErr(); err != nil {
+				t.Fatal(err)
+			}
+			sn.Close()
+		}
+	}
+}
+
+// sortRows sorts rows by bit pattern, in place, and returns them.
+func sortRows(rows [][]float64) [][]float64 {
+	slices.SortFunc(rows, func(a, b []float64) int {
+		for k := range a {
+			if c := cmp.Compare(math.Float64bits(a[k]), math.Float64bits(b[k])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	return rows
 }

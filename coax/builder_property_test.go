@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/mmapsnap"
 )
 
-// snapshotBytes serialises idx with SaveSharded.
+// snapshotBytes serialises idx as the v3 file SaveShardedFileV3 writes.
 func snapshotBytes(t *testing.T, idx *coax.Index) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := coax.SaveSharded(&buf, idx); err != nil {
+	blob, err := mmapsnap.EncodeSharded(idx, mmapsnap.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return blob
 }
 
 // randRect builds a random query rectangle from data values of tab.

@@ -12,8 +12,9 @@
 // into constraints on its predictor, so results remain exact.
 //
 // There is one index type, Index: a Builder builds it (one shard, or K
-// with BuildSharded), OpenFile opens it from a snapshot of any format, and
-// a Query runs on it. Basic usage (see the Query builder in query.go):
+// with BuildSharded), SaveShardedFileV3 saves it, OpenFile opens the saved
+// file, and a Query runs on it. Basic usage (see the Query builder in
+// query.go):
 //
 //	table := coax.NewTable([]string{"distance", "airtime", "carrier"})
 //	// ... table.Append(row) for every row ...
@@ -44,7 +45,6 @@ import (
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/shard"
-	"github.com/coax-index/coax/internal/snapshot"
 	"github.com/coax-index/coax/internal/softfd"
 )
 
@@ -175,8 +175,10 @@ func NewCompactor(idx *Index, th Thresholds, interval time.Duration) *Compactor 
 	return lifecycle.NewCompactor(idx, th, interval)
 }
 
-// atomicWriteFile streams emit's output to a temporary file beside path and
-// renames it over path only once fully written and fsynced.
+// atomicWriteFile streams emit's output to a temporary file beside path,
+// fsyncs it, renames it over path and fsyncs the directory, so that once it
+// returns nil the new file is durably at path. An error before the rename
+// removes the temporary file and leaves the file at path untouched.
 func atomicWriteFile(path string, emit func(io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -187,6 +189,11 @@ func atomicWriteFile(path string, emit func(io.Writer) error) error {
 		return err
 	}
 	tmp := f.Name()
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	// CreateTemp's 0600 would silently downgrade a world-readable snapshot
 	// on replace; keep the target's existing mode, defaulting to 0644.
 	mode := os.FileMode(0o644)
@@ -194,14 +201,7 @@ func atomicWriteFile(path string, emit func(io.Writer) error) error {
 		mode = fi.Mode().Perm()
 	}
 	if err := f.Chmod(mode); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
 	if err := emit(w); err != nil {
@@ -221,7 +221,17 @@ func atomicWriteFile(path string, emit func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	// The rename is durable only once the directory entry is: without this
+	// a power loss can bring the old file back.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // ShardOptions configures BuildSharded. Start from DefaultShardOptions.
@@ -247,39 +257,6 @@ type BatchVisitor = shard.BatchVisitor
 // range partitioning on an automatically chosen column, with one shard and
 // one worker per CPU.
 func DefaultShardOptions() ShardOptions { return shard.DefaultOptions() }
-
-// SaveSharded writes idx to w in the versioned COAX snapshot format (magic,
-// format version, checksummed sections — see internal/snapshot): a
-// shard-layout section followed by one section per shard. A loaded snapshot
-// answers queries identically to the index that was saved, without
-// re-running soft-FD detection or index construction. Encoding takes
-// per-shard read locks, so the index may keep serving while it is saved.
-func SaveSharded(w io.Writer, idx *Index) error { return snapshot.EncodeSharded(w, idx) }
-
-// LoadSharded reads an index from a format v1/v2 snapshot: one written by
-// SaveSharded, or a single-index file of an earlier release, as one shard.
-// Corrupted, truncated, or version-incompatible input yields the decoder's
-// error, never a panic.
-func LoadSharded(r io.Reader) (*Index, error) { return snapshot.DecodeAny(r) }
-
-// SaveShardedFile writes idx to path via SaveSharded. The write is atomic:
-// the snapshot goes to a temporary file in the same directory, is fsynced,
-// and is renamed over path only once complete — a crash or full disk midway
-// neither leaves a torn snapshot at path nor destroys the previous one.
-func SaveShardedFile(path string, idx *Index) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return SaveSharded(w, idx) })
-}
-
-// LoadShardedFile reads an index from a format v1/v2 file via LoadSharded;
-// OpenFile opens every format version.
-func LoadShardedFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSharded(bufio.NewReaderSize(f, 1<<20))
-}
 
 // Synthetic dataset generators. The repository's benchmarks run on
 // synthetic stand-ins for the paper's OSM and Airline extracts; they are

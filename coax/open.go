@@ -1,24 +1,20 @@
 package coax
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/mmapsnap"
 	"github.com/coax-index/coax/internal/shard"
-	"github.com/coax-index/coax/internal/snapshot"
 )
 
-// Snapshot format versions. Versions 1 and 2 are the streaming heap-decoded
-// container written by SaveSharded/SaveShardedFile; version 3 is the
-// page-aligned memory-mapped container written by SaveShardedFileV3 (see
-// internal/mmapsnap for the layout).
-const (
-	SnapshotVersion   = snapshot.Version
-	SnapshotVersionV3 = mmapsnap.Version
-)
+// SnapshotVersionV3 is the snapshot format version SaveShardedFileV3 writes
+// and OpenFile opens: the page-aligned memory-mapped container (see
+// internal/mmapsnap for the layout). Files of versions 1 and 2 are rewritten
+// as v3 by `coaxstore convert`.
+const SnapshotVersionV3 = mmapsnap.Version
 
 // SaveShardedFileV3 writes idx to path in snapshot format v3: hot sections
 // laid out as fixed-width 64-byte-aligned pages that OpenFile can serve
@@ -26,7 +22,14 @@ const (
 // every shard is a nested page-aligned blob under the one mapping. With
 // compress set, each grid cell page is stored columnar (delta/frame-of-
 // reference bit-packed) and decoded on every read, only the rows a scan can
-// use, with nothing retained. The write is atomic, like SaveShardedFile.
+// use, with nothing retained.
+//
+// The write is atomic and durable: the file is written beside path, fsynced,
+// renamed over path, and the directory fsynced. Once SaveShardedFileV3
+// returns nil, the new file is at path and survives a power loss; until the
+// rename, whatever fails, the file that was at path is untouched. Encoding
+// takes per-shard read locks, so the index may keep serving while it is
+// saved.
 func SaveShardedFileV3(path string, idx *Index, compress bool) error {
 	blob, err := mmapsnap.EncodeSharded(idx, mmapsnap.Options{Compress: compress})
 	if err != nil {
@@ -38,61 +41,30 @@ func SaveShardedFileV3(path string, idx *Index, compress bool) error {
 	})
 }
 
-// PeekSnapshotVersion reports the snapshot format version of the file at
-// path from its 12-byte header, without loading it.
-func PeekSnapshotVersion(path string) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var head [12]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, fmt.Errorf("coax: reading snapshot header: %w", err)
-	}
-	return mmapsnap.PeekVersion(head[:])
-}
-
-// Snapshot is an index opened from a snapshot file of any format version
-// and either layout — a single-index file opens as one shard — and, for a
-// mapped v3 file, the mapping backing it.
+// Snapshot is an index opened from a v3 snapshot file of either layout —
+// a single-index file opens as one shard — and the mapping backing it.
 type Snapshot struct {
-	idx     *Index
-	ms      *mmapsnap.Snapshot
-	version uint32
+	idx *Index
+	ms  *mmapsnap.Snapshot
 }
-
-// Version is the on-disk format version the snapshot was opened from.
-func (s *Snapshot) Version() uint32 { return s.version }
 
 // Mapped reports whether queries are served from a memory mapping rather
-// than decoded heap state. Always false for v1/v2 files and on platforms
-// without mmap support.
-func (s *Snapshot) Mapped() bool { return s.ms != nil && s.ms.Mapped() }
+// than an aligned heap copy of the file; false on platforms without mmap
+// support.
+func (s *Snapshot) Mapped() bool { return s.ms.Mapped() }
 
 // PageErr returns the first corruption detected while reading a compressed
-// v3 page, if any — every read re-checks the page (CRC, layout, sort
-// order), and the scan path skips a page that fails rather than failing
-// mid-query, so a query, Delete, Update or Compact that met one looks like
-// a short answer, a missing row or a no-op until this is consulted. The
-// error is sticky. Callers that need an up-front guarantee should verify
-// the file with `coaxstore info -verify` (or mmapsnap.Verify).
-func (s *Snapshot) PageErr() error {
-	if s.ms == nil {
-		return nil
-	}
-	return s.ms.PageErr()
-}
+// page, if any — every read re-checks the page (CRC, layout, sort order),
+// and the scan path skips a page that fails rather than failing mid-query,
+// so a query, Delete, Update or Compact that met one looks like a short
+// answer, a missing row or a no-op until this is consulted. The error is
+// sticky. Callers that need an up-front guarantee should verify the file
+// with `coaxstore info -verify` (or mmapsnap.Verify).
+func (s *Snapshot) PageErr() error { return s.ms.PageErr() }
 
-// Close releases the mapping of a v3 snapshot; the index obtained from this
-// snapshot must not be used afterwards. Closing a heap-loaded snapshot
-// is a no-op.
-func (s *Snapshot) Close() error {
-	if s.ms == nil {
-		return nil
-	}
-	return s.ms.Close()
-}
+// Close releases the mapping; the index obtained from this snapshot must
+// not be used afterwards.
+func (s *Snapshot) Close() error { return s.ms.Close() }
 
 // Serving returns the snapshot's index with its query fan-out pool sized to
 // workers (one per CPU when workers ≤ 0) — what cmd/coaxserve serves from.
@@ -102,22 +74,20 @@ func (s *Snapshot) Serving(workers int) (*Index, error) {
 	return s.idx, nil
 }
 
-// OpenFile opens a snapshot of any format version from path, dispatching
-// on the header: version 3 files are memory-mapped and served in place
-// (falling back to an aligned heap read where mmap is unavailable), while
-// version 1/2 files are decoded onto the heap by LoadShardedFile. Either
-// way the file is decoded once, and a damaged file reports the decoder's
-// own error.
+// OpenFile opens the v3 snapshot at path and serves it in place from a
+// memory mapping (an aligned heap read where mmap is unavailable). A damaged
+// file reports the decoder's own error; a file of format version 1 or 2
+// fails with an error wrapping mmapsnap.ErrVersion that names `coaxstore
+// convert`, which rewrites it as v3.
 //
-// Compared to a heap load, opening a v3 file is O(directory) instead of
-// O(rows): startup cost and steady-state resident memory shift to the
-// kernel page cache, shared across processes serving the same file. The
-// trade-offs run the other way on the query path — uncompressed pages are
-// read at mapping speed with no decode at all, compressed pages are decoded
-// on every read (the sort column, then only the rows inside the query's
-// window, into scratch the scan owns, which a query's fold copies the rows
-// it keeps out of) — and a v3 Snapshot must be kept open
-// (and its file unmodified) for as long as its index is in use.
+// Opening is O(directory), not O(rows): startup cost and steady-state
+// resident memory shift to the kernel page cache, shared across processes
+// serving the same file. Uncompressed pages are read at mapping speed with
+// no decode at all; compressed pages are decoded on every read (the sort
+// column, then only the rows inside the query's window, into scratch the
+// scan owns, which a query's fold copies the rows it keeps out of). A
+// Snapshot must be kept open (and its file unmodified) for as long as its
+// index is in use.
 func OpenFile(path string) (*Snapshot, error) {
 	return OpenFileOptions(path, OpenOptions{})
 }
@@ -134,18 +104,11 @@ type OpenOptions struct {
 
 // OpenFileOptions is OpenFile; see OpenOptions.
 func OpenFileOptions(path string, _ OpenOptions) (*Snapshot, error) {
-	v, err := PeekSnapshotVersion(path)
-	if err != nil {
-		return nil, err
-	}
-	if v != mmapsnap.Version {
-		idx, err := LoadShardedFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{idx: idx, version: v}, nil
-	}
 	ms, err := mmapsnap.OpenFile(path)
+	if errors.Is(err, mmapsnap.ErrVersion) {
+		return nil, fmt.Errorf("%w; `coaxstore convert -in %s -out NEW` rewrites a version 1 or 2 file as version %d",
+			err, path, SnapshotVersionV3)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -156,5 +119,5 @@ func OpenFileOptions(path string, _ OpenOptions) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	return &Snapshot{idx: idx, ms: ms, version: v}, nil
+	return &Snapshot{idx: idx, ms: ms}, nil
 }

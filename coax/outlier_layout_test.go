@@ -50,11 +50,11 @@ func TestOldOutlierLayoutFilesOpen(t *testing.T) {
 	oldIdx := build(t, tab, old, 2)
 
 	dir := t.TempDir()
-	v2, v3 := filepath.Join(dir, "old.v2"), filepath.Join(dir, "old.v3")
-	if err := coax.SaveShardedFile(v2, oldIdx); err != nil {
+	raw, packed := filepath.Join(dir, "old.v3"), filepath.Join(dir, "old.v3c")
+	if err := coax.SaveShardedFileV3(raw, oldIdx, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := coax.SaveShardedFileV3(v3, oldIdx, true); err != nil {
+	if err := coax.SaveShardedFileV3(packed, oldIdx, true); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(31))
@@ -62,7 +62,7 @@ func TestOldOutlierLayoutFilesOpen(t *testing.T) {
 	for range 30 {
 		queries = append(queries, randOSMRect(rng, tab))
 	}
-	for _, path := range []string{v2, v3} {
+	for _, path := range []string{raw, packed} {
 		sn := openSnap(t, path)
 		idx := serving(t, sn)
 		st := idx.BuildStats()

@@ -17,7 +17,8 @@ import (
 // each axis's cell count from its column grid every axis at
 // PrimaryCellsPerDim quantile cells, low-cardinality columns included.
 // Such a file — rebuilt here by regridding each shard's primary that way —
-// opens as v2 and v3, keeps its lattice, and answers like a fresh build.
+// opens with raw and compressed pages, keeps its lattice, and answers like a
+// fresh build.
 func TestUniformPrimaryFilesOpen(t *testing.T) {
 	tab := coax.GenerateAirline(coax.DefaultAirlineConfig(30_000))
 	opt := coax.DefaultOptions()
@@ -33,11 +34,11 @@ func TestUniformPrimaryFilesOpen(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	v2, v3 := filepath.Join(dir, "old.v2"), filepath.Join(dir, "old.v3")
-	if err := coax.SaveShardedFile(v2, old); err != nil {
+	raw, packed := filepath.Join(dir, "old.v3"), filepath.Join(dir, "old.v3c")
+	if err := coax.SaveShardedFileV3(raw, old, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := coax.SaveShardedFileV3(v3, old, true); err != nil {
+	if err := coax.SaveShardedFileV3(packed, old, true); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(37))
@@ -45,7 +46,7 @@ func TestUniformPrimaryFilesOpen(t *testing.T) {
 	for range 30 {
 		queries = append(queries, randOSMRect(rng, tab))
 	}
-	for _, path := range []string{v2, v3} {
+	for _, path := range []string{raw, packed} {
 		sn := openSnap(t, path)
 		idx := serving(t, sn)
 		st := idx.BuildStats()

@@ -278,7 +278,7 @@ func TestWhereByName(t *testing.T) {
 
 	// Names survive the snapshot round trip (the "cols" section).
 	path := t.TempDir() + "/named.coax"
-	if err := coax.SaveShardedFile(path, idx); err != nil {
+	if err := coax.SaveShardedFileV3(path, idx, false); err != nil {
 		t.Fatal(err)
 	}
 	back, err := coax.OpenFile(path)

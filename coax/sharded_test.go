@@ -1,7 +1,6 @@
 package coax_test
 
 import (
-	"bytes"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -89,28 +88,17 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	tab, idx := buildShardedOSM(t, 10000, 3)
 	full := coax.FullRect(tab.Dims())
 
-	var buf bytes.Buffer
-	if err := coax.SaveSharded(&buf, idx); err != nil {
-		t.Fatalf("SaveSharded: %v", err)
-	}
-	loaded, err := coax.LoadSharded(&buf)
-	if err != nil {
-		t.Fatalf("LoadSharded: %v", err)
-	}
-	if w, g := count(t, idx, full), count(t, loaded, full); w != g || loaded.NumShards() != 3 {
-		t.Fatalf("loaded %d shards counting %d, want 3 counting %d", loaded.NumShards(), g, w)
-	}
-
-	path := filepath.Join(t.TempDir(), "sharded.coax")
-	if err := coax.SaveShardedFile(path, idx); err != nil {
-		t.Fatalf("SaveShardedFile: %v", err)
-	}
-	fromFile, err := coax.LoadShardedFile(path)
-	if err != nil {
-		t.Fatalf("LoadShardedFile: %v", err)
-	}
-	if w, g := count(t, idx, full), count(t, fromFile, full); w != g {
-		t.Fatalf("file round trip counts %d, want %d", g, w)
+	for _, compress := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "sharded.coax")
+		if err := coax.SaveShardedFileV3(path, idx, compress); err != nil {
+			t.Fatalf("SaveShardedFileV3: %v", err)
+		}
+		sn := openSnap(t, path)
+		loaded := serving(t, sn)
+		if w, g := count(t, idx, full), count(t, loaded, full); w != g || loaded.NumShards() != 3 {
+			t.Fatalf("compress=%v: loaded %d shards counting %d, want 3 counting %d", compress, loaded.NumShards(), g, w)
+		}
+		sn.Close()
 	}
 }
 

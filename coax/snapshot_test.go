@@ -1,8 +1,8 @@
 package coax_test
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -11,11 +11,12 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/mmapsnap"
 )
 
 // TestSaveLoadFile exercises the public persistence API end to end: a
-// snapshot written by SaveShardedFile and opened by OpenFile answers queries
-// identically to the index that was saved.
+// snapshot written by SaveShardedFileV3 and opened by OpenFile answers
+// queries identically to the index that was saved.
 func TestSaveLoadFile(t *testing.T) {
 	tab := coax.GenerateAirline(coax.DefaultAirlineConfig(15000))
 	opt := coax.DefaultOptions()
@@ -26,13 +27,14 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "airline.coax")
-	if err := coax.SaveShardedFile(path, idx); err != nil {
-		t.Fatalf("SaveShardedFile: %v", err)
+	if err := coax.SaveShardedFileV3(path, idx, false); err != nil {
+		t.Fatalf("SaveShardedFileV3: %v", err)
 	}
 	sn, err := coax.OpenFile(path)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
+	defer sn.Close()
 	loaded := serving(t, sn)
 
 	queries := []coax.Rect{coax.FullRect(tab.Dims())}
@@ -49,77 +51,64 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSaveFilePreservesMode ensures replacing a snapshot keeps the file
-// mode readers depend on instead of CreateTemp's private 0600.
-func TestSaveFilePreservesMode(t *testing.T) {
-	tab := coax.GenerateOSM(coax.DefaultOSMConfig(500))
-	opt := coax.DefaultOptions()
-	opt.SoftFD.SampleCount = 500
-	idx := build(t, tab, opt, 1)
-	path := filepath.Join(t.TempDir(), "idx.coax")
-	if err := coax.SaveShardedFile(path, idx); err != nil {
-		t.Fatalf("SaveShardedFile: %v", err)
-	}
-	if fi, _ := os.Stat(path); fi.Mode().Perm() != 0o644 {
-		t.Fatalf("fresh snapshot mode %v, want 0644", fi.Mode().Perm())
-	}
-	if err := os.Chmod(path, 0o664); err != nil {
-		t.Fatal(err)
-	}
-	if err := coax.SaveShardedFile(path, idx); err != nil {
-		t.Fatalf("SaveShardedFile over existing: %v", err)
-	}
-	if fi, _ := os.Stat(path); fi.Mode().Perm() != 0o664 {
-		t.Fatalf("replaced snapshot mode %v, want preserved 0664", fi.Mode().Perm())
-	}
-}
-
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := coax.OpenFile(filepath.Join(t.TempDir(), "absent.coax")); err == nil {
 		t.Fatal("OpenFile of missing path succeeded")
 	}
 }
 
-// TestOpenFileReportsDecodeError: a damaged v2 file fails to open with its
-// decoder's own error. Here a 2-shard file's layout section, its CRC intact,
-// claims 99 dims.
+// TestOpenFileReportsDecodeError: a damaged file fails to open with its
+// decoder's own error — here a 2-shard file whose layout section, its CRC
+// intact, claims 99 dims — and a file of format version 1 or 2 fails with
+// mmapsnap.ErrVersion, its version, and the command that converts it.
 func TestOpenFileReportsDecodeError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := coax.SaveSharded(&buf, build(t, coax.GenerateOSM(coax.DefaultOSMConfig(2000)), coax.DefaultOptions(), 2)); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "damaged.coax")
+	if err := coax.SaveShardedFileV3(path, build(t, coax.GenerateOSM(coax.DefaultOSMConfig(2000)), coax.DefaultOptions(), 2), false); err != nil {
 		t.Fatal(err)
 	}
-	// The layout is the first section after the 16-byte header: id, payload
-	// length, payload — ending in the dims — and CRC.
-	blob := buf.Bytes()
-	if id := string(blob[16:20]); id != "shmt" {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The layout is the first table-of-contents entry after the 16-byte
+	// header: id, flags, offset, length, CRC. Its payload ends in the dims.
+	toc := blob[16:48]
+	if id := string(toc[:4]); id != "shmt" {
 		t.Fatalf("first section %q, want the shard layout", id)
 	}
-	n := int(binary.LittleEndian.Uint64(blob[20:28]))
-	layout := blob[28 : 28+n]
+	off, n := binary.LittleEndian.Uint64(toc[8:]), binary.LittleEndian.Uint64(toc[16:])
+	layout := blob[off : off+n]
 	binary.LittleEndian.PutUint64(layout[n-8:], 99)
-	binary.LittleEndian.PutUint32(blob[28+n:], crc32.Checksum(layout, crc32.MakeTable(crc32.Castagnoli)))
-	path := filepath.Join(t.TempDir(), "damaged.coax")
+	binary.LittleEndian.PutUint32(toc[24:], crc32.Checksum(layout, crc32.MakeTable(crc32.Castagnoli)))
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coax.OpenFile(path); err == nil || !strings.Contains(err.Error(), "layout says 99") {
 		t.Fatalf("OpenFile error = %v, want the layout's dims mismatch", err)
 	}
+
+	for file, version := range map[string]string{"osm600-2shard.v2": "version 2", "osm-rtree.v1": "version 1"} {
+		_, err := coax.OpenFile(filepath.Join("..", "internal", "snapshot", "testdata", file))
+		if !errors.Is(err, mmapsnap.ErrVersion) || !strings.Contains(err.Error(), version) || !strings.Contains(err.Error(), "coaxstore convert") {
+			t.Errorf("OpenFile(%s) error = %v, want ErrVersion naming %s and coaxstore convert", file, err, version)
+		}
+	}
 }
 
 // TestServingSizesWorkers: the fan-out pool of an opened snapshot is the one
-// Serving asks for, on v2 and v3 files alike.
+// Serving asks for, on raw and compressed files alike.
 func TestServingSizesWorkers(t *testing.T) {
 	idx := build(t, coax.GenerateOSM(coax.DefaultOSMConfig(4000)), coax.DefaultOptions(), 4)
 	dir := t.TempDir()
-	v2, v3 := filepath.Join(dir, "idx.v2"), filepath.Join(dir, "idx.v3")
-	if err := coax.SaveShardedFile(v2, idx); err != nil {
+	raw, packed := filepath.Join(dir, "idx.v3"), filepath.Join(dir, "idx.v3c")
+	if err := coax.SaveShardedFileV3(raw, idx, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := coax.SaveShardedFileV3(v3, idx, true); err != nil {
+	if err := coax.SaveShardedFileV3(packed, idx, true); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{v2, v3} {
+	for _, path := range []string{raw, packed} {
 		sn, err := coax.OpenFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package binio provides the little-endian binary primitives shared by the
-// per-layer snapshot codecs (gridfile, rtree, model, softfd, dataset, core).
-// A Writer appends into an in-memory buffer so section lengths and checksums
-// can be computed before framing; a Reader parses a byte slice with strict
-// bounds checking so corrupted or truncated input surfaces as an error from
-// Err/Close, never as a panic or an oversized allocation.
+// per-layer snapshot codecs (gridfile, rtree, model, softfd, lifecycle, core)
+// and the wire protocol. A Writer appends into an in-memory buffer so
+// section lengths and checksums can be computed before framing; a Reader
+// parses a byte slice with strict bounds checking so corrupted or truncated
+// input surfaces as an error from Err/Close, never as a panic or an
+// oversized allocation.
 package binio
 
 import (
@@ -81,46 +82,6 @@ func (w *Writer) Ints(vs []int) {
 // Int64s appends a length-prefixed int64 slice.
 func (w *Writer) Int64s(vs []int64) {
 	w.Uint64(uint64(len(vs)))
-	for _, v := range vs {
-		w.Int64(v)
-	}
-}
-
-// Align pads the buffer with zero bytes until its length is a multiple of
-// n. Snapshot v3 page sections use it to place fixed-width regions on
-// 64-byte boundaries so they can be aliased directly out of an mmap'd file.
-func (w *Writer) Align(n int) {
-	if n <= 1 {
-		return
-	}
-	for len(w.buf)%n != 0 {
-		w.buf = append(w.buf, 0)
-	}
-}
-
-// RawBytes appends bytes with no length prefix. The caller frames them.
-func (w *Writer) RawBytes(b []byte) { w.buf = append(w.buf, b...) }
-
-// RawFloat64s appends float64 bit patterns with no length prefix. Combined
-// with a separately written length, a sequence of RawFloat64s calls is
-// byte-identical to one Float64s call over the concatenation — the grid
-// codec uses this to emit per-cell pages without materializing a contiguous
-// copy.
-func (w *Writer) RawFloat64s(vs []float64) {
-	for _, v := range vs {
-		w.Float64(v)
-	}
-}
-
-// RawUint64s appends fixed-width 64-bit values with no length prefix.
-func (w *Writer) RawUint64s(vs []uint64) {
-	for _, v := range vs {
-		w.Uint64(v)
-	}
-}
-
-// RawInt64s appends signed 64-bit values with no length prefix.
-func (w *Writer) RawInt64s(vs []int64) {
 	for _, v := range vs {
 		w.Int64(v)
 	}

@@ -12,12 +12,15 @@ import (
 )
 
 // Snapshot codec. A COAX index persists as independent sections — meta
-// scalars, the soft-FD result, the primary grid, the outlier index — so the
-// container format (internal/snapshot) can frame, length-prefix, and
+// scalars, the soft-FD result, the primary grid, the outlier index, the
+// lifecycle state — so the container (internal/mmapsnap) can frame and
 // checksum each layer separately. Decoding proceeds in the same order:
 // DecodeMeta produces a skeleton, the Attach methods hang the decoded
 // layers onto it, and FinishDecode re-verifies the cross-layer invariants
-// that Build guarantees by construction.
+// that Build guarantees by construction. The binio grid decoders
+// (DecodeAttachPrimary, DecodeAttachOutliers for grids, and the tombstone
+// slots of DecodeAttachLifecycle) read only the format v1/v2 files that
+// internal/snapshot converts.
 
 // EncodeMeta appends the index's scalar state and partition bounds to w.
 func (c *COAX) EncodeMeta(w *binio.Writer) {
@@ -81,30 +84,8 @@ func (c *COAX) DecodeAttachColumns(r *binio.Reader) error {
 // when every row was an outlier).
 func (c *COAX) HasPrimary() bool { return c.primary != nil }
 
-// HasOutliers reports whether the index carries an outlier index (false
-// only when every row was an inlier).
-func (c *COAX) HasOutliers() bool { return c.outliers != nil }
-
 // EncodeFD appends the detection result to w.
 func (c *COAX) EncodeFD(w *binio.Writer) { softfd.EncodeResult(w, c.fd) }
-
-// EncodePrimary appends the primary grid file to w; the primary must exist.
-func (c *COAX) EncodePrimary(w *binio.Writer) { c.primary.Encode(w) }
-
-// EncodeOutliers appends the outlier index to w; it must exist. The
-// concrete codec follows the outlier kind recorded in the meta section.
-func (c *COAX) EncodeOutliers(w *binio.Writer) error {
-	switch o := c.outliers.(type) {
-	case *gridfile.GridFile:
-		o.Encode(w)
-		return nil
-	case *rtree.RTree:
-		o.Encode(w)
-		return nil
-	default:
-		return fmt.Errorf("core: outlier index %T has no snapshot codec", c.outliers)
-	}
-}
 
 // DecodeMeta reads a meta section written by EncodeMeta and returns a
 // skeleton index awaiting its FD and index layers.
@@ -239,30 +220,11 @@ func (c *COAX) AttachOutliers(idx OutlierIndex) error {
 	return nil
 }
 
-// EncodeLifecycle appends the lifecycle section: the rebuild epoch, the
-// staleness baseline, the mutation/drift tracker, and the tombstone slots
-// of the primary and (grid-file) outlier indexes, so a loaded snapshot
-// resumes mid-lifecycle instead of forgetting its drift history. An
-// in-flight epoch rebuild is deliberately not persisted: the serving epoch
-// already holds every mutation its delta log records, so after a load the
-// compactor simply re-detects staleness and restarts the rebuild.
-func (c *COAX) EncodeLifecycle(w *binio.Writer) {
-	c.EncodeLifecycleScalars(w)
-	var primaryDead, outlierDead []int64
-	if c.primary != nil {
-		primaryDead = c.primary.DeadSlots()
-	}
-	if g, ok := c.outliers.(*gridfile.GridFile); ok {
-		outlierDead = g.DeadSlots()
-	}
-	w.Int64s(primaryDead)
-	w.Int64s(outlierDead)
-}
-
-// DecodeAttachLifecycle reads a lifecycle section written by
-// EncodeLifecycle and installs it; it must run after the primary and
-// outlier sections are attached so the tombstone slots have pages to land
-// in.
+// DecodeAttachLifecycle reads a format v2 lifecycle section — the scalars
+// of EncodeLifecycleScalars, then the tombstone slots of the primary and
+// (grid-file) outlier indexes — and installs it; it must run after the
+// primary and outlier sections are attached so the tombstone slots have
+// pages to land in.
 func (c *COAX) DecodeAttachLifecycle(r *binio.Reader) error {
 	if err := c.DecodeAttachLifecycleScalars(r); err != nil {
 		return err
@@ -292,10 +254,12 @@ func (c *COAX) DecodeAttachLifecycle(r *binio.Reader) error {
 	return nil
 }
 
-// EncodeLifecycleScalars appends only the scalar lifecycle state — epoch,
-// staleness baseline, mutation/drift tracker — without the tombstone slot
-// lists. Snapshot v3 uses it: tombstones live as bitmaps inside the page
-// sections there, not in the lifecycle section.
+// EncodeLifecycleScalars appends the scalar lifecycle state — epoch,
+// staleness baseline, mutation/drift tracker. An in-flight epoch rebuild is
+// deliberately not persisted: the serving epoch already holds every
+// mutation its delta log records, so after a load the compactor simply
+// re-detects staleness and restarts the rebuild. Tombstones live as bitmaps
+// inside the v3 page sections, not here.
 func (c *COAX) EncodeLifecycleScalars(w *binio.Writer) {
 	w.Uint64(c.epoch)
 	w.Float64(c.baseOutlierRatio)

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
-	"github.com/coax-index/coax/internal/binio"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/softfd"
@@ -44,53 +42,6 @@ func sameRows(a, b [][]float64) bool {
 		}
 	}
 	return true
-}
-
-// encodeIndex is every section a snapshot writes of c, concatenated.
-func encodeIndex(t *testing.T, c *COAX) []byte {
-	w := binio.NewWriter()
-	c.EncodeMeta(w)
-	c.EncodeColumns(w)
-	c.EncodeFD(w)
-	if c.HasPrimary() {
-		c.EncodePrimary(w)
-	}
-	if c.HasOutliers() {
-		if err := c.EncodeOutliers(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.EncodeLifecycle(w)
-	return w.Bytes()
-}
-
-// TestBuildWithFDDeterministic: two builds of one table encode to identical
-// bytes, with grid outliers (whose layout the cost model chooses) and with
-// R-tree outliers.
-func TestBuildWithFDDeterministic(t *testing.T) {
-	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(20000))
-	fd, err := softfd.Detect(tab, DefaultOptions().SoftFD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []OutlierIndexKind{OutlierGrid, OutlierRTree} {
-		opt := DefaultOptions()
-		opt.OutlierKind = kind
-		var enc [2][]byte
-		for i := range enc {
-			c, err := BuildWithFD(tab, fd, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := c.BuildStats(); st.PrimaryRows == 0 || st.OutlierRows < 2*outlierPageRows {
-				t.Fatalf("kind %d: split %d/%d leaves a partition untested", kind, st.PrimaryRows, st.OutlierRows)
-			}
-			enc[i] = encodeIndex(t, c)
-		}
-		if !bytes.Equal(enc[0], enc[1]) {
-			t.Errorf("kind %d: two builds of one table encode differently", kind)
-		}
-	}
 }
 
 // streamShuffled streams tab's rows in a seeded random order into a

@@ -2,57 +2,20 @@ package gridfile
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/coax-index/coax/internal/binio"
 )
 
-// Snapshot codec. A grid file serializes as its configuration, the
-// per-dimension boundary vectors, the per-cell offset table, the contiguous
-// row payload, and any live overflow pages (so saving does not force a
-// Compact on an index that concurrent readers may be using). Strides are
-// recomputed on decode rather than trusted from the payload.
+// Snapshot codec of format v1/v2. A grid file there serializes as its
+// configuration, the per-dimension boundary vectors, the per-cell offset
+// table, the contiguous row payload, and any live overflow pages. Its one
+// caller is internal/snapshot's reader of those files; v3 lays grids out as
+// pages (internal/mmapsnap). Strides are recomputed on decode rather than
+// trusted from the payload.
 
-// Encode appends the complete grid file state to w.
-func (g *GridFile) Encode(w *binio.Writer) {
-	w.Ints(g.cfg.GridDims)
-	w.Int(g.cfg.SortDim)
-	w.Int(g.cfg.CellsPerDim)
-	w.Int(int(g.cfg.Mode))
-	w.String(g.cfg.Label)
-	w.Int(g.dims)
-	w.Int(g.n)
-	w.Uint64(uint64(len(g.bounds)))
-	for _, b := range g.bounds {
-		w.Float64s(b)
-	}
-	w.Int64s(g.offsets)
-	if g.store == nil {
-		w.Float64s(g.data)
-	} else {
-		// Store-backed (memory-mapped) pages: emit the payload cell by cell
-		// through CellPages — byte-identical to Float64s over the resident
-		// concatenation — without materializing a contiguous copy or
-		// mutating any state under a read lock.
-		w.Uint64(uint64(g.mainRows() * g.dims))
-		g.CellPages(func(_ int, page []float64) { w.RawFloat64s(page) })
-	}
-
-	cells := make([]int, 0, len(g.overflow))
-	for c := range g.overflow {
-		cells = append(cells, c)
-	}
-	sort.Ints(cells)
-	w.Uint64(uint64(len(cells)))
-	for _, c := range cells {
-		w.Int(c)
-		w.Float64s(g.overflow[c].data)
-	}
-}
-
-// Decode reads a grid file written by Encode, revalidating every structural
-// invariant so a corrupted payload yields an error rather than an index
-// that panics at query time.
+// Decode reads a format v1/v2 grid file payload, revalidating every
+// structural invariant so a corrupted payload yields an error rather than
+// an index that panics at query time.
 func Decode(r *binio.Reader) (*GridFile, error) {
 	g := &GridFile{}
 	g.cfg.GridDims = r.Ints()

@@ -1,6 +1,7 @@
 package gridfile
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -28,10 +29,34 @@ func testTable(n, dims int, seed int64) *dataset.Table {
 	return t
 }
 
+// encode writes g as the format v1/v2 payload Decode reads: the encoder
+// those formats were written with, kept here to make Decode's inputs.
+func encode(g *GridFile, w *binio.Writer) {
+	w.Ints(g.cfg.GridDims)
+	w.Int(g.cfg.SortDim)
+	w.Int(g.cfg.CellsPerDim)
+	w.Int(int(g.cfg.Mode))
+	w.String(g.cfg.Label)
+	w.Int(g.dims)
+	w.Int(g.n)
+	w.Uint64(uint64(len(g.bounds)))
+	for _, b := range g.bounds {
+		w.Float64s(b)
+	}
+	w.Int64s(g.offsets)
+	w.Float64s(g.data)
+	cells := slices.Sorted(maps.Keys(g.overflow))
+	w.Uint64(uint64(len(cells)))
+	for _, c := range cells {
+		w.Int(c)
+		w.Float64s(g.overflow[c].data)
+	}
+}
+
 func roundTrip(t *testing.T, g *GridFile) *GridFile {
 	t.Helper()
 	w := binio.NewWriter()
-	g.Encode(w)
+	encode(g, w)
 	r := binio.NewReader(w.Bytes())
 	got, err := Decode(r)
 	if err != nil {
@@ -183,7 +208,7 @@ func TestCodecRejectsCorruptStructure(t *testing.T) {
 		clone.offsets = append([]int64(nil), g.offsets...)
 		clone.data = append([]float64(nil), g.data...)
 		mutate(&clone)
-		clone.Encode(w)
+		encode(&clone, w)
 		if _, err := Decode(binio.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: Decode accepted corrupt structure", name)
 		}

@@ -2,7 +2,6 @@ package gridfile
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"github.com/coax-index/coax/internal/lifecycle"
@@ -145,24 +144,8 @@ func (g *GridFile) setDead(slot int) {
 	}
 }
 
-// DeadSlots returns the tombstoned main-page row slots in ascending order;
-// the snapshot codec persists them so a loaded index resumes mid-lifecycle.
-func (g *GridFile) DeadSlots() []int64 {
-	if g.deadCount == 0 {
-		return nil
-	}
-	out := make([]int64, 0, g.deadCount)
-	for w, word := range g.dead {
-		for word != 0 {
-			out = append(out, int64(w*64+bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return out
-}
-
-// SetDeadSlots installs a tombstone set (typically decoded from a
-// snapshot). Slots must be unique and within the main pages.
+// SetDeadSlots installs a tombstone set decoded from a format v2 snapshot.
+// Slots must be unique and within the main pages.
 func (g *GridFile) SetDeadSlots(slots []int64) error {
 	mainRows := g.mainRows()
 	g.dead = nil

@@ -39,7 +39,7 @@ func TestBuildDeterministic(t *testing.T) {
 				t.Fatalf("%s: Build: %v", tc.name, err)
 			}
 			w := binio.NewWriter()
-			g.Encode(w)
+			encode(g, w)
 			enc[i] = w.Bytes()
 		}
 		if !bytes.Equal(enc[0], enc[1]) {

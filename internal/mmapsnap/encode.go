@@ -106,7 +106,8 @@ func EncodeIndex(idx *core.COAX, opt Options) ([]byte, error) {
 // section per shard holding a complete nested v3 blob. Sub-blob offsets
 // are relative to the sub-blob, and each lands on a 64-byte boundary of
 // the parent, so one mapping serves every shard by subslicing. Each shard
-// encodes under its read lock, like the v2 encoder.
+// encodes under its read lock, so the index keeps serving during a save;
+// the result is consistent per shard, not a global point-in-time cut.
 func EncodeSharded(s *shard.Sharded, opt Options) ([]byte, error) {
 	k := s.NumShards()
 	layout := binio.NewWriter()

@@ -1,12 +1,12 @@
 package mmapsnap
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -15,7 +15,7 @@ import (
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/shard"
-	"github.com/coax-index/coax/internal/snapshot"
+	"github.com/coax-index/coax/internal/softfd"
 	"github.com/coax-index/coax/internal/workload"
 )
 
@@ -79,73 +79,120 @@ func requireSameResults(t *testing.T, want, got index.Interface, queries []index
 	}
 }
 
+// TestRoundTripSingle: a single index over either dataset, with grid or
+// R-tree outliers or spline models, answers bit-identically from its v3
+// blob, raw and compressed.
 func TestRoundTripSingle(t *testing.T) {
-	tab := testTable(t, 4000)
-	queries := testQueries(tab)
-	for _, kind := range []core.OutlierIndexKind{core.OutlierGrid, core.OutlierRTree} {
-		for _, compress := range []bool{false, true} {
-			idx := buildIndex(t, tab, kind)
-			blob, err := EncodeIndex(idx, Options{Compress: compress})
+	osm := testTable(t, 4000)
+	airline := dataset.GenerateAirline(dataset.DefaultAirlineConfig(4000))
+	for _, tc := range []struct {
+		name   string
+		tab    *dataset.Table
+		kind   core.OutlierIndexKind
+		spline bool
+	}{
+		{"osm/grid", osm, core.OutlierGrid, false},
+		{"osm/rtree", osm, core.OutlierRTree, false},
+		{"osm/spline", osm, core.OutlierGrid, true},
+		{"airline/grid", airline, core.OutlierGrid, false},
+		{"airline/rtree", airline, core.OutlierRTree, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := core.DefaultOptions()
+			opt.OutlierKind = tc.kind
+			opt.SoftFD.SampleCount = 2000
+			if tc.spline {
+				opt.SoftFD.Kind = softfd.ModelSpline
+			}
+			idx, err := core.Build(tc.tab, opt)
 			if err != nil {
-				t.Fatalf("kind=%v compress=%v: EncodeIndex: %v", kind, compress, err)
+				t.Fatal(err)
 			}
-			if err := Verify(blob); err != nil {
-				t.Fatalf("kind=%v compress=%v: Verify: %v", kind, compress, err)
+			queries := testQueries(tc.tab)
+			for _, compress := range []bool{false, true} {
+				blob, err := EncodeIndex(idx, Options{Compress: compress})
+				if err != nil {
+					t.Fatalf("compress=%v: EncodeIndex: %v", compress, err)
+				}
+				if err := Verify(blob); err != nil {
+					t.Fatalf("compress=%v: Verify: %v", compress, err)
+				}
+				sn, err := OpenBytes(blob)
+				if err != nil {
+					t.Fatalf("compress=%v: OpenBytes: %v", compress, err)
+				}
+				got := sn.Index()
+				if got == nil {
+					t.Fatal("single snapshot returned no index")
+				}
+				if got.Len() != idx.Len() {
+					t.Fatalf("Len %d != %d", got.Len(), idx.Len())
+				}
+				requireSameResults(t, idx, got, queries)
+				if err := sn.PageErr(); err != nil {
+					t.Fatalf("PageErr: %v", err)
+				}
 			}
-			sn, err := OpenBytes(blob)
-			if err != nil {
-				t.Fatalf("kind=%v compress=%v: OpenBytes: %v", kind, compress, err)
-			}
-			got := sn.Index()
-			if got == nil {
-				t.Fatal("single snapshot returned no index")
-			}
-			if got.Len() != idx.Len() {
-				t.Fatalf("Len %d != %d", got.Len(), idx.Len())
-			}
-			requireSameResults(t, idx, got, queries)
-			if err := sn.PageErr(); err != nil {
-				t.Fatalf("PageErr: %v", err)
-			}
-		}
+		})
 	}
 }
 
+// TestRoundTripSharded: every partition shape — range and hash, one shard,
+// many, and more shards than the range column has room for, which leaves
+// some empty — keeps its routing (scheme, column, cut points) and answers
+// bit-identically from its v3 blob, raw and compressed.
 func TestRoundTripSharded(t *testing.T) {
 	tab := testTable(t, 6000)
 	queries := testQueries(tab)
 	opt := core.DefaultOptions()
 	opt.SoftFD.SampleCount = 2000
-	sh, err := shard.Build(tab, opt, shard.DefaultOptions())
-	if err != nil {
-		t.Fatalf("shard.Build: %v", err)
-	}
-	for _, compress := range []bool{false, true} {
-		blob, err := EncodeSharded(sh, Options{Compress: compress})
-		if err != nil {
-			t.Fatalf("EncodeSharded: %v", err)
-		}
-		if err := Verify(blob); err != nil {
-			t.Fatalf("Verify: %v", err)
-		}
-		sn, err := OpenBytes(blob)
-		if err != nil {
-			t.Fatalf("OpenBytes: %v", err)
-		}
-		got := sn.Sharded()
-		if got == nil {
-			t.Fatal("sharded snapshot returned no sharded index")
-		}
-		if got.Len() != sh.Len() {
-			t.Fatalf("Len %d != %d", got.Len(), sh.Len())
-		}
-		requireSameResults(t, sh, got, queries)
+	for _, tc := range []struct {
+		name string
+		so   shard.Options
+	}{
+		{"default", shard.DefaultOptions()},
+		{"range4", shard.Options{NumShards: 4, Partition: shard.ByRange, Column: -1}},
+		{"hash3", shard.Options{NumShards: 3, Partition: shard.ByHash}},
+		{"single", shard.Options{NumShards: 1, Partition: shard.ByRange, Column: 0}},
+		{"manyShards", shard.Options{NumShards: 17, Partition: shard.ByRange, Column: 2}},
+		{"emptyShards", shard.Options{NumShards: 64, Partition: shard.ByRange, Column: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, compress := range []bool{false, true} {
+				sh, err := shard.Build(tab, opt, tc.so)
+				if err != nil {
+					t.Fatalf("shard.Build: %v", err)
+				}
+				blob, err := EncodeSharded(sh, Options{Compress: compress})
+				if err != nil {
+					t.Fatalf("EncodeSharded: %v", err)
+				}
+				if err := Verify(blob); err != nil {
+					t.Fatalf("Verify: %v", err)
+				}
+				sn, err := OpenBytes(blob)
+				if err != nil {
+					t.Fatalf("OpenBytes: %v", err)
+				}
+				got := sn.Sharded()
+				if got == nil {
+					t.Fatal("sharded snapshot returned no sharded index")
+				}
+				if got.NumShards() != sh.NumShards() || got.Len() != sh.Len() || got.Partition() != sh.Partition() ||
+					got.RangeColumn() != sh.RangeColumn() || !slices.Equal(got.Cuts(), sh.Cuts()) {
+					t.Fatalf("shape changed: %d shards, %d rows, %v on %d cut at %v; want %d, %d, %v on %d cut at %v",
+						got.NumShards(), got.Len(), got.Partition(), got.RangeColumn(), got.Cuts(),
+						sh.NumShards(), sh.Len(), sh.Partition(), sh.RangeColumn(), sh.Cuts())
+				}
+				requireSameResults(t, sh, got, queries)
+			}
+		})
 	}
 }
 
 // TestMappedMutationAndReencode proves a mapped index stays fully mutable
-// (inserts, deletes, compaction) and that saving it back through the v2
-// codec round-trips — the convert path in both directions.
+// (inserts, deletes, compaction) and that saving the mutated index again —
+// overflow pages and tombstones over store-backed pages — round-trips.
 func TestMappedMutationAndReencode(t *testing.T) {
 	tab := testTable(t, 3000)
 	idx := buildIndex(t, tab, core.OutlierGrid)
@@ -177,15 +224,16 @@ func TestMappedMutationAndReencode(t *testing.T) {
 				t.Fatalf("Delete: %v", err)
 			}
 		}
-		// Save the mutated mapped index with the v2 codec and reload it.
-		var buf bytes.Buffer
-		if err := snapshot.Encode(&buf, got); err != nil {
-			t.Fatalf("v2 Encode of mapped index: %v", err)
-		}
-		heap, err := snapshot.Decode(bytes.NewReader(buf.Bytes()))
+		// Save the mutated mapped index again and reopen it.
+		again, err := EncodeIndex(got, Options{Compress: compress})
 		if err != nil {
-			t.Fatalf("v2 Decode: %v", err)
+			t.Fatalf("re-encode of mapped index: %v", err)
 		}
+		reopened, err := OpenBytes(again)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		heap := reopened.Index()
 		requireSameResults(t, heap, got, testQueries(tab))
 
 		// Compact materializes the pages; the store must be gone after.
@@ -348,15 +396,15 @@ func TestVersionMismatch(t *testing.T) {
 	if _, err := OpenBytes([]byte("NOTASNAPxxxx")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
 	}
-	// A v2 file must be rejected by mmapsnap with ErrVersion, not mangled.
-	tab := testTable(t, 500)
-	idx := buildIndex(t, tab, core.OutlierGrid)
-	var buf bytes.Buffer
-	if err := snapshot.Encode(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenBytes(buf.Bytes()); !errors.Is(err, ErrVersion) {
-		t.Fatalf("want ErrVersion for v2 file, got %v", err)
+	// A v1 or v2 file must be rejected with ErrVersion, not mangled.
+	for _, file := range []string{"osm600-2shard.v2", "osm-rtree.v1"} {
+		blob, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenBytes(blob); !errors.Is(err, ErrVersion) {
+			t.Fatalf("want ErrVersion for %s, got %v", file, err)
+		}
 	}
 }
 
