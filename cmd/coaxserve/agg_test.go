@@ -6,6 +6,7 @@ package main
 // aggregates outright.
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"testing"
@@ -109,6 +110,34 @@ func TestQueryAggExplain(t *testing.T) {
 	a := out.Explain.Agg
 	if a.Op != "sum" || a.Column != "lon" || a.PrimaryKernel == "" || a.Batches == 0 {
 		t.Fatalf("agg explain %+v", a)
+	}
+}
+
+// TestQueryExplainColumnTests: ?explain=true carries each partition's
+// kernel column tests as column_tests — present when a page had a column
+// its cell did not prove, omitted for the full rectangle, which tests none.
+func TestQueryExplainColumnTests(t *testing.T) {
+	_, srv := testServerHardened(t, 0, nil)
+	lat := coax.GenerateOSM(coax.DefaultOSMConfig(8000)).Row(0)[2]
+	zero := 0
+	for _, tc := range []struct {
+		name string
+		req  rectRequest
+		want bool
+	}{
+		{"lat from a row's value", rectRequest{Min: []*float64{nil, nil, &lat, nil}, Max: make([]*float64, 4), Limit: &zero}, true},
+		{"full", rectRequest{Limit: &zero}, false},
+	} {
+		var out struct {
+			Explain struct {
+				Primary map[string]json.RawMessage `json:"primary"`
+			} `json:"explain"`
+		}
+		postJSON(t, srv.URL+"/query?explain=true", tc.req, &out)
+		p := out.Explain.Primary
+		if _, ok := p["column_tests"]; len(p) == 0 || ok != tc.want {
+			t.Fatalf("%s: primary explain %v, want column_tests present: %v", tc.name, p, tc.want)
+		}
 	}
 }
 

@@ -173,6 +173,34 @@ func TestStreamingBuildSubcommand(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesNonFiniteCSV: build -csv over a file holding a NaN fails,
+// materialized or streaming, naming the value's row and column, and writes
+// no index.
+func TestBuildRefusesNonFiniteCSV(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "osm.csv")
+	f, err := os.Create(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := coax.GenerateOSM(coax.DefaultOSMConfig(20000))
+	tab.Row(15000)[3] = math.NaN()
+	if err := coax.WriteCSV(f, tab); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	out := filepath.Join(dir, "osm.coax")
+	for _, args := range [][]string{{}, {"-sample", "2000"}} {
+		err := cmdBuild(append([]string{"-csv", csvPath, "-out", out, "-q"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "row 15000, column 3 (lon) holds NaN") {
+			t.Fatalf("build %v: %v, want an error naming row 15000, column 3", args, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("build %v left %s behind (%v)", args, out, err)
+		}
+	}
+}
+
 // TestConvertSubcommand converts each committed v1/v2 fixture to v3, then
 // that file to a compressed one: both answer every query bit-identically to
 // the legacy decode. The unconverted file is refused by info with an error

@@ -398,6 +398,9 @@ func (b *Builder) samplePhase(src RowSource, opt Options, names []string) (*samp
 			if err != nil {
 				return nil, err
 			}
+			if err := dataset.CheckFinite(names, c.Data, total); err != nil {
+				return nil, fmt.Errorf("coax: %w", err)
+			}
 			for i := 0; i < c.Rows(); i++ {
 				res.Push(c.Row(i))
 			}
@@ -433,6 +436,9 @@ func (b *Builder) samplePhase(src RowSource, opt Options, names []string) (*samp
 		}
 		if err != nil {
 			return nil, err
+		}
+		if err := dataset.CheckFinite(names, c.Data, prefix.Len()); err != nil {
+			return nil, fmt.Errorf("coax: %w", err)
 		}
 		// Growing by exactly the chunk (a no-op until the k-row capacity
 		// runs out) avoids the append-doubling copy that would otherwise
@@ -499,6 +505,7 @@ func (b *Builder) BuildSharded(src RowSource, so ShardOptions) (*Index, error) {
 		return nil, err
 	}
 	if err := b.placePhase(src, sp, sb); err != nil {
+		sb.Abandon()
 		return nil, err
 	}
 	b.report("finish", sb.Rows(), sb.Rows())

@@ -2,8 +2,14 @@ package coax_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/coax-index/coax/coax"
 )
@@ -178,4 +184,68 @@ func scanCount(tab *coax.Table, r coax.Rect) int {
 		}
 	}
 	return n
+}
+
+// TestBuildRefusesNonFiniteCSV: a CSV source may carry NaN and ±Inf, which
+// an index cannot hold, so every build path — materialized, a prefix sample
+// of a one-shot reader, a reservoir over a replayable file, with the value
+// inside the sample or past it — fails with an error naming the value's row
+// and column instead of building an index that loses rows.
+func TestBuildRefusesNonFiniteCSV(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		row    int
+		value  float64
+		sample int
+		file   bool
+	}{
+		{"materialized", 4321, math.NaN(), 0, false},
+		{"prefix sample", 123, math.NaN(), 2000, false},
+		{"past the prefix", 12345, math.Inf(1), 2000, false},
+		{"reservoir", 12345, math.Inf(-1), 2000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := coax.GenerateOSM(coax.DefaultOSMConfig(20000))
+			tab.Row(tc.row)[2] = tc.value
+			var csv bytes.Buffer
+			if err := coax.WriteCSV(&csv, tab); err != nil {
+				t.Fatal(err)
+			}
+			var src coax.RowSource
+			if tc.file {
+				path := filepath.Join(dir, "osm.csv")
+				if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				f, err := coax.OpenCSVFile(path, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				src = f
+			} else {
+				var err error
+				if src, err = coax.NewCSVSource(&csv, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			so := coax.DefaultShardOptions()
+			so.NumShards = 2
+			before := runtime.NumGoroutine()
+			_, err := coax.NewBuilder(coax.ColumnsSchema(src.Columns()), coax.DefaultOptions()).
+				SampleSize(tc.sample).BuildSharded(src, so)
+			want := fmt.Sprintf("row %d, column 2 (lat) holds %v", tc.row, tc.value)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("build: %v, want an error naming %q", err, want)
+			}
+			// The failed build stopped its shard workers.
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 100 {
+					t.Fatalf("%d goroutines after the failed build, %d before", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
 }

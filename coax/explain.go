@@ -86,6 +86,12 @@ type ProbeStats struct {
 	// scan kernel handed to the query's consumer — rows and aggregates run
 	// the same kernel, so a row query reports them too.
 	Batches int64 `json:"batches,omitempty"`
+	// ColumnTests is the number of column range tests the scan kernel
+	// evaluated: each window's rows times the columns its selection tested.
+	// A grid page skips the columns its cell proves — the sort column and
+	// every grid axis the cell lies inside — so this runs below
+	// RowsScanned × constrained columns.
+	ColumnTests int64 `json:"column_tests,omitempty"`
 }
 
 // AggExplain is the aggregation-pushdown section of an EXPLAIN: which
@@ -194,6 +200,7 @@ func (e *Explain) fromShard(sr *shard.Report) {
 		RowsMatched:        rep.Primary.Matched,
 		TombstonesFiltered: rep.Primary.Tombstones,
 		Batches:            rep.Primary.Batches,
+		ColumnTests:        rep.Primary.ColumnTests,
 	}
 	e.Outlier = ProbeStats{
 		Pages:              rep.Outlier.Pages,
@@ -201,6 +208,7 @@ func (e *Explain) fromShard(sr *shard.Report) {
 		RowsMatched:        rep.Outlier.Matched,
 		TombstonesFiltered: rep.Outlier.Tombstones,
 		Batches:            rep.Outlier.Batches,
+		ColumnTests:        rep.Outlier.ColumnTests,
 	}
 	e.Translations = make([]TranslationStep, 0, len(rep.Translations))
 	for _, tr := range rep.Translations {

@@ -125,6 +125,9 @@ func Build(t *dataset.Table, opt Options) (*COAX, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("core: cannot build over an empty table")
 	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 
 	fd, err := softfd.Detect(t, opt.SoftFD)
 	if err != nil {
@@ -179,6 +182,9 @@ func newSkeleton(cols []string, dims int, fd softfd.Result, opt Options) (*COAX,
 func BuildWithFD(t *dataset.Table, fd softfd.Result, opt Options) (*COAX, error) {
 	if t.Len() == 0 {
 		return newSkeleton(t.Cols, t.Dims(), fd, opt)
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	b, err := NewStreamBuilder(t.Cols, fd, t, opt, t.Len())
 	if err != nil {

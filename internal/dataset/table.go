@@ -100,7 +100,8 @@ func (t *Table) ColumnIndex(name string) int {
 // SizeBytes reports the payload size of the row data.
 func (t *Table) SizeBytes() int64 { return int64(len(t.Data) * 8) }
 
-// Validate checks that the table holds a whole number of finite-valued rows.
+// Validate checks that the table holds a whole number of finite-valued
+// rows — what every index build requires of its input.
 func (t *Table) Validate() error {
 	if t.dims == 0 {
 		return fmt.Errorf("dataset: table has no columns")
@@ -108,9 +109,22 @@ func (t *Table) Validate() error {
 	if len(t.Data)%t.dims != 0 {
 		return fmt.Errorf("dataset: buffer length %d not divisible by dims %d", len(t.Data), t.dims)
 	}
-	for i, v := range t.Data {
+	return CheckFinite(t.Cols, t.Data, 0)
+}
+
+// CheckFinite returns an error naming the row and column of the first NaN
+// or ±Inf in data, len(cols) values per row, whose first row is row
+// firstRow of its table or stream. Tables and sources carry such values
+// (ReadCSV parses them); an index refuses them, since a NaN has no place in
+// the sorted order a grid page's binary search relies on.
+func CheckFinite(cols []string, data []float64, firstRow int) error {
+	for i, v := range data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("dataset: non-finite value at row %d col %d", i/t.dims, i%t.dims)
+			row, col := firstRow+i/len(cols), i%len(cols)
+			if cols[col] != "" {
+				return fmt.Errorf("dataset: row %d, column %d (%s) holds %v; an index takes finite values only", row, col, cols[col], v)
+			}
+			return fmt.Errorf("dataset: row %d, column %d holds %v; an index takes finite values only", row, col, v)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package gridfile
 
 import (
+	"math"
 	"math/bits"
 
 	"github.com/coax-index/coax/internal/index"
@@ -12,6 +13,13 @@ import (
 // index.BatchRows rows, computes each window's selection bitmap with
 // per-column range loops, masks it against the tombstone bitmap, and hands
 // the batch to the caller. Scan is its row consumer (Batch.Each).
+//
+// A page is tested only on the columns its cell does not prove. The span
+// proves the sort column: a page is sorted on it and holds finite values
+// only (every build and insert refuses the rest), so the binary search
+// returns exactly the rows inside the rectangle's window. A cell proves a
+// grid axis when it lies inside the rectangle on it — see inside — and the
+// walk re-prepares the selection only when that set of axes changes.
 
 // BatchKernel implements index.Kernel.
 func (g *GridFile) BatchKernel() string { return "grid-batch" }
@@ -19,11 +27,12 @@ func (g *GridFile) BatchKernel() string { return "grid-batch" }
 var _ index.ScanBatcher = (*GridFile)(nil)
 
 // batchScratch is everything one ScanBatch derives or reuses across pages:
-// the prepared rectangle and its sort-dimension window, the Batch handed to
-// the yield with its selection words, the tombstone window, the odometer,
-// and — for a store-backed grid file — the buffer its pages decode into.
-// One allocation per scan, never shared, so nothing is allocated or
-// re-derived per page and the grid file stays safe for concurrent readers.
+// the selection prepared for the current cell and the rectangle's
+// sort-dimension window, the Batch handed to the yield with its selection
+// words, the tombstone window, and — for a store-backed grid file — the
+// buffer its pages decode into. One allocation per scan, never shared, so
+// nothing is allocated per page and the grid file stays safe for
+// concurrent readers.
 type batchScratch struct {
 	rect     index.RectSel
 	min, max float64
@@ -33,37 +42,55 @@ type batchScratch struct {
 	page     []float64
 }
 
+// axisWalk is the odometer's state on one grid axis: the rectangle's slot
+// range [lo, hi], the current slot, and whether that slot lies inside the
+// rectangle on the axis.
+type axisWalk struct {
+	lo, hi, at int
+	inside     bool
+}
+
 // ScanBatch implements index.ScanBatcher: it hands yield every row of the
 // grid file inside r, as set bits of one batch per page window, and counts
-// pages, rows scanned, matches, tombstones and batches into probe. The scan
-// stops — skipping every remaining page — as soon as yield returns false
-// or the probe's abort hook fires.
+// pages, rows scanned, matches, tombstones, batches and column tests into
+// probe. The scan stops — skipping every remaining page — as soon as yield
+// returns false or the probe's abort hook fires.
 func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Probe) bool {
 	if r.Empty() {
 		return true
 	}
 	s := &batchScratch{}
-	s.rect.Prepare(r)
 	s.min, s.max = g.queryWindow(r)
 	s.batch.Dims = g.dims
 
-	nd := len(g.cfg.GridDims)
-	odo := make([]int, 3*nd)
-	lo, hi, idx := odo[:nd], odo[nd:2*nd], odo[2*nd:]
+	axes := make([]axisWalk, len(g.cfg.GridDims))
 	for i, d := range g.cfg.GridDims {
-		lo[i] = g.locate(i, r.Min[d])
-		hi[i] = g.locate(i, r.Max[d])
+		lo, hi := g.locate(i, r.Min[d]), g.locate(i, r.Max[d])
+		axes[i] = axisWalk{lo: lo, hi: hi, at: lo, inside: g.inside(i, lo, r)}
 	}
+	// proved reports whether the current cell's pages need no test on
+	// column d.
+	proved := func(d int) bool {
+		if d == g.cfg.SortDim {
+			return true
+		}
+		for i, gd := range g.cfg.GridDims {
+			if gd == d {
+				return axes[i].inside
+			}
+		}
+		return false
+	}
+	s.rect.PrepareOpen(r, proved)
 
 	// Odometer over the cell sub-lattice [lo, hi].
-	copy(idx, lo)
 	for {
 		if probe.Aborted() {
 			return false // cancelled: stop even if no cell ever matches
 		}
 		c := 0
-		for i := range idx {
-			c += idx[i] * g.strides[i]
+		for i := range axes {
+			c += axes[i].at * g.strides[i]
 		}
 		if span, first, ok := g.mainSpan(c, s.min, s.max, &s.page); ok {
 			if !g.emit(span, int(g.offsets[c])+first, yield, probe, s) {
@@ -81,18 +108,46 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 			}
 		}
 
-		i := nd - 1
+		// Advance, re-deciding what the cell proves on every axis whose
+		// slot moved.
+		i, changed := len(axes)-1, false
 		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] <= hi[i] {
+			a := &axes[i]
+			wrapped := a.at == a.hi
+			if wrapped {
+				a.at = a.lo
+			} else {
+				a.at++
+			}
+			if in := g.inside(i, a.at, r); in != a.inside {
+				a.inside, changed = in, true
+			}
+			if !wrapped {
 				break
 			}
-			idx[i] = lo[i]
 		}
 		if i < 0 {
 			return true
 		}
+		if changed {
+			s.rect.PrepareOpen(r, proved)
+		}
 	}
+}
+
+// inside reports whether every value slot s of grid axis i can hold lies
+// inside r on that axis's column. Slot maps v to slot s when
+// b[s] ≤ v < b[s+1], so s lies inside when r.Min ≤ b[s] and b[s+1] ≤ r.Max
+// — except that Slot also clamps values below b[0] into slot 0 and values
+// from the last boundary up into the last slot, so slot 0 needs r.Min = −∞
+// as well, and the last slot r.Max = +∞.
+func (g *GridFile) inside(i, s int, r index.Rect) bool {
+	b, d := g.bounds[i], g.cfg.GridDims[i]
+	lo, hi := r.Min[d], r.Max[d]
+	if s == 0 && !math.IsInf(lo, -1) || s == len(b)-2 && !math.IsInf(hi, 1) {
+		return false
+	}
+	return lo <= b[s] && b[s+1] <= hi
 }
 
 // emit hands yield one page's span in windows of at most index.BatchRows
@@ -112,6 +167,9 @@ func (g *GridFile) emit(span []float64, slot int, yield index.BatchYield, probe 
 		words := index.BatchWords(n)
 		b.Page, b.Rows, b.Sel = span[at*dims:(at+n)*dims], n, s.sel[:words]
 		s.rect.Select(b.Page, dims, n, b.Sel)
+		if probe != nil {
+			probe.ColumnTests += int64(n * s.rect.Columns())
+		}
 		if slot >= 0 && g.deadCount > 0 {
 			// Every tombstone in the window counts as filtered, selected
 			// or not; then the dead bits are cleared from the selection.

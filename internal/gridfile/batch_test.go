@@ -166,3 +166,35 @@ func TestScanBatchSelectionInvariants(t *testing.T) {
 		return true
 	}, nil)
 }
+
+// TestScanBatchTestsClampedEdgeRows: Slot clamps a value below the first
+// boundary into slot 0 and one above the last into the last slot, so a
+// rectangle whose side sits exactly on the first (or last) boundary does
+// not prove those slots, and the rows clamped there must not come back.
+func TestScanBatchTestsClampedEdgeRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	tab := randomTable(rng, 2000, 2)
+	g, err := Build(tab, Config{GridDims: []int{0}, SortDim: 1, CellsPerDim: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.bounds[0]
+	below, above := []float64{b[0] - 1, 0}, []float64{b[len(b)-1] + 1, 0}
+	for _, row := range [][]float64{below, above} {
+		if err := g.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []index.Rect{
+		index.NewRect([]float64{b[0], math.Inf(-1)}, []float64{b[1], math.Inf(1)}),
+		index.NewRect([]float64{b[0], math.Inf(-1)}, []float64{math.Inf(1), math.Inf(1)}),
+		index.NewRect([]float64{math.Inf(-1), math.Inf(-1)}, []float64{b[len(b)-1], math.Inf(1)}),
+	} {
+		g.Scan(r, func(row []float64) bool {
+			if !r.Contains(row) {
+				t.Fatalf("%v returned row %v, which Slot clamped into an edge slot", r, row)
+			}
+			return true
+		}, nil)
+	}
+}

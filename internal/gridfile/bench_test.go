@@ -12,6 +12,7 @@ import (
 type benchGrid struct {
 	name string
 	g    *GridFile
+	tab  *dataset.Table
 }
 
 // benchGrids are the two page shapes the mapped-cold workload serves: a
@@ -24,27 +25,57 @@ func benchGrids(b *testing.B) []benchGrid {
 	if err != nil {
 		b.Fatal(err)
 	}
-	outliers, err := Build(tab.Slice(0, 2*16*16*16), Config{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 16})
+	small := tab.Slice(0, 2*16*16*16)
+	outliers, err := Build(small, Config{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return []benchGrid{{"rows62", primary}, {"rows2", outliers}}
+	return []benchGrid{{"rows62", primary, tab}, {"rows2", outliers, small}}
 }
 
-// benchScan reports ns per row scanned over a fixed set of rectangles.
-func benchScan(b *testing.B, scan func(index.Rect, *index.Probe)) {
-	rng := rand.New(rand.NewSource(47))
+// narrowRects are 64 random rectangles, each side drawn from the data's
+// distribution and about one column in three left open.
+func narrowRects(rng *rand.Rand, dims int) []index.Rect {
 	rects := make([]index.Rect, 64)
 	for i := range rects {
-		rects[i] = randQueryRect(rng, 3)
+		rects[i] = randQueryRect(rng, dims)
 	}
+	return rects
+}
+
+// aggRects are 64 aggregate-shaped rectangles: each column constrained to a
+// random window over a quarter of its values, so on a 24-cell axis the
+// rectangle spans about six cells, most of which lie inside it.
+func aggRects(rng *rand.Rand, tab *dataset.Table) []index.Rect {
+	sorted := make([][]float64, tab.Dims())
+	for d := range sorted {
+		sorted[d] = tab.Column(d)
+		sort.Float64s(sorted[d])
+	}
+	n := tab.Len()
+	rects := make([]index.Rect, 64)
+	for i := range rects {
+		r := index.Full(tab.Dims())
+		for d, col := range sorted {
+			from := rng.Intn(n - n/4)
+			r.Min[d], r.Max[d] = col[from], col[from+n/4-1]
+		}
+		rects[i] = r
+	}
+	return rects
+}
+
+// benchScan reports ns and column tests per row scanned over rects.
+func benchScan(b *testing.B, rects []index.Rect, scan func(index.Rect, *index.Probe)) {
 	var p index.Probe
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scan(rects[i%len(rects)], &p)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(p.Scanned, 1)), "ns/row")
+	rows := float64(max(p.Scanned, 1))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(float64(p.ColumnTests)/rows, "column-tests/row")
 }
 
 func BenchmarkScan(b *testing.B) {
@@ -52,19 +83,33 @@ func BenchmarkScan(b *testing.B) {
 		g := bg.g
 		b.Run(bg.name, func(b *testing.B) {
 			n := 0
-			benchScan(b, func(r index.Rect, p *index.Probe) {
+			benchScan(b, narrowRects(rand.New(rand.NewSource(47)), 3), func(r index.Rect, p *index.Probe) {
 				g.Scan(r, func([]float64) bool { n++; return true }, p)
 			})
 		})
 	}
 }
 
+// BenchmarkScanBatch runs the batch scan over narrow rectangles on both
+// page shapes, and over aggregate-shaped ones on the primary-like grid —
+// the rectangles whose interior cells prove their grid axes, so their
+// pages are tested on fewer columns.
 func BenchmarkScanBatch(b *testing.B) {
-	for _, bg := range benchGrids(b) {
-		g := bg.g
-		b.Run(bg.name, func(b *testing.B) {
+	grids := benchGrids(b)
+	cases := []struct {
+		name  string
+		bg    benchGrid
+		rects []index.Rect
+	}{
+		{grids[0].name, grids[0], narrowRects(rand.New(rand.NewSource(47)), 3)},
+		{grids[1].name, grids[1], narrowRects(rand.New(rand.NewSource(47)), 3)},
+		{grids[0].name + "/agg", grids[0], aggRects(rand.New(rand.NewSource(50)), grids[0].tab)},
+	}
+	for _, tc := range cases {
+		g := tc.bg.g
+		b.Run(tc.name, func(b *testing.B) {
 			n := 0
-			benchScan(b, func(r index.Rect, p *index.Probe) {
+			benchScan(b, tc.rects, func(r index.Rect, p *index.Probe) {
 				g.ScanBatch(r, func(batch *index.Batch) bool { n += batch.Selected(); return true }, p)
 			})
 		})

@@ -86,13 +86,16 @@ var _ index.Interface = (*GridFile)(nil)
 
 // Build constructs a grid file over every row of t: the streaming build with
 // the table as its own sample, so its boundaries are exact quantiles (or the
-// exact uniform spacing) of the data.
+// exact uniform spacing) of the data. Every value must be finite.
 func Build(t *dataset.Table, cfg Config) (*GridFile, error) {
 	if err := cfg.check(t.Dims()); err != nil {
 		return nil, err
 	}
 	if t.Len() == 0 {
 		return nil, errEmpty
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("gridfile: %w", err)
 	}
 	bounds := make([][]float64, len(cfg.GridDims))
 	for i, d := range cfg.GridDims {

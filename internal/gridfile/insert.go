@@ -27,8 +27,8 @@ type overflowPage struct {
 // binary search plus a memmove within one overflow page; call Compact once
 // a batch of inserts has landed to restore fully contiguous cells.
 func (g *GridFile) Insert(row []float64) error {
-	if len(row) != g.dims {
-		return fmt.Errorf("gridfile: row has %d values, index has %d dims", len(row), g.dims)
+	if err := lifecycle.ValidateRow(g.dims, row); err != nil {
+		return err
 	}
 	if g.overflow == nil {
 		g.overflow = make(map[int]*overflowPage)

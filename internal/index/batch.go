@@ -100,8 +100,11 @@ type colRange struct {
 
 // RectSel is a rectangle prepared for selection over many windows: its
 // constrained columns and their bounds, derived once so that a scan pays
-// nothing per page for the dimensions the query leaves open. The zero
-// value is ready for Prepare.
+// nothing per page for the dimensions the query leaves open. A scan whose
+// page already proves some columns — the grid file's cell walk proves the
+// sort column its span is cut on and every grid axis the page's cell lies
+// inside — prepares the rest with PrepareOpen and tests only those. The
+// zero value is ready for Prepare.
 type RectSel struct {
 	n    int         // constrained dimensions
 	buf  [8]colRange // the first of them: the usual rectangle allocates nothing
@@ -109,12 +112,18 @@ type RectSel struct {
 }
 
 // Prepare resets s to select r.
-func (s *RectSel) Prepare(r Rect) {
+func (s *RectSel) Prepare(r Rect) { s.PrepareOpen(r, nil) }
+
+// PrepareOpen resets s to select r with every column open reports true for
+// left unconstrained, as if r were ±∞ there: the caller has proved that
+// every row it will select over lies inside r on those columns. A nil open
+// opens nothing.
+func (s *RectSel) PrepareOpen(r Rect, open func(col int) bool) {
 	s.n, s.rest = 0, s.rest[:0]
 	for d := range r.Min {
 		lo, hi := r.Min[d], r.Max[d]
-		if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
-			continue // unconstrained: every row passes
+		if math.IsInf(lo, -1) && math.IsInf(hi, 1) || open != nil && open(d) {
+			continue // unconstrained or proved: every row passes
 		}
 		if s.n < len(s.buf) {
 			s.buf[s.n] = colRange{d, lo, hi}
@@ -124,6 +133,10 @@ func (s *RectSel) Prepare(r Rect) {
 		s.n++
 	}
 }
+
+// Columns reports how many columns Select tests: the per-row cost of a
+// window, which Probe.ColumnTests counts.
+func (s *RectSel) Columns() int { return s.n }
 
 // Select computes the selection bitmap of the prepared rectangle over a
 // row-major window: bit i of sel is set iff the rectangle contains row i.

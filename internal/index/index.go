@@ -38,6 +38,12 @@ type Probe struct {
 	// through it COAX) count them for row scans too; a Scan that tests rows
 	// in place (R-tree, full scan) leaves it zero.
 	Batches int64
+	// ColumnTests counts the column range tests the selection kernels
+	// evaluated: each window's rows times the columns its selection tested.
+	// A column the page already proves (a grid file's sort column, or a
+	// grid axis its cell lies inside) costs nothing; rows × constrained
+	// columns is the bound a kernel that proves nothing would reach.
+	ColumnTests int64
 	// Abort, when non-nil, is polled at page boundaries; returning true
 	// stops the scan exactly as a false-returning yield would. This is how
 	// cancellation reaches scans whose pages match nothing — a yield-side
@@ -52,6 +58,7 @@ func (p *Probe) Add(o Probe) {
 	p.Matched += o.Matched
 	p.Tombstones += o.Tombstones
 	p.Batches += o.Batches
+	p.ColumnTests += o.ColumnTests
 }
 
 // Aborted reports whether the probe carries an abort hook that has fired;

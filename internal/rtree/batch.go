@@ -36,6 +36,7 @@ func (g *rtGather) emit(yield index.BatchYield, probe *index.Probe) bool {
 	if probe != nil {
 		probe.Matched += int64(b.Selected())
 		probe.Batches++
+		probe.ColumnTests += int64(b.Rows * g.rect.Columns())
 	}
 	more := yield(b)
 	b.Page, b.Rows = b.Page[:0], 0

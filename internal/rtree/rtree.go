@@ -88,6 +88,9 @@ func Bulk(t *dataset.Table, cfg Config) (*RTree, error) {
 	if n == 0 {
 		return rt, nil
 	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("rtree: %w", err)
+	}
 	leafEntries := make([]entry, n)
 	for i := 0; i < n; i++ {
 		row := t.Row(i)

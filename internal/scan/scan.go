@@ -72,6 +72,7 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 		if probe != nil {
 			probe.Matched += int64(b.Selected())
 			probe.Batches++
+			probe.ColumnTests += int64(n * rect.Columns())
 		}
 		if !yield(b) {
 			return false

@@ -162,6 +162,9 @@ func Build(t *dataset.Table, opt core.Options, so Options) (*Sharded, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("shard: cannot build over an empty table")
 	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	fd, err := softfd.Detect(t, opt.SoftFD)
 	if err != nil {
 		return nil, fmt.Errorf("shard: soft-FD detection: %w", err)

@@ -24,7 +24,8 @@ const streamBatchRows = 1024
 // only be called from one goroutine; placement itself runs on per-shard
 // workers concurrently with ingestion.
 type StreamBuilder struct {
-	s *Sharded // routes rows now; its empty slots take the shards at Finish
+	s    *Sharded // routes rows now; its empty slots take the shards at Finish
+	cols []string
 
 	builders []*core.StreamBuilder
 	batches  []chan dataset.Chunk // per shard; ownership transfers
@@ -46,7 +47,7 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 	if err != nil {
 		return nil, err
 	}
-	b := &StreamBuilder{s: s}
+	b := &StreamBuilder{s: s, cols: cols}
 	k := len(s.shards)
 
 	perShard := -1
@@ -107,6 +108,9 @@ func (b *StreamBuilder) Add(c dataset.Chunk) error {
 	if c.Cols != dims {
 		return fmt.Errorf("shard: chunk has %d columns, builder has %d", c.Cols, dims)
 	}
+	if err := dataset.CheckFinite(b.cols, c.Data, b.n); err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
 	for i := 0; i < c.Rows(); i++ {
 		row := c.Row(i)
 		si := b.s.routeRow(row)
@@ -127,6 +131,16 @@ func (b *StreamBuilder) Add(c dataset.Chunk) error {
 
 // Rows reports how many rows have been routed so far.
 func (b *StreamBuilder) Rows() int { return b.n }
+
+// Abandon stops a build that will not finish — Add or the source failed:
+// it closes every shard's batch channel and waits for the workers to exit.
+// The builder must not be used afterwards.
+func (b *StreamBuilder) Abandon() {
+	for _, ch := range b.batches {
+		close(ch)
+	}
+	b.wg.Wait()
+}
 
 // Finish flushes the remaining batches, waits for every shard worker, and
 // assembles the serving Sharded index.
