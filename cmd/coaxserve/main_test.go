@@ -13,6 +13,7 @@ import (
 
 	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/core"
+	"github.com/coax-index/coax/internal/gridfile"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/mmapsnap"
@@ -348,11 +349,11 @@ func TestMutationOnCorruptPage(t *testing.T) {
 	// of its data region belongs to the last non-empty cell: take two rows
 	// of that cell, then flip a byte inside its page blob.
 	var victims [][]float64
-	single.Primary().CellPages(func(_ int, page []float64) {
-		if len(page) >= 2*tab.Dims() {
+	single.Primary().CellPages(func(_ int, page gridfile.Span) {
+		if page.Rows >= 2 {
 			victims = [][]float64{
-				append([]float64(nil), page[:tab.Dims()]...),
-				append([]float64(nil), page[len(page)-tab.Dims():]...),
+				page.AppendRow(nil, 0, tab.Dims()),
+				page.AppendRow(nil, page.Rows-1, tab.Dims()),
 			}
 		}
 	})

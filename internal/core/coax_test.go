@@ -181,6 +181,36 @@ func TestTranslateInfeasible(t *testing.T) {
 	}
 }
 
+// TestTranslateEmptyDependentBand: a rectangle empty on a dependent column
+// by more than the model's margins (ql − qh > εLB + εUB) asks for an empty
+// band of predictions, which no predictor value can meet. Translate and the
+// EXPLAIN must call the primary infeasible rather than route it to the
+// predictor interval the band's swapped ends would give.
+func TestTranslateEmptyDependentBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tab := fdTable(rng, 20000, 0.05)
+	c, err := Build(tab, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.BuildStats()
+	if len(st.Groups) != 1 {
+		t.Skip("FD not detected")
+	}
+	pm := st.Groups[0].Models[0]
+	gap := pm.EpsLB + pm.EpsUB + 10
+	r := index.Full(4)
+	r.Min[pm.D], r.Max[pm.D] = 1000+gap, 1000
+	if _, feasible := c.Translate(r); feasible {
+		t.Error("Translate: a rectangle empty on the dependent column is feasible for the primary")
+	}
+	var rep ProbeReport
+	c.Exec(r, index.Spec{}, func([]float64) bool { return true }, &rep)
+	if rep.PrimaryFeasible || len(rep.Translations) != 1 || rep.Translations[0].Feasible {
+		t.Errorf("EXPLAIN: primary feasible %v, translations %+v; want infeasible", rep.PrimaryFeasible, rep.Translations)
+	}
+}
+
 func TestNoCorrelationFallback(t *testing.T) {
 	// Independent columns: COAX degenerates to a plain grid file and must
 	// still answer correctly.

@@ -12,7 +12,10 @@ import (
 // page's sort-dimension span, cuts the span into windows of at most
 // index.BatchRows rows, computes each window's selection bitmap with
 // per-column range loops, masks it against the tombstone bitmap, and hands
-// the batch to the caller. Scan is its row consumer (Batch.Each).
+// the batch to the caller. Scan is its row consumer (Batch.Each). Windows
+// are read in place in their page's layout: a resident main page is
+// column-major, so each column a window's kernels test or its folds read
+// is one contiguous run; overflow pages are row-major.
 //
 // A page is tested only on the columns its cell does not prove. The span
 // proves the sort column: a page is sorted on it and holds finite values
@@ -29,10 +32,10 @@ var _ index.ScanBatcher = (*GridFile)(nil)
 // batchScratch is everything one ScanBatch derives or reuses across pages:
 // the selection prepared for the current cell and the rectangle's
 // sort-dimension window, the Batch handed to the yield with its selection
-// words, the tombstone window, and — for a store-backed grid file — the
-// buffer its pages decode into. One allocation per scan, never shared, so
-// nothing is allocated per page and the grid file stays safe for
-// concurrent readers.
+// words (and the row its Row gathers into), the tombstone window, and — for
+// a store-backed grid file — the buffer its pages decode into. One
+// allocation per scan, never shared, so nothing is allocated per page and
+// the grid file stays safe for concurrent readers.
 type batchScratch struct {
 	rect     index.RectSel
 	min, max float64
@@ -99,10 +102,11 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 		}
 		if g.inserted > 0 {
 			if page := g.overflow[c]; page != nil && len(page.data) > 0 {
-				from, to := g.sortSpan(page.data, s.min, s.max)
+				rows := RowMajor(page.data, g.dims)
+				from, to := g.sortSpan(rows, s.min, s.max)
 				// Overflow pages hold no tombstones (deletes there are
 				// in place), so there is no slot to mask against.
-				if !g.emit(page.data[from*g.dims:to*g.dims], -1, yield, probe, s) {
+				if !g.emit(rows.Slice(from, to, g.dims), -1, yield, probe, s) {
 					return false
 				}
 			}
@@ -151,22 +155,22 @@ func (g *GridFile) inside(i, s int, r index.Rect) bool {
 }
 
 // emit hands yield one page's span in windows of at most index.BatchRows
-// rows. slot is the global tombstone slot of the span's first row, or
-// negative for a span no tombstone can cover. It reports false as soon as
-// yield stops the scan.
-func (g *GridFile) emit(span []float64, slot int, yield index.BatchYield, probe *index.Probe, s *batchScratch) bool {
-	dims := g.dims
-	rows := len(span) / dims
+// rows, each read in place through the span's steps. slot is the global
+// tombstone slot of the span's first row, or negative for a span no
+// tombstone can cover. It reports false as soon as yield stops the scan.
+func (g *GridFile) emit(span Span, slot int, yield index.BatchYield, probe *index.Probe, s *batchScratch) bool {
+	rows := span.Rows
 	if probe != nil {
 		probe.Pages++
 		probe.Scanned += int64(rows)
 	}
 	b := &s.batch
+	b.RowStep, b.ColStep = span.RowStep, span.ColStep
 	for at := 0; at < rows; at += index.BatchRows {
 		n := min(rows-at, index.BatchRows)
 		words := index.BatchWords(n)
-		b.Page, b.Rows, b.Sel = span[at*dims:(at+n)*dims], n, s.sel[:words]
-		s.rect.Select(b.Page, dims, n, b.Sel)
+		b.Page, b.Rows, b.Sel = span.Data[at*span.RowStep:], n, s.sel[:words]
+		s.rect.Select(b)
 		if probe != nil {
 			probe.ColumnTests += int64(n * s.rect.Columns())
 		}

@@ -90,28 +90,50 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
+// outOfCacheGrid is a primary-like grid far larger than an L2 cache: 2^20
+// rows of 4 columns (32 MB) in 24×24 cells on columns 0 and 1, sorted in
+// cell on column 2 — the shape of the OSM primary, whose pages hold about
+// 1 800 rows. The grids of benchGrids fit in L2, where fetching a row's
+// every column to test one costs little; here every page comes from L3 or
+// memory, so the bytes a scan pulls per row are what it pays for.
+func outOfCacheGrid(b *testing.B) benchGrid {
+	tab := randomTable(rand.New(rand.NewSource(51)), 1<<20, 4)
+	g, err := Build(tab, Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return benchGrid{"rows1800x1M", g, tab}
+}
+
 // BenchmarkScanBatch runs the batch scan over narrow rectangles on both
 // page shapes, and over aggregate-shaped ones on the primary-like grid —
 // the rectangles whose interior cells prove their grid axes, so their
-// pages are tested on fewer columns.
+// pages are tested on fewer columns. The last case folds SUM(column 3)
+// over aggregate-shaped rectangles on the out-of-cache grid, as an
+// aggregate query does: its ns/row includes fetching the tested and folded
+// columns from beyond L2.
 func BenchmarkScanBatch(b *testing.B) {
-	grids := benchGrids(b)
+	grids := append(benchGrids(b), outOfCacheGrid(b))
 	cases := []struct {
 		name  string
 		bg    benchGrid
 		rects []index.Rect
+		fold  bool
 	}{
-		{grids[0].name, grids[0], narrowRects(rand.New(rand.NewSource(47)), 3)},
-		{grids[1].name, grids[1], narrowRects(rand.New(rand.NewSource(47)), 3)},
-		{grids[0].name + "/agg", grids[0], aggRects(rand.New(rand.NewSource(50)), grids[0].tab)},
+		{grids[0].name, grids[0], narrowRects(rand.New(rand.NewSource(47)), 3), false},
+		{grids[1].name, grids[1], narrowRects(rand.New(rand.NewSource(47)), 3), false},
+		{grids[0].name + "/agg", grids[0], aggRects(rand.New(rand.NewSource(50)), grids[0].tab), false},
+		{grids[2].name + "/agg", grids[2], aggRects(rand.New(rand.NewSource(52)), grids[2].tab), true},
 	}
 	for _, tc := range cases {
 		g := tc.bg.g
 		b.Run(tc.name, func(b *testing.B) {
 			n := 0
-			benchScan(b, tc.rects, func(r index.Rect, p *index.Probe) {
-				g.ScanBatch(r, func(batch *index.Batch) bool { n += batch.Selected(); return true }, p)
-			})
+			yield := func(batch *index.Batch) bool { n += batch.Selected(); return true }
+			if tc.fold {
+				yield = index.NewAggState(index.AggSpec{Op: index.AggSum, Col: 3, Group: -1}).FoldBatch
+			}
+			benchScan(b, tc.rects, func(r index.Rect, p *index.Probe) { g.ScanBatch(r, yield, p) })
 		})
 	}
 }

@@ -60,7 +60,13 @@ func Decode(r *binio.Reader) (*GridFile, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if err := g.validateDecoded(true); err != nil {
+	// The file's pages are row-major: lay them down column-major, then
+	// prove them sorted.
+	if err := g.validateDecoded(false); err != nil {
+		return nil, err
+	}
+	g.columnize(false)
+	if err := g.verifyMainSorted(); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -150,26 +156,38 @@ func (g *GridFile) validateDecoded(verifyPages bool) error {
 	// unsorted page would silently drop matching rows, so the invariant is
 	// load-bearing and must be checked, not trusted.
 	if sd := g.cfg.SortDim; sd >= 0 {
-		if verifyPages {
-			for c := 0; c < nCells; c++ {
-				if !pageSorted(g.cellPage(c), g.dims, sd) {
-					return fmt.Errorf("gridfile: cell %d not sorted on dimension %d", c, sd)
-				}
-			}
-		}
 		for c, page := range g.overflow {
-			if !pageSorted(page.data, g.dims, sd) {
+			if !g.pageSorted(RowMajor(page.data, g.dims)) {
 				return fmt.Errorf("gridfile: overflow page %d not sorted on dimension %d", c, sd)
 			}
+		}
+	}
+	if verifyPages {
+		return g.verifyMainSorted()
+	}
+	return nil
+}
+
+// verifyMainSorted proves every resident main page sorted on the sort
+// dimension.
+func (g *GridFile) verifyMainSorted() error {
+	if g.cfg.SortDim < 0 {
+		return nil
+	}
+	for c := 0; c < g.NumCells(); c++ {
+		if !g.pageSorted(g.cellPage(c)) {
+			return fmt.Errorf("gridfile: cell %d not sorted on dimension %d", c, g.cfg.SortDim)
 		}
 	}
 	return nil
 }
 
-// pageSorted reports whether a row-major page is non-descending on key.
-func pageSorted(page []float64, dims, key int) bool {
-	for i := dims + key; i < len(page); i += dims {
-		if page[i] < page[i-dims] {
+// pageSorted reports whether a page is non-descending on the sort
+// dimension.
+func (g *GridFile) pageSorted(page Span) bool {
+	keys := page.Data[g.cfg.SortDim*page.ColStep:]
+	for i := 1; i < page.Rows; i++ {
+		if keys[i*page.RowStep] < keys[(i-1)*page.RowStep] {
 			return false
 		}
 	}

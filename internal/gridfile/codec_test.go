@@ -32,6 +32,25 @@ func testTable(n, dims int, seed int64) *dataset.Table {
 // encode writes g as the format v1/v2 payload Decode reads: the encoder
 // those formats were written with, kept here to make Decode's inputs.
 func encode(g *GridFile, w *binio.Writer) {
+	encodeRows(g, legacyRows(g.data, g.offsets, g.dims), w)
+}
+
+// legacyRows is the row-major payload those formats store for column-major
+// main pages cut by offsets.
+func legacyRows(data []float64, offsets []int64, dims int) []float64 {
+	rows := make([]float64, 0, len(data))
+	for c := 0; c+1 < len(offsets); c++ {
+		o, e := int(offsets[c]), int(offsets[c+1])
+		page := ColumnMajor(data[o*dims:e*dims], e-o, dims)
+		for i := 0; i < page.Rows; i++ {
+			rows = page.AppendRow(rows, i, dims)
+		}
+	}
+	return rows
+}
+
+// encodeRows writes g with rows as its row-major main-page payload.
+func encodeRows(g *GridFile, rows []float64, w *binio.Writer) {
 	w.Ints(g.cfg.GridDims)
 	w.Int(g.cfg.SortDim)
 	w.Int(g.cfg.CellsPerDim)
@@ -44,7 +63,7 @@ func encode(g *GridFile, w *binio.Writer) {
 		w.Float64s(b)
 	}
 	w.Int64s(g.offsets)
-	w.Float64s(g.data)
+	w.Float64s(rows)
 	cells := slices.Sorted(maps.Keys(g.overflow))
 	w.Uint64(uint64(len(cells)))
 	for _, c := range cells {
@@ -190,7 +209,8 @@ func TestCodecRejectsCorruptStructure(t *testing.T) {
 			for c := 0; c < m.NumCells(); c++ {
 				if m.offsets[c+1]-m.offsets[c] >= 2 {
 					page := m.cellPage(c)
-					page[m.cfg.SortDim], page[m.dims+m.cfg.SortDim] = page[m.dims+m.cfg.SortDim]+1, page[m.cfg.SortDim]
+					keys := page.Data[m.cfg.SortDim*page.ColStep:]
+					keys[0], keys[page.RowStep] = keys[page.RowStep]+1, keys[0]
 					return
 				}
 			}
@@ -208,7 +228,7 @@ func TestCodecRejectsCorruptStructure(t *testing.T) {
 		clone.offsets = append([]int64(nil), g.offsets...)
 		clone.data = append([]float64(nil), g.data...)
 		mutate(&clone)
-		encode(&clone, w)
+		encodeRows(&clone, legacyRows(clone.data, g.offsets, g.dims), w)
 		if _, err := Decode(binio.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: Decode accepted corrupt structure", name)
 		}

@@ -1,15 +1,27 @@
 // Package gridfile implements the modified Grid File of the paper's §6: an
 // in-memory multidimensional grid whose cell boundaries are placed on
 // per-dimension quantiles (or uniformly, for the full-grid baseline), whose
-// cells store their rows in contiguous row-store pages, and which may keep
-// the rows inside every cell sorted on one additional dimension so that
-// dimension needs no grid lines (Flood-style, reducing an n-dimensional
-// index to n−1 grid dimensions).
+// cells store their rows in contiguous pages, and which may keep the rows
+// inside every cell sorted on one additional dimension so that dimension
+// needs no grid lines (Flood-style, reducing an n-dimensional index to n−1
+// grid dimensions).
+//
+// A resident main page is column-major inside its cell (PAX): for cell c
+// holding rows [o, e), column k is data[o·dims + k·(e−o) : o·dims +
+// (k+1)·(e−o)], so a scan reads only the columns it tests and folds, each
+// as one contiguous run, and the sort column a span is cut on is one run
+// too. Every writer of main pages — the build, Compact and the format v1/v2
+// decoder — sorts a cell row-major and then lays it down column-major.
+// Overflow pages stay row-major (small, mutable, insert-sorted), and a
+// PageStore returns spans in whatever layout its pages have. Every read goes
+// through a Span, whose two steps say where value (i, k) sits, and reaches
+// the kernels as an index.Batch carrying the same steps.
 package gridfile
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/coax-index/coax/internal/dataset"
@@ -58,7 +70,7 @@ type GridFile struct {
 	n       int
 	bounds  [][]float64 // per grid dim: 2 to CellsPerDim+1 ascending boundaries
 	strides []int       // row-major strides over the cell lattice
-	data    []float64   // all rows, grouped by cell, row-major
+	data    []float64   // all main pages in cell order, each column-major (see cellPage)
 	offsets []int64     // per cell: starting row within data; len = cells+1
 
 	// store, when non-nil, supplies main-page rows instead of data — the
@@ -242,6 +254,10 @@ func (g *GridFile) cellOf(row []float64) int {
 	return c
 }
 
+// cellSorter sorts a row-major page on one column. Every page a grid file
+// writes — a build's cells, Compact's — is sorted row-major this way and
+// only then turned column-major, so the order among equal keys, and with
+// it the snapshot bytes, is sort.Sort's over rows.
 type cellSorter struct {
 	data []float64
 	dims int
@@ -261,53 +277,149 @@ func (s *cellSorter) Swap(i, j int) {
 	copy(b, s.tmp)
 }
 
-func (g *GridFile) sortCell(c int) {
-	page := g.cellPage(c)
-	if len(page) == 0 {
+// sortRows sorts a row-major page on the sort dimension, if there is one.
+func (g *GridFile) sortRows(page []float64) {
+	if g.cfg.SortDim < 0 || len(page) == 0 {
 		return
 	}
 	sort.Sort(&cellSorter{data: page, dims: g.dims, key: g.cfg.SortDim, tmp: make([]float64, g.dims)})
 }
 
-// cellPage is cell c's main page in resident storage; a store-backed grid
-// file has none and reads through mainSpan instead.
-func (g *GridFile) cellPage(c int) []float64 {
-	return g.data[g.offsets[c]*int64(g.dims) : g.offsets[c+1]*int64(g.dims)]
+// columnize turns the resident main pages, row-major as a build groups
+// them or a format v1/v2 file stores them, column-major in place through
+// one scratch the size of the largest cell, sorting each on the sort
+// dimension first when sortFirst is set.
+func (g *GridFile) columnize(sortFirst bool) {
+	widest := int64(0)
+	for c := 0; c < g.NumCells(); c++ {
+		widest = max(widest, g.offsets[c+1]-g.offsets[c])
+	}
+	rows := make([]float64, int(widest)*g.dims)
+	for c := 0; c < g.NumCells(); c++ {
+		o, e := int(g.offsets[c]), int(g.offsets[c+1])
+		page := g.data[o*g.dims : e*g.dims]
+		if sortFirst {
+			g.sortRows(page)
+		}
+		copy(rows, page)
+		transpose(page, rows, e-o, g.dims)
+	}
+}
+
+// transpose writes the row-major page src of rows rows, dims values each,
+// into dst column-major: column k of dst is dst[k*rows : (k+1)*rows].
+func transpose(dst, src []float64, rows, dims int) {
+	for k := 0; k < dims; k++ {
+		col := dst[k*rows : (k+1)*rows]
+		for i := range col {
+			col[i] = src[i*dims+k]
+		}
+	}
+}
+
+// Span is a run of consecutive rows of one page, read in place: value
+// (i, k) — row i, column k — of its Rows rows sits at
+// Data[i*RowStep + k*ColStep], and Data ends with the last of them. A
+// resident main page is column-major, so its spans have steps (1, m) for a
+// page of m rows; overflow pages and raw mapped pages are row-major,
+// (dims, 1).
+type Span struct {
+	Data             []float64
+	Rows             int
+	RowStep, ColStep int
+}
+
+// ColumnMajor returns the span of a whole column-major page: rows rows of
+// dims columns, column k at page[k*rows : (k+1)*rows].
+func ColumnMajor(page []float64, rows, dims int) Span {
+	return Span{Data: page[:rows*dims], Rows: rows, RowStep: 1, ColStep: rows}
+}
+
+// RowMajor returns the span of a row-major page of dims columns.
+func RowMajor(page []float64, dims int) Span {
+	return Span{Data: page, Rows: len(page) / dims, RowStep: dims, ColStep: 1}
+}
+
+// Slice returns rows [lo, hi) of a span of dims columns, in place.
+func (s Span) Slice(lo, hi, dims int) Span {
+	if hi <= lo {
+		return Span{RowStep: s.RowStep, ColStep: s.ColStep}
+	}
+	last := (hi-1)*s.RowStep + (dims-1)*s.ColStep
+	return Span{Data: s.Data[lo*s.RowStep : last+1], Rows: hi - lo, RowStep: s.RowStep, ColStep: s.ColStep}
+}
+
+// AppendRow appends the dims values of row i to dst.
+func (s Span) AppendRow(dst []float64, i, dims int) []float64 {
+	at := i * s.RowStep
+	for k := 0; k < dims; k++ {
+		dst = append(dst, s.Data[at+k*s.ColStep])
+	}
+	return dst
+}
+
+// columns returns the span's values column-major — column k at
+// [k*Rows, (k+1)*Rows) — as its own data when they already lie so, else
+// gathered into *buf, which grows as needed.
+func (s Span) columns(dims int, buf *[]float64) []float64 {
+	if s.Rows <= 1 && s.ColStep == 1 || s.RowStep == 1 && s.ColStep == s.Rows {
+		return s.Data[:s.Rows*dims]
+	}
+	cols := slices.Grow((*buf)[:0], s.Rows*dims)[:s.Rows*dims]
+	*buf = cols
+	for k := 0; k < dims; k++ {
+		for i := range s.Rows {
+			cols[k*s.Rows+i] = s.Data[i*s.RowStep+k*s.ColStep]
+		}
+	}
+	return cols
+}
+
+// cellPage is cell c's main page in resident storage, column-major; a
+// store-backed grid file has none and reads through mainSpan instead.
+func (g *GridFile) cellPage(c int) Span {
+	o, e := int(g.offsets[c]), int(g.offsets[c+1])
+	return ColumnMajor(g.data[o*g.dims:e*g.dims], e-o, g.dims)
 }
 
 // mainSpan returns the rows of cell c's main page whose sort-dimension
-// value lies in [min, max] (sortSpan's interval) and the page-relative
-// index of the first: a subslice of resident storage, or for a store-backed
-// grid file rows the store wrote into *buf — scratch the calling scan owns,
-// replaced here when the store had to grow it — and therefore valid only
-// until the next mainSpan with the same scratch. ok is false for an empty
-// cell and for a page the store could not read.
-func (g *GridFile) mainSpan(c int, min, max float64, buf *[]float64) (rows []float64, first int, ok bool) {
+// value lies in [min, max] (SpanRows' interval) and the page-relative
+// index of the first: a span of resident storage, or for a store-backed
+// grid file the span the store returned, which may lie in *buf — scratch
+// the calling scan owns, which the store replaces when it must grow it —
+// and is then valid only until the next mainSpan with the same scratch. ok
+// is false for an empty cell and for a page the store could not read.
+func (g *GridFile) mainSpan(c int, min, max float64, buf *[]float64) (span Span, first int, ok bool) {
 	if g.offsets[c] == g.offsets[c+1] {
-		return nil, 0, false
+		return Span{}, 0, false
 	}
 	if g.store == nil {
-		page := g.cellPage(c)
-		lo, hi := g.sortSpan(page, min, max)
-		return page[lo*g.dims : hi*g.dims], lo, true
+		// The resident page of m rows is column-major: the sort column is
+		// one run, and the span's rows [lo, hi) run from row lo of the
+		// first column to row hi-1 of the last.
+		o, m := int(g.offsets[c])*g.dims, int(g.offsets[c+1]-g.offsets[c])
+		lo, hi := 0, m
+		if sd := g.cfg.SortDim; sd >= 0 {
+			lo, hi = SpanRows(g.data[o+sd*m:o+(sd+1)*m], 1, m, min, max)
+		}
+		if hi == lo {
+			return Span{}, lo, true
+		}
+		return Span{Data: g.data[o+lo : o+(g.dims-1)*m+hi], Rows: hi - lo, RowStep: 1, ColStep: m}, lo, true
 	}
-	rows, first, ok = g.store.CellSpan(c, min, max, *buf)
-	if cap(rows) > cap(*buf) {
-		*buf = rows[:0]
-	}
-	return rows, first, ok
+	return g.store.CellSpan(c, min, max, buf)
 }
 
 // mainPage returns cell c's whole main page — for a store-backed grid file
 // mainSpan over the unbounded window, with mainSpan's lifetime. Here ok is
 // false only for a page the store could not read; an empty cell is an
 // empty page.
-func (g *GridFile) mainPage(c int, buf *[]float64) (page []float64, ok bool) {
+func (g *GridFile) mainPage(c int, buf *[]float64) (page Span, ok bool) {
 	if g.store == nil {
 		return g.cellPage(c), true
 	}
 	if g.offsets[c] == g.offsets[c+1] {
-		return nil, true
+		return Span{}, true
 	}
 	page, _, ok = g.mainSpan(c, math.Inf(-1), math.Inf(1), buf)
 	return page, ok
@@ -396,18 +508,24 @@ func (g *GridFile) Scan(r index.Rect, yield index.Yield, probe *index.Probe) boo
 }
 
 // sortSpan returns the row interval [lo, hi) of a page that can hold
-// values in [min, max] on the sort dimension — the whole page when in-cell
-// sorting is disabled, never an inverted interval. Every page walk (query
-// and delete, main and overflow) locates its candidates through this one
-// helper or through a PageStore that applies the same two predicates.
-func (g *GridFile) sortSpan(page []float64, min, max float64) (lo, hi int) {
-	nRows := len(page) / g.dims
+// values in [min, max] on the sort dimension — SpanRows over the page's
+// sort column, or the whole page when in-cell sorting is disabled.
+func (g *GridFile) sortSpan(page Span, min, max float64) (lo, hi int) {
 	sd := g.cfg.SortDim
 	if sd < 0 {
-		return 0, nRows
+		return 0, page.Rows
 	}
-	lo = sort.Search(nRows, func(i int) bool { return page[i*g.dims+sd] >= min })
-	hi = sort.Search(nRows, func(i int) bool { return page[i*g.dims+sd] > max })
+	return SpanRows(page.Data[sd*page.ColStep:], page.RowStep, page.Rows, min, max)
+}
+
+// SpanRows returns the interval [lo, hi) of the n ascending keys
+// keys[0], keys[step], … that lie in [min, max]: the first key ≥ min up to
+// the first key > max, never inverted. Every page walk (query and delete;
+// resident, overflow and a PageStore's pages) cuts a sorted page to its
+// window through it.
+func SpanRows(keys []float64, step, n int, min, max float64) (lo, hi int) {
+	lo = sort.Search(n, func(i int) bool { return keys[i*step] >= min })
+	hi = sort.Search(n, func(i int) bool { return keys[i*step] > max })
 	if hi < lo {
 		hi = lo
 	}

@@ -83,13 +83,13 @@ func (g *GridFile) deleteMain(c int, row []float64) bool {
 	min, max := g.rowWindow(row)
 	var buf []float64
 	span, first, _ := g.mainSpan(c, min, max, &buf)
-	dims := g.dims
 	base := int(g.offsets[c]) + first
-	for i := 0; i*dims < len(span); i++ {
+	cand := make([]float64, 0, g.dims)
+	for i := 0; i < span.Rows; i++ {
 		if g.deadCount > 0 && g.isDead(base+i) {
 			continue
 		}
-		if lifecycle.RowsEqual(span[i*dims:(i+1)*dims], row) {
+		if lifecycle.RowsEqual(span.AppendRow(cand[:0], i, g.dims), row) {
 			g.setDead(base + i)
 			return true
 		}
@@ -105,7 +105,7 @@ func (g *GridFile) deleteOverflow(c int, row []float64) bool {
 	}
 	dims := g.dims
 	min, max := g.rowWindow(row)
-	lo, hi := g.sortSpan(page.data, min, max)
+	lo, hi := g.sortSpan(RowMajor(page.data, dims), min, max)
 	for i := lo; i < hi; i++ {
 		if lifecycle.RowsEqual(page.data[i*dims:(i+1)*dims], row) {
 			copy(page.data[i*dims:], page.data[(i+1)*dims:])
@@ -179,27 +179,35 @@ func (g *GridFile) Compact() error {
 	}
 	nCells := g.NumCells()
 	live := g.Len()
-	newData := make([]float64, 0, live*g.dims)
+	newData := make([]float64, live*g.dims)
 	newOffsets := make([]int64, nCells+1)
-	var buf []float64
+	var buf, rows []float64
+	at := 0 // rows written to newData
 	for c := 0; c < nCells; c++ {
-		newOffsets[c] = int64(len(newData) / g.dims)
+		newOffsets[c] = int64(at)
 		page, ok := g.mainPage(c, &buf)
 		if !ok {
 			return fmt.Errorf("gridfile: compact: main page of cell %d is unreadable", c)
 		}
+		// The cell's live rows, then its overflow rows, row-major: sorted
+		// as a build sorts them, then laid down column-major.
+		rows = rows[:0]
 		base := int(g.offsets[c])
-		for i := 0; i*g.dims < len(page); i++ {
+		for i := 0; i < page.Rows; i++ {
 			if g.deadCount > 0 && g.isDead(base+i) {
 				continue
 			}
-			newData = append(newData, page[i*g.dims:(i+1)*g.dims]...)
+			rows = page.AppendRow(rows, i, g.dims)
 		}
 		if page := g.overflow[c]; page != nil {
-			newData = append(newData, page.data...)
+			rows = append(rows, page.data...)
 		}
+		n := len(rows) / g.dims
+		g.sortRows(rows)
+		transpose(newData[at*g.dims:(at+n)*g.dims], rows, n, g.dims)
+		at += n
 	}
-	newOffsets[nCells] = int64(len(newData) / g.dims)
+	newOffsets[nCells] = int64(at)
 	g.data = newData
 	g.offsets = newOffsets
 	g.store = nil // pages are resident again; drop any mapped backing
@@ -208,10 +216,5 @@ func (g *GridFile) Compact() error {
 	g.dead = nil
 	g.deadCount = 0
 	g.n = live
-	if g.cfg.SortDim >= 0 {
-		for c := 0; c < nCells; c++ {
-			g.sortCell(c)
-		}
-	}
 	return nil
 }

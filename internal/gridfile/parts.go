@@ -14,27 +14,28 @@ import (
 // PageStore supplies the rows of main cell pages on demand. A store-backed
 // grid file holds no resident row payload: every main-page read goes
 // through mainSpan, which asks the store for just the rows the read can
-// use, so a compressed snapshot page is decoded into the reader's scratch
-// and nothing about it is retained.
+// use — a compressed snapshot page is decoded into the reader's scratch,
+// a raw one is read in place — and nothing about it is retained.
 type PageStore interface {
-	// CellSpan returns, row-major, the rows of cell c's main page whose
-	// sort-dimension value lies in [min, max] — the interval sortSpan
-	// computes (first row >= min up to the first row > max), or the whole
-	// page when the grid has no sort dimension or the window is unbounded
-	// (-Inf, +Inf) — and the page-relative index of the first of them.
+	// CellSpan returns the rows of cell c's main page whose sort-dimension
+	// value lies in [min, max] — the interval SpanRows computes, or the
+	// whole page when the grid has no sort dimension or the window is
+	// unbounded (-Inf, +Inf) — and the page-relative index of the first of
+	// them. The span declares its own layout through its steps: a store
+	// returns whichever its pages make cheapest to read.
 	//
-	// buf is scratch the caller owns. rows is written into it when its
-	// capacity suffices; otherwise rows starts a larger allocation, which
-	// the caller adopts as its scratch for the next call. Either way rows
-	// is valid only until the caller's next CellSpan with that scratch, and
-	// the store keeps no reference to it. A store must be safe for
-	// concurrent calls with distinct scratch.
+	// *buf is scratch the caller owns. The span may be written into it,
+	// and when it is too small the store replaces *buf with a larger
+	// allocation, which the caller keeps as its scratch for the next call.
+	// Either way a span in scratch is valid only until the caller's next
+	// CellSpan with that scratch, and the store keeps no reference to it. A
+	// store must be safe for concurrent calls with distinct scratch.
 	//
 	// ok is false when the page cannot be read: the store has recorded the
 	// cause on its side (a sticky error the snapshot's owner checks) and
-	// rows is empty. Readers skip the page; a writer that needs every row
-	// (Compact) must not proceed.
-	CellSpan(c int, min, max float64, buf []float64) (rows []float64, first int, ok bool)
+	// the span is empty. Readers skip the page; a writer that needs every
+	// row (Compact) must not proceed.
+	CellSpan(c int, min, max float64, buf *[]float64) (span Span, first int, ok bool)
 }
 
 // Parts is the deconstructed state of a grid file. Slices may alias
@@ -52,8 +53,8 @@ type Parts struct {
 	Offsets []int64     // per cell starting row; len = cells+1
 
 	// Exactly one of Data and Store backs the main pages: Data holds the
-	// resident row-major payload (offsets[cells]*Dims values), Store
-	// supplies pages on demand.
+	// resident payload (offsets[cells]*Dims values, each cell's page
+	// column-major), Store supplies pages on demand.
 	Data  []float64
 	Store PageStore
 
@@ -185,18 +186,19 @@ func (g *GridFile) ExportParts() Parts {
 	return p
 }
 
-// CellPages calls fn with every cell's main page in cell order — the
-// encoder-side iterator that works for both resident and store-backed grid
-// files without exposing storage details. page is read-only and valid only
-// during the call: a store-backed page is decoded into one buffer the
-// iteration reuses. A page the store cannot read arrives empty (the store
-// latches the cause), so an encoder of a mapped index checks the
-// snapshot's PageErr before trusting its output.
-func (g *GridFile) CellPages(fn func(c int, page []float64)) {
-	var buf []float64
+// CellPages calls fn with every cell's main page in cell order, whole and
+// column-major (see ColumnMajor) — the encoder-side iterator that works for
+// resident and store-backed grid files alike without exposing storage
+// details. page is read-only and valid only during the call: a
+// store-backed page is read into buffers the iteration reuses. A page the
+// store cannot read arrives empty (the store latches the cause), so an
+// encoder of a mapped index checks the snapshot's PageErr before trusting
+// its output.
+func (g *GridFile) CellPages(fn func(c int, page Span)) {
+	var buf, cols []float64
 	for c := 0; c < g.NumCells(); c++ {
 		page, _ := g.mainPage(c, &buf)
-		fn(c, page)
+		fn(c, ColumnMajor(page.columns(g.dims, &cols), page.Rows, g.dims))
 	}
 }
 

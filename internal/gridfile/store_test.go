@@ -3,7 +3,6 @@ package gridfile
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/coax-index/coax/internal/index"
@@ -11,12 +10,11 @@ import (
 
 // fakeStore is a PageStore over a private copy of a resident grid file's
 // main pages. It honours the contract the way a decoding store does — rows
-// are always written into the caller's scratch, which is scribbled over
-// first so a reader holding rows across calls sees garbage — and reads of
-// the cell in fail report !ok.
+// are always written into the caller's scratch, row-major, which is
+// scribbled over first so a reader holding rows across calls sees garbage —
+// and reads of the cell in fail report !ok.
 type fakeStore struct {
-	data    []float64
-	offsets []int64
+	pages   []Span
 	dims    int
 	sortDim int
 	fail    int // cell that cannot be read, or -1
@@ -24,38 +22,36 @@ type fakeStore struct {
 }
 
 func newFakeStore(g *GridFile) *fakeStore {
-	return &fakeStore{
-		data:    append([]float64(nil), g.data...),
-		offsets: append([]int64(nil), g.offsets...),
-		dims:    g.dims,
-		sortDim: g.cfg.SortDim,
-		fail:    -1,
+	s := &fakeStore{dims: g.dims, sortDim: g.cfg.SortDim, fail: -1}
+	for c := 0; c < g.NumCells(); c++ {
+		page := g.cellPage(c)
+		s.pages = append(s.pages, ColumnMajor(append([]float64(nil), page.Data...), page.Rows, g.dims))
 	}
+	return s
 }
 
-func (s *fakeStore) CellSpan(c int, min, max float64, buf []float64) ([]float64, int, bool) {
+func (s *fakeStore) CellSpan(c int, min, max float64, buf *[]float64) (Span, int, bool) {
 	if c == s.fail {
 		s.failed++
-		return nil, 0, false
+		return Span{}, 0, false
 	}
-	page := s.data[s.offsets[c]*int64(s.dims) : s.offsets[c+1]*int64(s.dims)]
-	n := len(page) / s.dims
-	lo, hi := 0, n
+	page := s.pages[c]
+	lo, hi := 0, page.Rows
 	if sd := s.sortDim; sd >= 0 {
-		lo = sort.Search(n, func(i int) bool { return page[i*s.dims+sd] >= min })
-		hi = sort.Search(n, func(i int) bool { return page[i*s.dims+sd] > max })
-		if hi < lo {
-			hi = lo
-		}
+		lo, hi = SpanRows(page.Data[sd*page.ColStep:], page.RowStep, page.Rows, min, max)
 	}
-	if cap(buf) < len(page) {
-		buf = make([]float64, len(page))
+	if cap(*buf) < page.Rows*s.dims {
+		*buf = make([]float64, page.Rows*s.dims)
 	}
-	buf = buf[:cap(buf)]
-	for i := range buf {
-		buf[i] = math.NaN()
+	rows := (*buf)[:cap(*buf)]
+	for i := range rows {
+		rows[i] = math.NaN()
 	}
-	return buf[:copy(buf, page[lo*s.dims:hi*s.dims])], lo, true
+	rows = rows[:0]
+	for i := lo; i < hi; i++ {
+		rows = page.AppendRow(rows, i, s.dims)
+	}
+	return RowMajor(rows, s.dims), lo, true
 }
 
 // storeBacked rebuilds g around a fakeStore of its own pages.

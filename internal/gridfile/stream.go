@@ -16,9 +16,11 @@ import (
 // in-place permutation: one pass looks every row's cell up once and turns
 // it into the row's destination slot (a 4-byte-per-row array), a second
 // follows the permutation's cycles. Each cell therefore lists its rows in
-// arrival order — input already sorted on the sort dimension stays sorted —
-// and peak memory beyond the finished index is that array plus the
-// per-cell counts, plus append slack when no capacity hint was given.
+// arrival order — input already sorted on the sort dimension stays sorted.
+// Each cell is then sorted and turned column-major through one scratch the
+// size of the largest cell, so peak memory beyond the finished index is
+// that array, that scratch and the per-cell counts, plus append slack when
+// no capacity hint was given.
 type Streamer struct{ g *GridFile }
 
 // NewStreamer prepares a streaming build of a dims-column grid file.
@@ -65,9 +67,9 @@ func (s *Streamer) Add(row []float64) {
 func (s *Streamer) Rows() int { return len(s.g.data) / s.g.dims }
 
 // Finish groups the buffered rows by cell in place, keeping each cell's
-// rows in arrival order, sorts each cell page on the sort dimension, and
-// returns the completed grid file. The Streamer must not be used
-// afterwards.
+// rows in arrival order, sorts each cell page on the sort dimension, lays
+// each page down column-major, and returns the completed grid file. The
+// Streamer must not be used afterwards.
 func (s *Streamer) Finish() (*GridFile, error) {
 	g, n := s.g, s.Rows()
 	if n == 0 {
@@ -123,11 +125,7 @@ func (s *Streamer) Finish() (*GridFile, error) {
 		copy(rowAt(i), carry)
 	}
 
-	if g.cfg.SortDim >= 0 {
-		for c := 0; c < nCells; c++ {
-			g.sortCell(c)
-		}
-	}
+	g.columnize(true)
 	return g, nil
 }
 

@@ -71,8 +71,8 @@ func TestStreamerKeepsArrivalOrder(t *testing.T) {
 	for c := range g.NumCells() {
 		page := g.cellPage(c)
 		prev := -1.0
-		for r := 0; r < len(page); r += g.dims {
-			row := page[r : r+g.dims]
+		for r := 0; r < page.Rows; r++ {
+			row := page.AppendRow(nil, r, g.dims)
 			if g.cellOf(row) != c {
 				t.Fatalf("row %v placed in cell %d, belongs in %d", row, c, g.cellOf(row))
 			}
@@ -181,9 +181,9 @@ func TestSampleBoundsPerValueCells(t *testing.T) {
 			t.Errorf("cell %d holds %d rows, value %v has %d", c, n, v, counts[c+1])
 		}
 		page := g.cellPage(c)
-		for r := 0; r < len(page); r += g.dims {
-			if page[r] != v {
-				t.Fatalf("cell %d holds value %v beside %v", c, page[r], v)
+		for r := 0; r < page.Rows; r++ {
+			if got := page.AppendRow(nil, r, g.dims)[0]; got != v {
+				t.Fatalf("cell %d holds value %v beside %v", c, got, v)
 			}
 		}
 	}

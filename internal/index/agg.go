@@ -185,9 +185,11 @@ func (a *AggState) cell(key float64) *AggCell {
 // FoldBatch folds every selected row of b into the state. Ungrouped COUNT
 // never touches the page — it is a popcount over the selection words;
 // every other shape walks only the set bits, reading just the columns the
-// spec needs. An aggregate consumes every matching row, so it always
-// reports that the scan should go on.
+// spec needs through the batch's steps (in a column-major window each is
+// one contiguous run). An aggregate consumes every matching row, so it
+// always reports that the scan should go on.
 func (a *AggState) FoldBatch(b *Batch) bool {
+	step := b.RowStep
 	if a.Spec.Group < 0 {
 		if a.Spec.Op == AggCount {
 			for _, w := range b.Sel {
@@ -195,31 +197,33 @@ func (a *AggState) FoldBatch(b *Batch) bool {
 			}
 			return true
 		}
-		col := a.Spec.Col
+		vals := b.Page[a.Spec.Col*b.ColStep:]
 		for w, word := range b.Sel {
 			base := w << 6
 			for word != 0 {
 				i := base + bits.TrailingZeros64(word)
 				word &= word - 1
-				a.All.fold(b.Page[i*b.Dims+col])
+				a.All.fold(vals[i*step])
 			}
 		}
 		return true
 	}
-	gcol := a.Spec.Group
+	keys := b.Page[a.Spec.Group*b.ColStep:]
 	counting := a.Spec.Op == AggCount
-	col := a.Spec.Col
+	var vals []float64
+	if !counting {
+		vals = b.Page[a.Spec.Col*b.ColStep:]
+	}
 	for w, word := range b.Sel {
 		base := w << 6
 		for word != 0 {
 			i := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			off := i * b.Dims
-			c := a.cell(b.Page[off+gcol])
+			c := a.cell(keys[i*step])
 			if counting {
 				c.Count++
 			} else {
-				c.fold(b.Page[off+col])
+				c.fold(vals[i*step])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Batch-at-a-time scanning: the one traversal a storage engine owns.
@@ -20,25 +21,38 @@ const BatchRows = 1024
 // BatchWords returns the number of 64-bit selection words covering rows.
 func BatchWords(rows int) int { return (rows + 63) >> 6 }
 
-// Batch is one unit of a batch scan: a window of candidate rows in their
-// native row-major page layout plus the selection bitmap the kernel
+// Batch is one unit of a batch scan: a window of candidate rows, read in
+// place in their page's layout, plus the selection bitmap the kernel
 // computed over them. Bit i of Sel set means row i satisfies the query
 // rectangle (and is not tombstoned). Tail bits past Rows are always zero,
 // so popcounts over Sel need no edge handling.
+//
+// The layout is two steps: value (i, k) — row i, column k — sits at
+// Page[i*RowStep + k*ColStep]. A row-major window (overflow pages, R-tree
+// and full-scan slabs, raw mapped pages) has steps (Dims, 1); a window of a
+// column-major grid-file page of m rows has steps (1, m), so every column
+// the kernels test or the folds read is one contiguous run.
 //
 // Ownership follows the row-scan rule: the Batch itself, Page and Sel are
 // scratch of the scan that is refilled after the yield returns, so
 // consumers must copy anything they retain.
 type Batch struct {
-	// Page is the row-major window: Rows*Dims values, row i occupying
-	// Page[i*Dims : (i+1)*Dims].
+	// Page holds the window's values at the offsets the steps give.
 	Page []float64
-	// Dims is the row stride.
+	// Dims is the row width.
 	Dims int
 	// Rows is the number of candidate rows in the window.
 	Rows int
+	// RowStep and ColStep place value (i, k) at Page[i*RowStep + k*ColStep].
+	RowStep, ColStep int
 	// Sel is the selection bitmap, BatchWords(Rows) words long.
 	Sel []uint64
+
+	// Row gathers a row of a column-major window here: in the fixed array
+	// when it fits, so a scan's Batch carries its own row and gathering
+	// allocates nothing, else in wide, allocated once per Batch.
+	narrow [16]float64
+	wide   []float64
 }
 
 // BatchYield receives one batch per call and reports whether the scan
@@ -70,9 +84,45 @@ func (b *Batch) Selected() int {
 	return n
 }
 
-// Row returns row i of the window (aliasing the page).
+// Row returns row i of the window. A window whose columns are adjacent
+// (ColStep 1: row-major, or a one-row page) hands out a slice of the page;
+// any other is gathered into scratch the Batch owns, so the row is valid
+// only until the next Row or until the yield that received the batch
+// returns. Either way it is capped at its own length.
 func (b *Batch) Row(i int) []float64 {
-	return b.Page[i*b.Dims : (i+1)*b.Dims : (i+1)*b.Dims]
+	at := i * b.RowStep
+	if b.ColStep == 1 {
+		return b.Page[at : at+b.Dims : at+b.Dims]
+	}
+	row := b.narrow[:]
+	if b.Dims > len(row) {
+		if cap(b.wide) < b.Dims {
+			b.wide = make([]float64, b.Dims)
+		}
+		row = b.wide
+	}
+	row = row[:b.Dims:b.Dims]
+	for k := range row {
+		row[k] = b.Page[at]
+		at += b.ColStep
+	}
+	return row
+}
+
+// appendRow appends row i's values to dst — how a RowsState gathers
+// straight into the rows it holds, with no stop in Row's scratch.
+func (b *Batch) appendRow(dst []float64, i int) []float64 {
+	at := i * b.RowStep
+	if b.ColStep == 1 {
+		return append(dst, b.Page[at:at+b.Dims]...)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, b.Dims)[:n+b.Dims]
+	for k := n; k < len(dst); k++ {
+		dst[k] = b.Page[at]
+		at += b.ColStep
+	}
+	return dst
 }
 
 // Each drives a row-at-a-time yield off the selection bitmap — how a row
@@ -138,62 +188,61 @@ func (s *RectSel) PrepareOpen(r Rect, open func(col int) bool) {
 // window, which Probe.ColumnTests counts.
 func (s *RectSel) Columns() int { return s.n }
 
-// Select computes the selection bitmap of the prepared rectangle over a
-// row-major window: bit i of sel is set iff the rectangle contains row i.
-// Each constrained dimension is evaluated as one tight loop over its
-// column (stride dims), producing 64-bit match words that are
-// AND-intersected across dimensions. sel must hold BatchWords(rows) words;
-// tail bits are left zero. The per-value test is the exact negation of
-// Contains' rejection test, so NaN handling matches the row path
-// bit-for-bit.
-func (s *RectSel) Select(page []float64, dims, rows int, sel []uint64) {
-	words := BatchWords(rows)
+// Select computes b.Sel, the selection bitmap of the prepared rectangle
+// over b's window: bit i is set iff the rectangle contains row i. Each
+// constrained dimension is evaluated as one tight loop over its column —
+// one contiguous run in a column-major window, stride RowStep otherwise —
+// producing 64-bit match words that are AND-intersected across
+// dimensions. b.Sel must hold BatchWords(b.Rows) words; tail bits are left
+// zero. The per-value test is the exact negation of Contains' rejection
+// test, so NaN handling matches the row path bit-for-bit.
+func (s *RectSel) Select(b *Batch) {
+	rows, sel := b.Rows, b.Sel[:BatchWords(b.Rows)]
 	if s.n == 0 {
 		// No constrained dimension: all rows selected.
-		for w := 0; w < words; w++ {
+		for w := range sel {
 			sel[w] = ^uint64(0)
 		}
 		if tail := rows & 63; tail != 0 {
-			sel[words-1] = (1 << uint(tail)) - 1
+			sel[len(sel)-1] = (1 << uint(tail)) - 1
 		}
 		return
 	}
-	for i := 0; i < s.n; i++ {
+	for i := 0; i < s.n && rows > 0; i++ {
 		var c colRange
 		if i < len(s.buf) {
 			c = s.buf[i]
 		} else {
 			c = s.rest[i-len(s.buf)]
 		}
+		col := b.Page[c.col*b.ColStep:]
 		if i == 0 {
-			rangeBitsInit(page, dims, c.col, rows, c.lo, c.hi, sel[:words])
+			rangeBitsInit(col, b.RowStep, rows, c.lo, c.hi, sel)
 		} else {
-			rangeBitsAnd(page, dims, c.col, rows, c.lo, c.hi, sel[:words])
+			rangeBitsAnd(col, b.RowStep, rows, c.lo, c.hi, sel)
 		}
 	}
 }
 
-// SelectRect is the one-shot form of RectSel: Prepare(r) then Select. Scans
-// prepare once and select per page; this is for callers with one window.
+// SelectRect is the one-shot form of RectSel over a row-major window of
+// rows rows, dims values each: Prepare(r) then Select. Scans prepare once
+// and select per page; this is for callers with one window.
 func SelectRect(page []float64, dims, rows int, r Rect, sel []uint64) {
 	var s RectSel
 	s.Prepare(r)
-	s.Select(page, dims, rows, sel)
+	s.Select(&Batch{Page: page, Dims: dims, Rows: rows, RowStep: dims, ColStep: 1, Sel: sel})
 }
 
-// rangeBitsInit writes the match words of one column range test:
-// bit i set iff !(v < lo || v > hi) for v = page[i*dims+col].
-func rangeBitsInit(page []float64, dims, col, rows int, lo, hi float64, out []uint64) {
-	off := col
+// rangeBitsInit writes the match words of one column range test over a
+// column whose row i sits at col[i*step]: bit i set iff !(v < lo || v > hi).
+func rangeBitsInit(col []float64, step, rows int, lo, hi float64, out []uint64) {
+	off := 0
 	for w := range out {
-		n := rows - w<<6
-		if n > 64 {
-			n = 64
-		}
+		n := min(rows-w<<6, 64)
 		var bits uint64
 		for i := 0; i < n; i++ {
-			v := page[off]
-			off += dims
+			v := col[off]
+			off += step
 			if !(v < lo || v > hi) {
 				bits |= 1 << uint(i)
 			}
@@ -204,21 +253,17 @@ func rangeBitsInit(page []float64, dims, col, rows int, lo, hi float64, out []ui
 
 // rangeBitsAnd intersects one column's match words into out, skipping
 // 64-row blocks already dead — the common case on selective queries.
-func rangeBitsAnd(page []float64, dims, col, rows int, lo, hi float64, out []uint64) {
-	for w := range out {
-		have := out[w]
+func rangeBitsAnd(col []float64, step, rows int, lo, hi float64, out []uint64) {
+	for w, have := range out {
 		if have == 0 {
 			continue
 		}
-		n := rows - w<<6
-		if n > 64 {
-			n = 64
-		}
-		off := w<<6*dims + col
+		n := min(rows-w<<6, 64)
+		off := w << 6 * step
 		var bits uint64
 		for i := 0; i < n; i++ {
-			v := page[off]
-			off += dims
+			v := col[off]
+			off += step
 			if !(v < lo || v > hi) {
 				bits |= 1 << uint(i)
 			}

@@ -75,9 +75,10 @@ func (s *RowsState) capped() bool {
 }
 
 // FoldBatch folds the selected rows of b: it copies them, in order, while
-// fewer than Keep are held, and counts the remaining selection off the
-// bitmap. It reports whether the scan should go on — false only once Limit
-// rows match. Storage grows with the rows held, so a huge Keep over a small
+// fewer than Keep are held — gathered straight into the held rows, whatever
+// the window's layout — and counts the remaining selection off the bitmap.
+// It reports whether the scan should go on — false only once Limit rows
+// match. Storage grows with the rows held, so a huge Keep over a small
 // result allocates for the result.
 func (s *RowsState) FoldBatch(b *Batch) bool {
 	room := s.room()
@@ -92,7 +93,7 @@ func (s *RowsState) FoldBatch(b *Batch) bool {
 		for ; word != 0 && room > 0; room-- {
 			i := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			s.Rows = append(s.Rows, b.Row(i)...)
+			s.Rows = b.appendRow(s.Rows, i)
 			s.Count++
 		}
 		if room == 0 {

@@ -44,20 +44,21 @@ func edgeRow(rng *rand.Rand) []float64 {
 	}
 }
 
-// compressedGrid is g re-opened from a compressed grid page section, as a
-// mapped snapshot serves it: main pages decode from the store on every
-// read; overflow pages and tombstones come across as they are.
-func compressedGrid(t *testing.T, g *gridfile.GridFile) (*gridfile.GridFile, *errBox) {
+// mappedGrid is g re-opened from a grid page section, as a mapped snapshot
+// serves it: compressed, its main pages decode column-major from the store
+// on every read; raw, they are read row-major in place. Overflow pages and
+// tombstones come across as they are.
+func mappedGrid(t *testing.T, g *gridfile.GridFile, compress bool) (*gridfile.GridFile, *errBox) {
 	t.Helper()
-	payload := encodeGridSection(g, true)
+	payload := encodeGridSection(g, compress)
 	buf := alignedBuffer(len(payload))
 	copy(buf, payload)
 	sec, err := parseGridSection(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sec.compressed {
-		t.Fatal("section is not compressed")
+	if sec.compressed != compress {
+		t.Fatalf("section compressed %v, want %v", sec.compressed, compress)
 	}
 	errs := &errBox{}
 	m, err := openGridSection(sec, errs)
@@ -65,6 +66,12 @@ func compressedGrid(t *testing.T, g *gridfile.GridFile) (*gridfile.GridFile, *er
 		t.Fatal(err)
 	}
 	return m, errs
+}
+
+// compressedGrid is g re-opened from a compressed grid page section.
+func compressedGrid(t *testing.T, g *gridfile.GridFile) (*gridfile.GridFile, *errBox) {
+	t.Helper()
+	return mappedGrid(t, g, true)
 }
 
 // edgeRects draws rectangles whose sides come from values[d] or are ±∞;
@@ -101,7 +108,9 @@ func edgeRects(rng *rand.Rand, values [][]float64, n int) []index.Rect {
 // rows on rectangles whose sides sit on the grid's boundaries — over
 // quantile, uniform and per-value axes, with rows inserted below the first
 // boundary, on the last and above it (the values Slot clamps into the edge
-// slots), tombstones, overflow pages, and a compressed copy — and requires
+// slots), tombstones, cells whose every main-page row is tombstoned,
+// overflow pages, a grid of one-row cells (where a column-major page's two
+// steps coincide), and compressed and raw mapped copies — and requires
 // every aggregate FoldBatch computes to equal FoldRow over the scan's own
 // rows, bit for bit.
 func TestScanBatchAtCellEdges(t *testing.T) {
@@ -112,6 +121,8 @@ func TestScanBatchAtCellEdges(t *testing.T) {
 		{"quantile", gridfile.Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 6, Mode: gridfile.Quantile}},
 		{"uniform", gridfile.Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 6, Mode: gridfile.Uniform}},
 		{"unsorted", gridfile.Config{GridDims: []int{0, 1, 2}, SortDim: -1, CellsPerDim: 5, Mode: gridfile.Quantile}},
+		// One cell per value of columns 0 and 2: about two rows a cell.
+		{"one-row cells", gridfile.Config{GridDims: []int{0, 2}, SortDim: 3, CellsPerDim: 41, Mode: gridfile.Quantile}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(90 + ci)))
@@ -120,10 +131,24 @@ func TestScanBatchAtCellEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.cfg.Mode == gridfile.Quantile && g.AxisCells()[1] != 4 {
-				t.Fatalf("axis cells %v: column 1 should get one cell per value", g.AxisCells())
+			// Columns 0, 1 and 2 hold 41, 4 and 40 values: a quantile axis
+			// allowed that many cells gets one per value.
+			for i, d := range tc.cfg.GridDims {
+				if values := []int{41, 4, 40}[d]; tc.cfg.Mode == gridfile.Quantile && values <= tc.cfg.CellsPerDim && g.AxisCells()[i] != values {
+					t.Fatalf("axis cells %v: column %d should get one cell per value", g.AxisCells(), d)
+				}
 			}
-			bounds := g.ExportParts().Bounds
+			parts := g.ExportParts()
+			bounds := parts.Bounds
+			oneRow := 0
+			for c := 0; c+1 < len(parts.Offsets); c++ {
+				if parts.Offsets[c+1]-parts.Offsets[c] == 1 {
+					oneRow++
+				}
+			}
+			if tc.name == "one-row cells" && oneRow < 100 {
+				t.Fatalf("%d one-row cells: the case needs many", oneRow)
+			}
 			live := enginetest.NewLive(tab)
 			var inserted [][]float64
 			insert := func(row []float64) {
@@ -158,10 +183,30 @@ func TestScanBatchAtCellEdges(t *testing.T) {
 			for k := 0; k < 40; k++ {
 				remove(inserted[rng.Intn(len(inserted))])
 			}
-			if g.Tombstones() == 0 || g.Inserted() == 0 {
-				t.Fatalf("%d tombstones, %d overflow rows: the test needs both", g.Tombstones(), g.Inserted())
+			// Tombstone every main-page row of a few cells, one-row cells
+			// among them where there are any.
+			var doomed [][]float64
+			g.CellPages(func(c int, page gridfile.Span) {
+				if page.Rows > 0 && (c%7 == 3 || page.Rows == 1 && c%5 == 0) {
+					for i := 0; i < page.Rows; i++ {
+						doomed = append(doomed, page.AppendRow(nil, i, g.Dims()))
+					}
+				}
+			})
+			for _, row := range doomed {
+				remove(row)
 			}
-			mapped, errs := compressedGrid(t, g)
+			dead := 0
+			g.CellPages(func(c int, page gridfile.Span) {
+				if page.Rows > 0 && (c%7 == 3 || page.Rows == 1 && c%5 == 0) && deadCell(g, c) {
+					dead++
+				}
+			})
+			if dead == 0 || g.Tombstones() == 0 || g.Inserted() == 0 {
+				t.Fatalf("%d fully tombstoned cells, %d tombstones, %d overflow rows: the test needs all three", dead, g.Tombstones(), g.Inserted())
+			}
+			compressed, errs := mappedGrid(t, g, true)
+			raw, _ := mappedGrid(t, g, false)
 
 			// Sides: every boundary of a grid axis; a spread of data values
 			// on the other columns.
@@ -180,7 +225,7 @@ func TestScanBatchAtCellEdges(t *testing.T) {
 			for _, e := range []struct {
 				name string
 				g    *gridfile.GridFile
-			}{{"resident", g}, {"compressed", mapped}} {
+			}{{"resident", g}, {"compressed", compressed}, {"raw", raw}} {
 				enginetest.Check(t, e.name, want, enginetest.Storage(e.g), rects, 3, 1)
 				foldsInScanOrder(t, e.name, e.g, rects, 4)
 			}
@@ -191,21 +236,41 @@ func TestScanBatchAtCellEdges(t *testing.T) {
 	}
 }
 
+// deadCell reports whether every main-page slot of cell c is tombstoned.
+func deadCell(g *gridfile.GridFile, c int) bool {
+	p := g.ExportParts()
+	for slot := p.Offsets[c]; slot < p.Offsets[c+1]; slot++ {
+		if w := int(slot >> 6); w >= len(p.DeadWords) || p.DeadWords[w]&(1<<(uint(slot)&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // foldsInScanOrder requires FoldBatch over g's batch scan to give, for all
-// five ops over column col, the bits FoldRow gives over g's row scan.
+// five ops over column col, ungrouped and grouped by column 1, the bits
+// FoldRow gives over g's row scan.
 func foldsInScanOrder(t *testing.T, label string, g *gridfile.GridFile, rects []index.Rect, col int) {
 	t.Helper()
+	same := func(a, b *index.AggCell) bool {
+		return a.Count == b.Count && math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
+			(a.Count == 0 || math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max))
+	}
 	for qi, r := range rects {
 		for _, op := range []index.AggOp{index.AggCount, index.AggSum, index.AggMin, index.AggMax, index.AggAvg} {
-			spec := index.AggSpec{Op: op, Col: col, Group: -1}
-			batch, byRow := index.NewAggState(spec), index.NewAggState(spec)
-			g.ScanBatch(r, batch.FoldBatch, nil)
-			g.Scan(r, byRow.FoldRow, nil)
-			a, b := batch.All, byRow.All
-			same := a.Count == b.Count && math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
-				(a.Count == 0 || math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max))
-			if !same {
-				t.Fatalf("%s query %d %v: FoldBatch %+v, FoldRow in scan order %+v", label, qi, op, a, b)
+			for _, group := range []int{-1, 1} {
+				spec := index.AggSpec{Op: op, Col: col, Group: group}
+				batch, byRow := index.NewAggState(spec), index.NewAggState(spec)
+				g.ScanBatch(r, batch.FoldBatch, nil)
+				g.Scan(r, byRow.FoldRow, nil)
+				ok := same(&batch.All, &byRow.All) && len(batch.Groups) == len(byRow.Groups)
+				for k, c := range byRow.Groups {
+					ok = ok && batch.Groups[k] != nil && same(batch.Groups[k], c)
+				}
+				if !ok {
+					t.Fatalf("%s query %d %v group %d: FoldBatch %+v %v, FoldRow in scan order %+v %v",
+						label, qi, op, group, batch.All, batch.Groups, byRow.All, byRow.Groups)
+				}
 			}
 		}
 	}

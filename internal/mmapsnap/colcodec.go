@@ -6,7 +6,8 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
-	"sort"
+
+	"github.com/coax-index/coax/internal/gridfile"
 )
 
 // Per-cell page compression. Each grid cell's main page compresses
@@ -53,26 +54,29 @@ const (
 // the decoder can reject over-claiming directories as corrupt.
 const maxPageExpand = 1 << 10
 
-// encodePage compresses one row-major page. The result always round-trips
-// bit-exactly through decodePage.
-func encodePage(page []float64, rows, dims int) []byte {
+// encodePage compresses one column-major page: column d of its rows rows
+// is cols[d*rows : (d+1)*rows]. The result always round-trips bit-exactly
+// through decodePage; a kind-0 blob stores the page row-major.
+func encodePage(cols []float64, rows, dims int) []byte {
 	rawSize := 5 + rows*dims*8
-	cols := make([][]byte, dims)
+	enc := make([][]byte, dims)
 	colSize := 1 // kind byte
 	for d := 0; d < dims; d++ {
-		cols[d] = encodeColumn(page, rows, dims, d)
-		colSize += len(cols[d])
+		enc[d] = encodeColumn(cols[d*rows : (d+1)*rows])
+		colSize += len(enc[d])
 	}
 	blob := make([]byte, 4, min(colSize+4, rawSize))
 	if colSize+4 < rawSize && rawSize <= maxPageExpand*(colSize+4) {
 		blob = append(blob, pageColumnar)
 		for d := 0; d < dims; d++ {
-			blob = append(blob, cols[d]...)
+			blob = append(blob, enc[d]...)
 		}
 	} else {
 		blob = append(blob, pageRaw)
-		for _, v := range page[:rows*dims] {
-			blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(v))
+		for r := 0; r < rows; r++ {
+			for d := 0; d < dims; d++ {
+				blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(cols[d*rows+r]))
+			}
 		}
 	}
 	binary.LittleEndian.PutUint32(blob, crc32.Checksum(blob[4:], castagnoli))
@@ -80,15 +84,15 @@ func encodePage(page []float64, rows, dims int) []byte {
 }
 
 // encodeColumn emits one column with the cheapest lossless encoding.
-func encodeColumn(page []float64, rows, dims, d int) []byte {
+func encodeColumn(col []float64) []byte {
+	rows := len(col)
 	rawSize := 1 + rows*8
 
 	// Integer frame-of-reference: exact int64 round-trip required for
 	// every value (rejecting -0.0, NaN, ±Inf and fractions).
 	ints := make([]int64, rows)
 	intOK := true
-	for r := 0; r < rows; r++ {
-		v := page[r*dims+d]
+	for r, v := range col {
 		iv := int64(v)
 		if float64(iv) != v || (v == 0 && math.Signbit(v)) {
 			intOK = false
@@ -126,11 +130,11 @@ func encodeColumn(page []float64, rows, dims, d int) []byte {
 
 	// Float XOR frame-of-reference: always lossless.
 	if rows > 0 {
-		ref := math.Float64bits(page[d])
+		ref := math.Float64bits(col[0])
 		var maxRes uint64
 		res := make([]uint64, rows)
-		for r := 0; r < rows; r++ {
-			x := math.Float64bits(page[r*dims+d]) ^ ref
+		for r, v := range col {
+			x := math.Float64bits(v) ^ ref
 			res[r] = x
 			if x > maxRes {
 				maxRes = x
@@ -148,8 +152,8 @@ func encodeColumn(page []float64, rows, dims, d int) []byte {
 
 	out := make([]byte, 0, rawSize)
 	out = append(out, encRawCol)
-	for r := 0; r < rows; r++ {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(page[r*dims+d]))
+	for _, v := range col {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	return out
 }
@@ -280,19 +284,18 @@ func viewColumn(c *blobCursor, rows int) (v colView, err error) {
 // zeroWord stands in for the words a width-0 column does not store.
 var zeroWord [8]byte
 
-// unpack decodes rows [lo, hi) of the column into dst[at], dst[at+step],
-// … — the one set of unpack loops behind every page read: raw values, then
-// for both packed encodings values of up to 57 bits, which one unaligned
-// 8-byte load holds whatever their offset in its first byte, then the
-// values that may straddle two words — wider ones, and the last few of a
-// column, where that load would run past the words. The view is taken by
-// value so the loops keep its fields in registers across the stores.
-func (v colView) unpack(dst []float64, at, step, lo, hi int) {
+// unpack decodes rows lo, lo+1, … of the column into dst, one per slot —
+// the one set of unpack loops behind every page read: raw values, then for
+// both packed encodings values of up to 57 bits, which one unaligned 8-byte
+// load holds whatever their offset in its first byte, then the values that
+// may straddle two words — wider ones, and the last few of a column, where
+// that load would run past the words. The view is taken by value so the
+// loops keep its fields in registers across the stores.
+func (v colView) unpack(dst []float64, lo int) {
 	raw, base, width, isInt := v.raw, v.base, v.width, v.enc == encIntFOR
 	if v.enc == encRawCol {
-		for r := lo; r < hi; r++ {
-			dst[at] = math.Float64frombits(binary.LittleEndian.Uint64(raw[r*v.stride:]))
-			at += step
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(lo+i)*v.stride:]))
 		}
 		return
 	}
@@ -300,25 +303,25 @@ func (v colView) unpack(dst []float64, at, step, lo, hi int) {
 	if width < 64 {
 		mask = 1<<uint(width) - 1
 	}
-	oneLoad := lo // rows below it start at a byte with 8 bytes left
+	oneLoad := 0 // dst slots below it start at a byte with 8 bytes left
 	switch {
 	case width == 0:
-		oneLoad = hi // every row reads zeroWord at bit 0
+		oneLoad = len(dst) // every row reads zeroWord at bit 0
 	case width <= 57 && len(raw) >= 8:
-		oneLoad = min(hi, (8*len(raw)-57)/width+1)
+		oneLoad = max(0, min(len(dst), (8*len(raw)-57)/width+1-lo))
 	}
-	r, bit := lo, lo*width
-	for ; r < oneLoad; r, bit, at = r+1, bit+width, at+step {
+	i, bit := 0, lo*width
+	for ; i < oneLoad; i, bit = i+1, bit+width {
 		x := binary.LittleEndian.Uint64(raw[bit>>3:]) >> uint(bit&7)
-		dst[at] = unpacked(isInt, base, x&mask)
+		dst[i] = unpacked(isInt, base, x&mask)
 	}
-	for ; r < hi; r, bit, at = r+1, bit+width, at+step {
+	for ; i < len(dst); i, bit = i+1, bit+width {
 		wi, off := bit>>6<<3, uint(bit&63)
 		x := binary.LittleEndian.Uint64(raw[wi:]) >> off
 		if off+uint(width) > 64 {
 			x |= binary.LittleEndian.Uint64(raw[wi+8:]) << (64 - off)
 		}
-		dst[at] = unpacked(isInt, base, x&mask)
+		dst[i] = unpacked(isInt, base, x&mask)
 	}
 }
 
@@ -330,12 +333,12 @@ func unpacked(isInt bool, base, x uint64) float64 {
 	return math.Float64frombits(base ^ x)
 }
 
-// firstDescent reports the first row at which keys (one value every step,
-// starting at keys[0]) descend, or -1 when none does.
-func firstDescent(keys []float64, step int) int {
-	for i := step; i < len(keys); i += step {
-		if keys[i] < keys[i-step] {
-			return i / step
+// firstDescent reports the first row at which keys descend, or -1 when
+// none does.
+func firstDescent(keys []float64) int {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] < keys[i-1] {
+			return i
 		}
 	}
 	return -1
@@ -346,11 +349,11 @@ func errUnsorted(sortDim, row int) error {
 }
 
 // decodePage decompresses one cell blob into dst (len rows*dims,
-// row-major), verifying the blob CRC, exact consumption, and — when a sort
-// dimension is set — the page's sort invariant, so a corrupt page can
-// never silently desort a binary-searched cell. It is readSpan's view and
-// unpack over every row, for the callers that want the page whole (Verify,
-// the codec tests).
+// column-major: column d at dst[d*rows : (d+1)*rows]), verifying the blob
+// CRC, exact consumption, and — when a sort dimension is set — the page's
+// sort invariant, so a corrupt page can never silently desort a
+// binary-searched cell. It is readSpan's view and unpack over every row,
+// for the callers that want the page whole (Verify, the codec tests).
 func decodePage(blob []byte, dst []float64, rows, dims, sortDim int) error {
 	var stack [stackCols]colView
 	cols, err := viewPage(blob, rows, dims, stack[:0])
@@ -358,10 +361,10 @@ func decodePage(blob []byte, dst []float64, rows, dims, sortDim int) error {
 		return err
 	}
 	for d := range cols {
-		cols[d].unpack(dst, d, dims, 0, rows)
+		cols[d].unpack(dst[d*rows:(d+1)*rows], 0)
 	}
 	if sortDim >= 0 {
-		if r := firstDescent(dst[sortDim:rows*dims], dims); r >= 0 {
+		if r := firstDescent(dst[sortDim*rows : (sortDim+1)*rows]); r >= 0 {
 			return errUnsorted(sortDim, r)
 		}
 	}
@@ -370,49 +373,39 @@ func decodePage(blob []byte, dst []float64, rows, dims, sortDim int) error {
 
 // readSpan is the read path of a compressed page, whole on every read: CRC
 // and header walk (viewPage), the sort column decoded in full and proven
-// sorted, the span [lo, hi) located on it with gridfile.sortSpan's two
-// predicates, and only then rows lo..hi-1 of every column unpacked into
-// buf, row-major. With no sort dimension the span is the page. buf is
-// replaced by a larger allocation when too small for the page plus its
-// sort column; rows is a prefix of whichever was used, and lo is the
-// page-relative index of its first row.
-func readSpan(blob []byte, n, dims, sortDim int, min, max float64, buf []float64) (rows []float64, lo int, err error) {
+// sorted, the span [lo, hi) located on it with gridfile.SpanRows, and only
+// then rows lo..hi-1 of every other column unpacked. The page decodes
+// column-major into *buf where a resident page would sit — column d of the
+// n-row page at [d*n, (d+1)*n) — so the span reads in place with steps
+// (1, n) and the sort column needs no copy. With no sort dimension the
+// span is the page. *buf is replaced by a larger allocation when too small
+// for the page; lo is the page-relative index of the span's first row.
+func readSpan(blob []byte, n, dims, sortDim int, min, max float64, buf *[]float64) (span gridfile.Span, lo int, err error) {
 	var stack [stackCols]colView
 	cols, err := viewPage(blob, n, dims, stack[:0])
 	if err != nil {
-		return nil, 0, err
+		return gridfile.Span{}, 0, err
 	}
 	need := n * dims
-	if sortDim >= 0 {
-		need += n
-	}
-	if cap(buf) < need {
+	if cap(*buf) < need {
 		// At least doubled, so a scan grows its scratch a few times, not
 		// once for every page larger than the last.
-		buf = make([]float64, need+cap(buf))
+		*buf = make([]float64, need+cap(*buf))
 	}
+	page := (*buf)[:need]
 	lo, hi := 0, n
-	keys := buf[n*dims : need] // past the widest span, so rows can start at buf[0]
 	if sortDim >= 0 {
-		cols[sortDim].unpack(keys, 0, 1, 0, n)
-		if r := firstDescent(keys, 1); r >= 0 {
-			return nil, 0, errUnsorted(sortDim, r)
+		keys := page[sortDim*n : (sortDim+1)*n]
+		cols[sortDim].unpack(keys, 0)
+		if r := firstDescent(keys); r >= 0 {
+			return gridfile.Span{}, 0, errUnsorted(sortDim, r)
 		}
-		lo = sort.Search(n, func(i int) bool { return keys[i] >= min })
-		hi = sort.Search(n, func(i int) bool { return keys[i] > max })
-		if hi < lo {
-			hi = lo
-		}
+		lo, hi = gridfile.SpanRows(keys, 1, n, min, max)
 	}
-	rows = buf[:(hi-lo)*dims]
 	for d := range cols {
-		if d == sortDim {
-			for i, k := range keys[lo:hi] {
-				rows[i*dims+d] = k
-			}
-			continue
+		if d != sortDim {
+			cols[d].unpack(page[d*n+lo:d*n+hi], lo)
 		}
-		cols[d].unpack(rows, d, dims, lo, hi)
 	}
-	return rows, lo, nil
+	return gridfile.ColumnMajor(page, n, dims).Slice(lo, hi, dims), lo, nil
 }

@@ -15,9 +15,9 @@ import (
 // configuration, boundary vectors, heap-owned overflow pages, a region
 // table) followed by 64-byte-aligned fixed-width regions: the offsets
 // directory, the tombstone bitmap, the optional compressed-page directory,
-// and the row data itself. Uncompressed data is aliased straight out of
-// the mapping; compressed data is decoded per read, per cell, through a
-// gridStore.
+// and the row data itself. Uncompressed data is row-major and read in place
+// out of the mapping through a rawStore; compressed data is decoded per
+// read, per cell, column-major, through a gridStore.
 
 // gridSection is the parsed header plus region byte ranges.
 type gridSection struct {
@@ -48,7 +48,8 @@ type regionTable struct {
 // encodeGridSection lays a grid file out as a page section payload. When
 // compress is set, each cell page is compressed independently (empty cells
 // occupy zero bytes); otherwise the data region is the raw row-major
-// payload, alias-mappable on open.
+// payload, alias-mappable on open. The grid's resident pages are
+// column-major; the v3 bytes are the same either way.
 func encodeGridSection(g *gridfile.GridFile, compress bool) []byte {
 	p := g.ExportParts()
 	nCells := len(p.Offsets) - 1
@@ -62,10 +63,9 @@ func encodeGridSection(g *gridfile.GridFile, compress bool) []byte {
 	if compress {
 		pagedir = make([]uint64, nCells+1)
 		blobs = make([][]byte, 0, nCells)
-		g.CellPages(func(c int, page []float64) {
-			rows := len(page) / p.Dims
-			if rows > 0 {
-				blob := encodePage(page, rows, p.Dims)
+		g.CellPages(func(c int, page gridfile.Span) {
+			if rows := page.Rows; rows > 0 {
+				blob := encodePage(page.Data, rows, p.Dims)
 				blobs = append(blobs, blob)
 				dataLen += len(blob)
 			}
@@ -157,9 +157,13 @@ func encodeGridSection(g *gridfile.GridFile, compress bool) []byte {
 			out = append(out, blob...)
 		}
 	} else {
-		g.CellPages(func(c int, page []float64) {
-			for _, v := range page {
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		// The data region is row-major: each column-major page is written
+		// row by row.
+		g.CellPages(func(c int, page gridfile.Span) {
+			for r := 0; r < page.Rows; r++ {
+				for d := 0; d < p.Dims; d++ {
+					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(page.Data[d*page.Rows+r]))
+				}
 			}
 		})
 	}
@@ -363,7 +367,12 @@ func openGridSection(s *gridSection, errs *errBox) (*gridfile.GridFile, error) {
 			errs:    errs,
 		}
 	} else {
-		parts.Data = asFloat64s(s.dataB)
+		parts.Store = &rawStore{
+			data:    asFloat64s(s.dataB),
+			rows:    offsets,
+			dims:    s.dims,
+			sortDim: s.sortDim,
+		}
 	}
 	g, err := gridfile.FromParts(parts)
 	if err != nil {

@@ -284,10 +284,10 @@ func TestColcodecRoundTrip(t *testing.T) {
 	for ci, gen := range cases {
 		for _, rows := range []int{1, 2, 63, 64, 65, 500} {
 			dims := 3
-			page := make([]float64, rows*dims)
+			page := make([]float64, rows*dims) // column-major
 			for r := 0; r < rows; r++ {
 				for d := 0; d < dims; d++ {
-					page[r*dims+d] = gen(r, d)
+					page[d*rows+r] = gen(r, d)
 				}
 			}
 			blob := encodePage(page, rows, dims)

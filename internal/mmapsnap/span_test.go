@@ -38,7 +38,8 @@ var sortKeyGens = []func(rng *rand.Rand) float64{
 	},
 }
 
-// randomPage draws a page that satisfies the sort invariant on sortDim.
+// randomPage draws a column-major page — column d at page[d*rows:] — that
+// satisfies the sort invariant on sortDim.
 func randomPage(rng *rand.Rand) (page []float64, rows, dims, sortDim int) {
 	rows = []int{1, 1, 2, 3, 17, 62, 64, 65, 200}[rng.Intn(9)]
 	dims = 1 + rng.Intn(9)
@@ -50,7 +51,7 @@ func randomPage(rng *rand.Rand) (page []float64, rows, dims, sortDim int) {
 	for d := 0; d < dims; d++ {
 		gen := columnGens[rng.Intn(len(columnGens))]
 		for r := 0; r < rows; r++ {
-			page[r*dims+d] = gen(rng, r)
+			page[d*rows+r] = gen(rng, r)
 		}
 	}
 	if sortDim >= 0 {
@@ -60,9 +61,7 @@ func randomPage(rng *rand.Rand) (page []float64, rows, dims, sortDim int) {
 			keys[r] = gen(rng)
 		}
 		sort.Float64s(keys)
-		for r, k := range keys {
-			page[r*dims+sortDim] = k
-		}
+		copy(page[sortDim*rows:], keys)
 	}
 	return page, rows, dims, sortDim
 }
@@ -74,7 +73,7 @@ func randomWindow(rng *rand.Rand, page []float64, rows, dims, sortDim int) (min,
 		if sortDim < 0 {
 			return rng.NormFloat64()
 		}
-		k := page[rng.Intn(rows)*dims+sortDim]
+		k := page[sortDim*rows+rng.Intn(rows)]
 		switch rng.Intn(3) {
 		case 0:
 			return math.Nextafter(k, math.Inf(-1))
@@ -101,18 +100,18 @@ func randomWindow(rng *rand.Rand, page []float64, rows, dims, sortDim int) (min,
 	return key(), key() // either order: min > max is an empty window
 }
 
-// encodePagePacked lays a page out columnar with every column XOR-packed
-// at width bits, or more where the values need it — layouts the format
-// allows and a reader must accept, though encodePage only ever picks the
+// encodePagePacked lays a column-major page out columnar with every column
+// XOR-packed at width bits, or more where the values need it — layouts the
+// format allows and a reader must accept, though encodePage only ever picks the
 // narrowest width and never packs at 64, where raw is smaller.
 func encodePagePacked(page []float64, rows, dims, width int) []byte {
 	blob := []byte{0, 0, 0, 0, pageColumnar}
 	for d := 0; d < dims; d++ {
-		ref := math.Float64bits(page[d])
+		ref := math.Float64bits(page[d*rows])
 		res := make([]uint64, rows)
 		w := width
 		for r := range res {
-			res[r] = math.Float64bits(page[r*dims+d]) ^ ref
+			res[r] = math.Float64bits(page[d*rows+r]) ^ ref
 			w = max(w, bits.Len64(res[r]))
 		}
 		blob = append(blob, encFloatXR)
@@ -121,6 +120,15 @@ func encodePagePacked(page []float64, rows, dims, width int) []byte {
 	}
 	binary.LittleEndian.PutUint32(blob, crc32.Checksum(blob[4:], castagnoli))
 	return blob
+}
+
+// spanRows gathers a span's rows, row-major.
+func spanRows(s gridfile.Span, dims int) []float64 {
+	out := []float64{}
+	for i := 0; i < s.Rows; i++ {
+		out = s.AppendRow(out, i, dims)
+	}
+	return out
 }
 
 func sameBits(a, b []float64) bool {
@@ -185,8 +193,9 @@ func TestCellSpanMatchesFullDecode(t *testing.T) {
 			min, max := randomWindow(rng, page, rows, dims, sortDim)
 			lo, hi := 0, rows
 			if sortDim >= 0 {
-				lo = sort.Search(rows, func(i int) bool { return decoded[i*dims+sortDim] >= min })
-				hi = sort.Search(rows, func(i int) bool { return decoded[i*dims+sortDim] > max })
+				keys := decoded[sortDim*rows:]
+				lo = sort.Search(rows, func(i int) bool { return keys[i] >= min })
+				hi = sort.Search(rows, func(i int) bool { return keys[i] > max })
 				if hi < lo {
 					hi = lo
 				}
@@ -200,15 +209,16 @@ func TestCellSpanMatchesFullDecode(t *testing.T) {
 			case 1:
 				buf = make([]float64, 0, 1+rng.Intn(8))
 			}
-			got, first, ok := store.CellSpan(0, min, max, buf)
+			got, first, ok := store.CellSpan(0, min, max, &buf)
 			if !ok {
 				t.Fatalf("iter %d window [%v,%v]: not ok: %v", iter, min, max, store.errs.get())
 			}
-			if first != lo || !sameBits(got, decoded[lo*dims:hi*dims]) {
-				t.Fatalf("iter %d (%d×%d sort %d) window [%v,%v]: rows [%d,+%d), want [%d,%d)", iter, rows, dims, sortDim, min, max, first, len(got)/dims, lo, hi)
+			whole := gridfile.ColumnMajor(decoded, rows, dims)
+			if first != lo || !sameBits(spanRows(got, dims), spanRows(whole.Slice(lo, hi, dims), dims)) {
+				t.Fatalf("iter %d (%d×%d sort %d) window [%v,%v]: rows [%d,+%d), want [%d,%d)", iter, rows, dims, sortDim, min, max, first, got.Rows, lo, hi)
 			}
-			if cap(got) > cap(scratch) {
-				scratch = got[:0]
+			if cap(buf) > cap(scratch) {
+				scratch = buf[:0]
 			}
 
 			if min > max {
@@ -298,11 +308,11 @@ func newTestSnapshot(t *testing.T, encoded []byte) *testSnapshot {
 		if err := decodePage(blob, page, rows, s.dims, s.sortDim); err != nil {
 			t.Fatal(err)
 		}
-		if page[1*s.dims+s.sortDim] == page[2*s.dims+s.sortDim] {
+		if keys := page[s.sortDim*rows:]; keys[1] == keys[2] {
 			continue // the swap case needs two distinct keys
 		}
 		s.blob, s.rows = blob, rows
-		s.probe = index.Point(page[4*s.dims : 5*s.dims])
+		s.probe = index.Point(gridfile.ColumnMajor(page, rows, s.dims).AppendRow(nil, 4, s.dims))
 		return s
 	}
 	t.Fatal("no suitable primary page")
@@ -381,7 +391,7 @@ func TestEveryCheckOnEveryRead(t *testing.T) {
 			if err := decodePage(s.blob, page, s.rows, s.dims, s.sortDim); err != nil {
 				t.Fatal(err)
 			}
-			a, b := 1*s.dims+s.sortDim, 2*s.dims+s.sortDim
+			a, b := s.sortDim*s.rows+1, s.sortDim*s.rows+2
 			page[a], page[b] = page[b], page[a]
 			// Neither the column minimum nor its first row moved, so the
 			// page re-encodes to the same layout and length.

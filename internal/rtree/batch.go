@@ -32,7 +32,7 @@ func (g *rtGather) emit(yield index.BatchYield, probe *index.Probe) bool {
 		return true
 	}
 	b.Sel = g.sel[:index.BatchWords(b.Rows)]
-	g.rect.Select(b.Page, b.Dims, b.Rows, b.Sel)
+	g.rect.Select(b)
 	if probe != nil {
 		probe.Matched += int64(b.Selected())
 		probe.Batches++
@@ -53,7 +53,7 @@ func (rt *RTree) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Pr
 	}
 	g := &rtGather{}
 	g.rect.Prepare(r)
-	g.batch.Dims = rt.dims
+	g.batch.Dims, g.batch.RowStep, g.batch.ColStep = rt.dims, rt.dims, 1
 	g.batch.Page = make([]float64, 0, index.BatchRows*rt.dims)
 	complete := rt.search(rt.root, r, probe, func(nd *node) bool {
 		b := &g.batch

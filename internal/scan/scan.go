@@ -57,7 +57,7 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 	rect.Prepare(r)
 	// One Batch per scan, refilled per window: a fresh one per window would
 	// escape through yield and cost an allocation each.
-	b := &index.Batch{Dims: dims}
+	b := &index.Batch{Dims: dims, RowStep: dims, ColStep: 1}
 	sel := make([]uint64, index.BatchWords(index.BatchRows))
 	for off := 0; off < rows; off += index.BatchRows {
 		if probe.Aborted() {
@@ -68,7 +68,7 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 			n = index.BatchRows
 		}
 		b.Page, b.Rows, b.Sel = data[off*dims:(off+n)*dims], n, sel[:index.BatchWords(n)]
-		rect.Select(b.Page, dims, n, b.Sel)
+		rect.Select(b)
 		if probe != nil {
 			probe.Matched += int64(b.Selected())
 			probe.Batches++

@@ -106,10 +106,14 @@ func (p PairModel) Within(x, d float64) bool {
 }
 
 // InvertBand returns the tightest x-interval [xLo, xHi] that can map into
-// ψ̂(x) ∈ [yLo, yHi]. feasible is false when no x qualifies. An unbounded
-// interval (±Inf) means the model carries no x-information for this band
-// (a flat line or flat segment inside the band).
+// ψ̂(x) ∈ [yLo, yHi]. feasible is false when no x qualifies — in
+// particular for an empty band, yLo > yHi. An unbounded interval (±Inf)
+// means the model carries no x-information for this band (a flat line or
+// flat segment inside the band).
 func (p PairModel) InvertBand(yLo, yHi float64) (xLo, xHi float64, feasible bool) {
+	if yLo > yHi {
+		return 0, 0, false // no y lies in the band, so no x maps into it
+	}
 	if p.Spline == nil {
 		return invertLinearBand(p.Model, math.Inf(-1), math.Inf(1), yLo, yHi)
 	}

@@ -113,6 +113,13 @@ func TestInvertBandLinear(t *testing.T) {
 	if _, _, ok = pm.InvertBand(8, 10); ok {
 		t.Error("flat model outside the band must be infeasible")
 	}
+	// An empty band (yLo > yHi) holds no prediction, whatever the slope.
+	for _, slope := range []float64{2, -2, 0} {
+		pm = PairModel{Model: model.Linear{Slope: slope, Intercept: 10}}
+		if lo, hi, ok := pm.InvertBand(30, 20); ok {
+			t.Errorf("slope %g: empty band InvertBand(30, 20) = [%g,%g] feasible", slope, lo, hi)
+		}
+	}
 }
 
 func TestInvertBandSpline(t *testing.T) {
@@ -140,6 +147,10 @@ func TestInvertBandSpline(t *testing.T) {
 	}
 	if math.Abs(lo-15) > 1e-9 || math.Abs(hi-17) > 1e-9 {
 		t.Errorf("InvertBand = [%g,%g], want [15,17]", lo, hi)
+	}
+	// An empty band is infeasible on every segment.
+	if lo, hi, ok := pm.InvertBand(16, 5); ok {
+		t.Errorf("empty band InvertBand(16, 5) = [%g,%g] feasible", lo, hi)
 	}
 	// InvertBand must cover every x whose prediction lies in the band.
 	for x := -5.0; x < 30; x += 0.25 {
