@@ -386,6 +386,44 @@ func BenchmarkQueryHit(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryHitAfterWrite is a hit whose shard moved since the answer
+// was cached: before each iteration (untimed) a row outside the cached
+// latitude band is inserted or deleted again, so every lookup finds a moved
+// version, asks the shard whether the write touched the band, and serves the
+// revalidated entry.
+func BenchmarkQueryHitAfterWrite(b *testing.B) {
+	f, req, rec, _ := hitFixture(b)
+	lo, hi := 40.0, 41.0
+	q := &rectRequest{Min: []*float64{nil, nil, &lo, nil}, Max: []*float64{nil, nil, &hi, nil}}
+	body, err := f.query(req, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	outside := []float64{1, 1, 45, 1}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	revalidated := f.qcache.Stats().Revalidations
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		write := f.be.Insert
+		if i%2 == 1 {
+			write = f.be.Delete
+		}
+		if err := write(outside); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rec.Body.Reset()
+		body, err := f.query(req, q)
+		f.writeResult(rec, req, body, err)
+	}
+	b.StopTimer()
+	if got := f.qcache.Stats().Revalidations - revalidated; got != int64(b.N) {
+		b.Fatalf("%d of %d lookups were revalidated hits", got, b.N)
+	}
+}
+
 // BenchmarkQueryMiss moves one bound every iteration, so each query is a
 // new cache key: scan, encode, Put.
 func BenchmarkQueryMiss(b *testing.B) {

@@ -55,7 +55,8 @@
 // into 503 "corrupt".
 //
 // -cache-size bounds the result cache (internal/serve): keyed on the
-// canonicalized rectangle, invalidated by per-shard mutation versions, never
+// canonicalized rectangle, evicted only by a write whose row lies inside the
+// rectangle (or by a compaction or rebuild of a shard it spans), never
 // stale; identical concurrent misses coalesce onto one engine fan-out.
 // -debug-addr serves pprof, expvar and /metrics on a second listener;
 // -access-log writes one line per request to stderr; SIGINT/SIGTERM drain

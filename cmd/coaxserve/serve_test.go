@@ -45,10 +45,13 @@ func getStats(t *testing.T, base string) statsResponse {
 	return st
 }
 
-// A repeated query is served from cache; a mutation invalidates it and the
-// next response reflects the new data — the end-to-end stale-answer check.
+// A repeated query is served from cache; a write outside its rectangle
+// leaves it cached, byte for byte what an uncached server answers; a write
+// inside it evicts it and the next response reflects the new data; a
+// compaction evicts it too — the end-to-end stale-answer check.
 func TestQueryCacheEndToEnd(t *testing.T) {
 	idx, srv := testServerHardened(t, 256, nil)
+	uncached := serveFront(t, testBackend(idx), 0, nil)
 
 	one := 1
 	var first queryResponse
@@ -81,6 +84,50 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 	}
 	if st := getStats(t, srv.URL); st.Cache.StaleEvictions < 1 {
 		t.Fatalf("no stale eviction recorded after mutation: %+v", *st.Cache)
+	}
+
+	// A latitude band: rows outside it leave its answer alone.
+	band := confRow{path: "/query", body: `{"min":[null,null,40,null],"max":[null,null,41,null],"limit":50}`}
+	cached := do(t, srv.URL, band)
+	if cached.status != http.StatusOK {
+		t.Fatalf("band query: status %d: %s", cached.status, cached.body)
+	}
+	inside := append([]float64(nil), row...)
+	inside[2] = 40.5
+	outside := append([]float64(nil), row...)
+	outside[2] = 45
+	before := getStats(t, srv.URL).Cache
+	postJSON(t, srv.URL+"/insert", insertRequest{Row: outside}, nil)
+	hit := do(t, srv.URL, band)
+	after := getStats(t, srv.URL).Cache
+	if after.Hits != before.Hits+1 || after.Revalidations != before.Revalidations+1 {
+		t.Fatalf("band query after an insert outside it: cache %+v, was %+v; want one more hit and revalidation", *after, *before)
+	}
+	if fresh := do(t, uncached.URL, band); !bytes.Equal(hit.body, fresh.body) || !bytes.Equal(hit.body, cached.body) {
+		t.Fatalf("revalidated reply differs from an uncached compute:\n%s\nfresh:\n%s", hit.body, fresh.body)
+	}
+	if _, n := scrape(t, srv.URL, "coax_cache_revalidations_total"); n < 1 {
+		t.Errorf("coax_cache_revalidations_total = %v after a revalidated hit", n)
+	}
+
+	var was, now queryResponse
+	if err := json.Unmarshal(cached.body, &was); err != nil || was.Count == 0 {
+		t.Fatalf("band reply: %v, count %d; want rows", err, was.Count)
+	}
+	postJSON(t, srv.URL+"/insert", insertRequest{Row: inside}, nil)
+	postJSON(t, srv.URL+"/query", json.RawMessage(band.body), &now)
+	if now.Count != was.Count+1 {
+		t.Fatalf("band count after an insert inside it: %d, want %d", now.Count, was.Count+1)
+	}
+
+	// A compaction reorders rows: every entry misses after it.
+	before = getStats(t, srv.URL).Cache
+	if resp := postJSON(t, srv.URL+"/compact?force=true", struct{}{}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/compact: status %d", resp.StatusCode)
+	}
+	do(t, srv.URL, band)
+	if after := getStats(t, srv.URL).Cache; after.Misses != before.Misses+1 || after.StaleEvictions != before.StaleEvictions+1 {
+		t.Fatalf("band query after /compact: cache %+v, was %+v; want one more miss and stale eviction", *after, *before)
 	}
 
 	// Explain requests bypass the cache and still carry a report.

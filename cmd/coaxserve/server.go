@@ -50,7 +50,7 @@ const (
 // status: see writeFailure.
 type backend interface {
 	// The result cache validates entries against the backend's per-shard
-	// mutation versions.
+	// mutation versions and the rows its recent writes wrote.
 	serve.Invalidator
 	Dims() int
 	// Columns names the dimensions, or is empty when the backend addresses
@@ -96,7 +96,7 @@ type front struct {
 // Once fs is parsed, the returned function builds the tier they describe.
 func tierFlags(fs *flag.FlagSet) func(backend) *front {
 	var (
-		cacheSize    = fs.Int("cache-size", 4096, "result-cache capacity in entries; hot repeated queries are answered from cache until a mutation invalidates them (0 disables caching and coalescing)")
+		cacheSize    = fs.Int("cache-size", 4096, "result-cache capacity in entries; hot repeated queries are answered from cache until a write lands inside their rectangle, or a compaction or rebuild reorders their shard (0 disables caching and coalescing)")
 		maxInflight  = fs.Int("max-inflight", 0, "admission control: queries executing concurrently before new ones queue (0 disables)")
 		maxQueue     = fs.Int("max-queue", -1, "admission control: requests allowed to wait for a slot before shedding with 429 (-1: twice -max-inflight)")
 		queueTimeout = fs.Duration("queue-timeout", 100*time.Millisecond, "admission control: longest a queued request waits for a slot before shedding with 429")

@@ -217,14 +217,16 @@ func (cl *client) stream(req wire.Message, stopCh <-chan struct{}, onChunk func(
 }
 
 // call runs one unary RPC (Mutate or Stats): send req, wait for its ack.
-func (cl *client) call(req wire.Message) (wire.Message, error) {
+// sent reports whether req was handed to a connection — from then on the
+// node may have acted on it, whatever call returns.
+func (cl *client) call(req wire.Message) (res wire.Message, sent bool, err error) {
 	start := time.Now()
 	nc, err := cl.get()
 	if err != nil {
 		cl.breaker.failure()
 		obs.ClusterRPCs.Inc()
 		obs.ClusterRPCErrors.Inc()
-		return nil, err
+		return nil, false, err
 	}
 	obs.ClusterRPCs.Inc()
 	id, _ := requestID(req)
@@ -232,7 +234,7 @@ func (cl *client) call(req wire.Message) (wire.Message, error) {
 		nc.raw.Close()
 		cl.breaker.failure()
 		obs.ClusterRPCErrors.Inc()
-		return nil, err
+		return nil, true, err
 	}
 	nc.raw.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
@@ -241,7 +243,7 @@ func (cl *client) call(req wire.Message) (wire.Message, error) {
 			nc.raw.Close()
 			cl.breaker.failure()
 			obs.ClusterRPCErrors.Inc()
-			return nil, err
+			return nil, true, err
 		}
 		switch f := m.(type) {
 		case *wire.MutAck:
@@ -252,14 +254,14 @@ func (cl *client) call(req wire.Message) (wire.Message, error) {
 			cl.lat.observe(time.Since(start))
 			obs.ClusterRPCSeconds.Observe(time.Since(start).Seconds())
 			cl.put(nc)
-			return f, nil
+			return f, true, nil
 		case *wire.StatsRes:
 			if f.ID != id {
 				continue
 			}
 			cl.breaker.success()
 			cl.put(nc)
-			return f, nil
+			return f, true, nil
 		case *wire.Error:
 			if f.ID != id && f.ID != 0 {
 				continue
@@ -267,9 +269,9 @@ func (cl *client) call(req wire.Message) (wire.Message, error) {
 			cl.breaker.success()
 			cl.put(nc)
 			if f.Code == wire.CodeOverloaded {
-				return nil, &overloadedError{retryAfter: f.RetryAfter()}
+				return nil, true, &overloadedError{retryAfter: f.RetryAfter()}
 			}
-			return nil, &remoteError{code: f.Code, msg: f.Msg}
+			return nil, true, &remoteError{code: f.Code, msg: f.Msg}
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/shard"
+	"github.com/coax-index/coax/internal/wire"
 	"github.com/coax-index/coax/internal/workload"
 )
 
@@ -439,6 +440,67 @@ func TestClusterFailover(t *testing.T) {
 	}
 	if st.All.Count != int64(tc.oracle.Len()) {
 		t.Errorf("agg count after node kill: %d, oracle %d", st.All.Count, tc.oracle.Len())
+	}
+}
+
+// A replica may apply a mutation and drop the connection before its ack.
+// The router must still record the write, or its result cache would serve
+// the pre-write answer until the next write to that shard. The fake node
+// here answers the handshake and Stats, reads the Mutate frame and hangs up.
+func TestRouterRecordsUnackedWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer raw.Close()
+				c := wire.NewConn(raw)
+				if wire.ServerHandshake(c, 4, 1, 0) != nil {
+					return
+				}
+				for {
+					m, err := c.Recv()
+					if err != nil {
+						return
+					}
+					st, ok := m.(*wire.Stats)
+					if !ok {
+						return // a Mutate: read, then the connection drops
+					}
+					if c.Send(&wire.StatsRes{ID: st.ID, Hosted: []int{0}, ShardRows: []int64{0}}) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	rt, err := NewRouter([]string{ln.Addr().String()}, 1, 1, WithHedging(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	row := []float64{1, 2, 3, 4}
+	before := rt.ShardVersion(0)
+	if err := rt.Insert(row); err == nil {
+		t.Fatal("insert acknowledged by a node that hung up")
+	}
+	if rt.ShardVersion(0) == before {
+		t.Fatal("the router's version did not move for a write the node may have applied")
+	}
+	if _, touched := rt.Touched(0, before, index.Point(row)); !touched {
+		t.Error("the unacknowledged write's row does not touch a rectangle holding it")
+	}
+	away := index.Point([]float64{5, 6, 7, 8})
+	if _, touched := rt.Touched(0, before, away); touched {
+		t.Error("the unacknowledged write touches a rectangle far from its row")
 	}
 }
 

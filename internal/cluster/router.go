@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/obs"
+	"github.com/coax-index/coax/internal/shard"
 	"github.com/coax-index/coax/internal/wire"
 )
 
@@ -51,10 +53,14 @@ type Router struct {
 	hedgeOff   bool
 	hedgeDelay time.Duration // static override; 0 = adaptive per-node p99
 
-	// vers are router-local per-global-shard mutation versions backing
-	// serve.Invalidator. They are sound while every mutation flows through
-	// this router — the deployment shape cmd/coaxserve sets up.
-	vers []atomic.Uint64
+	// writes are router-local per-global-shard mutation versions and the
+	// rows each shard's recent mutations wrote, backing serve.Invalidator
+	// exactly as the engine's own rings do. They are sound while every
+	// mutation flows through this router — the deployment shape
+	// cmd/coaxserve sets up — and the nodes neither compact nor rebuild and
+	// keep grid outliers, whose inserts leave other rows' scan order alone
+	// (cmd/coaxserve builds node shards with the default options).
+	writes []shard.WriteRing
 
 	nextAttempt atomic.Uint64
 }
@@ -95,7 +101,7 @@ func NewRouter(addrs []string, shards, rf int, opts ...RouterOption) (*Router, e
 		ring:    ring,
 		clients: make(map[string]*client, len(addrs)),
 		order:   append([]string(nil), addrs...),
-		vers:    make([]atomic.Uint64, shards),
+		writes:  make([]shard.WriteRing, shards),
 	}
 	for _, o := range opts {
 		o(rt)
@@ -107,7 +113,7 @@ func NewRouter(addrs []string, shards, rf int, opts ...RouterOption) (*Router, e
 	// One stats round-trip per node validates reachability and shape.
 	for _, a := range addrs {
 		cl := rt.clients[a]
-		if _, err := cl.call(&wire.Stats{ID: cl.id()}); err != nil {
+		if _, _, err := cl.call(&wire.Stats{ID: cl.id()}); err != nil {
 			rt.Close()
 			return nil, fmt.Errorf("cluster: node %s: %w", a, err)
 		}
@@ -143,7 +149,14 @@ func (rt *Router) NumShards() int { return rt.shards }
 
 // ShardVersion implements serve.Invalidator with the router-local
 // mutation counters.
-func (rt *Router) ShardVersion(i int) uint64 { return rt.vers[i].Load() }
+func (rt *Router) ShardVersion(i int) uint64 { return rt.writes[i].Version() }
+
+// Touched implements serve.Invalidator: whether a mutation sent to global
+// shard i since version since may have written a row inside r (see
+// shard.WriteRing).
+func (rt *Router) Touched(i int, since uint64, r index.Rect) (now uint64, touched bool) {
+	return rt.writes[i].Touched(since, r)
+}
 
 // ShardSpan implements serve.Invalidator. Global shards are
 // hash-partitioned, so no rectangle prunes: every query spans all of them.
@@ -670,6 +683,7 @@ func (rt *Router) Update(old, new []float64) error {
 	if g1 == g2 {
 		return rt.mutate(g1, wire.MutUpdate, old, new)
 	}
+	// Each half records its own row on its own shard, the rollback too.
 	if err := rt.mutate(g1, wire.MutDelete, old, nil); err != nil {
 		return err
 	}
@@ -681,11 +695,15 @@ func (rt *Router) Update(old, new []float64) error {
 }
 
 // mutate writes one mutation to every replica of a global shard in
-// parallel. Success requires at least one acknowledging replica; the
-// router-local shard version bumps on success so cached reads invalidate.
+// parallel. Success requires at least one acknowledging replica. The
+// router-local shard ring records the mutation's rows whenever its frame
+// reached any replica's connection, whatever came back: a replica may apply
+// it and then lose the connection or time out before its ack, and a cached
+// answer must not outlive a write that may have landed.
 func (rt *Router) mutate(g int, op uint8, row, newRow []float64) error {
 	reps := rt.replicas[g]
 	errs := make([]error, len(reps))
+	sent := make([]bool, len(reps))
 	var wg sync.WaitGroup
 	for i, node := range reps {
 		wg.Add(1)
@@ -693,10 +711,13 @@ func (rt *Router) mutate(g int, op uint8, row, newRow []float64) error {
 			defer wg.Done()
 			cl := rt.clients[node]
 			m := &wire.Mutate{ID: cl.id(), Op: op, Shard: g, Row: row, New: newRow}
-			_, errs[i] = cl.call(m)
+			_, sent[i], errs[i] = cl.call(m)
 		}(i, node)
 	}
 	wg.Wait()
+	if slices.Contains(sent, true) {
+		rt.writes[g].Record(row, newRow)
+	}
 
 	acked := 0
 	var firstErr error
@@ -719,7 +740,6 @@ func (rt *Router) mutate(g int, op uint8, row, newRow []float64) error {
 		}
 	}
 	if acked > 0 {
-		rt.vers[g].Add(1)
 		return nil
 	}
 	if allOverload {
@@ -775,7 +795,7 @@ func (rt *Router) Stats() ClusterStats {
 	for _, addr := range rt.order {
 		cl := rt.clients[addr]
 		ns := NodeStats{Addr: addr, Open: cl.breaker.open(), P99Ms: float64(cl.lat.p99()) / float64(time.Millisecond)}
-		res, err := cl.call(&wire.Stats{ID: cl.id()})
+		res, _, err := cl.call(&wire.Stats{ID: cl.id()})
 		if err != nil {
 			ns.Err = err.Error()
 		} else if sr, ok := res.(*wire.StatsRes); ok {

@@ -117,6 +117,12 @@ func (c *COAX) Update(old, new []float64) error {
 	return nil
 }
 
+// InsertsKeepOrder reports whether an insert leaves every row already held
+// where a scan meets it, in the same order: true for grid outliers (an
+// insert lands in a cell's overflow page, in sort order), false for R-tree
+// outliers, whose node splits regroup the leaves a scan walks.
+func (c *COAX) InsertsKeepOrder() bool { return c.outlierKind != OutlierRTree }
+
 // applyInsert classifies and stores one validated row, reporting whether it
 // landed in the outlier partition.
 func (c *COAX) applyInsert(row []float64) (outlier bool, err error) {

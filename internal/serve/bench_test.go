@@ -29,7 +29,7 @@ func BenchmarkCacheHit(b *testing.B) {
 	inv := newFakeInv(8)
 	c := NewCache(inv, 1024)
 	key := Key(benchRect(), 100, false, "")
-	c.Put(key, 0, []uint64{0, 0, 0, 0, 0, 0, 0, 0}, "answer")
+	c.Put(key, benchRect(), 0, []uint64{0, 0, 0, 0, 0, 0, 0, 0}, "answer")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,6 +55,7 @@ func BenchmarkCacheMiss(b *testing.B) {
 func BenchmarkCachePutEvict(b *testing.B) {
 	inv := newFakeInv(1)
 	c := NewCache(inv, 256)
+	r := benchRect()
 	vers := []uint64{0}
 	keys := make([]string, 4096)
 	for i := range keys {
@@ -63,7 +64,7 @@ func BenchmarkCachePutEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Put(keys[i%len(keys)], 0, vers, i)
+		c.Put(keys[i%len(keys)], r, 0, vers, i)
 	}
 }
 

@@ -9,9 +9,10 @@ import "github.com/coax-index/coax/internal/obs"
 // are callback-backed and follow the registry's latest-structure-wins
 // replacement rule.
 var (
-	cacheHits        = obs.NewCounter("coax_cache_hits_total", "Result-cache lookups answered from a valid cached entry.")
+	cacheHits        = obs.NewCounter("coax_cache_hits_total", "Result-cache lookups answered from a valid cached entry (includes revalidations).")
 	cacheMisses      = obs.NewCounter("coax_cache_misses_total", "Result-cache lookups that had to execute the query (includes stale evictions).")
-	cacheStaleEvicts = obs.NewCounter("coax_cache_stale_evictions_total", "Cached entries evicted because a shard mutation version moved past their capture.")
+	cacheRevalidated = obs.NewCounter("coax_cache_revalidations_total", "Result-cache hits served after a shard mutation version moved past their capture with no write inside their rectangle.")
+	cacheStaleEvicts = obs.NewCounter("coax_cache_stale_evictions_total", "Cached entries evicted because a write since their capture may have landed inside their rectangle.")
 	cacheEvicts      = obs.NewCounter("coax_cache_lru_evictions_total", "Cached entries evicted by LRU capacity pressure.")
 
 	coalescedRequests = obs.NewCounter("coax_coalesced_requests_total", "Requests that shared another identical in-flight query's execution instead of running their own.")

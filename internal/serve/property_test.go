@@ -82,10 +82,14 @@ func collect(s *shard.Sharded, r index.Rect) [][]float64 {
 // stream of queries, inserts, deletes, updates, compactions, and epoch-swap
 // rebuilds never observes a stale cached answer. Every query — whether
 // computed, coalesced, or served from cache — must equal a full scan of the
-// generator's live multiset at that instant. A rect pool replays earlier
-// rectangles so the cache actually serves hits across epoch bumps rather
-// than being a pass-through.
+// generator's live multiset at that instant, and a cached answer must equal
+// a fresh execution row for row, in order. A rect pool replays earlier
+// rectangles so the cache actually serves hits across writes rather than
+// being a pass-through, and about half the writes are aimed inside a pooled
+// rectangle, so both sides of the rule run: writes outside revalidate
+// entries, writes inside evict them.
 func TestCacheNeverServesStaleProperty(t *testing.T) {
+	var revalidations, staleEvictions int64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 800 + rng.Intn(1600)
@@ -94,13 +98,22 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 		if rng.Float64() < 0.4 {
 			so.Partition = shard.ByHash
 		}
-		s, err := shard.Build(tab, coreOptions(), so)
+		opt := coreOptions()
+		if rng.Float64() < 0.3 {
+			opt.OutlierKind = core.OutlierRTree // inserts may regroup its leaves
+		}
+		s, err := shard.Build(tab, opt, so)
 		if err != nil {
 			t.Logf("seed %d: build: %v", seed, err)
 			return false
 		}
 
-		gen := workload.NewMixGenerator(tab, seed+1, workload.DefaultMixConfig())
+		// Next draws queries against writes 6:3, and a quarter of all ops is
+		// a write aimed inside a pooled rectangle: half the ops are queries,
+		// as in the default mix, and half the writes are aimed.
+		mix := workload.DefaultMixConfig()
+		mix.QueryWeight = 6
+		gen := workload.NewMixGenerator(tab, seed+1, mix)
 		qc := serve.NewQueryCache(s, 128)
 		var pool []index.Rect
 
@@ -109,7 +122,12 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 			ops = 120
 		}
 		for i := 0; i < ops; i++ {
-			op := gen.Next()
+			var op workload.MixOp
+			if len(pool) > 0 && rng.Float64() < 0.25 {
+				op = gen.NextWriteIn(pool[rng.Intn(len(pool))])
+			} else {
+				op = gen.Next()
+			}
 			switch op.Kind {
 			case workload.OpInsert:
 				if err := s.Insert(op.Row); err != nil {
@@ -133,11 +151,16 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 				} else if len(pool) < 32 {
 					pool = append(pool, r)
 				}
-				v, _, err := qc.Do(serve.Key(r, -1, false, ""), r, func() (any, error) {
+				v, fromCache, err := qc.Do(serve.Key(r, -1, false, ""), r, func() (any, error) {
 					return collect(s, r), nil
 				})
 				if err != nil {
 					t.Logf("seed %d op %d: query: %v", seed, i, err)
+					return false
+				}
+				if fresh := collect(s, r); fromCache && !rowsEqual(v.([][]float64), fresh) {
+					t.Logf("seed %d op %d: rect %v: the cached answer differs from a fresh execution (%d rows, fresh %d)",
+						seed, i, r, len(v.([][]float64)), len(fresh))
 					return false
 				}
 				// The cached value is shared — copy the top-level slice
@@ -169,6 +192,8 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 			t.Logf("seed %d: cache never hit (hits=0, misses=%d) — the property exercised nothing", seed, st.Misses)
 			return false
 		}
+		revalidations += st.Revalidations
+		staleEvictions += st.StaleEvictions
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 6}
@@ -178,13 +203,18 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+	if revalidations == 0 || staleEvictions == 0 {
+		t.Errorf("%d revalidations and %d stale evictions over every seed: one side of the rule never ran", revalidations, staleEvictions)
+	}
 }
 
 // Concurrent smoke test under -race: readers serve a fixed rect pool
-// through the cache while a writer mutates rows inside those rectangles and
-// forces rebuilds. Each response must only contain rows inside its
-// rectangle with the expected width — torn or stale-beyond-bounds results
-// would surface here, and the race detector owns the memory-model half.
+// through the cache while a writer alternates between rows inside a pooled
+// rectangle and rows outside all of them, and forces rebuilds, so lookups
+// revalidate and evict while writes record. Each response must only contain
+// rows inside its rectangle with the expected width — torn or
+// stale-beyond-bounds results would surface here, and the race detector
+// owns the memory-model half.
 func TestQueryCacheConcurrentMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := fdTable(rng, 4000, 0.1)
@@ -197,6 +227,22 @@ func TestQueryCacheConcurrentMutation(t *testing.T) {
 	pool := make([]index.Rect, 8)
 	for i := range pool {
 		pool[i] = workload.RandRect(rng, tab)
+	}
+	var inside, outside [][]float64
+	for i := 0; i < tab.Len(); i++ {
+		row := tab.Row(i)
+		in := false
+		for _, r := range pool {
+			in = in || r.Contains(row)
+		}
+		if in {
+			inside = append(inside, row)
+		} else {
+			outside = append(outside, row)
+		}
+	}
+	if len(inside) == 0 || len(outside) == 0 {
+		t.Fatalf("pool splits the table %d inside / %d outside; want both", len(inside), len(outside))
 	}
 
 	stop := make(chan struct{})
@@ -211,7 +257,11 @@ func TestQueryCacheConcurrentMutation(t *testing.T) {
 				return
 			default:
 			}
-			row := append([]float64(nil), tab.Row(wrng.Intn(4000))...)
+			from := inside
+			if i%2 == 1 {
+				from = outside
+			}
+			row := append([]float64(nil), from[wrng.Intn(len(from))]...)
 			if err := s.Insert(row); err != nil {
 				t.Error(err)
 				return

@@ -1,27 +1,33 @@
 // Package serve is the serving-tier hardening layer over the sharded
-// engine: a bounded, epoch-invalidated result cache for hot queries,
-// single-flight coalescing of identical in-flight queries, and admission
-// control under overload. cmd/coaxserve mounts all three in front of its
-// /query and /batch handlers; everything is instrumented through
-// internal/obs so /metrics and /stats show hit rates, coalescing, and shed
-// traffic.
+// engine: a bounded result cache for hot queries that a write evicts only
+// when it lands inside the cached rectangle, single-flight coalescing of
+// identical in-flight queries, and admission control under overload.
+// cmd/coaxserve mounts all three in front of its /query and /batch
+// handlers; everything is instrumented through internal/obs so /metrics and
+// /stats show hit rates, revalidations, coalescing, and shed traffic.
 //
 // # Invalidation contract
 //
 // The cache never revalidates by re-executing a query; it relies on the
-// engine's per-shard mutation versions (shard.Sharded.ShardVersion). Before
-// a query executes, the versions of every shard its rectangle can probe
-// (shard.Sharded.ShardSpan) are captured; the computed answer is cached
-// together with that capture. A lookup serves the entry only while every
-// captured version still reads the same — any insert, delete, update,
-// compaction, or epoch-swap rebuild bumps the version of the shard it
-// touches before releasing that shard's lock, so a changed version is
-// visible to lookups before the mutation is acknowledged to its caller.
-// Because the capture happens before the scan, a mutation that lands while
-// the query is still running also forces a mismatch: the entry is stored
-// already stale and is evicted on first touch instead of ever being served.
-// The cost of the conservatism is only a lost cache slot, never a stale
-// answer.
+// engine's per-shard mutation versions and the row images each shard
+// records for its recent writes (shard.Sharded.ShardVersion and Touched).
+// Before a query executes, the versions of every shard its rectangle can
+// probe (shard.Sharded.ShardSpan) are captured; the computed answer is
+// cached together with that capture and its rectangle. A lookup serves the
+// entry while every captured version still reads the same. When one moved,
+// the lookup asks the shard whether any write since the capture wrote a row
+// image — the inserted or deleted row, an update's old and new rows — inside
+// the rectangle. If none did, the answer is unchanged bit for bit (see
+// shard.WriteRing for why), the capture is refreshed to the current version
+// and the entry is served: a revalidation. If one did, or the shard cannot
+// tell — a compaction, an epoch-swap rebuild, or more writes than its ring
+// holds since the capture — the entry is evicted. Every mutation records its
+// version and images before releasing its shard's lock, so a write is
+// visible to lookups before it is acknowledged to its caller. Because the
+// capture happens before the scan, a write inside the rectangle that lands
+// while the query is still running also evicts: the entry is stored already
+// stale and is evicted on first touch instead of ever being served. The cost
+// of the conservatism is only a lost cache slot, never a stale answer.
 package serve
 
 import (
@@ -33,12 +39,17 @@ import (
 )
 
 // Invalidator is the slice of the sharded engine the cache needs: the
-// per-shard mutation versions and the shard span a rectangle can probe.
-// *shard.Sharded implements it.
+// per-shard mutation versions, the shard span a rectangle can probe, and
+// whether the writes to a shard since a capture touched a rectangle.
+// *shard.Sharded and *cluster.Router implement it.
 type Invalidator interface {
 	NumShards() int
 	ShardVersion(i int) uint64
 	ShardSpan(r index.Rect) (lo, hi int)
+	// Touched reports shard i's current version and whether an answer to r
+	// captured at version since may have changed. It is false only when
+	// every write since the capture is known and none wrote a row inside r.
+	Touched(i int, since uint64, r index.Rect) (now uint64, touched bool)
 }
 
 // Key canonicalizes one rectangle query into a cache/coalescing key: the
@@ -115,7 +126,7 @@ func (qc *QueryCache) Do(key string, r index.Rect, compute func() (any, error)) 
 		if cerr != nil {
 			return nil, cerr
 		}
-		qc.cache.Put(key, lo, vers, val)
+		qc.cache.Put(key, r, lo, vers, val)
 		return val, nil
 	})
 	if shared {

@@ -11,25 +11,38 @@ import (
 	"time"
 
 	"github.com/coax-index/coax/internal/index"
+	"github.com/coax-index/coax/internal/shard"
 )
 
-// fakeInv is a hand-cranked Invalidator: the test bumps shard versions to
-// simulate mutations. Every rect spans all shards unless span is set.
+// fakeInv is a hand-cranked Invalidator over the engine's own write rings:
+// the test records writes (write) or moves a version with no images (bump,
+// as a compaction or a rebuild does). Every rect spans all shards unless
+// span is set.
 type fakeInv struct {
-	vers []atomic.Uint64
-	span func(r index.Rect) (int, int)
+	rings []shard.WriteRing
+	span  func(r index.Rect) (int, int)
 }
 
-func newFakeInv(shards int) *fakeInv { return &fakeInv{vers: make([]atomic.Uint64, shards)} }
+func newFakeInv(shards int) *fakeInv { return &fakeInv{rings: make([]shard.WriteRing, shards)} }
 
-func (f *fakeInv) NumShards() int            { return len(f.vers) }
-func (f *fakeInv) ShardVersion(i int) uint64 { return f.vers[i].Load() }
+func (f *fakeInv) NumShards() int            { return len(f.rings) }
+func (f *fakeInv) ShardVersion(i int) uint64 { return f.rings[i].Version() }
 func (f *fakeInv) ShardSpan(r index.Rect) (int, int) {
 	if f.span != nil {
 		return f.span(r)
 	}
-	return 0, len(f.vers) - 1
+	return 0, len(f.rings) - 1
 }
+func (f *fakeInv) Touched(i int, since uint64, r index.Rect) (uint64, bool) {
+	return f.rings[i].Touched(since, r)
+}
+
+// bump moves shard i's version past every capture.
+func (f *fakeInv) bump(i int) { f.rings[i].Reset() }
+
+// write records one mutation of shard i that wrote row a (and b, for an
+// update under one version).
+func (f *fakeInv) write(i int, a, b []float64) { f.rings[i].Record(a, b) }
 
 func rect2(x0, y0, x1, y1 float64) index.Rect {
 	return index.Rect{Min: []float64{x0, y0}, Max: []float64{x1, y1}}
@@ -67,18 +80,18 @@ func TestCacheStaleInvalidation(t *testing.T) {
 	c := NewCache(inv, 64)
 	key := Key(rect2(0, 0, 1, 1), -1, false, "")
 
-	c.Put(key, 1, []uint64{inv.ShardVersion(1), inv.ShardVersion(2)}, "answer")
+	c.Put(key, rect2(0, 0, 1, 1), 1, []uint64{inv.ShardVersion(1), inv.ShardVersion(2)}, "answer")
 	if v, ok := c.Get(key); !ok || v != "answer" {
 		t.Fatalf("expected hit, got (%v, %v)", v, ok)
 	}
 	// A mutation on a shard outside the captured span leaves the entry valid.
-	inv.vers[0].Add(1)
-	inv.vers[3].Add(1)
+	inv.bump(0)
+	inv.bump(3)
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("mutation outside the span invalidated the entry")
 	}
 	// A mutation inside the span evicts it — permanently.
-	inv.vers[2].Add(1)
+	inv.bump(2)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("stale entry was served")
 	}
@@ -96,7 +109,7 @@ func TestCacheLRUBound(t *testing.T) {
 	cap := 32
 	c := NewCache(inv, cap)
 	for i := 0; i < 50*cap; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), 0, []uint64{0}, i)
+		c.Put(fmt.Sprintf("key-%d", i), rect2(0, 0, 1, 1), 0, []uint64{0}, i)
 	}
 	if c.Len() > cap {
 		t.Fatalf("cache holds %d entries, capacity %d", c.Len(), cap)
@@ -106,7 +119,7 @@ func TestCacheLRUBound(t *testing.T) {
 	}
 	// Replacing an existing key must not grow the cache.
 	before := c.Len()
-	c.Put("key-1599", 0, []uint64{0}, "replaced")
+	c.Put("key-1599", rect2(0, 0, 1, 1), 0, []uint64{0}, "replaced")
 	if c.Len() != before {
 		t.Fatalf("replacement changed len from %d to %d", before, c.Len())
 	}
@@ -116,13 +129,13 @@ func TestCacheLRUKeepsRecent(t *testing.T) {
 	inv := newFakeInv(1)
 	// Single-entry stripes: every stripe holds exactly its most recent key.
 	c := NewCache(inv, 1)
-	c.Put("a", 0, []uint64{0}, 1)
+	c.Put("a", rect2(0, 0, 1, 1), 0, []uint64{0}, 1)
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("fresh entry missing")
 	}
 	// A second key on the same stripe evicts "a"; on a different stripe both
 	// live. Either way the most recently inserted key must be present.
-	c.Put("b", 0, []uint64{0}, 2)
+	c.Put("b", rect2(0, 0, 1, 1), 0, []uint64{0}, 2)
 	if _, ok := c.Get("b"); !ok {
 		t.Fatal("most recent entry evicted")
 	}
@@ -141,11 +154,11 @@ func TestCacheBytesAccounting(t *testing.T) {
 		}
 	}
 
-	c.Put("a", 0, []uint64{0}, body(100))
+	c.Put("a", rect2(0, 0, 1, 1), 0, []uint64{0}, body(100))
 	held(100, "first put")
-	c.Put("a", 0, []uint64{0}, body(40))
+	c.Put("a", rect2(0, 0, 1, 1), 0, []uint64{0}, body(40))
 	held(40, "replacement")
-	c.Put("not a body", 0, []uint64{0}, 12345)
+	c.Put("not a body", rect2(0, 0, 1, 1), 0, []uint64{0}, 12345)
 	held(40, "a non-[]byte value weighs nothing")
 
 	// LRU eviction: find a second key on a's stripe.
@@ -155,26 +168,26 @@ func TestCacheBytesAccounting(t *testing.T) {
 			other = k
 		}
 	}
-	c.Put(other, 1, []uint64{0}, body(7))
+	c.Put(other, rect2(0, 0, 1, 1), 1, []uint64{0}, body(7))
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("a survived an over-capacity stripe")
 	}
 	held(7, "LRU eviction")
 
 	// Stale eviction.
-	inv.vers[1].Add(1)
+	inv.bump(1)
 	if _, ok := c.Get(other); ok {
 		t.Fatal("stale entry was served")
 	}
 	held(0, "stale eviction")
 
 	// An oversize body is not retained; one at the limit is.
-	c.Put("big", 0, []uint64{0}, body(maxEntryBytes+1))
+	c.Put("big", rect2(0, 0, 1, 1), 0, []uint64{0}, body(maxEntryBytes+1))
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("oversize body was retained")
 	}
 	held(0, "oversize put")
-	c.Put("big", 0, []uint64{0}, body(maxEntryBytes))
+	c.Put("big", rect2(0, 0, 1, 1), 0, []uint64{0}, body(maxEntryBytes))
 	held(maxEntryBytes, "body at the limit")
 }
 
@@ -283,7 +296,7 @@ func TestQueryCacheDo(t *testing.T) {
 	}
 
 	// A mutation invalidates; the next Do recomputes.
-	inv.vers[1].Add(1)
+	inv.bump(1)
 	_, fromCache, _ = qc.Do(key, r, compute)
 	if fromCache {
 		t.Fatal("stale entry served after version bump")
@@ -314,7 +327,7 @@ func TestQueryCacheMidScanMutation(t *testing.T) {
 	r := rect2(0, 0, 1, 1)
 	key := Key(r, -1, false, "")
 	_, _, err := qc.Do(key, r, func() (any, error) {
-		inv.vers[0].Add(1) // mutation overlaps the scan
+		inv.bump(0) // mutation overlaps the scan
 		return "possibly-torn", nil
 	})
 	if err != nil {
@@ -322,6 +335,80 @@ func TestQueryCacheMidScanMutation(t *testing.T) {
 	}
 	if _, fromCache, _ := qc.Do(key, r, func() (any, error) { return "fresh", nil }); fromCache {
 		t.Fatal("entry stored during an overlapping mutation was served")
+	}
+}
+
+// The invalidation rule, case by case: a cached answer survives a write
+// whose rows all lie outside its rectangle and is evicted by anything that
+// may have changed it.
+func TestCacheEvictsOnlyWritesInside(t *testing.T) {
+	r := rect2(0, 0, 1, 1)
+	in, out, out2 := []float64{0.5, 0.5}, []float64{2, 0.5}, []float64{0.5, -1}
+	type step func(inv *fakeInv)
+	cases := []struct {
+		name string
+		// midScan runs inside the compute that fills the entry; after runs
+		// once the entry is cached.
+		midScan, after step
+		served         bool
+	}{
+		{name: "write outside", after: func(inv *fakeInv) { inv.write(0, out, nil) }, served: true},
+		{name: "same-shard update outside", after: func(inv *fakeInv) { inv.write(1, out, out2) }, served: true},
+		{name: "write inside", after: func(inv *fakeInv) { inv.write(0, out, nil); inv.write(0, in, nil); inv.write(0, out2, nil) }},
+		{name: "update moving a row in", after: func(inv *fakeInv) { inv.write(0, out, in) }},
+		{name: "update moving a row out", after: func(inv *fakeInv) { inv.write(0, in, out) }},
+		{name: "compaction or rebuild", after: func(inv *fakeInv) { inv.bump(1) }},
+		{name: "writes past the ring", after: func(inv *fakeInv) {
+			for i := 0; i <= shard.WriteRingSize; i++ {
+				inv.write(0, out, nil)
+			}
+		}},
+		{name: "cross-shard update, new row inside", after: func(inv *fakeInv) { inv.write(0, out, nil); inv.write(1, in, nil) }},
+		{name: "cross-shard update, old row inside", after: func(inv *fakeInv) { inv.write(0, in, nil); inv.write(1, out, nil) }},
+		{name: "cross-shard update outside", after: func(inv *fakeInv) { inv.write(0, out, nil); inv.write(1, out2, nil) }, served: true},
+		{name: "mid-scan write inside", midScan: func(inv *fakeInv) { inv.write(1, in, nil) }},
+		{name: "mid-scan write outside", midScan: func(inv *fakeInv) { inv.write(1, out, nil) }, served: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inv := newFakeInv(2)
+			inv.write(0, in, nil) // before the capture: never revisited
+			qc := NewQueryCache(inv, 16)
+			key := Key(r, -1, false, "")
+			if _, _, err := qc.Do(key, r, func() (any, error) {
+				if tc.midScan != nil {
+					tc.midScan(inv)
+				}
+				return "answer", nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.after != nil {
+				tc.after(inv)
+			}
+			_, fromCache, _ := qc.Do(key, r, func() (any, error) { return "fresh", nil })
+			if fromCache != tc.served {
+				t.Fatalf("served from cache = %v, want %v", fromCache, tc.served)
+			}
+			st := qc.Stats()
+			if tc.served {
+				if st.Revalidations != 1 || st.StaleEvictions != 0 {
+					t.Fatalf("stats = %+v, want 1 revalidation, no stale eviction", st)
+				}
+				// The revalidated capture is current: the next lookup is a
+				// plain hit.
+				if _, fromCache, _ := qc.Do(key, r, func() (any, error) { return "fresh", nil }); !fromCache {
+					t.Fatal("revalidated entry missed on the next lookup")
+				}
+				if st := qc.Stats(); st.Hits != 2 || st.Revalidations != 1 {
+					t.Fatalf("stats = %+v, want 2 hits, 1 revalidation", st)
+				}
+				return
+			}
+			if st.Revalidations != 0 || st.StaleEvictions != 1 {
+				t.Fatalf("stats = %+v, want 1 stale eviction, no revalidation", st)
+			}
+		})
 	}
 }
 

@@ -86,7 +86,7 @@ func (s *Sharded) RebuildShard(i int) error {
 		return fmt.Errorf("shard %d: %w", i, err)
 	}
 	slot.idx = next
-	slot.ver.Add(1)
+	slot.writes.Reset()
 	if track {
 		obs.Rebuilds.Inc()
 		obs.RebuildSeconds.Observe(time.Since(rebuildStart).Seconds())
@@ -153,7 +153,7 @@ func (s *Sharded) Compact() {
 	for _, slot := range s.shards {
 		slot.mu.Lock()
 		slot.idx.Compact()
-		slot.ver.Add(1)
+		slot.writes.Reset()
 		slot.mu.Unlock()
 	}
 }

@@ -128,15 +128,28 @@ type shardSlot struct {
 	// rebuilding serialises rebuilds of this shard without holding mu.
 	rebuilding atomic.Bool
 
-	// ver is the shard's mutation version: bumped — while the shard's
-	// write lock is still held — by every successful insert, delete, and
-	// update, by in-place compaction, and by an epoch-swap rebuild. It is
-	// the exact invalidation signal result caches key on: a cached answer
-	// computed when a shard's version was v is provably current as long as
-	// the version still reads v, because every path that could change a
-	// query's answer bumps it before releasing the lock. Readers load it
-	// without taking the lock.
-	ver atomic.Uint64
+	// writes is the shard's mutation version and the rows its recent
+	// mutations wrote. Every successful insert, delete and update records
+	// its row images (moving the version by one), and in-place compaction
+	// and an epoch-swap rebuild reset it, all while the shard's write lock
+	// is still held. It is the invalidation signal result caches key on: an
+	// answer to r computed when the version was v is current as long as the
+	// version still reads v, or every write since v lies outside r (see
+	// WriteRing). Readers never take the shard lock: Version is one atomic
+	// load, and Touched takes only the ring's own mutex.
+	writes WriteRing
+}
+
+// wrote records one applied mutation's row images: a for an insert or
+// delete, a and b for an update applied under one version. An insert into an
+// index whose inserts can regroup rows it already holds resets the ring
+// instead, since no image bounds what it moved.
+func (slot *shardSlot) wrote(insert bool, a, b []float64) {
+	if insert && !slot.idx.InsertsKeepOrder() {
+		slot.writes.Reset()
+		return
+	}
+	slot.writes.Record(a, b)
 }
 
 // Sharded is a partitioned COAX index. Build one with Build (or reassemble
@@ -466,7 +479,7 @@ func (s *Sharded) Insert(row []float64) error {
 		if slot.delta != nil {
 			slot.delta.Append(lifecycle.OpInsert, row)
 		}
-		slot.ver.Add(1)
+		slot.wrote(true, row, nil)
 	}
 	slot.mu.Unlock()
 	if err != nil {
@@ -491,7 +504,7 @@ func (s *Sharded) Delete(row []float64) error {
 		if slot.delta != nil {
 			slot.delta.Append(lifecycle.OpDelete, row)
 		}
-		slot.ver.Add(1)
+		slot.wrote(false, row, nil)
 	}
 	slot.mu.Unlock()
 	if err != nil {
@@ -523,7 +536,7 @@ func (s *Sharded) Update(old, new []float64) error {
 				slot.delta.Append(lifecycle.OpDelete, old)
 				slot.delta.Append(lifecycle.OpInsert, new)
 			}
-			slot.ver.Add(1)
+			slot.wrote(true, old, new)
 		}
 		slot.mu.Unlock()
 		return err
@@ -538,7 +551,7 @@ func (s *Sharded) Update(old, new []float64) error {
 		if src.delta != nil {
 			src.delta.Append(lifecycle.OpDelete, old)
 		}
-		src.ver.Add(1)
+		src.wrote(false, old, nil)
 	}
 	src.mu.Unlock()
 	if err != nil {
@@ -551,7 +564,7 @@ func (s *Sharded) Update(old, new []float64) error {
 		if dst.delta != nil {
 			dst.delta.Append(lifecycle.OpInsert, new)
 		}
-		dst.ver.Add(1)
+		dst.wrote(true, new, nil)
 	}
 	dst.mu.Unlock()
 	if err != nil {
@@ -563,7 +576,7 @@ func (s *Sharded) Update(old, new []float64) error {
 			if src.delta != nil {
 				src.delta.Append(lifecycle.OpInsert, old)
 			}
-			src.ver.Add(1)
+			src.wrote(true, old, nil)
 		}
 		src.mu.Unlock()
 		if rerr != nil {
@@ -576,21 +589,21 @@ func (s *Sharded) Update(old, new []float64) error {
 }
 
 // ShardVersion reports shard i's current mutation version without taking
-// the shard lock. Together with ShardSpan this is the serving tier's cache
+// the shard lock. With ShardSpan and Touched it is the serving tier's cache
 // invalidation contract: capture the versions of a query's span before
-// executing it, and the answer is provably current for as long as every
-// captured version still reads the same — any mutation that could change
-// the answer bumps the version of the shard it lands on before its lock is
-// released.
-func (s *Sharded) ShardVersion(i int) uint64 { return s.shards[i].ver.Load() }
+// executing it; the answer is current while every captured version still
+// reads the same, and when one moved, Touched tells whether any write since
+// the capture could have changed it. Every mutation records its version
+// before the shard's lock is released.
+func (s *Sharded) ShardVersion(i int) uint64 { return s.shards[i].writes.Version() }
 
-// Versions returns every shard's mutation version (see ShardVersion).
-func (s *Sharded) Versions() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, slot := range s.shards {
-		out[i] = slot.ver.Load()
-	}
-	return out
+// Touched reports shard i's current version and whether an answer to r
+// captured at version since may have changed: false only when every
+// mutation since then is still in the shard's WriteRing and wrote no row
+// inside r. A compaction, a rebuild or more than WriteRingSize mutations
+// since the capture read as touched.
+func (s *Sharded) Touched(i int, since uint64, r index.Rect) (now uint64, touched bool) {
+	return s.shards[i].writes.Touched(since, r)
 }
 
 // ShardSpan reports the inclusive shard interval [lo, hi] a rectangle can

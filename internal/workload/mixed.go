@@ -175,11 +175,7 @@ func (g *MixGenerator) nextDelete() MixOp {
 	if n == 0 {
 		return g.nextInsert()
 	}
-	i := g.rng.Intn(n)
-	row := make([]float64, g.dims)
-	copy(row, g.live[i*g.dims:(i+1)*g.dims])
-	g.removeAt(i, n)
-	return MixOp{Kind: OpDelete, Row: row}
+	return g.deleteAt(g.rng.Intn(n))
 }
 
 func (g *MixGenerator) nextUpdate() MixOp {
@@ -187,11 +183,60 @@ func (g *MixGenerator) nextUpdate() MixOp {
 	if n == 0 {
 		return g.nextInsert()
 	}
-	i := g.rng.Intn(n)
-	old := make([]float64, g.dims)
-	copy(old, g.live[i*g.dims:(i+1)*g.dims])
+	return g.updateAt(g.rng.Intn(n))
+}
+
+// NextWriteIn produces a write aimed at r, its kind drawn by the write
+// weights: an insert duplicating a live row inside r, a delete of one, or an
+// update replacing one with a row drawn as Next draws it (which may land
+// anywhere). With no live row inside r it is Next's write of that kind.
+func (g *MixGenerator) NextWriteIn(r index.Rect) MixOp {
+	ins, del := g.cfg.InsertWeight, g.cfg.DeleteWeight
+	w := g.rng.Float64() * (ins + del + g.cfg.UpdateWeight)
+	var inside []int
+	for i := 0; i < g.LiveLen(); i++ {
+		if r.Contains(g.row(i)) {
+			inside = append(inside, i)
+		}
+	}
+	if len(inside) == 0 {
+		switch {
+		case w < ins:
+			return g.nextInsert()
+		case w < ins+del:
+			return g.nextDelete()
+		default:
+			return g.nextUpdate()
+		}
+	}
+	i := inside[g.rng.Intn(len(inside))]
+	switch {
+	case w < ins:
+		row := append([]float64(nil), g.row(i)...)
+		g.live = append(g.live, row...)
+		return MixOp{Kind: OpInsert, Row: row}
+	case w < ins+del:
+		return g.deleteAt(i)
+	default:
+		return g.updateAt(i)
+	}
+}
+
+// row aliases live row i.
+func (g *MixGenerator) row(i int) []float64 { return g.live[i*g.dims : (i+1)*g.dims] }
+
+// deleteAt removes live row i.
+func (g *MixGenerator) deleteAt(i int) MixOp {
+	row := append([]float64(nil), g.row(i)...)
+	g.removeAt(i, g.LiveLen())
+	return MixOp{Kind: OpDelete, Row: row}
+}
+
+// updateAt replaces live row i with a fresh row.
+func (g *MixGenerator) updateAt(i int) MixOp {
+	old := append([]float64(nil), g.row(i)...)
 	repl := g.newRow()
-	copy(g.live[i*g.dims:(i+1)*g.dims], repl)
+	copy(g.row(i), repl)
 	return MixOp{Kind: OpUpdate, Old: old, New: repl}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/internal/dataset"
+	"github.com/coax-index/coax/internal/index"
 )
 
 func mixBase(n int) *dataset.Table {
@@ -30,8 +31,31 @@ func TestMixGeneratorMaintainsLiveMultiset(t *testing.T) {
 		count[[2]float64{r[0], r[1]}]++
 	}
 	kinds := map[OpKind]int{}
+	// Every fourth op is a write aimed at aim: while a live row lies inside
+	// it, its inserted, deleted or replaced row does too.
+	aim := index.Rect{Min: []float64{20, 0}, Max: []float64{30, 1000}}
+	aimed := 0
 	for i := 0; i < 5000; i++ {
-		op := g.Next()
+		var op MixOp
+		if i%4 != 3 {
+			op = g.Next()
+		} else {
+			view, held := g.LiveView(), false
+			for j := 0; j < view.Len() && !held; j++ {
+				held = aim.Contains(view.Row(j))
+			}
+			op = g.NextWriteIn(aim)
+			written := op.Row
+			if op.Kind == OpUpdate {
+				written = op.Old
+			}
+			if held && !aim.Contains(written) {
+				t.Fatalf("op %d: %v aimed at %v wrote %v", i, op.Kind, aim, written)
+			}
+			if held {
+				aimed++
+			}
+		}
 		kinds[op.Kind]++
 		switch op.Kind {
 		case OpInsert:
@@ -61,6 +85,9 @@ func TestMixGeneratorMaintainsLiveMultiset(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("kind %v never generated", k)
 		}
+	}
+	if aimed == 0 {
+		t.Error("no aimed write found a live row inside its rect")
 	}
 	// The generator's view must agree with the mirror.
 	view := g.LiveView()
