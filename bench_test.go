@@ -411,22 +411,44 @@ func BenchmarkAblationSortedDim(b *testing.B) {
 	b.Run("SortedDimOff", func(b *testing.B) { benchQueries(b, off, airline.rangeQ) })
 }
 
-// Ablation: R-tree vs grid-file outlier index.
+// Ablation: R-tree vs grid-file outlier index. Both variants answer from
+// the same build: the primary probed with the translated rectangle clipped
+// to the query, as core's plan does, and the outliers with the query
+// itself — from the index's own outlier grid, or from an STR R-tree
+// bulk-loaded over the same outlier rows.
 func BenchmarkAblationOutlierKind(b *testing.B) {
 	setup(b)
+	cx := airline.coax
+	rows := dataset.NewTable(airline.tab.Cols)
+	if o := cx.Outliers(); o != nil {
+		o.Scan(index.Full(cx.Dims()), func(row []float64) bool { rows.Append(row); return true }, nil)
+	}
+	rt, err := rtree.Bulk(rows, rtree.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, v := range []struct {
-		name string
-		kind core.OutlierIndexKind
-	}{{"OutlierRTree", core.OutlierRTree}, {"OutlierGrid", core.OutlierGrid}} {
-		opt := airlineOptions()
-		opt.OutlierKind = v.kind
-		cx, err := core.Build(airline.tab, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
+		name     string
+		outliers index.Interface
+	}{{"OutlierRTree", rt}, {"OutlierGrid", cx.Outliers()}} {
 		b.Run(v.name, func(b *testing.B) {
-			benchQueries(b, cx, airline.rangeQ)
-			b.ReportMetric(float64(cx.OutlierMemoryOverhead()), "outlier-dir-bytes")
+			overhead := cx.PrimaryMemoryOverhead()
+			if v.outliers != nil {
+				overhead += v.outliers.MemoryOverhead()
+			}
+			benchCount(b, airline.rangeQ, overhead, func(q index.Rect) int {
+				n := 0
+				if routed, feasible := cx.Translate(q); feasible && cx.Primary() != nil {
+					n = index.Count(cx.Primary(), routed.Intersect(q))
+				}
+				if v.outliers != nil {
+					n += index.Count(v.outliers, q)
+				}
+				return n
+			})
+			if v.outliers != nil {
+				b.ReportMetric(float64(v.outliers.MemoryOverhead()), "outlier-dir-bytes")
+			}
 		})
 	}
 }

@@ -493,7 +493,7 @@ func (l *localBackend) registerGauges() {
 		func() float64 { return float64(l.MemoryOverhead()) })
 	obs.NewGaugeFunc("coax_primary_pages", "Grid pages across all primary partitions.",
 		func() float64 { return float64(l.BuildStats().PrimaryCells) })
-	obs.NewGaugeFunc("coax_outlier_pages", "Grid pages across all outlier partitions (0 for R-tree outliers).",
+	obs.NewGaugeFunc("coax_outlier_pages", "Grid pages across all outlier partitions.",
 		func() float64 { return float64(l.BuildStats().OutlierCells) })
 	obs.NewGaugeFunc("coax_stale_shards", "Shards currently stale under the serving thresholds.",
 		func() float64 { return float64(len(l.StaleShards(l.th))) })

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	coaxstore build -dataset osm -rows 1000000 -out osm.coax
-//	coaxstore build -csv flights.csv -outlier rtree -out flights.coax
+//	coaxstore build -csv flights.csv -out flights.coax
 //	coaxstore build -csv flights.csv -sample 50000 -out flights.coax   # streaming, bounded memory
 //	coaxgen -dataset osm -n 10000000 -stream | coaxstore build -csv - -sample 50000
 //	coaxstore convert -in old.coax -out osm.coax -compress   # v1/v2 (or v3) → v3, grid pages compressed
@@ -92,7 +92,6 @@ func cmdBuild(args []string) error {
 		seed    = fs.Int64("seed", 0, "override generator seed (0 keeps the default)")
 		csvPath = fs.String("csv", "", "build from a CSV file instead of a synthetic dataset; '-' streams stdin")
 		out     = fs.String("out", "index.coax", "snapshot output path")
-		outlier = fs.String("outlier", "grid", "outlier index kind: grid|rtree")
 		cells   = fs.Int("cells", 0, "most primary grid cells per dimension; a column with fewer values gets one cell per value (0 keeps the default)")
 		sample  = fs.Int("sample", 0, "streaming build: detect soft FDs on this many sampled rows and stream placement in bounded memory (0: materialize and build exactly)")
 		chunk   = fs.Int("chunk", 0, "rows per ingest chunk (0: default)")
@@ -102,14 +101,6 @@ func cmdBuild(args []string) error {
 	fs.Parse(args)
 
 	opt := coax.DefaultOptions()
-	switch *outlier {
-	case "grid":
-		opt.OutlierKind = coax.OutlierGrid
-	case "rtree":
-		opt.OutlierKind = coax.OutlierRTree
-	default:
-		return fmt.Errorf("unknown outlier kind %q (want grid or rtree)", *outlier)
-	}
 	if *cells > 0 {
 		opt.PrimaryCellsPerDim = *cells
 	}
@@ -349,7 +340,7 @@ func writeOfflineMetrics(w io.Writer, idx *coax.Index) {
 	reg.Gauge("coax_memory_overhead_bytes", "Index directory overhead beyond row payload.").Set(float64(idx.MemoryOverhead()))
 	st := idx.BuildStats()
 	reg.Gauge("coax_primary_pages", "Grid pages across all primary partitions.").Set(float64(st.PrimaryCells))
-	reg.Gauge("coax_outlier_pages", "Grid pages across all outlier partitions (0 for R-tree outliers).").Set(float64(st.OutlierCells))
+	reg.Gauge("coax_outlier_pages", "Grid pages across all outlier partitions.").Set(float64(st.OutlierCells))
 	reg.WritePrometheus(w)
 }
 

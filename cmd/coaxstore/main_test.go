@@ -201,29 +201,42 @@ func TestBuildRefusesNonFiniteCSV(t *testing.T) {
 	}
 }
 
-// TestConvertSubcommand converts each committed v1/v2 fixture to v3, then
-// that file to a compressed one: both answer every query bit-identically to
-// the legacy decode. The unconverted file is refused by info with an error
-// naming convert.
+// TestConvertSubcommand converts each committed fixture to v3, then that
+// file to a compressed one: both answer every query bit-identically to the
+// input as read — the legacy decode of a v1/v2 file, which info refuses
+// with an error naming convert, or the opened v3 file, whose R-tree
+// outliers are regridded and written as an outlier grid.
 func TestConvertSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	for _, file := range []string{"osm600-2shard.v2", "osm-rtree.v1"} {
+	for _, file := range []string{"osm600-2shard.v2", "osm-rtree.v1", "osm-rtree.v3"} {
 		in := filepath.Join("..", "..", "internal", "snapshot", "testdata", file)
 		data, err := os.ReadFile(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := snapshot.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmdInfo([]string{"-in", in}); err == nil || !strings.Contains(err.Error(), "coaxstore convert") {
-			t.Errorf("info on %s: %v, want an error naming coaxstore convert", file, err)
+		var legacy *coax.Index
+		if strings.HasSuffix(file, ".v3") {
+			var sn *coax.Snapshot
+			if legacy, sn, err = loadIndex(in); err != nil {
+				t.Fatal(err)
+			}
+			defer sn.Close()
+		} else {
+			if legacy, err = snapshot.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := cmdInfo([]string{"-in", in}); err == nil || !strings.Contains(err.Error(), "coaxstore convert") {
+				t.Errorf("info on %s: %v, want an error naming coaxstore convert", file, err)
+			}
 		}
 		raw, packed := filepath.Join(dir, file+".v3"), filepath.Join(dir, file+".v3c")
 		stdoutOf(t, func() error { return cmdConvert([]string{"-in", in, "-out", raw}) })
 		stdoutOf(t, func() error { return cmdConvert([]string{"-in", raw, "-out", packed, "-compress"}) })
 		for _, path := range []string{raw, packed} {
+			if info := stdoutOf(t, func() error { return cmdInfo([]string{"-in", path}) }); strings.Contains(info, `"ortr"`) ||
+				!strings.Contains(info, "outlier grid:") {
+				t.Errorf("%s: info shows an R-tree section or no outlier grid:\n%s", path, info)
+			}
 			idx, sn, err := loadIndex(path)
 			if err != nil {
 				t.Fatal(err)

@@ -8,10 +8,9 @@ import (
 	"github.com/coax-index/coax/coax"
 )
 
-// Property: for every engine shape (one shard vs four, grid vs R-tree
-// outlier index) in every mutation state (fresh, tombstoned, compacted),
-// Query.Aggregate must agree with running the same query and folding the
-// rows in the visitor. COUNT/MIN/MAX are order-independent and must match
+// Property: for every engine shape (one shard vs four) in every mutation
+// state (fresh, tombstoned, compacted), Query.Aggregate must agree with
+// running the same query and folding the rows in the visitor. COUNT/MIN/MAX are order-independent and must match
 // bitwise everywhere; SUM must match bitwise on one shard (the batch fold
 // visits rows in Run's scan order) and within float tolerance on four,
 // where Run sums every row in shard order while the pushdown merges
@@ -25,17 +24,12 @@ func TestPropertyAggregateMatchesRowFold(t *testing.T) {
 	for _, shape := range []struct {
 		name   string
 		shards int
-		kind   coax.OutlierIndexKind
 	}{
-		{"one-shard/grid", 1, coax.OutlierGrid},
-		{"one-shard/rtree", 1, coax.OutlierRTree},
-		{"sharded/grid", 4, coax.OutlierGrid},
-		{"sharded/rtree", 4, coax.OutlierRTree},
+		{"one-shard/grid", 1},
+		{"sharded/grid", 4},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
-			opt := coax.DefaultOptions()
-			opt.OutlierKind = shape.kind
-			idx := build(t, copyOSM(tab), opt, shape.shards)
+			idx := build(t, copyOSM(tab), coax.DefaultOptions(), shape.shards)
 			exact := shape.shards == 1
 			states := []struct {
 				name string

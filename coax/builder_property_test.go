@@ -38,7 +38,7 @@ func randRect(rng *rand.Rand, tab *coax.Table) coax.Rect {
 }
 
 // TestPropertyStreamingEquivalentToLegacy is the satellite property test:
-// across datasets × outlier kinds × one or three shards, (1) every
+// across datasets × one or three shards, (1) every
 // full-sample Builder path — whole-input reservoir, whole-input CSV prefix —
 // produces a byte-identical snapshot to the full-scan in-memory build, and
 // (2) sampled streaming builds (models learned on a strict sample) answer
@@ -55,55 +55,52 @@ func TestPropertyStreamingEquivalentToLegacy(t *testing.T) {
 
 	for _, ds := range datasets {
 		schema := coax.TableSchema(ds.tab)
-		for _, kind := range []coax.OutlierIndexKind{coax.OutlierGrid, coax.OutlierRTree} {
-			for _, shards := range []int{1, 3} {
-				name := fmt.Sprintf("%s/%d/%d shards", ds.name, kind, shards)
-				opt := coax.DefaultOptions()
-				opt.OutlierKind = kind
-				so := coax.DefaultShardOptions()
-				so.NumShards = shards
-				builder := func(sample int, src coax.RowSource) *coax.Index {
-					idx, err := coax.NewBuilder(schema, opt).SampleSize(sample).BuildSharded(src, so)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					return idx
-				}
-
-				full := builder(0, coax.NewTableSource(ds.tab, 0))
-				want := snapshotBytes(t, full)
-
-				// Sampled mode whose budget covers the whole input: the
-				// reservoir keeps every row in order, so this must be
-				// bit-for-bit.
-				whole := builder(ds.tab.Len()+1, coax.NewTableSource(ds.tab, 1024))
-				if !bytes.Equal(want, snapshotBytes(t, whole)) {
-					t.Fatalf("%s: whole-sample builder snapshot differs from full scan", name)
-				}
-
-				// Same, through a one-shot CSV stream (prefix path; CSV float
-				// formatting round-trips exactly).
-				var csvBuf bytes.Buffer
-				if err := coax.WriteCSV(&csvBuf, ds.tab); err != nil {
-					t.Fatal(err)
-				}
-				csvSrc, err := coax.NewCSVSource(bytes.NewReader(csvBuf.Bytes()), 512)
+		for _, shards := range []int{1, 3} {
+			name := fmt.Sprintf("%s/%d shards", ds.name, shards)
+			opt := coax.DefaultOptions()
+			so := coax.DefaultShardOptions()
+			so.NumShards = shards
+			builder := func(sample int, src coax.RowSource) *coax.Index {
+				idx, err := coax.NewBuilder(schema, opt).SampleSize(sample).BuildSharded(src, so)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				if !bytes.Equal(want, snapshotBytes(t, builder(ds.tab.Len()+1, csvSrc))) {
-					t.Fatalf("%s: CSV whole-prefix builder snapshot differs from full scan", name)
-				}
+				return idx
+			}
 
-				// Strictly sampled streaming: different models are allowed,
-				// different answers are not.
-				sampled := builder(ds.tab.Len()/8, coax.NewTableSource(ds.tab, 1024))
-				rng := rand.New(rand.NewSource(int64(kind)*100 + 7))
-				for q := 0; q < 30; q++ {
-					r := randRect(rng, ds.tab)
-					if !equalRows(sortedCollect(t, full, r), sortedCollect(t, sampled, r)) {
-						t.Fatalf("%s: sampled query %d differs", name, q)
-					}
+			full := builder(0, coax.NewTableSource(ds.tab, 0))
+			want := snapshotBytes(t, full)
+
+			// Sampled mode whose budget covers the whole input: the
+			// reservoir keeps every row in order, so this must be
+			// bit-for-bit.
+			whole := builder(ds.tab.Len()+1, coax.NewTableSource(ds.tab, 1024))
+			if !bytes.Equal(want, snapshotBytes(t, whole)) {
+				t.Fatalf("%s: whole-sample builder snapshot differs from full scan", name)
+			}
+
+			// Same, through a one-shot CSV stream (prefix path; CSV float
+			// formatting round-trips exactly).
+			var csvBuf bytes.Buffer
+			if err := coax.WriteCSV(&csvBuf, ds.tab); err != nil {
+				t.Fatal(err)
+			}
+			csvSrc, err := coax.NewCSVSource(bytes.NewReader(csvBuf.Bytes()), 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, snapshotBytes(t, builder(ds.tab.Len()+1, csvSrc))) {
+				t.Fatalf("%s: CSV whole-prefix builder snapshot differs from full scan", name)
+			}
+
+			// Strictly sampled streaming: different models are allowed,
+			// different answers are not.
+			sampled := builder(ds.tab.Len()/8, coax.NewTableSource(ds.tab, 1024))
+			rng := rand.New(rand.NewSource(7))
+			for q := 0; q < 30; q++ {
+				r := randRect(rng, ds.tab)
+				if !equalRows(sortedCollect(t, full, r), sortedCollect(t, sampled, r)) {
+					t.Fatalf("%s: sampled query %d differs", name, q)
 				}
 			}
 		}

@@ -87,16 +87,6 @@ type Options = core.Options
 // resolution, margins, acceptance thresholds).
 type SoftFDConfig = softfd.Config
 
-// OutlierIndexKind selects the structure holding the rows that violate the
-// learned dependencies.
-type OutlierIndexKind = core.OutlierIndexKind
-
-// Outlier index kinds.
-const (
-	OutlierGrid  = core.OutlierGrid
-	OutlierRTree = core.OutlierRTree
-)
-
 // DefaultOptions returns the recommended build configuration.
 func DefaultOptions() Options { return core.DefaultOptions() }
 

@@ -103,8 +103,8 @@ type AggExplain struct {
 	Column  string `json:"column,omitempty"`
 	GroupBy string `json:"group_by,omitempty"`
 	// PrimaryKernel/OutlierKernel name the scan kernel that answered each
-	// partition ("grid-batch", "rtree-batch"); empty when that partition
-	// was pruned.
+	// partition ("grid-batch": both are grid files); empty when that
+	// partition was pruned.
 	PrimaryKernel string `json:"primary_kernel,omitempty"`
 	OutlierKernel string `json:"outlier_kernel,omitempty"`
 	// Batches is the total selection-bitmap batches processed;

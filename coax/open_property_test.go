@@ -22,8 +22,8 @@ import (
 // bitwise, query by query, including under concurrent readers (CI runs this
 // under -race: readers of a compressed file share only the mapping, each
 // scan decoding into scratch of its own). A file of the single-index layout
-// earlier releases wrote, R-tree outliers, opens as a one-shard Index held to
-// the same property.
+// earlier releases wrote opens as a one-shard Index held to the same
+// property.
 
 func TestPropertyMappedMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -70,9 +70,7 @@ func TestPropertyMappedMatchesHeap(t *testing.T) {
 			return saveSharded(t, dir, "p", idx)
 		},
 		"single-layout": func(t *testing.T, dir string) saved {
-			opt := coax.DefaultOptions()
-			opt.OutlierKind = coax.OutlierRTree
-			c, err := core.Build(copyOSM(tab), opt)
+			c, err := core.Build(copyOSM(tab), coax.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

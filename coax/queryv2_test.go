@@ -15,25 +15,15 @@ import (
 	"github.com/coax-index/coax/internal/workload"
 )
 
-// queryV2Indexes builds the four engine configurations the query surface
-// must agree on: one shard (inline) and four (pooled), each with grid and
-// R-tree outliers.
+// queryV2Indexes builds the two engine configurations the query surface
+// must agree on: one shard (inline) and four (pooled).
 func queryV2Indexes(t *testing.T, tab *coax.Table) map[string]*coax.Index {
 	t.Helper()
-	out := make(map[string]*coax.Index)
-	for _, kind := range []struct {
-		name string
-		k    coax.OutlierIndexKind
-	}{{"grid", coax.OutlierGrid}, {"rtree", coax.OutlierRTree}} {
-		opt := coax.DefaultOptions()
-		opt.SoftFD.SampleCount = 5000
-		opt.OutlierKind = kind.k
-		out["one-shard-"+kind.name] = build(t, tab, opt, 1)
-		sharded := build(t, tab, opt, 4)
-		sharded.SetWorkers(4)
-		out["sharded-"+kind.name] = sharded
-	}
-	return out
+	opt := coax.DefaultOptions()
+	opt.SoftFD.SampleCount = 5000
+	sharded := build(t, tab, opt, 4)
+	sharded.SetWorkers(4)
+	return map[string]*coax.Index{"one-shard-grid": build(t, tab, opt, 1), "sharded-grid": sharded}
 }
 
 // rowKey renders a row for multiset comparison.

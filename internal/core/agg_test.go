@@ -48,54 +48,46 @@ func TestExecAggMatchesExec(t *testing.T) {
 	tab := shape(fdTable(rng, 20000, 0.12))
 	fresh := shape(fdTable(rng, 1500, 0.3)) // rows to insert: inliers and outliers
 
-	kinds := map[string]OutlierIndexKind{
-		"grid-outliers":  OutlierGrid,
-		"rtree-outliers": OutlierRTree,
-	}
-	for kname, kind := range kinds {
-		t.Run(kname, func(t *testing.T) {
-			opt := testOptions()
-			opt.OutlierKind = kind
-			c, err := Build(tab, opt)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("grid-outliers", func(t *testing.T) {
+		c, err := Build(tab, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := enginetest.NewLive(tab)
+		insert := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if err := c.Insert(fresh.Row(i)); err != nil {
+					t.Fatal(err)
+				}
+				live.Insert(fresh.Row(i))
 			}
-			live := enginetest.NewLive(tab)
-			insert := func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if err := c.Insert(fresh.Row(i)); err != nil {
-						t.Fatal(err)
-					}
-					live.Insert(fresh.Row(i))
+		}
+		remove := func(lo, hi int) {
+			for i := lo; i < hi; i += 2 {
+				if err := c.Delete(tab.Row(i)); err != nil || !live.Delete(tab.Row(i)) {
+					t.Fatalf("Delete(%v): %v", tab.Row(i), err)
 				}
 			}
-			remove := func(lo, hi int) {
-				for i := lo; i < hi; i += 2 {
-					if err := c.Delete(tab.Row(i)); err != nil || !live.Delete(tab.Row(i)) {
-						t.Fatalf("Delete(%v): %v", tab.Row(i), err)
-					}
-				}
+		}
+		states := []struct {
+			name string
+			prep func()
+		}{
+			{"fresh", func() {}},
+			{"overflow", func() { insert(0, 700) }},
+			{"compacted", func() { c.Compact() }},
+			{"tombstoned", func() { remove(0, 2000) }},
+			{"overflow+tombstoned", func() { insert(700, 1500); remove(2000, 3000) }},
+		}
+		for _, state := range states {
+			state.prep()
+			rects := []index.Rect{index.Full(4)}
+			for qi := 0; qi < 24; qi++ {
+				rects = append(rects, randQuery(rng, tab))
 			}
-			states := []struct {
-				name string
-				prep func()
-			}{
-				{"fresh", func() {}},
-				{"overflow", func() { insert(0, 700) }},
-				{"compacted", func() { c.Compact() }},
-				{"tombstoned", func() { remove(0, 2000) }},
-				{"overflow+tombstoned", func() { insert(700, 1500); remove(2000, 3000) }},
-			}
-			for _, state := range states {
-				state.prep()
-				rects := []index.Rect{index.Full(4)}
-				for qi := 0; qi < 24; qi++ {
-					rects = append(rects, randQuery(rng, tab))
-				}
-				enginetest.Check(t, state.name, live.Table(tab.Cols), coaxEngine(c), rects, 3, 2)
-			}
-		})
-	}
+			enginetest.Check(t, state.name, live.Table(tab.Cols), coaxEngine(c), rects, 3, 2)
+		}
+	})
 }
 
 // TestExecAggCancellation verifies a cancelled context stops the fold and

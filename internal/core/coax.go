@@ -1,9 +1,9 @@
 // Package core assembles COAX, the paper's primary contribution: it runs
 // soft-FD detection, splits the table into inliers and outliers, builds a
-// reduced-dimensionality grid-file primary index plus a conventional
-// multidimensional outlier index, and answers range/point queries by
-// translating constraints on dependent attributes into constraints on
-// their predictors (paper §3, §4, Eq. 2).
+// reduced-dimensionality grid-file primary index plus a grid-file outlier
+// index (the paper's conventional multidimensional index), and answers
+// range/point queries by translating constraints on dependent attributes
+// into constraints on their predictors (paper §3, §4, Eq. 2).
 package core
 
 import (
@@ -14,24 +14,7 @@ import (
 	"github.com/coax-index/coax/internal/gridfile"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
-	"github.com/coax-index/coax/internal/rtree"
 	"github.com/coax-index/coax/internal/softfd"
-)
-
-// OutlierIndexKind selects the structure holding the records that violate
-// the learned dependencies.
-type OutlierIndexKind int
-
-const (
-	// OutlierGrid stores outliers in a quantile grid file — the default.
-	// Its layout (which columns get grid lines, how many cells, the in-cell
-	// sort column) is chosen at build time by a cost model over sampled
-	// rectangles (see outlierlayout.go), never with a directory larger than
-	// the paper's §8.2.1 rule allows for a grid over every column.
-	OutlierGrid OutlierIndexKind = iota
-	// OutlierRTree stores outliers in a bulk-loaded R-tree; an ablation
-	// alternative that trades directory size for tighter pruning.
-	OutlierRTree
 )
 
 // Options configures a COAX build. The zero value is not usable; start from
@@ -44,14 +27,9 @@ type Options struct {
 	// distinct values gets one cell per value (gridfile.SampleBounds).
 	PrimaryCellsPerDim int
 	// OutlierCellsPerDim, when ≥ 1, overrides the outlier grid's layout
-	// (OutlierKind == OutlierGrid) with a grid over every column at this
-	// resolution, unsorted; 0 lets the build choose the layout by cost.
+	// with a grid over every column at this resolution, unsorted; 0 lets
+	// the build choose the layout by cost (see outlierlayout.go).
 	OutlierCellsPerDim int
-	// OutlierKind selects the outlier structure.
-	OutlierKind OutlierIndexKind
-	// OutlierRTreeCapacity is the R-tree node capacity when OutlierKind ==
-	// OutlierRTree.
-	OutlierRTreeCapacity int
 	// SortDim forces the in-cell sort dimension of the primary index; -1
 	// selects it automatically (the predictor of the largest group).
 	SortDim int
@@ -63,12 +41,10 @@ type Options struct {
 // DefaultOptions returns the settings used by the benchmarks.
 func DefaultOptions() Options {
 	return Options{
-		SoftFD:               softfd.DefaultConfig(),
-		PrimaryCellsPerDim:   24,
-		OutlierCellsPerDim:   0, // auto
-		OutlierKind:          OutlierGrid,
-		OutlierRTreeCapacity: 10,
-		SortDim:              -1,
+		SoftFD:             softfd.DefaultConfig(),
+		PrimaryCellsPerDim: 24,
+		OutlierCellsPerDim: 0, // auto
+		SortDim:            -1,
 	}
 }
 
@@ -83,7 +59,7 @@ type COAX struct {
 	sortDim int
 
 	primary  *gridfile.GridFile // nil when every row is an outlier
-	outliers OutlierIndex       // nil when every row is an inlier
+	outliers *gridfile.GridFile // nil when every row is an inlier
 
 	// Bounding boxes of each partition (§8.2.3: "check whether the query
 	// intersects with the primary, the outlier, or both indexes"). Queries
@@ -92,10 +68,11 @@ type COAX struct {
 	outlierBounds      index.Rect
 	primaryN, outlierN int
 
-	// Build parameters retained for lazy index creation on Insert.
-	primaryCells    int
-	outlierKind     OutlierIndexKind
-	outlierRTreeCap int
+	// Build parameter retained for lazy index creation on Insert.
+	primaryCells int
+	// rtreeOutliers is set while decoding a file whose meta names R-tree
+	// outliers: its outlier section is regridded (DecodeRegridOutliers).
+	rtreeOutliers bool
 
 	// Lifecycle state (see mutate.go): the full build options retained for
 	// Rebuild, the mutation/drift tracker, the rebuild generation, and the
@@ -107,15 +84,6 @@ type COAX struct {
 }
 
 var _ index.Interface = (*COAX)(nil)
-
-// OutlierIndex is what the plan needs of the structure holding the
-// outliers: the index contract plus the batch traversal the plan scans it
-// with. The grid file and the R-tree both qualify.
-type OutlierIndex interface {
-	index.Interface
-	index.ScanBatcher
-	index.Kernel
-}
 
 // Build constructs COAX over t.
 func Build(t *dataset.Table, opt Options) (*COAX, error) {
@@ -145,18 +113,13 @@ func newSkeleton(cols []string, dims int, fd softfd.Result, opt Options) (*COAX,
 		return nil, fmt.Errorf("core: PrimaryCellsPerDim must be ≥ 1, got %d", opt.PrimaryCellsPerDim)
 	}
 	c := &COAX{
-		dims:            dims,
-		cols:            append([]string(nil), cols...),
-		fd:              fd,
-		primaryCells:    opt.PrimaryCellsPerDim,
-		outlierKind:     opt.OutlierKind,
-		outlierRTreeCap: opt.OutlierRTreeCapacity,
-		opt:             opt,
-		primaryBounds:   emptyBounds(dims),
-		outlierBounds:   emptyBounds(dims),
-	}
-	if c.outlierRTreeCap < 2 {
-		c.outlierRTreeCap = 10
+		dims:          dims,
+		cols:          append([]string(nil), cols...),
+		fd:            fd,
+		primaryCells:  opt.PrimaryCellsPerDim,
+		opt:           opt,
+		primaryBounds: emptyBounds(dims),
+		outlierBounds: emptyBounds(dims),
 	}
 	c.depends = make([]*softfd.PairModel, dims)
 	for gi := range fd.Groups {
@@ -194,19 +157,6 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt Options) (*COAX, error)
 		b.Add(t.Row(i))
 	}
 	return b.Finish()
-}
-
-// buildOutlierIndex indexes the outlier rows of the table sampled by rows
-// (whose rectangles score the grid layouts).
-func (c *COAX) buildOutlierIndex(outliers, rows *dataset.Table) (OutlierIndex, error) {
-	switch c.outlierKind {
-	case OutlierRTree:
-		return rtree.Bulk(outliers, rtree.Config{MaxEntries: c.outlierRTreeCap})
-	case OutlierGrid:
-		return gridfile.Build(outliers, c.outlierGridConfig(outliers, outliers.Len(), rows))
-	default:
-		return nil, fmt.Errorf("core: unknown outlier index kind %d", c.outlierKind)
-	}
 }
 
 // pickSortDim decides the in-cell sort dimension of the primary index.
@@ -366,10 +316,10 @@ type Stats struct {
 	// Nil for an index without inliers.
 	PrimaryGridDims  []int
 	PrimaryAxisCells []int
-	// OutlierCells, OutlierGridDims and OutlierSortDim describe a grid
-	// outlier index's layout: its cells, the columns with grid lines, and
-	// the in-cell sort column (-1 unsorted). Zero, nil and -1 for an R-tree
-	// or an index without outliers.
+	// OutlierCells, OutlierGridDims and OutlierSortDim describe the outlier
+	// grid's layout: its cells, the columns with grid lines, and the in-cell
+	// sort column (-1 unsorted). Zero, nil and -1 for an index without
+	// outliers.
 	OutlierCells     int
 	OutlierGridDims  []int
 	OutlierSortDim   int
@@ -405,10 +355,8 @@ func (c *COAX) BuildStats() Stats {
 		s.PrimaryGridDims, s.PrimaryAxisCells = c.primary.GridDims(), c.primary.AxisCells()
 		s.PrimaryOverheadB = c.primary.MemoryOverhead()
 	}
-	if c.outliers != nil {
-		s.OutlierOverheadB = c.outliers.MemoryOverhead()
-	}
-	if g, ok := c.outliers.(*gridfile.GridFile); ok {
+	if g := c.outliers; g != nil {
+		s.OutlierOverheadB = g.MemoryOverhead()
 		s.OutlierCells, s.OutlierGridDims, s.OutlierSortDim = g.NumCells(), g.GridDims(), g.SortDim()
 	}
 	return s
@@ -421,9 +369,11 @@ func (c *COAX) FD() softfd.Result { return c.fd }
 // used by the Figure 4a experiment to read cell-size distributions.
 func (c *COAX) Primary() *gridfile.GridFile { return c.primary }
 
-// Outliers exposes the outlier index (nil when all rows are inliers); the
-// snapshot v3 encoder dispatches on its concrete type.
-func (c *COAX) Outliers() index.Interface { return c.outliers }
-
-// OutlierKind reports which outlier index kind the build selected.
-func (c *COAX) OutlierKind() OutlierIndexKind { return c.outlierKind }
+// Outliers exposes the outlier grid, or an untyped nil when all rows are
+// inliers (a nil *gridfile.GridFile would compare non-nil).
+func (c *COAX) Outliers() index.Interface {
+	if c.outliers == nil {
+		return nil
+	}
+	return c.outliers
+}

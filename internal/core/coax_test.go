@@ -243,9 +243,7 @@ func TestOutlierGridVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := fdTable(rng, 10000, 0.2)
 	oracle := scan.New(tab)
-	opt := testOptions()
-	opt.OutlierKind = OutlierGrid
-	c, err := Build(tab, opt)
+	c, err := Build(tab, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +384,6 @@ func TestCOAXEquivalenceProperty(t *testing.T) {
 		opt := testOptions()
 		opt.SoftFD.SampleCount = 2000
 		opt.PrimaryCellsPerDim = 1 + rng.Intn(16)
-		if rng.Float64() < 0.5 {
-			opt.OutlierKind = OutlierGrid
-		}
 		c, err := Build(tab, opt)
 		if err != nil {
 			return false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/coax-index/coax/internal/binio"
+	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/gridfile"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
@@ -18,9 +19,19 @@ import (
 // DecodeMeta produces a skeleton, the Attach methods hang the decoded
 // layers onto it, and FinishDecode re-verifies the cross-layer invariants
 // that Build guarantees by construction. The binio grid decoders
-// (DecodeAttachPrimary, DecodeAttachOutliers for grids, and the tombstone
-// slots of DecodeAttachLifecycle) read only the format v1/v2 files that
-// internal/snapshot converts.
+// (DecodeAttachPrimary, DecodeAttachOutliers, and the tombstone slots of
+// DecodeAttachLifecycle) read only the format v1/v2 files that
+// internal/snapshot converts. Outliers are always a grid file; an R-tree
+// outlier payload from an older file is regridded on read
+// (DecodeRegridOutliers), so nothing writes one.
+
+// The meta section still carries the two parameters of the retired R-tree
+// outlier kind, so files keep their bytes: kind 0 (grid) and node capacity
+// 10 are written, kind 1 (R-tree) is accepted on read.
+const (
+	metaGridKind, metaRTreeKind = 0, 1
+	metaRTreeCapacity           = 10
+)
 
 // EncodeMeta appends the index's scalar state and partition bounds to w.
 func (c *COAX) EncodeMeta(w *binio.Writer) {
@@ -30,8 +41,8 @@ func (c *COAX) EncodeMeta(w *binio.Writer) {
 	w.Int(c.primaryN)
 	w.Int(c.outlierN)
 	w.Int(c.primaryCells)
-	w.Int(int(c.outlierKind))
-	w.Int(c.outlierRTreeCap)
+	w.Int(metaGridKind)
+	w.Int(metaRTreeCapacity)
 	w.Bool(c.primary != nil)
 	w.Bool(c.outliers != nil)
 	w.Float64s(c.primaryBounds.Min)
@@ -91,15 +102,14 @@ func (c *COAX) EncodeFD(w *binio.Writer) { softfd.EncodeResult(w, c.fd) }
 // skeleton index awaiting its FD and index layers.
 func DecodeMeta(r *binio.Reader) (*COAX, error) {
 	c := &COAX{
-		dims:            r.Int(),
-		n:               r.Int(),
-		sortDim:         r.Int(),
-		primaryN:        r.Int(),
-		outlierN:        r.Int(),
-		primaryCells:    r.Int(),
-		outlierKind:     OutlierIndexKind(r.Int()),
-		outlierRTreeCap: r.Int(),
+		dims:         r.Int(),
+		n:            r.Int(),
+		sortDim:      r.Int(),
+		primaryN:     r.Int(),
+		outlierN:     r.Int(),
+		primaryCells: r.Int(),
 	}
+	kind, rtreeCap := r.Int(), r.Int()
 	wantPrimary := r.Bool()
 	wantOutliers := r.Bool()
 	c.primaryBounds = index.Rect{Min: r.Float64s(), Max: r.Float64s()}
@@ -116,11 +126,12 @@ func DecodeMeta(r *binio.Reader) (*COAX, error) {
 	if c.sortDim < -1 || c.sortDim >= c.dims {
 		return nil, fmt.Errorf("core: sort dimension %d out of range", c.sortDim)
 	}
-	if c.outlierKind != OutlierGrid && c.outlierKind != OutlierRTree {
-		return nil, fmt.Errorf("core: unknown outlier index kind %d", c.outlierKind)
+	if kind != metaGridKind && kind != metaRTreeKind {
+		return nil, fmt.Errorf("core: unknown outlier index kind %d", kind)
 	}
-	if c.primaryCells < 1 || c.outlierRTreeCap < 2 {
-		return nil, fmt.Errorf("core: invalid build parameters (cells=%d, rtree cap=%d)", c.primaryCells, c.outlierRTreeCap)
+	c.rtreeOutliers = kind == metaRTreeKind
+	if c.primaryCells < 1 || rtreeCap < 2 {
+		return nil, fmt.Errorf("core: invalid build parameters (cells=%d, rtree cap=%d)", c.primaryCells, rtreeCap)
 	}
 	// A structure may outlive its last live row (deletes tombstone rather
 	// than drop pages), so presence may exceed the live counts — but live
@@ -187,44 +198,67 @@ func (c *COAX) AttachPrimary(g *gridfile.GridFile) error {
 	return nil
 }
 
-// DecodeAttachOutliers reads an outlier-index section and installs it,
-// dispatching on the kind recorded in the meta section. As with the
-// primary, the exact live-row check waits for FinishDecode.
+// DecodeAttachOutliers reads a format v1/v2 outlier section and installs
+// it: a grid, or an R-tree (meta kind 1) regridded. As with the primary,
+// the exact live-row check waits for FinishDecode.
 func (c *COAX) DecodeAttachOutliers(r *binio.Reader) error {
-	var (
-		idx OutlierIndex
-		err error
-	)
-	switch c.outlierKind {
-	case OutlierRTree:
-		idx, err = rtree.Decode(r)
-	default:
-		idx, err = gridfile.Decode(r)
+	if c.rtreeOutliers {
+		return c.DecodeRegridOutliers(r)
 	}
+	g, err := gridfile.Decode(r)
 	if err != nil {
 		return err
 	}
-	return c.AttachOutliers(idx)
+	return c.AttachOutliers(g)
 }
 
-// AttachOutliers installs an already-assembled outlier index, applying the
+// DecodeRegridOutliers reads an R-tree outlier payload — a format v1 file of
+// meta kind 1, or a v3 "ortr" section — and installs its rows as an outlier
+// grid laid out by the chooser every build uses, scored against the live
+// rows of the primary already attached and these outliers. It must run
+// after the primary is attached.
+func (c *COAX) DecodeRegridOutliers(r *binio.Reader) error {
+	rt, err := rtree.Decode(r)
+	if err != nil {
+		return err
+	}
+	if rt.Dims() != c.dims {
+		return fmt.Errorf("core: outlier index has %d dims, index has %d", rt.Dims(), c.dims)
+	}
+	outliers := dataset.NewTable(make([]string, c.dims))
+	rt.Scan(index.Full(c.dims), func(row []float64) bool { outliers.Append(row); return true }, nil)
+	if outliers.Len() == 0 {
+		return nil // a tree emptied by deletes: the next outlier insert creates the grid
+	}
+	rows := c.LiveRows()
+	for i := range outliers.Len() {
+		rows.Append(outliers.Row(i))
+	}
+	g, err := gridfile.Build(outliers, c.outlierGridConfig(outliers, outliers.Len(), rows))
+	if err != nil {
+		return fmt.Errorf("core: regridding R-tree outliers: %w", err)
+	}
+	return c.AttachOutliers(g)
+}
+
+// AttachOutliers installs an already-assembled outlier grid, applying the
 // same bounds checks as DecodeAttachOutliers.
-func (c *COAX) AttachOutliers(idx OutlierIndex) error {
-	if idx.Dims() != c.dims {
-		return fmt.Errorf("core: outlier index has %d dims, index has %d", idx.Dims(), c.dims)
+func (c *COAX) AttachOutliers(g *gridfile.GridFile) error {
+	if g.Dims() != c.dims {
+		return fmt.Errorf("core: outlier index has %d dims, index has %d", g.Dims(), c.dims)
 	}
-	if idx.Len() < c.outlierN {
-		return fmt.Errorf("core: outlier index holds %d rows, meta says %d live", idx.Len(), c.outlierN)
+	if g.Len() < c.outlierN {
+		return fmt.Errorf("core: outlier index holds %d rows, meta says %d live", g.Len(), c.outlierN)
 	}
-	c.outliers = idx
+	c.outliers = g
 	return nil
 }
 
 // DecodeAttachLifecycle reads a format v2 lifecycle section — the scalars
 // of EncodeLifecycleScalars, then the tombstone slots of the primary and
-// (grid-file) outlier indexes — and installs it; it must run after the
-// primary and outlier sections are attached so the tombstone slots have
-// pages to land in.
+// outlier grids — and installs it; it must run after the primary and
+// outlier sections are attached so the tombstone slots have pages to land
+// in.
 func (c *COAX) DecodeAttachLifecycle(r *binio.Reader) error {
 	if err := c.DecodeAttachLifecycleScalars(r); err != nil {
 		return err
@@ -243,11 +277,10 @@ func (c *COAX) DecodeAttachLifecycle(r *binio.Reader) error {
 		}
 	}
 	if len(outlierDead) > 0 {
-		g, ok := c.outliers.(*gridfile.GridFile)
-		if !ok {
-			return fmt.Errorf("core: lifecycle section tombstones outliers of kind %d", c.outlierKind)
+		if c.outliers == nil || c.rtreeOutliers {
+			return fmt.Errorf("core: lifecycle section tombstones outliers that are not a stored grid")
 		}
-		if err := g.SetDeadSlots(outlierDead); err != nil {
+		if err := c.outliers.SetDeadSlots(outlierDead); err != nil {
 			return err
 		}
 	}
@@ -316,11 +349,9 @@ func (c *COAX) FinishDecode() error {
 	// parameters, so reconstruct those and fall back to the default
 	// detector configuration (SortDim re-picks automatically on rebuild).
 	c.opt = Options{
-		SoftFD:               softfd.DefaultConfig(),
-		PrimaryCellsPerDim:   c.primaryCells,
-		OutlierKind:          c.outlierKind,
-		OutlierRTreeCapacity: c.outlierRTreeCap,
-		SortDim:              -1,
+		SoftFD:             softfd.DefaultConfig(),
+		PrimaryCellsPerDim: c.primaryCells,
+		SortDim:            -1,
 	}
 	if c.primary != nil {
 		wantDims := c.primaryGridDims()

@@ -53,8 +53,7 @@ type ProbeReport struct {
 	Primary index.Probe
 	Outlier index.Probe
 	// PrimaryKernel and OutlierKernel name the batch kernel that scanned
-	// each partition ("grid-batch", "rtree-batch"); empty when the
-	// partition was pruned.
+	// each partition ("grid-batch"); empty when the partition was pruned.
 	PrimaryKernel string
 	OutlierKernel string
 }
@@ -213,11 +212,11 @@ func ObserveAggKernels(rep *ProbeReport) {
 		return
 	}
 	if rep.PrimaryKernel != "" {
-		obs.KernelDispatch(rep.PrimaryKernel).Inc()
+		obs.KernelGridBatch.Inc()
 		obs.BatchRowsSelected.Add(rep.Primary.Matched)
 	}
 	if rep.OutlierKernel != "" {
-		obs.KernelDispatch(rep.OutlierKernel).Inc()
+		obs.KernelGridBatch.Inc()
 		obs.BatchRowsSelected.Add(rep.Outlier.Matched)
 	}
 }

@@ -14,56 +14,50 @@ import (
 )
 
 // TestMutationsMatchScanOracle interleaves Insert/Delete/Update/Query from
-// the mixed-workload generator against both outlier-index kinds and checks
-// every query against a full scan of the generator's live multiset.
+// the mixed-workload generator and checks every query against a full scan
+// of the generator's live multiset.
 func TestMutationsMatchScanOracle(t *testing.T) {
-	for _, kind := range []OutlierIndexKind{OutlierGrid, OutlierRTree} {
-		kind := kind
-		name := map[OutlierIndexKind]string{OutlierGrid: "grid", OutlierRTree: "rtree"}[kind]
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			tab := fdTable(rng, 4000, 0.05)
-			opt := testOptions()
-			opt.OutlierKind = kind
-			c, err := Build(tab, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mix := workload.NewMixGenerator(tab, 32, workload.MixConfig{
-				InsertWeight: 1, DeleteWeight: 1, UpdateWeight: 1, QueryWeight: 2,
-				OutlierFrac: 0.2,
-			})
-			for op := 0; op < 4000; op++ {
-				o := mix.Next()
-				switch o.Kind {
-				case workload.OpInsert:
-					if err := c.Insert(o.Row); err != nil {
-						t.Fatalf("op %d insert: %v", op, err)
-					}
-				case workload.OpDelete:
-					if err := c.Delete(o.Row); err != nil {
-						t.Fatalf("op %d delete %v: %v", op, o.Row, err)
-					}
-				case workload.OpUpdate:
-					if err := c.Update(o.Old, o.New); err != nil {
-						t.Fatalf("op %d update: %v", op, err)
-					}
-				case workload.OpQuery:
-					got := index.Count(c, o.Rect)
-					want := index.Count(scan.New(mix.LiveView()), o.Rect)
-					if got != want {
-						t.Fatalf("op %d query: got %d rows, oracle %d", op, got, want)
-					}
-				}
-				if op == 2000 {
-					c.Compact() // mid-stream compaction must not change results
-				}
-				if c.Len() != mix.LiveLen() {
-					t.Fatalf("op %d: Len=%d, oracle %d", op, c.Len(), mix.LiveLen())
-				}
-			}
+	t.Run("grid", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		tab := fdTable(rng, 4000, 0.05)
+		c, err := Build(tab, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := workload.NewMixGenerator(tab, 32, workload.MixConfig{
+			InsertWeight: 1, DeleteWeight: 1, UpdateWeight: 1, QueryWeight: 2,
+			OutlierFrac: 0.2,
 		})
-	}
+		for op := 0; op < 4000; op++ {
+			o := mix.Next()
+			switch o.Kind {
+			case workload.OpInsert:
+				if err := c.Insert(o.Row); err != nil {
+					t.Fatalf("op %d insert: %v", op, err)
+				}
+			case workload.OpDelete:
+				if err := c.Delete(o.Row); err != nil {
+					t.Fatalf("op %d delete %v: %v", op, o.Row, err)
+				}
+			case workload.OpUpdate:
+				if err := c.Update(o.Old, o.New); err != nil {
+					t.Fatalf("op %d update: %v", op, err)
+				}
+			case workload.OpQuery:
+				got := index.Count(c, o.Rect)
+				want := index.Count(scan.New(mix.LiveView()), o.Rect)
+				if got != want {
+					t.Fatalf("op %d query: got %d rows, oracle %d", op, got, want)
+				}
+			}
+			if op == 2000 {
+				c.Compact() // mid-stream compaction must not change results
+			}
+			if c.Len() != mix.LiveLen() {
+				t.Fatalf("op %d: Len=%d, oracle %d", op, c.Len(), mix.LiveLen())
+			}
+		}
+	})
 }
 
 func TestDeleteAndUpdateErrors(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/obs"
-	"github.com/coax-index/coax/internal/rtree"
 	"github.com/coax-index/coax/internal/softfd"
 )
 
@@ -117,12 +116,6 @@ func (c *COAX) Update(old, new []float64) error {
 	return nil
 }
 
-// InsertsKeepOrder reports whether an insert leaves every row already held
-// where a scan meets it, in the same order: true for grid outliers (an
-// insert lands in a cell's overflow page, in sort order), false for R-tree
-// outliers, whose node splits regroup the leaves a scan walks.
-func (c *COAX) InsertsKeepOrder() bool { return c.outlierKind != OutlierRTree }
-
 // applyInsert classifies and stores one validated row, reporting whether it
 // landed in the outlier partition.
 func (c *COAX) applyInsert(row []float64) (outlier bool, err error) {
@@ -143,14 +136,8 @@ func (c *COAX) applyInsert(row []float64) (outlier bool, err error) {
 		if err := c.initOutliers(row); err != nil {
 			return true, err
 		}
-	} else {
-		ins, ok := c.outliers.(inserter)
-		if !ok {
-			return true, fmt.Errorf("core: outlier index %T does not support inserts", c.outliers)
-		}
-		if err := ins.Insert(row); err != nil {
-			return true, err
-		}
+	} else if err := c.outliers.Insert(row); err != nil {
+		return true, err
 	}
 	extendBounds(&c.outlierBounds, row)
 	c.outlierN++
@@ -170,8 +157,7 @@ func (c *COAX) applyDelete(row []float64) error {
 		c.n--
 		return nil
 	}
-	del, ok := c.outliers.(deleter)
-	if c.outliers == nil || !ok || !del.Delete(row) {
+	if c.outliers == nil || !c.outliers.Delete(row) {
 		return ErrNotFound
 	}
 	c.outlierN--
@@ -190,21 +176,9 @@ func (c *COAX) observeResiduals(row []float64) {
 	}
 }
 
-// inserter is satisfied by both outlier index kinds.
-type inserter interface {
-	Insert(row []float64) error
-}
-
-// deleter is satisfied by both outlier index kinds.
-type deleter interface {
-	Delete(row []float64) bool
-}
-
 // Compact merges delta pages into main storage and drops tombstoned rows in
-// the primary grid and, when the outliers live in a grid file, the outlier
-// index too (R-tree outliers delete in place and need no compaction). A
-// grid served from a mapped snapshot with a page that no longer reads stays
-// exactly as it was; the snapshot's PageErr carries the cause, which is why
+// the primary and outlier grids. A grid served from a mapped snapshot with a
+// page that no longer reads stays exactly as it was; the snapshot's PageErr carries the cause, which is why
 // the grid's own error is dropped here.
 func (c *COAX) Compact() {
 	track := obs.On()
@@ -215,8 +189,8 @@ func (c *COAX) Compact() {
 	if c.primary != nil {
 		_ = c.primary.Compact()
 	}
-	if g, ok := c.outliers.(*gridfile.GridFile); ok {
-		_ = g.Compact()
+	if c.outliers != nil {
+		_ = c.outliers.Compact()
 	}
 	if track {
 		obs.Compactions.Inc()
@@ -299,8 +273,8 @@ func (c *COAX) LifecycleStats() lifecycle.Stats {
 	if c.primary != nil {
 		tomb += c.primary.Tombstones()
 	}
-	if g, ok := c.outliers.(*gridfile.GridFile); ok {
-		tomb += g.Tombstones()
+	if c.outliers != nil {
+		tomb += c.outliers.Tombstones()
 	}
 	s.Tombstones = tomb
 	s.StoredRows = c.n + tomb
@@ -341,19 +315,10 @@ func (c *COAX) initPrimary(row []float64) error {
 func (c *COAX) initOutliers(row []float64) error {
 	seed := dataset.NewTable(make([]string, c.dims))
 	seed.Append(row)
-	switch c.outlierKind {
-	case OutlierRTree:
-		rt, err := rtree.Bulk(seed, rtree.Config{MaxEntries: c.outlierRTreeCap})
-		if err != nil {
-			return fmt.Errorf("core: lazily creating outlier R-tree: %w", err)
-		}
-		c.outliers = rt
-	default:
-		g, err := gridfile.Build(seed, c.outlierGridConfig(seed, seed.Len(), seed))
-		if err != nil {
-			return fmt.Errorf("core: lazily creating outlier grid: %w", err)
-		}
-		c.outliers = g
+	g, err := gridfile.Build(seed, c.outlierGridConfig(seed, seed.Len(), seed))
+	if err != nil {
+		return fmt.Errorf("core: lazily creating outlier grid: %w", err)
 	}
+	c.outliers = g
 	return nil
 }

@@ -6,10 +6,11 @@
 // StreamBuilder exists: the caller draws a sample (reservoir or prefix),
 // detects dependencies on it, and hands both here. Inliers then go straight
 // into the primary grid file's own storage through a gridfile.Streamer;
-// outliers stream the same way (grid outlier index) or accumulate in a
-// staging table (R-tree, whose bulk load needs all rows — bounded by
-// construction: an accepted dependency keeps at least MinInlierFrac of the
-// data primary). Nothing but the finished index holds the streamed rows.
+// outliers stream the same way into the outlier grid, or — when the stream
+// length is unknown, so the outlier count that sizes the grid's layout is
+// too — accumulate in a staging table, bounded by construction: an accepted
+// dependency keeps at least MinInlierFrac of the data primary. Nothing but
+// the finished index holds the streamed rows.
 package core
 
 import (
@@ -27,8 +28,8 @@ import (
 type StreamBuilder struct {
 	c          *COAX
 	primary    *gridfile.Streamer
-	outStream  *gridfile.Streamer // grid outliers: streamed like the primary
-	outStaging *dataset.Table     // r-tree outliers: buffered for bulk load
+	outStream  *gridfile.Streamer // outliers streamed like the primary
+	outStaging *dataset.Table     // or, with no length hint, buffered until Finish
 	sample     *dataset.Table     // with outStaging: scores the staged grid's layout
 	n          int
 }
@@ -38,7 +39,7 @@ type StreamBuilder struct {
 // boundaries); fd holds the dependencies detected on that sample.
 // totalHint ≥ 0 preallocates for the expected stream length and sizes the
 // outlier grid from the outlier count it implies at the sampled rate; pass
-// -1 when unknown (grid outliers then fall back to staging, since the
+// -1 when unknown (outliers then fall back to staging, since the grid's
 // layout needs a size estimate).
 func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, opt Options, totalHint int) (*StreamBuilder, error) {
 	if sample.Len() == 0 {
@@ -92,12 +93,12 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 		return nil, fmt.Errorf("core: preparing primary streamer: %w", err)
 	}
 
-	// Outliers: a grid outlier index streams against sample-estimated
+	// Outliers: the outlier grid streams against sample-estimated
 	// boundaries whenever its layout can be chosen up front — explicitly
 	// configured, or from the sample and an outlier count estimated from a
-	// stream length. Otherwise (R-tree bulk load, unknown length) rows stage
-	// in a table whose size the accepted dependencies bound.
-	if opt.OutlierKind == OutlierGrid && (opt.OutlierCellsPerDim >= 1 || totalHint >= 0) {
+	// stream length. Otherwise (unknown length) rows stage in a table whose
+	// size the accepted dependencies bound.
+	if opt.OutlierCellsPerDim >= 1 || totalHint >= 0 {
 		sampleOutliers := dataset.NewTable(sample.Cols)
 		for i, in := range inlier {
 			if !in {
@@ -201,7 +202,7 @@ func (b *StreamBuilder) Finish() (*COAX, error) {
 			}
 			c.outliers = out
 		} else {
-			out, err := c.buildOutlierIndex(b.outStaging, b.sample)
+			out, err := gridfile.Build(b.outStaging, c.outlierGridConfig(b.outStaging, b.outStaging.Len(), b.sample))
 			if err != nil {
 				return nil, fmt.Errorf("core: building outlier index: %w", err)
 			}

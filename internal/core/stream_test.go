@@ -68,31 +68,27 @@ func streamShuffled(t *testing.T, tab *dataset.Table, fd softfd.Result, opt Opti
 // so they must agree exactly with the in-memory build, and the two indexes
 // answer every query identically and report the same partition split.
 func TestStreamBuilderFullSampleMatchesBuild(t *testing.T) {
-	for _, kind := range []OutlierIndexKind{OutlierGrid, OutlierRTree} {
-		tab := dataset.GenerateOSM(dataset.DefaultOSMConfig(20000))
-		opt := DefaultOptions()
-		opt.OutlierKind = kind
+	tab := dataset.GenerateOSM(dataset.DefaultOSMConfig(20000))
+	opt := DefaultOptions()
+	legacy, err := Build(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := streamShuffled(t, tab, legacy.FD(), opt, 3)
 
-		legacy, err := Build(tab, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed := streamShuffled(t, tab, legacy.FD(), opt, 3)
-
-		ls, ss := legacy.BuildStats(), streamed.BuildStats()
-		if ls.PrimaryRows != ss.PrimaryRows || ls.OutlierRows != ss.OutlierRows {
-			t.Fatalf("kind %d: split %d/%d streamed vs %d/%d legacy",
-				kind, ss.PrimaryRows, ss.OutlierRows, ls.PrimaryRows, ls.OutlierRows)
-		}
-		if ls.SortDim != ss.SortDim || ls.GridDims != ss.GridDims {
-			t.Fatalf("kind %d: layout mismatch", kind)
-		}
-		rng := rand.New(rand.NewSource(5))
-		for q := 0; q < 60; q++ {
-			r := workload.RandRect(rng, tab)
-			if !sameRows(sortedRows(legacy, r), sortedRows(streamed, r)) {
-				t.Fatalf("kind %d: query %d differs", kind, q)
-			}
+	ls, ss := legacy.BuildStats(), streamed.BuildStats()
+	if ls.PrimaryRows != ss.PrimaryRows || ls.OutlierRows != ss.OutlierRows {
+		t.Fatalf("split %d/%d streamed vs %d/%d legacy",
+			ss.PrimaryRows, ss.OutlierRows, ls.PrimaryRows, ls.OutlierRows)
+	}
+	if ls.SortDim != ss.SortDim || ls.GridDims != ss.GridDims {
+		t.Fatal("layout mismatch")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for q := 0; q < 60; q++ {
+		r := workload.RandRect(rng, tab)
+		if !sameRows(sortedRows(legacy, r), sortedRows(streamed, r)) {
+			t.Fatalf("query %d differs", q)
 		}
 	}
 }

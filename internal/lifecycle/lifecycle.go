@@ -50,9 +50,9 @@ func ValidateRow(dims int, row []float64) error {
 
 // RowsEqual is the mutation layer's exact-match contract: two rows are the
 // same row iff every dimension compares equal with ==. Validated rows hold
-// no NaNs, so bit-for-bit inserted values always match themselves. Every
-// structure's Delete (grid-file pages and the R-tree) matches through this
-// one helper so the semantics cannot drift between them.
+// no NaNs, so bit-for-bit inserted values always match themselves. The
+// grid file's Delete (main and overflow pages) matches through this one
+// helper so the semantics cannot drift between them.
 func RowsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -2,8 +2,6 @@ package mmapsnap
 
 import (
 	"testing"
-
-	"github.com/coax-index/coax/internal/core"
 )
 
 // The benchmarks measure the point of the format: saving a built index is a
@@ -20,7 +18,7 @@ func benchRows() int {
 }
 
 func BenchmarkEncode(b *testing.B) {
-	idx := buildIndex(b, testTable(b, benchRows()), core.OutlierGrid)
+	idx := buildIndex(b, testTable(b, benchRows()))
 	for _, compress := range []bool{false, true} {
 		b.Run(map[bool]string{false: "raw", true: "compressed"}[compress], func(b *testing.B) {
 			var blob []byte
@@ -37,7 +35,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkOpen(b *testing.B) {
-	idx := buildIndex(b, testTable(b, benchRows()), core.OutlierGrid)
+	idx := buildIndex(b, testTable(b, benchRows()))
 	for _, compress := range []bool{false, true} {
 		b.Run(map[bool]string{false: "raw", true: "compressed"}[compress], func(b *testing.B) {
 			blob, err := EncodeIndex(idx, Options{Compress: compress})

@@ -8,7 +8,6 @@ import (
 	"github.com/coax-index/coax/internal/binio"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/gridfile"
-	"github.com/coax-index/coax/internal/rtree"
 	"github.com/coax-index/coax/internal/shard"
 )
 
@@ -81,18 +80,12 @@ func EncodeIndex(idx *core.COAX, opt Options) ([]byte, error) {
 			payload: encodeGridSection(idx.Primary(), opt.Compress),
 		})
 	}
-	switch o := idx.Outliers().(type) {
-	case nil:
-	case *gridfile.GridFile:
+	if o, ok := idx.Outliers().(*gridfile.GridFile); ok {
 		sections = append(sections, rawSection{
 			id:      secOutlGrid,
 			flags:   flagPages,
 			payload: encodeGridSection(o, opt.Compress),
 		})
-	case *rtree.RTree:
-		sections = append(sections, binioSection(secOutlRTree, o.Encode))
-	default:
-		return nil, fmt.Errorf("mmapsnap: outlier index %T has no v3 codec", idx.Outliers())
 	}
 	sections = append(sections, binioSection(secLifecycle, idx.EncodeLifecycleScalars))
 	if idx.HasColumnNames() {

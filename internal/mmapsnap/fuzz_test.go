@@ -2,6 +2,8 @@ package mmapsnap
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -60,8 +62,9 @@ func perValueSeed(f *testing.F, opt core.Options) *core.COAX {
 // FuzzMmapSnapDecode drives the v3 open path with arbitrary bytes.
 // Truncated, corrupted, or misaligned inputs must produce typed errors —
 // never a panic, an over-read past the blob, or an index that panics when
-// queried. Seeds cover both container shapes × both outlier kinds ×
-// compressed/plain, plus truncations and bit-flips, so the fuzzer starts
+// queried. Seeds cover both container shapes × compressed/plain, a
+// mutated index, and the committed file whose outliers are a read-only
+// R-tree section, plus truncations and bit-flips, so the fuzzer starts
 // inside the format rather than fighting the magic number.
 func FuzzMmapSnapDecode(f *testing.F) {
 	tab := fuzzSeedTable()
@@ -69,20 +72,16 @@ func FuzzMmapSnapDecode(f *testing.F) {
 	opt.SoftFD.SampleCount = 400
 
 	var seeds [][]byte
-	for _, kind := range []core.OutlierIndexKind{core.OutlierGrid, core.OutlierRTree} {
-		o := opt
-		o.OutlierKind = kind
-		idx, err := core.Build(tab, o)
+	idx, err := core.Build(tab, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, compress := range []bool{false, true} {
+		blob, err := EncodeIndex(idx, Options{Compress: compress})
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, compress := range []bool{false, true} {
-			blob, err := EncodeIndex(idx, Options{Compress: compress})
-			if err != nil {
-				f.Fatal(err)
-			}
-			seeds = append(seeds, blob)
-		}
+		seeds = append(seeds, blob)
 	}
 	sharded, err := shard.Build(tab, opt, shard.Options{NumShards: 3, Workers: 1})
 	if err != nil {
@@ -94,6 +93,26 @@ func FuzzMmapSnapDecode(f *testing.F) {
 	}
 	seeds = append(seeds, blob)
 	if blob, err = EncodeIndex(perValueSeed(f, opt), Options{Compress: true}); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, blob)
+	if blob, err = os.ReadFile(filepath.Join("..", "snapshot", "testdata", "osm-rtree.v3")); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, blob)
+	// The first index after deletes and outlier inserts: tombstones in both
+	// grids and overflow pages in the outlier grid.
+	for i := 0; i < tab.Len(); i += 7 {
+		if err := idx.Delete(tab.Row(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for i := range 20 {
+		if err := idx.Insert([]float64{float64(i), 1000 + float64(i), 5}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if blob, err = EncodeIndex(idx, Options{}); err != nil {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, blob)

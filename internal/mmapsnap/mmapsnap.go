@@ -29,9 +29,9 @@
 //	  pad     uint32   zero
 //	payloads at their recorded offsets
 //
-// Plain sections ("meta", "sofd", "lifs", "cols", "ortr", "shmt") hold
-// binio payloads exactly like format v2 and are CRC-verified eagerly at
-// open. Page-structured sections ("pgr3", "ogr3", shard sub-blobs
+// Plain sections ("meta", "sofd", "lifs", "cols", "shmt", and the read-only
+// "ortr") hold binio payloads exactly like format v2 and are CRC-verified
+// eagerly at open. Page-structured sections ("pgr3", "ogr3", shard sub-blobs
 // "s000"…) are *not* checksummed at open — that would force reading every
 // byte and defeat O(1) start — their structure is bounds-checked eagerly,
 // their content verified on every read (each compressed page carries its
@@ -55,10 +55,10 @@
 //	data region      uncompressed: rows×dims f64, aliased zero-copy;
 //	                 compressed: concatenated per-cell blobs (see colcodec)
 //
-// R-tree outliers ("ortr") reuse the v2 pre-order codec and are decoded to
-// heap at open: their leaf entries alias row storage in a pointer
-// structure that has no flat fixed-width form; the grid outlier index (the
-// default kind) gets true mapped pages.
+// R-tree outliers ("ortr", the v2 pre-order codec) are read only: files
+// written before the outlier index became grid-only may carry them, and
+// open regrids their rows into an in-heap outlier grid
+// (core.DecodeRegridOutliers). Nothing writes one.
 package mmapsnap
 
 import (
@@ -81,7 +81,7 @@ const (
 	secColumns   = "cols"
 	secPrimary   = "pgr3"
 	secOutlGrid  = "ogr3"
-	secOutlRTree = "ortr"
+	secOutlRTree = "ortr" // read-only: regridded at open
 	secShardMeta = "shmt"
 )
 

@@ -24,10 +24,9 @@ func testTable(t testing.TB, rows int) *dataset.Table {
 	return dataset.GenerateOSM(dataset.DefaultOSMConfig(rows))
 }
 
-func buildIndex(t testing.TB, tab *dataset.Table, kind core.OutlierIndexKind) *core.COAX {
+func buildIndex(t testing.TB, tab *dataset.Table) *core.COAX {
 	t.Helper()
 	opt := core.DefaultOptions()
-	opt.OutlierKind = kind
 	opt.SoftFD.SampleCount = 2000
 	idx, err := core.Build(tab, opt)
 	if err != nil {
@@ -79,8 +78,8 @@ func requireSameResults(t *testing.T, want, got index.Interface, queries []index
 	}
 }
 
-// TestRoundTripSingle: a single index over either dataset, with grid or
-// R-tree outliers or spline models, answers bit-identically from its v3
+// TestRoundTripSingle: a single index over either dataset, with linear or
+// spline models, answers bit-identically from its v3
 // blob, raw and compressed.
 func TestRoundTripSingle(t *testing.T) {
 	osm := testTable(t, 4000)
@@ -88,18 +87,14 @@ func TestRoundTripSingle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		tab    *dataset.Table
-		kind   core.OutlierIndexKind
 		spline bool
 	}{
-		{"osm/grid", osm, core.OutlierGrid, false},
-		{"osm/rtree", osm, core.OutlierRTree, false},
-		{"osm/spline", osm, core.OutlierGrid, true},
-		{"airline/grid", airline, core.OutlierGrid, false},
-		{"airline/rtree", airline, core.OutlierRTree, false},
+		{"osm/grid", osm, false},
+		{"osm/spline", osm, true},
+		{"airline/grid", airline, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := core.DefaultOptions()
-			opt.OutlierKind = tc.kind
 			opt.SoftFD.SampleCount = 2000
 			if tc.spline {
 				opt.SoftFD.Kind = softfd.ModelSpline
@@ -195,7 +190,7 @@ func TestRoundTripSharded(t *testing.T) {
 // overflow pages and tombstones over store-backed pages — round-trips.
 func TestMappedMutationAndReencode(t *testing.T) {
 	tab := testTable(t, 3000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	for _, compress := range []bool{false, true} {
 		blob, err := EncodeIndex(idx, Options{Compress: compress})
 		if err != nil {
@@ -250,7 +245,7 @@ func TestMappedMutationAndReencode(t *testing.T) {
 
 func TestOpenFileMapped(t *testing.T) {
 	tab := testTable(t, 2000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	blob, err := EncodeIndex(idx, Options{Compress: true})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +304,7 @@ func TestColcodecRoundTrip(t *testing.T) {
 
 func TestCompressionShrinksIntHeavyData(t *testing.T) {
 	tab := testTable(t, 20000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	plain, err := EncodeIndex(idx, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +325,7 @@ func TestCompressionShrinksIntHeavyData(t *testing.T) {
 // with -race.
 func TestConcurrentReaders(t *testing.T) {
 	tab := testTable(t, 5000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	blob, err := EncodeIndex(idx, Options{Compress: true})
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +362,7 @@ func TestConcurrentReaders(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	tab := testTable(t, 2000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	for _, compress := range []bool{false, true} {
 		blob, err := EncodeIndex(idx, Options{Compress: compress})
 		if err != nil {
@@ -410,7 +405,7 @@ func TestVersionMismatch(t *testing.T) {
 
 func TestInspect(t *testing.T) {
 	tab := testTable(t, 3000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	blob, err := EncodeIndex(idx, Options{Compress: true})
 	if err != nil {
 		t.Fatal(err)

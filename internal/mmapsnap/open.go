@@ -9,7 +9,6 @@ import (
 	"github.com/coax-index/coax/internal/binio"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/gridfile"
-	"github.com/coax-index/coax/internal/rtree"
 	"github.com/coax-index/coax/internal/shard"
 )
 
@@ -166,22 +165,8 @@ func openSingle(blob []byte, entries []tocEntry, errs *errBox) (*core.COAX, erro
 			return nil, fmt.Errorf("mmapsnap: section %q: %w", e.id, err)
 		}
 	}
-	if e, ok := find(entries, secOutlRTree); ok {
-		payload, err := sectionPayload(blob, e)
-		if err != nil {
-			return nil, err
-		}
-		r := binio.NewReader(payload)
-		rt, err := rtree.Decode(r)
-		if err != nil {
-			return nil, fmt.Errorf("mmapsnap: section %q: %w", e.id, err)
-		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("mmapsnap: section %q: %w", e.id, err)
-		}
-		if err := idx.AttachOutliers(rt); err != nil {
-			return nil, fmt.Errorf("mmapsnap: section %q: %w", e.id, err)
-		}
+	if err := attach(blob, entries, secOutlRTree, false, idx.DecodeRegridOutliers); err != nil {
+		return nil, err
 	}
 	if err := attach(blob, entries, secLifecycle, true, idx.DecodeAttachLifecycleScalars); err != nil {
 		return nil, err

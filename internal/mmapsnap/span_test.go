@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/gridfile"
 	"github.com/coax-index/coax/internal/index"
 )
@@ -348,7 +347,7 @@ func (s *testSnapshot) lastColumn(t *testing.T) (enc, width []byte) {
 // remembered between reads.
 func TestEveryCheckOnEveryRead(t *testing.T) {
 	tab := testTable(t, 4000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	encoded, err := EncodeIndex(idx, Options{Compress: true})
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +434,7 @@ func TestEveryCheckOnEveryRead(t *testing.T) {
 // few times to the largest page, not one object per page or per batch.
 func TestScanAllocsIndependentOfPages(t *testing.T) {
 	tab := testTable(t, 40000)
-	idx := buildIndex(t, tab, core.OutlierGrid)
+	idx := buildIndex(t, tab)
 	blob, err := EncodeIndex(idx, Options{Compress: true})
 	if err != nil {
 		t.Fatal(err)

@@ -40,32 +40,16 @@ var (
 // Batch-kernel plane — updated by the layers that own whole queries. Every
 // execution, rows or aggregate, runs the batch scan kernels, so
 // core.ObserveProbe folds Probe.Batches for both; the aggregation paths
-// additionally count dispatches and selected rows. One dispatch series is
-// pre-registered per kernel name so the hot path never formats labels.
+// additionally count dispatches and selected rows. Both partitions are grid
+// files, so the one dispatch series is grid-batch's, pre-registered so the
+// hot path never formats labels.
 var (
 	AggQueries        = NewCounter("coax_agg_queries_total", "Aggregation queries executed through the pushdown path.")
 	ScanBatches       = NewCounter("coax_scan_batches_total", "Selection-bitmap batches processed by the scan kernels (row and aggregate queries).")
 	BatchRowsSelected = NewCounter("coax_scan_batch_rows_selected_total", "Rows selected by batch kernels' bitmaps (popcount over selection words).")
 
-	KernelGridBatch     = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "grid-batch"})
-	KernelRTreeBatch    = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "rtree-batch"})
-	KernelFullScanBatch = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "fullscan-batch"})
-	KernelOtherBatch    = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "batch"})
+	KernelGridBatch = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "grid-batch"})
 )
-
-// KernelDispatch returns the dispatch counter for a kernel name; unknown
-// batch kernels share the generic "batch" series.
-func KernelDispatch(name string) *Counter {
-	switch name {
-	case "grid-batch":
-		return KernelGridBatch
-	case "rtree-batch":
-		return KernelRTreeBatch
-	case "fullscan-batch":
-		return KernelFullScanBatch
-	}
-	return KernelOtherBatch
-}
 
 // Mutation plane — updated by internal/core on successful mutations (the
 // serving layer counts rejected mutations separately, so validation

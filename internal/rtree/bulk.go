@@ -31,9 +31,7 @@ func strPartition(items []entry, dim, dims, m int) [][]entry {
 		return nil
 	}
 	if n <= m {
-		// Clamp capacity: node entry slices must own their tails so that a
-		// later Insert cannot grow one leaf into its sibling's storage.
-		return [][]entry{items[:n:n]}
+		return [][]entry{items}
 	}
 	if dim == dims-1 {
 		// Last dimension: plain consecutive chunks of m.
@@ -44,7 +42,7 @@ func strPartition(items []entry, dim, dims, m int) [][]entry {
 			if j > n {
 				j = n
 			}
-			out = append(out, items[i:j:j])
+			out = append(out, items[i:j])
 		}
 		return out
 	}

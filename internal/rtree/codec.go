@@ -6,53 +6,32 @@ import (
 	"github.com/coax-index/coax/internal/binio"
 )
 
-// Snapshot codec. The tree serializes pre-order: each node writes a leaf
-// flag and its entries — leaves as one contiguous row payload (leaf entry
-// boxes alias the row, so only the row is stored), internal nodes by
-// recursing into each child. Internal bounding boxes are recomputed on
-// decode rather than trusted from the payload.
+// Snapshot codec, read side only: old snapshots stored R-tree outliers
+// pre-order — the node capacities M and m, dims, rows, height, then each
+// node's leaf flag and its entries: leaves as one contiguous row payload
+// (leaf entry boxes alias the row, so only the row is stored), internal
+// nodes by recursing into each child. Internal bounding boxes are
+// recomputed on decode rather than trusted from the payload. Nothing
+// writes the format any more.
 
-// Encode appends the complete R-tree state to w.
-func (rt *RTree) Encode(w *binio.Writer) {
-	w.Int(rt.cfg.MaxEntries)
-	w.Int(rt.cfg.MinEntries)
-	w.Int(rt.dims)
-	w.Int(rt.n)
-	w.Int(rt.height)
-	encodeNode(w, rt.root, rt.dims)
-}
-
-func encodeNode(w *binio.Writer, nd *node, dims int) {
-	w.Bool(nd.leaf)
-	if nd.leaf {
-		rows := make([]float64, 0, len(nd.entries)*dims)
-		for i := range nd.entries {
-			rows = append(rows, nd.entries[i].min...)
-		}
-		w.Float64s(rows)
-		return
-	}
-	w.Uint64(uint64(len(nd.entries)))
-	for i := range nd.entries {
-		encodeNode(w, nd.entries[i].child, dims)
-	}
-}
-
-// Decode reads an R-tree written by Encode. Structural invariants — node
-// fan-out, uniform leaf depth, total row count — are revalidated so corrupt
+// Decode reads a stored R-tree. Structural invariants — node fan-out,
+// uniform leaf depth, total row count — are revalidated so corrupt
 // payloads fail cleanly.
 func Decode(r *binio.Reader) (*RTree, error) {
 	rt := &RTree{}
 	rt.cfg.MaxEntries = r.Int()
-	rt.cfg.MinEntries = r.Int()
+	minEntries := r.Int() // the retired split's underflow bound: checked, unused
 	rt.dims = r.Int()
 	rt.n = r.Int()
 	rt.height = r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if err := checkConfig(&rt.cfg); err != nil {
-		return nil, err
+	if rt.cfg.MaxEntries < 2 {
+		return nil, fmt.Errorf("rtree: MaxEntries must be ≥ 2, got %d", rt.cfg.MaxEntries)
+	}
+	if minEntries < 0 || minEntries > rt.cfg.MaxEntries/2+1 {
+		return nil, fmt.Errorf("rtree: MinEntries %d invalid for MaxEntries %d", minEntries, rt.cfg.MaxEntries)
 	}
 	if rt.cfg.MaxEntries > 1<<20 {
 		return nil, fmt.Errorf("rtree: implausible node capacity %d", rt.cfg.MaxEntries)

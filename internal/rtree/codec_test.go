@@ -9,6 +9,34 @@ import (
 	"github.com/coax-index/coax/internal/index"
 )
 
+// encode writes rt in the stored layout Decode reads — the payload of the
+// R-tree outlier sections of old snapshots; the package itself has no
+// writer.
+func encode(w *binio.Writer, rt *RTree) {
+	w.Int(rt.cfg.MaxEntries)
+	w.Int((rt.cfg.MaxEntries + 1) / 2)
+	w.Int(rt.dims)
+	w.Int(rt.n)
+	w.Int(rt.height)
+	encodeNode(w, rt.root, rt.dims)
+}
+
+func encodeNode(w *binio.Writer, nd *node, dims int) {
+	w.Bool(nd.leaf)
+	if nd.leaf {
+		rows := make([]float64, 0, len(nd.entries)*dims)
+		for i := range nd.entries {
+			rows = append(rows, nd.entries[i].min...)
+		}
+		w.Float64s(rows)
+		return
+	}
+	w.Uint64(uint64(len(nd.entries)))
+	for i := range nd.entries {
+		encodeNode(w, nd.entries[i].child, dims)
+	}
+}
+
 func codecTable(n, dims int, seed int64) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([]string, dims)
@@ -33,7 +61,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := binio.NewWriter()
-	rt.Encode(w)
+	encode(w, rt)
 	r := binio.NewReader(w.Bytes())
 	got, err := Decode(r)
 	if err != nil {
@@ -60,23 +88,15 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("query %d: %d != %d", q, w, g)
 		}
 	}
-	// The decoded tree must remain insertable (internal boxes were
-	// recomputed, not trusted from the payload).
-	if err := got.Insert([]float64{50, 50, 50}); err != nil {
-		t.Fatalf("Insert into decoded tree: %v", err)
-	}
-	if got.Len() != rt.Len()+1 {
-		t.Fatalf("Len after insert %d, want %d", got.Len(), rt.Len()+1)
-	}
 }
 
 func TestCodecEmptyTree(t *testing.T) {
-	rt, err := New(2, DefaultConfig())
+	rt, err := Bulk(dataset.NewTable([]string{"a", "b"}), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := binio.NewWriter()
-	rt.Encode(w)
+	encode(w, rt)
 	got, err := Decode(binio.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -112,6 +132,18 @@ func TestCodecRejectsHugeCounts(t *testing.T) {
 	if _, err := Decode(binio.NewReader(manyChildren.Bytes())); err == nil {
 		t.Fatal("child count beyond payload accepted")
 	}
+
+	badMin := binio.NewWriter()
+	badMin.Int(8) // MaxEntries
+	badMin.Int(6) // MinEntries beyond M/2+1
+	badMin.Int(2)
+	badMin.Int(0)
+	badMin.Int(1)
+	badMin.Bool(true)
+	badMin.Float64s(nil)
+	if _, err := Decode(binio.NewReader(badMin.Bytes())); err == nil {
+		t.Fatal("MinEntries beyond M/2+1 accepted")
+	}
 }
 
 func TestCodecRejectsCorruptStructure(t *testing.T) {
@@ -128,7 +160,7 @@ func TestCodecRejectsCorruptStructure(t *testing.T) {
 		clone := *rt
 		mutate(&clone)
 		w := binio.NewWriter()
-		clone.Encode(w)
+		encode(w, &clone)
 		if _, err := Decode(binio.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: Decode accepted corrupt structure", name)
 		}

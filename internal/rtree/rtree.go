@@ -1,7 +1,9 @@
-// Package rtree implements the R-Tree baseline of §8.1.3: an in-memory
-// R-tree over point data with Sort-Tile-Recursive (STR) bulk loading,
-// Guttman quadratic-split insertion, and a tunable node capacity (the paper
-// evaluates capacities from 2 to 32 and finds 8–12 best).
+// Package rtree implements the R-Tree baseline of §8.1.3: an in-memory,
+// read-only R-tree over point data with Sort-Tile-Recursive (STR) bulk
+// loading and a tunable node capacity (the paper evaluates capacities from
+// 2 to 32 and finds 8–12 best). It serves the paper's baselines and the
+// decoding of old snapshots whose outliers were R-trees; COAX's own outlier
+// index is a grid file.
 package rtree
 
 import (
@@ -16,9 +18,6 @@ import (
 type Config struct {
 	// MaxEntries is the node capacity M (leaf and internal). Must be ≥ 2.
 	MaxEntries int
-	// MinEntries is the underflow bound m used by the quadratic split;
-	// defaults to ⌈MaxEntries/2⌉ when 0.
-	MinEntries int
 }
 
 // DefaultConfig matches the paper's best-performing node size.
@@ -48,42 +47,16 @@ type RTree struct {
 
 var _ index.Interface = (*RTree)(nil)
 
-// New creates an empty R-tree for rows of the given dimensionality.
-func New(dims int, cfg Config) (*RTree, error) {
-	if err := checkConfig(&cfg); err != nil {
-		return nil, err
-	}
-	if dims < 1 {
-		return nil, fmt.Errorf("rtree: dims must be ≥ 1, got %d", dims)
-	}
-	return &RTree{
-		cfg:    cfg,
-		dims:   dims,
-		height: 1,
-		root:   &node{leaf: true},
-	}, nil
-}
-
-func checkConfig(cfg *Config) error {
-	if cfg.MaxEntries < 2 {
-		return fmt.Errorf("rtree: MaxEntries must be ≥ 2, got %d", cfg.MaxEntries)
-	}
-	if cfg.MinEntries == 0 {
-		cfg.MinEntries = (cfg.MaxEntries + 1) / 2
-	}
-	if cfg.MinEntries < 1 || cfg.MinEntries > cfg.MaxEntries/2+1 {
-		return fmt.Errorf("rtree: MinEntries %d invalid for MaxEntries %d", cfg.MinEntries, cfg.MaxEntries)
-	}
-	return nil
-}
-
 // Bulk builds an R-tree over every row of t using STR packing; this is how
 // the benchmarks construct the baseline.
 func Bulk(t *dataset.Table, cfg Config) (*RTree, error) {
-	rt, err := New(t.Dims(), cfg)
-	if err != nil {
-		return nil, err
+	if cfg.MaxEntries < 2 {
+		return nil, fmt.Errorf("rtree: MaxEntries must be ≥ 2, got %d", cfg.MaxEntries)
 	}
+	if t.Dims() < 1 {
+		return nil, fmt.Errorf("rtree: dims must be ≥ 1, got %d", t.Dims())
+	}
+	rt := &RTree{cfg: cfg, dims: t.Dims(), height: 1, root: &node{leaf: true}}
 	n := t.Len()
 	if n == 0 {
 		return rt, nil
@@ -226,31 +199,4 @@ func mbrOf(nd *node, dims int) (min, max []float64) {
 		}
 	}
 	return min, max
-}
-
-func area(min, max []float64) float64 {
-	a := 1.0
-	for d := range min {
-		a *= max[d] - min[d]
-	}
-	return a
-}
-
-// enlargement returns how much the box (min,max) must grow to absorb
-// (emin,emax).
-func enlargement(min, max, emin, emax []float64) float64 {
-	grown := 1.0
-	orig := 1.0
-	for d := range min {
-		lo, hi := min[d], max[d]
-		orig *= hi - lo
-		if emin[d] < lo {
-			lo = emin[d]
-		}
-		if emax[d] > hi {
-			hi = emax[d]
-		}
-		grown *= hi - lo
-	}
-	return grown - orig
 }

@@ -40,21 +40,11 @@ func randRect(rng *rand.Rand, dims int) index.Rect {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(2, Config{MaxEntries: 1}); err == nil {
+	if _, err := Bulk(dataset.NewTable([]string{"a", "b"}), Config{MaxEntries: 1}); err == nil {
 		t.Error("MaxEntries 1 must be rejected")
 	}
-	if _, err := New(0, Config{MaxEntries: 4}); err == nil {
+	if _, err := Bulk(dataset.NewTable(nil), Config{MaxEntries: 4}); err == nil {
 		t.Error("zero dims must be rejected")
-	}
-	if _, err := New(2, Config{MaxEntries: 8, MinEntries: 7}); err == nil {
-		t.Error("MinEntries > M/2+1 must be rejected")
-	}
-	rt, err := New(2, Config{MaxEntries: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.cfg.MinEntries != 5 {
-		t.Errorf("defaulted MinEntries = %d, want 5", rt.cfg.MinEntries)
 	}
 }
 
@@ -114,88 +104,6 @@ func TestBulkEmpty(t *testing.T) {
 	}
 }
 
-func TestInsertMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tab := randomTable(rng, 2000, 2)
-	oracle := scan.New(tab)
-	rt, err := New(2, Config{MaxEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tab.Len(); i++ {
-		if err := rt.Insert(tab.Row(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rt.Len() != 2000 {
-		t.Fatalf("Len = %d", rt.Len())
-	}
-	for trial := 0; trial < 50; trial++ {
-		r := randRect(rng, 2)
-		if got, want := index.Count(rt, r), index.Count(oracle, r); got != want {
-			t.Fatalf("trial %d: count %d, want %d", trial, got, want)
-		}
-	}
-}
-
-func TestInsertCopiesRow(t *testing.T) {
-	rt, err := New(1, Config{MaxEntries: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := []float64{5}
-	if err := rt.Insert(row); err != nil {
-		t.Fatal(err)
-	}
-	row[0] = 99
-	if index.Count(rt, index.Point([]float64{5})) != 1 {
-		t.Error("Insert must copy the row")
-	}
-}
-
-func TestInsertWrongArity(t *testing.T) {
-	rt, err := New(2, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Insert([]float64{1}); err == nil {
-		t.Error("wrong arity must error")
-	}
-}
-
-func TestInsertIntoBulkTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tab := randomTable(rng, 1000, 2)
-	rt, err := Bulk(tab, Config{MaxEntries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := randomTable(rng, 500, 2)
-	for i := 0; i < extra.Len(); i++ {
-		if err := rt.Insert(extra.Row(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rt.Len() != 1500 {
-		t.Fatalf("Len = %d", rt.Len())
-	}
-	// Merge both tables for the oracle.
-	all := dataset.NewTable([]string{"a", "b"})
-	for i := 0; i < tab.Len(); i++ {
-		all.Append(tab.Row(i))
-	}
-	for i := 0; i < extra.Len(); i++ {
-		all.Append(extra.Row(i))
-	}
-	oracle := scan.New(all)
-	for trial := 0; trial < 30; trial++ {
-		r := randRect(rng, 2)
-		if got, want := index.Count(rt, r), index.Count(oracle, r); got != want {
-			t.Fatalf("trial %d: count %d, want %d", trial, got, want)
-		}
-	}
-}
-
 func TestMemoryOverheadScalesWithCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := randomTable(rng, 5000, 2)
@@ -215,7 +123,7 @@ func TestMemoryOverheadScalesWithCapacity(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	rt, err := New(1, DefaultConfig())
+	rt, err := Bulk(dataset.NewTable([]string{"x"}), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +132,8 @@ func TestName(t *testing.T) {
 	}
 }
 
-// Property: bulk-loaded and incrementally built trees both agree with the
-// oracle for arbitrary data and node capacities.
+// Property: bulk-loaded trees agree with the oracle for arbitrary data and
+// node capacities.
 func TestRTreeEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -239,19 +147,9 @@ func TestRTreeEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inc, err := New(dims, Config{MaxEntries: capEntries})
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if err := inc.Insert(tab.Row(i)); err != nil {
-				return false
-			}
-		}
 		for trial := 0; trial < 8; trial++ {
 			r := randRect(rng, dims)
-			want := index.Count(oracle, r)
-			if index.Count(bulk, r) != want || index.Count(inc, r) != want {
+			if index.Count(bulk, r) != index.Count(oracle, r) {
 				return false
 			}
 		}

@@ -98,11 +98,7 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 		if rng.Float64() < 0.4 {
 			so.Partition = shard.ByHash
 		}
-		opt := coreOptions()
-		if rng.Float64() < 0.3 {
-			opt.OutlierKind = core.OutlierRTree // inserts may regroup its leaves
-		}
-		s, err := shard.Build(tab, opt, so)
+		s, err := shard.Build(tab, coreOptions(), so)
 		if err != nil {
 			t.Logf("seed %d: build: %v", seed, err)
 			return false

@@ -140,18 +140,6 @@ type shardSlot struct {
 	writes WriteRing
 }
 
-// wrote records one applied mutation's row images: a for an insert or
-// delete, a and b for an update applied under one version. An insert into an
-// index whose inserts can regroup rows it already holds resets the ring
-// instead, since no image bounds what it moved.
-func (slot *shardSlot) wrote(insert bool, a, b []float64) {
-	if insert && !slot.idx.InsertsKeepOrder() {
-		slot.writes.Reset()
-		return
-	}
-	slot.writes.Record(a, b)
-}
-
 // Sharded is a partitioned COAX index. Build one with Build (or reassemble
 // a decoded snapshot with Reassemble); it satisfies index.Interface and
 // returns exactly the rows a single *core.COAX over the same table returns.
@@ -479,7 +467,7 @@ func (s *Sharded) Insert(row []float64) error {
 		if slot.delta != nil {
 			slot.delta.Append(lifecycle.OpInsert, row)
 		}
-		slot.wrote(true, row, nil)
+		slot.writes.Record(row, nil)
 	}
 	slot.mu.Unlock()
 	if err != nil {
@@ -504,7 +492,7 @@ func (s *Sharded) Delete(row []float64) error {
 		if slot.delta != nil {
 			slot.delta.Append(lifecycle.OpDelete, row)
 		}
-		slot.wrote(false, row, nil)
+		slot.writes.Record(row, nil)
 	}
 	slot.mu.Unlock()
 	if err != nil {
@@ -536,7 +524,7 @@ func (s *Sharded) Update(old, new []float64) error {
 				slot.delta.Append(lifecycle.OpDelete, old)
 				slot.delta.Append(lifecycle.OpInsert, new)
 			}
-			slot.wrote(true, old, new)
+			slot.writes.Record(old, new)
 		}
 		slot.mu.Unlock()
 		return err
@@ -551,7 +539,7 @@ func (s *Sharded) Update(old, new []float64) error {
 		if src.delta != nil {
 			src.delta.Append(lifecycle.OpDelete, old)
 		}
-		src.wrote(false, old, nil)
+		src.writes.Record(old, nil)
 	}
 	src.mu.Unlock()
 	if err != nil {
@@ -564,7 +552,7 @@ func (s *Sharded) Update(old, new []float64) error {
 		if dst.delta != nil {
 			dst.delta.Append(lifecycle.OpInsert, new)
 		}
-		dst.wrote(true, new, nil)
+		dst.writes.Record(new, nil)
 	}
 	dst.mu.Unlock()
 	if err != nil {
@@ -576,7 +564,7 @@ func (s *Sharded) Update(old, new []float64) error {
 			if src.delta != nil {
 				src.delta.Append(lifecycle.OpInsert, old)
 			}
-			src.wrote(true, old, nil)
+			src.writes.Record(old, nil)
 		}
 		src.mu.Unlock()
 		if rerr != nil {

@@ -1,23 +1,22 @@
 package shard_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/shard"
 )
 
 // Every way the engine changes a shard leaves the shard's WriteRing saying
 // whether a rectangle was touched: a write's row images are tested against
-// it, and whatever reorders rows makes every earlier capture stale.
+// it, and whatever reorders rows (compaction, rebuild) makes every earlier
+// capture stale.
 func TestTouchedFollowsWrites(t *testing.T) {
 	tab := fdTable(rand.New(rand.NewSource(3)), 4000, 0.1)
-	build := func(t *testing.T, kind core.OutlierIndexKind) *shard.Sharded {
-		opt := coreOptions()
-		opt.OutlierKind = kind
-		s, err := shard.Build(tab, opt,
+	build := func(t *testing.T) *shard.Sharded {
+		s, err := shard.Build(tab, coreOptions(),
 			shard.Options{NumShards: 2, Workers: 1, Partition: shard.ByRange, Column: 0})
 		if err != nil {
 			t.Fatal(err)
@@ -25,20 +24,16 @@ func TestTouchedFollowsWrites(t *testing.T) {
 		return s
 	}
 	// x (column 0) routes rows: x < cut on shard 0, the rest on shard 1.
-	cut := build(t, core.OutlierGrid).Cuts()[0]
+	cut := build(t).Cuts()[0]
 	r := index.Full(4)
 	r.Min[0], r.Max[0] = cut/4, cut/2 // inside shard 0's slab
 	in := []float64{cut / 3, 2*cut/3 + 50, 10, 0}
 	out := []float64{cut / 8, cut/4 + 50, 10, 0}
-	far := []float64{cut * 1.5, 3*cut + 50, 10, 0} // on shard 1
-	held := tab.Row(0)                             // a built row, outside r
-	for i := 0; held[0] >= cut/4 && held[0] <= cut/2; i++ {
-		held = tab.Row(i)
-	}
+	far := []float64{cut * 1.5, 3*cut + 50, 10, 0}     // on shard 1
+	outlier := []float64{cut / 8, cut/4 + 1500, 10, 0} // off the x → d model
 
 	cases := []struct {
 		name    string
-		kind    core.OutlierIndexKind
 		do      func(s *shard.Sharded) error
 		touched [2]bool
 	}{
@@ -84,12 +79,22 @@ func TestTouchedFollowsWrites(t *testing.T) {
 			}
 			return nil
 		}, touched: [2]bool{true, false}},
-		{name: "insert outside an R-tree outlier index", kind: core.OutlierRTree, do: func(s *shard.Sharded) error { return s.Insert(far) }, touched: [2]bool{false, true}},
-		{name: "delete outside an R-tree outlier index", kind: core.OutlierRTree, do: func(s *shard.Sharded) error { return s.Delete(held) }},
+		// An insert into the outlier grid records its image like any other:
+		// a reset would read touched on shard 0.
+		{name: "outlier insert outside", do: func(s *shard.Sharded) error {
+			before := s.LifecycleStats().OutlierRows
+			if err := s.Insert(outlier); err != nil {
+				return err
+			}
+			if got := s.LifecycleStats().OutlierRows; got != before+1 {
+				return fmt.Errorf("%d outlier rows after the insert, want %d", got, before+1)
+			}
+			return nil
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := build(t, tc.kind)
+			s := build(t)
 			since := [2]uint64{s.ShardVersion(0), s.ShardVersion(1)}
 			if err := tc.do(s); err != nil {
 				t.Fatal(err)

@@ -19,8 +19,8 @@
 // A single-index file carries, in order: "meta" (scalar state, partition
 // bounds, build parameters), "sofd" (soft-FD groups, pair models and
 // margins), "prim" (the primary grid file; absent when every row was an
-// outlier), "outl" (the outlier grid file or R-tree; absent when every row
-// was an inlier), "life" (version 2 only: rebuild epoch, staleness
+// outlier), "outl" (the outlier grid file, or an R-tree that is regridded
+// on read; absent when every row was an inlier), "life" (version 2 only: rebuild epoch, staleness
 // baseline, mutation/drift counters and the tombstone slots of both grids)
 // and "cols" (column names; absent for unnamed tables). A version-1 file
 // lacks "life" and opens with a fresh lifecycle.

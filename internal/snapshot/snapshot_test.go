@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
@@ -37,13 +38,22 @@ import (
 //	  the 5 rows of GenerateOSM with DefaultOSMConfig(5) and Seed 4242 (all to
 //	  shard 0's primary overflow pages); EncodeSharded.
 //	osm-rtree.v1 (24 972 B): core.Build(GenerateOSM(DefaultOSMConfig(600)),
-//	  DefaultOptions with OutlierKind OutlierRTree); Encode; then cut to
-//	  version 1: the trailing "life" and "cols" sections dropped, the header
-//	  patched to version 1 and 4 sections.
+//	  DefaultOptions with R-tree outliers of node capacity 10); Encode; then
+//	  cut to version 1: the trailing "life" and "cols" sections dropped, the
+//	  header patched to version 1 and 4 sections.
 //
 // Each fixture's digest is the SHA-256 of its live rows, sorted by bit
 // pattern, as little-endian float64 bits; it was recorded from the legacy
 // decode before the encoders were deleted.
+//
+// A third fixture is format v3, the last one written with R-tree outliers
+// before the outlier index became grid-only:
+//
+//	osm-rtree.v3 (25 692 B): coaxstore build -dataset osm -rows 600
+//	  -outlier rtree, one range shard; sections "pgr3" (576 cells) and
+//	  "ortr" (12 outlier rows). Live-row digest rtreeV3Digest, recorded
+//	  from coax.OpenFile at that release — equal to osm-rtree.v1's, since
+//	  both hold the same 600 rows.
 var fixtures = []struct {
 	name, file string
 	live       int
@@ -54,6 +64,8 @@ var fixtures = []struct {
 	{"osm/grid", "testdata/osm600-2shard.v2", 585, 20, []uint64{0, 1}, "f68b6cb7c3f0296e14f29905ec37e1f8cba7b7225a402ada4017434df40ea308"},
 	{"osm/rtree", "testdata/osm-rtree.v1", 600, 0, []uint64{0}, "7944b13b99b62323a5b4646fcd18694bcef090650514604aeb9a2c00d31596c9"},
 }
+
+const rtreeV3Digest = "7944b13b99b62323a5b4646fcd18694bcef090650514604aeb9a2c00d31596c9"
 
 func readFixture(t testing.TB, file string) []byte {
 	t.Helper()
@@ -81,6 +93,12 @@ func convert(t testing.TB, s *shard.Sharded, compress bool) *shard.Sharded {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return convertBlob(t, blob)
+}
+
+// convertBlob opens a v3 blob, checking its pages once the test is done.
+func convertBlob(t testing.TB, blob []byte) *shard.Sharded {
+	t.Helper()
 	sn, err := mmapsnap.OpenBytes(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +181,60 @@ func TestRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRTreeV3Fixture: a v3 file whose outliers are an "ortr" R-tree section
+// opens through coax.OpenFile with those rows regridded into an outlier
+// grid, keeps its digest, and converts to a file with no "ortr" section.
+func TestRTreeV3Fixture(t *testing.T) {
+	if !hasRTreeSection(t, readFixture(t, "testdata/osm-rtree.v3")) {
+		t.Fatal("fixture has no ortr section")
+	}
+	sn, err := coax.OpenFile("testdata/osm-rtree.v3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	idx, err := sn.Serving(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := idx.BuildStats(); st.OutlierRows != 12 || st.OutlierCells < 1 {
+		t.Fatalf("%d outlier rows in %d outlier grid cells, want 12 rows in ≥ 1 cell", st.OutlierRows, st.OutlierCells)
+	}
+	if got := digest(idx); got != rtreeV3Digest {
+		t.Fatalf("digest %s, want %s", got, rtreeV3Digest)
+	}
+	for _, compress := range []bool{false, true} {
+		blob, err := mmapsnap.EncodeSharded(idx, mmapsnap.Options{Compress: compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hasRTreeSection(t, blob) {
+			t.Fatalf("compress=%v: converted file keeps an ortr section", compress)
+		}
+		if got := digest(convertBlob(t, blob)); got != rtreeV3Digest {
+			t.Fatalf("compress=%v: converted digest %s, want %s", compress, got, rtreeV3Digest)
+		}
+	}
+}
+
+// hasRTreeSection reports whether any shard of a sharded v3 blob carries an
+// R-tree outlier section.
+func hasRTreeSection(t testing.TB, blob []byte) bool {
+	t.Helper()
+	st, err := mmapsnap.Inspect(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range st.Shards {
+		for _, sec := range sh.Sections {
+			if sec.ID == "ortr" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestLifecycleSectionRoundTrip: live rows, tombstones and epochs survive

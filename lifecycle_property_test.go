@@ -42,28 +42,24 @@ func driftTable(rng *rand.Rand, n int) *dataset.Table {
 	return t
 }
 
-func lifecycleOptions(kind core.OutlierIndexKind) core.Options {
+func lifecycleOptions() core.Options {
 	opt := core.DefaultOptions()
-	opt.OutlierKind = kind
 	opt.SoftFD.SampleCount = 4000
 	return opt
 }
 
 // TestMutationInterleavingsAgainstOracle is the cross-configuration
 // interleaving property: random Insert/Delete/Update/Query streams run
-// against the single and sharded engines with both outlier-index kinds,
-// and every query must match a full scan of the generator's live multiset
-// exactly — including across in-place compactions and full epoch rebuilds.
+// against the single and sharded engines, and every query must match a
+// full scan of the generator's live multiset exactly — including across
+// in-place compactions and full epoch rebuilds.
 func TestMutationInterleavingsAgainstOracle(t *testing.T) {
 	configs := []struct {
 		name    string
 		sharded bool
-		kind    core.OutlierIndexKind
 	}{
-		{"single/grid-outliers", false, core.OutlierGrid},
-		{"single/rtree-outliers", false, core.OutlierRTree},
-		{"sharded/grid-outliers", true, core.OutlierGrid},
-		{"sharded/rtree-outliers", true, core.OutlierRTree},
+		{"single/grid-outliers", false},
+		{"sharded/grid-outliers", true},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -71,7 +67,7 @@ func TestMutationInterleavingsAgainstOracle(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(61))
 			tab := driftTable(rng, 5000)
-			opt := lifecycleOptions(cfg.kind)
+			opt := lifecycleOptions()
 
 			var idx mutableIndex
 			var err error
@@ -148,7 +144,7 @@ func TestMutationInterleavingsAgainstOracle(t *testing.T) {
 func TestCompactorHealsDriftUnderConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	tab := driftTable(rng, 10000)
-	s, err := shard.Build(tab, lifecycleOptions(core.OutlierGrid), shard.Options{NumShards: 4})
+	s, err := shard.Build(tab, lifecycleOptions(), shard.Options{NumShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
