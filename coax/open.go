@@ -83,9 +83,13 @@ func (s *Snapshot) Serving(workers int) (*Index, error) {
 // Opening is O(directory), not O(rows): startup cost and steady-state
 // resident memory shift to the kernel page cache, shared across processes
 // serving the same file. Uncompressed pages are read at mapping speed with
-// no decode at all; compressed pages are decoded on every read (the sort
-// column, then only the rows inside the query's window, into scratch the
-// scan owns, which a query's fold copies the rows it keeps out of). A
+// no decode at all; compressed pages are checked and their sort column
+// decoded on every read, then inside the query's window each other column
+// is unpacked only where the scan reads it — a column the rectangle tests,
+// over the rows still selected; a column an aggregate folds or groups on,
+// over the selected rows; every column of the rows a reply keeps — into
+// scratch the scan owns, which a query's fold copies the rows it keeps out
+// of. A
 // Snapshot must be kept open (and its file unmodified) for as long as its
 // index is in use.
 func OpenFile(path string) (*Snapshot, error) {

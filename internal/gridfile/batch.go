@@ -15,7 +15,9 @@ import (
 // the batch to the caller. Scan is its row consumer (Batch.Each). Windows
 // are read in place in their page's layout: a resident main page is
 // column-major, so each column a window's kernels test or its folds read
-// is one contiguous run; overflow pages are row-major.
+// is one contiguous run; overflow pages are row-major. A window of a
+// compressed mapped page carries the page's column source, so the kernels
+// and the folds unpack only the columns, and the rows, they read.
 //
 // A page is tested only on the columns its cell does not prove. The span
 // proves the sort column: a page is sorted on it and holds finite values
@@ -42,7 +44,7 @@ type batchScratch struct {
 	batch    index.Batch
 	sel      [index.BatchRows / 64]uint64
 	dead     [index.BatchRows / 64]uint64
-	page     []float64
+	page     Scratch
 }
 
 // axisWalk is the odometer's state on one grid axis: the rectangle's slot
@@ -165,11 +167,11 @@ func (g *GridFile) emit(span Span, slot int, yield index.BatchYield, probe *inde
 		probe.Scanned += int64(rows)
 	}
 	b := &s.batch
-	b.RowStep, b.ColStep = span.RowStep, span.ColStep
+	b.RowStep, b.ColStep, b.Cols = span.RowStep, span.ColStep, span.Cols
 	for at := 0; at < rows; at += index.BatchRows {
 		n := min(rows-at, index.BatchRows)
 		words := index.BatchWords(n)
-		b.Page, b.Rows, b.Sel = span.Data[at*span.RowStep:], n, s.sel[:words]
+		b.Page, b.Rows, b.Sel, b.ColsRow = span.Data[at*span.RowStep:], n, s.sel[:words], at
 		s.rect.Select(b)
 		if probe != nil {
 			probe.ColumnTests += int64(n * s.rect.Columns())

@@ -322,11 +322,15 @@ func transpose(dst, src []float64, rows, dims int) {
 // Data[i*RowStep + k*ColStep], and Data ends with the last of them. A
 // resident main page is column-major, so its spans have steps (1, m) for a
 // page of m rows; overflow pages and raw mapped pages are row-major,
-// (dims, 1).
+// (dims, 1). A span of a compressed mapped page carries its column source
+// in Cols: only its sort column is in place until a reader pulls the rest
+// (rows numbered from the span's first), which AppendRow and filled do. A
+// span with a column source is never sliced.
 type Span struct {
 	Data             []float64
 	Rows             int
 	RowStep, ColStep int
+	Cols             index.Columns
 }
 
 // ColumnMajor returns the span of a whole column-major page: rows rows of
@@ -349,13 +353,31 @@ func (s Span) Slice(lo, hi, dims int) Span {
 	return Span{Data: s.Data[lo*s.RowStep : last+1], Rows: hi - lo, RowStep: s.RowStep, ColStep: s.ColStep}
 }
 
-// AppendRow appends the dims values of row i to dst.
+// AppendRow appends the dims values of row i to dst, pulling them first
+// when the span has a column source.
 func (s Span) AppendRow(dst []float64, i, dims int) []float64 {
+	if s.Cols != nil {
+		for k := 0; k < dims; k++ {
+			s.Cols.Pull(k, i, i+1)
+		}
+	}
 	at := i * s.RowStep
 	for k := 0; k < dims; k++ {
 		dst = append(dst, s.Data[at+k*s.ColStep])
 	}
 	return dst
+}
+
+// filled returns s with every value in place: each column of a span with
+// a column source pulled whole.
+func (s Span) filled(dims int) Span {
+	if s.Cols != nil {
+		for k := 0; k < dims; k++ {
+			s.Cols.Pull(k, 0, s.Rows)
+		}
+		s.Cols = nil
+	}
+	return s
 }
 
 // columns returns the span's values column-major — column k at
@@ -385,11 +407,13 @@ func (g *GridFile) cellPage(c int) Span {
 // mainSpan returns the rows of cell c's main page whose sort-dimension
 // value lies in [min, max] (SpanRows' interval) and the page-relative
 // index of the first: a span of resident storage, or for a store-backed
-// grid file the span the store returned, which may lie in *buf — scratch
-// the calling scan owns, which the store replaces when it must grow it —
-// and is then valid only until the next mainSpan with the same scratch. ok
-// is false for an empty cell and for a page the store could not read.
-func (g *GridFile) mainSpan(c int, min, max float64, buf *[]float64) (span Span, first int, ok bool) {
+// grid file the span the store returned, which may lie in buf — scratch
+// the calling scan owns — and is then valid only until the next mainSpan
+// with the same scratch. A store's span may carry a column source (see
+// Span); ScanBatch hands it on to the batches, every other reader takes
+// the span filled. ok is false for an empty cell and for a page the store
+// could not read.
+func (g *GridFile) mainSpan(c int, min, max float64, buf *Scratch) (span Span, first int, ok bool) {
 	if g.offsets[c] == g.offsets[c+1] {
 		return Span{}, 0, false
 	}
@@ -410,11 +434,11 @@ func (g *GridFile) mainSpan(c int, min, max float64, buf *[]float64) (span Span,
 	return g.store.CellSpan(c, min, max, buf)
 }
 
-// mainPage returns cell c's whole main page — for a store-backed grid file
-// mainSpan over the unbounded window, with mainSpan's lifetime. Here ok is
-// false only for a page the store could not read; an empty cell is an
-// empty page.
-func (g *GridFile) mainPage(c int, buf *[]float64) (page Span, ok bool) {
+// mainPage returns cell c's whole main page, every column in place — for
+// a store-backed grid file mainSpan over the unbounded window, filled, with
+// mainSpan's lifetime. Here ok is false only for a page the store could
+// not read; an empty cell is an empty page.
+func (g *GridFile) mainPage(c int, buf *Scratch) (page Span, ok bool) {
 	if g.store == nil {
 		return g.cellPage(c), true
 	}
@@ -422,7 +446,7 @@ func (g *GridFile) mainPage(c int, buf *[]float64) (page Span, ok bool) {
 		return Span{}, true
 	}
 	page, _, ok = g.mainSpan(c, math.Inf(-1), math.Inf(1), buf)
-	return page, ok
+	return page.filled(g.dims), ok
 }
 
 // mainRows reports the number of row slots in the main pages (live and

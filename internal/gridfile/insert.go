@@ -81,8 +81,9 @@ func (g *GridFile) Delete(row []float64) bool {
 // A page its store cannot read holds no match; the store has latched why.
 func (g *GridFile) deleteMain(c int, row []float64) bool {
 	min, max := g.rowWindow(row)
-	var buf []float64
+	var buf Scratch
 	span, first, _ := g.mainSpan(c, min, max, &buf)
+	span = span.filled(g.dims)
 	base := int(g.offsets[c]) + first
 	cand := make([]float64, 0, g.dims)
 	for i := 0; i < span.Rows; i++ {
@@ -181,7 +182,8 @@ func (g *GridFile) Compact() error {
 	live := g.Len()
 	newData := make([]float64, live*g.dims)
 	newOffsets := make([]int64, nCells+1)
-	var buf, rows []float64
+	var buf Scratch
+	var rows []float64
 	at := 0 // rows written to newData
 	for c := 0; c < nCells; c++ {
 		newOffsets[c] = int64(at)

@@ -3,6 +3,8 @@ package gridfile
 import (
 	"fmt"
 	"math/bits"
+
+	"github.com/coax-index/coax/internal/index"
 )
 
 // Assembly surface for the memory-mapped snapshot layer (internal/mmapsnap).
@@ -14,28 +16,40 @@ import (
 // PageStore supplies the rows of main cell pages on demand. A store-backed
 // grid file holds no resident row payload: every main-page read goes
 // through mainSpan, which asks the store for just the rows the read can
-// use — a compressed snapshot page is decoded into the reader's scratch,
-// a raw one is read in place — and nothing about it is retained.
+// use — a compressed snapshot page is checked whole and unpacked into the
+// reader's scratch only where the read looks, a raw one is read in place —
+// and nothing about it is retained.
 type PageStore interface {
 	// CellSpan returns the rows of cell c's main page whose sort-dimension
 	// value lies in [min, max] — the interval SpanRows computes, or the
 	// whole page when the grid has no sort dimension or the window is
 	// unbounded (-Inf, +Inf) — and the page-relative index of the first of
 	// them. The span declares its own layout through its steps: a store
-	// returns whichever its pages make cheapest to read.
+	// returns whichever its pages make cheapest to read. Its sort column is
+	// in place; the other columns are too unless the span carries a column
+	// source (Span.Cols), which puts each in place where a reader pulls it.
 	//
-	// *buf is scratch the caller owns. The span may be written into it,
-	// and when it is too small the store replaces *buf with a larger
-	// allocation, which the caller keeps as its scratch for the next call.
-	// Either way a span in scratch is valid only until the caller's next
-	// CellSpan with that scratch, and the store keeps no reference to it. A
-	// store must be safe for concurrent calls with distinct scratch.
+	// s is scratch the caller owns, one per scan. The span may be written
+	// into s.Vals, and when that is too small the store replaces it with a
+	// larger allocation; the store may keep its column source in s.Cols,
+	// made on the first call and reused by later ones. Either way a span in
+	// scratch, and its column source, are valid only until the caller's
+	// next CellSpan with that scratch, and the store keeps no reference to
+	// it. A store must be safe for concurrent calls with distinct scratch.
 	//
 	// ok is false when the page cannot be read: the store has recorded the
 	// cause on its side (a sticky error the snapshot's owner checks) and
 	// the span is empty. Readers skip the page; a writer that needs every
 	// row (Compact) must not proceed.
-	CellSpan(c int, min, max float64, buf *[]float64) (span Span, first int, ok bool)
+	CellSpan(c int, min, max float64, s *Scratch) (span Span, first int, ok bool)
+}
+
+// Scratch is the memory a reader lends a PageStore for the pages it reads:
+// Vals, which spans may be written into, and Cols, the store's own column
+// source over them, kept across calls so that a scan allocates it once.
+type Scratch struct {
+	Vals []float64
+	Cols index.Columns
 }
 
 // Parts is the deconstructed state of a grid file. Slices may alias
@@ -195,7 +209,8 @@ func (g *GridFile) ExportParts() Parts {
 // encoder of a mapped index checks the snapshot's PageErr before trusting
 // its output.
 func (g *GridFile) CellPages(fn func(c int, page Span)) {
-	var buf, cols []float64
+	var buf Scratch
+	var cols []float64
 	for c := 0; c < g.NumCells(); c++ {
 		page, _ := g.mainPage(c, &buf)
 		fn(c, ColumnMajor(page.columns(g.dims, &cols), page.Rows, g.dims))

@@ -30,7 +30,8 @@ func newFakeStore(g *GridFile) *fakeStore {
 	return s
 }
 
-func (s *fakeStore) CellSpan(c int, min, max float64, buf *[]float64) (Span, int, bool) {
+func (s *fakeStore) CellSpan(c int, min, max float64, scratch *Scratch) (Span, int, bool) {
+	buf := &scratch.Vals
 	if c == s.fail {
 		s.failed++
 		return Span{}, 0, false

@@ -186,8 +186,9 @@ func (a *AggState) cell(key float64) *AggCell {
 // never touches the page — it is a popcount over the selection words;
 // every other shape walks only the set bits, reading just the columns the
 // spec needs through the batch's steps (in a column-major window each is
-// one contiguous run). An aggregate consumes every matching row, so it
-// always reports that the scan should go on.
+// one contiguous run), and pulls only those, over the selected rows. An
+// aggregate consumes every matching row, so it always reports that the
+// scan should go on.
 func (a *AggState) FoldBatch(b *Batch) bool {
 	step := b.RowStep
 	if a.Spec.Group < 0 {
@@ -197,6 +198,7 @@ func (a *AggState) FoldBatch(b *Batch) bool {
 			}
 			return true
 		}
+		b.Pull(a.Spec.Col)
 		vals := b.Page[a.Spec.Col*b.ColStep:]
 		for w, word := range b.Sel {
 			base := w << 6
@@ -208,10 +210,12 @@ func (a *AggState) FoldBatch(b *Batch) bool {
 		}
 		return true
 	}
-	keys := b.Page[a.Spec.Group*b.ColStep:]
 	counting := a.Spec.Op == AggCount
+	b.Pull(a.Spec.Group)
+	keys := b.Page[a.Spec.Group*b.ColStep:]
 	var vals []float64
 	if !counting {
+		b.Pull(a.Spec.Col)
 		vals = b.Page[a.Spec.Col*b.ColStep:]
 	}
 	for w, word := range b.Sel {

@@ -33,6 +33,17 @@ func BatchWords(rows int) int { return (rows + 63) >> 6 }
 // column-major grid-file page of m rows has steps (1, m), so every column
 // the kernels test or the folds read is one contiguous run.
 //
+// A window may arrive with some values not yet in place: a compressed
+// mapped page unpacks its sort column on every read and any other column
+// only where a consumer reads it (late materialisation). Such a batch
+// carries the page's column source in Cols, and whoever reads a column off
+// Page pulls the rows it reads first. Select pulls each column it tests
+// over the rows still selected, the folds pull the columns they read over
+// the selected rows (a row fold only up to the last row it keeps), and Row
+// and Each pull every column. A nil Cols — every resident and row-major
+// window — means every value is in place, and costs its readers one nil
+// check.
+//
 // Ownership follows the row-scan rule: the Batch itself, Page and Sel are
 // scratch of the scan that is refilled after the yield returns, so
 // consumers must copy anything they retain.
@@ -47,12 +58,25 @@ type Batch struct {
 	RowStep, ColStep int
 	// Sel is the selection bitmap, BatchWords(Rows) words long.
 	Sel []uint64
+	// Cols, when non-nil, supplies the values Page does not hold yet; see
+	// Pull. ColsRow is the window's first row in Cols' numbering.
+	Cols    Columns
+	ColsRow int
 
 	// Row gathers a row of a column-major window here: in the fixed array
 	// when it fits, so a scan's Batch carries its own row and gathering
 	// allocates nothing, else in wide, allocated once per Batch.
 	narrow [16]float64
 	wide   []float64
+}
+
+// Columns is a page's column source: Pull puts column k of its rows
+// [lo, hi) in place in the page the batches read, at the offsets their
+// steps give, unpacking only what no earlier Pull has. Its rows are
+// numbered from the page span it came with; a batch translates through
+// ColsRow.
+type Columns interface {
+	Pull(k, lo, hi int)
 }
 
 // BatchYield receives one batch per call and reports whether the scan
@@ -84,12 +108,78 @@ func (b *Batch) Selected() int {
 	return n
 }
 
-// Row returns row i of the window. A window whose columns are adjacent
-// (ColStep 1: row-major, or a one-row page) hands out a slice of the page;
-// any other is gathered into scratch the Batch owns, so the row is valid
-// only until the next Row or until the yield that received the batch
-// returns. Either way it is capped at its own length.
+// Pull puts column k of the selected rows in place — from the first to the
+// last — if the batch has a column source: what a consumer that reads the
+// column at the selected rows calls first.
+func (b *Batch) Pull(k int) {
+	if b.Cols != nil {
+		if lo, hi := selRange(b.Sel); lo < hi {
+			b.Cols.Pull(k, b.ColsRow+lo, b.ColsRow+hi)
+		}
+	}
+}
+
+// pullRows puts every column of window rows [lo, hi) in place; the caller
+// has checked that b.Cols is set.
+func (b *Batch) pullRows(lo, hi int) {
+	if lo < hi {
+		for k := 0; k < b.Dims; k++ {
+			b.Cols.Pull(k, b.ColsRow+lo, b.ColsRow+hi)
+		}
+	}
+}
+
+// selRange returns the rows [lo, hi) from the first selected row of sel to
+// just past the last, or lo == hi when none is selected.
+func selRange(sel []uint64) (lo, hi int) {
+	first := -1
+	for w, word := range sel {
+		if word != 0 {
+			first = w
+			break
+		}
+	}
+	if first < 0 {
+		return 0, 0
+	}
+	last := len(sel) - 1
+	for sel[last] == 0 {
+		last--
+	}
+	return first<<6 + bits.TrailingZeros64(sel[first]), last<<6 + 64 - bits.LeadingZeros64(sel[last])
+}
+
+// through returns the row just past the n-th selected row of b (n ≥ 1), or
+// b.Rows when fewer than n are selected.
+func (b *Batch) through(n int) int {
+	for w, word := range b.Sel {
+		if c := bits.OnesCount64(word); n > c {
+			n -= c
+			continue
+		}
+		for ; n > 1; n-- {
+			word &= word - 1
+		}
+		return w<<6 + bits.TrailingZeros64(word) + 1
+	}
+	return b.Rows
+}
+
+// Row returns row i of the window, pulling whatever of it is not in place.
+// A window whose columns are adjacent (ColStep 1: row-major, or a one-row
+// page) hands out a slice of the page; any other is gathered into scratch
+// the Batch owns, so the row is valid only until the next Row or until the
+// yield that received the batch returns. Either way it is capped at its
+// own length.
 func (b *Batch) Row(i int) []float64 {
+	if b.Cols != nil {
+		b.pullRows(i, i+1)
+	}
+	return b.row(i)
+}
+
+// row is Row over values already in place.
+func (b *Batch) row(i int) []float64 {
 	at := i * b.RowStep
 	if b.ColStep == 1 {
 		return b.Page[at : at+b.Dims : at+b.Dims]
@@ -109,8 +199,9 @@ func (b *Batch) Row(i int) []float64 {
 	return row
 }
 
-// appendRow appends row i's values to dst — how a RowsState gathers
-// straight into the rows it holds, with no stop in Row's scratch.
+// appendRow appends row i's values, already in place, to dst — how a
+// RowsState gathers straight into the rows it holds, with no stop in Row's
+// scratch.
 func (b *Batch) appendRow(dst []float64, i int) []float64 {
 	at := i * b.RowStep
 	if b.ColStep == 1 {
@@ -126,15 +217,19 @@ func (b *Batch) appendRow(dst []float64, i int) []float64 {
 }
 
 // Each drives a row-at-a-time yield off the selection bitmap — how a row
-// query consumes a batch scan. It reports whether every selected row was
-// delivered (false: yield stopped it).
+// query consumes a batch scan. It pulls every column over the selected
+// rows first, and reports whether every selected row was delivered (false:
+// yield stopped it).
 func (b *Batch) Each(yield Yield) bool {
+	if b.Cols != nil {
+		b.pullRows(selRange(b.Sel))
+	}
 	for w, word := range b.Sel {
 		base := w << 6
 		for word != 0 {
 			i := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			if !yield(b.Row(i)) {
+			if !yield(b.row(i)) {
 				return false
 			}
 		}
@@ -196,6 +291,11 @@ func (s *RectSel) Columns() int { return s.n }
 // dimensions. b.Sel must hold BatchWords(b.Rows) words; tail bits are left
 // zero. The per-value test is the exact negation of Contains' rejection
 // test, so NaN handling matches the row path bit-for-bit.
+//
+// A batch with a column source has each tested column pulled first: the
+// first over the whole window, every later one only from the first row
+// still selected to the last, and none once no row is. A test reads the
+// other rows' values too, never pulled, but ANDs their bits with zero.
 func (s *RectSel) Select(b *Batch) {
 	rows, sel := b.Rows, b.Sel[:BatchWords(b.Rows)]
 	if s.n == 0 {
@@ -214,6 +314,15 @@ func (s *RectSel) Select(b *Batch) {
 			c = s.buf[i]
 		} else {
 			c = s.rest[i-len(s.buf)]
+		}
+		if b.Cols != nil {
+			lo, hi := 0, rows
+			if i > 0 {
+				if lo, hi = selRange(sel); lo == hi {
+					return
+				}
+			}
+			b.Cols.Pull(c.col, b.ColsRow+lo, b.ColsRow+hi)
 		}
 		col := b.Page[c.col*b.ColStep:]
 		if i == 0 {

@@ -77,15 +77,21 @@ func (s *RowsState) capped() bool {
 // FoldBatch folds the selected rows of b: it copies them, in order, while
 // fewer than Keep are held — gathered straight into the held rows, whatever
 // the window's layout — and counts the remaining selection off the bitmap.
-// It reports whether the scan should go on — false only once Limit rows
-// match. Storage grows with the rows held, so a huge Keep over a small
-// result allocates for the result.
+// Only while it has room does it pull the batch's columns, and then only
+// from the first selected row to the last it keeps. It reports whether the
+// scan should go on — false only once Limit rows match. Storage grows with
+// the rows held, so a huge Keep over a small result allocates for the
+// result.
 func (s *RowsState) FoldBatch(b *Batch) bool {
 	room := s.room()
 	if room > 0 {
 		s.Dims = b.Dims
 		if n := min(room, b.Selected()); n > 0 {
 			s.grow(n, b.Dims)
+			if b.Cols != nil {
+				lo, _ := selRange(b.Sel)
+				b.pullRows(lo, b.through(n))
+			}
 		}
 	}
 	for w, word := range b.Sel {

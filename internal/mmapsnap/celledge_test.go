@@ -220,6 +220,14 @@ func TestScanBatchAtCellEdges(t *testing.T) {
 				}
 			}
 			rects := edgeRects(rng, values, 300)
+			// A rectangle whose first tested column, a grid axis cut inside
+			// one slot, holds none of the slot's rows: every window's
+			// selection empties on that column, where Select stops pulling.
+			empty := index.Full(tab.Dims())
+			empty.Min[0], empty.Max[0] = 0.5, 0.5
+			empty.Min[3], empty.Max[3] = -1, 1
+			empty.Min[4], empty.Max[4] = -500, 500
+			rects = append(rects, empty)
 
 			want := live.Table(tab.Cols)
 			for _, e := range []struct {
@@ -249,14 +257,40 @@ func deadCell(g *gridfile.GridFile, c int) bool {
 
 // foldsInScanOrder requires FoldBatch over g's batch scan to give, for all
 // five ops over column col, ungrouped and grouped by column 1, the bits
-// FoldRow gives over g's row scan.
+// FoldRow gives over g's row scan, and a row fold keeping 0, 1 or 100 rows
+// the rows the row scan's fold keeps. Every third rectangle is also run
+// with the folded column, the grouped column and both left open, so that
+// on a compressed page no kernel tests them and only the fold pulls them.
 func foldsInScanOrder(t *testing.T, label string, g *gridfile.GridFile, rects []index.Rect, col int) {
 	t.Helper()
 	same := func(a, b *index.AggCell) bool {
 		return a.Count == b.Count && math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
 			(a.Count == 0 || math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max))
 	}
+	var all []index.Rect
 	for qi, r := range rects {
+		all = append(all, r)
+		if qi%3 != 0 {
+			continue
+		}
+		for _, open := range [][]int{{col}, {1}, {col, 1}} {
+			o := r.Clone()
+			for _, d := range open {
+				o.Min[d], o.Max[d] = math.Inf(-1), math.Inf(1)
+			}
+			all = append(all, o)
+		}
+	}
+	for qi, r := range all {
+		for _, keep := range []int{0, 1, 100} {
+			batch, byRow := &index.RowsState{Keep: keep}, &index.RowsState{Keep: keep}
+			g.ScanBatch(r, batch.FoldBatch, nil)
+			g.Scan(r, byRow.FoldRow, nil)
+			if batch.Count != byRow.Count || !sameBits(batch.Rows, byRow.Rows) {
+				t.Fatalf("%s query %d keep %d: FoldBatch holds %d of %d rows, FoldRow in scan order %d of %d",
+					label, qi, keep, batch.Held(), batch.Count, byRow.Held(), byRow.Count)
+			}
+		}
 		for _, op := range []index.AggOp{index.AggCount, index.AggSum, index.AggMin, index.AggMax, index.AggAvg} {
 			for _, group := range []int{-1, 1} {
 				spec := index.AggSpec{Op: op, Col: col, Group: group}

@@ -189,13 +189,20 @@ type blobCursor struct {
 	off int
 }
 
-func (c *blobCursor) take(n int) ([]byte, error) {
+// take returns the next n bytes of the blob, or ok false when fewer are
+// left.
+func (c *blobCursor) take(n int) (s []byte, ok bool) {
 	if n < 0 || len(c.b)-c.off < n {
-		return nil, fmt.Errorf("%w: blob needs %d bytes at %d, has %d", ErrPage, n, c.off, len(c.b)-c.off)
+		return nil, false
 	}
-	s := c.b[c.off : c.off+n]
+	s = c.b[c.off : c.off+n]
 	c.off += n
-	return s, nil
+	return s, true
+}
+
+// short is the error of a take of n bytes that failed.
+func (c *blobCursor) short(n int) error {
+	return fmt.Errorf("%w: blob needs %d bytes at %d, has %d", ErrPage, n, c.off, len(c.b)-c.off)
 }
 
 // colView is one column of a page blob, located but not decoded: where its
@@ -208,10 +215,14 @@ type colView struct {
 	base   uint64 // encIntFOR: column minimum; encFloatXR: reference bits
 	stride int    // encRawCol: bytes from one row's value to the next
 	raw    []byte // the values: f64 bit patterns, or the packed words
+	// fast is the first row of a packed column whose value one unaligned
+	// 8-byte load may not hold: every row below it starts in a byte with
+	// 8 bytes left and spans at most 57 bits of them.
+	fast int
 }
 
-// stackCols is how many column views a page read keeps on its stack; a
-// wider page spills the views to the heap.
+// stackCols is how many column views a page read holds without
+// allocating; a wider page spills the views to the heap.
 const stackCols = 16
 
 // viewPage checks a page blob's CRC and walks its headers once — page kind,
@@ -231,20 +242,19 @@ func viewPage(blob []byte, rows, dims int, cols []colView) ([]colView, error) {
 	c := blobCursor{b: blob, off: 5}
 	switch kind := blob[4]; kind {
 	case pageRaw:
-		raw, err := c.take(rows * dims * 8)
-		if err != nil {
-			return nil, err
+		raw, ok := c.take(rows * dims * 8)
+		if !ok {
+			return nil, c.short(rows * dims * 8)
 		}
 		for d := 0; d < dims; d++ {
 			cols = append(cols, colView{enc: encRawCol, stride: dims * 8, raw: raw[d*8:]})
 		}
 	case pageColumnar:
 		for d := 0; d < dims; d++ {
-			v, err := viewColumn(&c, rows)
-			if err != nil {
+			cols = append(cols, colView{})
+			if err := viewColumn(&c, rows, &cols[len(cols)-1]); err != nil {
 				return nil, err
 			}
-			cols = append(cols, v)
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown page kind %d", ErrPage, kind)
@@ -255,30 +265,40 @@ func viewPage(blob []byte, rows, dims int, cols []colView) ([]colView, error) {
 	return cols, nil
 }
 
-func viewColumn(c *blobCursor, rows int) (v colView, err error) {
-	h, err := c.take(1)
-	if err != nil {
-		return v, err
+// viewColumn walks one column's header into v.
+func viewColumn(c *blobCursor, rows int, v *colView) error {
+	h, ok := c.take(1)
+	if !ok {
+		return c.short(1)
 	}
 	switch v.enc = h[0]; v.enc {
 	case encRawCol:
 		v.stride = 8
-		v.raw, err = c.take(rows * 8)
+		if v.raw, ok = c.take(rows * 8); !ok {
+			return c.short(rows * 8)
+		}
 	case encIntFOR, encFloatXR:
-		if h, err = c.take(9); err != nil { // u64 base, u8 width
-			return v, err
+		if h, ok = c.take(9); !ok { // u64 base, u8 width
+			return c.short(9)
 		}
 		v.base, v.width = binary.LittleEndian.Uint64(h), int(h[8])
 		if v.width > 64 {
-			return v, fmt.Errorf("%w: pack width %d", ErrPage, v.width)
+			return fmt.Errorf("%w: pack width %d", ErrPage, v.width)
 		}
-		if v.raw, err = c.take(packedBytes(rows, v.width)); v.width == 0 {
-			v.raw = zeroWord[:] // a constant column stores no words; unpack reads this one
+		n := packedBytes(rows, v.width)
+		if v.raw, ok = c.take(n); !ok {
+			return c.short(n)
+		}
+		switch {
+		case v.width == 0:
+			v.raw, v.fast = zeroWord[:], math.MaxInt // a constant column stores no words; every row reads this one at bit 0
+		case v.width <= 57 && len(v.raw) >= 8:
+			v.fast = (8*len(v.raw)-57)/v.width + 1
 		}
 	default:
-		err = fmt.Errorf("%w: unknown column encoding %d", ErrPage, v.enc)
+		return fmt.Errorf("%w: unknown column encoding %d", ErrPage, v.enc)
 	}
-	return v, err
+	return nil
 }
 
 // zeroWord stands in for the words a width-0 column does not store.
@@ -303,13 +323,7 @@ func (v colView) unpack(dst []float64, lo int) {
 	if width < 64 {
 		mask = 1<<uint(width) - 1
 	}
-	oneLoad := 0 // dst slots below it start at a byte with 8 bytes left
-	switch {
-	case width == 0:
-		oneLoad = len(dst) // every row reads zeroWord at bit 0
-	case width <= 57 && len(raw) >= 8:
-		oneLoad = max(0, min(len(dst), (8*len(raw)-57)/width+1-lo))
-	}
+	oneLoad := max(0, min(len(dst), v.fast-lo)) // dst slots below it take one load
 	i, bit := 0, lo*width
 	for ; i < oneLoad; i, bit = i+1, bit+width {
 		x := binary.LittleEndian.Uint64(raw[bit>>3:]) >> uint(bit&7)
@@ -371,41 +385,114 @@ func decodePage(blob []byte, dst []float64, rows, dims, sortDim int) error {
 	return nil
 }
 
-// readSpan is the read path of a compressed page, whole on every read: CRC
-// and header walk (viewPage), the sort column decoded in full and proven
-// sorted, the span [lo, hi) located on it with gridfile.SpanRows, and only
-// then rows lo..hi-1 of every other column unpacked. The page decodes
-// column-major into *buf where a resident page would sit — column d of the
-// n-row page at [d*n, (d+1)*n) — so the span reads in place with steps
-// (1, n) and the sort column needs no copy. With no sort dimension the
-// span is the page. *buf is replaced by a larger allocation when too small
-// for the page; lo is the page-relative index of the span's first row.
-func readSpan(blob []byte, n, dims, sortDim int, min, max float64, buf *[]float64) (span gridfile.Span, lo int, err error) {
-	var stack [stackCols]colView
-	cols, err := viewPage(blob, n, dims, stack[:0])
-	if err != nil {
+// readSpan is the read path of a compressed page. Every check runs on
+// every read, before any other column is touched: the CRC and the header
+// walk (viewPage), then the sort column decoded in full and proven sorted.
+// The span [lo, hi) is located on it with gridfile.SpanRows, and nothing
+// else is unpacked: the span carries a pageCols over the page as its column
+// source, which unpacks a column's rows only where a reader pulls them
+// (late materialisation). The page decodes column-major into s.Vals where
+// a resident page would sit — column d of the n-row page at
+// [d*n, (d+1)*n) — so the span reads in place with steps (1, n) and the
+// sort column needs no copy. With no sort dimension the span is the page.
+// s.Vals is replaced by a larger allocation when too small for the page,
+// and the pageCols in s.Cols, made on the first read, is reused by every
+// later one; lo is the page-relative index of the span's first row.
+func readSpan(blob []byte, n, dims, sortDim int, min, max float64, s *gridfile.Scratch) (span gridfile.Span, lo int, err error) {
+	r, _ := s.Cols.(*pageCols)
+	if r == nil {
+		r = &pageCols{}
+		s.Cols = r
+	}
+	views := r.views[:0]
+	if cap(views) == 0 {
+		views = r.viewStack[:0]
+	}
+	if r.views, err = viewPage(blob, n, dims, views); err != nil {
 		return gridfile.Span{}, 0, err
 	}
 	need := n * dims
-	if cap(*buf) < need {
+	if cap(s.Vals) < need {
 		// At least doubled, so a scan grows its scratch a few times, not
 		// once for every page larger than the last.
-		*buf = make([]float64, need+cap(*buf))
+		s.Vals = make([]float64, need+cap(s.Vals))
 	}
-	page := (*buf)[:need]
+	page := s.Vals[:need]
 	lo, hi := 0, n
 	if sortDim >= 0 {
 		keys := page[sortDim*n : (sortDim+1)*n]
-		cols[sortDim].unpack(keys, 0)
-		if r := firstDescent(keys); r >= 0 {
-			return gridfile.Span{}, 0, errUnsorted(sortDim, r)
+		r.views[sortDim].unpack(keys, 0)
+		r.unpacked += n
+		if row := firstDescent(keys); row >= 0 {
+			return gridfile.Span{}, 0, errUnsorted(sortDim, row)
 		}
 		lo, hi = gridfile.SpanRows(keys, 1, n, min, max)
 	}
-	for d := range cols {
-		if d != sortDim {
-			cols[d].unpack(page[d*n+lo:d*n+hi], lo)
+	r.page, r.n, r.lo, r.sortDim = page, n, lo, sortDim
+	if cap(r.have) < dims {
+		if r.have = r.haveStack[:0]; dims > len(r.haveStack) {
+			r.have = make([]rowRange, 0, dims)
 		}
 	}
-	return gridfile.ColumnMajor(page, n, dims).Slice(lo, hi, dims), lo, nil
+	r.have = r.have[:dims]
+	clear(r.have)
+
+	span = gridfile.ColumnMajor(page, n, dims).Slice(lo, hi, dims)
+	if hi > lo {
+		span.Cols = r
+	}
+	return span, lo, nil
+}
+
+// pageCols is the column source of the compressed page a scan read last:
+// its column views and, per column but the sort column, which readSpan
+// unpacked whole, the page rows already unpacked. It lives in the scan's
+// gridfile.Scratch and every readSpan refills it, so no view outlives the
+// span it serves.
+type pageCols struct {
+	page    []float64 // the page, column-major
+	n, lo   int       // the page's rows; the span's first row in the page
+	sortDim int
+	views   []colView
+	have    []rowRange
+	// unpacked counts the values this reader has unpacked, over every
+	// page it read: what a scan decoded, for the benchmarks and tests.
+	unpacked int
+
+	viewStack [stackCols]colView
+	haveStack [stackCols]rowRange
+}
+
+// rowRange is the page rows [lo, hi) of one column already in place.
+type rowRange struct{ lo, hi int }
+
+// Pull implements index.Columns: it unpacks column k of span rows
+// [lo, hi) into the page, skipping the rows an earlier Pull unpacked when
+// the two ranges meet.
+func (r *pageCols) Pull(k, lo, hi int) {
+	if k == r.sortDim {
+		return
+	}
+	lo, hi = r.lo+lo, r.lo+hi
+	h := &r.have[k]
+	if h.lo <= lo && hi <= h.hi || lo >= hi {
+		return
+	}
+	col := r.page[k*r.n : (k+1)*r.n]
+	if lo > h.hi || hi < h.lo || h.lo == h.hi {
+		r.views[k].unpack(col[lo:hi], lo)
+		r.unpacked += hi - lo
+		*h = rowRange{lo, hi}
+		return
+	}
+	if lo < h.lo {
+		r.views[k].unpack(col[lo:h.lo], lo)
+		r.unpacked += h.lo - lo
+		h.lo = lo
+	}
+	if hi > h.hi {
+		r.views[k].unpack(col[h.hi:hi], h.hi)
+		r.unpacked += hi - h.hi
+		h.hi = hi
+	}
 }

@@ -66,6 +66,12 @@ func perValueSeed(f *testing.F, opt core.Options) *core.COAX {
 // mutated index, and the committed file whose outliers are a read-only
 // R-tree section, plus truncations and bit-flips, so the fuzzer starts
 // inside the format rather than fighting the magic number.
+//
+// The seeds are whole files of 6 to 26 kB, and the fuzzer minimizes every
+// input that finds new coverage for up to -fuzzminimizetime (60 s by
+// default) with passes quadratic in its length, during which it reports no
+// executions: run it with a small bound, as CI does
+// (-fuzzminimizetime 100x), or it spends its time minimizing.
 func FuzzMmapSnapDecode(f *testing.F) {
 	tab := fuzzSeedTable()
 	opt := core.DefaultOptions()

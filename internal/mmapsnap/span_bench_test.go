@@ -3,10 +3,14 @@ package mmapsnap
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/gridfile"
+	"github.com/coax-index/coax/internal/index"
+	"github.com/coax-index/coax/internal/workload"
 )
 
 // benchPage is a page shaped like the ones the repo's benchmark serves from
@@ -50,7 +54,7 @@ func BenchmarkCellSpan(b *testing.B) {
 	}
 	for name, w := range windows {
 		b.Run(name, func(b *testing.B) {
-			var buf []float64
+			var buf gridfile.Scratch
 			got, _, ok := s.CellSpan(0, w[0], w[1], &buf)
 			if !ok {
 				b.Fatal(s.errs.get())
@@ -77,4 +81,94 @@ func BenchmarkDecodePage(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// tallyStore is a gridStore that keeps the column source of the last scan
+// that read through it, so a benchmark can count what the scan unpacked.
+type tallyStore struct {
+	*gridStore
+	cols *pageCols
+}
+
+func (s *tallyStore) CellSpan(c int, min, max float64, buf *gridfile.Scratch) (gridfile.Span, int, bool) {
+	span, first, ok := s.gridStore.CellSpan(c, min, max, buf)
+	s.cols, _ = buf.Cols.(*pageCols)
+	return span, first, ok
+}
+
+// BenchmarkScanMapped runs the primary grid of a compressed 250 k-row
+// airline shard — one of the four the benchmark's mapped-cold workload
+// serves — over rectangles that each match about 2 000 rows, the way a
+// shard probe folds them: a row reply keeping 100 rows, a COUNT, and a SUM
+// of a column the rectangles leave open, so that only the fold reads it.
+// It reports ns and unpacked values per scanned row (the sort column
+// counts: every read decodes it whole).
+func BenchmarkScanMapped(b *testing.B) {
+	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(250_000))
+	idx := buildIndex(b, tab)
+	blob, err := EncodeIndex(idx, Options{Compress: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn, err := OpenBytes(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := sn.Index().Primary().ExportParts()
+	store := &tallyStore{gridStore: parts.Store.(*gridStore)}
+	parts.Store, parts.TrustPages = store, true
+	g, err := gridfile.FromParts(parts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rects, err := workload.NewGenerator(tab, 11).SelectivityRects(256, 2000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The summed column: one the grid neither sorts nor cuts on.
+	open := -1
+	for d := 0; d < tab.Dims() && open < 0; d++ {
+		if d != parts.SortDim && !slices.Contains(parts.GridDims, d) {
+			open = d
+		}
+	}
+	opened := make([]index.Rect, len(rects))
+	for i, r := range rects {
+		opened[i] = r.Clone()
+		opened[i].Min[open], opened[i].Max[open] = math.Inf(-1), math.Inf(1)
+	}
+	for _, bc := range []struct {
+		name  string
+		rects []index.Rect
+		fold  func() index.BatchYield
+	}{
+		{"rows-keep100", rects, func() index.BatchYield { return (&index.RowsState{Keep: 100}).FoldBatch }},
+		{"count", rects, func() index.BatchYield {
+			return index.NewAggState(index.AggSpec{Op: index.AggCount, Col: -1, Group: -1}).FoldBatch
+		}},
+		{"sum-open-column", opened, func() index.BatchYield {
+			return index.NewAggState(index.AggSpec{Op: index.AggSum, Col: open, Group: -1}).FoldBatch
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var scanned, unpacked int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var p index.Probe
+				g.ScanBatch(bc.rects[i%len(bc.rects)], bc.fold(), &p)
+				scanned += p.Scanned
+				if store.cols != nil {
+					unpacked += int64(store.cols.unpacked)
+					store.cols = nil
+				}
+			}
+			b.StopTimer()
+			if err := sn.PageErr(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/row")
+			b.ReportMetric(float64(unpacked)/float64(scanned), "values/row")
+		})
+	}
 }

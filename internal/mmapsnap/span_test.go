@@ -208,7 +208,9 @@ func TestCellSpanMatchesFullDecode(t *testing.T) {
 			case 1:
 				buf = make([]float64, 0, 1+rng.Intn(8))
 			}
-			got, first, ok := store.CellSpan(0, min, max, &buf)
+			sc := gridfile.Scratch{Vals: buf}
+			got, first, ok := store.CellSpan(0, min, max, &sc)
+			buf = sc.Vals
 			if !ok {
 				t.Fatalf("iter %d window [%v,%v]: not ok: %v", iter, min, max, store.errs.get())
 			}

@@ -10,7 +10,9 @@ import (
 // gridStore implements gridfile.PageStore over a compressed data region.
 // It holds no decoded state: every CellSpan reads the cell's blob out of
 // the mapping through readSpan — every check, every time — into scratch the
-// calling scan owns, so readers share nothing but the read-only mapping. A
+// calling scan owns, and unpacks the columns other than the sort column
+// only where the scan pulls them, so readers share nothing but the
+// read-only mapping. A
 // corrupt blob records a sticky error on the snapshot and reads as not ok —
 // the query path cannot return an error mid-scan, so the caller checks
 // Snapshot.PageErr after querying (and Verify can prove the whole file
@@ -45,8 +47,9 @@ func (b *errBox) get() error {
 }
 
 // CellSpan implements gridfile.PageStore: the span is decoded
-// column-major into *buf (see readSpan).
-func (s *gridStore) CellSpan(c int, min, max float64, buf *[]float64) (span gridfile.Span, first int, ok bool) {
+// column-major into buf.Vals, its sort column at once and every other
+// column as it is pulled (see readSpan).
+func (s *gridStore) CellSpan(c int, min, max float64, buf *gridfile.Scratch) (span gridfile.Span, first int, ok bool) {
 	n := int(s.rows[c+1] - s.rows[c])
 	if n == 0 {
 		return gridfile.Span{}, 0, true
@@ -71,9 +74,9 @@ type rawStore struct {
 	sortDim int
 }
 
-// CellSpan implements gridfile.PageStore with steps (dims, 1); it never
-// touches buf and never fails.
-func (s *rawStore) CellSpan(c int, min, max float64, _ *[]float64) (span gridfile.Span, first int, ok bool) {
+// CellSpan implements gridfile.PageStore with steps (dims, 1) and every
+// column in place; it never touches the scratch and never fails.
+func (s *rawStore) CellSpan(c int, min, max float64, _ *gridfile.Scratch) (span gridfile.Span, first int, ok bool) {
 	page := gridfile.RowMajor(s.data[s.rows[c]*int64(s.dims):s.rows[c+1]*int64(s.dims)], s.dims)
 	lo, hi := 0, page.Rows
 	if s.sortDim >= 0 {
