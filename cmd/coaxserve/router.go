@@ -6,6 +6,9 @@ package main
 // exceptions: the wire protocol carries no schema, so aggregations address
 // columns by position ("dim"/"group_by_dim"), and no trace crosses the
 // process boundary yet, so ?explain=true is refused rather than ignored.
+// A row reply's rows come in global shard order — the same bytes on every
+// run, but a different layout from serve mode's, whose shards partition the
+// rows differently.
 //
 // Overload propagates end to end: when every replica of a shard sheds a
 // request node-side, the resulting cluster.OverloadError surfaces as 429
@@ -85,19 +88,18 @@ func finish(ctx context.Context, err error) error {
 	return unansweredError{err}
 }
 
-// runRows scatter-gathers one rectangle and folds the router's rows into a
-// page. With early, keep rides into the cluster spec as its limit, so every
-// node stops scanning once its shards have produced enough rows.
+// runRows scatter-gathers one rectangle as a row reply: the first keep rows
+// in global shard order. With early, keep is also the limit, so every node
+// stops scanning once its shards have produced enough rows.
 func (c clusterBackend) runRows(ctx context.Context, r coax.Rect, keep int, early, explain bool) (*coax.HeadResult, error) {
 	if explain {
 		return nil, errNoExplain
 	}
 	st := index.RowsState{Keep: keep}
-	spec := index.Spec{Ctx: ctx}
 	if early {
-		st.Limit, spec.Limit = keep, keep
+		st.Limit = keep
 	}
-	complete, err := c.Exec(r, spec, st.FoldRow)
+	st, complete, err := c.ExecRows(r, index.Spec{Ctx: ctx}, st)
 	if err = finish(ctx, err); err != nil {
 		return nil, err
 	}

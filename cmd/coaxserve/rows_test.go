@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/cluster"
 	"github.com/coax-index/coax/internal/serve"
 	"github.com/coax-index/coax/internal/shard"
 )
@@ -107,20 +108,35 @@ func TestHugeLimitAllocatesByMatches(t *testing.T) {
 	}
 }
 
-// Rows are kept in shard order, then scan order: with four workers racing
-// over four shards and no cache, every reply to one request is the same
+// Rows are kept in shard order, then scan order: with workers racing over
+// the shards — four in process, or two nodes serving eight global shards
+// behind the router — and no cache, every reply to one request is the same
 // bytes.
 func TestQueryReplyDeterministic(t *testing.T) {
-	srv := serveFront(t, testBackend(wideIndex(t)), 0, nil)
-	row := confRow{path: "/query", body: `{"min":[null,null,40,null],"limit":100}`}
-	first := do(t, srv.URL, row)
-	if first.status != http.StatusOK {
-		t.Fatalf("status %d: %s", first.status, first.body)
+	const gshards, rf = 8, 2
+	tc := startTestCluster(t, coax.GenerateOSM(coax.DefaultOSMConfig(8000)), gshards, 2, rf, 2)
+	rt, err := cluster.NewRouter(tc.addrs, gshards, rf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		if got := do(t, srv.URL, row); !bytes.Equal(got.body, first.body) {
-			t.Fatalf("request %d: reply differs from the first:\n got: %.300s\nwant: %.300s", i, got.body, first.body)
-		}
+	defer rt.Close()
+	for _, b := range []struct {
+		name string
+		be   backend
+	}{{"serve", testBackend(wideIndex(t))}, {"router", clusterBackend{rt}}} {
+		t.Run(b.name, func(t *testing.T) {
+			srv := serveFront(t, b.be, 0, nil)
+			row := confRow{path: "/query", body: `{"min":[null,null,40,null],"limit":100}`}
+			first := do(t, srv.URL, row)
+			if first.status != http.StatusOK {
+				t.Fatalf("status %d: %s", first.status, first.body)
+			}
+			for i := 0; i < 200; i++ {
+				if got := do(t, srv.URL, row); !bytes.Equal(got.body, first.body) {
+					t.Fatalf("request %d: reply differs from the first:\n got: %.300s\nwant: %.300s", i, got.body, first.body)
+				}
+			}
+		})
 	}
 }
 

@@ -68,12 +68,16 @@ func (cl *client) get() (*nodeConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A node that accepts but never answers (a stopped process) must not
+	// hold the handshake, and every RPC waiting on it, forever.
+	raw.SetDeadline(time.Now().Add(dialTimeout))
 	c := wire.NewConn(raw)
 	w, err := wire.ClientHandshake(c)
 	if err != nil {
 		raw.Close()
 		return nil, err
 	}
+	raw.SetDeadline(time.Time{})
 	cl.mu.Lock()
 	cl.welcome = w
 	cl.mu.Unlock()
@@ -128,16 +132,27 @@ func (e *remoteError) Error() string {
 	return fmt.Sprintf("cluster: node error (code %d): %s", e.code, e.msg)
 }
 
-// stream runs one streaming RPC: send req, then dispatch response frames
-// for the request's id to the handlers until Done (nil) or Error. stop is
-// polled via a watcher that sends a Cancel frame the moment it fires;
-// after a cancel the node still terminates with Done, bounded by
-// cancelGrace before the connection is force-closed.
+// part is one shard's whole answer to one request: a Query's rows (every
+// RowChunk up to the shard's ShardEOF) and the count that EOF carries, or
+// an Agg's partial.
+type part struct {
+	rows  []float64
+	count int64
+	agg   *wire.AggPart
+}
+
+// stream runs one Query or Agg RPC: send req, then hand each requested
+// shard's answer to onPart as one part, in the order the node sends them,
+// until Done (nil) or Error. complete is the shard's ShardEOF or AggPart
+// flag. A node streams one shard at a time, so the RowChunks gathered since
+// the last ShardEOF are that shard's rows. stop is polled via a watcher that
+// sends a Cancel frame the moment it fires; after a cancel the node still
+// terminates with Done, bounded by cancelGrace before the connection is
+// force-closed.
 //
-// onChunk/onEOF/onPart may be nil when the RPC cannot produce that frame.
-// The returned bool is Done.Complete. Errors are classified for the
-// breaker by the caller via isTransportErr.
-func (cl *client) stream(req wire.Message, stopCh <-chan struct{}, onChunk func(*wire.RowChunk), onEOF func(*wire.ShardEOF), onPart func(*wire.AggPart)) (bool, error) {
+// The returned bool is Done.Complete. A transport failure counts against
+// the node's breaker; an Error frame does not.
+func (cl *client) stream(req wire.Message, stopCh <-chan struct{}, onPart func(shard int, p part, complete bool)) (bool, error) {
 	start := time.Now()
 	nc, err := cl.get()
 	if err != nil {
@@ -148,12 +163,15 @@ func (cl *client) stream(req wire.Message, stopCh <-chan struct{}, onChunk func(
 	}
 	obs.ClusterRPCs.Inc()
 
-	id, _ := requestID(req)
-	if err := nc.c.Send(req); err != nil {
+	fail := func(err error) (bool, error) {
 		nc.raw.Close()
 		cl.breaker.failure()
 		obs.ClusterRPCErrors.Inc()
 		return false, err
+	}
+	id, _ := requestID(req)
+	if err := nc.c.Send(req); err != nil {
+		return fail(err)
 	}
 
 	// The cancel watcher shares the write side of the connection (writes
@@ -170,26 +188,36 @@ func (cl *client) stream(req wire.Message, stopCh <-chan struct{}, onChunk func(
 		}
 	}()
 
+	var rows []float64 // the open shard's rows
+	open := -1         // the shard they belong to
 	for {
 		m, err := nc.c.Recv()
 		if err != nil {
-			nc.raw.Close()
-			cl.breaker.failure()
-			obs.ClusterRPCErrors.Inc()
-			return false, err
+			return fail(err)
 		}
 		switch f := m.(type) {
 		case *wire.RowChunk:
-			if f.ID == id && onChunk != nil {
-				onChunk(f)
+			if f.ID != id {
+				continue
+			}
+			if open >= 0 && f.Shard != open {
+				return fail(fmt.Errorf("cluster: node %s interleaved shards %d and %d", cl.addr, open, f.Shard))
+			}
+			open = f.Shard
+			if rows == nil {
+				rows = f.Rows // decoded into its own slice: take it over
+			} else {
+				rows = append(rows, f.Rows...)
 			}
 		case *wire.ShardEOF:
-			if f.ID == id && onEOF != nil {
-				onEOF(f)
+			if f.ID != id {
+				continue
 			}
+			onPart(f.Shard, part{rows: rows, count: f.Rows}, f.Complete)
+			rows, open = nil, -1
 		case *wire.AggPart:
-			if f.ID == id && onPart != nil {
-				onPart(f)
+			if f.ID == id {
+				onPart(f.Shard, part{agg: f}, f.Complete)
 			}
 		case *wire.Done:
 			if f.ID != id {

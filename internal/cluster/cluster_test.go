@@ -61,7 +61,7 @@ type testCluster struct {
 	table  *dataset.Table
 }
 
-func startCluster(t *testing.T, table *dataset.Table, shards, nodes, rf int, opts ...RouterOption) *testCluster {
+func startCluster(t testing.TB, table *dataset.Table, shards, nodes, rf int, opts ...RouterOption) *testCluster {
 	t.Helper()
 	lns := make([]net.Listener, nodes)
 	addrs := make([]string, nodes)
@@ -182,6 +182,49 @@ func TestClusterQueryOracle(t *testing.T) {
 		sortRows(want)
 		if !rowsEqual(got, want) {
 			t.Fatalf("query %d: cluster returned %d rows, oracle %d", q, len(got), len(want))
+		}
+	}
+}
+
+// Rows come in global shard order, then each shard's scan order, whatever
+// the node timing: a rectangle's rows are its shards' own answers laid end
+// to end, every time it is asked, and a reply limited to or keeping k rows
+// holds the first k of them.
+func TestClusterRowsInShardOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	tc := startCluster(t, testTable(rng, 6000), 8, 2, 2)
+	for _, r := range []index.Rect{index.Full(4), workload.RandRect(rng, tc.table), workload.RandRect(rng, tc.table)} {
+		var want [][]float64
+		for g, reps := range tc.router.replicas {
+			states, _ := tc.nodes[reps[0]].shards[g].ExecRows([]index.Rect{r}, index.Spec{}, index.RowsState{Keep: -1}, nil)
+			for i := 0; i < states[0].Held(); i++ {
+				want = append(want, states[0].Row(i))
+			}
+		}
+		for rep := 0; rep < 10; rep++ {
+			if got, _ := collectRouter(t, tc.router, r, index.Spec{}); !rowsEqual(got, want) {
+				t.Fatalf("rect %v, repeat %d: %d rows not in shard order (want %d)", r, rep, len(got), len(want))
+			}
+		}
+		for _, k := range []int{1, 100, 1000} {
+			k = min(k, len(want))
+			if k == 0 {
+				continue
+			}
+			if got, _ := collectRouter(t, tc.router, r, index.Spec{Limit: k}); !rowsEqual(got, want[:k]) {
+				t.Fatalf("rect %v: limit %d did not return the first %d rows in shard order", r, k, k)
+			}
+			st, complete, err := tc.router.ExecRows(r, index.Spec{}, index.RowsState{Keep: k})
+			if err != nil || !complete {
+				t.Fatalf("rect %v keep %d: complete=%v err=%v", r, k, complete, err)
+			}
+			var got [][]float64
+			for i := 0; i < st.Held(); i++ {
+				got = append(got, st.Row(i))
+			}
+			if st.Count != int64(len(want)) || !rowsEqual(got, want[:k]) {
+				t.Fatalf("rect %v keep %d: count %d (want %d), rows not the first %d in shard order", r, k, st.Count, len(want), k)
+			}
 		}
 	}
 }
@@ -621,6 +664,91 @@ func TestClusterHedgeToDeadNode(t *testing.T) {
 	}
 }
 
+// A node that accepts connections but never answers — a stopped process —
+// costs a query at most the handshake timeout, with hedging or without:
+// the handshake gives up, and a hedge or failover to the other replica
+// answers. Stats reports the node down in the same bound.
+func TestClusterWedgedHandshake(t *testing.T) {
+	for _, hedge := range []bool{true, false} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(19))
+			tc := startCluster(t, testTable(rng, 3000), 8, 2, 2, WithHedging(hedge))
+			addr := tc.addrs[0]
+			tc.nodes[addr].Close()
+			ln, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held []net.Conn // accepted, never written to
+			acceptDone := make(chan struct{})
+			go func() {
+				defer close(acceptDone)
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					held = append(held, c)
+				}
+			}()
+			t.Cleanup(func() {
+				ln.Close()
+				<-acceptDone
+				for _, c := range held {
+					c.Close()
+				}
+			})
+
+			const bound = 5 * time.Second
+			for q := 0; q < 4; q++ {
+				r := workload.RandRect(rng, tc.table)
+				want := collectOracle(tc.oracle, r, index.Spec{})
+				var got [][]float64
+				var complete bool
+				var err error
+				elapsed := within(t, bound, func() {
+					complete, err = tc.router.Exec(r, index.Spec{}, func(row []float64) bool {
+						got = append(got, row)
+						return true
+					})
+				})
+				if err != nil || !complete {
+					t.Fatalf("query %d: complete=%v err=%v after %s", q, complete, err, elapsed)
+				}
+				sortRows(got)
+				sortRows(want)
+				if !rowsEqual(got, want) {
+					t.Fatalf("query %d: %d rows, oracle %d", q, len(got), len(want))
+				}
+			}
+			var st ClusterStats
+			within(t, bound, func() { st = tc.router.Stats() })
+			if st.Rows != int64(tc.table.Len()) || st.Nodes[0].Addr != addr || st.Nodes[0].Err == "" {
+				t.Errorf("stats: %d rows (want %d), first node %+v", st.Rows, tc.table.Len(), st.Nodes[0])
+			}
+		})
+	}
+}
+
+// within runs f and fails the test if it has not returned after d. It
+// reports how long f took.
+func within(t *testing.T, d time.Duration, f func()) time.Duration {
+	t.Helper()
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+		return time.Since(start)
+	case <-time.After(d):
+		t.Fatalf("still running after %s", d)
+		return d
+	}
+}
+
 // Stats must count every logical row exactly once despite replication.
 func TestClusterStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
@@ -635,5 +763,29 @@ func TestClusterStats(t *testing.T) {
 	}
 	if len(st.Nodes) != 3 {
 		t.Errorf("%d nodes in stats, want 3", len(st.Nodes))
+	}
+}
+
+// BenchmarkRouterExecRows is cluster-scatter's shape in process: two
+// loopback nodes, eight global shards at rf 2, rectangles matching about
+// 200 rows each, and replies keeping up to 1 000 rows: scatter, wire
+// framing and the shard-order merge per query.
+func BenchmarkRouterExecRows(b *testing.B) {
+	const rows = 20000
+	rng := rand.New(rand.NewSource(20))
+	tc := startCluster(b, testTable(rng, rows), 8, 2, 2)
+	rects := make([]index.Rect, 64)
+	for i := range rects {
+		r := index.Full(4)
+		r.Min[0] = rng.Float64() * 990
+		r.Max[0] = r.Min[0] + 1000*200/rows // column 0 is uniform on [0, 1000)
+		rects[i] = r
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tc.router.ExecRows(rects[i%len(rects)], index.Spec{}, index.RowsState{Keep: 1000}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -317,23 +317,24 @@ func (n *Node) engineFor(c *wire.Conn, id uint64, g int) *shard.Sharded {
 	return nil
 }
 
-// handleQuery folds each requested shard into its rows (every match, or
-// with a limit the first Limit of them) and frames them as RowChunks of
-// nodeChunkRows rows sliced from the fold, one ShardEOF per shard, and a
-// final Done. The per-request stop flag rides into every local scan as its
-// abort hook, so a Cancel frame stops remote work within about one page —
-// the cluster-level mirror of the in-process contract.
-func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
-	r := index.Rect{Min: q.Min, Max: q.Max}
-	if len(q.Min) != n.dims || len(q.Max) != n.dims {
-		c.Send(&wire.Error{ID: q.ID, Code: wire.CodeBadRequest,
-			Msg: fmt.Sprintf("rect has %d/%d dims, node has %d", len(q.Min), len(q.Max), n.dims)})
+// eachShard answers one Query or Agg request over rectangle [lo, hi]:
+// it checks the rectangle, then hands each requested shard to answer in
+// request order — answer sends the shard's frames and reports whether its
+// scan completed — and ends the stream with Done. The per-request stop flag
+// is checked between shards and rides into every local scan as its abort
+// hook, so a Cancel frame stops remote work within about one page — the
+// cluster-level mirror of the in-process contract.
+func (n *Node) eachShard(c *wire.Conn, id uint64, shards []int, lo, hi []float64, stop *atomic.Bool,
+	answer func(g int, s *shard.Sharded, r index.Rect, spec index.Spec) (complete bool, err error)) {
+	if len(lo) != n.dims || len(hi) != n.dims {
+		c.Send(&wire.Error{ID: id, Code: wire.CodeBadRequest,
+			Msg: fmt.Sprintf("rect has %d/%d dims, node has %d", len(lo), len(hi), n.dims)})
 		return
 	}
-	keep := index.RowsState{Keep: -1, Limit: int(q.Limit)}
+	r := index.Rect{Min: lo, Max: hi}
 	complete := true
-	for _, g := range q.Shards {
-		s := n.engineFor(c, q.ID, g)
+	for _, g := range shards {
+		s := n.engineFor(c, id, g)
 		if s == nil {
 			return
 		}
@@ -341,58 +342,50 @@ func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
 			complete = false
 			break
 		}
-		states, shardComplete := s.ExecRows([]index.Rect{r}, index.Spec{Abort: stop.Load}, keep, nil)
+		ok, err := answer(g, s, r, index.Spec{Abort: stop.Load})
+		if err != nil {
+			return
+		}
+		complete = complete && ok
+	}
+	c.Send(&wire.Done{ID: id, Complete: complete && !stop.Load()})
+}
+
+// handleQuery folds each requested shard into its rows (every match, or
+// with a limit the first Limit of them) and frames them as RowChunks of
+// nodeChunkRows rows sliced from the fold, then one ShardEOF.
+func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
+	keep := index.RowsState{Keep: -1, Limit: int(q.Limit)}
+	n.eachShard(c, q.ID, q.Shards, q.Min, q.Max, stop, func(g int, s *shard.Sharded, r index.Rect, spec index.Spec) (bool, error) {
+		states, complete := s.ExecRows([]index.Rect{r}, spec, keep, nil)
 		st := &states[0]
 		for rows := st.Rows; len(rows) > 0; {
 			chunk := rows[:min(len(rows), nodeChunkRows*n.dims)]
 			if err := c.Send(&wire.RowChunk{ID: q.ID, Shard: g, Rows: chunk}); err != nil {
-				return
+				return false, err
 			}
 			rows = rows[len(chunk):]
 		}
 		// A scan the limit stopped is still complete for the router's
 		// purposes — it has every row it asked this shard for.
-		shardComplete = shardComplete || keep.Limit > 0 && st.Count >= q.Limit
-		if err := c.Send(&wire.ShardEOF{ID: q.ID, Shard: g, Rows: st.Count, Complete: shardComplete}); err != nil {
-			return
-		}
-		complete = complete && shardComplete
-	}
-	c.Send(&wire.Done{ID: q.ID, Complete: complete && !stop.Load()})
+		complete = complete || keep.Limit > 0 && st.Count >= q.Limit
+		return complete, c.Send(&wire.ShardEOF{ID: q.ID, Shard: g, Rows: st.Count, Complete: complete})
+	})
 }
 
 // handleAgg folds each requested shard into one AggPart partial. Partials
 // are exact per shard; the router merges them in global shard order, so
 // repeated distributed executions are bit-identical to each other.
 func (n *Node) handleAgg(c *wire.Conn, q *wire.Agg, stop *atomic.Bool) {
-	r := index.Rect{Min: q.Min, Max: q.Max}
-	if len(q.Min) != n.dims || len(q.Max) != n.dims {
-		c.Send(&wire.Error{ID: q.ID, Code: wire.CodeBadRequest,
-			Msg: fmt.Sprintf("rect has %d/%d dims, node has %d", len(q.Min), len(q.Max), n.dims)})
-		return
-	}
 	aspec := index.AggSpec{Op: index.AggOp(q.Op), Col: q.Col, Group: q.Group}
 	if err := aspec.Validate(n.dims); err != nil {
 		c.Send(&wire.Error{ID: q.ID, Code: wire.CodeBadRequest, Msg: err.Error()})
 		return
 	}
-	complete := true
-	for _, g := range q.Shards {
-		s := n.engineFor(c, q.ID, g)
-		if s == nil {
-			return
-		}
-		if stop.Load() {
-			complete = false
-			break
-		}
-		st, ok := s.ExecAgg(r, index.Spec{Abort: stop.Load}, aspec, nil)
-		if err := c.Send(partFromState(q.ID, g, st, ok)); err != nil {
-			return
-		}
-		complete = complete && ok
-	}
-	c.Send(&wire.Done{ID: q.ID, Complete: complete && !stop.Load()})
+	n.eachShard(c, q.ID, q.Shards, q.Min, q.Max, stop, func(g int, s *shard.Sharded, r index.Rect, spec index.Spec) (bool, error) {
+		st, complete := s.ExecAgg(r, spec, aspec, nil)
+		return complete, c.Send(partFromState(q.ID, g, st, complete))
+	})
 }
 
 // partFromState flattens one shard's AggState into its wire partial:

@@ -29,17 +29,17 @@ func (e *OverloadError) Error() string {
 }
 
 // Router scatter-gathers queries across the cluster's nodes. It mirrors
-// the in-process fan-out of shard.Sharded.Exec — one shared stop signal,
-// a context watcher, rows streamed to the caller as shards complete — and
-// adds the failure modes a network introduces: per-node circuit breakers,
-// failover to surviving replicas, and hedged reads that launch a shard's
-// backup replica once its request has been outstanding longer than the
-// node's observed p99.
+// the in-process fan-out of shard.Sharded.ExecRows and ExecAgg — one
+// shared stop signal, a context watcher, one part per shard merged in
+// global shard order — and adds the failure modes a network introduces:
+// per-node circuit breakers, failover to surviving replicas, and hedged
+// reads that launch a shard's backup replica once its request has been
+// outstanding longer than the node's observed p99.
 //
-// Rows are delivered to the yield only when their shard's stream
-// completed (per-shard commit), so a node dying mid-stream never delivers
-// a row twice: its shards are re-fetched from another replica from
-// scratch and only one attempt's rows are ever handed over.
+// A shard's part is one attempt's whole answer, taken only once its stream
+// completed, so a node dying mid-stream never tears or duplicates a shard:
+// the shard is re-fetched from another replica from scratch, and the first
+// complete answer is the one merged.
 type Router struct {
 	dims   int
 	shards int // K global shards
@@ -167,19 +167,16 @@ func (rt *Router) ShardSpan(index.Rect) (lo, hi int) { return 0, rt.shards - 1 }
 type eventKind int
 
 const (
-	evChunk eventKind = iota
-	evEOF
-	evPart
-	evReqDone
-	evHedge
+	evPart    eventKind = iota // one shard's whole answer from one attempt
+	evReqDone                  // an attempt's request ended
+	evHedge                    // an attempt's hedge delay elapsed
 )
 
 type event struct {
 	kind     eventKind
 	attempt  uint64
 	shard    int
-	rows     []float64
-	part     *wire.AggPart
+	part     part
 	complete bool
 	err      error
 }
@@ -187,55 +184,67 @@ type event struct {
 // attempt is one in-flight RPC to one node covering a set of shards.
 type attempt struct {
 	node   string
-	shards map[int]bool // shards without an EOF/part yet
+	shards map[int]bool // shards without a part yet
 	hedged bool         // secondary read (hedge or failover)
 	timer  *time.Timer  // hedge timer, primaries only
 }
 
 // shardState is the merge loop's per-global-shard bookkeeping.
 type shardState struct {
-	delivered bool
+	delivered bool // answered, or abandoned by a cancelled query
 	failed    bool
-	next      int                  // next replica index to try
-	bufs      map[uint64][]float64 // per-attempt row accumulation (query mode)
+	next      int // next replica index to try
 	// retryAfter is the largest back-off hint among the replicas that shed
 	// this shard so far; if the shard fails for overload, that is its hint.
 	retryAfter time.Duration
 }
 
-// Exec scatter-gathers one rectangle query across the cluster under the
-// v2 contract (see shard.Sharded.Exec): rows stream to yield on the
-// calling goroutine, yield's return value stops every remote scan via
-// cancel frames, spec.Ctx cancels promptly, and spec.Limit both caps
-// delivery and lets each node stop its shards after Limit local matches.
-// Rows handed to yield are stable copies. It reports whether the scan ran
-// to completion, and a non-nil error when at least one global shard could
-// not be answered by any replica (rows already yielded are a valid subset
-// of the result).
+// Exec scatter-gathers one rectangle query across the cluster and yields
+// its rows on the calling goroutine in global shard order, then each
+// shard's scan order: it is ExecRows keeping every row, capped at
+// spec.Limit when positive, so each node stops its shards after Limit
+// local matches. The rows come once every shard has answered: yield's
+// return value and spec.Ctx stop the delivery, not the remote scans. Rows
+// handed to yield are stable copies. It reports whether the scan ran to
+// completion, and a non-nil error when at least one global shard could not
+// be answered by any replica (the rows yielded are then those of the
+// shards that were).
 func (rt *Router) Exec(r index.Rect, spec index.Spec, yield index.Yield) (bool, error) {
+	st, complete, err := rt.ExecRows(r, spec, index.RowsState{Keep: -1, Limit: spec.Limit})
+	for i := 0; i < st.Held(); i++ {
+		if spec.Done() || !yield(st.Row(i)) {
+			return false, err
+		}
+	}
+	return complete, err
+}
+
+// ExecRows scatter-gathers one row reply: each node folds its shards into
+// their rows (up to keep.Limit per shard when positive), and the router
+// merges the parts in global shard order with RowsState.Merge, as ExecAgg
+// merges partials — so the held rows are the first keep.Keep matches in
+// shard order, then scan order, the same rows whatever the node timing.
+// keep's Count and Rows must be empty. A limited query stops once the
+// shards answered in a prefix of shard order count keep.Limit rows;
+// spec.Limit is ignored (keep.Limit caps the count). The
+// boolean reports whether every shard ran to completion: false when the
+// query was cancelled or reached its Limit. A non-nil error means at least
+// one global shard could not be answered by any replica.
+func (rt *Router) ExecRows(r index.Rect, spec index.Spec, keep index.RowsState) (index.RowsState, bool, error) {
 	track := obs.On()
 	var start time.Time
 	if track {
 		start = time.Now()
 		obs.Queries.Inc()
 	}
-	delivered := 0
-	complete, err := rt.scatter(r, &spec, false, index.AggSpec{}, func(rows []float64, stopped *bool) {
-		for off := 0; off+rt.dims <= len(rows); off += rt.dims {
-			if spec.Limit > 0 && delivered >= spec.Limit {
-				*stopped = true
-				return
-			}
-			if !yield(rows[off : off+rt.dims : off+rt.dims]) {
-				*stopped = true
-				return
-			}
-			delivered++
-		}
-	}, nil)
+	req := &wire.Query{Min: r.Min, Max: r.Max, Limit: int64(max(keep.Limit, 0))}
+	parts, complete, err := rt.scatter(&spec, req)
+	for _, p := range parts {
+		keep.Merge(&index.RowsState{Keep: -1, Count: p.count, Rows: p.rows, Dims: rt.dims})
+	}
 	if track {
 		obs.QuerySeconds.Observe(time.Since(start).Seconds())
-		obs.QueryRows.Add(int64(delivered))
+		obs.QueryRows.Add(keep.Count)
 		switch {
 		case spec.Done():
 			obs.QueryCancelled.Inc()
@@ -243,7 +252,7 @@ func (rt *Router) Exec(r index.Rect, spec index.Spec, yield index.Yield) (bool, 
 			obs.EarlyStops.Inc()
 		}
 	}
-	return complete, err
+	return keep, complete, err
 }
 
 // ExecAgg scatter-gathers one aggregation: each node folds its shards
@@ -263,14 +272,12 @@ func (rt *Router) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec) (*
 		obs.Queries.Inc()
 		obs.AggQueries.Inc()
 	}
-	parts := make([]*wire.AggPart, rt.shards)
-	complete, err := rt.scatter(r, &spec, true, aspec, nil, func(p *wire.AggPart) {
-		parts[p.Shard] = p
-	})
+	req := &wire.Agg{Min: r.Min, Max: r.Max, Op: uint8(aspec.Op), Col: aspec.Col, Group: aspec.Group}
+	parts, complete, err := rt.scatter(&spec, req)
 	st := index.NewAggState(aspec)
 	for _, p := range parts {
-		if p != nil {
-			st.Merge(stateFromPart(aspec, p))
+		if p.agg != nil {
+			st.Merge(stateFromPart(aspec, p.agg))
 		}
 	}
 	if track {
@@ -282,11 +289,15 @@ func (rt *Router) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec) (*
 	return st, complete, err
 }
 
-// scatter is the shared merge loop behind Exec and ExecAgg. deliverRows
-// (query mode) receives one shard's complete row set and may raise
-// *stopped to halt the fan-out; deliverPart (agg mode) receives one
-// shard's complete partial.
-func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.AggSpec, deliverRows func([]float64, *bool), deliverPart func(*wire.AggPart)) (bool, error) {
+// scatter is the merge loop behind ExecRows and ExecAgg: it sends req (a
+// *wire.Query or *wire.Agg; its ID and Shards are set per attempt) to
+// every global shard's replicas and returns each shard's first complete
+// answer, indexed by global shard. It returns once every shard is answered
+// or has failed, or once a limited Query is covered — the shards answered
+// in a prefix of shard order count its Limit rows, so no later shard's row
+// could be kept — without waiting for the attempts still out, which a
+// cancel frame reels in.
+func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, error) {
 	events := make(chan event, 64)
 	loopDone := make(chan struct{})
 	defer close(loopDone)
@@ -317,18 +328,23 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 		}()
 	}
 
+	parts := make([]part, rt.shards)
 	states := make([]shardState, rt.shards)
-	for g := range states {
-		states[g].bufs = make(map[uint64][]float64)
-	}
 	attempts := make(map[uint64]*attempt)
-	outstanding := 0
+	defer func() {
+		for _, att := range attempts {
+			if att.timer != nil {
+				att.timer.Stop()
+			}
+		}
+	}()
 	remaining := rt.shards
 
-	limit := int64(0)
-	if !agg && spec.Limit > 0 {
-		limit = int64(spec.Limit)
+	var limit int64
+	if q, ok := req.(*wire.Query); ok {
+		limit = q.Limit
 	}
+	covered, prefixRows := 0, int64(0) // shards answered in a prefix of shard order, and their rows
 
 	launch := func(node string, shards []int, hedged bool) {
 		cl := rt.clients[node]
@@ -338,7 +354,6 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 			att.shards[g] = true
 		}
 		attempts[attID] = att
-		outstanding++
 		if !hedged && !rt.hedgeOff && rt.rf > 1 && len(rt.order) > 1 {
 			d := rt.hedgeDelay
 			if d <= 0 {
@@ -346,21 +361,21 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 			}
 			att.timer = time.AfterFunc(d, func() { post(event{kind: evHedge, attempt: attID}) })
 		}
-		id := cl.id()
-		var req wire.Message
-		if agg {
-			req = &wire.Agg{ID: id, Shards: shards, Min: r.Min, Max: r.Max,
-				Op: uint8(aspec.Op), Col: aspec.Col, Group: aspec.Group}
-		} else {
-			req = &wire.Query{ID: id, Shards: shards, Min: r.Min, Max: r.Max, Limit: limit}
+		var send wire.Message
+		switch q := req.(type) {
+		case *wire.Query:
+			c := *q
+			c.ID, c.Shards = cl.id(), shards
+			send = &c
+		case *wire.Agg:
+			c := *q
+			c.ID, c.Shards = cl.id(), shards
+			send = &c
 		}
 		go func() {
-			complete, err := cl.stream(req, stopCh,
-				func(f *wire.RowChunk) { post(event{kind: evChunk, attempt: attID, shard: f.Shard, rows: f.Rows}) },
-				func(f *wire.ShardEOF) { post(event{kind: evEOF, attempt: attID, shard: f.Shard, complete: f.Complete}) },
-				func(f *wire.AggPart) {
-					post(event{kind: evPart, attempt: attID, shard: f.Shard, part: f, complete: f.Complete})
-				})
+			complete, err := cl.stream(send, stopCh, func(g int, p part, complete bool) {
+				post(event{kind: evPart, attempt: attID, shard: g, part: p, complete: complete})
+			})
 			post(event{kind: evReqDone, attempt: attID, complete: complete, err: err})
 		}()
 	}
@@ -396,45 +411,23 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 		return plan
 	}
 
-	// Initial plan: every shard on its first live replica.
-	{
-		plan := make(map[string][]int)
-		for g := 0; g < rt.shards; g++ {
-			st := &states[g]
-			reps := rt.replicas[g]
-			chosen := 0
-			for i, n := range reps {
-				if !rt.clients[n].breaker.open() {
-					chosen = i
-					break
-				}
-			}
-			st.next = chosen + 1
-			plan[reps[chosen]] = append(plan[reps[chosen]], g)
-		}
-		for node, shards := range plan {
-			sort.Ints(shards)
-			launch(node, shards, false)
-		}
+	// Every shard on its first live replica.
+	all := make([]int, rt.shards)
+	for g := range all {
+		all[g] = g
+	}
+	for node, shards := range planNext(all) {
+		launch(node, shards, false)
 	}
 
-	stopped := false  // user-visible early stop: limit met or yield declined
 	var failErr error // first non-overload shard failure
 	failedOverload := 0
 	failedOther := 0
 	var maxRetryAfter time.Duration
 
-	finishShard := func(st *shardState) {
-		st.delivered = true
-		st.bufs = nil
-		remaining--
-		if remaining == 0 {
-			raiseStop() // everything answered; reel in duplicate attempts
-		}
-	}
-
 	failShard := func(g int, st *shardState, err error) {
 		st.failed = true
+		remaining--
 		if _, ok := err.(*overloadedError); ok {
 			failedOverload++
 			maxRetryAfter = max(maxRetryAfter, st.retryAfter)
@@ -447,7 +440,18 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 				failErr = fmt.Errorf("cluster: shard %d unavailable: %w", g, err)
 			}
 		}
-		finishShard(st)
+	}
+
+	// deliver settles shard g with p, its answer or (abandoned) nothing,
+	// and extends the answered prefix.
+	deliver := func(g int, p part) {
+		parts[g] = p
+		states[g].delivered = true
+		remaining--
+		for covered < rt.shards && states[covered].delivered {
+			prefixRows += parts[covered].count
+			covered++
+		}
 	}
 
 	// inFlight reports whether an attempt still running may yet answer g.
@@ -484,13 +488,8 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 			}
 			live = append(live, g)
 		}
-		if len(live) == 0 {
-			return
-		}
-		plan := planNext(live)
 		planned := make(map[int]bool)
-		for node, shards := range plan {
-			sort.Ints(shards)
+		for node, shards := range planNext(live) {
 			obs.ClusterFailovers.Add(int64(len(shards)))
 			for _, g := range shards {
 				planned[g] = true
@@ -504,81 +503,34 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 		}
 	}
 
-	for outstanding > 0 {
+	for remaining > 0 && (limit <= 0 || prefixRows < limit) {
 		ev := <-events
+		att := attempts[ev.attempt]
 		switch ev.kind {
-		case evChunk:
+		case evPart:
+			delete(att.shards, ev.shard)
 			st := &states[ev.shard]
 			if st.delivered || st.failed {
 				continue
 			}
-			st.bufs[ev.attempt] = append(st.bufs[ev.attempt], ev.rows...)
-
-		case evEOF:
-			att := attempts[ev.attempt]
-			if att != nil {
-				delete(att.shards, ev.shard)
-			}
-			st := &states[ev.shard]
-			if st.delivered || st.failed {
-				continue
-			}
-			rows := st.bufs[ev.attempt]
-			delete(st.bufs, ev.attempt)
 			if !ev.complete {
-				// The node's scan stopped early. When we are stopping that
-				// is expected — the shard is simply abandoned; otherwise
+				// The node's scan stopped early. When the query is cancelled
+				// that is expected — the shard is simply abandoned; otherwise
 				// treat it as a failed attempt and fail over.
-				if stopped || spec.Done() {
-					finishShard(st)
-				} else if att != nil {
+				if spec.Done() {
+					deliver(ev.shard, part{})
+				} else {
 					retry([]int{ev.shard}, fmt.Errorf("cluster: node %s returned an incomplete shard %d", att.node, ev.shard))
 				}
 				continue
 			}
-			if att != nil && att.hedged {
+			if att.hedged {
 				obs.ClusterHedgeWins.Inc()
 			}
-			if deliverRows != nil && !stopped {
-				deliverRows(rows, &stopped)
-				if stopped {
-					raiseStop()
-				}
-			}
-			finishShard(st)
-
-		case evPart:
-			att := attempts[ev.attempt]
-			if att != nil {
-				delete(att.shards, ev.shard)
-			}
-			st := &states[ev.shard]
-			if st.delivered || st.failed {
-				continue
-			}
-			if !ev.complete {
-				if stopped || spec.Done() {
-					finishShard(st)
-				} else if att != nil {
-					retry([]int{ev.shard}, fmt.Errorf("cluster: node %s returned an incomplete partial for shard %d", att.node, ev.shard))
-				}
-				continue
-			}
-			if att != nil && att.hedged {
-				obs.ClusterHedgeWins.Inc()
-			}
-			if deliverPart != nil {
-				deliverPart(ev.part)
-			}
-			finishShard(st)
+			deliver(ev.shard, ev.part)
 
 		case evReqDone:
-			outstanding--
-			att := attempts[ev.attempt]
 			delete(attempts, ev.attempt)
-			if att == nil {
-				continue
-			}
 			if att.timer != nil {
 				att.timer.Stop()
 			}
@@ -589,19 +541,13 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 			// a node-side Error frame, or a Done that skipped shards.
 			pending := make([]int, 0, len(att.shards))
 			for g := range att.shards {
-				// Drop this attempt's partial buffers — its rows must never
-				// mix with a retry's.
-				if st := &states[g]; st.bufs != nil {
-					delete(st.bufs, ev.attempt)
-				}
 				pending = append(pending, g)
 			}
 			sort.Ints(pending)
-			if stopped || spec.Done() {
+			if spec.Done() {
 				for _, g := range pending {
-					st := &states[g]
-					if !st.delivered && !st.failed {
-						finishShard(st)
+					if st := &states[g]; !st.delivered && !st.failed {
+						deliver(g, part{})
 					}
 				}
 				continue
@@ -609,8 +555,7 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 			retry(pending, ev.err)
 
 		case evHedge:
-			att := attempts[ev.attempt]
-			if att == nil || stopped || spec.Done() || len(att.shards) == 0 {
+			if att == nil || spec.Done() {
 				continue
 			}
 			var hedgeable []int
@@ -620,31 +565,23 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 					hedgeable = append(hedgeable, g)
 				}
 			}
-			if len(hedgeable) == 0 {
-				continue
-			}
 			sort.Ints(hedgeable)
-			plan := planNext(hedgeable)
-			for node, shards := range plan {
-				sort.Ints(shards)
+			for node, shards := range planNext(hedgeable) {
 				obs.ClusterHedges.Inc()
 				launch(node, shards, true)
 			}
 		}
 	}
 
-	cancelled := spec.Done()
-	complete := !stopped && !cancelled && failedOverload == 0 && failedOther == 0 && remaining == 0
-	if stopped || cancelled {
-		return false, nil
+	switch {
+	case spec.Done() || limit > 0 && prefixRows >= limit: // cancelled, or covered: a shard failing past the prefix changes nothing
+		return parts, false, nil
+	case failedOther > 0:
+		return parts, false, failErr
+	case failedOverload > 0:
+		return parts, false, &OverloadError{RetryAfter: maxRetryAfter}
 	}
-	if failedOther > 0 {
-		return false, failErr
-	}
-	if failedOverload > 0 {
-		return false, &OverloadError{RetryAfter: maxRetryAfter}
-	}
-	return complete, nil
+	return parts, true, nil
 }
 
 // --- mutations ---
@@ -786,41 +723,50 @@ type ClusterStats struct {
 	Unanswered int         `json:"unanswered_shards"`
 }
 
-// Stats polls every node and assembles the cluster shape. Each global
-// shard's row count is taken from the first replica that answered, so the
-// total counts every logical row exactly once regardless of rf.
+// Stats polls every node concurrently and assembles the cluster shape,
+// listing the nodes in construction order. Each global shard's row count
+// is taken from the first replica that answered, so the total counts every
+// logical row exactly once regardless of rf.
 func (rt *Router) Stats() ClusterStats {
-	st := ClusterStats{Shards: rt.shards, Replicas: rt.rf, ShardRows: make([]int64, rt.shards)}
+	st := ClusterStats{Shards: rt.shards, Replicas: rt.rf, ShardRows: make([]int64, rt.shards),
+		Nodes: make([]NodeStats, len(rt.order))}
 	perNode := make(map[string]map[int]int64, len(rt.order))
-	for _, addr := range rt.order {
-		cl := rt.clients[addr]
-		ns := NodeStats{Addr: addr, Open: cl.breaker.open(), P99Ms: float64(cl.lat.p99()) / float64(time.Millisecond)}
-		res, _, err := cl.call(&wire.Stats{ID: cl.id()})
-		if err != nil {
-			ns.Err = err.Error()
-		} else if sr, ok := res.(*wire.StatsRes); ok {
-			ns.Rows = sr.Rows
-			ns.Hosted = sr.Hosted
-			m := make(map[int]int64, len(sr.Hosted))
-			for i, g := range sr.Hosted {
-				if i < len(sr.ShardRows) {
-					m[g] = sr.ShardRows[i]
+	var mu sync.Mutex // guards perNode
+	var wg sync.WaitGroup
+	for i, addr := range rt.order {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := rt.clients[addr]
+			ns := NodeStats{Addr: addr, Open: cl.breaker.open(), P99Ms: float64(cl.lat.p99()) / float64(time.Millisecond)}
+			res, _, err := cl.call(&wire.Stats{ID: cl.id()})
+			if err != nil {
+				ns.Err = err.Error()
+			} else if sr, ok := res.(*wire.StatsRes); ok {
+				ns.Rows = sr.Rows
+				ns.Hosted = sr.Hosted
+				m := make(map[int]int64, len(sr.Hosted))
+				for i, g := range sr.Hosted {
+					if i < len(sr.ShardRows) {
+						m[g] = sr.ShardRows[i]
+					}
 				}
+				mu.Lock()
+				perNode[addr] = m
+				mu.Unlock()
 			}
-			perNode[addr] = m
-		}
-		st.Nodes = append(st.Nodes, ns)
+			st.Nodes[i] = ns
+		}()
 	}
+	wg.Wait()
 	for g := 0; g < rt.shards; g++ {
 		counted := false
-		for _, node := range rt.replicas[g] {
-			if m, ok := perNode[node]; ok {
-				if rows, hosted := m[g]; hosted {
-					st.ShardRows[g] = rows
-					st.Rows += rows
-					counted = true
-					break
-				}
+		for _, addr := range rt.replicas[g] {
+			if rows, hosted := perNode[addr][g]; hosted {
+				st.ShardRows[g] = rows
+				st.Rows += rows
+				counted = true
+				break
 			}
 		}
 		if !counted {

@@ -191,8 +191,8 @@ func (m *Pong) decode(r *binio.Reader) { m.ID = r.Uint64() }
 // Query asks the node to scan the listed global shards with one rectangle.
 // Limit ≤ 0 scans everything; a positive limit lets the node stop each
 // shard's scan after that many local matches (any Limit matching rows
-// satisfy the router). The response is a stream of RowChunk frames,
-// one ShardEOF per requested shard, and a final Done.
+// satisfy the router). The response is, for each requested shard in
+// turn, its RowChunk frames and then its ShardEOF, and a final Done.
 type Query struct {
 	ID       uint64
 	Shards   []int
