@@ -177,7 +177,9 @@ func TestClusterMultiProcess(t *testing.T) {
 	}
 	collectOracle := func(r index.Rect) []float64 {
 		var flat []float64
-		oracle.Query(r, func(row []float64) { flat = append(flat, row...) })
+		if _, err := coax.FromRect(r).Run(oracle, func(row []float64) bool { flat = append(flat, row...); return true }); err != nil {
+			t.Fatalf("oracle Run: %v", err)
+		}
 		return flat
 	}
 	checkQueries := func(label string, n int, seed int64) {
@@ -402,7 +404,9 @@ func TestClusterNodeSnapshotIn(t *testing.T) {
 			t.Fatalf("query %d: err=%v complete=%v", i, err, complete)
 		}
 		var want []float64
-		oracle.Query(r, func(row []float64) { want = append(want, row...) })
+		if _, err := coax.FromRect(r).Run(oracle, func(row []float64) bool { want = append(want, row...); return true }); err != nil {
+			t.Fatalf("oracle Run: %v", err)
+		}
 		sortFlatRows(got, dims)
 		sortFlatRows(want, dims)
 		if !flatRowsEqual(got, want) {

@@ -25,6 +25,7 @@ import (
 
 	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/cluster"
+	"github.com/coax-index/coax/internal/core"
 )
 
 func cmdNode(args []string) error {
@@ -137,11 +138,12 @@ func cmdNode(args []string) error {
 }
 
 // tableFromSnapshot materializes the live rows of a snapshot into a table
-// the shard-placement pipeline can split. A v3 file is memory-mapped only
-// for the duration of the scan — nodes re-partition rows by value into
-// their hosted global shards, so the rows must land on the heap anyway.
-// Placement hashes row values, not row order, so every node loading the
-// same file materializes identical shard contents.
+// the shard-placement pipeline can split: shard by shard, each shard's
+// primary rows, then its outliers. A v3 file is memory-mapped only for the
+// duration of the copy — nodes re-partition rows by value into their hosted
+// global shards, so the rows must land on the heap anyway. Placement hashes
+// row values, not row order, so every node loading the same file
+// materializes identical shard contents.
 func tableFromSnapshot(path string, workers int) (*coax.Table, error) {
 	idx, sn, err := openSnapshot(path, workers)
 	if err != nil {
@@ -150,11 +152,11 @@ func tableFromSnapshot(path string, workers int) (*coax.Table, error) {
 	defer sn.Close()
 	tab := coax.NewTable(idx.Columns())
 	tab.Grow(idx.Len())
-	if _, err := coax.FromRect(coax.FullRect(idx.Dims())).Run(idx, func(row []float64) bool {
-		tab.Append(row) // Append copies the values; the mapping can close after
-		return true
-	}); err != nil {
-		return nil, err
+	for si := range idx.NumShards() {
+		_ = idx.WithShard(si, func(c *core.COAX) error { // fails only as its closure does
+			tab.Data = append(tab.Data, c.LiveRows().Data...) // a copy: the mapping can close after
+			return nil
+		})
 	}
 	if err := sn.PageErr(); err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)

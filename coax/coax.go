@@ -26,11 +26,12 @@
 //		Limit(100).
 //		Collect(idx)
 //
-// The legacy rectangle surface remains supported:
+// A rectangle is a query too; Run hands its rows, one at a time, to a
+// visitor on the calling goroutine:
 //
 //	q := coax.FullRect(3)
 //	q.Min[1], q.Max[1] = 60, 90 // airtime between 60 and 90 minutes
-//	idx.Query(q, func(row []float64) { ... })
+//	res, err := coax.FromRect(q).Run(idx, func(row []float64) bool { ...; return true })
 package coax
 
 import (
@@ -74,11 +75,6 @@ func FullRect(dims int) Rect { return index.Full(dims) }
 
 // PointQuery returns the degenerate rectangle matching exactly p.
 func PointQuery(p []float64) Rect { return index.Point(p) }
-
-// Visitor receives one matching row per call — the legacy callback of
-// (*Index).Query, which folds every match of the rectangle before the first
-// call. Rows are stable copies, and the visitor may mutate the index.
-type Visitor = func(row []float64)
 
 // Options configures a Build. Start from DefaultOptions.
 type Options = core.Options

@@ -7,12 +7,10 @@ package coax
 // one skeleton (Query.fold) over the index's fan-out, which counts the
 // query: Head copies the rows it returns and counts the rest, Count and
 // Explain are Head keeping none, Collect is Head keeping all, Run hands each
-// folded row to its visitor, and Aggregate folds an aggregate. Internally it
-// compiles to the same index.Rect plan the legacy Query(Rect, Visitor) call
-// uses, so both surfaces answer identically; this path additionally
-// supports early termination (a satisfied Limit or a false-returning
-// visitor stops the scan, across every shard), context cancellation and
-// EXPLAIN reports. Every row it hands out is a stable copy.
+// folded row to its visitor on the calling goroutine, and Aggregate folds an
+// aggregate. A satisfied Limit stops the scan across every shard, a context
+// cancels it, and EXPLAIN reports it. Every row it hands out is a stable
+// copy.
 
 import (
 	"context"
@@ -28,9 +26,8 @@ import (
 )
 
 // Yield is Run's visitor: it receives one matching row per call and reports
-// whether the scan should continue — returning false stops it, including
-// every worker of the fan-out. The row is a stable copy, valid after the
-// call.
+// whether to go on — returning false stops the delivery. The row is a stable
+// copy, valid after the call.
 type Yield = index.Yield
 
 // Predicate is one constraint on a single column, built with Between, Eq,
@@ -99,8 +96,8 @@ type Query struct {
 // NewQuery returns an empty query matching every row.
 func NewQuery() *Query { return &Query{} }
 
-// FromRect returns a query over an explicit rectangle — the bridge from
-// the legacy plan representation; Where predicates intersect with it.
+// FromRect returns a query over an explicit rectangle; Where predicates
+// intersect with it.
 func FromRect(r Rect) *Query {
 	cl := r.Clone()
 	return &Query{rect: &cl}
@@ -130,7 +127,8 @@ func (q *Query) WhereDim(dim int, p Predicate) *Query {
 }
 
 // Limit caps the number of rows delivered; the scan stops — across every
-// shard — once k rows have been yielded. k ≤ 0 removes the cap.
+// shard — once the first k rows in shard order have matched. k ≤ 0 removes
+// the cap.
 func (q *Query) Limit(k int) *Query {
 	q.limit = k
 	return q
@@ -231,14 +229,12 @@ type Result struct {
 // order — shard order, then scan order — so the same query on the same
 // index visits the same rows in the same order.
 //
-// Each shard's matches are folded under its read lock and visited once it
-// is released, one shard at a time in shard order, by the fan-out worker
-// that folded them: visit is never called concurrently, but with more than
-// one worker it may run on a goroutine other than the caller's. Run holds at
-// most one shard's matches per worker — on a one-shard index, every match of
-// the rectangle (or its first Limit) before the first visit. The visitor
-// must not mutate the index being scanned — shards not yet folded may or
-// may not see the change: collect first, then mutate.
+// Like Collect, Run folds every match of the rectangle (or its first Limit)
+// before the first visit, then calls visit on the calling goroutine with no
+// shard lock held. The visitor may therefore mutate the index; it is shown
+// the rows as of the call. A false return stops the delivery, not probes
+// already folding; the Limit also stops the probes that cannot reach the
+// first Limit rows.
 func (q *Query) Run(idx *Index, visit Yield) (Result, error) {
 	r, err := q.Compile(idx)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/workload"
 )
 
@@ -45,11 +46,11 @@ func sortedKeys(rows [][]float64) []string {
 }
 
 // TestV2EquivalentToLegacy is the property test of the acceptance
-// criteria: for random rectangles, the query builder — via FromRect and via
-// per-dimension predicates — returns exactly the multiset the legacy
-// Query(Rect, Visitor) path returns, on one-shard and 4-shard indexes with
-// both outlier kinds, and Limit(k) returns exactly min(k, total) rows all
-// of which belong to that multiset.
+// criteria: for random rectangles, every way to run a rectangle — Run and
+// Collect via FromRect, Count via per-dimension predicates — answers exactly
+// the multiset a full scan of the table finds, on one-shard and 4-shard
+// indexes with both outlier kinds, and Limit(k) returns exactly
+// min(k, total) rows all of which belong to that multiset.
 func TestV2EquivalentToLegacy(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(12000))
 	indexes := queryV2Indexes(t, tab)
@@ -57,10 +58,21 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 
 	for trial := 0; trial < 60; trial++ {
 		r := workload.RandRect(rng, tab)
+		var scanned [][]float64
+		for i := 0; i < tab.Len(); i++ {
+			if r.Contains(tab.Row(i)) {
+				scanned = append(scanned, tab.Row(i))
+			}
+		}
+		want := sortedKeys(scanned)
 		for name, idx := range indexes {
-			var legacy [][]float64
-			idx.Query(r, func(row []float64) { legacy = append(legacy, row) })
-			want := sortedKeys(legacy)
+			var visited [][]float64
+			if _, err := coax.FromRect(r).Run(idx, func(row []float64) bool { visited = append(visited, row); return true }); err != nil {
+				t.Fatalf("%s: FromRect.Run: %v", name, err)
+			}
+			if g := sortedKeys(visited); fmt.Sprint(g) != fmt.Sprint(want) {
+				t.Fatalf("%s rect %v: Run visited %d rows, a full scan finds %d", name, r, len(visited), len(scanned))
+			}
 
 			// Path 1: FromRect.
 			got, err := coax.FromRect(r).Collect(idx)
@@ -68,7 +80,7 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 				t.Fatalf("%s: FromRect.Collect: %v", name, err)
 			}
 			if g := sortedKeys(got); fmt.Sprint(g) != fmt.Sprint(want) {
-				t.Fatalf("%s rect %v: FromRect returned %d rows, legacy %d", name, r, len(got), len(legacy))
+				t.Fatalf("%s rect %v: FromRect returned %d rows, a full scan finds %d", name, r, len(got), len(scanned))
 			}
 
 			// Path 2: the same plan expressed as positional predicates.
@@ -83,28 +95,28 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: builder Count: %v", name, err)
 			}
-			if n != len(legacy) {
-				t.Fatalf("%s rect %v: builder counted %d, legacy %d", name, r, n, len(legacy))
+			if n != len(scanned) {
+				t.Fatalf("%s rect %v: builder counted %d, a full scan %d", name, r, n, len(scanned))
 			}
 
-			// Limit(k): exactly min(k, total) rows, all from the legacy set.
+			// Limit(k): exactly min(k, total) rows, all from the full scan.
 			k := 1 + rng.Intn(20)
 			limited, err := coax.FromRect(r).Limit(k).Collect(idx)
 			if err != nil {
 				t.Fatalf("%s: Limit.Collect: %v", name, err)
 			}
-			if wantN := min(k, len(legacy)); len(limited) != wantN {
+			if wantN := min(k, len(scanned)); len(limited) != wantN {
 				t.Fatalf("%s rect %v: Limit(%d) returned %d rows, want %d", name, r, k, len(limited), wantN)
 			}
 			within := func(what string, rows [][]float64) {
-				set := make(map[string]int, len(legacy))
-				for _, row := range legacy {
+				set := make(map[string]int, len(scanned))
+				for _, row := range scanned {
 					set[rowKey(row)]++
 				}
 				for _, row := range rows {
 					key := rowKey(row)
 					if set[key] == 0 {
-						t.Fatalf("%s rect %v: %s returned row %v outside the legacy result", name, r, what, row)
+						t.Fatalf("%s rect %v: %s returned row %v outside the full scan", name, r, what, row)
 					}
 					set[key]--
 				}
@@ -117,23 +129,23 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Head: %v", name, err)
 			}
-			if all.Count != len(legacy) || len(all.Rows) != len(legacy) || !all.Complete {
-				t.Fatalf("%s rect %v: Head(-1) = %d rows of %d (complete %v), legacy %d", name, r, len(all.Rows), all.Count, all.Complete, len(legacy))
+			if all.Count != len(scanned) || len(all.Rows) != len(scanned) || !all.Complete {
+				t.Fatalf("%s rect %v: Head(-1) = %d rows of %d (complete %v), a full scan %d", name, r, len(all.Rows), all.Count, all.Complete, len(scanned))
 			}
 			within("Head(-1)", all.Rows)
 			head, err := coax.FromRect(r).Head(idx, k)
 			if err != nil {
 				t.Fatalf("%s: Head: %v", name, err)
 			}
-			if head.Count != len(legacy) || fmt.Sprint(head.Rows) != fmt.Sprint(all.Rows[:min(k, len(legacy))]) {
+			if head.Count != len(scanned) || fmt.Sprint(head.Rows) != fmt.Sprint(all.Rows[:min(k, len(scanned))]) {
 				t.Fatalf("%s rect %v: Head(%d) = %d rows of %d, not the first of Head(-1)'s %d", name, r, k, len(head.Rows), head.Count, len(all.Rows))
 			}
 			capped, err := coax.FromRect(r).Limit(k).Head(idx, 1)
 			if err != nil {
 				t.Fatalf("%s: Limit(%d).Head: %v", name, k, err)
 			}
-			if wantN := min(k, len(legacy)); capped.Count != wantN || len(capped.Rows) != min(1, wantN) || capped.Complete != (len(legacy) < k) {
-				t.Fatalf("%s rect %v: Limit(%d).Head(1) = %d rows of %d (complete %v), total %d", name, r, k, len(capped.Rows), capped.Count, capped.Complete, len(legacy))
+			if wantN := min(k, len(scanned)); capped.Count != wantN || len(capped.Rows) != min(1, wantN) || capped.Complete != (len(scanned) < k) {
+				t.Fatalf("%s rect %v: Limit(%d).Head(1) = %d rows of %d (complete %v), total %d", name, r, k, len(capped.Rows), capped.Count, capped.Complete, len(scanned))
 			}
 			within("Limit.Head", capped.Rows)
 		}
@@ -405,10 +417,8 @@ func TestExplainAirline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := 0
-	idx.Query(r, func([]float64) { legacy++ })
-	if legacy != rows {
-		t.Errorf("Run delivered %d rows, legacy %d", rows, legacy)
+	if n, err := coax.FromRect(r).Count(idx); err != nil || n != rows {
+		t.Errorf("Run delivered %d rows, the compiled rectangle counts %d (%v)", rows, n, err)
 	}
 
 	// A 4-shard index reports its fan-out on top of the same numbers.
@@ -460,10 +470,9 @@ func TestStableOwnership(t *testing.T) {
 }
 
 // TestMutatingVisitorDoesNotDeadlock regression-tests the fan-out's lock
-// discipline: a probe's rows are yielded only once its shard's read lock is
-// released, and a worker waiting for its turn holds none, so a visitor that
-// mutates the index — discouraged, but possible — waits for the in-flight
-// probes instead of deadlocking against them.
+// discipline: Run visits only once every probe's shard read lock is
+// released, so a visitor that mutates the index does not deadlock against
+// the scan.
 func TestMutatingVisitorDoesNotDeadlock(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(3000))
 	idx := build(t, tab, coax.DefaultOptions(), 4)
@@ -485,6 +494,47 @@ func TestMutatingVisitorDoesNotDeadlock(t *testing.T) {
 		t.Errorf("index holds %d rows after %d deletes of %d", idx.Len(), deleted, tab.Len())
 	}
 	_ = res
+}
+
+// TestRunSeesIndexAsOfCall: Run folds every shard before its first visit,
+// so a visitor that deletes the last shard's rows while it visits the first
+// shard is still shown them — it visits the index as of the call, which is
+// Collect's answer taken before it. Inline (one worker), the shards fold one
+// after another in shard order, so a visit between two folds would show.
+func TestRunSeesIndexAsOfCall(t *testing.T) {
+	tab := coax.GenerateOSM(coax.DefaultOSMConfig(4000))
+	idx := build(t, tab, coax.DefaultOptions(), 4)
+	idx.SetWorkers(1)
+	before, err := coax.NewQuery().Collect(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *coax.Table
+	idx.WithShard(idx.NumShards()-1, func(c *core.COAX) error { last = c.LiveRows(); return nil })
+	if last.Len() == 0 || last.Len() == len(before) {
+		t.Fatalf("last shard holds %d of %d rows: nothing to delete behind the first", last.Len(), len(before))
+	}
+	var visited [][]float64
+	_, err = coax.NewQuery().Run(idx, func(row []float64) bool {
+		if visited == nil {
+			for i := 0; i < last.Len(); i++ {
+				if err := idx.Delete(last.Row(i)); err != nil {
+					t.Fatalf("Delete(%v): %v", last.Row(i), err)
+				}
+			}
+		}
+		visited = append(visited, row)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(visited, before, slices.Equal[[]float64]) {
+		t.Fatalf("Run visited %d rows, Collect before the call returned %d (or another order)", len(visited), len(before))
+	}
+	if idx.Len() != len(before)-last.Len() {
+		t.Fatalf("index holds %d rows after deleting %d of %d", idx.Len(), last.Len(), len(before))
+	}
 }
 
 // TestCancelledZeroMatchScanStops regression-tests page-granularity

@@ -57,8 +57,10 @@ func main() {
 	}
 	fmt.Printf("seq in [50k, 60k] with |reading| <= 5: fetched first %d rows\n", len(rows))
 
-	// The legacy rectangle surface still works and answers identically.
-	found := 0
-	idx.Query(coax.PointQuery(table.Row(777)), func([]float64) { found++ })
+	// A rectangle query: the point of one row.
+	found, err := coax.FromRect(coax.PointQuery(table.Row(777))).Count(idx)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("point query found %d row(s)\n", found)
 }

@@ -7,16 +7,18 @@ import (
 )
 
 // Yield receives one matching row per call and reports whether the scan
-// should continue. Returning false stops the scan — the index abandons the
-// remaining pages, and a multi-shard engine signals every worker to stop.
+// should continue. Returning false stops the scan: a single index abandons
+// the remaining pages, and a multi-shard engine, which folds every shard
+// before the first yield, stops handing out rows.
 //
 // Ownership contract: the slice must be valid — unread and unwritten by
 // any other goroutine — for the full duration of the call. Single-threaded
 // indexes (grid file, R-tree, scan, COAX) pass a slice aliasing their
 // internals that may be reused after the call returns, so a yield must
-// copy rows it retains. Engines that fold each probe under a lock and yield
-// after releasing it (internal/shard) hand out the rows the fold copied,
-// which are stable copies that stay valid even after the call.
+// copy rows it retains. The sharded engine (internal/shard) folds every
+// probe under its lock and yields on the caller once every lock is
+// released, handing out the rows the fold copied: stable copies that stay
+// valid after the call.
 type Yield func(row []float64) bool
 
 // Probe accumulates the execution counters of one scan — the raw material

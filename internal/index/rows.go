@@ -113,26 +113,40 @@ func (s *RowsState) FoldBatch(b *Batch) bool {
 	return s.capped()
 }
 
-// firstHeldRows is how many rows a fold's storage starts with, unless Keep
-// is smaller: growing from a handful of rows would copy and clear the held
-// rows several times over before reaching a reply's size.
+// firstHeldRows is how many rows the storage of a fold keeping Keep ≥ 0
+// rows starts with, unless Keep is smaller: growing from a handful of rows
+// would copy and clear the held rows several times over before reaching a
+// reply's size.
 const firstHeldRows = 256
 
+// minHeldRows is the least a fold keeping every row (Keep < 0) starts its
+// storage with. Such a fold holds one probe's matches — often a dozen rows —
+// so it starts from the rows its first fold holds and quadruples on the way
+// to firstHeldRows: minHeldRows and 4·minHeldRows rows together stay under
+// the firstHeldRows a single start would take.
+const minHeldRows = 48
+
 // grow makes room for n more held rows of dims values each. Storage starts
-// at firstHeldRows rows (Keep, if fewer) and at least doubles: appends
-// past a few hundred values grow it by a quarter at a time and leave
-// several times the kept rows behind.
+// at firstHeldRows rows (Keep, if fewer); keeping every row, it starts at the
+// first fold's n rows, at least minHeldRows, and quadruples while under
+// firstHeldRows. Past that it at least doubles: appends past a few hundred
+// values grow it by a quarter at a time and leave several times the kept
+// rows behind.
 func (s *RowsState) grow(n, dims int) {
-	if cap(s.Rows) == 0 {
-		first := firstHeldRows
-		if s.Keep >= 0 {
-			first = min(first, s.Keep)
-		}
-		n = max(n, first)
+	need := n * dims
+	if len(s.Rows)+need <= cap(s.Rows) {
+		return
 	}
-	if need := n * dims; len(s.Rows)+need > cap(s.Rows) {
-		s.Rows = slices.Grow(s.Rows, max(need, cap(s.Rows)))
+	more := cap(s.Rows) // added to the length: doubles
+	switch {
+	case cap(s.Rows) == 0 && s.Keep >= 0:
+		need = max(need, min(firstHeldRows, s.Keep)*dims)
+	case cap(s.Rows) == 0:
+		need = max(need, minHeldRows*dims)
+	case s.Keep < 0 && cap(s.Rows) < firstHeldRows*dims:
+		more = 3 * cap(s.Rows) // quadruples
 	}
+	s.Rows = slices.Grow(s.Rows, max(need, more))
 }
 
 // FoldRow folds one row exactly as FoldBatch folds a selected one, and

@@ -21,7 +21,7 @@ var (
 	QuerySeconds   = NewHistogram("coax_query_seconds", "End-to-end query latency in seconds.", 1e-6, 10)
 	BatchSeconds   = NewHistogram("coax_batch_seconds", "End-to-end batch latency in seconds (one observation per multi-rectangle fan-out).", 1e-6, 10)
 	QueryRows      = NewCounter("coax_query_rows_total", "Rows matched by queries, capped at their limit.")
-	EarlyStops     = NewCounter("coax_query_early_stops_total", "Queries stopped early by a met limit or a declining visitor.")
+	EarlyStops     = NewCounter("coax_query_early_stops_total", "Queries stopped early by a met limit.")
 	QueryCancelled = NewCounter("coax_query_cancelled_total", "Queries stopped by context cancellation.")
 
 	ShardScanSeconds = NewHistogram("coax_shard_scan_seconds", "Per-shard probe latency in seconds.", 1e-7, 10)

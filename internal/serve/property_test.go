@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/coax-index/coax/coax"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
@@ -68,13 +69,13 @@ func rowsEqual(a, b [][]float64) bool {
 	return true
 }
 
-// collect runs r against the engine, copying every row — the compute
-// function the cache retains.
+// collect runs r against the engine — the compute function the cache
+// retains. Collect's rows are stable copies.
 func collect(s *shard.Sharded, r index.Rect) [][]float64 {
-	var out [][]float64
-	s.Query(r, func(row []float64) {
-		out = append(out, append([]float64(nil), row...))
-	})
+	out, err := coax.FromRect(r).Collect(s)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 

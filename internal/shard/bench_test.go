@@ -13,9 +13,10 @@ import (
 
 // BenchmarkBatchQuery is the only timing of the /batch path, which no
 // benchmark workload covers: 64 selective rectangles over 8 hash shards,
-// 512 probes per call, executed shard-major and merged query-major —
-// visiting every row (BatchQuery), and as /batch runs it, keeping the first
-// 100 rows of each query and counting the rest (ExecRows).
+// 512 probes per call, executed shard-major and taken query-major —
+// visiting every row on the caller (BatchQuery, the public batch API), and
+// as /batch runs it, keeping the first 100 rows of each query and counting
+// the rest (ExecRows).
 func BenchmarkBatchQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(62))
 	tab := fdTable(rng, 100000, 0.1)
@@ -53,8 +54,8 @@ func BenchmarkBatchQuery(b *testing.B) {
 
 // BenchmarkExec times the row fold behind Scan and the public Run: every
 // match of a selective rectangle over 8 hash shards on a pool of 4 workers,
-// each probe's rows yielded in merge order once its turn comes (all), and
-// the same rectangle limited to its first 100 rows (limit100).
+// folded and then yielded on the caller in merge order (all), and the same
+// rectangle limited to its first 100 rows (limit100).
 func BenchmarkExec(b *testing.B) {
 	rng := rand.New(rand.NewSource(63))
 	tab := fdTable(rng, 100000, 0.1)

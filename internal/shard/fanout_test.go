@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"github.com/coax-index/coax/internal/dataset"
@@ -140,52 +139,9 @@ func testFanOut(t *testing.T, so shard.Options) {
 		}
 	})
 
-	t.Run("early decline", func(t *testing.T) {
-		// A worker claims its next probe only after passing the turn of its
-		// last one, so once the first probe's yield declines, every probe
-		// not yet claimed stops before its first page: a decline costs the
-		// probes in flight — the first when inline, at most one per worker
-		// pooled — plus at most one page for every other probe.
-		pages := func(tr *obs.Trace) (per []int64, sum int64) {
-			for _, sp := range tr.Spans() {
-				per = append(per, sp.Pages)
-				sum += sp.Pages
-			}
-			return per, sum
-		}
-		all := obs.NewTrace()
-		s.Exec(full, index.Spec{Trace: all}, func([]float64) bool { return true }, nil)
-		_, fullPages := pages(all)
-		declined := obs.NewTrace()
-		calls := 0
-		if s.Exec(full, index.Spec{Trace: declined}, func([]float64) bool { calls++; return false }, nil) || calls != 1 {
-			t.Fatalf("declined Exec went on for %d yields", calls)
-		}
-		inFlight := 1
-		if so.Workers > 1 {
-			inFlight = so.Workers
-		}
-		per, sum := pages(declined)
-		if len(per) <= inFlight {
-			t.Fatalf("%d probes for %d workers: nothing left to stop", len(per), inFlight)
-		}
-		// Spans arrive in finishing order: count, not position, the probes
-		// that read more than a page.
-		sorted := append([]int64(nil), per...)
-		slices.Sort(sorted)
-		for _, p := range sorted[:len(per)-inFlight] {
-			if p > 1 {
-				t.Fatalf("probe pages after the decline %v: more than %d probes read beyond a page", per, inFlight)
-			}
-		}
-		if sum >= fullPages {
-			t.Fatalf("declined Exec read %d pages, the full scan %d", sum, fullPages)
-		}
-	})
-
 	t.Run("cancellation", func(t *testing.T) {
-		// Mid-scan, from the yield: the context is checked before every row,
-		// well within the 128 rows of a page.
+		// Mid-delivery, from the yield: the context is checked before every
+		// row, well within the 128 rows of a page.
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
 		if s.Exec(full, index.Spec{Ctx: ctx}, func([]float64) bool { n++; cancel(); return true }, nil) {
@@ -259,9 +215,6 @@ func testFanOut(t *testing.T, so shard.Options) {
 			if n := counted(func() { s.ExecAgg(r, index.Spec{}, countAll, nil) }); n != 1 {
 				t.Fatalf("ExecAgg counted %d queries", n)
 			}
-			if n := counted(func() { s.Query(r, func([]float64) {}) }); n != 1 {
-				t.Fatalf("Query counted %d queries", n)
-			}
 			if n := counted(func() { s.ExecRows([]index.Rect{r}, index.Spec{}, index.RowsState{Keep: 5}, nil) }); n != 1 {
 				t.Fatalf("ExecRows counted %d queries", n)
 			}
@@ -271,7 +224,7 @@ func testFanOut(t *testing.T, so shard.Options) {
 		}
 	})
 
-	// Last: it empties the index. The visitor of Query/BatchQuery runs with
+	// Last: it empties the index. The visitor of Exec/BatchQuery runs with
 	// no shard lock held, so it may mutate the index it is visiting.
 	t.Run("mutating BatchQuery visitor", func(t *testing.T) {
 		lastQuery := -1

@@ -70,7 +70,7 @@ func (s *Sharded) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec, re
 // ran to completion: false when the fan-out was stopped or a query reached
 // its Limit.
 func (s *Sharded) ExecRows(rs []index.Rect, spec index.Spec, keep index.RowsState, rep *Report) ([]index.RowsState, bool) {
-	f, parts, complete := s.foldRows(rs, spec, keep, rep, nil)
+	f, parts, complete := s.foldRows(rs, spec, keep, rep)
 	size := make([]int, len(rs))
 	for pi, p := range f.probes {
 		size[p.qi] += len(parts[pi].Rows)
@@ -98,11 +98,7 @@ func (s *Sharded) ExecRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 
 // foldRows is ExecRows up to the merge: the fan-out, the query metrics, and
 // the per-probe states, indexed like f.probes — in (query, shard) order.
-// With visit set (one rectangle, whose probes run in merge order), each
-// probe hands its state to visit once its lock is released and every probe
-// before it has been visited, then drops its rows; a false visit stops the
-// fan-out and leaves the query incomplete.
-func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsState, rep *Report, visit func(*index.RowsState) bool) (*fanout, []index.RowsState, bool) {
+func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsState, rep *Report) (*fanout, []index.RowsState, bool) {
 	// Queries are counted exactly once, here: one per rectangle, and one
 	// latency per call — a query's, or a batch's.
 	track := obs.On()
@@ -118,25 +114,6 @@ func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 	var done []atomic.Int64 // limited: 1 + the rows each completed probe counts
 	if limit > 0 {
 		done = make([]atomic.Int64, len(f.probes))
-	}
-	visited := true
-	if visit != nil {
-		// Probe pi's turn opens when turn[pi] is closed. A probe passes the
-		// turn on even when stopped, so no worker waits forever.
-		turn := make([]chan struct{}, len(f.probes)+1)
-		for i := range turn {
-			turn[i] = make(chan struct{})
-		}
-		close(turn[0])
-		f.then = func(pi int) {
-			<-turn[pi]
-			if !f.aborted() && !visit(&parts[pi]) {
-				visited = false
-				f.stop.Store(true)
-			}
-			parts[pi].Rows = nil
-			close(turn[pi+1])
-		}
 	}
 	complete := s.fanOut(f, rep, func(pi int, idx *core.COAX, crep *core.ProbeReport) bool {
 		// Folded into its own state and published once: workers share
@@ -168,11 +145,8 @@ func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 	}
 	var rows, limited int64
 	for _, n := range counts {
-		capped := limit > 0 && n >= limit
-		if capped {
+		if limit > 0 && n >= limit {
 			n = limit
-		}
-		if capped || !visited {
 			limited++
 			complete = false
 		}
@@ -199,21 +173,13 @@ func (s *Sharded) foldRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 // package comment on visitor ownership).
 type BatchVisitor func(qi int, row []float64)
 
-// Query invokes visit on the calling goroutine for every row inside r — the
-// legacy run-to-completion visitor over BatchQuery, with its guarantees:
-// stable copies, and a visitor free to mutate the index. It holds every
-// match before the first call.
-func (s *Sharded) Query(r index.Rect, visit func(row []float64)) {
-	s.BatchQuery([]index.Rect{r}, func(_ int, row []float64) { visit(row) })
-}
-
 // BatchQuery answers a batch of rectangles in one fan-out: it is ExecRows
 // keeping every row, then a visit of each probe's rows in (query, shard)
 // order on the calling goroutine — the merged order, with no merge copy. No
 // lock is held by then, so the visitor may mutate the index. Every query of
 // the batch is answered exactly, including duplicates and empty rectangles.
 func (s *Sharded) BatchQuery(rs []index.Rect, visit BatchVisitor) {
-	f, parts, _ := s.foldRows(rs, index.Spec{}, index.RowsState{Keep: -1}, nil, nil)
+	f, parts, _ := s.foldRows(rs, index.Spec{}, index.RowsState{Keep: -1}, nil)
 	for pi := range parts {
 		st := &parts[pi]
 		for i := 0; i < st.Held(); i++ {

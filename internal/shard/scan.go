@@ -16,9 +16,8 @@ import (
 // every (query, shard) probe into a private state under the shard's read
 // lock. ExecAgg folds aggregates and ExecRows row replies (an exact count
 // and the first rows), merging the states in (query, shard) order once every
-// probe is done; BatchQuery visits the rows of a fold that keeps them
-// all; Exec yields each probe's rows as its turn in that order comes. So no
-// answer depends on worker timing.
+// probe is done; Exec and BatchQuery visit, in that order, the rows of a fold
+// that keeps them all. So no answer depends on worker timing.
 
 // Report describes one v2 fan-out: how many shards the rectangle pruned
 // versus probed, plus the aggregated per-shard execution report
@@ -70,12 +69,8 @@ type fanout struct {
 	// one-shard index, and most that constrain the range column.
 	workers int
 	// stop is the shared stop flag: every scan polls it once per page as
-	// its abort hook, a done context raises it, and a visit may raise it (a
-	// declined yield, a met limit) to stop every other worker.
+	// its abort hook, and a done context raises it.
 	stop atomic.Bool
-	// then, if set, runs once probe pi's read lock is released, on the
-	// goroutine that ran the probe.
-	then func(pi int)
 }
 
 // aborted is a probe's abort hook: the shared stop flag, or the caller's
@@ -219,46 +214,36 @@ func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track boo
 				crep.Primary.Scanned+crep.Outlier.Scanned)
 		}
 	}
-	if f.then != nil {
-		f.then(pi)
-	}
 	return complete
 }
 
-// Exec fans r across the shards it can match as a row fold, and yields the
-// matching rows in ExecRows' order — shard order, then scan order — so the
-// same index yields the same rows in the same order. Each probe folds its
-// shard into a private index.RowsState: every match, or with spec.Limit the
-// first Limit of them, a limited probe also stopping once the probes before
-// it hold Limit rows, as ExecRows' limited queries do. Once its read lock is
-// released, the probe waits for the probes before it to be yielded, yields
-// its own rows and passes the turn on. yield is therefore never called
-// concurrently, nor under a lock; it runs on the calling goroutine for a
-// pool of one, else on the fan-out worker that folded the probe. Memory: a
-// worker holds the one probe it folded until that probe's turn, so Exec
-// holds at most one probe's matches per worker (one in all when inline, so
-// on a one-shard index the rectangle's matches, or its first Limit) — unless
-// the yield retains rows.
+// Exec fans r across the shards it can match as a row fold, then yields the
+// matching rows on the calling goroutine in ExecRows' order — shard order,
+// then scan order — so the same index yields the same rows in the same
+// order. It is ExecRows keeping every match, or with spec.Limit the first
+// Limit of them, a limited probe also stopping once the probes before it
+// hold Limit rows; the probes' rows are yielded in place, with no merge copy.
+// Memory: every match (or the first Limit) is held before the first yield,
+// so a full-table rectangle buffers the whole table.
 //
-// A false return from yield, a met Limit or a done spec.Ctx raises the stop
-// flag every running probe polls once per page; the context is also checked
-// before each row. Rows are stable copies with capped slices, valid after
-// the call. The yield must not mutate this index (Insert / Delete / Update /
-// rebuilds): probes not yet folded may or may not see the change.
-// Query/BatchQuery, which visit after the fan-out, are the surface for that
-// pattern. A non-nil rep is filled with the fan-out report. Exec reports
-// whether the scan ran to completion (false: stopped early by yield, Limit
-// or cancellation).
+// Every probe's read lock is released before the first yield, so the yield
+// may mutate the index; the rows it is handed are those of the index as of
+// the call. A false return from yield, a met Limit or a done spec.Ctx stops
+// the delivery; the context is checked before each row, and a done context
+// also stops the probes still folding. Rows are stable copies with capped
+// slices, valid after the call. A non-nil rep is filled with the fan-out
+// report. Exec reports whether the scan ran to completion (false: stopped
+// early by yield, Limit or cancellation).
 func (s *Sharded) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Report) bool {
+	_, parts, complete := s.foldRows([]index.Rect{r}, spec, index.RowsState{Keep: -1, Limit: spec.Limit}, rep)
 	left := spec.Limit // rows the limit still admits; never reaches 0 when ≤ 0
-	_, _, complete := s.foldRows([]index.Rect{r}, spec, index.RowsState{Keep: -1, Limit: spec.Limit}, rep,
-		func(st *index.RowsState) bool {
-			for i := range st.Held() {
-				if left--; spec.Done() || !yield(st.Row(i)) || left == 0 {
-					return false
-				}
+	for pi := range parts {
+		st := &parts[pi]
+		for i := range st.Held() {
+			if left--; spec.Done() || !yield(st.Row(i)) || left == 0 {
+				return false
 			}
-			return true
-		})
+		}
+	}
 	return complete
 }

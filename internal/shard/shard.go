@@ -15,7 +15,7 @@
 // # Concurrency and visitor ownership
 //
 // A Sharded index is safe for concurrent use: Exec, ExecAgg, ExecRows,
-// Query, BatchQuery, and the mutations may be called from any number of
+// BatchQuery, and the mutations may be called from any number of
 // goroutines. Each shard is guarded by its own RWMutex — queries take read
 // locks (in one place, the fan-out's runProbe), inserts write-lock only the
 // one shard the row routes to.
@@ -23,21 +23,21 @@
 // Every query is a fold on one fan-out: each (query, shard) probe folds its
 // shard into a private state under the shard's read lock — an aggregate
 // (ExecAgg), or a row reply holding an exact count and the first rows
-// (ExecRows, and Exec and Query/BatchQuery over the same fold) — and the
-// states are taken in (query, shard) order, so no answer depends on worker
-// timing. A fold copies the rows it keeps out of the scanned pages and counts
-// the rest off the selection bitmaps, so the rows handed out are stable
-// copies: valid after the call, never overwritten by a later match — a
-// stronger guarantee than index.Yield's baseline contract.
+// (ExecRows, and Exec and BatchQuery over the same fold) — and the states
+// are taken in (query, shard) order, so no answer depends on worker timing.
+// A fold copies the rows it keeps out of the scanned pages and counts the
+// rest off the selection bitmaps, so the rows handed out are stable copies:
+// valid after the call, never overwritten by a later match — a stronger
+// guarantee than index.Yield's baseline contract. Exec and BatchQuery visit
+// them on the calling goroutine once every probe's lock is released, so
+// their visitor may mutate the index.
 //
-// Memory follows the rows kept. ExecRows holds the rows it keeps; Exec holds
-// one probe's matches per worker, yielding each probe's rows once its turn
-// comes — on a one-shard index, the rectangle's matches; Query and BatchQuery
-// keep every row before the first visitor call (which is what lets that
-// visitor mutate the index), so a full-table rectangle buffers the whole
-// table. Callers serving untrusted input should bound rectangle selectivity
-// or batch width at their own layer (cmd/coaxserve caps request size and
-// batch length).
+// Memory follows the rows kept. ExecRows holds the rows it keeps; Exec and
+// BatchQuery hold every match (Exec with a Limit, the first Limit) before the
+// first visitor call, so a full-table rectangle buffers the whole table.
+// Callers serving untrusted input should bound rectangle selectivity or
+// batch width at their own layer (cmd/coaxserve caps request size and batch
+// length).
 //
 // A one-shard Sharded is the public single index (coax.Index): its fan-out
 // has one probe, which runs inline on the calling goroutine.

@@ -218,10 +218,11 @@ func TestVisitorSliceRetentionNoAliasing(t *testing.T) {
 		r := workload.RandRect(rng, tab)
 		var retained [][]float64 // slices exactly as handed to the visitor
 		var copies [][]float64   // deep copies taken at visit time
-		s.Query(r, func(row []float64) {
+		s.Exec(r, index.Spec{}, func(row []float64) bool {
 			retained = append(retained, row)
 			copies = append(copies, append([]float64(nil), row...))
-		})
+			return true
+		}, nil)
 		for i := range retained {
 			for j := range retained[i] {
 				if retained[i][j] != copies[i][j] {

@@ -157,7 +157,7 @@ func TestShardStreamBuilderSampled(t *testing.T) {
 			}
 		}
 		got := 0
-		streamed.Query(r, func([]float64) { got++ })
+		streamed.Exec(r, index.Spec{}, func([]float64) bool { got++; return true }, nil)
 		if got != want {
 			t.Fatalf("query %d: %d rows, oracle says %d", q, got, want)
 		}
