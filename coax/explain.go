@@ -89,8 +89,10 @@ type ProbeStats struct {
 	// ColumnTests is the number of column range tests the scan kernel
 	// evaluated: each window's rows times the columns its selection tested.
 	// A grid page skips the columns its cell proves — the sort column and
-	// every grid axis the cell lies inside — so this runs below
-	// RowsScanned × constrained columns.
+	// every grid axis the cell lies inside — and a compressed page also
+	// those its header decides for every row and those after a column that
+	// left no row selected, so this runs below RowsScanned × constrained
+	// columns.
 	ColumnTests int64 `json:"column_tests,omitempty"`
 }
 

@@ -7,10 +7,12 @@ import (
 	"github.com/coax-index/coax/internal/index"
 )
 
-// TestScanAllocsIndependentOfPagesAndBatches: a scan allocates its scratch
-// and its odometer once, however many pages it walks and however many
-// batches it hands out — the Batch lives in the scratch, not in a fresh
-// object per window that escapes through the yield.
+// TestScanAllocsIndependentOfPagesAndBatches: a scan allocates nothing,
+// however many pages it walks and however many batches it hands out — its
+// scratch and odometer come from a pool, and the Batch lives in the
+// scratch, not in a fresh object per window that escapes through the
+// yield. Under the race detector, whose pool drops puts at random, a scan
+// may allocate its scratch and odometer afresh.
 func TestScanAllocsIndependentOfPagesAndBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	tab := randomTable(rng, 40000, 3)
@@ -27,11 +29,15 @@ func TestScanAllocsIndependentOfPagesAndBatches(t *testing.T) {
 		if p.Pages != int64(cells*cells) || p.Batches < 40 {
 			t.Fatalf("%d cells/dim: %d pages in %d batches; the guard needs many of both", cells, p.Pages, p.Batches)
 		}
-		if a := testing.AllocsPerRun(10, func() { g.ScanBatch(full, yieldBatch, nil) }); a > 2 {
-			t.Errorf("ScanBatch over %d pages in %d batches: %.0f allocations, want the scratch and the odometer", p.Pages, p.Batches, a)
+		scratch := 0.0
+		if raceEnabled {
+			scratch = 2
 		}
-		if a := testing.AllocsPerRun(10, func() { g.Scan(full, yield, nil) }); a > 3 {
-			t.Errorf("Scan over %d pages in %d batches: %.0f allocations, want the scratch, the odometer and the adapter", p.Pages, p.Batches, a)
+		if a := testing.AllocsPerRun(100, func() { g.ScanBatch(full, yieldBatch, nil) }); a > scratch {
+			t.Errorf("ScanBatch over %d pages in %d batches: %.0f allocations, want %.0f", p.Pages, p.Batches, a, scratch)
+		}
+		if a := testing.AllocsPerRun(100, func() { g.Scan(full, yield, nil) }); a > scratch+1 {
+			t.Errorf("Scan over %d pages in %d batches: %.0f allocations, want %.0f and the adapter's", p.Pages, p.Batches, a, scratch)
 		}
 	}
 }

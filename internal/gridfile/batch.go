@@ -3,6 +3,8 @@ package gridfile
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"github.com/coax-index/coax/internal/index"
 )
@@ -17,7 +19,8 @@ import (
 // column-major, so each column a window's kernels test or its folds read
 // is one contiguous run; overflow pages are row-major. A window of a
 // compressed mapped page carries the page's column source, so the kernels
-// and the folds unpack only the columns, and the rows, they read.
+// test its columns on their packed codes and the folds unpack only the
+// columns, and the rows, they read.
 //
 // A page is tested only on the columns its cell does not prove. The span
 // proves the sort column: a page is sorted on it and holds finite values
@@ -32,19 +35,39 @@ func (g *GridFile) BatchKernel() string { return "grid-batch" }
 var _ index.ScanBatcher = (*GridFile)(nil)
 
 // batchScratch is everything one ScanBatch derives or reuses across pages:
-// the selection prepared for the current cell and the rectangle's
-// sort-dimension window, the Batch handed to the yield with its selection
-// words (and the row its Row gathers into), the tombstone window, and — for
-// a store-backed grid file — the buffer its pages decode into. One
-// allocation per scan, never shared, so nothing is allocated per page and
-// the grid file stays safe for concurrent readers.
+// the odometer's axes, the selection prepared for the current cell and the
+// rectangle's sort-dimension window, the Batch handed to the yield with its
+// selection words (and the row its Row gathers into), the tombstone window,
+// and — for a store-backed grid file — the buffer its pages decode into and
+// the store's column source. A scan takes one from scratchPool and puts it
+// back when it returns, so nothing is allocated per page, a steady stream
+// of scans allocates none, and no two scans share one: the grid file stays
+// safe for concurrent readers.
 type batchScratch struct {
+	axes     []axisWalk
 	rect     index.RectSel
 	min, max float64
 	batch    index.Batch
 	sel      [index.BatchRows / 64]uint64
 	dead     [index.BatchRows / 64]uint64
 	page     Scratch
+}
+
+// scratchPool holds the scratch of finished scans.
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// maxPooledVals is the most page values a pooled scratch keeps (64 kB): a
+// scan that read a larger page gives its buffer, and the column source
+// over it, back to the collector instead.
+const maxPooledVals = 64 << 10 / 8
+
+// release returns s to scratchPool, holding no page of the scan.
+func (s *batchScratch) release() {
+	s.batch.Page, s.batch.Sel, s.batch.Cols = nil, nil, nil
+	if cap(s.page.Vals) > maxPooledVals {
+		s.page = Scratch{}
+	}
+	scratchPool.Put(s)
 }
 
 // axisWalk is the odometer's state on one grid axis: the rectangle's slot
@@ -64,11 +87,13 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 	if r.Empty() {
 		return true
 	}
-	s := &batchScratch{}
+	s := scratchPool.Get().(*batchScratch)
+	defer s.release()
 	s.min, s.max = g.queryWindow(r)
 	s.batch.Dims = g.dims
 
-	axes := make([]axisWalk, len(g.cfg.GridDims))
+	axes := slices.Grow(s.axes[:0], len(g.cfg.GridDims))[:len(g.cfg.GridDims)]
+	s.axes = axes
 	for i, d := range g.cfg.GridDims {
 		lo, hi := g.locate(i, r.Min[d]), g.locate(i, r.Max[d])
 		axes[i] = axisWalk{lo: lo, hi: hi, at: lo, inside: g.inside(i, lo, r)}
@@ -172,9 +197,9 @@ func (g *GridFile) emit(span Span, slot int, yield index.BatchYield, probe *inde
 		n := min(rows-at, index.BatchRows)
 		words := index.BatchWords(n)
 		b.Page, b.Rows, b.Sel, b.ColsRow = span.Data[at*span.RowStep:], n, s.sel[:words], at
-		s.rect.Select(b)
+		tests := s.rect.Select(b)
 		if probe != nil {
-			probe.ColumnTests += int64(n * s.rect.Columns())
+			probe.ColumnTests += int64(tests)
 		}
 		if slot >= 0 && g.deadCount > 0 {
 			// Every tombstone in the window counts as filtered, selected

@@ -37,12 +37,12 @@ func BatchWords(rows int) int { return (rows + 63) >> 6 }
 // mapped page unpacks its sort column on every read and any other column
 // only where a consumer reads it (late materialisation). Such a batch
 // carries the page's column source in Cols, and whoever reads a column off
-// Page pulls the rows it reads first. Select pulls each column it tests
-// over the rows still selected, the folds pull the columns they read over
-// the selected rows (a row fold only up to the last row it keeps), and Row
-// and Each pull every column. A nil Cols — every resident and row-major
-// window — means every value is in place, and costs its readers one nil
-// check.
+// Page pulls the rows it reads first. Select leaves each column it tests
+// to the source, which compares its packed codes and unpacks nothing, the
+// folds pull the columns they read over the selected rows (a row fold only
+// up to the last row it keeps), and Row and Each pull every column. A nil
+// Cols — every resident and row-major window — means every value is in
+// place, and costs its readers one nil check.
 //
 // Ownership follows the row-scan rule: the Batch itself, Page and Sel are
 // scratch of the scan that is refilled after the yield returns, so
@@ -70,13 +70,21 @@ type Batch struct {
 	wide   []float64
 }
 
-// Columns is a page's column source: Pull puts column k of its rows
-// [lo, hi) in place in the page the batches read, at the offsets their
-// steps give, unpacking only what no earlier Pull has. Its rows are
-// numbered from the page span it came with; a batch translates through
-// ColsRow.
+// Columns is a page's column source. Its rows are numbered from the page
+// span it came with; a batch translates through ColsRow.
 type Columns interface {
+	// Pull puts column k of rows [lo, hi) in place in the page the
+	// batches read, at the offsets their steps give, unpacking only what
+	// no earlier Pull has.
 	Pull(k, lo, hi int)
+	// Select is one column's range test over the window of rows rows
+	// starting at row at: it writes into sel the match words of
+	// !(v < lo || v > hi) on column k — or, with and set, intersects them
+	// into sel, testing only the 64-row blocks still live — exactly as
+	// RangeBits would over the column's values, without needing them in
+	// place. It returns the number of values it tested: rows when it ran a
+	// kernel, 0 when the page proved the answer without one.
+	Select(k int, lo, hi float64, at, rows int, sel []uint64, and bool) int
 }
 
 // BatchYield receives one batch per call and reports whether the scan
@@ -113,7 +121,7 @@ func (b *Batch) Selected() int {
 // column at the selected rows calls first.
 func (b *Batch) Pull(k int) {
 	if b.Cols != nil {
-		if lo, hi := selRange(b.Sel); lo < hi {
+		if lo, hi := SelRange(b.Sel); lo < hi {
 			b.Cols.Pull(k, b.ColsRow+lo, b.ColsRow+hi)
 		}
 	}
@@ -129,9 +137,9 @@ func (b *Batch) pullRows(lo, hi int) {
 	}
 }
 
-// selRange returns the rows [lo, hi) from the first selected row of sel to
+// SelRange returns the rows [lo, hi) from the first selected row of sel to
 // just past the last, or lo == hi when none is selected.
-func selRange(sel []uint64) (lo, hi int) {
+func SelRange(sel []uint64) (lo, hi int) {
 	first := -1
 	for w, word := range sel {
 		if word != 0 {
@@ -222,7 +230,7 @@ func (b *Batch) appendRow(dst []float64, i int) []float64 {
 // yield stopped it).
 func (b *Batch) Each(yield Yield) bool {
 	if b.Cols != nil {
-		b.pullRows(selRange(b.Sel))
+		b.pullRows(SelRange(b.Sel))
 	}
 	for w, word := range b.Sel {
 		base := w << 6
@@ -279,10 +287,6 @@ func (s *RectSel) PrepareOpen(r Rect, open func(col int) bool) {
 	}
 }
 
-// Columns reports how many columns Select tests: the per-row cost of a
-// window, which Probe.ColumnTests counts.
-func (s *RectSel) Columns() int { return s.n }
-
 // Select computes b.Sel, the selection bitmap of the prepared rectangle
 // over b's window: bit i is set iff the rectangle contains row i. Each
 // constrained dimension is evaluated as one tight loop over its column —
@@ -292,22 +296,18 @@ func (s *RectSel) Columns() int { return s.n }
 // zero. The per-value test is the exact negation of Contains' rejection
 // test, so NaN handling matches the row path bit-for-bit.
 //
-// A batch with a column source has each tested column pulled first: the
-// first over the whole window, every later one only from the first row
-// still selected to the last, and none once no row is. A test reads the
-// other rows' values too, never pulled, but ANDs their bits with zero.
-func (s *RectSel) Select(b *Batch) {
+// A batch with a column source has the source test each column instead
+// (Columns.Select): the first over the whole window, every later one only
+// over the 64-row blocks still live, and none once no row is. It returns
+// the number of values tested — the window's rows for each column a
+// kernel ran on — which Probe.ColumnTests counts.
+func (s *RectSel) Select(b *Batch) int {
 	rows, sel := b.Rows, b.Sel[:BatchWords(b.Rows)]
 	if s.n == 0 {
-		// No constrained dimension: all rows selected.
-		for w := range sel {
-			sel[w] = ^uint64(0)
-		}
-		if tail := rows & 63; tail != 0 {
-			sel[len(sel)-1] = (1 << uint(tail)) - 1
-		}
-		return
+		SelectAll(sel, rows) // no constrained dimension
+		return 0
 	}
+	tests := 0
 	for i := 0; i < s.n && rows > 0; i++ {
 		var c colRange
 		if i < len(s.buf) {
@@ -315,21 +315,29 @@ func (s *RectSel) Select(b *Batch) {
 		} else {
 			c = s.rest[i-len(s.buf)]
 		}
-		if b.Cols != nil {
-			lo, hi := 0, rows
-			if i > 0 {
-				if lo, hi = selRange(sel); lo == hi {
-					return
-				}
+		if b.Cols == nil {
+			RangeBits(b.Page[c.col*b.ColStep:], b.RowStep, rows, c.lo, c.hi, sel, i > 0)
+			tests += rows
+			continue
+		}
+		if i > 0 {
+			if lo, hi := SelRange(sel); lo == hi {
+				break // no row left to test
 			}
-			b.Cols.Pull(c.col, b.ColsRow+lo, b.ColsRow+hi)
 		}
-		col := b.Page[c.col*b.ColStep:]
-		if i == 0 {
-			rangeBitsInit(col, b.RowStep, rows, c.lo, c.hi, sel)
-		} else {
-			rangeBitsAnd(col, b.RowStep, rows, c.lo, c.hi, sel)
-		}
+		tests += b.Cols.Select(c.col, c.lo, c.hi, b.ColsRow, rows, sel, i > 0)
+	}
+	return tests
+}
+
+// SelectAll sets the bits of rows rows in sel, BatchWords(rows) words long,
+// leaving its tail bits zero.
+func SelectAll(sel []uint64, rows int) {
+	for w := range sel {
+		sel[w] = ^uint64(0)
+	}
+	if tail := rows & 63; tail != 0 {
+		sel[len(sel)-1] = (1 << uint(tail)) - 1
 	}
 }
 
@@ -340,6 +348,17 @@ func SelectRect(page []float64, dims, rows int, r Rect, sel []uint64) {
 	var s RectSel
 	s.Prepare(r)
 	s.Select(&Batch{Page: page, Dims: dims, Rows: rows, RowStep: dims, ColStep: 1, Sel: sel})
+}
+
+// RangeBits is the float kernel of one column range test over rows rows of
+// a column whose row i sits at col[i*step]: it writes the match words of
+// !(v < lo || v > hi) into sel, or with and set intersects them into sel.
+func RangeBits(col []float64, step, rows int, lo, hi float64, sel []uint64, and bool) {
+	if and {
+		rangeBitsAnd(col, step, rows, lo, hi, sel)
+	} else {
+		rangeBitsInit(col, step, rows, lo, hi, sel)
+	}
 }
 
 // rangeBitsInit writes the match words of one column range test over a

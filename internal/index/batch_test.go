@@ -135,6 +135,19 @@ func (c *lateCols) Pull(k, lo, hi int) {
 	c.pulls = append(c.pulls, p)
 }
 
+// Select tests column k as a source that keeps no codes must: it pulls the
+// rows it tests — the window, or from the first row still selected to the
+// last — and runs the float kernel over them.
+func (c *lateCols) Select(k int, lo, hi float64, at, rows int, sel []uint64, and bool) int {
+	from, to := 0, rows
+	if and {
+		from, to = SelRange(sel)
+	}
+	c.Pull(k, at+from, at+to)
+	RangeBits(c.page[k*c.m+c.at+at-c.base:], 1, rows, lo, hi, sel, and)
+	return rows
+}
+
 // pulled reports the columns pulled at any row since the last call, in
 // order of first pull, and clears the record.
 func (c *lateCols) pulled() []int {

@@ -43,8 +43,11 @@ type Probe struct {
 	// ColumnTests counts the column range tests the selection kernels
 	// evaluated: each window's rows times the columns its selection tested.
 	// A column the page already proves (a grid file's sort column, or a
-	// grid axis its cell lies inside) costs nothing; rows × constrained
-	// columns is the bound a kernel that proves nothing would reach.
+	// grid axis its cell lies inside) costs nothing, and so on a compressed
+	// page does a column its frame decides (every row inside the bounds, or
+	// none) and every column after one that leaves no row selected; rows ×
+	// constrained columns is the bound a kernel that proves nothing would
+	// reach.
 	ColumnTests int64
 	// Abort, when non-nil, is polled at page boundaries; returning true
 	// stops the scan exactly as a false-returning yield would. This is how

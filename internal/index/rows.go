@@ -89,7 +89,7 @@ func (s *RowsState) FoldBatch(b *Batch) bool {
 		if n := min(room, b.Selected()); n > 0 {
 			s.grow(n, b.Dims)
 			if b.Cols != nil {
-				lo, _ := selRange(b.Sel)
+				lo, _ := SelRange(b.Sel)
 				b.pullRows(lo, b.through(n))
 			}
 		}

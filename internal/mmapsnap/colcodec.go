@@ -390,7 +390,8 @@ func decodePage(blob []byte, dst []float64, rows, dims, sortDim int) error {
 // walk (viewPage), then the sort column decoded in full and proven sorted.
 // The span [lo, hi) is located on it with gridfile.SpanRows, and nothing
 // else is unpacked: the span carries a pageCols over the page as its column
-// source, which unpacks a column's rows only where a reader pulls them
+// source, which tests the selection's columns on their packed codes and
+// unpacks a column's rows only where a fold or a row reader pulls them
 // (late materialisation). The page decodes column-major into s.Vals where
 // a resident page would sit — column d of the n-row page at
 // [d*n, (d+1)*n) — so the span reads in place with steps (1, n) and the
@@ -446,7 +447,9 @@ func readSpan(blob []byte, n, dims, sortDim int, min, max float64, s *gridfile.S
 
 // pageCols is the column source of the compressed page a scan read last:
 // its column views and, per column but the sort column, which readSpan
-// unpacked whole, the page rows already unpacked. It lives in the scan's
+// unpacked whole, the page rows already unpacked. The selection tests a
+// column on its frame and its packed codes (Select, in codesel.go), so only
+// the folds and the row readers unpack through Pull. It lives in the scan's
 // gridfile.Scratch and every readSpan refills it, so no view outlives the
 // span it serves.
 type pageCols struct {
@@ -455,9 +458,10 @@ type pageCols struct {
 	sortDim int
 	views   []colView
 	have    []rowRange
-	// unpacked counts the values this reader has unpacked, over every
-	// page it read: what a scan decoded, for the benchmarks and tests.
-	unpacked int
+	// unpacked counts the values this reader has unpacked, and coded the
+	// packed codes its selections compared, over every page it read: what
+	// its scans decoded and tested, for the benchmarks and tests.
+	unpacked, coded int
 
 	viewStack [stackCols]colView
 	haveStack [stackCols]rowRange

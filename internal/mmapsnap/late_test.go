@@ -18,14 +18,14 @@ var sentinel = math.Float64frombits(0x7ff8_dead_beef_0001)
 
 // TestReadUnpacksOnlyWhatIsUsed reads one compressed 8-column page the way
 // ScanBatch does — CellSpan, then per window of index.BatchRows rows a
-// selection over a rectangle that tests 2 of the 8 columns, then a fold —
-// into scratch filled with a sentinel, and checks which values were
-// unpacked: the sort column whole; the first tested column over the span,
-// the second at the rows the first leaves selected; for a COUNT nothing
-// else; for a SUM its own column only, at the selected rows; for a row fold
-// keeping k rows every column, but only at the rows it keeps. "At" allows
-// the rows between two needed ones of a window, which a pull unpacks in
-// one run, and nothing outside them.
+// selection over a rectangle that tests 2 of the 8 columns (one integer
+// and one XOR coded), then a fold — into scratch filled with a sentinel,
+// and checks which values were unpacked: the sort column whole, and the
+// tested columns nowhere, since the selection compares their codes; for a
+// COUNT nothing else; for a SUM its own column only, at the selected rows;
+// for a row fold keeping k rows every column, but only at the rows it
+// keeps. "At" allows the rows between two needed ones of a window, which a
+// pull unpacks in one run, and nothing outside them.
 func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 	const rows, dims, sortDim = 3000, 8, 1
 	const sumCol = 4
@@ -51,13 +51,10 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 	r.Min[5], r.Max[5] = 300, 800
 	var rect index.RectSel
 	rect.PrepareOpen(r, func(d int) bool { return d == sortDim }) // the span proves the sort column
-	if rect.Columns() != len(tested) {
-		t.Fatalf("the rectangle tests %d columns, want %d", rect.Columns(), len(tested))
-	}
 
 	// read folds the page's windows and returns the scratch, the span's
-	// first row and its length, and the page rows each window selected.
-	read := func(fold index.BatchYield) (vals []float64, first, n int, selected [][]int) {
+	// first row, and the page rows each window selected.
+	read := func(fold index.BatchYield) (vals []float64, first int, selected [][]int) {
 		sc := gridfile.Scratch{Vals: make([]float64, rows*dims)}
 		for i := range sc.Vals {
 			sc.Vals[i] = sentinel
@@ -71,7 +68,9 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 			b := index.Batch{Page: span.Data[at*span.RowStep:], Dims: dims, Rows: min(span.Rows-at, index.BatchRows),
 				RowStep: span.RowStep, ColStep: span.ColStep, Cols: span.Cols, ColsRow: at}
 			b.Sel = sel[:index.BatchWords(b.Rows)]
-			rect.Select(&b)
+			if tests := rect.Select(&b); tests != b.Rows*len(tested) {
+				t.Fatalf("window at %d: %d tests over %d rows, want %d columns' worth", at, tests, b.Rows, len(tested))
+			}
 			var in []int
 			for i := 0; i < b.Rows; i++ {
 				if b.Sel[i>>6]&(1<<(i&63)) != 0 {
@@ -81,7 +80,7 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 			selected = append(selected, in)
 			fold(&b)
 		}
-		return sc.Vals, first, span.Rows, selected
+		return sc.Vals, first, selected
 	}
 	unpacked := func(vals []float64, k, row int) bool {
 		return math.Float64bits(vals[k*rows+row]) != math.Float64bits(sentinel)
@@ -118,28 +117,15 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 			}
 		}
 	}
-	inSpan := func(first, n int) func(int) bool {
-		return func(row int) bool { return row >= first && row < first+n }
-	}
-	// common holds what every read unpacks: the sort column whole, the
-	// first tested column over the span, the second at the rows the first
-	// leaves selected.
-	common := func(label string, vals []float64, first, n int) {
+	// common holds what every read unpacks: the sort column whole.
+	common := func(label string, vals []float64) {
 		t.Helper()
 		only(label, vals, sortDim, func(int) bool { return true })
-		only(label, vals, tested[0], inSpan(first, n))
-		var passed []int
-		for row := first; row < first+n; row++ {
-			if v := page[tested[0]*rows+row]; v >= r.Min[tested[0]] && v <= r.Max[tested[0]] {
-				passed = append(passed, row)
-			}
-		}
-		between(label, vals, tested[1], first, passed)
 	}
-	untested := func(k int) bool { return k != sortDim && k != tested[0] && k != tested[1] }
+	notSort := func(k int) bool { return k != sortDim }
 
 	count := index.NewAggState(index.AggSpec{Op: index.AggCount, Col: -1, Group: -1})
-	vals, first, n, selected := read(count.FoldBatch)
+	vals, first, selected := read(count.FoldBatch)
 	if len(selected) < 3 {
 		t.Fatalf("the span has %d windows; the test needs 3", len(selected))
 	}
@@ -152,16 +138,16 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 	if count.All.Count != int64(want) {
 		t.Fatalf("COUNT %d, the page holds %d", count.All.Count, want)
 	}
-	common("COUNT", vals, first, n)
+	common("COUNT", vals)
 	for k := 0; k < dims; k++ {
-		if untested(k) {
+		if notSort(k) {
 			only("COUNT", vals, k, func(int) bool { return false })
 		}
 	}
 
 	sum := index.NewAggState(index.AggSpec{Op: index.AggSum, Col: sumCol, Group: -1})
-	vals, first, n, selected = read(sum.FoldBatch)
-	common("SUM", vals, first, n)
+	vals, first, selected = read(sum.FoldBatch)
+	common("SUM", vals)
 	var wantSum float64
 	for _, in := range selected {
 		for _, row := range in {
@@ -174,7 +160,7 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 	for k := 0; k < dims; k++ {
 		if k == sumCol {
 			between("SUM", vals, k, first, slices.Concat(selected...))
-		} else if untested(k) {
+		} else if notSort(k) {
 			only("SUM", vals, k, func(int) bool { return false })
 		}
 	}
@@ -183,8 +169,8 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 	// the third window is never pulled.
 	keep := len(selected[0]) + 5
 	held := &index.RowsState{Keep: keep}
-	vals, first, n, selected = read(held.FoldBatch)
-	common("rows", vals, first, n)
+	vals, first, selected = read(held.FoldBatch)
+	common("rows", vals)
 	if held.Held() != keep || held.Count != int64(want) {
 		t.Fatalf("RowsState holds %d rows of %d, want %d of %d", held.Held(), held.Count, keep, want)
 	}
@@ -195,7 +181,7 @@ func TestReadUnpacksOnlyWhatIsUsed(t *testing.T) {
 		}
 	}
 	for k := 0; k < dims; k++ {
-		if untested(k) {
+		if notSort(k) {
 			between("rows", vals, k, first, kept)
 		}
 	}

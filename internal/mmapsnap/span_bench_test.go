@@ -83,17 +83,38 @@ func BenchmarkDecodePage(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
-// tallyStore is a gridStore that keeps the column source of the last scan
-// that read through it, so a benchmark can count what the scan unpacked.
+// tallyStore is a gridStore that notes each column source the scans
+// reading through it use — a scan's scratch, with its source, outlives the
+// scan — and what the source had counted when first seen, so a benchmark
+// can count what its scans unpacked and compared.
 type tallyStore struct {
 	*gridStore
-	cols *pageCols
+	from map[*pageCols][2]int // unpacked, coded
 }
 
 func (s *tallyStore) CellSpan(c int, min, max float64, buf *gridfile.Scratch) (gridfile.Span, int, bool) {
+	pc, _ := buf.Cols.(*pageCols)
+	if _, seen := s.from[pc]; pc != nil && !seen {
+		s.from[pc] = [2]int{pc.unpacked, pc.coded}
+	}
 	span, first, ok := s.gridStore.CellSpan(c, min, max, buf)
-	s.cols, _ = buf.Cols.(*pageCols)
+	if pc == nil {
+		if pc, _ = buf.Cols.(*pageCols); pc != nil {
+			s.from[pc] = [2]int{} // made by this read
+		}
+	}
 	return span, first, ok
+}
+
+// tally returns the values unpacked and the codes compared since the
+// last tally.
+func (s *tallyStore) tally() (unpacked, coded int64) {
+	for pc, from := range s.from {
+		unpacked += int64(pc.unpacked - from[0])
+		coded += int64(pc.coded - from[1])
+		s.from[pc] = [2]int{pc.unpacked, pc.coded}
+	}
+	return unpacked, coded
 }
 
 // BenchmarkScanMapped runs the primary grid of a compressed 250 k-row
@@ -101,8 +122,8 @@ func (s *tallyStore) CellSpan(c int, min, max float64, buf *gridfile.Scratch) (g
 // serves — over rectangles that each match about 2 000 rows, the way a
 // shard probe folds them: a row reply keeping 100 rows, a COUNT, and a SUM
 // of a column the rectangles leave open, so that only the fold reads it.
-// It reports ns and unpacked values per scanned row (the sort column
-// counts: every read decodes it whole).
+// It reports ns, unpacked values and compared codes per scanned row (the
+// sort column counts as unpacked: every read decodes it whole).
 func BenchmarkScanMapped(b *testing.B) {
 	tab := dataset.GenerateAirline(dataset.DefaultAirlineConfig(250_000))
 	idx := buildIndex(b, tab)
@@ -115,7 +136,7 @@ func BenchmarkScanMapped(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := sn.Index().Primary().ExportParts()
-	store := &tallyStore{gridStore: parts.Store.(*gridStore)}
+	store := &tallyStore{gridStore: parts.Store.(*gridStore), from: map[*pageCols][2]int{}}
 	parts.Store, parts.TrustPages = store, true
 	g, err := gridfile.FromParts(parts)
 	if err != nil {
@@ -151,24 +172,23 @@ func BenchmarkScanMapped(b *testing.B) {
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var scanned, unpacked int64
+			var scanned int64
+			store.tally()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var p index.Probe
 				g.ScanBatch(bc.rects[i%len(bc.rects)], bc.fold(), &p)
 				scanned += p.Scanned
-				if store.cols != nil {
-					unpacked += int64(store.cols.unpacked)
-					store.cols = nil
-				}
 			}
 			b.StopTimer()
 			if err := sn.PageErr(); err != nil {
 				b.Fatal(err)
 			}
+			unpacked, coded := store.tally()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/row")
 			b.ReportMetric(float64(unpacked)/float64(scanned), "values/row")
+			b.ReportMetric(float64(coded)/float64(scanned), "codes/row")
 		})
 	}
 }

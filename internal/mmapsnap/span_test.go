@@ -432,8 +432,9 @@ func TestEveryCheckOnEveryRead(t *testing.T) {
 }
 
 // TestScanAllocsIndependentOfPages: a scan over a compressed mapped grid —
-// rows or batches — allocates its scratch and a page buffer that grows a
-// few times to the largest page, not one object per page or per batch.
+// rows or batches — allocates at most its scratch and a page buffer that
+// grows a few times to the largest page (none once the pooled scratch has
+// grown), not one object per page or per batch.
 func TestScanAllocsIndependentOfPages(t *testing.T) {
 	tab := testTable(t, 40000)
 	idx := buildIndex(t, tab)

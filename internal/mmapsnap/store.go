@@ -10,9 +10,9 @@ import (
 // gridStore implements gridfile.PageStore over a compressed data region.
 // It holds no decoded state: every CellSpan reads the cell's blob out of
 // the mapping through readSpan — every check, every time — into scratch the
-// calling scan owns, and unpacks the columns other than the sort column
-// only where the scan pulls them, so readers share nothing but the
-// read-only mapping. A
+// calling scan owns. The scan's selection tests the other columns on their
+// packed codes, and only its folds and row readers unpack them, where they
+// pull, so readers share nothing but the read-only mapping. A
 // corrupt blob records a sticky error on the snapshot and reads as not ok —
 // the query path cannot return an error mid-scan, so the caller checks
 // Snapshot.PageErr after querying (and Verify can prove the whole file

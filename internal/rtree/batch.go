@@ -32,11 +32,11 @@ func (g *rtGather) emit(yield index.BatchYield, probe *index.Probe) bool {
 		return true
 	}
 	b.Sel = g.sel[:index.BatchWords(b.Rows)]
-	g.rect.Select(b)
+	tests := g.rect.Select(b)
 	if probe != nil {
 		probe.Matched += int64(b.Selected())
 		probe.Batches++
-		probe.ColumnTests += int64(b.Rows * g.rect.Columns())
+		probe.ColumnTests += int64(tests)
 	}
 	more := yield(b)
 	b.Page, b.Rows = b.Page[:0], 0

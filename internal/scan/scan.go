@@ -68,11 +68,11 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 			n = index.BatchRows
 		}
 		b.Page, b.Rows, b.Sel = data[off*dims:(off+n)*dims], n, sel[:index.BatchWords(n)]
-		rect.Select(b)
+		tests := rect.Select(b)
 		if probe != nil {
 			probe.Matched += int64(b.Selected())
 			probe.Batches++
-			probe.ColumnTests += int64(n * rect.Columns())
+			probe.ColumnTests += int64(tests)
 		}
 		if !yield(b) {
 			return false
