@@ -18,15 +18,17 @@ import (
 )
 
 // testCluster is an in-process cluster: n nodes on loopback listeners.
+// overhead sums the index directory bytes of every node's engines.
 type testCluster struct {
-	nodes []*cluster.Node
-	addrs []string
+	nodes    []*cluster.Node
+	addrs    []string
+	overhead int64
 }
 
 // startTestCluster builds and serves an n-node cluster over tab: each
 // node materializes exactly the global shards consistent hashing assigns
 // it, identical to what n separate processes would build.
-func startTestCluster(t *testing.T, tab *coax.Table, shards, n, rf, localShards int) *testCluster {
+func startTestCluster(t *testing.T, tab *coax.Table, shards, n, rf int) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	t.Cleanup(func() {
@@ -47,12 +49,13 @@ func startTestCluster(t *testing.T, tab *coax.Table, shards, n, rf, localShards 
 	if err != nil {
 		t.Fatal(err)
 	}
-	so := coax.DefaultShardOptions()
-	so.NumShards = localShards
 	for i, addr := range tc.addrs {
-		engines, err := cluster.BuildShards(tab, ring.HostedShards(addr, shards, rf), shards, coax.DefaultOptions(), so)
+		engines, err := cluster.BuildShards(tab, ring.HostedShards(addr, shards, rf), shards, coax.DefaultOptions(), coax.DefaultShardOptions())
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, e := range engines {
+			tc.overhead += e.MemoryOverhead()
 		}
 		node, err := cluster.NewNode(engines, shards)
 		if err != nil {
@@ -66,10 +69,11 @@ func startTestCluster(t *testing.T, tab *coax.Table, shards, n, rf, localShards 
 
 // buildOracle builds the single-process reference engine over the same
 // table a cluster serves — the comparison target for tests and smoke
-// checks: a cluster answer must be a multiset-identical to the oracle's.
-func buildOracle(tab *coax.Table, localShards, workers int) (*shard.Sharded, error) {
+// checks: a cluster answer must be a multiset-identical to the oracle's,
+// and with as many shards as the cluster has global shards, identical.
+func buildOracle(tab *coax.Table, shards, workers int) (*shard.Sharded, error) {
 	so := coax.DefaultShardOptions()
-	so.NumShards = localShards
+	so.NumShards = shards
 	so.Workers = workers
 	return shard.Build(tab, coax.DefaultOptions(), so)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/coax-index/coax/coax"
+	"github.com/coax-index/coax/internal/cluster"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/gridfile"
 	"github.com/coax-index/coax/internal/index"
@@ -69,6 +70,40 @@ func TestHealthzAndStats(t *testing.T) {
 	resp.Body.Close()
 	if st.Rows != idx.Len() || st.Shards != idx.NumShards() || st.Dims != idx.Dims() {
 		t.Errorf("stats = %+v, index = %d/%d/%d", st, idx.Len(), idx.NumShards(), idx.Dims())
+	}
+}
+
+// The router's /stats relays the index directory bytes its nodes report:
+// the sum over every node of its hosted engines' MemoryOverhead.
+func TestRouterStatsMemoryOverhead(t *testing.T) {
+	const gshards, rf = 8, 2
+	tc := startTestCluster(t, coax.GenerateOSM(coax.DefaultOSMConfig(8000)), gshards, 3, rf)
+	rt, err := cluster.NewRouter(tc.addrs, gshards, rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := serveFront(t, clusterBackend{rt}, 0, nil)
+	var st struct {
+		MemoryOverhead int64 `json:"memory_overhead_bytes"`
+		Nodes          []struct {
+			MemoryOverhead int64 `json:"memory_overhead_bytes"`
+		} `json:"nodes"`
+	}
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	var nodes int64
+	for _, n := range st.Nodes {
+		nodes += n.MemoryOverhead
+	}
+	if st.MemoryOverhead <= 0 || st.MemoryOverhead != tc.overhead || nodes != tc.overhead {
+		t.Errorf("router memory_overhead_bytes %d (nodes sum to %d), engines %d", st.MemoryOverhead, nodes, tc.overhead)
 	}
 }
 

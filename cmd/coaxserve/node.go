@@ -8,10 +8,11 @@ package main
 // Every node derives its shard assignment from the same inputs — the full
 // peer list, the global shard count K, and the replication factor — so no
 // coordinator hands out placements: NewRing(peers).HostedShards(self) is
-// the whole membership protocol. The synthetic dataset is deterministic
-// and rows route to global shards by value (cluster.RouteRow), so every
-// replica of a shard materializes identical rows without talking to
-// anyone.
+// the whole membership protocol. The global shards are the K range slots
+// of one build over the table (cluster.BuildShards), and the synthetic
+// dataset and the build are deterministic, so every replica of a shard
+// materializes identical rows — and every node the same cuts, which it
+// hands routers in the handshake — without talking to anyone.
 
 import (
 	"flag"
@@ -36,12 +37,12 @@ func cmdNode(args []string) error {
 		peers  = fs.String("peers", "", "comma-separated addresses of every node in the cluster, including this one (default: just -name)")
 		shards = fs.Int("shards", 16, "cluster-wide global shard count K; must match every node and router")
 		rf     = fs.Int("replication", 2, "replication factor; must match the peers and routers")
-		ds     = fs.String("dataset", "osm", "synthetic dataset: osm|airline (identical on every node; rows route by value)")
+		ds     = fs.String("dataset", "osm", "synthetic dataset: osm|airline (identical on every node; rows place by value)")
 		rows   = fs.Int("rows", 100000, "synthetic dataset size")
 		in     = fs.String("in", "", "build this node's shards from a v3 snapshot (sharded or single-index; every node must use the same file) instead of a synthetic dataset; `coaxstore convert` rewrites a v1/v2 file")
 
-		localShards = fs.Int("local-shards", 2, "local sub-shards per hosted global shard (the in-process fan-out width)")
-		workers     = fs.Int("workers", 0, "query fan-out workers per local engine (0: one per CPU)")
+		_       = fs.Int("local-shards", 0, "accepted and ignored: a global shard is one range slot, with no sub-shards under it")
+		workers = fs.Int("workers", 0, "query fan-out workers per hosted shard (0: one per CPU)")
 
 		maxInflight  = fs.Int("max-inflight", 0, "admission control: requests executing concurrently before new ones queue (0 disables)")
 		maxQueue     = fs.Int("max-queue", -1, "admission control: requests allowed to wait for a slot before shedding (-1: twice -max-inflight)")
@@ -94,7 +95,6 @@ func cmdNode(args []string) error {
 		}
 	}
 	so := coax.DefaultShardOptions()
-	so.NumShards = *localShards
 	so.Workers = *workers
 	t0 := time.Now()
 	engines, err := cluster.BuildShards(tab, hosted, *shards, coax.DefaultOptions(), so)
@@ -138,12 +138,12 @@ func cmdNode(args []string) error {
 }
 
 // tableFromSnapshot materializes the live rows of a snapshot into a table
-// the shard-placement pipeline can split: shard by shard, each shard's
-// primary rows, then its outliers. A v3 file is memory-mapped only for the
-// duration of the copy — nodes re-partition rows by value into their hosted
-// global shards, so the rows must land on the heap anyway. Placement hashes
-// row values, not row order, so every node loading the same file
-// materializes identical shard contents.
+// cluster.BuildShards can build: shard by shard, each shard's primary rows,
+// then its outliers. A v3 file is memory-mapped only for the duration of
+// the copy — a node rebuilds the rows into the K range slots of its own
+// build, whatever the file's shard layout, so the rows must land on the
+// heap anyway. Every node loading the same file reads the same rows in the
+// same order, so every node builds identical slots and cuts.
 func tableFromSnapshot(path string, workers int) (*coax.Table, error) {
 	idx, sn, err := openSnapshot(path, workers)
 	if err != nil {

@@ -6,9 +6,10 @@ package main
 // exceptions: the wire protocol carries no schema, so aggregations address
 // columns by position ("dim"/"group_by_dim"), and no trace crosses the
 // process boundary yet, so ?explain=true is refused rather than ignored.
-// A row reply's rows come in global shard order — the same bytes on every
-// run, but a different layout from serve mode's, whose shards partition the
-// rows differently.
+// A row reply's rows come in global shard order, then scan order — the
+// same bytes on every run, and the same rows as an engine shard.Build makes
+// of the same table with K shards, since the K global shards are the K
+// range slots of one such build.
 //
 // Overload propagates end to end: when every replica of a shard sheds a
 // request node-side, the resulting cluster.OverloadError surfaces as 429
@@ -89,8 +90,9 @@ func finish(ctx context.Context, err error) error {
 }
 
 // runRows scatter-gathers one rectangle as a row reply: the first keep rows
-// in global shard order. With early, keep is also the limit, so every node
-// stops scanning once its shards have produced enough rows.
+// in global shard order, each node shipping at most keep rows per shard.
+// With early, keep is also the limit, so every node stops scanning once its
+// shards have produced enough rows.
 func (c clusterBackend) runRows(ctx context.Context, r coax.Rect, keep int, early, explain bool) (*coax.HeadResult, error) {
 	if explain {
 		return nil, errNoExplain

@@ -114,7 +114,7 @@ func TestHugeLimitAllocatesByMatches(t *testing.T) {
 // bytes.
 func TestQueryReplyDeterministic(t *testing.T) {
 	const gshards, rf = 8, 2
-	tc := startTestCluster(t, coax.GenerateOSM(coax.DefaultOSMConfig(8000)), gshards, 2, rf, 2)
+	tc := startTestCluster(t, coax.GenerateOSM(coax.DefaultOSMConfig(8000)), gshards, 2, rf)
 	rt, err := cluster.NewRouter(tc.addrs, gshards, rf)
 	if err != nil {
 		t.Fatal(err)

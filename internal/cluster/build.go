@@ -8,48 +8,32 @@ import (
 	"github.com/coax-index/coax/internal/shard"
 )
 
-// SplitTable partitions a table's rows onto K global shards with RouteRow.
-// Every row lands on exactly one sub-table; a row's destination depends
-// only on its values, so any process splitting the same table produces
-// identical sub-tables.
-func SplitTable(t *dataset.Table, shards int) []*dataset.Table {
-	out := make([]*dataset.Table, shards)
-	cols := t.Cols
-	for g := range out {
-		out[g] = dataset.NewTable(cols)
-	}
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		out[RouteRow(row, shards)].Append(row)
-	}
-	return out
-}
-
-// BuildShards materializes the listed global shards from a full table:
-// each hosted shard's rows are split out and built into its own local
-// shard.Sharded engine. Every global shard must be non-empty — the local
-// engine cannot index an empty table, so K must be small enough relative
-// to the row count that hashing leaves no shard bare (with the FNV row
-// hash this holds in practice for K ≪ rows).
+// BuildShards builds a cluster's K global shards as the K range slots of
+// one shard build over t — one soft-FD detection, the engine's cut points
+// on its range column (so.Column; -1 picks it), one core.COAX per slot — and
+// returns the hosted ones. Each carries the build's column and cuts
+// (shard.Sharded.Slot), which its node hands to routers. A global shard is
+// one slot: so.NumShards and so.Partition are ignored. The build is
+// deterministic, so every node building the same table builds identical
+// slots without talking to anyone.
 func BuildShards(t *dataset.Table, hosted []int, shards int, opt core.Options, so shard.Options) (map[int]*shard.Sharded, error) {
-	hostSet := make(map[int]bool, len(hosted))
 	for _, g := range hosted {
 		if g < 0 || g >= shards {
 			return nil, fmt.Errorf("cluster: hosted shard %d out of range [0,%d)", g, shards)
 		}
-		hostSet[g] = true
 	}
-	parts := SplitTable(t, shards)
+	so.NumShards, so.Partition = shards, shard.ByRange
+	whole, err := shard.Build(t, opt, so)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: building %d global shards: %w", shards, err)
+	}
+	slots, err := whole.Slots()
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[int]*shard.Sharded, len(hosted))
-	for g := range hostSet {
-		if parts[g].Len() == 0 {
-			return nil, fmt.Errorf("cluster: global shard %d is empty (%d rows over %d shards); lower the shard count", g, t.Len(), shards)
-		}
-		s, err := shard.Build(parts[g], opt, so)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building global shard %d: %w", g, err)
-		}
-		out[g] = s
+	for _, g := range hosted {
+		out[g] = slots[g]
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
+	"github.com/coax-index/coax/internal/obs"
 	"github.com/coax-index/coax/internal/shard"
 	"github.com/coax-index/coax/internal/wire"
 	"github.com/coax-index/coax/internal/workload"
@@ -52,7 +54,8 @@ func localShardOptions() shard.Options {
 }
 
 // testCluster is an in-process cluster: N nodes on loopback TCP listeners
-// plus a router, with a single-process oracle over the same table.
+// plus a router, with a single-process oracle over the same table and as
+// many range shards as the cluster has global shards — the same partition.
 type testCluster struct {
 	addrs  []string
 	nodes  map[string]*Node
@@ -107,7 +110,9 @@ func startCluster(t testing.TB, table *dataset.Table, shards, nodes, rf int, opt
 		t.Fatal(err)
 	}
 	tc.router = rt
-	oracle, err := shard.Build(table, coreOptions(), localShardOptions())
+	so := localShardOptions()
+	so.NumShards = shards
+	oracle, err := shard.Build(table, coreOptions(), so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,38 +316,28 @@ func TestClusterCancel(t *testing.T) {
 	}
 }
 
-// cellsMatch compares one aggregate cell against the oracle's: counts and
-// extrema exactly; sums within floating-point merge-order slack (the
-// distributed fold partitions rows differently than the oracle's local
-// shards, so SUM can differ in the final bits — COUNT/MIN/MAX cannot).
-func cellsMatch(op index.AggOp, got, want index.AggCell) bool {
-	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {
-		return false
-	}
-	if got.Sum == want.Sum {
-		return true
-	}
-	diff := math.Abs(got.Sum - want.Sum)
-	scale := math.Max(math.Abs(got.Sum), math.Abs(want.Sum))
-	return diff <= 1e-9*scale
-}
-
-// Aggregates must match the oracle: counts and extrema exactly, sums to
-// within reassociation error (exact when the folded column is
-// integer-valued, as columns 2 and 3 are).
+// Aggregates must equal the oracle's bit for bit, SUM and AVG over
+// fractional columns included: the oracle has the cluster's partition and
+// both merge the shards' partials in shard order.
 func TestClusterAggOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tc := startCluster(t, testTable(rng, 4000), 16, 3, 2)
 	specs := []index.AggSpec{
 		{Op: index.AggCount, Col: -1, Group: -1},
 		{Op: index.AggSum, Col: 2, Group: -1},
+		{Op: index.AggSum, Col: 0, Group: -1},
+		{Op: index.AggAvg, Col: 1, Group: -1},
 		{Op: index.AggMin, Col: 2, Group: -1},
 		{Op: index.AggMax, Col: 0, Group: -1},
 		{Op: index.AggAvg, Col: 2, Group: 3},
+		{Op: index.AggSum, Col: 0, Group: 3},
 		{Op: index.AggCount, Col: -1, Group: 3},
 	}
 	for q := 0; q < 10; q++ {
 		r := workload.RandRect(rng, tc.table)
+		if q == 0 {
+			r = index.Full(4)
+		}
 		for _, aspec := range specs {
 			got, complete, err := tc.router.ExecAgg(r, index.Spec{}, aspec)
 			if err != nil {
@@ -352,25 +347,145 @@ func TestClusterAggOracle(t *testing.T) {
 				t.Fatalf("query %d %v: incomplete", q, aspec)
 			}
 			want, _ := tc.oracle.ExecAgg(r, index.Spec{}, aspec, nil)
-			if got.Rows() != want.Rows() {
-				t.Fatalf("query %d %v: %d rows folded, oracle %d", q, aspec, got.Rows(), want.Rows())
-			}
-			if aspec.Group < 0 {
-				if !cellsMatch(aspec.Op, got.All, want.All) {
-					t.Fatalf("query %d %v: cell %+v, oracle %+v", q, aspec, got.All, want.All)
-				}
-				continue
+			if got.All != want.All {
+				t.Fatalf("query %d %v: cell %+v, oracle %+v", q, aspec, got.All, want.All)
 			}
 			gk, wk := got.GroupKeys(), want.GroupKeys()
 			if len(gk) != len(wk) {
 				t.Fatalf("query %d %v: %d groups, oracle %d", q, aspec, len(gk), len(wk))
 			}
 			for i, k := range gk {
-				if k != wk[i] || !cellsMatch(aspec.Op, *got.Groups[k], *want.Groups[k]) {
+				if k != wk[i] || *got.Groups[k] != *want.Groups[k] {
 					t.Fatalf("query %d %v group %v: cell %+v, oracle %+v", q, aspec, k, got.Groups[k], want.Groups[k])
 				}
 			}
 		}
+	}
+}
+
+// The global shards are the range slots of one build, so the router asks
+// only the shards a rectangle's range can reach, of as few nodes as it
+// can, each node ships at most
+// Keep rows of each with its exact count, and the merged reply is the
+// oracle's ExecRows — rows, order and count — at every Keep and Limit,
+// mutations across a cut included.
+func TestClusterRangePlacement(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const shards = 8
+	tc := startCluster(t, testTable(rng, 6000), shards, 2, 2, WithHedging(false))
+	rt := tc.router
+	col, cuts := rt.ranges.Col, rt.ranges.Cuts
+	if col != tc.oracle.RangeColumn() || !slices.Equal(cuts, tc.oracle.Cuts()) || len(cuts) != shards-1 {
+		t.Fatalf("router cuts column %d at %v, oracle column %d at %v", col, cuts, tc.oracle.RangeColumn(), tc.oracle.Cuts())
+	}
+
+	// ask runs ExecRows and reports the shards asked and the rows shipped.
+	ask := func(r index.Rect, keep index.RowsState) (st index.RowsState, probed, shipped int64) {
+		t.Helper()
+		p0, s0 := obs.ClusterShardsProbed.Value(), obs.ClusterRowsReceived.Value()
+		st, _, err := rt.ExecRows(r, index.Spec{}, keep)
+		if err != nil {
+			t.Fatalf("rect %v: %v", r, err)
+		}
+		return st, obs.ClusterShardsProbed.Value() - p0, obs.ClusterRowsReceived.Value() - s0
+	}
+	// same holds the router's reply to the oracle's, bit for bit.
+	same := func(label string, r index.Rect, keep index.RowsState) {
+		t.Helper()
+		got, _, _ := ask(r, keep)
+		want, _ := tc.oracle.ExecRows([]index.Rect{r}, index.Spec{}, keep, nil)
+		if got.Count != want[0].Count || !slices.Equal(got.Rows, want[0].Rows) {
+			t.Fatalf("%s: keep %+v: router %d rows of %d, oracle %d of %d", label, keep, got.Held(), got.Count, want[0].Held(), want[0].Count)
+		}
+	}
+
+	// A rectangle inside one slot asks one shard.
+	inside := index.Full(4)
+	inside.Min[col], inside.Max[col] = cuts[2], (cuts[2]+cuts[3])/2
+	if lo, hi := rt.ShardSpan(inside); lo != 3 || hi != 3 {
+		t.Fatalf("span of a rectangle inside slot 3: [%d, %d]", lo, hi)
+	}
+	if _, probed, _ := ask(inside, index.RowsState{Keep: -1}); probed != 1 {
+		t.Fatalf("a rectangle inside one slot asked %d shards", probed)
+	}
+	same("inside one slot", inside, index.RowsState{Keep: -1})
+
+	// Each node hosts every shard here, so the shards a rectangle reaches
+	// all go to one node: one RPC.
+	across := index.Full(4)
+	across.Min[col], across.Max[col] = cuts[2], cuts[5]
+	rpcs := obs.ClusterRPCs.Value()
+	if _, probed, _ := ask(across, index.RowsState{Keep: -1}); probed != 4 || obs.ClusterRPCs.Value()-rpcs != 1 {
+		t.Fatalf("a rectangle over slots 3..6 asked %d shards in %d RPCs, want 4 in 1", probed, obs.ClusterRPCs.Value()-rpcs)
+	}
+	same("across four slots", across, index.RowsState{Keep: -1})
+
+	// Infinite bounds reach every shard; an empty rectangle none.
+	openBelow := index.Full(4)
+	openBelow.Max[col] = cuts[1] // on cut 1: slot 2 holds it
+	for _, tcase := range []struct {
+		name   string
+		r      index.Rect
+		probed int64
+	}{
+		{"full", index.Full(4), shards},
+		{"open below", openBelow, 3},
+		{"empty", index.Rect{Min: []float64{5, 5, 5, 5}, Max: []float64{4, 4, 4, 4}}, 0},
+	} {
+		st, probed, _ := ask(tcase.r, index.RowsState{Keep: -1})
+		if probed != tcase.probed {
+			t.Errorf("%s: asked %d shards, want %d", tcase.name, probed, tcase.probed)
+		}
+		if tcase.name == "empty" && st.Count != 0 {
+			t.Errorf("empty rectangle counted %d rows", st.Count)
+		}
+		same(tcase.name, tcase.r, index.RowsState{Keep: -1})
+	}
+
+	// Each shard ships at most Keep rows, and the counts stay exact.
+	for _, k := range []int{0, 1, 10, 100} {
+		st, probed, shipped := ask(index.Full(4), index.RowsState{Keep: k})
+		if st.Count != int64(tc.table.Len()) || shipped > int64(k)*probed {
+			t.Fatalf("keep %d: count %d of %d, %d rows shipped from %d shards", k, st.Count, tc.table.Len(), shipped, probed)
+		}
+	}
+	for q := 0; q < 20; q++ {
+		r := workload.RandRect(rng, tc.table)
+		for _, keep := range []index.RowsState{{Keep: -1}, {Keep: 0}, {Keep: 7}, {Keep: 100}, {Keep: 100, Limit: 100}, {Keep: 0, Limit: 5}} {
+			same(fmt.Sprintf("rect %d", q), r, keep)
+		}
+	}
+
+	// An update across a cut moves the row between global shards, as it
+	// moves in the oracle.
+	row := []float64{0, 0, 3, 1}
+	row[col] = cuts[4] - 1e-9
+	moved := append([]float64(nil), row...)
+	moved[col] = cuts[4]
+	if rt.route(row) != 4 || rt.route(moved) != 5 {
+		t.Fatalf("rows on either side of cut 4 route to %d and %d", rt.route(row), rt.route(moved))
+	}
+	v4, v5 := rt.ShardVersion(4), rt.ShardVersion(5)
+	for _, s := range []interface {
+		Insert([]float64) error
+		Update(old, new []float64) error
+	}{rt, tc.oracle} {
+		if err := s.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Update(row, moved); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rt.ShardVersion(4) == v4 || rt.ShardVersion(5) == v5 {
+		t.Error("an update across cut 4 did not write both shards")
+	}
+	around := index.Full(4)
+	around.Min[col], around.Max[col] = cuts[3], cuts[5]
+	same("after an update across a cut", around, index.RowsState{Keep: -1})
+	same("after an update across a cut", index.Full(4), index.RowsState{Keep: -1})
+	if err := rt.Delete(row); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("the moved row's old image still deletes: %v", err)
 	}
 }
 
@@ -505,7 +620,7 @@ func TestRouterRecordsUnackedWrite(t *testing.T) {
 			go func() {
 				defer raw.Close()
 				c := wire.NewConn(raw)
-				if wire.ServerHandshake(c, 4, 1, 0) != nil {
+				if wire.ServerHandshake(c, wire.Welcome{Dims: 4, Shards: 1}) != nil {
 					return
 				}
 				for {
@@ -769,23 +884,31 @@ func TestClusterStats(t *testing.T) {
 // BenchmarkRouterExecRows is cluster-scatter's shape in process: two
 // loopback nodes, eight global shards at rf 2, rectangles matching about
 // 200 rows each, and replies keeping up to 1 000 rows: scatter, wire
-// framing and the shard-order merge per query.
+// framing and the shard-order merge per query. It reports the global
+// shards asked per query (shards/op) and the rows the nodes shipped
+// (rows_shipped/op).
 func BenchmarkRouterExecRows(b *testing.B) {
 	const rows = 20000
 	rng := rand.New(rand.NewSource(20))
 	tc := startCluster(b, testTable(rng, rows), 8, 2, 2)
+	col := tc.router.ranges.Col
+	vals := tc.table.Column(col)
+	sort.Float64s(vals)
 	rects := make([]index.Rect, 64)
 	for i := range rects {
 		r := index.Full(4)
-		r.Min[0] = rng.Float64() * 990
-		r.Max[0] = r.Min[0] + 1000*200/rows // column 0 is uniform on [0, 1000)
+		lo := rng.Intn(rows - 200)
+		r.Min[col], r.Max[col] = vals[lo], vals[lo+199] // about 200 rows on the range column
 		rects[i] = r
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	probed, shipped := obs.ClusterShardsProbed.Value(), obs.ClusterRowsReceived.Value()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := tc.router.ExecRows(rects[i%len(rects)], index.Spec{}, index.RowsState{Keep: 1000}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(obs.ClusterShardsProbed.Value()-probed)/float64(b.N), "shards/op")
+	b.ReportMetric(float64(obs.ClusterRowsReceived.Value()-shipped)/float64(b.N), "rows_shipped/op")
 }

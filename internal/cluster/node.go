@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,14 +23,15 @@ import (
 // nodeChunkRows is how many rows a node accumulates per RowChunk frame.
 const nodeChunkRows = 512
 
-// Node hosts a subset of the cluster's global shards — each materialized
-// as one local shard.Sharded — behind the wire protocol. One Node serves
+// Node hosts a subset of the cluster's global shards — each one range slot
+// of a BuildShards build — behind the wire protocol. One Node serves
 // any number of router connections; every request runs in its own
 // goroutine and writes frame-atomically onto its connection, so a slow
 // stream never blocks a Cancel from being read.
 type Node struct {
 	dims    int
 	gshards int // K, the cluster-wide global shard count
+	ranges  shard.Ranges
 	shards  map[int]*shard.Sharded
 	hosted  []int // sorted keys of shards
 
@@ -60,9 +62,9 @@ func WithAdmission(adm *serve.Admission) NodeOption {
 	return func(n *Node) { n.adm = adm }
 }
 
-// NewNode wraps the hosted global shards (global shard id → local engine).
-// All engines must share one dimensionality, every id must be in
-// [0, globalShards), and at least one shard must be hosted.
+// NewNode wraps the hosted global shards (global shard id → its slot, as
+// BuildShards returns them). Every engine must be slot g of one build of
+// globalShards slots, and at least one shard must be hosted.
 func NewNode(shards map[int]*shard.Sharded, globalShards int, opts ...NodeOption) (*Node, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: node hosts no shards")
@@ -79,10 +81,14 @@ func NewNode(shards map[int]*shard.Sharded, globalShards int, opts ...NodeOption
 		if s == nil {
 			return nil, fmt.Errorf("cluster: hosted shard %d has no engine", g)
 		}
-		if n.dims == 0 {
-			n.dims = s.Dims()
-		} else if s.Dims() != n.dims {
-			return nil, fmt.Errorf("cluster: shard %d has %d dims, node has %d", g, s.Dims(), n.dims)
+		ranges, slot, ok := s.Slot()
+		switch {
+		case !ok || slot != g || len(ranges.Cuts) != globalShards-1:
+			return nil, fmt.Errorf("cluster: hosted shard %d is not slot %d of a %d-slot range build", g, g, globalShards)
+		case n.hosted == nil:
+			n.dims, n.ranges = s.Dims(), ranges
+		case s.Dims() != n.dims || ranges.Col != n.ranges.Col || !slices.Equal(ranges.Cuts, n.ranges.Cuts):
+			return nil, fmt.Errorf("cluster: hosted shard %d comes from another build than shard %d", g, n.hosted[0])
 		}
 		n.hosted = append(n.hosted, g)
 	}
@@ -212,7 +218,8 @@ func (cs *connState) cancelAll() {
 // writes never race a closing connection.
 func (n *Node) serveConn(raw net.Conn) {
 	c := wire.NewConn(raw)
-	if err := wire.ServerHandshake(c, n.dims, n.gshards, n.Rows()); err != nil {
+	w := wire.Welcome{Dims: n.dims, Shards: n.gshards, Rows: n.Rows(), Col: n.ranges.Col, Cuts: n.ranges.Cuts}
+	if err := wire.ServerHandshake(c, w); err != nil {
 		return
 	}
 	cs := &connState{stops: make(map[uint64]*atomic.Bool)}
@@ -351,11 +358,11 @@ func (n *Node) eachShard(c *wire.Conn, id uint64, shards []int, lo, hi []float64
 	c.Send(&wire.Done{ID: id, Complete: complete && !stop.Load()})
 }
 
-// handleQuery folds each requested shard into its rows (every match, or
-// with a limit the first Limit of them) and frames them as RowChunks of
-// nodeChunkRows rows sliced from the fold, then one ShardEOF.
+// handleQuery folds each requested shard into its first Keep rows and its
+// count, capped at Limit, and frames the rows as RowChunks of nodeChunkRows
+// rows sliced from the fold, then one ShardEOF carrying the count.
 func (n *Node) handleQuery(c *wire.Conn, q *wire.Query, stop *atomic.Bool) {
-	keep := index.RowsState{Keep: -1, Limit: int(q.Limit)}
+	keep := index.RowsState{Keep: int(q.Keep), Limit: int(q.Limit)}
 	n.eachShard(c, q.ID, q.Shards, q.Min, q.Max, stop, func(g int, s *shard.Sharded, r index.Rect, spec index.Spec) (bool, error) {
 		states, complete := s.ExecRows([]index.Rect{r}, spec, keep, nil)
 		st := &states[0]
@@ -465,6 +472,7 @@ func (n *Node) handleStats(c *wire.Conn, q *wire.Stats) {
 	res := &wire.StatsRes{ID: q.ID, Rows: n.Rows(), Hosted: append([]int(nil), n.hosted...)}
 	for _, g := range res.Hosted {
 		res.ShardRows = append(res.ShardRows, int64(n.shards[g].Len()))
+		res.MemoryOverhead += n.shards[g].MemoryOverhead()
 	}
 	c.Send(res)
 }

@@ -6,27 +6,21 @@
 // internal/shard — plus hedged replica reads and per-node circuit breaking
 // that the single-process engine never needed.
 //
-// The unit of placement is the global shard: rows hash onto K global
-// shards with shard.HashRow (the same row-identity hash the local engine
-// uses), and each global shard is materialized as one local shard.Sharded
-// on every replica that hosts it. K is fixed at cluster build time; nodes
-// joining or leaving move whole global shards, never individual rows.
+// The unit of placement is the global shard: the K global shards are the K
+// range slots of one shard build (BuildShards), so global shard g holds the
+// rows whose range-column value lies between cut points g-1 and g, and a
+// cluster partitions rows exactly as a K-shard serve-mode engine does. Nodes
+// send the column and cuts in the handshake; the router prunes each
+// rectangle to the shards its range can reach and routes each mutation by
+// its row's value. K is fixed at cluster build time; nodes joining or
+// leaving move whole global shards, never individual rows.
 package cluster
 
 import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-
-	"github.com/coax-index/coax/internal/shard"
 )
-
-// RouteRow maps a row to its global shard in a K-shard cluster. It is the
-// cluster-level analogue of the local engine's hash routing and uses the
-// identical hash, so a row's global shard is a pure function of its values.
-func RouteRow(row []float64, shards int) int {
-	return int(shard.HashRow(row) % uint64(shards))
-}
 
 // DefaultVnodes is the number of ring points per node. More points smooth
 // the balance between nodes at the cost of a larger (still tiny) ring.

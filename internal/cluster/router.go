@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -29,9 +30,10 @@ func (e *OverloadError) Error() string {
 }
 
 // Router scatter-gathers queries across the cluster's nodes. It mirrors
-// the in-process fan-out of shard.Sharded.ExecRows and ExecAgg — one
-// shared stop signal, a context watcher, one part per shard merged in
-// global shard order — and adds the failure modes a network introduces:
+// the in-process fan-out of shard.Sharded.ExecRows and ExecAgg — range
+// pruning by the same cuts, one shared stop signal, a context watcher, one
+// part per shard merged in global shard order — and adds the failure modes
+// a network introduces:
 // per-node circuit breakers, failover to surviving replicas, and hedged
 // reads that launch a shard's backup replica once its request has been
 // outstanding longer than the node's observed p99.
@@ -42,7 +44,8 @@ func (e *OverloadError) Error() string {
 // complete answer is the one merged.
 type Router struct {
 	dims   int
-	shards int // K global shards
+	shards int          // K global shards
+	ranges shard.Ranges // the nodes' range column and K-1 cuts
 	rf     int
 	ring   *Ring
 
@@ -82,7 +85,8 @@ func WithHedgeDelay(d time.Duration) RouterOption {
 
 // NewRouter connects to the given node addresses and validates that they
 // agree with this router's shape (dimensionality, global shard count K,
-// replication factor rf). Placement is consistent hashing over the
+// replication factor rf) and with each other on the range cuts, which the
+// router prunes and routes by. Placement is consistent hashing over the
 // addresses, so routers built from the same address set plan identically.
 func NewRouter(addrs []string, shards, rf int, opts ...RouterOption) (*Router, error) {
 	if shards <= 0 {
@@ -90,6 +94,9 @@ func NewRouter(addrs []string, shards, rf int, opts ...RouterOption) (*Router, e
 	}
 	if rf <= 0 {
 		rf = 1
+	}
+	if rf > 64 {
+		return nil, fmt.Errorf("cluster: replication factor %d above 64", rf)
 	}
 	ring, err := NewRing(addrs, 0)
 	if err != nil {
@@ -124,11 +131,19 @@ func NewRouter(addrs []string, shards, rf int, opts ...RouterOption) (*Router, e
 			rt.Close()
 			return nil, fmt.Errorf("cluster: node %s built for %d global shards, router expects %d", a, w.Shards, shards)
 		}
-		if rt.dims == 0 {
-			rt.dims = w.Dims
-		} else if w.Dims != rt.dims {
+		switch {
+		case rt.dims == 0:
+			rt.dims, rt.ranges = w.Dims, shard.Ranges{Col: w.Col, Cuts: w.Cuts}
+			if w.Col < 0 || w.Col >= w.Dims || len(w.Cuts) != shards-1 {
+				rt.Close()
+				return nil, fmt.Errorf("cluster: node %s cuts column %d of %d into %d shards, want %d", a, w.Col, w.Dims, len(w.Cuts)+1, shards)
+			}
+		case w.Dims != rt.dims:
 			rt.Close()
 			return nil, fmt.Errorf("cluster: node %s serves %d dims, cluster has %d", a, w.Dims, rt.dims)
+		case w.Col != rt.ranges.Col || !slices.Equal(w.Cuts, rt.ranges.Cuts):
+			rt.Close()
+			return nil, fmt.Errorf("cluster: node %s places rows by other cuts than node %s", a, addrs[0])
 		}
 	}
 	return rt, nil
@@ -158,9 +173,25 @@ func (rt *Router) Touched(i int, since uint64, r index.Rect) (now uint64, touche
 	return rt.writes[i].Touched(since, r)
 }
 
-// ShardSpan implements serve.Invalidator. Global shards are
-// hash-partitioned, so no rectangle prunes: every query spans all of them.
-func (rt *Router) ShardSpan(index.Rect) (lo, hi int) { return 0, rt.shards - 1 }
+// ShardSpan implements serve.Invalidator: the global shards a rectangle's
+// range can reach, by shard.Sharded.ShardSpan's rule — only a native
+// constraint on the range column prunes.
+func (rt *Router) ShardSpan(r index.Rect) (lo, hi int) { return rt.ranges.Span(r) }
+
+// plan returns the global shards a query on r asks for, [lo, hi] (none for
+// an empty rectangle), and counts the shards it probes and prunes.
+func (rt *Router) plan(r index.Rect) (lo, hi int) {
+	lo, hi = rt.ranges.Span(r)
+	if r.Empty() {
+		lo, hi = 0, -1
+	}
+	obs.ClusterShardsProbed.Add(int64(hi - lo + 1))
+	obs.ClusterShardsPruned.Add(int64(rt.shards - (hi - lo + 1)))
+	return lo, hi
+}
+
+// route returns the global shard that holds row.
+func (rt *Router) route(row []float64) int { return rt.ranges.Slot(row[rt.ranges.Col]) }
 
 // --- scatter-gather execution ---
 
@@ -193,7 +224,7 @@ type attempt struct {
 type shardState struct {
 	delivered bool // answered, or abandoned by a cancelled query
 	failed    bool
-	next      int // next replica index to try
+	tried     uint64 // bit i: replica i has had an attempt
 	// retryAfter is the largest back-off hint among the replicas that shed
 	// this shard so far; if the shard fails for overload, that is its hint.
 	retryAfter time.Duration
@@ -219,11 +250,13 @@ func (rt *Router) Exec(r index.Rect, spec index.Spec, yield index.Yield) (bool, 
 	return complete, err
 }
 
-// ExecRows scatter-gathers one row reply: each node folds its shards into
-// their rows (up to keep.Limit per shard when positive), and the router
-// merges the parts in global shard order with RowsState.Merge, as ExecAgg
-// merges partials — so the held rows are the first keep.Keep matches in
-// shard order, then scan order, the same rows whatever the node timing.
+// ExecRows scatter-gathers one row reply over the global shards r can
+// reach: each node folds its shards as keep does, shipping each shard's
+// first keep.Keep rows and its exact count (capped at keep.Limit when
+// positive), and the router merges the parts in global shard order with
+// RowsState.Merge, as ExecAgg merges partials — so the held rows are the
+// first keep.Keep matches in shard order, then scan order, the same rows
+// whatever the node timing, and the same as a K-shard engine's ExecRows.
 // keep's Count and Rows must be empty. A limited query stops once the
 // shards answered in a prefix of shard order count keep.Limit rows;
 // spec.Limit is ignored (keep.Limit caps the count). The
@@ -237,8 +270,8 @@ func (rt *Router) ExecRows(r index.Rect, spec index.Spec, keep index.RowsState) 
 		start = time.Now()
 		obs.Queries.Inc()
 	}
-	req := &wire.Query{Min: r.Min, Max: r.Max, Limit: int64(max(keep.Limit, 0))}
-	parts, complete, err := rt.scatter(&spec, req)
+	req := &wire.Query{Min: r.Min, Max: r.Max, Keep: int64(keep.Keep), Limit: int64(max(keep.Limit, 0))}
+	parts, complete, err := rt.scatter(&spec, r, req)
 	for _, p := range parts {
 		keep.Merge(&index.RowsState{Keep: -1, Count: p.count, Rows: p.rows, Dims: rt.dims})
 	}
@@ -255,12 +288,11 @@ func (rt *Router) ExecRows(r index.Rect, spec index.Spec, keep index.RowsState) 
 	return keep, complete, err
 }
 
-// ExecAgg scatter-gathers one aggregation: each node folds its shards
-// into exact partials, and the router merges them in global shard order —
-// the same merge discipline as the in-process fan-out, so repeated
-// executions are bit-identical. Against a single-process engine,
-// COUNT/MIN/MAX agree exactly; SUM/AVG agree to within floating-point
-// reassociation error, because the cluster partitions rows differently.
+// ExecAgg scatter-gathers one aggregation over the global shards r can
+// reach: each node folds its shards into exact partials, and the router
+// merges them in global shard order — the same merge discipline as the
+// in-process fan-out over the same partition, so the result is bit-identical
+// to a K-shard engine's ExecAgg over the same table, SUM and AVG included.
 func (rt *Router) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec) (*index.AggState, bool, error) {
 	if err := aspec.Validate(rt.dims); err != nil {
 		return nil, false, err
@@ -273,7 +305,7 @@ func (rt *Router) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec) (*
 		obs.AggQueries.Inc()
 	}
 	req := &wire.Agg{Min: r.Min, Max: r.Max, Op: uint8(aspec.Op), Col: aspec.Col, Group: aspec.Group}
-	parts, complete, err := rt.scatter(&spec, req)
+	parts, complete, err := rt.scatter(&spec, r, req)
 	st := index.NewAggState(aspec)
 	for _, p := range parts {
 		if p.agg != nil {
@@ -290,14 +322,15 @@ func (rt *Router) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec) (*
 }
 
 // scatter is the merge loop behind ExecRows and ExecAgg: it sends req (a
-// *wire.Query or *wire.Agg; its ID and Shards are set per attempt) to
-// every global shard's replicas and returns each shard's first complete
-// answer, indexed by global shard. It returns once every shard is answered
-// or has failed, or once a limited Query is covered — the shards answered
-// in a prefix of shard order count its Limit rows, so no later shard's row
-// could be kept — without waiting for the attempts still out, which a
-// cancel frame reels in.
-func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, error) {
+// *wire.Query or *wire.Agg over r; its ID and Shards are set per attempt)
+// to the replicas of the global shards r can reach and returns each shard's
+// first complete answer, in shard order. It returns once every shard is answered or has
+// failed, or once a limited Query is covered — the shards answered in a
+// prefix of shard order count its Limit rows, so no later shard's row could
+// be kept — without waiting for the attempts still out, which a cancel
+// frame reels in.
+func (rt *Router) scatter(spec *index.Spec, r index.Rect, req wire.Message) ([]part, bool, error) {
+	lo, hi := rt.plan(r)
 	events := make(chan event, 64)
 	loopDone := make(chan struct{})
 	defer close(loopDone)
@@ -338,13 +371,13 @@ func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, err
 			}
 		}
 	}()
-	remaining := rt.shards
+	remaining := hi - lo + 1
 
 	var limit int64
 	if q, ok := req.(*wire.Query); ok {
 		limit = q.Limit
 	}
-	covered, prefixRows := 0, int64(0) // shards answered in a prefix of shard order, and their rows
+	covered, prefixRows := lo, int64(0) // the first shard past the answered prefix, and the prefix's rows
 
 	launch := func(node string, shards []int, hedged bool) {
 		cl := rt.clients[node]
@@ -381,40 +414,48 @@ func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, err
 	}
 
 	// planNext groups undelivered shards by the node that should serve
-	// them next: each shard's next untried replica (st.next is the 0-based
-	// index of it), preferring replicas whose breaker is closed. Replicas
-	// skipped for an open breaker count as tried — a failover walks
-	// forward, never back.
+	// them next: an untried replica of each, preferring one whose breaker
+	// is closed (an open one is still tried once nothing else is left: it
+	// may half-open), and among those first a node this plan already asks —
+	// so shards a rectangle reaches on one node cost one RPC — then ring
+	// preference order. A shard whose replicas were all tried is left out;
+	// the caller fails it.
 	planNext := func(shards []int) map[string][]int {
 		plan := make(map[string][]int)
 		for _, g := range shards {
 			st := &states[g]
-			reps := rt.replicas[g]
-			chosen := -1
-			for i := st.next; i < len(reps); i++ {
-				if !rt.clients[reps[i]].breaker.open() {
-					chosen = i
-					break
+			chosen, best := -1, 3
+			for i, node := range rt.replicas[g] {
+				rank := 2
+				switch {
+				case st.tried&(1<<i) != 0:
+					continue
+				case rt.clients[node].breaker.open():
+				case plan[node] != nil:
+					rank = 0
+				default:
+					rank = 1
+				}
+				if rank < best {
+					chosen, best = i, rank
 				}
 			}
 			if chosen < 0 {
-				// Every remaining replica's breaker is open: try the next
-				// one anyway (it may half-open) rather than failing fast.
-				chosen = st.next
-				if chosen >= len(reps) {
-					continue // exhausted; caller handles failure
-				}
+				continue
 			}
-			st.next = chosen + 1
-			plan[reps[chosen]] = append(plan[reps[chosen]], g)
+			st.tried |= 1 << chosen
+			node := rt.replicas[g][chosen]
+			plan[node] = append(plan[node], g)
 		}
 		return plan
 	}
+	// exhausted reports whether every replica of shard g has been tried.
+	exhausted := func(g int) bool { return bits.OnesCount64(states[g].tried) == len(rt.replicas[g]) }
 
-	// Every shard on its first live replica.
-	all := make([]int, rt.shards)
-	for g := range all {
-		all[g] = g
+	// Every shard on a live replica, as few nodes as hold them.
+	all := make([]int, 0, remaining)
+	for g := lo; g <= hi; g++ {
+		all = append(all, g)
 	}
 	for node, shards := range planNext(all) {
 		launch(node, shards, false)
@@ -448,7 +489,7 @@ func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, err
 		parts[g] = p
 		states[g].delivered = true
 		remaining--
-		for covered < rt.shards && states[covered].delivered {
+		for covered <= hi && states[covered].delivered {
 			prefixRows += parts[covered].count
 			covered++
 		}
@@ -480,7 +521,7 @@ func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, err
 			if oe, ok := cause.(*overloadedError); ok {
 				st.retryAfter = max(st.retryAfter, oe.retryAfter)
 			}
-			if st.next >= len(rt.replicas[g]) {
+			if exhausted(g) {
 				if !inFlight(g) {
 					failShard(g, st, cause)
 				}
@@ -509,6 +550,7 @@ func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, err
 		switch ev.kind {
 		case evPart:
 			delete(att.shards, ev.shard)
+			obs.ClusterRowsReceived.Add(int64(len(ev.part.rows) / rt.dims))
 			st := &states[ev.shard]
 			if st.delivered || st.failed {
 				continue
@@ -561,7 +603,7 @@ func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, err
 			var hedgeable []int
 			for g := range att.shards {
 				st := &states[g]
-				if !st.delivered && !st.failed && st.next < len(rt.replicas[g]) {
+				if !st.delivered && !st.failed && !exhausted(g) {
 					hedgeable = append(hedgeable, g)
 				}
 			}
@@ -575,25 +617,25 @@ func (rt *Router) scatter(spec *index.Spec, req wire.Message) ([]part, bool, err
 
 	switch {
 	case spec.Done() || limit > 0 && prefixRows >= limit: // cancelled, or covered: a shard failing past the prefix changes nothing
-		return parts, false, nil
+		return parts[lo : hi+1], false, nil
 	case failedOther > 0:
-		return parts, false, failErr
+		return parts[lo : hi+1], false, failErr
 	case failedOverload > 0:
-		return parts, false, &OverloadError{RetryAfter: maxRetryAfter}
+		return parts[lo : hi+1], false, &OverloadError{RetryAfter: maxRetryAfter}
 	}
-	return parts, true, nil
+	return parts[lo : hi+1], true, nil
 }
 
 // --- mutations ---
 
-// Insert routes row to its global shard and writes it to every replica.
-// The mutation succeeds when at least one replica acknowledged it.
+// Insert routes row to its global shard by its range-column value and
+// writes it to every replica. The mutation succeeds when at least one
+// replica acknowledged it.
 func (rt *Router) Insert(row []float64) error {
 	if err := lifecycle.ValidateRow(rt.dims, row); err != nil {
 		return err
 	}
-	g := RouteRow(row, rt.shards)
-	return rt.mutate(g, wire.MutInsert, row, nil)
+	return rt.mutate(rt.route(row), wire.MutInsert, row, nil)
 }
 
 // Delete removes row from every replica of its global shard.
@@ -601,12 +643,11 @@ func (rt *Router) Delete(row []float64) error {
 	if err := lifecycle.ValidateRow(rt.dims, row); err != nil {
 		return err
 	}
-	g := RouteRow(row, rt.shards)
-	return rt.mutate(g, wire.MutDelete, row, nil)
+	return rt.mutate(rt.route(row), wire.MutDelete, row, nil)
 }
 
-// Update replaces old with new. When the rows hash to different global
-// shards the update decomposes into delete + insert across the two
+// Update replaces old with new. When a cut lies between the rows' values
+// the update decomposes into delete + insert across the two
 // replica sets, with a best-effort re-insert of the old row if the insert
 // half fails.
 func (rt *Router) Update(old, new []float64) error {
@@ -616,7 +657,7 @@ func (rt *Router) Update(old, new []float64) error {
 	if err := lifecycle.ValidateRow(rt.dims, new); err != nil {
 		return err
 	}
-	g1, g2 := RouteRow(old, rt.shards), RouteRow(new, rt.shards)
+	g1, g2 := rt.route(old), rt.route(new)
 	if g1 == g2 {
 		return rt.mutate(g1, wire.MutUpdate, old, new)
 	}
@@ -703,24 +744,28 @@ func engineError(err error) error {
 
 // --- stats ---
 
-// NodeStats is one node's view of itself.
+// NodeStats is one node's view of itself. MemoryOverhead is the index
+// directory bytes of its hosted shards.
 type NodeStats struct {
-	Addr   string  `json:"addr"`
-	Rows   int64   `json:"rows"`
-	Hosted []int   `json:"hosted_shards"`
-	Err    string  `json:"error,omitempty"`
-	P99Ms  float64 `json:"p99_ms"`
-	Open   bool    `json:"breaker_open"`
+	Addr           string  `json:"addr"`
+	Rows           int64   `json:"rows"`
+	Hosted         []int   `json:"hosted_shards"`
+	MemoryOverhead int64   `json:"memory_overhead_bytes"`
+	Err            string  `json:"error,omitempty"`
+	P99Ms          float64 `json:"p99_ms"`
+	Open           bool    `json:"breaker_open"`
 }
 
-// ClusterStats is the router's view of the cluster.
+// ClusterStats is the router's view of the cluster. MemoryOverhead sums
+// the nodes' that answered: every replica's directory counts.
 type ClusterStats struct {
-	Rows       int64       `json:"rows"`
-	Shards     int         `json:"global_shards"`
-	Replicas   int         `json:"replication_factor"`
-	Nodes      []NodeStats `json:"nodes"`
-	ShardRows  []int64     `json:"shard_rows"`
-	Unanswered int         `json:"unanswered_shards"`
+	Rows           int64       `json:"rows"`
+	Shards         int         `json:"global_shards"`
+	Replicas       int         `json:"replication_factor"`
+	MemoryOverhead int64       `json:"memory_overhead_bytes"`
+	Nodes          []NodeStats `json:"nodes"`
+	ShardRows      []int64     `json:"shard_rows"`
+	Unanswered     int         `json:"unanswered_shards"`
 }
 
 // Stats polls every node concurrently and assembles the cluster shape,
@@ -743,8 +788,7 @@ func (rt *Router) Stats() ClusterStats {
 			if err != nil {
 				ns.Err = err.Error()
 			} else if sr, ok := res.(*wire.StatsRes); ok {
-				ns.Rows = sr.Rows
-				ns.Hosted = sr.Hosted
+				ns.Rows, ns.Hosted, ns.MemoryOverhead = sr.Rows, sr.Hosted, sr.MemoryOverhead
 				m := make(map[int]int64, len(sr.Hosted))
 				for i, g := range sr.Hosted {
 					if i < len(sr.ShardRows) {
@@ -759,6 +803,9 @@ func (rt *Router) Stats() ClusterStats {
 		}()
 	}
 	wg.Wait()
+	for _, ns := range st.Nodes {
+		st.MemoryOverhead += ns.MemoryOverhead
+	}
 	for g := 0; g < rt.shards; g++ {
 		counted := false
 		for _, addr := range rt.replicas[g] {

@@ -296,11 +296,11 @@ func (s *RectSel) PrepareOpen(r Rect, open func(col int) bool) {
 // zero. The per-value test is the exact negation of Contains' rejection
 // test, so NaN handling matches the row path bit-for-bit.
 //
-// A batch with a column source has the source test each column instead
-// (Columns.Select): the first over the whole window, every later one only
-// over the 64-row blocks still live, and none once no row is. It returns
-// the number of values tested — the window's rows for each column a
-// kernel ran on — which Probe.ColumnTests counts.
+// Every column after the first is tested only over the 64-row blocks still
+// live, and none once no row is; a batch with a column source has the
+// source test each column instead (Columns.Select). It returns the number
+// of values tested — the rows of the blocks each kernel ran on — which
+// Probe.ColumnTests counts.
 func (s *RectSel) Select(b *Batch) int {
 	rows, sel := b.Rows, b.Sel[:BatchWords(b.Rows)]
 	if s.n == 0 {
@@ -315,17 +315,16 @@ func (s *RectSel) Select(b *Batch) int {
 		} else {
 			c = s.rest[i-len(s.buf)]
 		}
-		if b.Cols == nil {
-			RangeBits(b.Page[c.col*b.ColStep:], b.RowStep, rows, c.lo, c.hi, sel, i > 0)
-			tests += rows
-			continue
-		}
 		if i > 0 {
 			if lo, hi := SelRange(sel); lo == hi {
 				break // no row left to test
 			}
 		}
-		tests += b.Cols.Select(c.col, c.lo, c.hi, b.ColsRow, rows, sel, i > 0)
+		if b.Cols == nil {
+			tests += RangeBits(b.Page[c.col*b.ColStep:], b.RowStep, rows, c.lo, c.hi, sel, i > 0)
+		} else {
+			tests += b.Cols.Select(c.col, c.lo, c.hi, b.ColsRow, rows, sel, i > 0)
+		}
 	}
 	return tests
 }
@@ -352,13 +351,14 @@ func SelectRect(page []float64, dims, rows int, r Rect, sel []uint64) {
 
 // RangeBits is the float kernel of one column range test over rows rows of
 // a column whose row i sits at col[i*step]: it writes the match words of
-// !(v < lo || v > hi) into sel, or with and set intersects them into sel.
-func RangeBits(col []float64, step, rows int, lo, hi float64, sel []uint64, and bool) {
+// !(v < lo || v > hi) into sel, or with and set intersects them into sel,
+// testing only the 64-row blocks still live. It returns the values tested.
+func RangeBits(col []float64, step, rows int, lo, hi float64, sel []uint64, and bool) int {
 	if and {
-		rangeBitsAnd(col, step, rows, lo, hi, sel)
-	} else {
-		rangeBitsInit(col, step, rows, lo, hi, sel)
+		return rangeBitsAnd(col, step, rows, lo, hi, sel)
 	}
+	rangeBitsInit(col, step, rows, lo, hi, sel)
+	return rows
 }
 
 // rangeBitsInit writes the match words of one column range test over a
@@ -380,13 +380,15 @@ func rangeBitsInit(col []float64, step, rows int, lo, hi float64, out []uint64) 
 }
 
 // rangeBitsAnd intersects one column's match words into out, skipping
-// 64-row blocks already dead — the common case on selective queries.
-func rangeBitsAnd(col []float64, step, rows int, lo, hi float64, out []uint64) {
+// 64-row blocks already dead — the common case on selective queries — and
+// returns the values it tested.
+func rangeBitsAnd(col []float64, step, rows int, lo, hi float64, out []uint64) (tests int) {
 	for w, have := range out {
 		if have == 0 {
 			continue
 		}
 		n := min(rows-w<<6, 64)
+		tests += n
 		off := w << 6 * step
 		var bits uint64
 		for i := 0; i < n; i++ {
@@ -398,4 +400,5 @@ func rangeBitsAnd(col []float64, step, rows int, lo, hi float64, out []uint64) {
 		}
 		out[w] = have & bits
 	}
+	return tests
 }

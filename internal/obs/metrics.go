@@ -112,13 +112,16 @@ var (
 	WireFramesSent = NewCounter("coax_wire_frames_sent_total", "Frames written to cluster wire-protocol connections.")
 	WireFramesRecv = NewCounter("coax_wire_frames_recv_total", "Frames read from cluster wire-protocol connections.")
 
-	ClusterRPCs        = NewCounter("coax_cluster_rpcs_total", "Node RPCs issued by the router (queries, aggregates, mutations, stats).")
-	ClusterRPCErrors   = NewCounter("coax_cluster_rpc_errors_total", "Node RPCs that failed with a transport or protocol error.")
-	ClusterRPCSeconds  = NewHistogram("coax_cluster_rpc_seconds", "Per-node RPC latency in seconds, as seen by the router.", 1e-6, 100)
-	ClusterHedges      = NewCounter("coax_cluster_hedged_reads_total", "Hedged replica reads launched after the hedge delay elapsed.")
-	ClusterHedgeWins   = NewCounter("coax_cluster_hedge_wins_total", "Shards whose first completed scan came from a hedged replica.")
-	ClusterFailovers   = NewCounter("coax_cluster_failovers_total", "Shards re-fetched from another replica after a node failure.")
-	ClusterBreakerOpen = NewCounter("coax_cluster_breaker_opens_total", "Per-node circuit breaker transitions into the open state.")
+	ClusterRPCs         = NewCounter("coax_cluster_rpcs_total", "Node RPCs issued by the router (queries, aggregates, mutations, stats).")
+	ClusterRPCErrors    = NewCounter("coax_cluster_rpc_errors_total", "Node RPCs that failed with a transport or protocol error.")
+	ClusterRPCSeconds   = NewHistogram("coax_cluster_rpc_seconds", "Per-node RPC latency in seconds, as seen by the router.", 1e-6, 100)
+	ClusterHedges       = NewCounter("coax_cluster_hedged_reads_total", "Hedged replica reads launched after the hedge delay elapsed.")
+	ClusterHedgeWins    = NewCounter("coax_cluster_hedge_wins_total", "Shards whose first completed scan came from a hedged replica.")
+	ClusterFailovers    = NewCounter("coax_cluster_failovers_total", "Shards re-fetched from another replica after a node failure.")
+	ClusterBreakerOpen  = NewCounter("coax_cluster_breaker_opens_total", "Per-node circuit breaker transitions into the open state.")
+	ClusterShardsProbed = NewCounter("coax_cluster_shards_probed_total", "Global shards the router asked for, one per shard a rectangle's range can match.")
+	ClusterShardsPruned = NewCounter("coax_cluster_shards_pruned_total", "Global shards the router skipped because the rectangle's range cannot reach them.")
+	ClusterRowsReceived = NewCounter("coax_cluster_rows_received_total", "Rows the router received from nodes, hedged and failed-over attempts included.")
 
 	NodeRequests  = NewCounter("coax_node_requests_total", "Requests served by this process's cluster node listener.")
 	NodeShed      = NewCounter("coax_node_shed_total", "Node requests rejected with an overload error.")

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sort"
 	"sync"
@@ -148,11 +149,48 @@ type Sharded struct {
 	n    atomic.Int64
 
 	partition Partition
-	col       int          // range column; -1 under ByHash
-	cuts      []float64    // K-1 ascending cut points; shard j holds cuts[j-1] <= v < cuts[j]
+	ranges    Ranges       // the range partition; Col -1 under ByHash
 	workers   atomic.Int64 // query fan-out pool size (SetWorkers)
 
 	shards []*shardSlot
+
+	// whole, on an index Slots cut from a range build, is that build's
+	// partition, and slot this index's ordinal in it.
+	whole *Ranges
+	slot  int
+}
+
+// Ranges is a range partition: the rows whose column Col holds v belong to
+// slot j of len(Cuts)+1, where Cuts[j-1] <= v < Cuts[j]. The one rule places
+// rows and prunes rectangles wherever range slots live: as the shards of a
+// Sharded, or as the global shards of a cluster.
+type Ranges struct {
+	Col  int
+	Cuts []float64 // ascending
+}
+
+// Slot returns the slot holding a range-column value v: the first whose
+// upper cut exceeds v.
+func (p Ranges) Slot(v float64) int {
+	return sort.Search(len(p.Cuts), func(j int) bool { return p.Cuts[j] > v })
+}
+
+// Span returns the inclusive slot interval a rectangle can match. Only the
+// rectangle's native constraint on Col prunes: translated dependent
+// constraints bound inliers, not the outliers that slots also hold, so
+// using them here would drop rows.
+func (p Ranges) Span(r index.Rect) (lo, hi int) {
+	lo, hi = 0, len(p.Cuts)
+	if len(p.Cuts) == 0 {
+		return lo, hi
+	}
+	if v := r.Min[p.Col]; !math.IsInf(v, -1) {
+		lo = p.Slot(v)
+	}
+	if v := r.Max[p.Col]; !math.IsInf(v, 1) {
+		hi = p.Slot(v)
+	}
+	return lo, hi
 }
 
 var _ index.Interface = (*Sharded)(nil)
@@ -244,7 +282,7 @@ func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("shard: cannot build over an empty table")
 	}
-	s := &Sharded{dims: t.Dims(), partition: so.Partition, col: -1}
+	s := &Sharded{dims: t.Dims(), partition: so.Partition, ranges: Ranges{Col: -1}}
 	s.SetWorkers(so.Workers)
 	switch so.Partition {
 	case ByRange:
@@ -255,8 +293,7 @@ func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error
 		if col >= t.Dims() {
 			return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, t.Dims())
 		}
-		s.col = col
-		s.cuts = rangeCuts(t, col, k)
+		s.ranges = Ranges{Col: col, Cuts: rangeCuts(t, col, k)}
 	case ByHash:
 		// No routing state beyond the shard count.
 	default:
@@ -288,7 +325,7 @@ func Reassemble(shards []*core.COAX, partition Partition, col int, cuts []float6
 		}
 		n += idx.Len()
 	}
-	s := &Sharded{dims: dims, partition: partition, col: -1}
+	s := &Sharded{dims: dims, partition: partition, ranges: Ranges{Col: -1}}
 	s.SetWorkers(workers)
 	switch partition {
 	case ByRange:
@@ -301,8 +338,7 @@ func Reassemble(shards []*core.COAX, partition Partition, col int, cuts []float6
 		if !sort.Float64sAreSorted(cuts) {
 			return nil, fmt.Errorf("shard: cut points are not ascending")
 		}
-		s.col = col
-		s.cuts = append([]float64(nil), cuts...)
+		s.ranges = Ranges{Col: col, Cuts: append([]float64(nil), cuts...)}
 	case ByHash:
 		if len(cuts) != 0 {
 			return nil, fmt.Errorf("shard: hash partition carries %d cut points, want 0", len(cuts))
@@ -331,18 +367,53 @@ func autoRangeColumn(fd softfd.Result) int {
 	return best
 }
 
-// rangeCuts places k-1 cut points on the quantiles of t's column col.
+// rangeCuts places k-1 cut points on the quantiles of t's column col:
+// cut i-1 is the value of rank i·n/k, found by selection, not a full sort.
 func rangeCuts(t *dataset.Table, col, k int) []float64 {
 	if k <= 1 {
 		return nil
 	}
-	sorted := t.Column(col)
-	sort.Float64s(sorted)
+	vals := t.Column(col)
+	ranks := make([]int, k-1)
+	for i := range ranks {
+		ranks[i] = (i + 1) * len(vals) / k
+	}
+	selectRanks(vals, 0, len(vals), ranks, rand.New(rand.NewPCG(1, 2)))
 	cuts := make([]float64, k-1)
-	for i := 1; i < k; i++ {
-		cuts[i-1] = sorted[i*len(sorted)/k]
+	for i, r := range ranks {
+		cuts[i] = vals[r]
 	}
 	return cuts
+}
+
+// selectRanks reorders v[lo:hi] so that v[r] holds the value of rank r —
+// the value sorting v would put there — for every r of ranks (ascending,
+// inside [lo, hi)): a quickselect with a three-way partition around the
+// median of three values drawn by rng (fixed pivots degrade to quadratic
+// time on a presorted column, since the partition reverses its upper part),
+// which goes on only into the parts holding a rank.
+func selectRanks(v []float64, lo, hi int, ranks []int, rng *rand.Rand) {
+	for len(ranks) > 0 && hi-lo > 1 {
+		a, b, c := v[lo+rng.IntN(hi-lo)], v[lo+rng.IntN(hi-lo)], v[lo+rng.IntN(hi-lo)]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// v[lo:lt] < pivot, v[lt:i] == pivot, v[gt:hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := v[i]; {
+			case x < pivot:
+				v[lt], v[i] = x, v[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				v[gt], v[i] = x, v[gt]
+			default:
+				i++
+			}
+		}
+		selectRanks(v, lo, lt, ranks[:sort.SearchInts(ranks, lt)], rng)
+		ranks, lo = ranks[sort.SearchInts(ranks, gt):], gt
+	}
 }
 
 func poolSize(n int) int {
@@ -361,20 +432,8 @@ func (s *Sharded) routeRow(row []float64) int {
 	if s.partition == ByHash {
 		return int(hashRow(row) % uint64(len(s.shards)))
 	}
-	return s.routeValue(row[s.col])
+	return s.ranges.Slot(row[s.ranges.Col])
 }
-
-// routeValue maps a range-column value to its shard: the first shard whose
-// upper cut exceeds v, so shard j holds cuts[j-1] <= v < cuts[j].
-func (s *Sharded) routeValue(v float64) int {
-	return sort.Search(len(s.cuts), func(j int) bool { return s.cuts[j] > v })
-}
-
-// HashRow exposes the row-identity hash used by hash partitioning.
-// Anything that must agree with this engine on where a row lives — the
-// cluster layer routes rows to global shards with it — uses this function,
-// so a row hashes identically whether it is placed locally or remotely.
-func HashRow(row []float64) uint64 { return hashRow(row) }
 
 // hashRow is FNV-1a over the little-endian bit pattern of the row.
 func hashRow(row []float64) uint64 {
@@ -394,22 +453,13 @@ func hashRow(row []float64) uint64 {
 	return h
 }
 
-// shardRange returns the inclusive shard interval a rectangle can match.
-// Only the query's native constraint on the range column prunes: translated
-// dependent constraints bound inliers, not the outliers that shards also
-// hold, so using them here would drop rows.
+// shardRange returns the inclusive shard interval a rectangle can match
+// (Ranges.Span); a hash partition prunes nothing.
 func (s *Sharded) shardRange(r index.Rect) (lo, hi int) {
-	lo, hi = 0, len(s.shards)-1
-	if s.partition != ByRange || len(s.cuts) == 0 {
-		return lo, hi
+	if s.partition != ByRange {
+		return 0, len(s.shards) - 1
 	}
-	if v := r.Min[s.col]; !math.IsInf(v, -1) {
-		lo = s.routeValue(v)
-	}
-	if v := r.Max[s.col]; !math.IsInf(v, 1) {
-		hi = s.routeValue(v)
-	}
-	return lo, hi
+	return s.ranges.Span(r)
 }
 
 // Name implements index.Interface.
@@ -428,10 +478,40 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 func (s *Sharded) Partition() Partition { return s.partition }
 
 // RangeColumn reports the range-partition column, or -1 under ByHash.
-func (s *Sharded) RangeColumn() int { return s.col }
+func (s *Sharded) RangeColumn() int { return s.ranges.Col }
 
 // Cuts returns a copy of the range cut points (nil under ByHash or K=1).
-func (s *Sharded) Cuts() []float64 { return append([]float64(nil), s.cuts...) }
+func (s *Sharded) Cuts() []float64 { return append([]float64(nil), s.ranges.Cuts...) }
+
+// Slots cuts a range-partitioned index into its K slots: slot i is a
+// one-shard index over shard i — the same COAX, lock and write ring — that
+// remembers where it sits (Slot). A cluster node serves the slots it hosts
+// this way, and a router learns from them how to prune and route. s should
+// not be used once cut.
+func (s *Sharded) Slots() ([]*Sharded, error) {
+	if s.partition != ByRange {
+		return nil, fmt.Errorf("shard: only a range partition cuts into slots, not %v", s.partition)
+	}
+	whole := &Ranges{Col: s.ranges.Col, Cuts: s.Cuts()}
+	out := make([]*Sharded, len(s.shards))
+	for i, slot := range s.shards {
+		one := &Sharded{dims: s.dims, partition: ByRange, ranges: Ranges{Col: whole.Col},
+			shards: []*shardSlot{slot}, whole: whole, slot: i}
+		one.workers.Store(s.workers.Load())
+		one.n.Store(int64(slot.idx.Len()))
+		out[i] = one
+	}
+	return out, nil
+}
+
+// Slot reports, for an index cut by Slots, the partition of the build it
+// was cut from and its ordinal there; ok is false for any other index.
+func (s *Sharded) Slot() (whole Ranges, slot int, ok bool) {
+	if s.whole == nil {
+		return Ranges{}, 0, false
+	}
+	return *s.whole, s.slot, true
+}
 
 // MemoryOverhead implements index.Interface: the sum of the shard
 // directories.
@@ -621,7 +701,7 @@ func (s *Sharded) BuildStats() Stats {
 	st := Stats{
 		Shards:       len(s.shards),
 		Partition:    s.partition.String(),
-		RangeColumn:  s.col,
+		RangeColumn:  s.ranges.Col,
 		Workers:      int(s.workers.Load()),
 		RowsPerShard: make([]int, len(s.shards)),
 	}

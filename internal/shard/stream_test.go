@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -237,6 +238,48 @@ func TestOutlierDirectoryWithinData(t *testing.T) {
 		}
 		if got := idx.BuildStats().OutlierCells; got != cells {
 			t.Errorf("%s: Stats.OutlierCells %d, shards hold %d", name, got, cells)
+		}
+	}
+}
+
+// rangeCuts selects each quantile instead of sorting the column: the cut
+// points must be exactly the values a full sort puts at ranks i·n/k, on
+// columns with many duplicates, presorted and reversed columns included,
+// and a presorted million-row column like OSM's id.
+func TestRangeCutsMatchSort(t *testing.T) {
+	ids := dataset.NewTable([]string{"id"})
+	for i := 0; i < 1<<20; i++ {
+		ids.Append([]float64{float64(i)})
+	}
+	if got := rangeCuts(ids, 0, 4); got[0] != 1<<18 || got[1] != 1<<19 || got[2] != 3<<18 {
+		t.Fatalf("presorted ids cut at %v", got)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n, k := 1+rng.Intn(2000), 1+rng.Intn(20)
+		tab := dataset.NewTable([]string{"v"})
+		distinct := 1 + rng.Intn(n)
+		for i := 0; i < n; i++ {
+			v := float64(rng.Intn(distinct)) - float64(distinct)/2
+			switch trial % 3 {
+			case 1:
+				v = float64(i)
+			case 2:
+				v = float64(n - i)
+			}
+			tab.Append([]float64{v})
+		}
+		sorted := tab.Column(0)
+		sort.Float64s(sorted)
+		got := rangeCuts(tab, 0, k)
+		if len(got) != max(k-1, 0) {
+			t.Fatalf("trial %d: %d cuts for k=%d", trial, len(got), k)
+		}
+		for i := range got {
+			if want := sorted[(i+1)*n/k]; math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d (n=%d k=%d): cut %d is %v, sorting gives %v", trial, n, k, i, got[i], want)
+			}
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 func FuzzWireDecode(f *testing.F) {
 	for _, m := range []Message{
 		&Hello{Magic: Magic, Version: ProtocolVersion},
-		&Welcome{Version: 1, Dims: 4, Shards: 16, Rows: 1000},
-		&Query{ID: 1, Shards: []int{0, 1}, Min: []float64{0, 0}, Max: []float64{1, 1}, Limit: 10},
+		&Welcome{Version: 1, Dims: 4, Shards: 16, Rows: 1000, Col: 0, Cuts: []float64{10, 20, 30}},
+		&Query{ID: 1, Shards: []int{0, 1}, Min: []float64{0, 0}, Max: []float64{1, 1}, Keep: 1000, Limit: 10},
 		&RowChunk{ID: 1, Shard: 0, Rows: []float64{1, 2, 3, 4}},
 		&ShardEOF{ID: 1, Shard: 0, Rows: 2, Complete: true},
 		&Done{ID: 1, Complete: true},
@@ -29,7 +29,7 @@ func FuzzWireDecode(f *testing.F) {
 		&Error{ID: 4, Code: CodeOverloaded, RetryAfterMillis: 100, Msg: "busy"},
 		&Cancel{ID: 5},
 		&Stats{ID: 6},
-		&StatsRes{ID: 6, Rows: 100, Hosted: []int{0}, ShardRows: []int64{100}},
+		&StatsRes{ID: 6, Rows: 100, Hosted: []int{0}, ShardRows: []int64{100}, MemoryOverhead: 4096},
 	} {
 		var buf bytes.Buffer
 		if err := NewConn(&buf).Send(m); err != nil {

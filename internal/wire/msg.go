@@ -98,12 +98,16 @@ func (m *Hello) decode(r *binio.Reader) {
 }
 
 // Welcome is the server's handshake reply: its protocol version, the row
-// dimensionality it serves, and the cluster's global shard count.
+// dimensionality it serves, the cluster's global shard count, and where
+// rows live: global shard g holds the rows whose column Col lies in
+// [Cuts[g-1], Cuts[g]), its K-1 cut points ascending.
 type Welcome struct {
 	Version uint32
 	Dims    int
 	Shards  int
 	Rows    int64
+	Col     int
+	Cuts    []float64
 }
 
 func (*Welcome) wireType() byte { return TWelcome }
@@ -112,12 +116,16 @@ func (m *Welcome) encode(w *binio.Writer) {
 	w.Int(m.Dims)
 	w.Int(m.Shards)
 	w.Int64(m.Rows)
+	w.Int(m.Col)
+	w.Float64s(m.Cuts)
 }
 func (m *Welcome) decode(r *binio.Reader) {
 	m.Version = r.Uint32()
 	m.Dims = r.Int()
 	m.Shards = r.Int()
 	m.Rows = r.Int64()
+	m.Col = r.Int()
+	m.Cuts = r.Float64s()
 }
 
 // --- control ---
@@ -188,15 +196,18 @@ func (m *Pong) decode(r *binio.Reader) { m.ID = r.Uint64() }
 
 // --- query plane ---
 
-// Query asks the node to scan the listed global shards with one rectangle.
-// Limit ≤ 0 scans everything; a positive limit lets the node stop each
-// shard's scan after that many local matches (any Limit matching rows
-// satisfy the router). The response is, for each requested shard in
-// turn, its RowChunk frames and then its ShardEOF, and a final Done.
+// Query asks the node to fold the listed global shards with one rectangle,
+// as index.RowsState{Keep, Limit} folds: each shard's first Keep matches
+// (every match when Keep < 0) and its match count. Limit ≤ 0 counts
+// everything; a positive limit lets the node stop each shard's scan after
+// that many local matches (any Limit matching rows satisfy the router). The
+// response is, for each requested shard in turn, the RowChunk frames of its
+// kept rows and then its ShardEOF, and a final Done.
 type Query struct {
 	ID       uint64
 	Shards   []int
 	Min, Max []float64
+	Keep     int64
 	Limit    int64
 }
 
@@ -206,6 +217,7 @@ func (m *Query) encode(w *binio.Writer) {
 	w.Ints(m.Shards)
 	w.Float64s(m.Min)
 	w.Float64s(m.Max)
+	w.Int64(m.Keep)
 	w.Int64(m.Limit)
 }
 func (m *Query) decode(r *binio.Reader) {
@@ -213,6 +225,7 @@ func (m *Query) decode(r *binio.Reader) {
 	m.Shards = r.Ints()
 	m.Min = r.Float64s()
 	m.Max = r.Float64s()
+	m.Keep = r.Int64()
 	m.Limit = r.Int64()
 }
 
@@ -237,9 +250,10 @@ func (m *RowChunk) decode(r *binio.Reader) {
 }
 
 // ShardEOF marks the end of one shard's row stream: every RowChunk for
-// that shard has been sent. Complete is false when the scan stopped early
-// (limit met or cancelled) — the rows sent are a valid subset, not the
-// full multiset.
+// that shard has been sent, and Rows is the shard's exact match count
+// (capped at the Query's Limit), however few rows Keep let through.
+// Complete is false when the scan stopped early (limit met or cancelled) —
+// the rows sent are a valid subset, not the full multiset.
 type ShardEOF struct {
 	ID       uint64
 	Shard    int
@@ -436,12 +450,14 @@ func (m *Stats) encode(w *binio.Writer) { w.Uint64(m.ID) }
 func (m *Stats) decode(r *binio.Reader) { m.ID = r.Uint64() }
 
 // StatsRes reports the node's shape: total live rows, the global shards it
-// hosts, and each hosted shard's live row count (aligned with Hosted).
+// hosts, each hosted shard's live row count (aligned with Hosted), and the
+// index directory bytes of its hosted shards summed (MemoryOverhead).
 type StatsRes struct {
-	ID        uint64
-	Rows      int64
-	Hosted    []int
-	ShardRows []int64
+	ID             uint64
+	Rows           int64
+	Hosted         []int
+	ShardRows      []int64
+	MemoryOverhead int64
 }
 
 func (*StatsRes) wireType() byte { return TStatsRes }
@@ -450,12 +466,14 @@ func (m *StatsRes) encode(w *binio.Writer) {
 	w.Int64(m.Rows)
 	w.Ints(m.Hosted)
 	w.Int64s(m.ShardRows)
+	w.Int64(m.MemoryOverhead)
 }
 func (m *StatsRes) decode(r *binio.Reader) {
 	m.ID = r.Uint64()
 	m.Rows = r.Int64()
 	m.Hosted = r.Ints()
 	m.ShardRows = r.Int64s()
+	m.MemoryOverhead = r.Int64()
 }
 
 // --- handshake helpers ---
@@ -482,10 +500,11 @@ func ClientHandshake(c *Conn) (*Welcome, error) {
 	}
 }
 
-// ServerHandshake validates the Hello and answers Welcome. A bad magic or
-// version mismatch is answered with an Error frame before failing, so a
-// confused client sees why instead of a dropped connection.
-func ServerHandshake(c *Conn, dims, shards int, rows int64) error {
+// ServerHandshake validates the Hello and answers w, stamped with this
+// protocol version. A bad magic or version mismatch is answered with an
+// Error frame before failing, so a confused client sees why instead of a
+// dropped connection.
+func ServerHandshake(c *Conn, w Welcome) error {
 	m, err := c.Recv()
 	if err != nil {
 		return fmt.Errorf("wire: handshake: %w", err)
@@ -503,5 +522,6 @@ func ServerHandshake(c *Conn, dims, shards int, rows int64) error {
 		c.Send(&Error{Code: CodeBadRequest, Msg: fmt.Sprintf("protocol version %d unsupported (node speaks %d)", h.Version, ProtocolVersion)})
 		return fmt.Errorf("wire: handshake: client version %d, node speaks %d", h.Version, ProtocolVersion)
 	}
-	return c.Send(&Welcome{Version: ProtocolVersion, Dims: dims, Shards: shards, Rows: rows})
+	w.Version = ProtocolVersion
+	return c.Send(&w)
 }

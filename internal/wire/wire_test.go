@@ -23,12 +23,12 @@ func duplex(t *testing.T) (client, server net.Conn) {
 func allMessages() []Message {
 	return []Message{
 		&Hello{Magic: Magic, Version: ProtocolVersion},
-		&Welcome{Version: 1, Dims: 4, Shards: 16, Rows: 123456},
+		&Welcome{Version: 1, Dims: 4, Shards: 16, Rows: 123456, Col: 2, Cuts: []float64{-1.5, 0, 7}},
 		&Error{ID: 7, Code: CodeOverloaded, RetryAfterMillis: 250, Msg: "drain"},
 		&Cancel{ID: 42},
 		&Ping{ID: 1},
 		&Pong{ID: 1},
-		&Query{ID: 9, Shards: []int{0, 3, 5}, Min: []float64{0, math.Inf(-1)}, Max: []float64{10, math.Inf(1)}, Limit: 100},
+		&Query{ID: 9, Shards: []int{0, 3, 5}, Min: []float64{0, math.Inf(-1)}, Max: []float64{10, math.Inf(1)}, Keep: 1000, Limit: 100},
 		&RowChunk{ID: 9, Shard: 3, Rows: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
 		&ShardEOF{ID: 9, Shard: 3, Rows: 2, Complete: true},
 		&Done{ID: 9, Complete: true},
@@ -40,7 +40,7 @@ func allMessages() []Message {
 		&Mutate{ID: 13, Op: MutUpdate, Shard: 2, Row: []float64{1, 2}, New: []float64{3, 4}},
 		&MutAck{ID: 13, Rows: 999},
 		&Stats{ID: 15},
-		&StatsRes{ID: 15, Rows: 1000, Hosted: []int{0, 2}, ShardRows: []int64{400, 600}},
+		&StatsRes{ID: 15, Rows: 1000, Hosted: []int{0, 2}, ShardRows: []int64{400, 600}, MemoryOverhead: 51624},
 	}
 }
 
@@ -175,7 +175,9 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 func TestHandshake(t *testing.T) {
 	cc, sc := duplex(t)
 	done := make(chan error, 1)
-	go func() { done <- ServerHandshake(NewConn(sc), 4, 16, 777) }()
+	go func() {
+		done <- ServerHandshake(NewConn(sc), Welcome{Dims: 4, Shards: 16, Rows: 777, Col: 1, Cuts: []float64{3, 9}})
+	}()
 	w, err := ClientHandshake(NewConn(cc))
 	if err != nil {
 		t.Fatalf("client handshake: %v", err)
@@ -183,7 +185,7 @@ func TestHandshake(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("server handshake: %v", err)
 	}
-	if w.Dims != 4 || w.Shards != 16 || w.Rows != 777 || w.Version != ProtocolVersion {
+	if w.Dims != 4 || w.Shards != 16 || w.Rows != 777 || w.Col != 1 || !reflect.DeepEqual(w.Cuts, []float64{3, 9}) || w.Version != ProtocolVersion {
 		t.Errorf("welcome = %+v", w)
 	}
 }
@@ -191,7 +193,7 @@ func TestHandshake(t *testing.T) {
 func TestHandshakeRejectsBadMagic(t *testing.T) {
 	cc, sc := duplex(t)
 	done := make(chan error, 1)
-	go func() { done <- ServerHandshake(NewConn(sc), 4, 16, 0) }()
+	go func() { done <- ServerHandshake(NewConn(sc), Welcome{Dims: 4, Shards: 16}) }()
 	c := NewConn(cc)
 	if err := c.Send(&Hello{Magic: 0xDEAD, Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
