@@ -41,8 +41,7 @@ func cmdNode(args []string) error {
 		rows   = fs.Int("rows", 100000, "synthetic dataset size")
 		in     = fs.String("in", "", "build this node's shards from a v3 snapshot (sharded or single-index; every node must use the same file) instead of a synthetic dataset; `coaxstore convert` rewrites a v1/v2 file")
 
-		_       = fs.Int("local-shards", 0, "accepted and ignored: a global shard is one range slot, with no sub-shards under it")
-		workers = fs.Int("workers", 0, "query fan-out workers per hosted shard (0: one per CPU)")
+		_ = fs.Int("local-shards", 0, "accepted and ignored: a global shard is one range slot, with no sub-shards under it")
 
 		maxInflight  = fs.Int("max-inflight", 0, "admission control: requests executing concurrently before new ones queue (0 disables)")
 		maxQueue     = fs.Int("max-queue", -1, "admission control: requests allowed to wait for a slot before shedding (-1: twice -max-inflight)")
@@ -82,7 +81,7 @@ func cmdNode(args []string) error {
 
 	var tab *coax.Table
 	if *in != "" {
-		tab, err = tableFromSnapshot(*in, *workers)
+		tab, err = tableFromSnapshot(*in)
 		if err != nil {
 			return err
 		}
@@ -94,10 +93,8 @@ func cmdNode(args []string) error {
 			return err
 		}
 	}
-	so := coax.DefaultShardOptions()
-	so.Workers = *workers
 	t0 := time.Now()
-	engines, err := cluster.BuildShards(tab, hosted, *shards, coax.DefaultOptions(), so)
+	engines, err := cluster.BuildShards(tab, hosted, *shards, coax.DefaultOptions(), coax.DefaultShardOptions())
 	if err != nil {
 		return err
 	}
@@ -144,8 +141,8 @@ func cmdNode(args []string) error {
 // build, whatever the file's shard layout, so the rows must land on the
 // heap anyway. Every node loading the same file reads the same rows in the
 // same order, so every node builds identical slots and cuts.
-func tableFromSnapshot(path string, workers int) (*coax.Table, error) {
-	idx, sn, err := openSnapshot(path, workers)
+func tableFromSnapshot(path string) (*coax.Table, error) {
+	idx, sn, err := openSnapshot(path, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -8,32 +8,20 @@ import (
 	"github.com/coax-index/coax/internal/shard"
 )
 
-// BuildShards builds a cluster's K global shards as the K range slots of
-// one shard build over t — one soft-FD detection, the engine's cut points
-// on its range column (so.Column; -1 picks it), one core.COAX per slot — and
-// returns the hosted ones. Each carries the build's column and cuts
-// (shard.Sharded.Slot), which its node hands to routers. A global shard is
-// one slot: so.NumShards and so.Partition are ignored. The build is
-// deterministic, so every node building the same table builds identical
-// slots without talking to anyone.
+// BuildShards builds the hosted ones of a cluster's K global shards, the K
+// range slots of one shard build over t (shard.BuildSlots): one soft-FD
+// detection and the engine's cut points on its range column (so.Column; -1
+// picks it) over the whole table, one core.COAX per hosted slot. Each
+// carries the build's column and cuts (shard.Sharded.Slot), which its node
+// hands to routers. A global shard is one slot: so.NumShards,
+// so.Partition and so.Workers are ignored. The build is deterministic, so
+// every node building the same table cuts it identically without talking
+// to anyone.
 func BuildShards(t *dataset.Table, hosted []int, shards int, opt core.Options, so shard.Options) (map[int]*shard.Sharded, error) {
-	for _, g := range hosted {
-		if g < 0 || g >= shards {
-			return nil, fmt.Errorf("cluster: hosted shard %d out of range [0,%d)", g, shards)
-		}
-	}
-	so.NumShards, so.Partition = shards, shard.ByRange
-	whole, err := shard.Build(t, opt, so)
+	so.NumShards = shards
+	out, err := shard.BuildSlots(t, opt, so, hosted)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: building %d global shards: %w", shards, err)
-	}
-	slots, err := whole.Slots()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]*shard.Sharded, len(hosted))
-	for _, g := range hosted {
-		out[g] = slots[g]
 	}
 	return out, nil
 }

@@ -410,15 +410,40 @@ func TestClusterRangePlacement(t *testing.T) {
 	}
 	same("inside one slot", inside, index.RowsState{Keep: -1})
 
-	// Each node hosts every shard here, so the shards a rectangle reaches
-	// all go to one node: one RPC.
-	across := index.Full(4)
-	across.Min[col], across.Max[col] = cuts[2], cuts[5]
-	rpcs := obs.ClusterRPCs.Value()
-	if _, probed, _ := ask(across, index.RowsState{Keep: -1}); probed != 4 || obs.ClusterRPCs.Value()-rpcs != 1 {
-		t.Fatalf("a rectangle over slots 3..6 asked %d shards in %d RPCs, want 4 in 1", probed, obs.ClusterRPCs.Value()-rpcs)
+	// Each node hosts every shard here. A rectangle that crosses one cut
+	// asks one node; a wider one spreads evenly over both, the full
+	// rectangle included: one RPC per node, never every shard on one.
+	for _, tcase := range []struct {
+		first, last int // slots
+		rpcs        int64
+	}{{3, 4, 1}, {3, 6, 2}, {0, shards - 1, 2}} {
+		r := index.Full(4)
+		if tcase.first > 0 {
+			r.Min[col] = cuts[tcase.first-1]
+		}
+		if tcase.last < shards-1 {
+			r.Max[col] = (cuts[tcase.last-1] + cuts[tcase.last]) / 2
+		}
+		rpcs := obs.ClusterRPCs.Value()
+		if _, probed, _ := ask(r, index.RowsState{Keep: -1}); probed != int64(tcase.last-tcase.first+1) || obs.ClusterRPCs.Value()-rpcs != tcase.rpcs {
+			t.Fatalf("a rectangle over slots %d..%d asked %d shards in %d RPCs, want %d RPCs",
+				tcase.first, tcase.last, probed, obs.ClusterRPCs.Value()-rpcs, tcase.rpcs)
+		}
+		same(fmt.Sprintf("slots %d..%d", tcase.first, tcase.last), r, index.RowsState{Keep: -1})
 	}
-	same("across four slots", across, index.RowsState{Keep: -1})
+
+	// A rectangle the nodes could not answer is refused before it is sent:
+	// a NaN bound on the range column, and too few dimensions.
+	nan := index.Full(4)
+	nan.Min[col] = math.NaN()
+	for _, r := range []index.Rect{nan, index.Full(3)} {
+		if _, _, err := rt.ExecRows(r, index.Spec{}, index.RowsState{Keep: -1}); err == nil {
+			t.Errorf("ExecRows answered %v", r)
+		}
+		if _, _, err := rt.ExecAgg(r, index.Spec{}, index.AggSpec{Op: index.AggCount, Col: -1, Group: -1}); err == nil {
+			t.Errorf("ExecAgg answered %v", r)
+		}
+	}
 
 	// Infinite bounds reach every shard; an empty rectangle none.
 	openBelow := index.Full(4)
@@ -887,28 +912,37 @@ func TestClusterStats(t *testing.T) {
 // framing and the shard-order merge per query. It reports the global
 // shards asked per query (shards/op) and the rows the nodes shipped
 // (rows_shipped/op).
+// BenchmarkRouterExecRows asks for about 200 rows per rectangle, bounded
+// on the range column (pruned to one or two shards) or on column 0 (every
+// shard asked when column 0 is not the one cut, as at seed 20).
 func BenchmarkRouterExecRows(b *testing.B) {
 	const rows = 20000
 	rng := rand.New(rand.NewSource(20))
 	tc := startCluster(b, testTable(rng, rows), 8, 2, 2)
-	col := tc.router.ranges.Col
-	vals := tc.table.Column(col)
-	sort.Float64s(vals)
-	rects := make([]index.Rect, 64)
-	for i := range rects {
-		r := index.Full(4)
-		lo := rng.Intn(rows - 200)
-		r.Min[col], r.Max[col] = vals[lo], vals[lo+199] // about 200 rows on the range column
-		rects[i] = r
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	probed, shipped := obs.ClusterShardsProbed.Value(), obs.ClusterRowsReceived.Value()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tc.router.ExecRows(rects[i%len(rects)], index.Spec{}, index.RowsState{Keep: 1000}); err != nil {
-			b.Fatal(err)
+	for _, col := range []int{tc.router.ranges.Col, 0} {
+		vals := tc.table.Column(col)
+		sort.Float64s(vals)
+		rects := make([]index.Rect, 64)
+		for i := range rects {
+			r := index.Full(4)
+			lo := rng.Intn(rows - 200)
+			r.Min[col], r.Max[col] = vals[lo], vals[lo+199]
+			rects[i] = r
 		}
+		name := "range-column"
+		if col != tc.router.ranges.Col {
+			name = "column-0"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			probed, shipped := obs.ClusterShardsProbed.Value(), obs.ClusterRowsReceived.Value()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := tc.router.ExecRows(rects[i%len(rects)], index.Spec{}, index.RowsState{Keep: 1000}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(obs.ClusterShardsProbed.Value()-probed)/float64(b.N), "shards/op")
+			b.ReportMetric(float64(obs.ClusterRowsReceived.Value()-shipped)/float64(b.N), "rows_shipped/op")
+		})
 	}
-	b.ReportMetric(float64(obs.ClusterShardsProbed.Value()-probed)/float64(b.N), "shards/op")
-	b.ReportMetric(float64(obs.ClusterRowsReceived.Value()-shipped)/float64(b.N), "rows_shipped/op")
 }

@@ -330,6 +330,12 @@ func (rt *Router) ExecAgg(r index.Rect, spec index.Spec, aspec index.AggSpec) (*
 // be kept — without waiting for the attempts still out, which a cancel
 // frame reels in.
 func (rt *Router) scatter(spec *index.Spec, r index.Rect, req wire.Message) ([]part, bool, error) {
+	if err := r.Validate(); err != nil {
+		return nil, false, err
+	}
+	if r.Dims() != rt.dims {
+		return nil, false, fmt.Errorf("cluster: rectangle has %d dims, cluster has %d", r.Dims(), rt.dims)
+	}
 	lo, hi := rt.plan(r)
 	events := make(chan event, 64)
 	loopDone := make(chan struct{})
@@ -416,25 +422,31 @@ func (rt *Router) scatter(spec *index.Spec, r index.Rect, req wire.Message) ([]p
 	// planNext groups undelivered shards by the node that should serve
 	// them next: an untried replica of each, preferring one whose breaker
 	// is closed (an open one is still tried once nothing else is left: it
-	// may half-open), and among those first a node this plan already asks —
-	// so shards a rectangle reaches on one node cost one RPC — then ring
-	// preference order. A shard whose replicas were all tried is left out;
-	// the caller fails it.
+	// may half-open); among those first a node this plan already asks while
+	// it holds fewer than share of the shards, then a node it does not ask
+	// yet, then ring preference order. share is the nodes' even split of
+	// the shards, but at least two, so a rectangle that crosses one cut
+	// costs one RPC and a wider one, up to every shard, spreads evenly over
+	// the nodes that host it. A shard whose replicas were all tried is left
+	// out; the caller fails it.
 	planNext := func(shards []int) map[string][]int {
 		plan := make(map[string][]int)
+		share := max(2, (len(shards)+len(rt.order)-1)/len(rt.order))
 		for _, g := range shards {
 			st := &states[g]
-			chosen, best := -1, 3
+			chosen, best := -1, 4
 			for i, node := range rt.replicas[g] {
-				rank := 2
+				rank := 3
 				switch {
 				case st.tried&(1<<i) != 0:
 					continue
 				case rt.clients[node].breaker.open():
-				case plan[node] != nil:
+				case len(plan[node]) == 0:
+					rank = 1
+				case len(plan[node]) < share:
 					rank = 0
 				default:
-					rank = 1
+					rank = 2
 				}
 				if rank < best {
 					chosen, best = i, rank

@@ -154,8 +154,8 @@ type Sharded struct {
 
 	shards []*shardSlot
 
-	// whole, on an index Slots cut from a range build, is that build's
-	// partition, and slot this index's ordinal in it.
+	// whole, on an index BuildSlots built, is its build's partition, and
+	// slot this index's ordinal in it.
 	whole *Ranges
 	slot  int
 }
@@ -198,17 +198,26 @@ var _ index.Interface = (*Sharded)(nil)
 // Build detects soft FDs once over t, partitions it into K shards, and
 // builds every shard's COAX in parallel.
 func Build(t *dataset.Table, opt core.Options, so Options) (*Sharded, error) {
+	fd, err := detect(t, opt)
+	if err != nil {
+		return nil, err
+	}
+	return BuildWithFD(t, fd, opt, so)
+}
+
+// detect checks t and detects its soft FDs, as every build over it starts.
+func detect(t *dataset.Table, opt core.Options) (softfd.Result, error) {
 	if t.Len() == 0 {
-		return nil, fmt.Errorf("shard: cannot build over an empty table")
+		return softfd.Result{}, fmt.Errorf("shard: cannot build over an empty table")
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
+		return softfd.Result{}, fmt.Errorf("shard: %w", err)
 	}
 	fd, err := softfd.Detect(t, opt.SoftFD)
 	if err != nil {
-		return nil, fmt.Errorf("shard: soft-FD detection: %w", err)
+		return softfd.Result{}, fmt.Errorf("shard: soft-FD detection: %w", err)
 	}
-	return BuildWithFD(t, fd, opt, so)
+	return fd, nil
 }
 
 // BuildWithFD builds a sharded index from pre-detected dependencies.
@@ -217,7 +226,57 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Option
 	if err != nil {
 		return nil, err
 	}
+	if err := s.build(t, fd, opt, so.BuildWorkers, nil); err != nil {
+		return nil, err
+	}
+	s.n.Store(int64(t.Len()))
+	return s, nil
+}
+
+// BuildSlots builds the slots keep names of a K-way range build over t
+// (K = so.NumShards, the column so.Column or, at -1, the engine's pick):
+// the soft-FD detection and cuts of Build over all of t, but only the kept
+// slots' rows are copied out and indexed. Slot i is a one-shard index that
+// remembers the build's partition and its ordinal in it (Slot). A cluster
+// node serves the slots it hosts this way, and a router learns from them
+// how to prune and route. so.Partition and so.Workers are ignored.
+func BuildSlots(t *dataset.Table, opt core.Options, so Options, keep []int) (map[int]*Sharded, error) {
+	fd, err := detect(t, opt)
+	if err != nil {
+		return nil, err
+	}
+	so.Partition = ByRange
+	s, err := newSharded(t, fd, so)
+	if err != nil {
+		return nil, err
+	}
+	want := make([]bool, len(s.shards))
+	for _, i := range keep {
+		if i < 0 || i >= len(want) {
+			return nil, fmt.Errorf("shard: slot %d out of range [0,%d)", i, len(want))
+		}
+		want[i] = true
+	}
+	if err := s.build(t, fd, opt, so.BuildWorkers, want); err != nil {
+		return nil, err
+	}
+	out := make(map[int]*Sharded, len(keep))
+	for _, i := range keep {
+		one := &Sharded{dims: s.dims, partition: ByRange, ranges: Ranges{Col: s.ranges.Col},
+			shards: []*shardSlot{s.shards[i]}, whole: &s.ranges, slot: i}
+		one.SetWorkers(1)
+		one.n.Store(int64(s.shards[i].idx.Len()))
+		out[i] = one
+	}
+	return out, nil
+}
+
+// build routes t's rows onto s's shards and builds the COAX of each shard
+// want marks (every shard when want is nil) in parallel; the rows of the
+// others are skipped.
+func (s *Sharded) build(t *dataset.Table, fd softfd.Result, opt core.Options, buildWorkers int, want []bool) error {
 	k := len(s.shards)
+	built := func(i int) bool { return want == nil || want[i] }
 
 	// Partition rows. Shard tables may be empty (k > distinct values); an
 	// empty shard still gets a COAX skeleton so inserts can land later. One
@@ -226,12 +285,16 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Option
 	if k > 1 {
 		tabs = make([]*dataset.Table, k)
 		for i := range tabs {
-			tabs[i] = dataset.NewTable(t.Cols)
-			tabs[i].Grow(t.Len()/k + 1)
+			if built(i) {
+				tabs[i] = dataset.NewTable(t.Cols)
+				tabs[i].Grow(t.Len()/k + 1)
+			}
 		}
 		for i := 0; i < t.Len(); i++ {
 			row := t.Row(i)
-			tabs[s.routeRow(row)].Append(row)
+			if tab := tabs[s.routeRow(row)]; tab != nil {
+				tab.Append(row)
+			}
 		}
 	}
 	// Build shards in parallel on a bounded pool; construction is the
@@ -242,7 +305,7 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Option
 		buildErr error
 	)
 	work := make(chan int)
-	for w := 0; w < min(poolSize(so.BuildWorkers), k); w++ {
+	for w := 0; w < min(poolSize(buildWorkers), k); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -257,15 +320,13 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Option
 		}()
 	}
 	for i := 0; i < k; i++ {
-		work <- i
+		if built(i) {
+			work <- i
+		}
 	}
 	close(work)
 	wg.Wait()
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	s.n.Store(int64(t.Len()))
-	return s, nil
+	return buildErr
 }
 
 // newSharded returns an index of K empty shard slots that routes rows as
@@ -483,29 +544,8 @@ func (s *Sharded) RangeColumn() int { return s.ranges.Col }
 // Cuts returns a copy of the range cut points (nil under ByHash or K=1).
 func (s *Sharded) Cuts() []float64 { return append([]float64(nil), s.ranges.Cuts...) }
 
-// Slots cuts a range-partitioned index into its K slots: slot i is a
-// one-shard index over shard i — the same COAX, lock and write ring — that
-// remembers where it sits (Slot). A cluster node serves the slots it hosts
-// this way, and a router learns from them how to prune and route. s should
-// not be used once cut.
-func (s *Sharded) Slots() ([]*Sharded, error) {
-	if s.partition != ByRange {
-		return nil, fmt.Errorf("shard: only a range partition cuts into slots, not %v", s.partition)
-	}
-	whole := &Ranges{Col: s.ranges.Col, Cuts: s.Cuts()}
-	out := make([]*Sharded, len(s.shards))
-	for i, slot := range s.shards {
-		one := &Sharded{dims: s.dims, partition: ByRange, ranges: Ranges{Col: whole.Col},
-			shards: []*shardSlot{slot}, whole: whole, slot: i}
-		one.workers.Store(s.workers.Load())
-		one.n.Store(int64(slot.idx.Len()))
-		out[i] = one
-	}
-	return out, nil
-}
-
-// Slot reports, for an index cut by Slots, the partition of the build it
-// was cut from and its ordinal there; ok is false for any other index.
+// Slot reports, for an index built by BuildSlots, the partition of the
+// build it belongs to and its ordinal there; ok is false for any other index.
 func (s *Sharded) Slot() (whole Ranges, slot int, ok bool) {
 	if s.whole == nil {
 		return Ranges{}, 0, false

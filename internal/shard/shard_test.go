@@ -3,6 +3,7 @@ package shard_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -385,5 +386,42 @@ func TestStatsShape(t *testing.T) {
 	}
 	if s.Name() != "COAX-sharded" || s.NumShards() != 4 {
 		t.Error("identity accessors broken")
+	}
+}
+
+// BuildSlots builds only the slots it keeps, each the shard Build would
+// build in that slot — the same rows, directory and cuts — so a cluster
+// node hosting a few of the K slots indexes only their rows.
+func TestBuildSlotsKeepsOnlyItsSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	tab := fdTable(rng, 4000, 0.1)
+	so := shard.Options{NumShards: 5, Column: -1}
+	whole, err := shard.Build(tab, coreOptions(), so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, err := shard.BuildSlots(tab, coreOptions(), so, []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slots) != 2 || slots[1] == nil || slots[4] == nil {
+		t.Fatalf("kept slots %v, want 1 and 4", slots)
+	}
+	for i, s := range slots {
+		ranges, slot, ok := s.Slot()
+		if !ok || slot != i || ranges.Col != whole.RangeColumn() || !slices.Equal(ranges.Cuts, whole.Cuts()) || s.NumShards() != 1 {
+			t.Fatalf("slot %d reports slot %d (%v) of column %d cut at %v; the build cuts column %d at %v",
+				i, slot, ok, ranges.Col, ranges.Cuts, whole.RangeColumn(), whole.Cuts())
+		}
+		var want, got *dataset.Table
+		var wantOverhead int64
+		whole.WithShard(i, func(c *core.COAX) error { want, wantOverhead = c.LiveRows(), c.MemoryOverhead(); return nil })
+		s.WithShard(0, func(c *core.COAX) error { got = c.LiveRows(); return nil })
+		if s.Len() != want.Len() || !slices.Equal(got.Data, want.Data) || s.MemoryOverhead() != wantOverhead {
+			t.Fatalf("slot %d holds %d rows (%d B), Build's shard %d holds %d (%d B)", i, s.Len(), s.MemoryOverhead(), i, want.Len(), wantOverhead)
+		}
+	}
+	if _, err := shard.BuildSlots(tab, coreOptions(), so, []int{5}); err == nil {
+		t.Error("a slot past K accepted")
 	}
 }
