@@ -36,7 +36,8 @@ func finite(v float64) bool { return v-v == 0 }
 
 // appendFloat appends v as encoding/json formats a float64: shortest 'f',
 // or 'e' with a one-digit exponent cleaned up outside [1e-6, 1e21). v must
-// be finite.
+// be finite. The 'f' range goes to the Schubfach formatter (ftoa.go); zero
+// and the 'e' range, subnormals included, stay on strconv.
 func appendFloat(b []byte, v float64) []byte {
 	abs := math.Abs(v)
 	if abs < 1<<53 {
@@ -46,7 +47,10 @@ func appendFloat(b []byte, v float64) []byte {
 			return strconv.AppendInt(b, i, 10)
 		}
 	}
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs >= 1e-6 && abs < 1e21 {
+		return appendShortestF(b, v)
+	}
+	if abs != 0 {
 		b = strconv.AppendFloat(b, v, 'e', -1, 64)
 		// e-09 → e-9, as encoding/json does.
 		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {

@@ -113,25 +113,22 @@ func (s *RowsState) FoldBatch(b *Batch) bool {
 	return s.capped()
 }
 
-// firstHeldRows is how many rows the storage of a fold keeping Keep ≥ 0
-// rows starts with, unless Keep is smaller: growing from a handful of rows
-// would copy and clear the held rows several times over before reaching a
-// reply's size.
-const firstHeldRows = 256
-
-// minHeldRows is the least a fold keeping every row (Keep < 0) starts its
-// storage with. Such a fold holds one probe's matches — often a dozen rows —
-// so it starts from the rows its first fold holds and quadruples on the way
-// to firstHeldRows: minHeldRows and 4·minHeldRows rows together stay under
-// the firstHeldRows a single start would take.
-const minHeldRows = 48
+// minHeldRows is the least a fold's row storage starts with, and it
+// quadruples while under firstHeldRows. A probe often holds a dozen rows,
+// whatever its Keep, so storage starts from the rows its first fold holds;
+// minHeldRows and 4·minHeldRows rows together stay under firstHeldRows, so
+// holding up to 4·minHeldRows rows allocates less than a firstHeldRows-row
+// start would.
+const (
+	minHeldRows   = 48
+	firstHeldRows = 256
+)
 
 // grow makes room for n more held rows of dims values each. Storage starts
-// at firstHeldRows rows (Keep, if fewer); keeping every row, it starts at the
-// first fold's n rows, at least minHeldRows, and quadruples while under
-// firstHeldRows. Past that it at least doubles: appends past a few hundred
-// values grow it by a quarter at a time and leave several times the kept
-// rows behind.
+// at the first fold's n rows, at least minHeldRows, and quadruples while
+// under firstHeldRows. Past that it at least doubles: appends past a few
+// hundred values grow it by a quarter at a time and leave several times the
+// kept rows behind. It never grows past Keep rows.
 func (s *RowsState) grow(n, dims int) {
 	need := n * dims
 	if len(s.Rows)+need <= cap(s.Rows) {
@@ -139,14 +136,16 @@ func (s *RowsState) grow(n, dims int) {
 	}
 	more := cap(s.Rows) // added to the length: doubles
 	switch {
-	case cap(s.Rows) == 0 && s.Keep >= 0:
-		need = max(need, min(firstHeldRows, s.Keep)*dims)
 	case cap(s.Rows) == 0:
 		need = max(need, minHeldRows*dims)
-	case s.Keep < 0 && cap(s.Rows) < firstHeldRows*dims:
+	case cap(s.Rows) < firstHeldRows*dims:
 		more = 3 * cap(s.Rows) // quadruples
 	}
-	s.Rows = slices.Grow(s.Rows, max(need, more))
+	more = max(need, more)
+	if s.Keep >= 0 {
+		more = min(more, s.Keep*dims-len(s.Rows))
+	}
+	s.Rows = slices.Grow(s.Rows, more)
 }
 
 // FoldRow folds one row exactly as FoldBatch folds a selected one, and

@@ -2,10 +2,10 @@ package index
 
 import "testing"
 
-// TestKeepAllFoldSizedByItsRows: a fold keeping every row (Keep < 0) sizes
-// its storage from the rows it holds, so a 12-row result — one row per
-// batch, or all in one — allocates for far fewer than the firstHeldRows a
-// fold keeping Keep ≥ 0 rows starts with; that one still starts there.
+// TestKeepAllFoldSizedByItsRows: a fold sizes its storage from the rows it
+// holds, whatever its Keep, so a 12-row result — one row per batch, or all
+// in one — allocates for far fewer than firstHeldRows rows, keeping every
+// row or up to 100 or 1 000.
 func TestKeepAllFoldSizedByItsRows(t *testing.T) {
 	const dims, rows = 4, 12
 	page := make([]float64, rows*dims)
@@ -18,7 +18,7 @@ func TestKeepAllFoldSizedByItsRows(t *testing.T) {
 		return b
 	}
 	for _, per := range []int{1, 5, rows} {
-		for _, keep := range []int{-1, 100} {
+		for _, keep := range []int{-1, 100, 1000} {
 			st := RowsState{Keep: keep}
 			for lo := 0; lo < rows; lo += per {
 				st.FoldBatch(batch(lo, min(lo+per, rows)))
@@ -32,12 +32,19 @@ func TestKeepAllFoldSizedByItsRows(t *testing.T) {
 				}
 			}
 			held := cap(st.Rows) / dims
-			if keep < 0 && held > 64 {
-				t.Errorf("Keep -1, %d rows per batch: storage for %d rows, holding %d", per, held, rows)
-			}
-			if keep >= 0 && held < min(keep, firstHeldRows) {
-				t.Errorf("Keep %d, %d rows per batch: storage for %d rows, want %d from the start", keep, per, held, min(keep, firstHeldRows))
+			if held > 64 {
+				t.Errorf("Keep %d, %d rows per batch: storage for %d rows, holding %d", keep, per, held, rows)
 			}
 		}
+	}
+
+	// Storage never outgrows Keep: 16 rows kept of 36 folded, 12 at a time
+	// (16 rows of 4 values fill a 512-byte size class exactly).
+	st := RowsState{Keep: 16}
+	for range 3 {
+		st.FoldBatch(batch(0, rows))
+	}
+	if st.Count != 3*rows || st.Held() != 16 || cap(st.Rows) != 16*dims {
+		t.Errorf("Keep 16 over %d rows: held %d of %d in storage for %d rows", 3*rows, st.Held(), st.Count, cap(st.Rows)/dims)
 	}
 }
