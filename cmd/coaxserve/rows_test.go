@@ -8,6 +8,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -105,6 +107,56 @@ func TestHugeLimitAllocatesByMatches(t *testing.T) {
 	}
 	if allocated >= 32<<10 {
 		t.Errorf(`"limit": 1<<30 over 50 rows allocated %d bytes, ceiling %d`, allocated, 32<<10)
+	}
+}
+
+// A limit of math.MaxInt bounds nothing: /query, with and without
+// "early", and /batch answer every matching row, from one process and
+// from the router, whose nodes take the limit as their keep.
+func TestMaxIntLimitAnswered(t *testing.T) {
+	const gshards, rf = 8, 2
+	tc := startTestCluster(t, coax.GenerateOSM(coax.DefaultOSMConfig(8000)), gshards, 2, rf)
+	rt, err := cluster.NewRouter(tc.addrs, gshards, rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	q := fmt.Sprintf(`{"min":[null,null,40,null],"limit":%d`, math.MaxInt)
+	for _, b := range []struct {
+		name string
+		be   backend
+	}{{"serve", testBackend(wideIndex(t))}, {"router", clusterBackend{rt}}} {
+		t.Run(b.name, func(t *testing.T) {
+			srv := serveFront(t, b.be, 0, nil)
+			var want queryResponse
+			for _, row := range []confRow{
+				{path: "/query", body: `{"min":[null,null,40,null],"limit":-1}`},
+				{path: "/query", body: q + "}"},
+				{path: "/query", body: q + `,"early":true}`},
+				{path: "/batch", body: `{"queries":[` + q + "}]}"},
+			} {
+				got := do(t, srv.URL, row)
+				if got.status != http.StatusOK {
+					t.Fatalf("%s %s: status %d: %s", row.path, row.body, got.status, got.body)
+				}
+				var reply queryResponse
+				if row.path == "/batch" {
+					var batch batchResponse
+					if err := json.Unmarshal(got.body, &batch); err != nil || len(batch.Results) != 1 {
+						t.Fatalf("%s: %v: %.300s", row.body, err, got.body)
+					}
+					reply = batch.Results[0]
+				} else if err := json.Unmarshal(got.body, &reply); err != nil {
+					t.Fatalf("%s: %v", row.body, err)
+				}
+				if want.Rows == nil {
+					want = reply
+				}
+				if reply.Count == 0 || reply.Count != want.Count || len(reply.Rows) != reply.Count {
+					t.Fatalf("%s %s: %d rows of %d, limit -1 answers %d", row.path, row.body, len(reply.Rows), reply.Count, want.Count)
+				}
+			}
+		})
 	}
 }
 

@@ -200,9 +200,10 @@ func Check(t *testing.T, label string, live *dataset.Table, e Engine, rects []in
 		// The row reply: the engine's scan order is that of its fold keeping
 		// every row, whose rows are the reference's; every other fold holds
 		// a prefix of them and the exact count (capped at a positive Limit).
+		// A Keep or Limit of math.MaxInt bounds nothing, and sizes nothing.
 		var all index.RowsState
-		for _, keep := range []int{-1, 0, 1, 100} {
-			for _, limit := range []int{0, 1, 100} {
+		for _, keep := range []int{-1, 0, 1, 100, math.MaxInt} {
+			for _, limit := range []int{0, 1, 100, math.MaxInt} {
 				consumer := fmt.Sprintf("rows fold keep %d limit %d", keep, limit)
 				got := index.RowsState{Keep: keep, Limit: limit}
 				var p index.Probe

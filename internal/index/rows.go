@@ -142,8 +142,10 @@ func (s *RowsState) grow(n, dims int) {
 		more = 3 * cap(s.Rows) // quadruples
 	}
 	more = max(need, more)
-	if s.Keep >= 0 {
-		more = min(more, s.Keep*dims-len(s.Rows))
+	// Capped in rows, not values: Keep may be any int, and Keep·dims can
+	// overflow.
+	if room := s.Keep - len(s.Rows)/dims; s.Keep >= 0 && room <= more/dims {
+		more = room * dims
 	}
 	s.Rows = slices.Grow(s.Rows, more)
 }
@@ -155,9 +157,9 @@ func (s *RowsState) FoldRow(row []float64) bool {
 		return false // already at the Limit: decline, uncounted
 	}
 	// The rows held never outnumber Count, which is below the Limit here,
-	// so only Keep bounds them — checked without dividing: this is a
-	// per-row path.
-	if s.Keep < 0 || len(s.Rows) < s.Keep*len(row) {
+	// so only Keep bounds them — compared in rows, as Keep·dims can
+	// overflow.
+	if s.Keep < 0 || len(s.Rows)/len(row) < s.Keep {
 		s.Dims = len(row)
 		s.grow(1, len(row))
 		s.Rows = append(s.Rows, row...)

@@ -1,6 +1,9 @@
 package index
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestKeepAllFoldSizedByItsRows: a fold sizes its storage from the rows it
 // holds, whatever its Keep, so a 12-row result — one row per batch, or all
@@ -46,5 +49,26 @@ func TestKeepAllFoldSizedByItsRows(t *testing.T) {
 	}
 	if st.Count != 3*rows || st.Held() != 16 || cap(st.Rows) != 16*dims {
 		t.Errorf("Keep 16 over %d rows: held %d of %d in storage for %d rows", 3*rows, st.Held(), st.Count, cap(st.Rows)/dims)
+	}
+}
+
+// TestMaxIntKeepFolds: a Keep of math.MaxInt, whose product with the row
+// width overflows, holds every row, by batch and by row.
+func TestMaxIntKeepFolds(t *testing.T) {
+	const dims, rows = 4, 12
+	page := make([]float64, rows*dims)
+	b := &Batch{Page: page, Dims: dims, Rows: rows, RowStep: dims, ColStep: 1, Sel: []uint64{1<<rows - 1}}
+	for _, limit := range []int{0, math.MaxInt} {
+		st := RowsState{Keep: math.MaxInt, Limit: limit}
+		byRow := st
+		for range 3 {
+			st.FoldBatch(b)
+			for i := range rows {
+				byRow.FoldRow(page[i*dims : (i+1)*dims])
+			}
+		}
+		if st.Count != 3*rows || st.Held() != 3*rows || byRow.Count != 3*rows || byRow.Held() != 3*rows {
+			t.Errorf("Keep MaxInt, Limit %d: batches held %d of %d, rows held %d of %d", limit, st.Held(), st.Count, byRow.Held(), byRow.Count)
+		}
 	}
 }

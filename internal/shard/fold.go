@@ -78,12 +78,16 @@ func (s *Sharded) ExecRows(rs []index.Rect, spec index.Spec, keep index.RowsStat
 	out := make([]index.RowsState, len(rs))
 	for qi := range out {
 		out[qi] = keep
+		// Capped in rows, not values: Keep and Limit may be any int, and
+		// either times dims can overflow.
+		rows := size[qi] / s.dims
 		if keep.Keep >= 0 {
-			size[qi] = min(size[qi], keep.Keep*s.dims)
+			rows = min(rows, keep.Keep)
 		}
 		if keep.Limit > 0 {
-			size[qi] = min(size[qi], keep.Limit*s.dims)
+			rows = min(rows, keep.Limit)
 		}
+		size[qi] = rows * s.dims
 	}
 	for pi, p := range f.probes {
 		// The first probe holding rows hands its storage over; the rest
