@@ -3,7 +3,7 @@ package coax
 // Aggregation API: Count/Sum/Min/Max/Avg over a query's matching rows,
 // optionally grouped by a categorical column, executed entirely inside the
 // scan kernels — COUNT is a popcount over selection bitmaps, SUM/MIN/MAX
-// walk only the set bits of the value column, and no row is ever
+// read only the selected values of the value column, and no row is ever
 // materialized or handed to a visitor. The fan-out folds one partial
 // aggregate per shard and merges them in shard order at the gather point,
 // so results are deterministic run to run for a fixed shard layout.

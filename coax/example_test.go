@@ -83,8 +83,8 @@ func ExampleQuery_Head() {
 }
 
 // ExampleQuery_aggregate computes an aggregate entirely inside the scan
-// kernels: COUNT is a popcount over selection bitmaps, SUM/MIN/MAX walk
-// only the set bits of the value column, and no row is materialized.
+// kernels: COUNT is a popcount over selection bitmaps, SUM/MIN/MAX read
+// only the selected values of the value column, and no row is materialized.
 func ExampleQuery_aggregate() {
 	table := coax.NewTable([]string{"seq", "temp", "reading"})
 	for i := 0; i < 8000; i++ {

@@ -1,7 +1,7 @@
 // Package enginetest is the one table every engine's tests hold it to. An
 // engine in some state is driven through each of its consumers — a row
 // scan, a batch scan walked with Batch.Each, an aggregate fold for all five
-// ops plus a grouped one, and a row-reply fold (index.RowsState) for every
+// ops, ungrouped and grouped, and a row-reply fold (index.RowsState) for every
 // Keep in {0, 1, 100, all} by every Limit in {none, 1, 100} — and every consumer
 // is compared against internal/scan's plain row loop over the live rows:
 // the same multiset, the same aggregate bits, the same counts, and probe
@@ -109,7 +109,11 @@ func Check(t *testing.T, label string, live *dataset.Table, e Engine, rects []in
 		{Op: index.AggMin, Col: col, Group: -1},
 		{Op: index.AggMax, Col: col, Group: -1},
 		{Op: index.AggAvg, Col: col, Group: -1},
+		{Op: index.AggCount, Col: -1, Group: group},
 		{Op: index.AggSum, Col: col, Group: group},
+		{Op: index.AggMin, Col: col, Group: group},
+		{Op: index.AggMax, Col: col, Group: group},
+		{Op: index.AggAvg, Col: col, Group: group},
 	}
 	fold := e.Fold
 	if fold == nil {

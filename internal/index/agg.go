@@ -8,13 +8,15 @@ import (
 
 // Aggregation pushdown. An AggState folds rows into a running aggregate
 // without ever materializing them: FoldBatch folds straight off a Batch's
-// selection bitmap (COUNT is a popcount over the selection words;
-// SUM/MIN/MAX walk only the set bits of the value column). FoldRow folds
-// one row at a time — for callers that only have rows (a reference fold in
-// tests) — performing the identical floating-point
-// operations, so folding a scan's rows in its order gives the bits its
-// batches give. Partial states from independent scans (the shards of a
-// fan-out) merge deterministically with Merge.
+// selection bitmap. COUNT is a popcount over the selection words; SUM,
+// AVG, MIN and MAX read the value column at the selected rows only — a
+// fully selected 64-row word of a unit-stride window as one in-order run
+// of 64 values, any other word by walking its set bits. Each op keeps
+// only its own fields (see AggCell). FoldRow folds one row at a time — for
+// callers that only have rows (a reference fold in tests) — performing the
+// identical floating-point operations, so folding a scan's rows in its
+// order gives the bits its batches give. Partial states from independent
+// scans (the shards of a fan-out) merge deterministically with Merge.
 
 // AggOp enumerates the supported aggregates.
 type AggOp uint8
@@ -85,8 +87,10 @@ func (s AggSpec) Validate(dims int) error {
 	return nil
 }
 
-// AggCell is one running aggregate: every fold maintains count, sum, and
-// extrema together, so a single cell answers any op and AVG is free.
+// AggCell is one running aggregate. A fold keeps only the fields its op
+// defines and leaves the others zero: COUNT keeps Count, SUM and AVG keep
+// Sum and Count, MIN keeps Min and Count, MAX keeps Max and Count. So a
+// cell answers the op it was folded for, and no other.
 type AggCell struct {
 	Count int64
 	Sum   float64
@@ -94,25 +98,29 @@ type AggCell struct {
 	Max   float64
 }
 
-// fold absorbs one value. The operation order (extrema update, then sum,
-// then count) is the single definition FoldBatch and FoldRow share —
-// bit-identical results depend on it.
-func (c *AggCell) fold(v float64) {
-	if c.Count == 0 {
-		c.Min, c.Max = v, v
-	} else {
-		if v < c.Min {
+// add folds one value under op: the per-row definition FoldRow and the
+// grouped FoldBatch share, and which the ungrouped FoldBatch's loops
+// repeat value for value. v is ignored under COUNT. MIN and MAX compare
+// with < and > against a running value the first one seeds, never with
+// the builtin min and max, which order NaN and ±0 differently.
+func (c *AggCell) add(op AggOp, v float64) {
+	switch op {
+	case AggSum, AggAvg:
+		c.Sum += v
+	case AggMin:
+		if c.Count == 0 || v < c.Min {
 			c.Min = v
 		}
-		if v > c.Max {
+	case AggMax:
+		if c.Count == 0 || v > c.Max {
 			c.Max = v
 		}
 	}
-	c.Sum += v
 	c.Count++
 }
 
-// merge absorbs another cell's state.
+// merge absorbs another cell's state. Both cells were folded under the
+// same op, so the fields it leaves zero stay zero.
 func (c *AggCell) merge(o *AggCell) {
 	if o.Count == 0 {
 		return
@@ -182,39 +190,124 @@ func (a *AggState) cell(key float64) *AggCell {
 	return c
 }
 
-// FoldBatch folds every selected row of b into the state. Ungrouped COUNT
-// never touches the page — it is a popcount over the selection words;
-// every other shape walks only the set bits, reading just the columns the
-// spec needs through the batch's steps (in a column-major window each is
-// one contiguous run), and pulls only those, over the selected rows. An
-// aggregate consumes every matching row, so it always reports that the
-// scan should go on.
+// FoldBatch folds every selected row of b into the state, reading just
+// the columns the spec needs through the batch's steps (in a column-major
+// window each is one contiguous run), and pulls only those, over the
+// selected rows. Ungrouped COUNT never touches the page. An aggregate
+// consumes every matching row, so it always reports that the scan should
+// go on.
 func (a *AggState) FoldBatch(b *Batch) bool {
-	step := b.RowStep
-	if a.Spec.Group < 0 {
-		if a.Spec.Op == AggCount {
-			for _, w := range b.Sel {
-				a.All.Count += int64(bits.OnesCount64(w))
-			}
-			return true
-		}
-		b.Pull(a.Spec.Col)
-		vals := b.Page[a.Spec.Col*b.ColStep:]
-		for w, word := range b.Sel {
-			base := w << 6
-			for word != 0 {
-				i := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				a.All.fold(vals[i*step])
-			}
-		}
+	if a.Spec.Group >= 0 {
+		a.foldGroups(b)
 		return true
 	}
-	counting := a.Spec.Op == AggCount
+	var n int64
+	for _, w := range b.Sel {
+		n += int64(bits.OnesCount64(w))
+	}
+	c := &a.All
+	seeded := c.Count > 0
+	c.Count += n
+	op := a.Spec.Op
+	if op == AggCount || n == 0 {
+		return true
+	}
+	b.Pull(a.Spec.Col)
+	vals := b.Page[a.Spec.Col*b.ColStep:]
+	switch op {
+	case AggSum, AggAvg:
+		c.Sum = foldSum(c.Sum, vals, b.Sel, b.RowStep)
+	case AggMin:
+		if !seeded {
+			first, _ := SelRange(b.Sel)
+			c.Min = vals[first*b.RowStep]
+		}
+		c.Min = foldMin(c.Min, vals, b.Sel, b.RowStep)
+	case AggMax:
+		if !seeded {
+			first, _ := SelRange(b.Sel)
+			c.Max = vals[first*b.RowStep]
+		}
+		c.Max = foldMax(c.Max, vals, b.Sel, b.RowStep)
+	}
+	return true
+}
+
+// foldSum adds the selected values to s in index order, a fully selected
+// word of a unit-stride window as one run.
+func foldSum(s float64, vals []float64, sel []uint64, step int) float64 {
+	for w, word := range sel {
+		base := w << 6
+		if word == ^uint64(0) && step == 1 {
+			for _, v := range vals[base : base+64] {
+				s += v
+			}
+			continue
+		}
+		for word != 0 {
+			i := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			s += vals[i*step]
+		}
+	}
+	return s
+}
+
+// foldMin lowers m to the least selected value, keeping the earliest of
+// equals and ignoring NaN unless m is one, as a row-by-row fold does.
+func foldMin(m float64, vals []float64, sel []uint64, step int) float64 {
+	for w, word := range sel {
+		base := w << 6
+		if word == ^uint64(0) && step == 1 {
+			for _, v := range vals[base : base+64] {
+				if v < m {
+					m = v
+				}
+			}
+			continue
+		}
+		for word != 0 {
+			i := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			if v := vals[i*step]; v < m {
+				m = v
+			}
+		}
+	}
+	return m
+}
+
+// foldMax is foldMin's mirror.
+func foldMax(m float64, vals []float64, sel []uint64, step int) float64 {
+	for w, word := range sel {
+		base := w << 6
+		if word == ^uint64(0) && step == 1 {
+			for _, v := range vals[base : base+64] {
+				if v > m {
+					m = v
+				}
+			}
+			continue
+		}
+		for word != 0 {
+			i := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			if v := vals[i*step]; v > m {
+				m = v
+			}
+		}
+	}
+	return m
+}
+
+// foldGroups is FoldBatch for a grouped state: it walks the set bits,
+// folding each row into its group's cell.
+func (a *AggState) foldGroups(b *Batch) {
+	step, op := b.RowStep, a.Spec.Op
 	b.Pull(a.Spec.Group)
 	keys := b.Page[a.Spec.Group*b.ColStep:]
-	var vals []float64
-	if !counting {
+	vals := keys // read, and ignored, under COUNT
+	if op.NeedsColumn() {
 		b.Pull(a.Spec.Col)
 		vals = b.Page[a.Spec.Col*b.ColStep:]
 	}
@@ -223,34 +316,23 @@ func (a *AggState) FoldBatch(b *Batch) bool {
 		for word != 0 {
 			i := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			c := a.cell(keys[i*step])
-			if counting {
-				c.Count++
-			} else {
-				c.fold(vals[i*step])
-			}
+			a.cell(keys[i*step]).add(op, vals[i*step])
 		}
 	}
-	return true
 }
 
 // FoldRow folds one row, performing exactly the operations FoldBatch
 // performs per selected row; like FoldBatch it always reports true.
 func (a *AggState) FoldRow(row []float64) bool {
-	if a.Spec.Group < 0 {
-		if a.Spec.Op == AggCount {
-			a.All.Count++
-		} else {
-			a.All.fold(row[a.Spec.Col])
-		}
-		return true
+	c := &a.All
+	if a.Spec.Group >= 0 {
+		c = a.cell(row[a.Spec.Group])
 	}
-	c := a.cell(row[a.Spec.Group])
-	if a.Spec.Op == AggCount {
-		c.Count++
-	} else {
-		c.fold(row[a.Spec.Col])
+	var v float64
+	if a.Spec.Op.NeedsColumn() {
+		v = row[a.Spec.Col]
 	}
+	c.add(a.Spec.Op, v)
 	return true
 }
 

@@ -10,8 +10,8 @@ import (
 // ScanBatch evaluates the rectangle as tight per-column loops over a page's
 // rows and hands the caller one selection bitmap per batch. What differs
 // between queries is the consumer: aggregations fold straight off the
-// bitmap (COUNT is a popcount; SUM/MIN/MAX walk only the set bits), and row
-// queries walk its set bits through Batch.Each.
+// bitmap (COUNT is a popcount; SUM/MIN/MAX read only the selected values,
+// see FoldBatch), and row queries walk its set bits through Batch.Each.
 
 // BatchRows is the maximum number of rows in one Batch: large enough to
 // amortize per-batch bookkeeping, small enough that a batch's selection

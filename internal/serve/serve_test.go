@@ -272,6 +272,49 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	}
 }
 
+// TestSingleFlightLeaderPanic: a leader whose fn panics still finishes its
+// call — the panic goes on up the leader's stack, the follower waiting on
+// it gets an error, and the next Do on the key runs fn afresh.
+func TestSingleFlightLeaderPanic(t *testing.T) {
+	var g flightGroup
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		g.Do("k", func() (any, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	followerErr := make(chan error, 1)
+	go func() {
+		_, err, shared := g.Do("k", func() (any, error) { return "follower ran", nil })
+		if !shared {
+			err = errors.New("follower was not coalesced onto the leader")
+		}
+		followerErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the follower park on the call
+	close(release)
+	if p := <-leaderPanic; p != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic", p)
+	}
+	select {
+	case err := <-followerErr:
+		if !errors.Is(err, errLeaderPanicked) {
+			t.Fatalf("follower got %v, want %v", err, errLeaderPanicked)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still blocked on a call whose leader panicked")
+	}
+	v, err, shared := g.Do("k", func() (any, error) { return 7, nil })
+	if v != 7 || err != nil || shared {
+		t.Fatalf("Do after the panic = (%v, %v, shared %v), want a fresh run", v, err, shared)
+	}
+}
+
 func TestQueryCacheDo(t *testing.T) {
 	inv := newFakeInv(2)
 	qc := NewQueryCache(inv, 16)

@@ -129,3 +129,48 @@ func BenchmarkOneShard(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExecAgg times the aggregate fan-out at scan-heap's aggregate
+// shape: a 500 k-row OSM table in 4 range shards, rectangles matching
+// about Len/50 rows each, and scan-heap's cycle of ops — count, sum(lon),
+// min(timestamp), avg(lat) — one sub-benchmark each and one for the cycle
+// mixed. OSM's sort column and predictor is id (column 0), so
+// min(timestamp), on the dependent column, reads every selected value.
+// It reports ns/row over the rows folded.
+func BenchmarkExecAgg(b *testing.B) {
+	tab := dataset.GenerateOSM(dataset.DefaultOSMConfig(500_000))
+	so := shard.DefaultOptions()
+	so.NumShards = 4
+	s, err := shard.Build(tab, core.DefaultOptions(), so)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rects, err := workload.NewGenerator(tab, 65).SelectivityRects(256, tab.Len()/50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	count := index.AggSpec{Op: index.AggCount, Col: -1, Group: -1}
+	sum := index.AggSpec{Op: index.AggSum, Col: 3, Group: -1}
+	least := index.AggSpec{Op: index.AggMin, Col: 1, Group: -1}
+	avg := index.AggSpec{Op: index.AggAvg, Col: 2, Group: -1}
+	for _, c := range []struct {
+		name  string
+		specs []index.AggSpec
+	}{
+		{"count", []index.AggSpec{count}},
+		{"sum(lon)", []index.AggSpec{sum}},
+		{"min(timestamp)", []index.AggSpec{least}},
+		{"avg(lat)", []index.AggSpec{avg}},
+		{"mixed", []index.AggSpec{count, sum, least, avg}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var rows int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, _ := s.ExecAgg(rects[i%len(rects)], index.Spec{}, c.specs[i%len(c.specs)], nil)
+				rows += st.Rows()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+		})
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +72,8 @@ type fanout struct {
 	// stop is the shared stop flag: every scan polls it once per page as
 	// its abort hook, and a done context raises it.
 	stop atomic.Bool
+	// panicked is the first panic a worker recovered from a probe.
+	panicked atomic.Pointer[probePanic]
 }
 
 // aborted is a probe's abort hook: the shared stop flag, or the caller's
@@ -107,7 +110,10 @@ func (s *Sharded) plan(rs []index.Rect, spec index.Spec) *fanout {
 // owns whole queries, so it is where their page/row/translation counters
 // are fed — core runs once per probe and must not count. fanOut reports
 // whether every probe ran to completion and neither the context nor
-// spec.Abort stopped the fan-out.
+// spec.Abort stopped the fan-out. A probe that panics on a worker stops
+// the others; once every worker is done the panic is raised again on the
+// caller as a *probePanic naming the shard (a probe on the caller panics
+// there directly), and no shard lock stays held.
 func (s *Sharded) fanOut(f *fanout, rep *Report, scan func(pi int, idx *core.COAX, rep *core.ProbeReport) bool) bool {
 	track := obs.On()
 	if rep != nil {
@@ -169,12 +175,23 @@ func (s *Sharded) fanOut(f *fanout, rep *Report, scan func(pi int, idx *core.COA
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				pi := -1
+				defer func() {
+					if v := recover(); v != nil {
+						f.panicked.CompareAndSwap(nil, &probePanic{shard: f.probes[pi].si, value: v, stack: debug.Stack()})
+						f.stop.Store(true)
+					}
+				}()
 				for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
-					run(order[i])
+					pi = order[i]
+					run(pi)
 				}
 			}()
 		}
 		wg.Wait()
+		if p := f.panicked.Load(); p != nil {
+			panic(p)
+		}
 	}
 
 	for i := range reps {
@@ -199,10 +216,11 @@ func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track boo
 	if track || f.spec.Trace != nil {
 		start = time.Now()
 	}
-	slot := s.shards[si]
-	slot.mu.RLock()
-	complete := scan(pi, slot.idx, crep)
-	slot.mu.RUnlock()
+	var complete bool
+	s.WithShard(si, func(idx *core.COAX) error { // releases the read lock if scan panics
+		complete = scan(pi, idx, crep)
+		return nil
+	})
 	if track || f.spec.Trace != nil {
 		elapsed := time.Since(start)
 		if track {
@@ -215,6 +233,19 @@ func (s *Sharded) runProbe(f *fanout, pi int, reps []core.ProbeReport, track boo
 		}
 	}
 	return complete
+}
+
+// probePanic is a panic recovered on a fan-out worker, raised again on the
+// fan-out's caller once every worker is done: it names the shard whose
+// probe panicked and carries the worker's stack, which the raise loses.
+type probePanic struct {
+	shard int
+	value any
+	stack []byte
+}
+
+func (p *probePanic) Error() string {
+	return fmt.Sprintf("shard %d: probe panicked: %v\n\n%s", p.shard, p.value, p.stack)
 }
 
 // Exec fans r across the shards it can match as a row fold, then yields the
