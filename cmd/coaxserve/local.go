@@ -70,8 +70,8 @@ func cmdServe(args []string) error {
 	}
 
 	bst := idx.BuildStats()
-	fmt.Printf("serving %d rows × %d dims on %d %s shard(s) at %s (compactor: %v)\n",
-		bst.Rows, bst.Dims, bst.Shards, bst.Partition, *addr, *sweep)
+	fmt.Printf("serving %d rows × %d dims on %d shard(s) on range column %d at %s (compactor: %v)\n",
+		bst.Rows, bst.Dims, bst.Shards, bst.RangeColumn, *addr, *sweep)
 
 	if *debugAddr != "" {
 		dbg := &http.Server{
@@ -340,13 +340,12 @@ func (l *localBackend) runBatch(ctx context.Context, rects []coax.Rect, keep int
 }
 
 type statsResponse struct {
-	Rows            int    `json:"rows"`
-	Dims            int    `json:"dims"`
-	Shards          int    `json:"shards"`
-	Partition       string `json:"partition"`
-	RangeColumn     int    `json:"range_column"`
-	RowsPerShard    []int  `json:"rows_per_shard"`
-	MemoryOverheadB int64  `json:"memory_overhead_bytes"`
+	Rows            int   `json:"rows"`
+	Dims            int   `json:"dims"`
+	Shards          int   `json:"shards"`
+	RangeColumn     int   `json:"range_column"`
+	RowsPerShard    []int `json:"rows_per_shard"`
+	MemoryOverheadB int64 `json:"memory_overhead_bytes"`
 
 	// Index-health signals: aggregated lifecycle counters (outlier ratio,
 	// tombstone ratio, drift, mutation counts), the per-shard rebuild
@@ -371,7 +370,6 @@ func (l *localBackend) stats(tier tierStats) any {
 		Rows:            bst.Rows,
 		Dims:            bst.Dims,
 		Shards:          bst.Shards,
-		Partition:       bst.Partition,
 		RangeColumn:     bst.RangeColumn,
 		RowsPerShard:    bst.RowsPerShard,
 		MemoryOverheadB: bst.MemoryOverheadB,

@@ -260,7 +260,7 @@ func cmdInfo(args []string) error {
 	}
 	fmt.Printf("opened in %v (%s)\n", openDur.Round(time.Microsecond), how)
 	s := idx.BuildStats()
-	fmt.Printf("  rows %d, dims %d, sort dim %d, %d %s shard(s)\n", s.Rows, s.Dims, s.SortDim, s.Shards, s.Partition)
+	fmt.Printf("  rows %d, dims %d, sort dim %d, %d shard(s) on range column %d\n", s.Rows, s.Dims, s.SortDim, s.Shards, s.RangeColumn)
 	fmt.Printf("  primary rows %d (%.1f%%), outlier rows %d\n", s.PrimaryRows, 100*s.PrimaryRatio, s.OutlierRows)
 	for _, g := range s.Groups {
 		fmt.Printf("  group: predictor col %d → members %v\n", g.Predictor, g.Members)

@@ -220,20 +220,10 @@ func atomicWriteFile(path string, emit func(io.Writer) error) error {
 	return d.Close()
 }
 
-// ShardOptions configures BuildSharded. Start from DefaultShardOptions.
+// ShardOptions configures BuildSharded: its shards are quantile slabs of
+// one column, so queries constraining it probe only overlapping shards.
+// Start from DefaultShardOptions.
 type ShardOptions = shard.Options
-
-// ShardPartition selects how rows are assigned to shards.
-type ShardPartition = shard.Partition
-
-// Shard partition schemes.
-const (
-	// ShardByRange splits one column into quantile slabs so queries
-	// constraining it probe only overlapping shards.
-	ShardByRange = shard.ByRange
-	// ShardByHash routes rows by a hash of their bit pattern.
-	ShardByHash = shard.ByHash
-)
 
 // BatchVisitor receives one matching row per call, tagged with the batch
 // position of the query it matched; rows are stable copies.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/mmapsnap"
-	"github.com/coax-index/coax/internal/shard"
 )
 
 // SnapshotVersionV3 is the snapshot format version SaveShardedFileV3 writes
@@ -44,8 +42,7 @@ func SaveShardedFileV3(path string, idx *Index, compress bool) error {
 // Snapshot is an index opened from a v3 snapshot file of either layout —
 // a single-index file opens as one shard — and the mapping backing it.
 type Snapshot struct {
-	idx *Index
-	ms  *mmapsnap.Snapshot
+	ms *mmapsnap.Snapshot
 }
 
 // Mapped reports whether queries are served from a memory mapping rather
@@ -70,8 +67,9 @@ func (s *Snapshot) Close() error { return s.ms.Close() }
 // workers (one per CPU when workers ≤ 0) — what cmd/coaxserve serves from.
 // The error is always nil.
 func (s *Snapshot) Serving(workers int) (*Index, error) {
-	s.idx.SetWorkers(workers)
-	return s.idx, nil
+	idx := s.ms.Index()
+	idx.SetWorkers(workers)
+	return idx, nil
 }
 
 // OpenFile opens the v3 snapshot at path and serves it in place from a
@@ -116,12 +114,5 @@ func OpenFileOptions(path string, _ OpenOptions) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := ms.Sharded()
-	if idx == nil {
-		if idx, err = shard.Reassemble([]*core.COAX{ms.Index()}, shard.ByHash, -1, nil, 0); err != nil {
-			ms.Close()
-			return nil, err
-		}
-	}
-	return &Snapshot{idx: idx, ms: ms}, nil
+	return &Snapshot{ms: ms}, nil
 }

@@ -84,7 +84,7 @@ func TestPropertyMappedMatchesHeap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			built, err := shard.Reassemble([]*core.COAX{c}, shard.ByHash, -1, nil, 0)
+			built, err := shard.Reassemble([]*core.COAX{c}, shard.Ranges{Col: -1}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

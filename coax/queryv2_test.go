@@ -158,7 +158,7 @@ func TestV2EquivalentToLegacy(t *testing.T) {
 // keep no row either.
 func TestCountAllocsIndependentOfMatches(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(32000))
-	idx := hashSharded(t, tab)
+	idx := pooledSharded(t, tab)
 	count := func(q *coax.Query) func() (int, error) { return func() (int, error) { return q.Count(idx) } }
 	cost := func(run func() (int, error), want int) (mallocs, allocated uint64) {
 		t.Helper()
@@ -206,11 +206,13 @@ func TestCountAllocsIndependentOfMatches(t *testing.T) {
 	}
 }
 
-// hashSharded builds tab into a pooled 4-shard hash-partitioned index.
-func hashSharded(t *testing.T, tab *coax.Table) *coax.Index {
+// pooledSharded builds tab into a pooled 4-shard index cut on lat (column
+// 2), which the queries of its callers leave open, so every one of them
+// spans all four shards.
+func pooledSharded(t *testing.T, tab *coax.Table) *coax.Index {
 	t.Helper()
 	so := coax.DefaultShardOptions()
-	so.NumShards, so.Workers, so.Partition = 4, 4, coax.ShardByHash
+	so.NumShards, so.Workers, so.Column = 4, 4, 2
 	idx, err := coax.NewBuilder(coax.TableSchema(tab), coax.DefaultOptions()).BuildSharded(coax.NewTableSource(tab, 0), so)
 	if err != nil {
 		t.Fatal(err)
@@ -219,11 +221,11 @@ func hashSharded(t *testing.T, tab *coax.Table) *coax.Index {
 }
 
 // TestRunOrderDeterministic: Run folds each shard and yields the shards in
-// order, so Collect on a pooled hash-sharded index returns the same rows in
+// order, so Collect on a pooled 4-shard index returns the same rows in
 // the same order every time — Head's rows.
 func TestRunOrderDeterministic(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(20000))
-	idx := hashSharded(t, tab)
+	idx := pooledSharded(t, tab)
 	head, err := coax.NewQuery().Head(idx, -1)
 	if err != nil {
 		t.Fatal(err)

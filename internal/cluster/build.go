@@ -13,10 +13,9 @@ import (
 // detection and the engine's cut points on its range column (so.Column; -1
 // picks it) over the whole table, one core.COAX per hosted slot. Each
 // carries the build's column and cuts (shard.Sharded.Slot), which its node
-// hands to routers. A global shard is one slot: so.NumShards,
-// so.Partition and so.Workers are ignored. The build is deterministic, so
-// every node building the same table cuts it identically without talking
-// to anyone.
+// hands to routers. A global shard is one slot: so.NumShards and
+// so.Workers are ignored. The build is deterministic, so every node
+// building the same table cuts it identically without talking to anyone.
 func BuildShards(t *dataset.Table, hosted []int, shards int, opt core.Options, so shard.Options) (map[int]*shard.Sharded, error) {
 	so.NumShards = shards
 	out, err := shard.BuildSlots(t, opt, so, hosted)

@@ -889,6 +889,70 @@ func within(t *testing.T, d time.Duration, f func()) time.Duration {
 	}
 }
 
+// TestNodeRequestPanic: a request that panics on a node is answered with
+// an Internal error frame for its id, and the node and the connection go
+// on: a later request on the same connection is answered in full.
+func TestNodeRequestPanic(t *testing.T) {
+	table := testTable(rand.New(rand.NewSource(11)), 3000)
+	engines, err := BuildShards(table, []int{0, 1}, 2, coreOptions(), localShardOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(engines, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A zero Sharded has no shard slots, so every query on it panics in
+	// the fan-out.
+	n.shards[1] = new(shard.Sharded)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go n.Serve(ln)
+	defer n.Close()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	c := wire.NewConn(raw)
+	if _, err := wire.ClientHandshake(c); err != nil {
+		t.Fatal(err)
+	}
+	full := index.Full(table.Dims())
+	query := func(id uint64, g int) []wire.Message {
+		t.Helper()
+		if err := c.Send(&wire.Query{ID: id, Shards: []int{g}, Min: full.Min, Max: full.Max, Keep: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var got []wire.Message
+		for {
+			raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+			m, err := c.Recv()
+			if err != nil {
+				t.Fatalf("request %d: %v after %d frames", id, err, len(got))
+			}
+			got = append(got, m)
+			switch m.(type) {
+			case *wire.Error, *wire.Done:
+				return got
+			}
+		}
+	}
+
+	got := query(1, 1)
+	if e, ok := got[len(got)-1].(*wire.Error); !ok || e.ID != 1 || e.Code != wire.CodeInternal {
+		t.Fatalf("panicking request answered %#v, want an Internal error for id 1", got[len(got)-1])
+	}
+	got = query(2, 0)
+	eof, ok := got[len(got)-2].(*wire.ShardEOF)
+	if done, _ := got[len(got)-1].(*wire.Done); !ok || done == nil || done.ID != 2 || !done.Complete ||
+		eof.Rows != int64(engines[0].Len()) {
+		t.Fatalf("request after the panic answered %#v, want shard 0's %d rows and a complete Done", got, engines[0].Len())
+	}
+}
+
 // Stats must count every logical row exactly once despite replication.
 func TestClusterStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -215,7 +217,8 @@ func (cs *connState) cancelAll() {
 // serveConn drives one router connection: handshake, then a read loop
 // that dispatches each request to its own goroutine. The loop returns on
 // any read error; in-flight requests are stopped and awaited so their
-// writes never race a closing connection.
+// writes never race a closing connection. A request that panics ends with
+// an Internal error frame for its id; the node and the connection go on.
 func (n *Node) serveConn(raw net.Conn) {
 	c := wire.NewConn(raw)
 	w := wire.Welcome{Dims: n.dims, Shards: n.gshards, Rows: n.Rows(), Col: n.ranges.Col, Cuts: n.ranges.Cuts}
@@ -268,6 +271,12 @@ func (n *Node) serveConn(raw net.Conn) {
 			if n.adm != nil {
 				defer n.adm.Release()
 			}
+			defer func() {
+				if v := recover(); v != nil {
+					log.Printf("cluster: node request %d panicked: %v\n%s", id, v, debug.Stack())
+					c.Send(&wire.Error{ID: id, Code: wire.CodeInternal, Msg: fmt.Sprintf("node: request panicked: %v", v)})
+				}
+			}()
 			n.sleepDelay(stop)
 			switch req := m.(type) {
 			case *wire.Query:

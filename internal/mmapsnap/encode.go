@@ -105,7 +105,7 @@ func EncodeSharded(s *shard.Sharded, opt Options) ([]byte, error) {
 	k := s.NumShards()
 	layout := binio.NewWriter()
 	layout.Int(k)
-	layout.Int(int(s.Partition()))
+	layout.Int(0) // the partition word: range slots
 	layout.Int(s.RangeColumn())
 	layout.Float64s(s.Cuts())
 	layout.Int(s.Dims())

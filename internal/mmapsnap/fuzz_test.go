@@ -142,10 +142,7 @@ func FuzzMmapSnapDecode(f *testing.F) {
 		sound := Verify(data) == nil
 		sn, err := OpenBytes(data)
 		if err == nil {
-			var idx index.Interface = sn.Sharded()
-			if sn.Index() != nil {
-				idx = sn.Index()
-			}
+			idx := sn.Index()
 			exerciseQueries(idx)
 			// A page error surfaced by a read is fine on a damaged file; a
 			// panic above is not. A file that verifies answers a windowed
@@ -155,7 +152,6 @@ func FuzzMmapSnapDecode(f *testing.F) {
 			}
 		}
 		Inspect(data)
-		IsSharded(data)
 		PeekVersion(data)
 	})
 }

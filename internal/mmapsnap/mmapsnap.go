@@ -37,6 +37,13 @@
 // their content verified on every read (each compressed page carries its
 // own CRC) or on demand via Verify.
 //
+// A sharded blob's "shmt" section holds the shard count K, a partition
+// word, the range column, the K−1 ascending cut points and the dims. The
+// partition word is always written 0 (range slots); 1 is what re-saving a
+// single-index file wrote when hash partitioning existed, and it is read
+// only at K = 1, where it places nothing. A single-index blob has no
+// "shmt" and opens as one slot with column −1 and no cuts.
+//
 // The lifecycle section "lifs" carries only the scalar state (epoch,
 // staleness baseline, drift tracker); tombstones live as bitmap regions
 // inside the grid page sections, unlike v2's slot lists.

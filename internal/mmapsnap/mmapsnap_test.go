@@ -1,6 +1,7 @@
 package mmapsnap
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/coax-index/coax/internal/binio"
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
@@ -59,6 +61,20 @@ func sortRows(rows [][]float64) {
 }
 
 // requireSameResults proves two indexes answer a query set bit-identically.
+// single returns the engine of a snapshot opened from a single-index blob,
+// which opens as one range slot with column -1 and no cuts.
+func single(t testing.TB, sn *Snapshot) *core.COAX {
+	t.Helper()
+	s := sn.Index()
+	if s.NumShards() != 1 || s.RangeColumn() != -1 || s.Cuts() != nil {
+		t.Fatalf("single-index blob opened as %d shards on column %d cut at %v, want one on column -1",
+			s.NumShards(), s.RangeColumn(), s.Cuts())
+	}
+	var idx *core.COAX
+	s.WithShard(0, func(c *core.COAX) error { idx = c; return nil })
+	return idx
+}
+
 func requireSameResults(t *testing.T, want, got index.Interface, queries []index.Rect) {
 	t.Helper()
 	for qi, q := range queries {
@@ -116,10 +132,7 @@ func TestRoundTripSingle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compress=%v: OpenBytes: %v", compress, err)
 				}
-				got := sn.Index()
-				if got == nil {
-					t.Fatal("single snapshot returned no index")
-				}
+				got := single(t, sn)
 				if got.Len() != idx.Len() {
 					t.Fatalf("Len %d != %d", got.Len(), idx.Len())
 				}
@@ -132,10 +145,11 @@ func TestRoundTripSingle(t *testing.T) {
 	}
 }
 
-// TestRoundTripSharded: every partition shape — range and hash, one shard,
-// many, and more shards than the range column has room for, which leaves
-// some empty — keeps its routing (scheme, column, cut points) and answers
-// bit-identically from its v3 blob, raw and compressed.
+// TestRoundTripSharded: every partition shape — cut on the predictor or on
+// a dependent column, one shard, many, and more shards than the range
+// column has room for, which leaves some empty — keeps its routing (column,
+// cut points) and answers bit-identically from its v3 blob, raw and
+// compressed.
 func TestRoundTripSharded(t *testing.T) {
 	tab := testTable(t, 6000)
 	queries := testQueries(tab)
@@ -146,11 +160,11 @@ func TestRoundTripSharded(t *testing.T) {
 		so   shard.Options
 	}{
 		{"default", shard.DefaultOptions()},
-		{"range4", shard.Options{NumShards: 4, Partition: shard.ByRange, Column: -1}},
-		{"hash3", shard.Options{NumShards: 3, Partition: shard.ByHash}},
-		{"single", shard.Options{NumShards: 1, Partition: shard.ByRange, Column: 0}},
-		{"manyShards", shard.Options{NumShards: 17, Partition: shard.ByRange, Column: 2}},
-		{"emptyShards", shard.Options{NumShards: 64, Partition: shard.ByRange, Column: 3}},
+		{"range4", shard.Options{NumShards: 4, Column: -1}},
+		{"dependent3", shard.Options{NumShards: 3, Column: 1}},
+		{"single", shard.Options{NumShards: 1, Column: 0}},
+		{"manyShards", shard.Options{NumShards: 17, Column: 2}},
+		{"emptyShards", shard.Options{NumShards: 64, Column: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, compress := range []bool{false, true} {
@@ -169,19 +183,84 @@ func TestRoundTripSharded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("OpenBytes: %v", err)
 				}
-				got := sn.Sharded()
-				if got == nil {
-					t.Fatal("sharded snapshot returned no sharded index")
-				}
-				if got.NumShards() != sh.NumShards() || got.Len() != sh.Len() || got.Partition() != sh.Partition() ||
+				got := sn.Index()
+				if got.NumShards() != sh.NumShards() || got.Len() != sh.Len() ||
 					got.RangeColumn() != sh.RangeColumn() || !slices.Equal(got.Cuts(), sh.Cuts()) {
-					t.Fatalf("shape changed: %d shards, %d rows, %v on %d cut at %v; want %d, %d, %v on %d cut at %v",
-						got.NumShards(), got.Len(), got.Partition(), got.RangeColumn(), got.Cuts(),
-						sh.NumShards(), sh.Len(), sh.Partition(), sh.RangeColumn(), sh.Cuts())
+					t.Fatalf("shape changed: %d shards, %d rows on %d cut at %v; want %d, %d on %d cut at %v",
+						got.NumShards(), got.Len(), got.RangeColumn(), got.Cuts(),
+						sh.NumShards(), sh.Len(), sh.RangeColumn(), sh.Cuts())
 				}
 				requireSameResults(t, sh, got, queries)
 			}
 		})
+	}
+}
+
+// withPartitionWord is EncodeSharded with word in the layout's partition
+// slot, which EncodeSharded always writes 0.
+func withPartitionWord(t *testing.T, s *shard.Sharded, word int) []byte {
+	t.Helper()
+	layout := binio.NewWriter()
+	layout.Int(s.NumShards())
+	layout.Int(word)
+	layout.Int(s.RangeColumn())
+	layout.Float64s(s.Cuts())
+	layout.Int(s.Dims())
+	sections := []rawSection{{id: secShardMeta, payload: layout.Bytes()}}
+	for i := 0; i < s.NumShards(); i++ {
+		err := s.WithShard(i, func(idx *core.COAX) error {
+			blob, err := EncodeIndex(idx, Options{})
+			sections = append(sections, rawSection{id: shardSection(i), flags: flagPages, payload: blob})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return assemble(sections)
+}
+
+// TestHashPartitionWord: partition word 1 is what re-saving a single-index
+// file wrote while hash partitioning existed. At K = 1 such a file opens
+// and answers as the index saved; at K = 2, or with any other word, the
+// open fails wrapping ErrLayout.
+func TestHashPartitionWord(t *testing.T) {
+	tab := testTable(t, 3000)
+	idx := buildIndex(t, tab)
+	one, err := shard.Reassemble([]*core.COAX{idx}, shard.Ranges{Col: -1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeSharded(one, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(withPartitionWord(t, one, 0), want) {
+		t.Fatal("withPartitionWord(0) differs from EncodeSharded")
+	}
+	sn, err := OpenBytes(withPartitionWord(t, one, 1))
+	if err != nil {
+		t.Fatalf("word 1 at K = 1: %v", err)
+	}
+	if got := sn.Index(); got.NumShards() != 1 || got.RangeColumn() != -1 || got.Len() != idx.Len() {
+		t.Fatalf("word 1 at K = 1 opened as %d shards on column %d holding %d rows, want 1 on -1 holding %d",
+			got.NumShards(), got.RangeColumn(), got.Len(), idx.Len())
+	}
+	requireSameResults(t, idx, sn.Index(), testQueries(tab))
+
+	opt := core.DefaultOptions()
+	opt.SoftFD.SampleCount = 2000
+	two, err := shard.Build(tab, opt, shard.Options{NumShards: 2, Column: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s    *shard.Sharded
+		word int
+	}{{two, 1}, {one, 2}, {two, -1}} {
+		if _, err := OpenBytes(withPartitionWord(t, tc.s, tc.word)); !errors.Is(err, ErrLayout) {
+			t.Errorf("word %d at K = %d: open error %v, want ErrLayout", tc.word, tc.s.NumShards(), err)
+		}
 	}
 }
 
@@ -200,7 +279,7 @@ func TestMappedMutationAndReencode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := sn.Index()
+		got := single(t, sn)
 
 		rng := rand.New(rand.NewSource(11))
 		var inserted [][]float64

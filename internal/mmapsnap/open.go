@@ -12,36 +12,18 @@ import (
 	"github.com/coax-index/coax/internal/shard"
 )
 
-// Snapshot is an opened v3 snapshot: a single index or a sharded one,
-// backed by a mapping, a heap buffer, or caller-owned bytes.
+// Snapshot is an opened v3 snapshot, backed by a mapping, a heap buffer,
+// or caller-owned bytes. Its index is range slots: a sharded file's as
+// saved, a single-index file's as one slot with no cuts.
 type Snapshot struct {
-	single  *shardedOrSingle
+	idx     *shard.Sharded
 	mapping *mapping // non-nil when OpenFile owns the backing memory
 	mapped  bool     // true when the backing memory is an actual mmap
 	errs    *errBox
 }
 
-// shardedOrSingle keeps exactly one of the two index shapes.
-type shardedOrSingle struct {
-	idx *core.COAX
-	sh  *shard.Sharded
-}
-
-// Index returns the single index, or nil for a sharded snapshot.
-func (s *Snapshot) Index() *core.COAX {
-	if s.single == nil {
-		return nil
-	}
-	return s.single.idx
-}
-
-// Sharded returns the sharded index, or nil for a single-index snapshot.
-func (s *Snapshot) Sharded() *shard.Sharded {
-	if s.single == nil {
-		return nil
-	}
-	return s.single.sh
-}
+// Index returns the snapshot's index.
+func (s *Snapshot) Index() *shard.Sharded { return s.idx }
 
 // Mapped reports whether queries are served from an mmap'd region rather
 // than resident heap.
@@ -83,21 +65,19 @@ func openBlob(data []byte, m *mapping, mapped bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sn := &Snapshot{mapping: m, mapped: mapped, errs: errs}
+	var idx *shard.Sharded
 	if e, ok := find(entries, secShardMeta); ok {
-		sh, err := openSharded(data, entries, e, errs)
-		if err != nil {
-			return nil, err
+		idx, err = openSharded(data, entries, e, errs)
+	} else {
+		var one *core.COAX
+		if one, err = openSingle(data, entries, errs); err == nil {
+			idx, err = shard.Reassemble([]*core.COAX{one}, shard.Ranges{Col: -1}, 0)
 		}
-		sn.single = &shardedOrSingle{sh: sh}
-		return sn, nil
 	}
-	idx, err := openSingle(data, entries, errs)
 	if err != nil {
 		return nil, err
 	}
-	sn.single = &shardedOrSingle{idx: idx}
-	return sn, nil
+	return &Snapshot{idx: idx, mapping: m, mapped: mapped, errs: errs}, nil
 }
 
 func find(entries []tocEntry, id string) (tocEntry, bool) {
@@ -205,7 +185,7 @@ func openSharded(blob []byte, entries []tocEntry, layout tocEntry, errs *errBox)
 	}
 	r := binio.NewReader(payload)
 	k := r.Int()
-	partition := shard.Partition(r.Int())
+	partition := r.Int()
 	col := r.Int()
 	cuts := r.Float64s()
 	dims := r.Int()
@@ -214,6 +194,11 @@ func openSharded(blob []byte, entries []tocEntry, layout tocEntry, errs *errBox)
 	}
 	if k < 1 || k > shard.MaxShards {
 		return nil, fmt.Errorf("mmapsnap: shard count %d out of range [1,%d]", k, shard.MaxShards)
+	}
+	// Partition word 1 is the retired hash scheme: one slot holds the
+	// same rows under either word, more slots cannot be routed by range.
+	if partition != 0 && (partition != 1 || k > 1) {
+		return nil, fmt.Errorf("%w: partition word %d over %d shards; only range slots (0) are read", ErrLayout, partition, k)
 	}
 	shards := make([]*core.COAX, k)
 	for i := range shards {
@@ -239,22 +224,11 @@ func openSharded(blob []byte, entries []tocEntry, layout tocEntry, errs *errBox)
 		}
 		shards[i] = idx
 	}
-	s, err := shard.Reassemble(shards, partition, col, cuts, 0)
+	s, err := shard.Reassemble(shards, shard.Ranges{Col: col, Cuts: cuts}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("mmapsnap: %w", err)
 	}
 	return s, nil
-}
-
-// IsSharded reports (without assembling anything) whether a v3 blob holds
-// a sharded index.
-func IsSharded(data []byte) (bool, error) {
-	entries, err := parseTOC(data)
-	if err != nil {
-		return false, err
-	}
-	_, ok := find(entries, secShardMeta)
-	return ok, nil
 }
 
 // alignedBuffer allocates n bytes whose first byte sits on a 64-byte

@@ -135,7 +135,7 @@ func BenchmarkScanMapped(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	parts := sn.Index().Primary().ExportParts()
+	parts := single(b, sn).Primary().ExportParts()
 	store := &tallyStore{gridStore: parts.Store.(*gridStore), from: map[*pageCols][2]int{}}
 	parts.Store, parts.TrustPages = store, true
 	g, err := gridfile.FromParts(parts)

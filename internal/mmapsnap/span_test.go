@@ -446,7 +446,7 @@ func TestScanAllocsIndependentOfPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := sn.Index().Primary()
+	g := single(t, sn).Primary()
 	if !g.Mapped() {
 		t.Fatal("primary grid is not store-backed")
 	}

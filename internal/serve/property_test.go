@@ -95,9 +95,9 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 800 + rng.Intn(1600)
 		tab := fdTable(rng, n, 0.15)
-		so := shard.Options{NumShards: 1 + rng.Intn(4), Workers: 1 + rng.Intn(3), Partition: shard.ByRange, Column: -1}
+		so := shard.Options{NumShards: 1 + rng.Intn(4), Workers: 1 + rng.Intn(3), Column: -1}
 		if rng.Float64() < 0.4 {
-			so.Partition = shard.ByHash
+			so.Column = rng.Intn(tab.Dims())
 		}
 		s, err := shard.Build(tab, coreOptions(), so)
 		if err != nil {
@@ -215,7 +215,7 @@ func TestCacheNeverServesStaleProperty(t *testing.T) {
 func TestQueryCacheConcurrentMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := fdTable(rng, 4000, 0.1)
-	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 4, Workers: 2, Partition: shard.ByRange, Column: -1})
+	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 4, Workers: 2, Column: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,15 @@ import (
 )
 
 // BenchmarkBatchQuery is the only timing of the /batch path, which no
-// benchmark workload covers: 64 selective rectangles over 8 hash shards,
-// 512 probes per call, executed shard-major and taken query-major —
+// benchmark workload covers: 64 selective rectangles over 8 range shards
+// cut on u, a column the rectangles leave open, so 512 probes per call, executed shard-major and taken query-major —
 // visiting every row on the caller (BatchQuery, the public batch API), and
 // as /batch runs it, keeping the first 100 rows of each query and counting
 // the rest (ExecRows).
 func BenchmarkBatchQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(62))
 	tab := fdTable(rng, 100000, 0.1)
-	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 8, Partition: shard.ByHash})
+	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 8, Column: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,13 +53,14 @@ func BenchmarkBatchQuery(b *testing.B) {
 }
 
 // BenchmarkExec times the row fold behind Scan and the public Run: every
-// match of a selective rectangle over 8 hash shards on a pool of 4 workers,
+// match of a selective rectangle over 8 range shards on a pool of 4 workers
+// (cut on u, which the rectangle leaves open, so every shard is probed),
 // folded and then yielded on the caller in merge order (all), and the same
 // rectangle limited to its first 100 rows (limit100).
 func BenchmarkExec(b *testing.B) {
 	rng := rand.New(rand.NewSource(63))
 	tab := fdTable(rng, 100000, 0.1)
-	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 8, Workers: 4, Partition: shard.ByHash})
+	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 8, Workers: 4, Column: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func BenchmarkOneShard(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := shard.Reassemble([]*core.COAX{c}, shard.ByHash, -1, nil, 0)
+	s, err := shard.Reassemble([]*core.COAX{c}, shard.Ranges{Col: -1}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -49,10 +49,10 @@ func shardedEngine(s *shard.Sharded) enginetest.Engine {
 // Run under -race.
 func TestFanOut(t *testing.T) {
 	t.Run("pooled", func(t *testing.T) {
-		testFanOut(t, shard.Options{NumShards: 6, Workers: 4, Partition: shard.ByHash})
+		testFanOut(t, shard.Options{NumShards: 6, Workers: 4, Column: 3})
 	})
 	t.Run("inline", func(t *testing.T) {
-		testFanOut(t, shard.Options{NumShards: 3, Workers: 1, Partition: shard.ByRange, Column: -1})
+		testFanOut(t, shard.Options{NumShards: 3, Workers: 1, Column: -1})
 	})
 }
 

@@ -99,7 +99,7 @@ func TestAirlinePrimaryLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sn.Close()
-	enginetest.Check(t, "mapped", tab, shardedEngine(sn.Sharded()), rects, 0, carrier)
+	enginetest.Check(t, "mapped", tab, shardedEngine(sn.Index()), rects, 0, carrier)
 	if err := sn.PageErr(); err != nil {
 		t.Fatal(err)
 	}

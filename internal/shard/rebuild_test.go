@@ -25,7 +25,7 @@ func driftRow(rng *rand.Rand) []float64 {
 func TestShardedMutationsMatchScanOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tab := fdTable(rng, 6000, 0.05)
-	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 4, Partition: shard.ByRange, Column: -1})
+	s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 4, Column: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

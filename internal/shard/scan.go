@@ -89,7 +89,7 @@ func (s *Sharded) plan(rs []index.Rect, spec index.Spec) *fanout {
 		if r.Empty() {
 			continue
 		}
-		lo, hi := s.shardRange(r)
+		lo, hi := s.ranges.Span(r)
 		for si := lo; si <= hi; si++ {
 			f.probes = append(f.probes, probe{qi, si})
 		}

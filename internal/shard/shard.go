@@ -4,13 +4,12 @@
 // by fanning them across shards on a bounded worker pool and merging the
 // results safely.
 //
-// Partitioning is either by range (quantile cut points on one column, so
-// queries constraining that column probe only the shards whose slab
-// overlaps) or by hash (FNV-1a over the row's bit pattern, which balances
-// load under any distribution but prunes nothing). Soft-FD detection runs
-// once over the whole table and every shard is built from the same learned
-// dependencies, so the shards agree on query translation and the build
-// parallelises over index construction, the expensive part.
+// Rows are placed by range: quantile cut points on one column, so queries
+// constraining that column probe only the shards whose slab overlaps.
+// Soft-FD detection runs once over the whole table and every shard is
+// built from the same learned dependencies, so the shards agree on query
+// translation and the build parallelises over index construction, the
+// expensive part.
 //
 // # Concurrency and visitor ownership
 //
@@ -64,34 +63,11 @@ import (
 // shard ordinal in a three-hex-digit section id.
 const MaxShards = 4096
 
-// Partition selects how rows are assigned to shards.
-type Partition int
-
-const (
-	// ByRange splits one column into K quantile slabs. Queries that
-	// constrain that column (directly — translated dependent constraints
-	// apply only to inliers and cannot prune soundly) probe only the
-	// overlapping shards.
-	ByRange Partition = iota
-	// ByHash routes each row by a hash of its bit pattern: perfectly
-	// balanced, never pruned.
-	ByHash
-)
-
-func (p Partition) String() string {
-	switch p {
-	case ByRange:
-		return "range"
-	case ByHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("Partition(%d)", int(p))
-	}
-}
-
-// Options configures a sharded build. The zero value selects range
-// partitioning on an automatically chosen column with one shard and one
-// worker per CPU; start from DefaultOptions.
+// Options configures a sharded build: K range slots on one column. Queries
+// that constrain that column (directly — translated dependent constraints
+// apply only to inliers and cannot prune soundly) probe only the
+// overlapping shards. Start from DefaultOptions: the zero value cuts
+// column 0 into one slot per CPU.
 type Options struct {
 	// NumShards is K; 0 means runtime.GOMAXPROCS(0).
 	NumShards int
@@ -100,18 +76,15 @@ type Options struct {
 	// BuildWorkers bounds the parallel shard construction; 0 means
 	// runtime.GOMAXPROCS(0).
 	BuildWorkers int
-	// Partition selects range or hash row assignment.
-	Partition Partition
 	// Column is the range-partition column; -1 picks the predictor of the
 	// largest detected soft-FD group (falling back to column 0), so range
-	// pruning lines up with the column most queries constrain. Ignored for
-	// ByHash.
+	// pruning lines up with the column most queries constrain.
 	Column int
 }
 
 // DefaultOptions returns the recommended sharding configuration.
 func DefaultOptions() Options {
-	return Options{Partition: ByRange, Column: -1}
+	return Options{Column: -1}
 }
 
 // shardSlot pairs one COAX with the lock that serialises its mutation and
@@ -148,9 +121,8 @@ type Sharded struct {
 	dims int
 	n    atomic.Int64
 
-	partition Partition
-	ranges    Ranges       // the range partition; Col -1 under ByHash
-	workers   atomic.Int64 // query fan-out pool size (SetWorkers)
+	ranges  Ranges       // the range partition (Col -1 only at K = 1: see Reassemble)
+	workers atomic.Int64 // query fan-out pool size (SetWorkers)
 
 	shards []*shardSlot
 
@@ -239,13 +211,12 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt core.Options, so Option
 // slots' rows are copied out and indexed. Slot i is a one-shard index that
 // remembers the build's partition and its ordinal in it (Slot). A cluster
 // node serves the slots it hosts this way, and a router learns from them
-// how to prune and route. so.Partition and so.Workers are ignored.
+// how to prune and route. so.Workers is ignored.
 func BuildSlots(t *dataset.Table, opt core.Options, so Options, keep []int) (map[int]*Sharded, error) {
 	fd, err := detect(t, opt)
 	if err != nil {
 		return nil, err
 	}
-	so.Partition = ByRange
 	s, err := newSharded(t, fd, so)
 	if err != nil {
 		return nil, err
@@ -262,7 +233,7 @@ func BuildSlots(t *dataset.Table, opt core.Options, so Options, keep []int) (map
 	}
 	out := make(map[int]*Sharded, len(keep))
 	for _, i := range keep {
-		one := &Sharded{dims: s.dims, partition: ByRange, ranges: Ranges{Col: s.ranges.Col},
+		one := &Sharded{dims: s.dims, ranges: Ranges{Col: s.ranges.Col},
 			shards: []*shardSlot{s.shards[i]}, whole: &s.ranges, slot: i}
 		one.SetWorkers(1)
 		one.n.Store(int64(s.shards[i].idx.Len()))
@@ -329,9 +300,9 @@ func (s *Sharded) build(t *dataset.Table, fd softfd.Result, opt core.Options, bu
 	return buildErr
 }
 
-// newSharded returns an index of K empty shard slots that routes rows as
-// so asks, its range cut points the quantiles of t's partition column — the
-// whole table, or the sample a streaming build starts from.
+// newSharded returns an index of K empty shard slots, its range cut points
+// the quantiles of t's partition column — the whole table, or the sample a
+// streaming build starts from.
 func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error) {
 	k := so.NumShards
 	if k == 0 {
@@ -343,23 +314,15 @@ func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("shard: cannot build over an empty table")
 	}
-	s := &Sharded{dims: t.Dims(), partition: so.Partition, ranges: Ranges{Col: -1}}
-	s.SetWorkers(so.Workers)
-	switch so.Partition {
-	case ByRange:
-		col := so.Column
-		if col < 0 {
-			col = autoRangeColumn(fd)
-		}
-		if col >= t.Dims() {
-			return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, t.Dims())
-		}
-		s.ranges = Ranges{Col: col, Cuts: rangeCuts(t, col, k)}
-	case ByHash:
-		// No routing state beyond the shard count.
-	default:
-		return nil, fmt.Errorf("shard: unknown partition kind %d", so.Partition)
+	col := so.Column
+	if col < 0 {
+		col = autoRangeColumn(fd)
 	}
+	if col >= t.Dims() {
+		return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, t.Dims())
+	}
+	s := &Sharded{dims: t.Dims(), ranges: Ranges{Col: col, Cuts: rangeCuts(t, col, k)}}
+	s.SetWorkers(so.Workers)
 	s.shards = make([]*shardSlot, k)
 	for i := range s.shards {
 		s.shards[i] = &shardSlot{}
@@ -368,10 +331,10 @@ func newSharded(t *dataset.Table, fd softfd.Result, so Options) (*Sharded, error
 }
 
 // Reassemble wires pre-built (typically snapshot-decoded) shard indexes
-// into a serving Sharded. For ByRange, cuts must hold len(shards)-1
-// ascending cut points and col must be a valid column; for ByHash, cuts
-// must be empty and col is ignored (recorded as -1).
-func Reassemble(shards []*core.COAX, partition Partition, col int, cuts []float64, workers int) (*Sharded, error) {
+// into a serving Sharded over the range partition p: len(shards)-1
+// ascending cut points on a valid column. One shard may have column -1 (a
+// single-index file opened as one slot), since it routes nothing.
+func Reassemble(shards []*core.COAX, p Ranges, workers int) (*Sharded, error) {
 	if len(shards) < 1 || len(shards) > MaxShards {
 		return nil, fmt.Errorf("shard: %d shards out of range [1,%d]", len(shards), MaxShards)
 	}
@@ -386,27 +349,17 @@ func Reassemble(shards []*core.COAX, partition Partition, col int, cuts []float6
 		}
 		n += idx.Len()
 	}
-	s := &Sharded{dims: dims, partition: partition, ranges: Ranges{Col: -1}}
-	s.SetWorkers(workers)
-	switch partition {
-	case ByRange:
-		if col < 0 || col >= dims {
-			return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", col, dims)
-		}
-		if len(cuts) != len(shards)-1 {
-			return nil, fmt.Errorf("shard: %d cut points for %d shards, want %d", len(cuts), len(shards), len(shards)-1)
-		}
-		if !sort.Float64sAreSorted(cuts) {
-			return nil, fmt.Errorf("shard: cut points are not ascending")
-		}
-		s.ranges = Ranges{Col: col, Cuts: append([]float64(nil), cuts...)}
-	case ByHash:
-		if len(cuts) != 0 {
-			return nil, fmt.Errorf("shard: hash partition carries %d cut points, want 0", len(cuts))
-		}
-	default:
-		return nil, fmt.Errorf("shard: unknown partition kind %d", partition)
+	if p.Col < -1 || p.Col >= dims || p.Col == -1 && len(shards) > 1 {
+		return nil, fmt.Errorf("shard: range column %d out of range [0,%d)", p.Col, dims)
 	}
+	if len(p.Cuts) != len(shards)-1 {
+		return nil, fmt.Errorf("shard: %d cut points for %d shards, want %d", len(p.Cuts), len(shards), len(shards)-1)
+	}
+	if !sort.Float64sAreSorted(p.Cuts) {
+		return nil, fmt.Errorf("shard: cut points are not ascending")
+	}
+	s := &Sharded{dims: dims, ranges: Ranges{Col: p.Col, Cuts: append([]float64(nil), p.Cuts...)}}
+	s.SetWorkers(workers)
 	s.shards = make([]*shardSlot, len(shards))
 	for i, idx := range shards {
 		s.shards[i] = &shardSlot{idx: idx}
@@ -488,39 +441,13 @@ func poolSize(n int) int {
 // n ≤ 0. A query already running keeps the pool it planned with.
 func (s *Sharded) SetWorkers(n int) { s.workers.Store(int64(poolSize(n))) }
 
-// routeRow maps a row to its shard ordinal.
+// routeRow maps a row to its shard ordinal. One shard routes everything
+// there, whatever its column (-1 for a single-index file).
 func (s *Sharded) routeRow(row []float64) int {
-	if s.partition == ByHash {
-		return int(hashRow(row) % uint64(len(s.shards)))
+	if len(s.ranges.Cuts) == 0 {
+		return 0
 	}
 	return s.ranges.Slot(row[s.ranges.Col])
-}
-
-// hashRow is FNV-1a over the little-endian bit pattern of the row.
-func hashRow(row []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range row {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= bits & 0xff
-			h *= prime64
-			bits >>= 8
-		}
-	}
-	return h
-}
-
-// shardRange returns the inclusive shard interval a rectangle can match
-// (Ranges.Span); a hash partition prunes nothing.
-func (s *Sharded) shardRange(r index.Rect) (lo, hi int) {
-	if s.partition != ByRange {
-		return 0, len(s.shards) - 1
-	}
-	return s.ranges.Span(r)
 }
 
 // Name implements index.Interface.
@@ -535,13 +462,11 @@ func (s *Sharded) Dims() int { return s.dims }
 // NumShards reports K.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Partition reports the row-assignment scheme.
-func (s *Sharded) Partition() Partition { return s.partition }
-
-// RangeColumn reports the range-partition column, or -1 under ByHash.
+// RangeColumn reports the range-partition column, or -1 for a single-index
+// file opened as one shard.
 func (s *Sharded) RangeColumn() int { return s.ranges.Col }
 
-// Cuts returns a copy of the range cut points (nil under ByHash or K=1).
+// Cuts returns a copy of the range cut points (nil at K=1).
 func (s *Sharded) Cuts() []float64 { return append([]float64(nil), s.ranges.Cuts...) }
 
 // Slot reports, for an index built by BuildSlots, the partition of the
@@ -580,17 +505,7 @@ func (s *Sharded) Insert(row []float64) error {
 	if err := lifecycle.ValidateRow(s.dims, row); err != nil {
 		return err
 	}
-	slot := s.shards[s.routeRow(row)]
-	slot.mu.Lock()
-	err := slot.idx.Insert(row)
-	if err == nil {
-		if slot.delta != nil {
-			slot.delta.Append(lifecycle.OpInsert, row)
-		}
-		slot.writes.Record(row, nil)
-	}
-	slot.mu.Unlock()
-	if err != nil {
+	if err := s.shards[s.routeRow(row)].mutate(nil, row); err != nil {
 		return err
 	}
 	s.n.Add(1)
@@ -605,17 +520,7 @@ func (s *Sharded) Delete(row []float64) error {
 	if err := lifecycle.ValidateRow(s.dims, row); err != nil {
 		return err
 	}
-	slot := s.shards[s.routeRow(row)]
-	slot.mu.Lock()
-	err := slot.idx.Delete(row)
-	if err == nil {
-		if slot.delta != nil {
-			slot.delta.Append(lifecycle.OpDelete, row)
-		}
-		slot.writes.Record(row, nil)
-	}
-	slot.mu.Unlock()
-	if err != nil {
+	if err := s.shards[s.routeRow(row)].mutate(row, nil); err != nil {
 		return err
 	}
 	s.n.Add(-1)
@@ -634,64 +539,59 @@ func (s *Sharded) Update(old, new []float64) error {
 	if err := lifecycle.ValidateRow(s.dims, new); err != nil {
 		return err
 	}
-	si, di := s.routeRow(old), s.routeRow(new)
-	if si == di {
-		slot := s.shards[si]
-		slot.mu.Lock()
-		err := slot.idx.Update(old, new)
-		if err == nil {
-			if slot.delta != nil {
-				slot.delta.Append(lifecycle.OpDelete, old)
-				slot.delta.Append(lifecycle.OpInsert, new)
-			}
-			slot.writes.Record(old, new)
-		}
-		slot.mu.Unlock()
-		return err
+	src, dst := s.shards[s.routeRow(old)], s.shards[s.routeRow(new)]
+	if src == dst {
+		return src.mutate(old, new)
 	}
 
 	// Cross-shard: commit the delete, then the insert, locking one shard
 	// at a time (never both, so shard-ordinal lock ordering is moot).
-	src := s.shards[si]
-	src.mu.Lock()
-	err := src.idx.Delete(old)
-	if err == nil {
-		if src.delta != nil {
-			src.delta.Append(lifecycle.OpDelete, old)
-		}
-		src.writes.Record(old, nil)
-	}
-	src.mu.Unlock()
-	if err != nil {
+	if err := src.mutate(old, nil); err != nil {
 		return err
 	}
-	dst := s.shards[di]
-	dst.mu.Lock()
-	err = dst.idx.Insert(new)
-	if err == nil {
-		if dst.delta != nil {
-			dst.delta.Append(lifecycle.OpInsert, new)
-		}
-		dst.writes.Record(new, nil)
-	}
-	dst.mu.Unlock()
-	if err != nil {
+	if err := dst.mutate(nil, new); err != nil {
 		// The insert can only fail on lazy index creation; restore the old
 		// row so the update is all-or-nothing.
-		src.mu.Lock()
-		rerr := src.idx.Insert(old)
-		if rerr == nil {
-			if src.delta != nil {
-				src.delta.Append(lifecycle.OpInsert, old)
-			}
-			src.writes.Record(old, nil)
-		}
-		src.mu.Unlock()
-		if rerr != nil {
+		if rerr := src.mutate(nil, old); rerr != nil {
 			s.n.Add(-1)
 			return fmt.Errorf("shard: update lost row: %w", errors.Join(err, rerr))
 		}
 		return err
+	}
+	return nil
+}
+
+// mutate is one mutation step on the slot, under its write lock: it
+// deletes del, inserts add, or with both updates del to add in place. Once
+// the index accepts it, the step is logged for an in-flight rebuild and its
+// row images are recorded in the write ring.
+func (slot *shardSlot) mutate(del, add []float64) error {
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	var err error
+	switch {
+	case del == nil:
+		err = slot.idx.Insert(add)
+	case add == nil:
+		err = slot.idx.Delete(del)
+	default:
+		err = slot.idx.Update(del, add)
+	}
+	if err != nil {
+		return err
+	}
+	if slot.delta != nil {
+		if del != nil {
+			slot.delta.Append(lifecycle.OpDelete, del)
+		}
+		if add != nil {
+			slot.delta.Append(lifecycle.OpInsert, add)
+		}
+	}
+	if del == nil {
+		slot.writes.Record(add, nil)
+	} else {
+		slot.writes.Record(del, add)
 	}
 	return nil
 }
@@ -717,9 +617,8 @@ func (s *Sharded) Touched(i int, since uint64, r index.Rect) (now uint64, touche
 // ShardSpan reports the inclusive shard interval [lo, hi] a rectangle can
 // match — the shards whose mutation versions govern the freshness of a
 // cached answer to r. Rectangles constraining the range column span fewer
-// shards; everything else (and any hash-partitioned index) spans all of
-// them.
-func (s *Sharded) ShardSpan(r index.Rect) (lo, hi int) { return s.shardRange(r) }
+// shards; everything else spans all of them.
+func (s *Sharded) ShardSpan(r index.Rect) (lo, hi int) { return s.ranges.Span(r) }
 
 // Stats summarises the sharded index: its shards' build statistics summed
 // (the groups, dependent dims and sort dim come from the dependencies every
@@ -729,8 +628,7 @@ func (s *Sharded) ShardSpan(r index.Rect) (lo, hi int) { return s.shardRange(r) 
 type Stats struct {
 	core.Stats
 	Shards          int
-	Partition       string
-	RangeColumn     int // -1 under ByHash
+	RangeColumn     int // -1 for a single-index file opened as one shard
 	Workers         int // query fan-out pool size
 	RowsPerShard    []int
 	MemoryOverheadB int64
@@ -740,7 +638,6 @@ type Stats struct {
 func (s *Sharded) BuildStats() Stats {
 	st := Stats{
 		Shards:       len(s.shards),
-		Partition:    s.partition.String(),
 		RangeColumn:  s.ranges.Col,
 		Workers:      int(s.workers.Load()),
 		RowsPerShard: make([]int, len(s.shards)),

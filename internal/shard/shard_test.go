@@ -91,12 +91,9 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 		so := shard.Options{
 			NumShards: 1 + rng.Intn(8),
 			Workers:   1 + rng.Intn(4),
-			Partition: shard.ByRange,
 			Column:    -1,
 		}
-		if rng.Float64() < 0.4 {
-			so.Partition = shard.ByHash
-		} else if rng.Float64() < 0.5 {
+		if rng.Float64() < 0.6 {
 			so.Column = rng.Intn(tab.Dims())
 		}
 		sharded, err := shard.BuildWithFD(tab, single.FD(), opt, so)
@@ -175,8 +172,9 @@ func TestBatchQuerySkipsEmptyRects(t *testing.T) {
 func TestInsertThenQueryEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	tab := fdTable(rng, 3000, 0.15)
-	for _, part := range []shard.Partition{shard.ByRange, shard.ByHash} {
-		s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 5, Workers: 3, Partition: part, Column: -1})
+	// The auto column (the predictor x) and u, a column nothing predicts.
+	for _, col := range []int{-1, 2} {
+		s, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 5, Workers: 3, Column: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,18 +183,18 @@ func TestInsertThenQueryEquivalence(t *testing.T) {
 		for i := 0; i < extra.Len(); i++ {
 			row := extra.Row(i)
 			if err := s.Insert(row); err != nil {
-				t.Fatalf("%v: insert: %v", part, err)
+				t.Fatalf("column %d: insert: %v", col, err)
 			}
 			combined.Append(row)
 		}
 		if s.Len() != combined.Len() {
-			t.Fatalf("%v: Len = %d, want %d", part, s.Len(), combined.Len())
+			t.Fatalf("column %d: Len = %d, want %d", col, s.Len(), combined.Len())
 		}
 		oracle := scan.New(combined)
 		for trial := 0; trial < 40; trial++ {
 			r := workload.RandRect(rng, combined)
 			if got, want := index.Count(s, r), index.Count(oracle, r); got != want {
-				t.Fatalf("%v: trial %d rect %v: count %d, want %d", part, trial, r, got, want)
+				t.Fatalf("column %d: trial %d rect %v: count %d, want %d", col, trial, r, got, want)
 			}
 		}
 	}
@@ -324,9 +322,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 2, Column: 99}); err == nil {
 		t.Error("out-of-range range column accepted")
 	}
-	if _, err := shard.Build(tab, coreOptions(), shard.Options{NumShards: 2, Partition: shard.Partition(9)}); err == nil {
-		t.Error("unknown partition kind accepted")
-	}
 }
 
 func TestReassembleValidation(t *testing.T) {
@@ -336,30 +331,57 @@ func TestReassembleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.Reassemble(nil, shard.ByHash, -1, nil, 0); err == nil {
+	if _, err := shard.Reassemble(nil, shard.Ranges{Col: -1}, 0); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := shard.Reassemble([]*core.COAX{idx, nil}, shard.ByHash, -1, nil, 0); err == nil {
+	if _, err := shard.Reassemble([]*core.COAX{idx, nil}, shard.Ranges{Col: 0, Cuts: []float64{5}}, 0); err == nil {
 		t.Error("nil shard accepted")
 	}
-	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.ByRange, 0, nil, 0); err == nil {
+	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.Ranges{Col: 0}, 0); err == nil {
 		t.Error("missing cuts accepted")
 	}
-	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.ByRange, 0, []float64{2, 1}, 0); err == nil {
+	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.Ranges{Col: 0, Cuts: []float64{2, 1}}, 0); err == nil {
 		t.Error("unsorted cuts accepted")
 	}
-	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.ByRange, 99, []float64{5}, 0); err == nil {
+	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.Ranges{Col: 99, Cuts: []float64{5}}, 0); err == nil {
 		t.Error("bad range column accepted")
 	}
-	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.ByHash, -1, []float64{5}, 0); err == nil {
-		t.Error("hash partition with cuts accepted")
+	if _, err := shard.Reassemble([]*core.COAX{idx, idx}, shard.Ranges{Col: -1, Cuts: []float64{5}}, 0); err == nil {
+		t.Error("column -1 over two shards accepted")
 	}
-	s, err := shard.Reassemble([]*core.COAX{idx}, shard.ByRange, 0, nil, 2)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := shard.Reassemble([]*core.COAX{idx}, shard.Ranges{Col: -2}, 0); err == nil {
+		t.Error("column -2 accepted")
 	}
-	if got := index.Count(s, index.Full(tab.Dims())); got != tab.Len() {
-		t.Errorf("reassembled single shard counts %d rows, want %d", got, tab.Len())
+	// One shard routes nothing, so its column may be -1 (a single-index
+	// file opened as one slot); it serves and takes mutations either way.
+	for _, col := range []int{0, -1} {
+		c, err := core.Build(tab, coreOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := shard.Reassemble([]*core.COAX{c}, shard.Ranges{Col: col}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.RangeColumn() != col || s.Cuts() != nil {
+			t.Errorf("column %d: reassembled on column %d with cuts %v", col, s.RangeColumn(), s.Cuts())
+		}
+		row := []float64{1, 2, 3, 4}
+		if err := s.Insert(row); err != nil {
+			t.Fatalf("column %d: insert: %v", col, err)
+		}
+		if got := index.Count(s, index.Full(tab.Dims())); got != tab.Len()+1 {
+			t.Errorf("column %d: reassembled single shard counts %d rows, want %d", col, got, tab.Len()+1)
+		}
+		if err := s.Update(row, []float64{5, 6, 7, 8}); err != nil {
+			t.Fatalf("column %d: update: %v", col, err)
+		}
+		if err := s.Delete([]float64{5, 6, 7, 8}); err != nil {
+			t.Fatalf("column %d: delete: %v", col, err)
+		}
+		if lo, hi := s.ShardSpan(index.Full(tab.Dims())); lo != 0 || hi != 0 {
+			t.Errorf("column %d: full rectangle spans shards [%d, %d], want [0, 0]", col, lo, hi)
+		}
 	}
 }
 

@@ -36,9 +36,8 @@ type StreamBuilder struct {
 }
 
 // NewStreamBuilder prepares a direct-to-sharded streaming build. sample and
-// fd play the same roles as in core.NewStreamBuilder; for range
-// partitioning the cut points are quantiles of the sample's partition
-// column. totalHint ≥ 0 sizes per-shard preallocation; -1 when unknown.
+// fd play the same roles as in core.NewStreamBuilder; the range cut points
+// are quantiles of the sample's partition column. totalHint ≥ 0 sizes per-shard preallocation; -1 when unknown.
 func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, opt core.Options, so Options, totalHint int) (*StreamBuilder, error) {
 	if sample.Len() == 0 {
 		return nil, fmt.Errorf("shard: streaming build needs a non-empty sample")
@@ -55,10 +54,9 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 		perShard = totalHint/k + 1
 	}
 	// Each shard estimates its grid boundaries from its own slab of the
-	// sample — under range partitioning a shard sees only a slice of the
-	// partition column, and global quantiles would leave most of its grid
-	// cells empty. Shards whose slab sampled too thin fall back to the full
-	// sample.
+	// sample — a shard sees only a slice of the partition column, and
+	// global quantiles would leave most of its grid cells empty. Shards
+	// whose slab sampled too thin fall back to the full sample.
 	slabs := make([]*dataset.Table, k)
 	for i := range slabs {
 		slabs[i] = dataset.NewTable(sample.Cols)

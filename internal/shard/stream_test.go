@@ -46,7 +46,8 @@ func identical(a, b [][]float64) bool {
 
 // TestShardStreamBuilderMatchesBuild streams the table chunk-wise through
 // the direct-to-sharded builder and checks the result answers queries
-// identically to the materialized sharded build, for both partitioners.
+// identically to the materialized sharded build, cut on the auto-chosen
+// column and on lat.
 func TestShardStreamBuilderMatchesBuild(t *testing.T) {
 	tab := dataset.GenerateOSM(dataset.DefaultOSMConfig(24000))
 	opt := core.DefaultOptions()
@@ -55,8 +56,8 @@ func TestShardStreamBuilderMatchesBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, part := range []Partition{ByRange, ByHash} {
-		so := Options{NumShards: 4, Workers: 2, Partition: part, Column: -1}
+	for _, col := range []int{-1, 2} {
+		so := Options{NumShards: 4, Workers: 2, Column: col}
 		legacy, err := BuildWithFD(tab, fd, opt, so)
 		if err != nil {
 			t.Fatal(err)
@@ -82,25 +83,23 @@ func TestShardStreamBuilderMatchesBuild(t *testing.T) {
 		}
 
 		if streamed.Len() != legacy.Len() || streamed.NumShards() != legacy.NumShards() {
-			t.Fatalf("%v: shape mismatch: %d rows/%d shards vs %d/%d",
-				part, streamed.Len(), streamed.NumShards(), legacy.Len(), legacy.NumShards())
+			t.Fatalf("column %d: shape mismatch: %d rows/%d shards vs %d/%d",
+				col, streamed.Len(), streamed.NumShards(), legacy.Len(), legacy.NumShards())
 		}
-		if part == ByRange {
-			// Cuts come from the same full-table sample, so routing must
-			// agree and per-shard populations match exactly.
-			ls, ss := legacy.BuildStats(), streamed.BuildStats()
-			for i := range ls.RowsPerShard {
-				if ls.RowsPerShard[i] != ss.RowsPerShard[i] {
-					t.Fatalf("shard %d: %d streamed vs %d legacy rows",
-						i, ss.RowsPerShard[i], ls.RowsPerShard[i])
-				}
+		// Cuts come from the same full-table sample, so routing must agree
+		// and per-shard populations match exactly.
+		ls, ss := legacy.BuildStats(), streamed.BuildStats()
+		for i := range ls.RowsPerShard {
+			if ls.RowsPerShard[i] != ss.RowsPerShard[i] {
+				t.Fatalf("column %d: shard %d: %d streamed vs %d legacy rows",
+					col, i, ss.RowsPerShard[i], ls.RowsPerShard[i])
 			}
 		}
 		rng := rand.New(rand.NewSource(21))
 		for q := 0; q < 50; q++ {
 			r := workload.RandRect(rng, tab)
 			if !identical(gatherSorted(legacy, r), gatherSorted(streamed, r)) {
-				t.Fatalf("%v: query %d differs", part, q)
+				t.Fatalf("column %d: query %d differs", col, q)
 			}
 		}
 	}
@@ -124,7 +123,7 @@ func TestShardStreamBuilderSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	so := Options{NumShards: 3, Partition: ByRange, Column: -1}
+	so := Options{NumShards: 3, Column: -1}
 	sb, err := NewStreamBuilder(tab.Cols, fd, sample, opt, so, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +171,7 @@ func TestShardStreamBuilderEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := NewStreamBuilder(tab.Cols, fd, tab, opt, Options{NumShards: 2, Partition: ByHash}, -1)
+	sb, err := NewStreamBuilder(tab.Cols, fd, tab, opt, Options{NumShards: 2, Column: -1}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestOutlierDirectoryWithinData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so := Options{NumShards: 4, Partition: ByRange, Column: -1}
+	so := Options{NumShards: 4, Column: -1}
 	inMemory, err := BuildWithFD(tab, fd, opt, so)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestTouchedFollowsWrites(t *testing.T) {
 	tab := fdTable(rand.New(rand.NewSource(3)), 4000, 0.1)
 	build := func(t *testing.T) *shard.Sharded {
 		s, err := shard.Build(tab, coreOptions(),
-			shard.Options{NumShards: 2, Workers: 1, Partition: shard.ByRange, Column: 0})
+			shard.Options{NumShards: 2, Workers: 1, Column: 0})
 		if err != nil {
 			t.Fatal(err)
 		}

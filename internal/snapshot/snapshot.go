@@ -25,8 +25,9 @@
 // and "cols" (column names; absent for unnamed tables). A version-1 file
 // lacks "life" and opens with a fresh lifecycle.
 //
-// A sharded file holds a "shmt" section (shard count, partition scheme,
-// range column, cut points, dims) followed by one section per shard — ids
+// A sharded file holds a "shmt" section (shard count, partition scheme —
+// 0 range, or 1 hash, which is read only for one shard — range column, cut
+// points, dims) followed by one section per shard — ids
 // "s000", "s001", … (the ordinal in hex) — whose payload is a complete
 // single-index file.
 //
@@ -43,6 +44,7 @@ import (
 
 	"github.com/coax-index/coax/internal/binio"
 	"github.com/coax-index/coax/internal/core"
+	"github.com/coax-index/coax/internal/mmapsnap"
 	"github.com/coax-index/coax/internal/shard"
 )
 
@@ -84,12 +86,12 @@ func Decode(data []byte) (*shard.Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		return shard.Reassemble([]*core.COAX{idx}, shard.ByHash, -1, nil, 0)
+		return shard.Reassemble([]*core.COAX{idx}, shard.Ranges{Col: -1}, 0)
 	}
 
 	br := binio.NewReader(layout)
 	k := br.Int()
-	partition := shard.Partition(br.Int())
+	partition := br.Int()
 	col := br.Int()
 	cuts := br.Float64s()
 	dims := br.Int()
@@ -98,6 +100,11 @@ func Decode(data []byte) (*shard.Sharded, error) {
 	}
 	if k < 1 || k > shard.MaxShards {
 		return nil, fmt.Errorf("snapshot: shard count %d out of range [1,%d]", k, shard.MaxShards)
+	}
+	// Scheme 1 was hash partitioning: one shard holds the same rows under
+	// either scheme, more shards cannot be routed by range.
+	if partition != 0 && (partition != 1 || k > 1) {
+		return nil, fmt.Errorf("%w: partition scheme %d over %d shards; only range shards (0) are read", mmapsnap.ErrLayout, partition, k)
 	}
 	shards := make([]*core.COAX, k)
 	for i := range shards {
@@ -119,7 +126,7 @@ func Decode(data []byte) (*shard.Sharded, error) {
 		}
 		shards[i] = idx
 	}
-	s, err := shard.Reassemble(shards, partition, col, cuts, 0)
+	s, err := shard.Reassemble(shards, shard.Ranges{Col: col, Cuts: cuts}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}

@@ -108,7 +108,7 @@ func convertBlob(t testing.TB, blob []byte) *shard.Sharded {
 			t.Errorf("page error: %v", err)
 		}
 	})
-	return sn.Sharded()
+	return sn.Index()
 }
 
 // sortedRows returns the rows of r in idx, sorted by bit pattern.
@@ -302,17 +302,15 @@ func TestRoundTripAfterInserts(t *testing.T) {
 	}
 }
 
-// TestShardedRoundTrip: the routing state — partition, range column, cut
-// points — survives the conversion, so a row inserted into both indexes
+// TestShardedRoundTrip: the routing state — range column and cut points —
+// survives the conversion, so a row inserted into both indexes
 // lands in the same shard.
 func TestShardedRoundTrip(t *testing.T) {
 	legacy := decodeFixture(t, fixtures[0].file)
 	v3 := convert(t, legacy, false)
-	if v3.NumShards() != 2 || v3.Partition() != shard.ByRange || v3.RangeColumn() != legacy.RangeColumn() ||
-		!slices.Equal(v3.Cuts(), legacy.Cuts()) {
-		t.Fatalf("routing changed: %d %v shards on column %d cut at %v; legacy %d %v on %d at %v",
-			v3.NumShards(), v3.Partition(), v3.RangeColumn(), v3.Cuts(),
-			legacy.NumShards(), legacy.Partition(), legacy.RangeColumn(), legacy.Cuts())
+	if v3.NumShards() != 2 || v3.RangeColumn() != legacy.RangeColumn() || !slices.Equal(v3.Cuts(), legacy.Cuts()) {
+		t.Fatalf("routing changed: %d shards on column %d cut at %v; legacy %d on %d at %v",
+			v3.NumShards(), v3.RangeColumn(), v3.Cuts(), legacy.NumShards(), legacy.RangeColumn(), legacy.Cuts())
 	}
 	row := slices.Clone(index.Collect(legacy, index.Full(legacy.Dims()))[0])
 	for _, s := range []*shard.Sharded{legacy, v3} {
@@ -334,8 +332,9 @@ func lives(s *shard.Sharded) []int {
 	return out
 }
 
-// TestVersion1Compat: the v1 fixture opens with a fresh lifecycle and, once
-// converted, takes inserts and rebuilds like any index.
+// TestVersion1Compat: the v1 fixture opens with a fresh lifecycle as one
+// shard with no range column and, once converted, takes inserts and
+// rebuilds like any index.
 func TestVersion1Compat(t *testing.T) {
 	legacy := decodeFixture(t, fixtures[1].file)
 	if st := legacy.LifecycleStats(); st.Mutations() != 0 || st.Tombstones != 0 || st.Epoch != 0 {
@@ -345,6 +344,12 @@ func TestVersion1Compat(t *testing.T) {
 		t.Fatalf("v1 file has no names section, got columns %q", cols)
 	}
 	v3 := convert(t, legacy, false)
+	for _, s := range []*shard.Sharded{legacy, v3} {
+		if s.NumShards() != 1 || s.RangeColumn() != -1 || s.Cuts() != nil {
+			t.Fatalf("single-index file as %d shards on column %d cut at %v, want one on column -1",
+				s.NumShards(), s.RangeColumn(), s.Cuts())
+		}
+	}
 	row := slices.Clone(index.Collect(v3, index.Full(v3.Dims()))[0])
 	if err := v3.Insert(row); err != nil {
 		t.Fatalf("insert after conversion: %v", err)
@@ -447,15 +452,19 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 // TestShardedDecodeCorruption: a shard layout that checksums but lies — no
-// shards, or dims no shard has — fails with the reader's own error.
+// shards, dims no shard has, or hash partitioning (scheme 1) over the
+// fixture's two shards, which no range routing can serve — fails with the
+// reader's own error.
 func TestShardedDecodeCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		field func(layout []byte) []byte // the 8 bytes to overwrite
 		value uint64
 		want  string
+		is    error
 	}{
-		{func(l []byte) []byte { return l[:8] }, 0, "shard count 0 out of range"},
-		{func(l []byte) []byte { return l[len(l)-8:] }, 99, "layout says 99"},
+		{func(l []byte) []byte { return l[:8] }, 0, "shard count 0 out of range", nil},
+		{func(l []byte) []byte { return l[len(l)-8:] }, 99, "layout says 99", nil},
+		{func(l []byte) []byte { return l[8:16] }, 1, "partition scheme 1 over 2 shards", mmapsnap.ErrLayout},
 	} {
 		blob := readFixture(t, fixtures[0].file)
 		if id := string(blob[16:20]); id != "shmt" {
@@ -465,7 +474,8 @@ func TestShardedDecodeCorruption(t *testing.T) {
 		layout := blob[28 : 28+n]
 		binary.LittleEndian.PutUint64(tc.field(layout), tc.value)
 		binary.LittleEndian.PutUint32(blob[28+n:], crc32.Checksum(layout, crc32.MakeTable(crc32.Castagnoli)))
-		if _, err := snapshot.Decode(blob); err == nil || !strings.Contains(err.Error(), tc.want) {
+		_, err := snapshot.Decode(blob)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || tc.is != nil && !errors.Is(err, tc.is) {
 			t.Fatalf("Decode error %v, want %q", err, tc.want)
 		}
 	}
