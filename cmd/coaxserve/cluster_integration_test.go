@@ -152,6 +152,16 @@ func TestClusterMultiProcess(t *testing.T) {
 	rt := waitForRouter(t, addrs, gshards, rf, 120*time.Second)
 	defer rt.Close()
 
+	// Every node reports its start-up build; the router's verbose /healthz
+	// names the slowest.
+	_, body := clusterBackend{rt}.health(true, 0)
+	h := body.(routerHealthz)
+	for _, n := range rt.Stats().Nodes {
+		if n.BuildS <= 0 || n.BuildS > h.Startup.BuildS {
+			t.Errorf("node %s reports build_s %v; /healthz startup.build_s %v", n.Addr, n.BuildS, h.Startup.BuildS)
+		}
+	}
+
 	// The oracle: the exact table every node generated, on one engine with
 	// the cluster's partition, so aggregates agree bit for bit.
 	tab, err := makeTable("osm", rows)

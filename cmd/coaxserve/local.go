@@ -47,7 +47,7 @@ func cmdServe(args []string) error {
 	fs.Int64Var(&th.MinMutations, "min-mutations", th.MinMutations, "mutations required before staleness is evaluated")
 	fs.Parse(args)
 
-	idx, snap, err := openIndex(*in, *ds, *csvPath, *rows, *shards, *workers, *sample)
+	idx, snap, up, err := openIndex(*in, *ds, *csvPath, *rows, *shards, *workers, *sample)
 	if err != nil {
 		return err
 	}
@@ -59,6 +59,7 @@ func cmdServe(args []string) error {
 	}
 
 	be := newLocalBackend(idx, snap, th, *sweep)
+	be.startup = up
 	if *sweep > 0 {
 		if err := be.compactor.Start(); err != nil {
 			return err
@@ -95,28 +96,31 @@ func cmdServe(args []string) error {
 // one shard; the index's fan-out pool is sized to workers. The returned
 // Snapshot owns the mapping and must stay referenced for the life of the
 // server. A v1/v2 file fails here, with an error naming coaxstore convert.
-func openSnapshot(in string, workers int) (*coax.Index, *coax.Snapshot, error) {
+func openSnapshot(in string, workers int) (*coax.Index, *coax.Snapshot, startup, error) {
+	t0 := time.Now()
 	sn, err := coax.OpenFile(in)
 	if err != nil {
-		return nil, nil, fmt.Errorf("loading %s: %w", in, err)
+		return nil, nil, startup{}, fmt.Errorf("loading %s: %w", in, err)
 	}
 	idx, err := sn.Serving(workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, startup{}, err
 	}
+	up := startup{OpenS: time.Since(t0).Seconds()}
 	how := "memory-mapped"
 	if !sn.Mapped() {
 		how = "aligned heap read (mmap unavailable)"
 	}
 	fmt.Fprintf(os.Stderr, "opened %s as format v3: %s\n", in, how)
-	return idx, sn, nil
+	return idx, sn, up, nil
 }
 
 // openIndex opens a snapshot (a single-index file as one shard) or builds
 // an index at startup — from a CSV file/stdin or a synthetic generator,
 // streamed straight into the per-shard builders when -sample is set. The
-// Snapshot is nil for an index built at startup.
-func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax.Index, *coax.Snapshot, error) {
+// Snapshot is nil for an index built at startup. The startup it returns
+// times the open or the build.
+func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax.Index, *coax.Snapshot, startup, error) {
 	if in != "" {
 		return openSnapshot(in, workers)
 	}
@@ -134,20 +138,20 @@ func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax
 		// two-pass reservoir samples uniformly, exactly as coaxstore does.
 		fileSrc, n, err := coax.SpillCSV(bufio.NewReaderSize(os.Stdin, 1<<20), 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, startup{}, err
 		}
 		fmt.Fprintf(os.Stderr, "spilled %.1f MiB of stdin to a temp file for two-pass sampling\n", float64(n)/(1<<20))
 		src, closeSrc = fileSrc, fileSrc.Close
 	case csvPath == "-":
 		csvSrc, err := coax.NewCSVSource(bufio.NewReaderSize(os.Stdin, 1<<20), 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, startup{}, err
 		}
 		src = csvSrc
 	case csvPath != "":
 		fileSrc, err := coax.OpenCSVFile(csvPath, 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, startup{}, err
 		}
 		src, closeSrc = fileSrc, fileSrc.Close
 	case ds == "osm":
@@ -155,7 +159,7 @@ func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax
 	case ds == "airline":
 		src = coax.NewAirlineSource(coax.DefaultAirlineConfig(rows), 0)
 	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q (want osm or airline)", ds)
+		return nil, nil, startup{}, fmt.Errorf("unknown dataset %q (want osm or airline)", ds)
 	}
 	defer closeSrc()
 
@@ -169,15 +173,16 @@ func openIndex(in, ds, csvPath string, rows, shards, workers, sample int) (*coax
 	t0 := time.Now()
 	idx, err := b.BuildSharded(src, so)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, startup{}, err
 	}
 	mode := "materialized"
 	if sample > 0 {
 		mode = fmt.Sprintf("streaming, sample %d", sample)
 	}
+	built := time.Since(t0)
 	fmt.Fprintf(os.Stderr, "built %d rows on %d shards in %v (%s)\n",
-		idx.Len(), idx.NumShards(), time.Since(t0).Round(time.Millisecond), mode)
-	return idx, nil, nil
+		idx.Len(), idx.NumShards(), built.Round(time.Millisecond), mode)
+	return idx, nil, startup{BuildS: built.Seconds()}, nil
 }
 
 func makeTable(ds string, rows int) (*coax.Table, error) {
@@ -201,6 +206,7 @@ type localBackend struct {
 	compactor *lifecycle.Compactor
 	th        lifecycle.Thresholds
 	slowlog   *slowLog // nil: slow-query logging disabled
+	startup   startup  // how the index came up; zero in tests that wrap an index
 }
 
 // newLocalBackend wraps idx with a compactor polling every sweep (not yet
@@ -396,6 +402,15 @@ func (l *localBackend) stats(tier tierStats) any {
 	return resp
 }
 
+// startup names the phase that brought the served index up and how long
+// it took, timed as the "built …" line prints it: an in-process build, or
+// opening a snapshot (-in). It is the server's share of a start-up, so an
+// operator can tell it from process launch.
+type startup struct {
+	BuildS float64 `json:"build_s,omitempty"`
+	OpenS  float64 `json:"open_s,omitempty"`
+}
+
 // healthzResponse is the verbose /healthz body. SnapshotVersion is always
 // 3, the one snapshot format the server reads and writes.
 type healthzResponse struct {
@@ -406,6 +421,7 @@ type healthzResponse struct {
 	Rows            int     `json:"rows"`
 	Shards          int     `json:"shards"`
 	UptimeSeconds   float64 `json:"uptime_seconds"`
+	Startup         startup `json:"startup"`
 }
 
 func (l *localBackend) health(verbose bool, uptime time.Duration) (int, any) {
@@ -424,6 +440,7 @@ func (l *localBackend) health(verbose bool, uptime time.Duration) (int, any) {
 		Rows:            l.Len(),
 		Shards:          l.NumShards(),
 		UptimeSeconds:   uptime.Seconds(),
+		Startup:         l.startup,
 	}
 }
 

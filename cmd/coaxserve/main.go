@@ -18,7 +18,8 @@
 // reads, circuit breaking, failover). Both answer the same API through the
 // same handlers:
 //
-//	GET  /healthz  liveness probe; ?verbose=1 adds the backend's shape
+//	GET  /healthz  liveness probe; ?verbose=1 adds the backend's shape and
+//	               how long its start-up build or snapshot open took
 //	GET  /stats    index or cluster shape, result-cache and admission
 //	               counters; serve adds lifecycle health and staleness
 //	GET  /metrics  Prometheus text exposition of every metric family

@@ -233,7 +233,7 @@ func TestOpenIndexWrapsSingleSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/single.coax"
 	singleLayout(t, tab, path, false)
-	idx, _, err := openIndex(path, "", "", 0, 0, 2, 0)
+	idx, _, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 	if err != nil {
 		t.Fatalf("openIndex(single snapshot): %v", err)
 	}
@@ -254,11 +254,11 @@ func TestOpenIndexWrapsSingleSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{"../../internal/snapshot/testdata/osm600-2shard.v2", garbled} {
-		if _, _, err := openIndex(bad, "", "", 0, 0, 2, 0); err == nil || !strings.Contains(err.Error(), "coaxstore convert") {
+		if _, _, _, err := openIndex(bad, "", "", 0, 0, 2, 0); err == nil || !strings.Contains(err.Error(), "coaxstore convert") {
 			t.Errorf("openIndex(%s) error = %v, want one naming coaxstore convert", bad, err)
 		}
 	}
-	if _, _, err := openIndex(junk, "", "", 0, 0, 2, 0); err == nil {
+	if _, _, _, err := openIndex(junk, "", "", 0, 0, 2, 0); err == nil {
 		t.Error("openIndex served a file that is not a snapshot")
 	}
 }
@@ -272,7 +272,7 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		path := fmt.Sprintf("%s/v3-%v.coax", t.TempDir(), compress)
 		single := singleLayout(t, tab, path, compress)
-		idx, sn, err := openIndex(path, "", "", 0, 0, 2, 0)
+		idx, sn, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 		if err != nil {
 			t.Fatalf("openIndex(v3, compress=%v): %v", compress, err)
 		}
@@ -329,7 +329,7 @@ func TestCorruptPageRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	idx, snap, err := openIndex(path, "", "", 0, 0, 2, 0)
+	idx, snap, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 	if err != nil {
 		t.Fatalf("openIndex: %v", err)
 	}
@@ -409,7 +409,7 @@ func TestMutationOnCorruptPage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	idx, snap, err := openIndex(path, "", "", 0, 0, 2, 0)
+	idx, snap, _, err := openIndex(path, "", "", 0, 0, 2, 0)
 	if err != nil {
 		t.Fatalf("openIndex: %v", err)
 	}

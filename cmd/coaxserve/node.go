@@ -98,8 +98,9 @@ func cmdNode(args []string) error {
 	if err != nil {
 		return err
 	}
+	built := time.Since(t0)
 
-	var opts []cluster.NodeOption
+	opts := []cluster.NodeOption{cluster.WithBuildTime(built)}
 	if adm := newAdmission(*maxInflight, *maxQueue, *queueTimeout); adm != nil {
 		opts = append(opts, cluster.WithAdmission(adm))
 	}
@@ -119,7 +120,7 @@ func cmdNode(args []string) error {
 	// The ready line is a protocol: the integration test and clustersmoke.sh
 	// wait for it before wiring a router up.
 	fmt.Printf("node %s ready: %d/%d global shards (%d rows) built in %v, rf=%d, %d peer(s)\n",
-		self, len(hosted), *shards, node.Rows(), time.Since(t0).Round(time.Millisecond), *rf, len(peerList))
+		self, len(hosted), *shards, node.Rows(), built.Round(time.Millisecond), *rf, len(peerList))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -142,7 +143,7 @@ func cmdNode(args []string) error {
 // heap anyway. Every node loading the same file reads the same rows in the
 // same order, so every node builds identical slots and cuts.
 func tableFromSnapshot(path string) (*coax.Table, error) {
-	idx, sn, err := openSnapshot(path, 0)
+	idx, sn, _, err := openSnapshot(path, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -233,6 +233,57 @@ func TestHealthzVerbose(t *testing.T) {
 	}
 }
 
+// TestHealthzStartup: verbose /healthz names the phase that brought the
+// index up — build_s for an index built in process, open_s for a snapshot
+// opened with -in — as a positive duration.
+func TestHealthzStartup(t *testing.T) {
+	built, _, up, err := openIndex("", "osm", "", 5000, 2, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/built.v3"
+	if err := coax.SaveShardedFileV3(path, built, false); err != nil {
+		t.Fatal(err)
+	}
+	opened, snap, upOpen, err := openIndex(path, "", "", 0, 0, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	for _, tc := range []struct {
+		name       string
+		be         *localBackend
+		up         startup
+		field, not string
+	}{
+		{"built", newLocalBackend(built, nil, coax.DefaultThresholds(), 0), up, "build_s", "open_s"},
+		{"opened", newLocalBackend(opened, snap, coax.DefaultThresholds(), 0), upOpen, "open_s", "build_s"},
+	} {
+		tc.be.startup = tc.up
+		srv := serveFront(t, tc.be, 0, nil)
+		resp, err := http.Get(srv.URL + "/healthz?verbose=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h struct {
+			Startup map[string]float64 `json:"startup"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if h.Startup == nil {
+			t.Fatalf("%s: verbose /healthz has no startup field", tc.name)
+		}
+		if v := h.Startup[tc.field]; v <= 0 {
+			t.Errorf("%s: startup.%s = %v, want > 0", tc.name, tc.field, v)
+		}
+		if _, ok := h.Startup[tc.not]; ok {
+			t.Errorf("%s: startup also reports %s: %v", tc.name, tc.not, h.Startup)
+		}
+	}
+}
+
 func TestDebugMux(t *testing.T) {
 	idx, _ := testServer(t)
 	dbg := httptest.NewServer(newDebugMux(testBackend(idx)))

@@ -170,6 +170,9 @@ type routerHealthz struct {
 	NodesDown     int     `json:"nodes_down"`
 	Unanswered    int     `json:"unanswered_shards"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
+	// Startup is the nodes' start-up: the slowest node's build, since the
+	// nodes build in parallel and the cluster answers once all have.
+	Startup startup `json:"startup"`
 }
 
 func (c clusterBackend) health(verbose bool, uptime time.Duration) (int, any) {
@@ -182,6 +185,7 @@ func (c clusterBackend) health(verbose bool, uptime time.Duration) (int, any) {
 		if n.Err != "" {
 			h.NodesDown++
 		}
+		h.Startup.BuildS = max(h.Startup.BuildS, n.BuildS)
 	}
 	if cs.Unanswered > 0 {
 		h.Status = "degraded"

@@ -41,6 +41,10 @@ type Node struct {
 	// serving tier; rejected requests answer an Overloaded error frame.
 	adm *serve.Admission
 
+	// built is how long the node took to build its shards, reported in
+	// its stats (WithBuildTime).
+	built time.Duration
+
 	// delay is an injected per-request straggler latency (coaxserve node
 	// -straggler: the slow replica hedged reads race); draining, when > 0,
 	// rejects every request with an Overloaded error carrying that many
@@ -62,6 +66,12 @@ type NodeOption func(*Node)
 // WithAdmission bounds the node's concurrent requests; nil disables.
 func WithAdmission(adm *serve.Admission) NodeOption {
 	return func(n *Node) { n.adm = adm }
+}
+
+// WithBuildTime records how long building the hosted shards took; the node
+// reports it in its stats, and a router's verbose /healthz names it.
+func WithBuildTime(d time.Duration) NodeOption {
+	return func(n *Node) { n.built = d }
 }
 
 // NewNode wraps the hosted global shards (global shard id → its slot, as
@@ -478,7 +488,7 @@ func mutationCode(err error) uint8 {
 
 // handleStats reports the node's shape.
 func (n *Node) handleStats(c *wire.Conn, q *wire.Stats) {
-	res := &wire.StatsRes{ID: q.ID, Rows: n.Rows(), Hosted: append([]int(nil), n.hosted...)}
+	res := &wire.StatsRes{ID: q.ID, Rows: n.Rows(), Hosted: append([]int(nil), n.hosted...), BuildSeconds: n.built.Seconds()}
 	for _, g := range res.Hosted {
 		res.ShardRows = append(res.ShardRows, int64(n.shards[g].Len()))
 		res.MemoryOverhead += n.shards[g].MemoryOverhead()

@@ -763,6 +763,7 @@ type NodeStats struct {
 	Rows           int64   `json:"rows"`
 	Hosted         []int   `json:"hosted_shards"`
 	MemoryOverhead int64   `json:"memory_overhead_bytes"`
+	BuildS         float64 `json:"build_s"` // the node's start-up build
 	Err            string  `json:"error,omitempty"`
 	P99Ms          float64 `json:"p99_ms"`
 	Open           bool    `json:"breaker_open"`
@@ -800,7 +801,7 @@ func (rt *Router) Stats() ClusterStats {
 			if err != nil {
 				ns.Err = err.Error()
 			} else if sr, ok := res.(*wire.StatsRes); ok {
-				ns.Rows, ns.Hosted, ns.MemoryOverhead = sr.Rows, sr.Hosted, sr.MemoryOverhead
+				ns.Rows, ns.Hosted, ns.MemoryOverhead, ns.BuildS = sr.Rows, sr.Hosted, sr.MemoryOverhead, sr.BuildSeconds
 				m := make(map[int]int64, len(sr.Hosted))
 				for i, g := range sr.Hosted {
 					if i < len(sr.ShardRows) {

@@ -130,21 +130,13 @@ func NewStreamBuilder(cols []string, fd softfd.Result, sample *dataset.Table, op
 // sample when that class sampled empty — boundary clamping keeps any later
 // value routable.
 func newSampleStreamer(sample *dataset.Table, inlier []bool, wantInlier bool, cfg gridfile.Config, capacityRows int) (*gridfile.Streamer, error) {
-	all := !slices.Contains(inlier, wantInlier) // the class sampled empty
-	bounds := make([][]float64, len(cfg.GridDims))
-	vals := make([]float64, 0, sample.Len())
-	for bi, d := range cfg.GridDims {
-		vals = vals[:0]
-		for i := 0; i < sample.Len(); i++ {
-			if all || inlier[i] == wantInlier {
-				vals = append(vals, sample.Row(i)[d])
-			}
-		}
-		bd, err := gridfile.SampleBounds(vals, cfg)
-		if err != nil {
-			return nil, err
-		}
-		bounds[bi] = bd
+	keep := func(i int) bool { return inlier[i] == wantInlier }
+	if !slices.Contains(inlier, wantInlier) { // the class sampled empty
+		keep = nil
+	}
+	bounds, err := gridfile.TableBounds(sample, keep, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return gridfile.NewStreamer(sample.Dims(), cfg, bounds, capacityRows)
 }

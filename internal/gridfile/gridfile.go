@@ -109,13 +109,9 @@ func Build(t *dataset.Table, cfg Config) (*GridFile, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("gridfile: %w", err)
 	}
-	bounds := make([][]float64, len(cfg.GridDims))
-	for i, d := range cfg.GridDims {
-		b, err := SampleBounds(t.Column(d), cfg)
-		if err != nil {
-			return nil, err
-		}
-		bounds[i] = b
+	bounds, err := TableBounds(t, nil, cfg)
+	if err != nil {
+		return nil, err
 	}
 	s, err := NewStreamer(t.Dims(), cfg, bounds, t.Len())
 	if err != nil {

@@ -2,9 +2,12 @@ package gridfile
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
+	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/stats"
 )
 
@@ -135,9 +138,54 @@ func (s *Streamer) Finish() (*GridFile, error) {
 // CellsPerDim distinct values gets d cells instead, with those values as
 // the boundaries, so each value has a slot of its own and no slot is
 // empty: the finest split such an axis can have, at the smallest
-// directory.
+// directory. sampleCol is not modified.
 func SampleBounds(sampleCol []float64, cfg Config) ([]float64, error) {
-	if len(sampleCol) == 0 {
+	if cfg.Mode == Quantile {
+		sampleCol = slices.Clone(sampleCol)
+	}
+	return sampleBounds(sampleCol, cfg)
+}
+
+// TableBounds places the boundaries of every grid axis of cfg, as
+// SampleBounds does, on the rows of t that keep accepts (every row when
+// keep is nil). The grid columns are gathered in one pass over the rows,
+// into slices the quantile selection may reorder.
+func TableBounds(t *dataset.Table, keep func(row int) bool, cfg Config) ([][]float64, error) {
+	kept := func(r int) bool { return keep == nil || keep(r) }
+	n := 0
+	for r := range t.Len() {
+		if kept(r) {
+			n++
+		}
+	}
+	cols := make([][]float64, len(cfg.GridDims))
+	for i := range cols {
+		cols[i] = make([]float64, 0, n)
+	}
+	for r := range t.Len() {
+		if kept(r) {
+			row := t.Row(r)
+			for i, d := range cfg.GridDims {
+				cols[i] = append(cols[i], row[d])
+			}
+		}
+	}
+	bounds := make([][]float64, len(cols))
+	for i, col := range cols {
+		b, err := sampleBounds(col, cfg)
+		if err != nil {
+			return nil, err
+		}
+		bounds[i] = b
+	}
+	return bounds, nil
+}
+
+// sampleBounds is SampleBounds over a column its caller owns: quantile
+// placement reorders it, selecting the ranks the boundaries interpolate
+// between rather than sorting it.
+func sampleBounds(col []float64, cfg Config) ([]float64, error) {
+	if len(col) == 0 {
 		return nil, fmt.Errorf("gridfile: no sample values to place boundaries on")
 	}
 	if cfg.CellsPerDim < 1 {
@@ -145,33 +193,31 @@ func SampleBounds(sampleCol []float64, cfg Config) ([]float64, error) {
 	}
 	switch cfg.Mode {
 	case Quantile:
-		sorted := append([]float64(nil), sampleCol...)
-		sort.Float64s(sorted)
-		if b := valueBounds(sorted, cfg.CellsPerDim); b != nil {
+		if b := valueBounds(col, cfg.CellsPerDim); b != nil {
 			return b, nil
 		}
-		return stats.QuantilesSorted(sorted, cfg.CellsPerDim), nil
+		return stats.Quantiles(col, cfg.CellsPerDim), nil
 	case Uniform:
-		return uniformBounds(sampleCol, cfg.CellsPerDim), nil
+		return uniformBounds(col, cfg.CellsPerDim), nil
 	default:
 		return nil, fmt.Errorf("gridfile: unknown bounds mode %d", cfg.Mode)
 	}
 }
 
-// valueBounds returns the boundaries that give each distinct value of the
-// ascending column its own cell — the values, the largest repeated to close
-// the last cell, since Slot clamps it into the cell it opens — or nil when
-// the column holds more than cells distinct values.
-func valueBounds(sorted []float64, cells int) []float64 {
-	out := make([]float64, 1, min(cells, len(sorted))+1)
-	out[0] = sorted[0]
-	for _, v := range sorted[1:] {
-		if v != out[len(out)-1] {
-			if len(out) == cells {
+// valueBounds returns the boundaries that give each distinct value of col
+// its own cell — the values ascending, the largest repeated to close the
+// last cell, since Slot clamps it into the cell it opens — or nil as soon
+// as col shows more than cells distinct values (−0 and +0 are one value).
+func valueBounds(col []float64, cells int) []float64 {
+	seen := make(map[float64]struct{}, cells)
+	for _, v := range col {
+		if _, ok := seen[v]; !ok {
+			if len(seen) == cells {
 				return nil
 			}
-			out = append(out, v)
+			seen[v] = struct{}{}
 		}
 	}
+	out := slices.Sorted(maps.Keys(seen))
 	return append(out, out[len(out)-1])
 }

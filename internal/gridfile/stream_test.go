@@ -190,8 +190,8 @@ func TestSampleBoundsPerValueCells(t *testing.T) {
 }
 
 // TestSampleBoundsQuantilesAboveTheMaximum: a column with more distinct
-// values than CellsPerDim keeps its quantile boundaries bit for bit; one
-// with exactly CellsPerDim values is cut at its values.
+// values than CellsPerDim keeps the quantile boundaries a full sort gives,
+// bit for bit; one with exactly CellsPerDim values is cut at its values.
 func TestSampleBoundsQuantilesAboveTheMaximum(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cfg := Config{CellsPerDim: 24, Mode: Quantile}
@@ -209,7 +209,7 @@ func TestSampleBoundsQuantilesAboveTheMaximum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := stats.Quantiles(col, 24)
+		want := sortBounds(col, 24)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d bounds, want %d", name, len(got), len(want))
 		}
@@ -229,6 +229,141 @@ func TestSampleBoundsQuantilesAboveTheMaximum(t *testing.T) {
 	}
 	if len(got) != 25 || got[0] != 0 || got[23] != 23 || got[24] != 23 {
 		t.Fatalf("24 values: bounds %v, want 0…23 and 23 again", got)
+	}
+}
+
+// sortBounds is Quantile placement as a full sort computes it — the
+// reference SampleBounds' rank selection must match bit for bit: the
+// column's distinct values (the largest repeated) when it holds at most
+// cells of them, else the interpolated 0, 1/cells, …, 1 quantiles.
+func sortBounds(col []float64, cells int) []float64 {
+	sorted := slices.Clone(col)
+	sort.Float64s(sorted)
+	vals := sorted[:1:1]
+	for _, v := range sorted[1:] {
+		if v != vals[len(vals)-1] {
+			vals = append(vals, v)
+		}
+	}
+	if len(vals) <= cells {
+		return append(vals, vals[len(vals)-1])
+	}
+	out := make([]float64, cells+1)
+	for i := range out {
+		out[i] = stats.QuantileSorted(sorted, float64(i)/float64(cells))
+	}
+	return out
+}
+
+// TestSampleBoundsMatchSort: selecting the interpolation ranks gives the
+// bounds a full sort gives, bit for bit, on random columns of 1 to 5 000
+// values at 1 to 64 cells — continuous, with cells−1, cells and cells+1
+// distinct values, all equal, presorted and reversed — and leaves the
+// column as it was.
+func TestSampleBoundsMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 600; trial++ {
+		n, cells := 1+rng.Intn(5000), 1+rng.Intn(64)
+		col := make([]float64, n)
+		kind := trial % 7
+		distinct := max(cells-1+kind, 1) // kinds 0, 1, 2: cells−1, cells, cells+1 values
+		for i := range col {
+			switch kind {
+			case 0, 1, 2:
+				col[i] = float64(i%distinct)*0.37 - 3
+			case 3:
+				col[i] = rng.NormFloat64() * 1e3
+			case 4:
+				col[i] = 2.5
+			case 5:
+				col[i] = float64(i) * 1.5
+			case 6:
+				col[i] = float64(n-i) * 1.5
+			}
+		}
+		if kind <= 3 {
+			rng.Shuffle(n, func(i, j int) { col[i], col[j] = col[j], col[i] })
+		}
+		before := slices.Clone(col)
+		got, err := SampleBounds(col, Config{CellsPerDim: cells, Mode: Quantile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(col, before) {
+			t.Fatalf("trial %d: SampleBounds reordered its input", trial)
+		}
+		want := sortBounds(col, cells)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (n=%d cells=%d kind %d): %d bounds, sorting gives %d", trial, n, cells, kind, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (n=%d cells=%d kind %d): bound %d is %v, sorting gives %v", trial, n, cells, kind, i, got[i], want[i])
+			}
+		}
+	}
+
+	// The sort's order among −0 and +0 is no contract, so a column holding
+	// both is held to it by value and by the slot every value lands in.
+	negZero := math.Copysign(0, -1)
+	for _, cells := range []int{2, 4, 24} {
+		col := make([]float64, 2000)
+		for i := range col {
+			switch i % 4 {
+			case 0:
+				col[i] = negZero
+			case 1:
+				col[i] = 0
+			default:
+				col[i] = float64(rng.Intn(9) - 4)
+			}
+		}
+		got, err := SampleBounds(col, Config{CellsPerDim: cells, Mode: Quantile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sortBounds(col, cells)
+		if !slices.Equal(got, want) {
+			t.Fatalf("±0 column at %d cells: bounds %v, sorting gives %v", cells, got, want)
+		}
+		for _, v := range col {
+			if Slot(got, v) != Slot(want, v) {
+				t.Fatalf("±0 column at %d cells: %v lands in slot %d, sorting's bounds put it in %d", cells, v, Slot(got, v), Slot(want, v))
+			}
+		}
+	}
+}
+
+// TestTableBoundsKeepsRows: TableBounds places each grid axis over the
+// rows keep accepts exactly as SampleBounds places it over those rows'
+// column, and over every row when keep is nil.
+func TestTableBoundsKeepsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	tab := randomTable(rng, 3000, 3)
+	cfg := Config{GridDims: []int{2, 0}, SortDim: 1, CellsPerDim: 16, Mode: Quantile}
+	for _, keep := range []func(int) bool{nil, func(r int) bool { return r%3 == 0 }} {
+		got, err := TableBounds(tab, keep, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range cfg.GridDims {
+			var col []float64
+			for r := 0; r < tab.Len(); r++ {
+				if keep == nil || keep(r) {
+					col = append(col, tab.Row(r)[d])
+				}
+			}
+			want, err := SampleBounds(col, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got[i], want) {
+				t.Fatalf("axis %d: bounds %v, SampleBounds gives %v", i, got[i], want)
+			}
+		}
+	}
+	if _, err := TableBounds(tab, func(int) bool { return false }, cfg); err == nil {
+		t.Fatal("TableBounds over no kept rows must error")
 	}
 }
 

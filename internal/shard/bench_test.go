@@ -175,3 +175,17 @@ func BenchmarkExecAgg(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardBuild times the start path of an index built in memory
+// (coax.Builder.BuildSharded without a sample, as coaxserve serve builds):
+// soft-FD detection over the whole table, range cuts, and four shard
+// builds in parallel over 200 k OSM rows.
+func BenchmarkShardBuild(b *testing.B) {
+	tab := dataset.GenerateOSM(dataset.DefaultOSMConfig(200_000))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := shard.Build(tab, core.DefaultOptions(), shard.Options{NumShards: 4, Column: -1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

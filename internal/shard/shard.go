@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"runtime"
 	"sort"
 	"sync"
@@ -57,6 +56,7 @@ import (
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/lifecycle"
 	"github.com/coax-index/coax/internal/softfd"
+	"github.com/coax-index/coax/internal/stats"
 )
 
 // MaxShards bounds the shard count; the snapshot container encodes the
@@ -382,7 +382,8 @@ func autoRangeColumn(fd softfd.Result) int {
 }
 
 // rangeCuts places k-1 cut points on the quantiles of t's column col:
-// cut i-1 is the value of rank i·n/k, found by selection, not a full sort.
+// cut i-1 is the value of rank i·n/k, found by selection (stats.SelectRanks),
+// not a full sort.
 func rangeCuts(t *dataset.Table, col, k int) []float64 {
 	if k <= 1 {
 		return nil
@@ -392,42 +393,12 @@ func rangeCuts(t *dataset.Table, col, k int) []float64 {
 	for i := range ranks {
 		ranks[i] = (i + 1) * len(vals) / k
 	}
-	selectRanks(vals, 0, len(vals), ranks, rand.New(rand.NewPCG(1, 2)))
+	stats.SelectRanks(vals, ranks)
 	cuts := make([]float64, k-1)
 	for i, r := range ranks {
 		cuts[i] = vals[r]
 	}
 	return cuts
-}
-
-// selectRanks reorders v[lo:hi] so that v[r] holds the value of rank r —
-// the value sorting v would put there — for every r of ranks (ascending,
-// inside [lo, hi)): a quickselect with a three-way partition around the
-// median of three values drawn by rng (fixed pivots degrade to quadratic
-// time on a presorted column, since the partition reverses its upper part),
-// which goes on only into the parts holding a rank.
-func selectRanks(v []float64, lo, hi int, ranks []int, rng *rand.Rand) {
-	for len(ranks) > 0 && hi-lo > 1 {
-		a, b, c := v[lo+rng.IntN(hi-lo)], v[lo+rng.IntN(hi-lo)], v[lo+rng.IntN(hi-lo)]
-		pivot := max(min(a, b), min(max(a, b), c))
-		// v[lo:lt] < pivot, v[lt:i] == pivot, v[gt:hi] > pivot.
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			switch x := v[i]; {
-			case x < pivot:
-				v[lt], v[i] = x, v[lt]
-				lt++
-				i++
-			case x > pivot:
-				gt--
-				v[gt], v[i] = x, v[gt]
-			default:
-				i++
-			}
-		}
-		selectRanks(v, lo, lt, ranks[:sort.SearchInts(ranks, lt)], rng)
-		ranks, lo = ranks[sort.SearchInts(ranks, gt):], gt
-	}
 }
 
 func poolSize(n int) int {

@@ -5,6 +5,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 )
 
@@ -86,23 +88,65 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quantiles returns k+1 boundary values splitting sorted data into k
-// equal-count buckets: the 0, 1/k, 2/k, …, 1 quantiles. Used by the grid
-// file and column files to place grid lines along the CDF.
+// Quantiles returns k+1 boundary values splitting xs into k equal-count
+// buckets: the 0, 1/k, 2/k, …, 1 quantiles, bit for bit what
+// QuantileSorted reads off xs sorted. Used by the grid file to place grid
+// lines along the CDF. It reorders xs: only the ranks the interpolation
+// reads are selected (SelectRanks), not the whole slice sorted.
 func Quantiles(xs []float64, k int) []float64 {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return QuantilesSorted(sorted, k)
-}
-
-// QuantilesSorted is Quantiles for data already in ascending order.
-func QuantilesSorted(sorted []float64, k int) []float64 {
-	out := make([]float64, k+1)
+	ranks := make([]int, 0, 2*(k+1))
 	for i := 0; i <= k; i++ {
-		out[i] = QuantileSorted(sorted, float64(i)/float64(k))
+		pos := float64(i) / float64(k) * float64(len(xs)-1)
+		for _, r := range [2]int{int(math.Floor(pos)), int(math.Ceil(pos))} {
+			if len(ranks) == 0 || r > ranks[len(ranks)-1] {
+				ranks = append(ranks, r)
+			}
+		}
+	}
+	SelectRanks(xs, ranks)
+	out := make([]float64, k+1)
+	for i := range out {
+		out[i] = QuantileSorted(xs, float64(i)/float64(k))
 	}
 	return out
+}
+
+// SelectRanks reorders v so that v[r] holds the value of rank r — the value
+// sorting v would put there — for every r of ranks (ascending, inside
+// [0, len(v))): a quickselect with a three-way partition around the median
+// of three values drawn from a fixed-seed generator (fixed pivots degrade
+// to quadratic time on a presorted column, since the partition reverses
+// its upper part), which goes on only into the parts holding a rank. A
+// slice already in order is left as it is after one pass.
+func SelectRanks(v []float64, ranks []int) {
+	if slices.IsSorted(v) {
+		return
+	}
+	selectRanks(v, 0, len(v), ranks, rand.New(rand.NewPCG(1, 2)))
+}
+
+func selectRanks(v []float64, lo, hi int, ranks []int, rng *rand.Rand) {
+	for len(ranks) > 0 && hi-lo > 1 {
+		a, b, c := v[lo+rng.IntN(hi-lo)], v[lo+rng.IntN(hi-lo)], v[lo+rng.IntN(hi-lo)]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// v[lo:lt] < pivot, v[lt:i] == pivot, v[gt:hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := v[i]; {
+			case x < pivot:
+				v[lt], v[i] = x, v[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				v[gt], v[i] = x, v[gt]
+			default:
+				i++
+			}
+		}
+		selectRanks(v, lo, lt, ranks[:sort.SearchInts(ranks, lt)], rng)
+		ranks, lo = ranks[sort.SearchInts(ranks, gt):], gt
+	}
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -83,6 +84,81 @@ func TestQuantilesBoundaries(t *testing.T) {
 	}
 	if !sort.Float64sAreSorted(b) {
 		t.Error("boundaries must be ascending")
+	}
+}
+
+// columns returns random test columns: continuous, few distinct values,
+// all equal, presorted and reversed.
+func columns(rng *rand.Rand, trials, maxN int) [][]float64 {
+	var out [][]float64
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + rng.Intn(maxN)
+		v := make([]float64, n)
+		distinct := 1 + rng.Intn(n)
+		for i := range v {
+			switch trial % 5 {
+			case 0:
+				v[i] = rng.NormFloat64() * 1e3
+			case 1:
+				v[i] = float64(rng.Intn(distinct)) - float64(distinct)/2
+			case 2:
+				v[i] = 7
+			case 3:
+				v[i] = float64(i)
+			case 4:
+				v[i] = float64(n - i)
+			}
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// SelectRanks must put at every asked rank the value a full sort puts
+// there, bit for bit, and only permute the slice; ranks may repeat.
+func TestSelectRanksMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial, v := range columns(rng, 500, 3000) {
+		sorted := append([]float64(nil), v...)
+		sort.Float64s(sorted)
+		ranks := make([]int, rng.Intn(50))
+		for i := range ranks {
+			ranks[i] = rng.Intn(len(v))
+		}
+		sort.Ints(ranks)
+		SelectRanks(v, ranks)
+		for _, r := range ranks {
+			if math.Float64bits(v[r]) != math.Float64bits(sorted[r]) {
+				t.Fatalf("trial %d (n=%d): rank %d holds %v, sorting gives %v", trial, len(v), r, v[r], sorted[r])
+			}
+		}
+		sort.Float64s(v)
+		if !slices.Equal(v, sorted) {
+			t.Fatalf("trial %d: SelectRanks is not a permutation", trial)
+		}
+	}
+}
+
+// Quantiles selects only the ranks the interpolation reads, and must give
+// the boundaries QuantileSorted computes over a full sort, bit for bit.
+func TestQuantilesMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial, v := range columns(rng, 500, 3000) {
+		k := 1 + rng.Intn(64)
+		sorted := append([]float64(nil), v...)
+		sort.Float64s(sorted)
+		got := Quantiles(v, k)
+		if len(got) != k+1 {
+			t.Fatalf("trial %d: %d boundaries for k=%d", trial, len(got), k)
+		}
+		for i, g := range got {
+			if want := QuantileSorted(sorted, float64(i)/float64(k)); math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("trial %d (n=%d k=%d): boundary %d is %v, sorting gives %v", trial, len(v), k, i, g, want)
+			}
+		}
+	}
+	if got := Quantiles(nil, 2); len(got) != 3 || !math.IsNaN(got[0]) || !math.IsNaN(got[2]) {
+		t.Errorf("Quantiles of no data = %v, want three NaNs", got)
 	}
 }
 

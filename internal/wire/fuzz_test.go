@@ -29,7 +29,7 @@ func FuzzWireDecode(f *testing.F) {
 		&Error{ID: 4, Code: CodeOverloaded, RetryAfterMillis: 100, Msg: "busy"},
 		&Cancel{ID: 5},
 		&Stats{ID: 6},
-		&StatsRes{ID: 6, Rows: 100, Hosted: []int{0}, ShardRows: []int64{100}, MemoryOverhead: 4096},
+		&StatsRes{ID: 6, Rows: 100, Hosted: []int{0}, ShardRows: []int64{100}, MemoryOverhead: 4096, BuildSeconds: 0.25},
 	} {
 		var buf bytes.Buffer
 		if err := NewConn(&buf).Send(m); err != nil {

@@ -450,14 +450,16 @@ func (m *Stats) encode(w *binio.Writer) { w.Uint64(m.ID) }
 func (m *Stats) decode(r *binio.Reader) { m.ID = r.Uint64() }
 
 // StatsRes reports the node's shape: total live rows, the global shards it
-// hosts, each hosted shard's live row count (aligned with Hosted), and the
-// index directory bytes of its hosted shards summed (MemoryOverhead).
+// hosts, each hosted shard's live row count (aligned with Hosted), the
+// index directory bytes of its hosted shards summed (MemoryOverhead), and
+// how long building them took at start-up (BuildSeconds).
 type StatsRes struct {
 	ID             uint64
 	Rows           int64
 	Hosted         []int
 	ShardRows      []int64
 	MemoryOverhead int64
+	BuildSeconds   float64
 }
 
 func (*StatsRes) wireType() byte { return TStatsRes }
@@ -467,6 +469,7 @@ func (m *StatsRes) encode(w *binio.Writer) {
 	w.Ints(m.Hosted)
 	w.Int64s(m.ShardRows)
 	w.Int64(m.MemoryOverhead)
+	w.Float64(m.BuildSeconds)
 }
 func (m *StatsRes) decode(r *binio.Reader) {
 	m.ID = r.Uint64()
@@ -474,6 +477,7 @@ func (m *StatsRes) decode(r *binio.Reader) {
 	m.Hosted = r.Ints()
 	m.ShardRows = r.Int64s()
 	m.MemoryOverhead = r.Int64()
+	m.BuildSeconds = r.Float64()
 }
 
 // --- handshake helpers ---

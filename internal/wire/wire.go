@@ -37,7 +37,8 @@ const (
 	// ProtocolVersion is the wire format version carried in the handshake;
 	// both sides must agree exactly (there is no cross-version negotiation
 	// yet — a mismatch is a handshake error, not silent misdecoding).
-	ProtocolVersion = 2
+	// Version 3 added StatsRes.BuildSeconds.
+	ProtocolVersion = 3
 
 	// Magic opens every Hello payload ("COAX" little-endian), so a stray
 	// HTTP client or port scanner is rejected at the first frame.

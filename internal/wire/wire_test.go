@@ -40,7 +40,7 @@ func allMessages() []Message {
 		&Mutate{ID: 13, Op: MutUpdate, Shard: 2, Row: []float64{1, 2}, New: []float64{3, 4}},
 		&MutAck{ID: 13, Rows: 999},
 		&Stats{ID: 15},
-		&StatsRes{ID: 15, Rows: 1000, Hosted: []int{0, 2}, ShardRows: []int64{400, 600}, MemoryOverhead: 51624},
+		&StatsRes{ID: 15, Rows: 1000, Hosted: []int{0, 2}, ShardRows: []int64{400, 600}, MemoryOverhead: 51624, BuildSeconds: 1.5},
 	}
 }
 
